@@ -9,6 +9,15 @@ tensor's nonzeros through :meth:`repro.serving.Server.update`, and times
 each maintenance pass against a warm prepared statement re-executing the
 kernel in full on the updated catalog.
 
+Every kernel is measured on ``backend="typed"`` — the fastest executor, the
+one a full refresh should be compared against (ROADMAP item 1) — at a scale
+where a typed re-execution takes tens of milliseconds, and on ``compile`` at
+the original toy scale (a 6 s re-execution of MMM at nnz~900), kept for
+history.  ``min_speedup`` and the headline in README/``docs/ivm.md`` are the
+typed rows.  ``apply_delta_ms`` is the same update on a twin catalog without
+views (the storage write path alone) and ``maintain_ms`` what view
+maintenance adds on top of it.
+
 Integer-valued data makes every arithmetic step exact in floating point,
 so the maintained view must be **bit-equal** to full re-execution under
 the fuzz oracle's canonical normalization — the benchmark asserts exact
@@ -55,8 +64,15 @@ def _int_sparse(rng, shape, density):
     return np.where(mask, values, 0.0)
 
 
-def _mmm_catalog(rng, smoke):
-    n = 128 if smoke else 300
+#: Executors measured, the one the headline quotes first.
+BACKENDS = ("typed", "compile")
+
+
+def _mmm_catalog(rng, smoke, backend):
+    if backend == "typed":
+        n = 1000 if smoke else 2000
+    else:
+        n = 128 if smoke else 300
     a = _int_sparse(rng, (n, n), 0.01)
     b = _int_sparse(rng, (n, n), 0.01)
     catalog = (Catalog()
@@ -65,8 +81,11 @@ def _mmm_catalog(rng, smoke):
     return catalog, "A"
 
 
-def _mttkrp_catalog(rng, smoke):
-    dims, nnz = ((40, 150, 150), 400) if smoke else ((50, 300, 300), 1500)
+def _mttkrp_catalog(rng, smoke, backend):
+    if backend == "typed":
+        dims, nnz = (64, 1024, 1024), (30000 if smoke else 100000)
+    else:
+        dims, nnz = ((40, 150, 150), 400) if smoke else ((50, 300, 300), 1500)
     rank = 8
     coords = np.unique(np.column_stack(
         [rng.integers(0, extent, nnz) for extent in dims]), axis=0)
@@ -81,21 +100,22 @@ def _mttkrp_catalog(rng, smoke):
 CASES = (("MMM", _mmm_catalog), ("MTTKRP", _mttkrp_catalog))
 
 
-def bench_kernel(name, make_catalog, rng, smoke):
+def bench_kernel(name, make_catalog, rng, smoke, backend):
     """Stream updates through one kernel's view; return the report row."""
-    catalog, target = make_catalog(rng, smoke)
+    catalog, target = make_catalog(rng, smoke, backend)
     kernel = KERNELS[name]
     shape = catalog[target].shape
     nnz = catalog[target].nnz
     delta_nnz = max(1, nnz // 200)            # 0.5% of the nonzeros per update
+    twin = Catalog().add(catalog[target])     # the write path without views
 
-    with Server(catalog) as server:
+    with Server(catalog, backend=backend) as server:
         view = server.create_view(name, kernel.source)
         statement = server.session().prepare(kernel.source)
         statement.execute()                   # warm: optimize + lower once
 
         first_update_ms = None
-        delta_ms, full_ms = [], []
+        delta_ms, full_ms, apply_ms = [], [], []
         bit_equal = True
         for index in range(UPDATES):
             coords = np.column_stack(
@@ -105,10 +125,14 @@ def bench_kernel(name, make_catalog, rng, smoke):
             start = time.perf_counter()
             server.update(target, coords, values)
             elapsed = (time.perf_counter() - start) * 1e3
+            start = time.perf_counter()
+            twin.update(target, coords, values)
+            applied = (time.perf_counter() - start) * 1e3
             if index == 0:
                 first_update_ms = elapsed     # includes delta derivation + prepare
             else:
                 delta_ms.append(elapsed)
+                apply_ms.append(applied)
 
             start = time.perf_counter()
             recomputed = statement.execute()
@@ -121,15 +145,19 @@ def bench_kernel(name, make_catalog, rng, smoke):
         stats = server.stats.snapshot()
 
     mean_delta = (sum(delta_ms) / len(delta_ms)) if delta_ms else first_update_ms
+    mean_apply = (sum(apply_ms) / len(apply_ms)) if apply_ms else applied
     mean_full = sum(full_ms) / len(full_ms)
     return {
         "kernel": name,
+        "backend": backend,
         "tensor": target,
         "nnz": nnz,
         "delta_nnz": delta_nnz,
         "updates": UPDATES,
         "first_update_ms": round(first_update_ms, 3),
         "delta_mean_ms": round(mean_delta, 3),
+        "apply_delta_ms": round(mean_apply, 3),
+        "maintain_ms": round(mean_delta - mean_apply, 3),
         "full_mean_ms": round(mean_full, 3),
         "speedup": round(mean_full / mean_delta, 2),
         "maintained_by_delta": maintained_by_delta,
@@ -143,7 +171,8 @@ def run_bench(smoke: bool | None = None) -> dict:
     if smoke is None:
         smoke = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
     rng = np.random.default_rng(SEED)
-    rows = [bench_kernel(name, make, rng, smoke) for name, make in CASES]
+    rows = [bench_kernel(name, make, rng, smoke, backend)
+            for backend in BACKENDS for name, make in CASES]
 
     cases = 60 if smoke else 250
     report = ivm_campaign(SEED, cases, updates_per_case=4)
@@ -168,7 +197,10 @@ def run_bench(smoke: bool | None = None) -> dict:
         "machine": platform.machine(),
         "rows": rows,
         "campaign": campaign,
-        "min_speedup": min(row["speedup"] for row in rows),
+        "min_speedup": min(row["speedup"] for row in rows
+                           if row["backend"] == BACKENDS[0]),
+        "min_speedup_compile": min(row["speedup"] for row in rows
+                                   if row["backend"] == "compile"),
     }
 
 
@@ -178,12 +210,14 @@ def _check(report: dict) -> None:
     assert all(row["maintained_by_delta"] for row in report["rows"]), \
         "cost model fell back to full refresh at benchmark scale"
     assert report["campaign"]["ok"], "IVM fuzz campaign found divergences"
-    # The acceptance point: at full scale, small-delta maintenance beats
-    # full re-execution by >=5x on every kernel (smoke scale is sized for
-    # CI wall-clock, not for the ratio, so it only sanity-checks >2x).
-    floor = 2.0 if report["smoke"] else 5.0
-    assert report["min_speedup"] >= floor, \
-        f"expected >={floor}x from delta maintenance, worst was {report['min_speedup']}x"
+    # The acceptance point: against the typed executor, small-delta
+    # maintenance costs clearly less than half a full re-execution on every
+    # kernel; against compile it stays >=5x at full scale (smoke scale is
+    # sized for CI wall-clock, not for the ratio, so it only sanity-checks).
+    for key, floor in (("min_speedup", 1.5 if report["smoke"] else 2.5),
+                       ("min_speedup_compile", 2.0 if report["smoke"] else 5.0)):
+        assert report[key] >= floor, \
+            f"expected {key} >= {floor}x from delta maintenance, got {report[key]}x"
 
 
 def test_ivm_bench(benchmark):
@@ -203,7 +237,8 @@ def main() -> None:
     with open(_JSON_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
     _check(report)
-    print(f"wrote {_JSON_PATH} (min speedup {report['min_speedup']}x, "
+    print(f"wrote {_JSON_PATH} (min speedup {report['min_speedup']}x on typed, "
+          f"{report['min_speedup_compile']}x on compile, "
           f"campaign ok={report['campaign']['ok']})")
 
 

@@ -34,6 +34,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..sdqlite.values import integral_index, is_dictlike, is_scalar, iter_items
+from ..storage.formats import merge_coo
 
 __all__ = [
     "HAVE_NUMBA",
@@ -297,6 +298,21 @@ class BufferLevels:
             ancestor = self.parents(d)[ancestor]
         return np.stack(cols, axis=1) if self.values.size else \
             np.empty((0, depth), dtype=np.int64)
+
+    def merge(self, other: "BufferLevels") -> "BufferLevels | None":
+        """``self ⊕ other`` as new levels, by a sorted-key merge of the leaves.
+
+        Leaves under the same coordinate add and exact cancellations drop
+        (:func:`repro.storage.formats.merge_coo`: only ``other`` is sorted
+        against ``self``; the rest is ``O(nnz)`` copying).  Interior entries
+        without leaves — semiring zeros — are not carried over.  ``None`` when
+        the depths differ or no int64 key can order the coordinates.
+        """
+        if self.depth != other.depth:
+            return None
+        merged = merge_coo(self.leaf_coords(), self.values,
+                           other.leaf_coords(), other.values)
+        return None if merged is None else BufferLevels.from_sorted_coords(*merged)
 
     @property
     def nnz(self) -> int:

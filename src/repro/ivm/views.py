@@ -32,6 +32,7 @@ cancellation is just a negative delta value.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -41,14 +42,16 @@ import numpy as np
 
 from ..core.cost import CostModel
 from ..core.optimizer import OptimizationResult, Optimizer
+from ..execution.buffers import BufferDict
 from ..execution.engine import ExecutionEngine, PreparedPlan, result_to_dense
 from ..sdqlite.ast import Expr, ZERO
 from ..sdqlite.errors import StorageError
-from ..sdqlite.values import v_add
+from ..sdqlite.values import is_dictlike, v_add
 from ..storage.formats import COOFormat
 from .delta import DeltaNotSupported, delta_symbol, derive_delta
 
 _MISSING = object()
+_log = logging.getLogger("repro.ivm")
 
 
 @dataclass
@@ -259,15 +262,27 @@ class ViewRegistry:
         return DeltaPlan(tensor, dname, program, optimization, prepared, schema)
 
     def _delta_pays(self, view: MaterializedView, plan: DeltaPlan,
-                    delta_fmt: COOFormat, old_fmt) -> bool:
+                    delta_fmt: COOFormat, old_fmt, delta_stats) -> bool:
         if plan.trivial:
             return True
         if delta_fmt.nnz > self.max_delta_fraction * max(old_fmt.nnz, 1):
             return False
-        stats = self.session.statistics().with_formats([])
-        stats.apply_format(delta_fmt)
-        delta_cost = CostModel(stats).plan_cost(plan.optimization.plan)
+        delta_cost = CostModel(delta_stats).plan_cost(plan.optimization.plan)
         return delta_cost <= self.fallback_ratio * view.statement.optimization.cost
+
+    @staticmethod
+    def _add_delta(view: MaterializedView, delta: Any) -> Any:
+        """``view._result ⊕ delta``, staying in buffer form when both sides are."""
+        old = view._result
+        if (isinstance(old, BufferDict) and isinstance(delta, BufferDict)
+                and old.is_root and delta.is_root):
+            merged = old.levels.merge(delta.levels)
+            if merged is not None:
+                return BufferDict(merged)
+        if is_dictlike(old) and is_dictlike(delta):
+            _log.debug("view %r: %s + %s is not a buffer merge, adding entry by "
+                       "entry", view.name, type(old).__name__, type(delta).__name__)
+        return v_add(old, delta)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -290,21 +305,29 @@ class ViewRegistry:
             delta_fmt = COOFormat(delta_symbol(name), coords, values,
                                   old_fmt.shape)
             epochs_before = catalog.epochs()
+            # The delta's statistics and environment: one of each per update.
+            delta_stats = session.statistics().with_formats([])
+            delta_stats.apply_format(delta_fmt)
+            delta_env = dict(session.environment())
+            delta_env.update(delta_fmt.physical())
             staged: dict[str, Any] = {}
             pending_full: list[MaterializedView] = []
             for view in self._views.values():
                 fresh = (view._version, view._schema_version) == epochs_before
                 plan = self.delta_plan(view, name) if fresh else None
                 if plan is None or not self._delta_pays(view, plan, delta_fmt,
-                                                        old_fmt):
+                                                        old_fmt, delta_stats):
+                    _log.debug(
+                        "view %r: full refresh instead of a delta on %r (%s)",
+                        view.name, name,
+                        "stale view" if not fresh else
+                        "no delta plan" if plan is None else "delta does not pay")
                     pending_full.append(view)
                 elif plan.trivial:
                     staged[view.name] = view._result
                 else:
-                    env = dict(session.environment())
-                    env.update(delta_fmt.physical())
-                    delta_result = plan.prepared.run(env)
-                    staged[view.name] = v_add(view._result, delta_result)
+                    staged[view.name] = self._add_delta(
+                        view, plan.prepared.run(delta_env))
             session._apply_update(name, delta_fmt.coords, delta_fmt.values)
             epochs = catalog.epochs()
             for view in pending_full:

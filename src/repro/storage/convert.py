@@ -30,6 +30,8 @@ hold uniformly.  Example::
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 try:  # SciPy is optional: only the interchange helpers below need it.
@@ -39,7 +41,6 @@ except ImportError:  # pragma: no cover - exercised only on scipy-less installs
 
 from ..sdqlite.errors import StorageError
 from .formats import (
-    COOFormat,
     CSCFormat,
     CSRFormat,
     DCSRFormat,
@@ -47,10 +48,13 @@ from .formats import (
     FORMATS,
     StorageFormat,
     TensorStats,
+    merge_coo,
     sum_duplicates,
 )
 from .sharded import SHARDED_FORMATS, ShardedFormat
 from .special import SPECIAL_FORMATS
+
+_log = logging.getLogger("repro.storage")
 
 #: Every named storage format: the general-purpose menu of ``formats.py``
 #: plus the Sec. 4 special formats and the out-of-core sharded family.
@@ -162,11 +166,12 @@ def coo_arrays(fmt: StorageFormat) -> tuple[np.ndarray, np.ndarray]:
     explicit zeros dropped).  The read-out is the format's own
     :meth:`~repro.storage.formats.StorageFormat.to_coo` — O(nnz) for every
     sparse format, never a dense intermediate — normalized here with
-    :func:`~repro.storage.formats.sum_duplicates`.
+    :func:`~repro.storage.formats.sum_duplicates` unless the format already
+    keeps its entries in that order.
     """
-    if isinstance(fmt, COOFormat):
-        return fmt.coords.copy(), fmt.values.copy()
     coords, values = fmt.to_coo()
+    if fmt._sort_axes == ():
+        return coords, values
     return sum_duplicates(coords, values, len(fmt.shape))
 
 
@@ -195,7 +200,15 @@ def apply_delta(fmt: StorageFormat, coords, values) -> StorageFormat:
     absent ones inserted, and entries cancelling to exact zero dropped — the
     same coalescing semantics as
     :func:`repro.storage.formats.sum_duplicates`, so the result equals
-    re-building the format from the updated dense tensor.  The format class
+    ``from_coo`` of the old entries followed by the delta, bit for bit.
+
+    The sorted-array formats (COO, CSR/CSC, DCSR, CSF and the sharded
+    family) binary-search the delta into their own sorted entries
+    (:func:`repro.storage.formats.merge_coo`) and rebuild only the position
+    arrays: ``O(k log nnz)`` comparisons plus ``O(nnz)`` copying for a
+    ``k``-entry delta, no sort of the base.  Dense storage scatters in
+    place of a copy; hash, trie and the Sec. 4 special layouts are rebuilt
+    through ``from_coo`` (one ``O(nnz log nnz)`` sort).  The format class
     and shape are preserved, which is what lets
     :meth:`repro.storage.Catalog.update` treat this as a value-only
     mutation.  Special formats re-validate their structural preconditions
@@ -219,12 +232,18 @@ def apply_delta(fmt: StorageFormat, coords, values) -> StorageFormat:
         dense = fmt.array.copy()
         np.add.at(dense, tuple(coords.T), values)
         return DenseFormat(fmt.name, dense)
+    if fmt._sort_axes is not None:
+        merged = merge_coo(*fmt.to_coo(), coords, values, fmt._sort_axes)
+        if merged is not None:
+            return type(fmt)._from_canonical(fmt.name, *merged, fmt.shape,
+                                             **fmt.from_coo_kwargs())
+    _log.debug("apply_delta: rebuilding %s %r (nnz=%d) for a %d-entry delta: %s",
+               fmt.format_name, fmt.name, fmt.nnz, len(values),
+               "the layout has no sorted-key merge" if fmt._sort_axes is None
+               else "no int64 key orders these coordinates")
     base_coords, base_values = coo_arrays(fmt)
-    all_coords = (np.concatenate([base_coords, coords])
-                  if base_coords.size else coords)
-    all_values = (np.concatenate([base_values, values])
-                  if base_values.size else values)
-    return type(fmt).from_coo(fmt.name, all_coords, all_values, fmt.shape,
+    return type(fmt).from_coo(fmt.name, np.concatenate([base_coords, coords]),
+                              np.concatenate([base_values, values]), fmt.shape,
                               **fmt.from_coo_kwargs())
 
 

@@ -64,6 +64,46 @@ def coo_from_dense(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords.astype(np.int64), np.asarray(values, dtype=np.float64)
 
 
+def _key_space(blocks: Sequence[np.ndarray], axes: Sequence[int] = ()):
+    """``(lo, weights)`` linearizing coordinates into one order-preserving int64 key.
+
+    :func:`_linear_keys` orders rows lexicographically by the columns
+    ``axes`` (most significant first; ``()``: natural order) for every row
+    inside the bounding box of the non-empty ``blocks``.  ``None`` when the
+    box has ``2**63`` or more cells, so the key would overflow.
+    """
+    blocks = [block for block in blocks if block.shape[0]]
+    rank = blocks[0].shape[1]
+    lo, weights = [0] * rank, [0] * rank
+    cells = 1
+    for axis in reversed(axes or range(rank)):
+        lo[axis] = min(int(block[:, axis].min()) for block in blocks)
+        hi = max(int(block[:, axis].max()) for block in blocks)
+        weights[axis] = cells
+        cells *= hi - lo[axis] + 1
+        if cells >= 1 << 63:
+            return None
+    return lo, weights
+
+
+def _linear_keys(coords: np.ndarray, lo: list[int], weights: list[int]) -> np.ndarray:
+    """The int64 key of every row of ``coords`` in a :func:`_key_space`."""
+    keys = np.zeros(coords.shape[0], dtype=np.int64)
+    for axis, (low, weight) in enumerate(zip(lo, weights)):
+        term = coords[:, axis] - low
+        term *= weight
+        keys += term
+    return keys
+
+
+def _first_of_run(keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted key array (1-D or row matrix) that start a run."""
+    first = np.ones(keys.shape[0], dtype=bool)
+    changed = keys[1:] != keys[:-1]
+    first[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
+    return first
+
+
 def sum_duplicates(coords: np.ndarray, values: np.ndarray,
                    rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Coalesce duplicate coordinates by summing their values.
@@ -74,25 +114,88 @@ def sum_duplicates(coords: np.ndarray, values: np.ndarray,
     sums to) zero are dropped — a stored zero is indistinguishable from an
     absent entry in the semiring semantics, and dropping it uniformly keeps
     ``nnz`` independent of the conversion path a tensor took.  The returned
-    coordinates are unique and sorted in row-major (lexicographic) order.
+    coordinates are unique and sorted in row-major (lexicographic) order —
+    the *canonical order* every sorted-array format stores its entries in.
+
+    One stable sort of a linearized int64 key (``np.lexsort`` of the columns
+    when the coordinates' bounding box has ``2**63`` or more cells); the
+    values of one coordinate are accumulated in input order.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, rank or 1)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if coords.shape[0] == 0:
         return coords, values
-    unique, inverse = np.unique(coords, axis=0, return_inverse=True)
-    if unique.shape[0] == coords.shape[0]:
-        # No duplicates: keep row-major order without re-scattering values.
+    space = _key_space([coords])
+    if space is None:
         order = np.lexsort(tuple(coords[:, axis] for axis in range(coords.shape[1] - 1, -1, -1)))
-        coords, values = coords[order], values[order]
+        coords = np.take(coords, order, axis=0)  # much faster than coords[order]
+        first = _first_of_run(coords)
     else:
-        summed = np.zeros(unique.shape[0], dtype=np.float64)
-        np.add.at(summed, inverse.reshape(-1), values)
-        coords, values = unique, summed
+        keys = _linear_keys(coords, *space)
+        order = np.argsort(keys, kind="stable")
+        coords = np.take(coords, order, axis=0)
+        first = _first_of_run(keys[order])
+    values = values[order]
+    if not first.all():
+        # bincount adds in array order, i.e. in input order within a coordinate.
+        values = np.bincount(np.cumsum(first) - 1, weights=values)
+        coords = coords[first]
     nonzero = values != 0
     if not np.all(nonzero):
         coords, values = coords[nonzero], values[nonzero]
     return coords, values
+
+
+def merge_coo(base_coords: np.ndarray, base_values: np.ndarray,
+              coords: np.ndarray, values: np.ndarray,
+              axes: Sequence[int] = ()):
+    """Add the entries ``(coords, values)`` into a canonical ``base``.
+
+    ``base_coords`` must be unique and sorted lexicographically by the
+    columns ``axes`` (``()``: natural order); ``coords`` may come in any
+    order and repeat.  Coordinates present in the base are incremented,
+    absent ones inserted at their sorted position, and entries whose sum is
+    exactly zero dropped — per coordinate the additions happen in the order
+    *base value, then the delta values in input order*, so the result is
+    bit-for-bit what :func:`sum_duplicates` gives on the concatenation.
+
+    Only the delta is sorted: ``O(k log k + k log nnz)`` comparisons plus
+    ``O(nnz)`` copying.  Returns ``(coords, values)`` in the base's order, or
+    ``None`` when no int64 key can order the coordinates (see
+    :func:`_key_space`) and the caller has to rebuild.
+    """
+    if not coords.shape[0]:
+        return base_coords, base_values
+    space = _key_space([base_coords, coords], axes)
+    if space is None:
+        return None
+    base_keys = _linear_keys(base_coords, *space)
+    keys = _linear_keys(coords, *space)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = _first_of_run(keys)
+    unique = keys[first]
+    pos = np.searchsorted(base_keys, unique)
+    hit = np.zeros(unique.shape[0], dtype=bool)
+    inside = pos < base_keys.shape[0]
+    hit[inside] = base_keys[pos[inside]] == unique[inside]
+    sums = np.zeros(unique.shape[0], dtype=np.float64)
+    sums[hit] = base_values[pos[hit]]
+    np.add.at(sums, np.cumsum(first) - 1, values[order])
+    # The edit script as one gather over [base rows; inserted rows].
+    new = ~hit & (sums != 0)
+    all_coords = np.concatenate([base_coords, coords[order[first][new]]])
+    all_values = np.concatenate([base_values, sums[new]])
+    all_values[pos[hit]] = sums[hit]
+    n = base_keys.shape[0]
+    take = np.arange(n)
+    drop = pos[hit & (sums == 0)]
+    at = pos[new]
+    if drop.size:
+        take = np.delete(take, drop)
+        at = at - np.searchsorted(drop, at)
+    take = np.insert(take, at, np.arange(n, all_values.shape[0]))
+    return np.take(all_coords, take, axis=0), all_values[take]
 
 
 @dataclass(frozen=True)
@@ -213,6 +316,28 @@ class StorageFormat(ABC):
         structural predicates of :class:`TensorStats`).
         """
         return False
+
+    #: Sorted-array formats implement ``_build`` and set this to the order of
+    #: significance (most significant first) of the coordinate columns their
+    #: entries are kept sorted by — ``(1, 0)`` for CSC, ``()`` for the natural
+    #: order of any rank.  ``None``: the layout is not a sorted run of entries.
+    _sort_axes: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_canonical(cls, name: str, coords: np.ndarray, values: np.ndarray,
+                        shape: Sequence[int], **kwargs) -> "StorageFormat":
+        """Trusted constructor of the sorted-array formats: no normalization.
+
+        The caller guarantees the *canonical-order invariant*: ``coords`` is
+        an int64 ``(nnz, rank)`` matrix of unique in-range coordinates sorted
+        lexicographically by ``_sort_axes``, ``values`` a float64 array with
+        no zeros.  That is what :func:`sum_duplicates` returns (re-sorted by
+        column for CSC) and what :func:`merge_coo` preserves, so neither is
+        re-checked.  ``kwargs`` are those of :meth:`from_coo`.
+        """
+        self = cls.__new__(cls)
+        self._build(name, coords, values, tuple(shape), **kwargs)
+        return self
 
     def from_coo_kwargs(self) -> dict[str, Any]:
         """Constructor kwargs that reproduce this instance's parameterization.
@@ -448,11 +573,15 @@ class COOFormat(StorageFormat):
     """Coordinate format: one index array per dimension plus a value array."""
 
     format_name = "coo"
+    _sort_axes = ()
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int]):
-        super().__init__(name, tuple(shape))
-        self.coords, self.values = sum_duplicates(coords, values, self.rank)
+        self._build(name, *sum_duplicates(coords, values, len(tuple(shape))), shape)
+
+    def _build(self, name, coords, values, shape) -> None:
+        StorageFormat.__init__(self, name, shape)
+        self.coords, self.values = coords, values
 
     @classmethod
     def from_coo(cls, name, coords, values, shape, **kwargs) -> "COOFormat":
@@ -504,8 +633,8 @@ class COOFormat(StorageFormat):
 def _compress(sorted_outer: np.ndarray, n_outer: int) -> np.ndarray:
     """Build a positions array (length ``n_outer + 1``) from sorted outer indices."""
     pos = np.zeros(n_outer + 1, dtype=np.int64)
-    np.add.at(pos, sorted_outer + 1, 1)
-    return np.cumsum(pos)
+    np.cumsum(np.bincount(sorted_outer, minlength=n_outer), out=pos[1:])
+    return pos
 
 
 class CSRFormat(StorageFormat):
@@ -514,19 +643,24 @@ class CSRFormat(StorageFormat):
     format_name = "csr"
     _outer_axis = 0
     _inner_axis = 1
+    _sort_axes = ()
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int]):
-        super().__init__(name, tuple(shape))
-        if self.rank != 2:
+        if len(tuple(shape)) != 2:
             raise StorageError(f"{type(self).__name__} is a matrix format")
         coords, values = sum_duplicates(coords, values, 2)
-        outer = coords[:, self._outer_axis]
-        inner = coords[:, self._inner_axis]
-        order = np.lexsort((inner, outer))
-        self._outer_sorted = outer[order]
-        self.idx = inner[order]
-        self.val = values[order]
+        if self._outer_axis:
+            # CSC: row-major canonical order -> column-major storage order.
+            order = np.argsort(coords[:, self._outer_axis], kind="stable")
+            coords, values = np.take(coords, order, axis=0), values[order]
+        self._build(name, coords, values, shape)
+
+    def _build(self, name, coords, values, shape) -> None:
+        StorageFormat.__init__(self, name, shape)
+        self._outer_sorted = np.ascontiguousarray(coords[:, self._outer_axis])
+        self.idx = np.ascontiguousarray(coords[:, self._inner_axis])
+        self.val = values
         self.pos = _compress(self._outer_sorted, self.shape[self._outer_axis])
 
     @classmethod
@@ -562,13 +696,8 @@ class CSRFormat(StorageFormat):
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)
-        n_outer = self.shape[self._outer_axis]
-        for outer in range(n_outer):
-            for offset in range(self.pos[outer], self.pos[outer + 1]):
-                coordinate = [0, 0]
-                coordinate[self._outer_axis] = outer
-                coordinate[self._inner_axis] = int(self.idx[offset])
-                dense[tuple(coordinate)] += self.val[offset]
+        coords, values = self.to_coo()
+        dense[tuple(coords.T)] = values
         return dense
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
@@ -615,6 +744,7 @@ class CSCFormat(CSRFormat):
     format_name = "csc"
     _outer_axis = 1
     _inner_axis = 0
+    _sort_axes = (1, 0)
 
     def mapping_source(self) -> str:
         n = self.name
@@ -629,15 +759,18 @@ class DCSRFormat(StorageFormat):
     """Doubly compressed sparse row (sparse-sparse): only non-empty rows are stored."""
 
     format_name = "dcsr"
+    _sort_axes = ()
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int]):
-        super().__init__(name, tuple(shape))
-        if self.rank != 2:
+        if len(tuple(shape)) != 2:
             raise StorageError("DCSRFormat is a matrix format")
-        coords, values = sum_duplicates(coords, values, 2)
+        self._build(name, *sum_duplicates(coords, values, 2), shape)
+
+    def _build(self, name, coords, values, shape) -> None:
+        StorageFormat.__init__(self, name, shape)
         rows = coords[:, 0]
-        self.idx2 = coords[:, 1]
+        self.idx2 = np.ascontiguousarray(coords[:, 1])
         self.val = values
         self.idx1, counts = np.unique(rows, return_counts=True) if rows.size else (
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -677,9 +810,8 @@ class DCSRFormat(StorageFormat):
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)
-        for position, row in enumerate(self.idx1):
-            for offset in range(self.pos2[position], self.pos2[position + 1]):
-                dense[int(row), int(self.idx2[offset])] += self.val[offset]
+        coords, values = self.to_coo()
+        dense[tuple(coords.T)] = values
         return dense
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
@@ -724,44 +856,26 @@ class CSFFormat(StorageFormat):
     """Compressed Sparse Fiber for rank-3 tensors (sparse tree of segments)."""
 
     format_name = "csf"
+    _sort_axes = ()
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int]):
-        super().__init__(name, tuple(shape))
-        if self.rank != 3:
+        if len(tuple(shape)) != 3:
             raise StorageError("CSFFormat stores rank-3 tensors")
-        coords, values = sum_duplicates(coords, values, 3)
+        self._build(name, *sum_duplicates(coords, values, 3), shape)
 
-        idx1: list[int] = []
-        pos2: list[int] = [0]
-        idx2: list[int] = []
-        pos3: list[int] = [0]
-        idx3: list[int] = []
-        val: list[float] = []
-        last_i = None
-        last_ik = None
-        for (i, k, l), v in zip(coords, values):
-            i, k, l = int(i), int(k), int(l)
-            if i != last_i:
-                idx1.append(i)
-                pos2.append(pos2[-1])
-                last_i = i
-                last_ik = None
-            if (i, k) != last_ik:
-                idx2.append(k)
-                pos2[-1] += 1
-                pos3.append(pos3[-1])
-                last_ik = (i, k)
-            idx3.append(l)
-            pos3[-1] += 1
-            val.append(float(v))
-
-        self.idx1 = np.array(idx1, dtype=np.int64)
-        self.pos2 = np.array(pos2, dtype=np.int64)
-        self.idx2 = np.array(idx2, dtype=np.int64)
-        self.pos3 = np.array(pos3, dtype=np.int64)
-        self.idx3 = np.array(idx3, dtype=np.int64)
-        self.val = np.array(val, dtype=np.float64)
+    def _build(self, name, coords, values, shape) -> None:
+        StorageFormat.__init__(self, name, shape)
+        # Leaf offsets at which a new level-1 entry (i) / level-2 fiber (i, k) starts.
+        new1 = _first_of_run(coords[:, 0])
+        starts2 = np.flatnonzero(new1 | _first_of_run(coords[:, 1]))
+        self.idx1 = coords[new1, 0]
+        self.pos2 = np.append(np.searchsorted(starts2, np.flatnonzero(new1)),
+                              starts2.shape[0])
+        self.idx2 = coords[starts2, 1]
+        self.pos3 = np.append(starts2, values.shape[0])
+        self.idx3 = np.ascontiguousarray(coords[:, 2])
+        self.val = values
 
     @classmethod
     def from_coo(cls, name, coords, values, shape, **kwargs):
@@ -799,11 +913,8 @@ class CSFFormat(StorageFormat):
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)
-        for p1, i in enumerate(self.idx1):
-            for p2 in range(self.pos2[p1], self.pos2[p1 + 1]):
-                k = int(self.idx2[p2])
-                for p3 in range(self.pos3[p2], self.pos3[p2 + 1]):
-                    dense[int(i), k, int(self.idx3[p3])] += self.val[p3]
+        coords, values = self.to_coo()
+        dense[tuple(coords.T)] = values
         return dense
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:

@@ -163,6 +163,7 @@ class ShardedCOOFormat(ShardedFormat):
     """
 
     format_name = "sharded_coo"
+    _sort_axes = ()
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int], *, shards: int | None = None,
@@ -170,10 +171,14 @@ class ShardedCOOFormat(ShardedFormat):
         shape = tuple(int(s) for s in shape)
         if not shape:
             raise StorageError("ShardedCOOFormat requires rank >= 1")
-        coords, values = sum_duplicates(coords, values, len(shape))
+        self._build(name, *sum_duplicates(coords, values, len(shape)), shape,
+                    shards=shards, memmap_dir=memmap_dir)
+
+    def _build(self, name, coords, values, shape, *, shards=None,
+               memmap_dir=None) -> None:
         if shards is None:
             shards = default_shard_count(len(values), shape[0])
-        super().__init__(name, shape, shard_bounds(shape[0], shards))
+        ShardedFormat.__init__(self, name, shape, shard_bounds(shape[0], shards))
         splits = np.searchsorted(coords[:, 0], self.bounds[1:-1])
         self.shard_arrays: list[dict[str, np.ndarray]] = []
         for shard, (coord_block, value_block) in enumerate(
@@ -291,6 +296,7 @@ class ShardedCSRFormat(ShardedFormat):
     """
 
     format_name = "sharded_csr"
+    _sort_axes = ()
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int], *, shards: int | None = None,
@@ -298,10 +304,14 @@ class ShardedCSRFormat(ShardedFormat):
         shape = tuple(int(s) for s in shape)
         if len(shape) != 2:
             raise StorageError("ShardedCSRFormat is a matrix format")
-        coords, values = sum_duplicates(coords, values, 2)
+        self._build(name, *sum_duplicates(coords, values, 2), shape,
+                    shards=shards, memmap_dir=memmap_dir)
+
+    def _build(self, name, coords, values, shape, *, shards=None,
+               memmap_dir=None) -> None:
         if shards is None:
             shards = default_shard_count(len(values), shape[0])
-        super().__init__(name, shape, shard_bounds(shape[0], shards))
+        ShardedFormat.__init__(self, name, shape, shard_bounds(shape[0], shards))
         splits = np.searchsorted(coords[:, 0], self.bounds[1:-1])
         self.shard_arrays: list[dict[str, np.ndarray]] = []
         for shard, (coord_block, value_block) in enumerate(
@@ -535,22 +545,23 @@ class MemmapDenseFormat(DenseFormat):
 
 
 def _coords_profile(coords: np.ndarray, rank: int) -> Profile:
-    """Branching-factor profile from sorted coordinates, vectorized.
+    """Branching-factor profile from **sorted** coordinates, vectorized.
 
-    Same shape as ``COOFormat.profile`` but computed with ``np.unique`` per
-    prefix length instead of Python sets — sharded tensors are exactly the
-    ones big enough for the difference to matter.
+    Same shape as ``COOFormat.profile``; on sorted rows the number of
+    distinct length-``d`` prefixes is one plus the number of rows whose
+    prefix differs from the row before — sharded tensors are exactly the
+    ones big enough for avoiding Python sets to matter.
     """
     factors: list[float]
     if coords.shape[0] == 0:
         factors = [0.0] * max(1, rank)
     else:
+        differs = np.logical_or.accumulate(coords[1:] != coords[:-1], axis=1)
         factors = []
         previous = 1
-        for level in range(1, rank + 1):
-            distinct = np.unique(coords[:, :level], axis=0).shape[0]
-            factors.append(distinct / previous)
-            previous = distinct
+        for distinct in 1 + differs.sum(axis=0):
+            factors.append(int(distinct) / previous)
+            previous = int(distinct)
     profile: Profile = ("s",)
     for factor in reversed(factors):
         profile = (float(factor), profile)

@@ -15,9 +15,12 @@ Covers the pieces the IVM subsystem (``docs/ivm.md``) is built from:
   .snapshot`.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
+from repro.execution.buffers import BufferDict
 from repro.execution.engine import result_to_dense
 from repro.sdqlite.errors import StorageError
 from repro.serving import Server
@@ -119,7 +122,7 @@ def test_prepared_statements_survive_a_value_only_replace():
 # -- session-level views ------------------------------------------------------
 
 
-def test_session_view_maintains_through_updates():
+def test_session_view_maintains_through_updates(caplog):
     catalog, a, b = small_catalog()
     with Session(catalog) as session:
         view = session.create_view("mmm", MMM)
@@ -127,7 +130,10 @@ def test_session_view_maintains_through_updates():
         registry.fallback_ratio = 1e9   # toy scale: force the delta path
         np.testing.assert_allclose(dense_result(view.value(), (3, 2)), a @ b)
 
-        session.update("A", [(0, 1), (1, 0)], [5.0, -1.0])
+        with caplog.at_level(logging.DEBUG, logger="repro.ivm"):
+            session.update("A", [(0, 1), (1, 0)], [5.0, -1.0])
+        # The default backend's results are not typed buffers.
+        assert "view 'mmm'" in caplog.text and "entry by entry" in caplog.text
         a2 = a.copy()
         a2[0, 1] += 5.0
         a2[1, 0] -= 1.0
@@ -177,7 +183,7 @@ def test_schema_change_triggers_full_refresh_on_next_read():
         assert view.full_refreshes == 2
 
 
-def test_structural_fallback_for_nonlinear_programs():
+def test_structural_fallback_for_nonlinear_programs(caplog):
     catalog, a, _ = small_catalog()
     with Session(catalog) as session:
         view = session.create_view(
@@ -185,7 +191,10 @@ def test_structural_fallback_for_nonlinear_programs():
         registry = session.views()
         registry.fallback_ratio = 1e9
         assert view.delta_program("A") is None   # v*v is not linear in v
-        session.update("A", [(0, 0)], [2.0])
+        with caplog.at_level(logging.DEBUG, logger="repro.ivm"):
+            session.update("A", [(0, 0)], [2.0])
+        assert "view 'sq': full refresh" in caplog.text
+        assert "(no delta plan)" in caplog.text
         a2 = a.copy()
         a2[0, 0] += 2.0
         assert view.value() == pytest.approx((a2 * a2).sum())
@@ -193,18 +202,71 @@ def test_structural_fallback_for_nonlinear_programs():
         assert view.full_refreshes == 2
 
 
-def test_large_deltas_fall_back_to_full_refresh():
+def test_large_deltas_fall_back_to_full_refresh(caplog):
     catalog, a, b = small_catalog()
     with Session(catalog) as session:
         view = session.create_view("mmm", MMM)
         registry = session.views()
         registry.fallback_ratio = 1e9
         registry.max_delta_fraction = 0.1   # any delta is "too large" here
-        session.update("A", [(0, 1)], [1.0])
+        with caplog.at_level(logging.DEBUG, logger="repro.ivm"):
+            session.update("A", [(0, 1)], [1.0])
+        assert "(delta does not pay)" in caplog.text
         a2 = a.copy()
         a2[0, 1] += 1.0
         np.testing.assert_allclose(dense_result(view.value(), (3, 2)), a2 @ b)
         assert view.delta_refreshes == 0
+
+
+def test_update_of_a_stale_view_refreshes_it_in_full(caplog):
+    catalog, a, b = small_catalog()
+    with Session(catalog) as session:
+        view = session.create_view("mmm", MMM)
+        session.views().fallback_ratio = 1e9
+        catalog.update("A", [(0, 0)], [1.0])    # behind the registry's back
+        with caplog.at_level(logging.DEBUG, logger="repro.ivm"):
+            session.update("A", [(0, 1)], [1.0])
+        assert "(stale view)" in caplog.text
+        a2 = a.copy()
+        a2[0, 0] += 1.0
+        a2[0, 1] += 1.0
+        np.testing.assert_allclose(dense_result(view.value(), (3, 2)), a2 @ b)
+        assert (view.delta_refreshes, view.full_refreshes) == (0, 2)
+
+
+def test_typed_views_stay_in_buffer_form_across_updates(caplog):
+    """The result of a maintained view never decays to a Python dictionary:
+    ``value()`` keeps its O(nnz) scatter and equals a fresh full refresh."""
+    rng = np.random.default_rng(11)
+    n = 24
+    a = np.where(rng.random((n, n)) < 0.2, rng.integers(1, 5, (n, n)), 0).astype(float)
+    b = np.where(rng.random((n, 6)) < 0.4, rng.integers(1, 5, (n, 6)), 0).astype(float)
+    catalog = Catalog().add(CSRFormat.from_dense("A", a)).add(CSRFormat.from_dense("B", b))
+    programs = {"mmm": (MMM, (n, 6)), "rowsum": ("sum(<(i, j), v> in A) { i -> v }", (n,))}
+    with Session(catalog, backend="typed") as session:
+        views = {name: session.create_view(name, source, dense_shape=shape)
+                 for name, (source, shape) in programs.items()}
+        session.views().fallback_ratio = 1e9
+        with caplog.at_level(logging.DEBUG, logger="repro.ivm"):
+            for step in range(6):
+                coords = rng.integers(0, n, (3, 2))
+                # Integer deltas keep every sum exact; one of them deletes an entry.
+                values = rng.integers(1, 4, 3).astype(float)
+                if step == 3:
+                    stored = catalog["A"].to_coo()
+                    coords, values = stored[0][:1], -stored[1][:1]
+                session.update("A", coords, values)
+                np.add.at(a, tuple(np.asarray(coords).T), values)
+                for name, view in views.items():
+                    assert type(view._result) is BufferDict
+                    assert view.delta_refreshes == step + 1
+                    maintained = view.value()
+                    fresh = session.prepare(programs[name][0]).execute()
+                    assert maintained.tobytes() == result_to_dense(
+                        fresh, programs[name][1]).tobytes()
+        assert not caplog.records               # no refresh, no entry-wise add
+        np.testing.assert_array_equal(views["mmm"].value(), a @ b)
+        np.testing.assert_array_equal(views["rowsum"].value(), a.sum(axis=1))
 
 
 def test_trivial_delta_skips_execution_entirely():

@@ -442,3 +442,229 @@ class TestScipyExports:
         # native value array is reused, not rebuilt through a COO detour
         # (scipy downcasts the int64 index arrays, so only data is shared)
         assert np.shares_memory(csc.data, fmt.val)
+
+
+# ---------------------------------------------------------------------------
+# The write path: sum_duplicates and apply_delta against pinned references
+# ---------------------------------------------------------------------------
+
+import logging  # noqa: E402
+
+from repro.storage import Catalog  # noqa: E402
+from repro.storage import convert as convert_module  # noqa: E402
+from repro.storage.convert import apply_delta  # noqa: E402
+from repro.storage import formats as formats_module  # noqa: E402
+
+
+def reference_sum_duplicates(coords, values, rank):
+    """``sum_duplicates`` as it was before the sorted-key write path (pinned)."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, rank or 1)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if coords.shape[0] == 0:
+        return coords, values
+    unique, inverse = np.unique(coords, axis=0, return_inverse=True)
+    if unique.shape[0] == coords.shape[0]:
+        order = np.lexsort(tuple(coords[:, axis]
+                                 for axis in range(coords.shape[1] - 1, -1, -1)))
+        coords, values = coords[order], values[order]
+    else:
+        summed = np.zeros(unique.shape[0], dtype=np.float64)
+        np.add.at(summed, inverse.reshape(-1), values)
+        coords, values = unique, summed
+    nonzero = values != 0
+    return coords[nonzero], values[nonzero]
+
+
+def assert_bit_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_buffers(got, expected):
+    got, expected = got.to_buffers(), expected.to_buffers()
+    assert got.keys() == expected.keys()
+    for key in got:
+        assert_bit_equal(got[key], expected[key])
+
+
+#: Values whose sums depend on the order of addition, cancel exactly, or vanish.
+AWKWARD = [0.1, 0.2, 0.3, -0.3, 1e16, -1e16, 1.0, -1.0, 0.0, 3.0]
+float_values = st.one_of(
+    st.sampled_from(AWKWARD),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@st.composite
+def entry_lists(draw, shape, max_size=12, seeds=()):
+    """``(coords, values)`` inside ``shape``; ``seeds`` are coordinates to re-hit."""
+    coordinate = st.tuples(*(st.integers(0, extent - 1) for extent in shape))
+    if seeds:
+        coordinate = st.one_of(coordinate, st.sampled_from(seeds))
+    coords = draw(st.lists(coordinate, max_size=max_size))
+    values = draw(st.lists(float_values, min_size=len(coords), max_size=len(coords)))
+    return (np.array(coords, dtype=np.int64).reshape(-1, len(shape)),
+            np.array(values, dtype=np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_sum_duplicates_matches_the_old_implementation(data):
+    rank = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(1, 3)) for _ in range(rank))
+    coords, values = data.draw(entry_lists(shape, max_size=24))
+    got = sum_duplicates(coords, values, rank)
+    expected = reference_sum_duplicates(coords, values, rank)
+    assert_bit_equal(got[0], expected[0])
+    assert_bit_equal(got[1], expected[1])
+
+
+def test_sum_duplicates_without_an_int64_key():
+    """A bounding box of 2**93 cells: the lexsort fallback, same answers."""
+    top = (1 << 31) - 1
+    coords = np.array([[top, top, top], [0, 0, 0], [top, 0, top], [0, 0, 0],
+                       [top, top, top], [0, top, 0]])
+    values = np.array([0.1, 0.2, 1.0, 0.3, -0.1, 2.0])
+    assert formats_module._key_space([coords]) is None
+    got = sum_duplicates(coords, values, 3)
+    expected = reference_sum_duplicates(coords, values, 3)
+    assert_bit_equal(got[0], expected[0])
+    assert_bit_equal(got[1], expected[1])
+
+
+def _formats_for(shape):
+    """Every ``(class, from_coo kwargs)`` of ``ALL_FORMATS`` legal for ``shape``."""
+    rank_ok = {"csr": 2, "csc": 2, "dcsr": 2, "sharded_csr": 2, "csf": 3}
+    for kind, cls in ALL_FORMATS.items():
+        if rank_ok.get(kind, len(shape)) != len(shape):
+            continue
+        if kind in ("lower_triangular", "band", "zorder"):
+            continue                    # structural: see the special-format test
+        if kind.startswith("sharded"):
+            for shards in (1, 2, 3):
+                yield cls, {"shards": shards}
+        else:
+            yield cls, {}
+
+
+def check_apply_delta(cls, kwargs, shape, base, delta):
+    """``apply_delta`` equals ``from_coo`` of base-then-delta, buffer for buffer."""
+    fmt = cls.from_coo("T", *base, shape, **kwargs)
+    base_coords, base_values = convert_module.coo_arrays(fmt)
+    expected = cls.from_coo("T", np.concatenate([base_coords, delta[0]]),
+                            np.concatenate([base_values, delta[1]]), shape,
+                            **fmt.from_coo_kwargs())
+    before = {key: np.array(value) for key, value in fmt.to_buffers().items()}
+    got = apply_delta(fmt, *delta)
+    assert type(got) is cls and got.shape == fmt.shape
+    assert got.from_coo_kwargs() == fmt.from_coo_kwargs()
+    assert got.spec_name == fmt.spec_name
+    assert got.nnz == expected.nnz
+    assert_same_buffers(got, expected)
+    for key, value in fmt.to_buffers().items():     # the old format is untouched
+        assert_bit_equal(value, before[key])
+
+
+def test_apply_delta_edge_cases_equal_rebuild():
+    """Empty base, empty delta, duplicates hitting one entry, exact
+    cancellation, and inserts into the last row and the last column."""
+    shape = (3, 4)
+    base = (np.array([[0, 0], [1, 2], [2, 3]]), np.array([1.0, 0.1, 4.0]))
+    empty = (np.empty((0, 2), dtype=np.int64), np.empty(0))
+    deltas = [
+        empty,
+        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): the order of additions is pinned
+        (np.array([[1, 2], [1, 2], [0, 0]]), np.array([0.2, 0.3, -1.0])),
+        (np.array([[2, 0], [0, 3], [2, 3], [2, 0]]), np.array([1.0, 2.0, 0.5, -1.0])),
+    ]
+    for cls, kwargs in _formats_for(shape):
+        for start in (base, empty):
+            for delta in deltas:
+                check_apply_delta(cls, kwargs, shape, start, delta)
+        fmt = cls.from_coo("T", *base, shape, **kwargs)
+        assert apply_delta(fmt, *empty) is fmt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_apply_delta_equals_rebuild(data):
+    rank = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(1, 4)) for _ in range(rank))
+    base = data.draw(entry_lists(shape))
+    stored = sum_duplicates(*base, rank)
+    seeds = [tuple(int(c) for c in row) for row in stored[0]]
+    delta = data.draw(entry_lists(shape, seeds=seeds))
+    if seeds and data.draw(st.booleans()):      # exact cancellation of a stored entry
+        delta = (np.concatenate([delta[0], stored[0][:1]]),
+                 np.concatenate([delta[1], -stored[1][:1]]))
+    for cls, kwargs in _formats_for(shape):
+        check_apply_delta(cls, kwargs, shape, base, delta)
+
+
+@pytest.mark.parametrize("kind", ["lower_triangular", "band", "zorder"])
+def test_apply_delta_special_formats_equal_rebuild(kind):
+    # Diagonal and sub-diagonal of a 4x4: legal for all three layouts.
+    base = (np.array([[0, 0], [1, 0], [2, 2], [3, 2]]), np.array([1.0, 0.1, 3.0, 4.0]))
+    delta = (np.array([[1, 0], [3, 3], [1, 0], [2, 2], [2, 1]]),
+             np.array([0.2, 5.0, 0.3, -3.0, 7.0]))
+    check_apply_delta(ALL_FORMATS[kind], {}, (4, 4), base, delta)
+    if kind != "zorder":
+        with pytest.raises(StorageError):
+            apply_delta(ALL_FORMATS[kind].from_coo("T", *base, (4, 4)),
+                        np.array([[0, 3]]), np.array([1.0]))
+
+
+def test_apply_delta_without_an_int64_key_rebuilds(caplog):
+    top = (1 << 31) - 1
+    shape = (1 << 31,) * 3
+    fmt = COOFormat("T", np.array([[0, 0, 0], [top, top, top]]),
+                    np.array([0.1, 1.0]), shape)
+    delta = (np.array([[top, top, top], [0, top, 0], [0, 0, 0], [0, 0, 0]]),
+             np.array([-1.0, 2.0, 0.2, 0.3]))
+    with caplog.at_level(logging.DEBUG, logger="repro.storage"):
+        got = apply_delta(fmt, *delta)
+    assert "rebuilding coo 'T'" in caplog.text
+    expected = COOFormat("T", np.concatenate([fmt.coords, delta[0]]),
+                         np.concatenate([fmt.values, delta[1]]), shape)
+    assert_same_buffers(got, expected)
+    np.testing.assert_array_equal(got.coords, [[0, 0, 0], [0, top, 0]])
+
+
+def test_apply_delta_logs_the_rebuild_path_only_where_it_is_taken(caplog):
+    dense = np.arange(12.0).reshape(3, 4)
+    with caplog.at_level(logging.DEBUG, logger="repro.storage"):
+        for kind in ("dense", "coo", "csr", "csc", "dcsr", "sharded_coo",
+                     "sharded_csr"):
+            apply_delta(ALL_FORMATS[kind].from_dense("M", dense), [(2, 3)], [1.0])
+        assert not caplog.records
+        for kind in ("dok", "trie"):
+            apply_delta(ALL_FORMATS[kind].from_dense("M", dense), [(2, 3)], [1.0])
+    assert [record.args[0] for record in caplog.records] == ["dok", "trie"]
+
+
+@pytest.mark.parametrize("kind", ["coo", "csr", "csc", "csf"])
+def test_catalog_update_never_normalizes_the_base(kind, monkeypatch):
+    """The O(nnz log nnz) path cannot silently come back: ``Catalog.update``
+    on a sorted-array format hands ``sum_duplicates`` at most the delta."""
+    rng = np.random.default_rng(7)
+    shape = (20, 30, 10) if kind == "csf" else (40, 50)
+    coords = np.column_stack([rng.integers(0, extent, 400) for extent in shape])
+    values = rng.random(400)
+    catalog = Catalog().add(ALL_FORMATS[kind].from_coo("A", coords, values, shape))
+    k = 6
+    delta = np.column_stack([rng.integers(0, extent, k) for extent in shape])
+    delta_values = rng.random(k)
+    expected = ALL_FORMATS[kind].from_coo(
+        "A", np.concatenate([coords, delta]), np.concatenate([values, delta_values]), shape)
+    sizes = []
+    original = formats_module.sum_duplicates
+
+    def recording(coords, values, rank):
+        sizes.append(len(np.asarray(values).reshape(-1)))
+        return original(coords, values, rank)
+
+    for module in (formats_module, convert_module):
+        monkeypatch.setattr(module, "sum_duplicates", recording)
+    catalog.update("A", delta, delta_values)
+    assert max(sizes, default=0) <= k
+    np.testing.assert_allclose(catalog["A"].to_dense(), expected.to_dense())

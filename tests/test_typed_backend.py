@@ -22,6 +22,7 @@ from repro.execution.buffers import (
 from repro.execution.engine import result_to_matrix, result_to_vector
 from repro.execution.typed_backend import _hoist_guard
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
+from repro.sdqlite.values import v_add
 from repro.sdqlite.ast import IfThen, Let
 from repro.storage import TrieFormat, build_format
 
@@ -190,6 +191,20 @@ def test_empty_buffer_levels_have_empty_leaves():
                                              np.empty(0))
     assert levels.depth == 2
     assert levels.leaf_coords().shape == (0, 2)
+
+
+def test_buffer_levels_merge_is_semiring_addition():
+    left = {0: {1: 2.0, 3: 0.1}, 2: {0: 4.0}, 5: {5: 1.0}}
+    right = {0: {3: 0.2, 0: 7.0}, 2: {0: -4.0}, 4: {9: 3.0}, -1: {2: 1.0}}
+    merged = levels_from_mapping(left).merge(levels_from_mapping(right))
+    # Cancelled leaves go, and with them a parent left without children.
+    assert BufferDict(merged).to_dict() == {
+        -1: {2: 1.0}, 0: {0: 7.0, 1: 2.0, 3: 0.1 + 0.2}, 4: {9: 3.0}, 5: {5: 1.0}}
+    assert values_equal(BufferDict(merged), v_add(left, right))
+    empty = BufferLevels.from_sorted_coords(np.empty((0, 2), dtype=np.int64), np.empty(0))
+    assert BufferDict(empty.merge(levels_from_mapping(left))).to_dict() == left
+    assert BufferDict(levels_from_mapping(left).merge(empty)).to_dict() == left
+    assert levels_from_mapping(left).merge(levels_from_mapping({0: 1.0})) is None
 
 
 # ---------------------------------------------------------------------------
