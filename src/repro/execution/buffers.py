@@ -20,7 +20,7 @@ runs on:
   dicts, tries, semiring dicts, 1-D arrays, ranges) into a
   :class:`LevelView`, with ``None`` for shapes the typed representation
   cannot hold (tuple or float keys, ragged depth).
-* The kernel twins :func:`expand_ranges` / :func:`parent_sum` /
+* The kernel twins :func:`expand_lanes` / :func:`parent_sum` /
   :func:`lookup_sorted`: when ``numba`` is importable they are JIT-compiled
   ``@njit`` loops, otherwise semantically identical NumPy-vectorized
   implementations.  Both modes produce bit-identical results; the backend is
@@ -38,14 +38,14 @@ from ..storage.formats import merge_coo
 
 __all__ = [
     "HAVE_NUMBA",
+    "HEAP_KEPT",
     "BufferLevels",
     "BufferDict",
     "LevelView",
     "to_buffer_levels",
-    "expand_ranges",
+    "expand_lanes",
     "parent_sum",
     "lookup_sorted",
-    "group_sum_sorted",
 ]
 
 
@@ -61,14 +61,51 @@ except ImportError:  # pragma: no cover - the default environment
     HAVE_NUMBA = False
 
 
-def _np_expand_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(lo[i], lo[i] + counts[i])`` for every lane ``i``."""
-    total = int(counts.sum())
+def _keep_heap_between_runs() -> bool:
+    """Stop glibc handing the kernels' temporaries back after every run.
+
+    A typed execution allocates a few MB of lane-sized arrays and frees them
+    all when it returns.  glibc moves its ``mmap``/trim thresholds with the
+    largest block freed so far, so whether that much free heap went back to
+    the OS — to be faulted in again, page by page, by the next execution:
+    ~1000 minor faults, 1.4 ms of a 3.5 ms MMM — depended on what the process
+    had allocated before and differed from one process to the next.  Pinning
+    both thresholds at the maxima glibc's own adjustment reaches (32 MiB, and
+    twice that) makes every run reuse the heap.  A no-op on other allocators.
+    """
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError):
+        return False
+    m_trim_threshold, m_mmap_threshold = -1, -3     # <malloc.h>
+    return bool(mallopt(m_mmap_threshold, 32 << 20)
+                and mallopt(m_trim_threshold, 64 << 20))
+
+
+HEAP_KEPT = _keep_heap_between_runs()
+
+
+def _np_expand_lanes(lo: np.ndarray, counts: np.ndarray):
+    """Fan every lane ``i`` out into ``arange(lo[i], lo[i] + counts[i])``.
+
+    Returns ``(parent, positions)``: the lane each new lane came from and the
+    concatenated ranges.  Back-to-back ranges — a full traversal of a
+    ``pos``/``idx`` segment array — are one ``arange``.
+    """
+    lanes = counts.shape[0]
+    parent = np.repeat(np.arange(lanes, dtype=np.int64), counts)
+    total = parent.shape[0]
     if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    return (np.arange(total, dtype=np.int64)
-            - np.repeat(starts, counts) + np.repeat(lo, counts))
+        return parent, np.empty(0, dtype=np.int64)
+    shift = lo - (np.cumsum(counts) - counts)   # position minus new-lane number
+    first = int(shift[0])
+    if int(shift.min()) == first == int(shift.max()):
+        return parent, np.arange(first, first + total, dtype=np.int64)
+    positions = shift[parent]
+    positions += np.arange(total, dtype=np.int64)
+    return parent, positions
 
 
 def _np_parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -91,18 +128,22 @@ def _np_lookup_sorted(haystack: np.ndarray, queries: np.ndarray):
 if HAVE_NUMBA:  # pragma: no cover - exercised on the optional numba CI leg
 
     @_njit(cache=False)
-    def _nb_expand_ranges(lo, counts, out):
+    def _nb_expand_lanes(lo, counts, parent, positions):
         k = 0
         for i in range(lo.shape[0]):
             for j in range(counts[i]):
-                out[k] = lo[i] + j
+                parent[k] = i
+                positions[k] = lo[i] + j
                 k += 1
 
-    def expand_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        _nb_expand_ranges(np.ascontiguousarray(lo, dtype=np.int64),
-                          np.ascontiguousarray(counts, dtype=np.int64), out)
-        return out
+    def expand_lanes(lo: np.ndarray, counts: np.ndarray):
+        total = int(counts.sum())
+        parent = np.empty(total, dtype=np.int64)
+        positions = np.empty(total, dtype=np.int64)
+        _nb_expand_lanes(np.ascontiguousarray(lo, dtype=np.int64),
+                         np.ascontiguousarray(counts, dtype=np.int64),
+                         parent, positions)
+        return parent, positions
 
     @_njit(cache=False)
     def _nb_parent_sum(parent, weights, out):
@@ -142,36 +183,9 @@ if HAVE_NUMBA:  # pragma: no cover - exercised on the optional numba CI leg
         return pos, found
 
 else:
-    expand_ranges = _np_expand_ranges
+    expand_lanes = _np_expand_lanes
     parent_sum = _np_parent_sum
     lookup_sorted = _np_lookup_sorted
-
-
-def group_sum_sorted(cols: list[np.ndarray], vals: np.ndarray):
-    """Group-by-sum over key columns: unique coordinates and their value sums.
-
-    ``cols`` are equal-length int64 key columns, outermost key first; the
-    result is ``(coords, sums)`` with ``coords`` an ``m × depth`` matrix of
-    unique coordinates in lexicographic order and zero sums dropped (the
-    semiring identifies a zero entry with an absent one).
-    """
-    n = vals.shape[0]
-    if n == 0:
-        return np.empty((0, len(cols)), dtype=np.int64), np.empty(0, dtype=np.float64)
-    order = np.lexsort(tuple(reversed(cols)))
-    sorted_cols = [np.ascontiguousarray(c[order]) for c in cols]
-    sorted_vals = vals[order]
-    boundary = np.zeros(n, dtype=bool)
-    boundary[0] = True
-    for column in sorted_cols:
-        boundary[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(boundary)
-    sums = np.add.reduceat(sorted_vals, starts)
-    coords = np.stack([column[starts] for column in sorted_cols], axis=1)
-    nonzero = sums != 0
-    if not np.all(nonzero):
-        coords, sums = coords[nonzero], sums[nonzero]
-    return coords, sums
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +205,7 @@ class BufferLevels:
     per-segment lookups a single composite-key :func:`lookup_sorted`.
     """
 
-    __slots__ = ("depth", "keys", "seg", "values", "_parents", "_comps")
+    __slots__ = ("depth", "keys", "seg", "values", "_parents", "_comps", "_leaf_cols")
 
     def __init__(self, keys: list[np.ndarray], seg: list[np.ndarray],
                  values: np.ndarray):
@@ -201,6 +215,7 @@ class BufferLevels:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._parents: dict[int, np.ndarray] = {}
         self._comps: dict[int, tuple] = {}
+        self._leaf_cols: list[np.ndarray] | None = None
 
     @classmethod
     def from_sorted_coords(cls, coords: np.ndarray, values: np.ndarray) -> "BufferLevels":
@@ -208,30 +223,38 @@ class BufferLevels:
         coords = np.asarray(coords, dtype=np.int64)
         if coords.ndim != 2:
             raise ValueError("coords must be an (n, depth) matrix")
-        n, depth = coords.shape
+        return cls.from_sorted_columns(list(coords.T), values)
+
+    @classmethod
+    def from_sorted_columns(cls, cols: list[np.ndarray], values: np.ndarray) -> "BufferLevels":
+        """Build levels from the columns of **unique, lexicographically sorted**
+        coordinates (outermost key first), in one comparison pass per level.
+
+        The columns are kept as the leaf coordinates (:meth:`leaf_columns`).
+        """
+        n, depth = values.shape[0], len(cols)
         keys_levels: list[np.ndarray] = []
         segs: list[np.ndarray] = []
-        prev_ids = np.zeros(n, dtype=np.int64)
-        prev_count = 1
-        for d in range(depth):
-            if n:
-                new = np.empty(n, dtype=bool)
-                new[0] = True
-                new[1:] = (prev_ids[1:] != prev_ids[:-1]) | (coords[1:, d] != coords[:-1, d])
-                starts = np.flatnonzero(new)
-                ids = np.cumsum(new) - 1
-            else:
-                starts = np.empty(0, dtype=np.int64)
-                ids = prev_ids
-            keys_d = coords[starts, d] if n else np.empty(0, dtype=np.int64)
-            seg = np.zeros(prev_count + 1, dtype=np.int64)
-            if starts.size:
-                np.add.at(seg, prev_ids[starts] + 1, 1)
-            seg = np.cumsum(seg)
-            keys_levels.append(keys_d)
-            segs.append(seg)
-            prev_ids, prev_count = ids, keys_d.shape[0]
-        return cls(keys_levels, segs, np.asarray(values, dtype=np.float64))
+        starts = np.zeros(1, dtype=np.int64)    # leaf position where each parent entry starts
+        first = None
+        for d, col in enumerate(cols):
+            if d == depth - 1:      # unique coordinates: every leaf is an entry
+                keys_levels.append(col)
+                segs.append(np.append(starts, n))
+                break
+            changed = col[1:] != col[:-1]
+            if first is not None:
+                changed |= first[1:]
+            first = np.ones(n, dtype=bool)
+            first[1:] = changed
+            entries = np.flatnonzero(first)
+            keys_levels.append(col[entries])
+            # Every parent starts an entry here too, so the search is exact.
+            segs.append(np.append(np.searchsorted(entries, starts), entries.shape[0]))
+            starts = entries
+        levels = cls(keys_levels, segs, values)
+        levels._leaf_cols = [np.asarray(col, dtype=np.int64) for col in cols]
+        return levels
 
     def parents(self, level: int) -> np.ndarray:
         """Parent entry id (at ``level - 1``) of every level-``level`` entry."""
@@ -287,17 +310,23 @@ class BufferLevels:
         pos, found = lookup_sorted(comp, queries)
         return pos, found & in_range
 
+    def leaf_columns(self) -> list[np.ndarray]:
+        """The full coordinate of every leaf entry, one column per level."""
+        if self._leaf_cols is None:
+            depth = self.depth
+            cols: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
+            cols[depth - 1] = self.keys[depth - 1]
+            ancestor = self.parents(depth - 1)
+            for d in range(depth - 2, -1, -1):
+                cols[d] = self.keys[d][ancestor]
+                ancestor = self.parents(d)[ancestor]
+            self._leaf_cols = cols
+        return self._leaf_cols
+
     def leaf_coords(self) -> np.ndarray:
         """The full coordinate of every leaf entry, as an ``(nnz, depth)`` matrix."""
-        depth = self.depth
-        cols: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-        cols[depth - 1] = self.keys[depth - 1]
-        ancestor = self.parents(depth - 1)
-        for d in range(depth - 2, -1, -1):
-            cols[d] = self.keys[d][ancestor]
-            ancestor = self.parents(d)[ancestor]
-        return np.stack(cols, axis=1) if self.values.size else \
-            np.empty((0, depth), dtype=np.int64)
+        return np.stack(self.leaf_columns(), axis=1) if self.values.size else \
+            np.empty((0, self.depth), dtype=np.int64)
 
     def merge(self, other: "BufferLevels") -> "BufferLevels | None":
         """``self ⊕ other`` as new levels, by a sorted-key merge of the leaves.
@@ -438,10 +467,8 @@ class BufferDict:
         """
         if not self.is_root or self.levels.depth != out.ndim:
             raise ValueError("scatter_into requires a root view of matching rank")
-        coords = self.levels.leaf_coords()
-        if coords.shape[0] == 0:
-            return
-        out[tuple(coords[:, d] for d in range(coords.shape[1]))] = self.levels.values
+        if self.levels.values.size:
+            out[tuple(self.levels.leaf_columns())] = self.levels.values
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ nested-hash-map iteration, dict-valued lookups), this backend keeps going:
   level plus segment pointers and a float64 leaf array),
 * a ``sum`` nested inside a batched body **expands the lane space** instead
   of bailing out: each outer lane fans out into its iteration sub-space
-  (``expand_ranges`` over per-lane slice bounds or trie segments) and every
-  enclosing binding is re-indexed onto the expanded lanes,
+  (``expand_lanes`` over per-lane slice bounds or trie segments); an
+  enclosing binding is gathered onto the expanded lanes only when the body
+  reads it, through one composed lane map however many expansions lie
+  between (bindings nobody reads are never expanded),
 * lookups with per-lane keys into nested dictionaries become one
   composite-key ``searchsorted`` over the level's (parent, key) order,
 * equality-probe loops (``sum(<k,_> in S) if (e == k) then ...``) with a
@@ -19,11 +21,13 @@ nested-hash-map iteration, dict-valued lookups), this backend keeps going:
 * ``merge`` over flat scalar-valued collections becomes a value-sorted join
   (argsort + ``searchsorted``) instead of a per-key Python dict of lists,
 * dictionary-shaped loop bodies accumulate as flat (coords, values) entry
-  bags whose final reduction is a single lexicographic group-by-sum
-  producing a :class:`~repro.execution.buffers.BufferDict` — a lazy view the
-  engine's ``result_to_*`` helpers scatter straight into dense output.
+  bags whose final reduction is one order-aware group-by-sum
+  (:func:`repro.storage.formats.group_sum`, which sorts only entries that
+  do not already arrive in order) producing a
+  :class:`~repro.execution.buffers.BufferDict` — a lazy view the engine's
+  ``result_to_*`` helpers scatter straight into dense output.
 
-The kernels underneath (:func:`~repro.execution.buffers.expand_ranges`,
+The kernels underneath (:func:`~repro.execution.buffers.expand_lanes`,
 :func:`~repro.execution.buffers.parent_sum`,
 :func:`~repro.execution.buffers.lookup_sorted`) JIT via ``numba.njit`` when
 numba is importable and run as equivalent NumPy code when it is not, so the
@@ -36,11 +40,14 @@ raises :class:`Untyped`; the nearest enclosing non-batched ``sum`` (or
 sums get a fresh chance to batch — so the backend executes every plan the
 interpreter executes, with identical results.  The number of loops that took
 the fallback is reported through the optional ``stats`` sink (see
-:class:`TypedPlan`).
+:class:`TypedPlan`), and each fallback is a debug event on
+``logging.getLogger("repro.execution")``.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -88,20 +95,23 @@ from ..sdqlite.values import (
     v_mul,
     v_sub,
 )
+from ..sdqlite.pretty import pretty
+from ..storage.formats import GROUP_REGIMES, group_sum
 from ..storage.physical import PhysicalArray
 from .buffers import (
     BufferDict,
     BufferLevels,
     LevelView,
-    expand_ranges,
-    group_sum_sorted,
+    expand_lanes,
     lookup_sorted,
     parent_sum,
     to_buffer_levels,
 )
-from .vectorize import _COMPARATORS, _NO_PROBE, _is_closed, _probe_entry, _uses_sum_binders
+from .lowering import COMPARATORS, NO_PROBE, is_closed, probe_entry, uses_sum_binders
 
 __all__ = ["typed_plan", "TypedPlan", "Untyped"]
+
+_log = logging.getLogger("repro.execution")
 
 #: Lane-count ceiling for cross-product expansion of a loop-invariant source
 #: inside a batched body (outer lanes × inner entries).  Beyond it the sum
@@ -223,7 +233,7 @@ class _Runtime:
     """Per-execution state threaded through the closures."""
 
     __slots__ = ("env", "batched", "lanes", "invariants", "failed_batch",
-                 "fallbacks", "buffers", "profile")
+                 "fallbacks", "buffers", "profile", "regimes")
 
     def __init__(self, env: Mapping[str, Any], profile=None):
         self.env = env
@@ -234,6 +244,7 @@ class _Runtime:
         self.fallbacks: set = set()      # sums/merges that ran a Python loop
         self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
+        self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
 
 
 _Closure = Callable[[list, _Runtime], Any]
@@ -271,7 +282,7 @@ def _int_lanes(data: np.ndarray):
     """
     data = np.asarray(data)
     if data.dtype == np.bool_ or data.dtype.kind in ("i", "u"):
-        return data.astype(np.int64), None
+        return data.astype(np.int64, copy=False), None
     if data.dtype.kind == "f":
         finite = np.isfinite(data) & (np.abs(data) < float(1 << 62))
         with np.errstate(invalid="ignore"):
@@ -286,7 +297,7 @@ def _trunc_lanes(value, lanes: int) -> np.ndarray:
     if isinstance(value, TBatch):
         data = np.asarray(value.data)
         if data.dtype == np.bool_ or data.dtype.kind in ("i", "u"):
-            return data.astype(np.int64)
+            return data.astype(np.int64, copy=False)
         if data.dtype.kind == "f":
             if not (np.all(np.isfinite(data)) and np.all(np.abs(data) < float(1 << 62))):
                 raise Untyped("non-finite range bound in batched body")
@@ -329,6 +340,68 @@ def _unwrap(value):
 # ---------------------------------------------------------------------------
 
 
+class _LaneMap:
+    """A ``new -> old`` lane map across one or more expansions.
+
+    ``step`` maps the newest lanes to the lanes before that expansion and
+    ``outer`` those lanes further out; the composition is one gather, made
+    the first time a binding from that far out is read.
+    """
+
+    __slots__ = ("step", "outer", "_index")
+
+    def __init__(self, step: np.ndarray, outer: "_LaneMap | None" = None):
+        self.step = step
+        self.outer = outer
+        self._index = step if outer is None else None
+
+    @property
+    def index(self) -> np.ndarray:
+        if self._index is None:
+            self._index = self.outer.index[self.step]
+        return self._index
+
+
+class _Deferred:
+    """An enclosing binding not yet gathered onto the current lane space.
+
+    Only :class:`Idx` reads frames, and it forces the binding; one that the
+    body never reads is never expanded.
+    """
+
+    __slots__ = ("value", "lanes", "forced")
+
+    def __init__(self, value, lanes: _LaneMap):
+        self.value = value
+        self.lanes = lanes
+        self.forced = None
+
+    def force(self):
+        if self.forced is None:
+            self.forced = _reindex(self.value, self.lanes.index)
+        return self.forced
+
+
+def _defer_frames(frames: list, parent: np.ndarray) -> list:
+    """The frames as seen from the lanes a ``parent`` expansion creates."""
+    step = _LaneMap(parent)
+    chains: dict[int, _LaneMap] = {}    # id(map to the current lanes) -> map to the new ones
+    deferred = []
+    for frame in frames:
+        if isinstance(frame, _Deferred):
+            if frame.forced is not None:
+                frame = _Deferred(frame.forced, step)
+            else:
+                chain = chains.get(id(frame.lanes))
+                if chain is None:
+                    chain = chains[id(frame.lanes)] = _LaneMap(parent, frame.lanes)
+                frame = _Deferred(frame.value, chain)
+        elif _is_batched(frame):
+            frame = _Deferred(frame, step)
+        deferred.append(frame)
+    return deferred
+
+
 def _reindex(value, parent: np.ndarray):
     """Re-map a per-lane value onto an expanded lane space (``new -> old``)."""
     if isinstance(value, TBatch):
@@ -361,6 +434,11 @@ def _safe_gather(arr: np.ndarray, pos: np.ndarray, found: np.ndarray):
     return arr[np.where(found, pos, 0)]
 
 
+def _all_inside(keys: np.ndarray, size: int) -> bool:
+    """True when every key is a position of a ``size``-entry array."""
+    return keys.shape[0] == 0 or (int(keys.min()) >= 0 and int(keys.max()) < size)
+
+
 def _gather(target: np.ndarray | None, keys: np.ndarray):
     """Bounds-checked gather; out-of-range positions read 0, like ``lookup``."""
     if target is None:
@@ -368,24 +446,29 @@ def _gather(target: np.ndarray | None, keys: np.ndarray):
     size = target.shape[0]
     if size == 0:
         return np.zeros(keys.shape[0], dtype=np.float64)
+    if _all_inside(keys, size):
+        return _num(target[keys])
     valid = (keys >= 0) & (keys < size)
     return np.where(valid, _num(target[np.clip(keys, 0, size - 1)]), 0)
 
 
 def _flatten_tbd(tbd: TBatchDict, lanes: int):
     """(cols, vals, rows) of a per-lane singleton-dictionary chain."""
-    sel = np.arange(lanes, dtype=np.int64)
+    sel = None      # the lanes still present; None: all of them
     cols: list = []
     node = tbd
     while isinstance(node, TBatchDict):
         if node.mask is not None:
-            keep = node.mask[sel]
-            sel = sel[keep]
-            cols = [c[keep] for c in cols]
-        cols.append(node.keys[sel])
+            keep = node.mask if sel is None else node.mask[sel]
+            if not keep.all():
+                sel = np.flatnonzero(keep) if sel is None else sel[keep]
+                cols = [c[keep] for c in cols]
+        cols.append(node.keys if sel is None else node.keys[sel])
         node = node.value
-    vals = _num(np.asarray(node))[sel].astype(np.float64)
-    return cols, vals, sel
+    vals = np.asarray(node)
+    if sel is None:
+        return cols, vals.astype(np.float64, copy=False), np.arange(lanes, dtype=np.int64)
+    return cols, vals[sel].astype(np.float64, copy=False), sel
 
 
 def _flatten_segs(ts: TSegs):
@@ -404,12 +487,11 @@ def _flatten_segs(ts: TSegs):
     while True:
         seg = levels.seg[level]
         starts = seg[owner]
-        counts = seg[owner + 1] - starts
-        pos = expand_ranges(starts, counts)
-        rows = np.repeat(rows, counts)
-        cols = [np.repeat(c, counts) for c in cols]
+        parent, pos = expand_lanes(starts, seg[owner + 1] - starts)
+        rows = rows[parent]
+        cols = [c[parent] for c in cols]
         if scale is not None:
-            scale = np.repeat(scale, counts)
+            scale = scale[parent]
         cols.append(levels.keys[level][pos])
         if level == levels.depth - 1:
             vals = levels.values[pos]
@@ -421,10 +503,8 @@ def _flatten_segs(ts: TSegs):
 
 
 def _flatten_slice(ts: TSlice):
-    counts = np.maximum(ts.hi - ts.lo, 0)
-    rows = np.repeat(np.arange(ts.lo.shape[0], dtype=np.int64), counts)
-    keys = expand_ranges(ts.lo, counts)
-    vals = _num(np.asarray(_gather(ts.target, keys))).astype(np.float64)
+    rows, keys = expand_lanes(ts.lo, np.maximum(ts.hi - ts.lo, 0))
+    vals = np.asarray(_gather(ts.target, keys)).astype(np.float64, copy=False)
     return [keys], vals, rows
 
 
@@ -441,21 +521,26 @@ def _flatten(value, lanes: int):
     raise Untyped(f"cannot flatten {type(value).__name__}")
 
 
-def _group_result(cols: list, vals: np.ndarray):
+def _group_result(rt: _Runtime, cols: list, vals: np.ndarray):
     """Group-by-sum an entry bag into a :class:`BufferDict` (or 0)."""
-    coords, sums = group_sum_sorted(cols, np.asarray(vals, dtype=np.float64))
+    take, sums, regime = group_sum(cols, np.asarray(vals, dtype=np.float64))
+    rt.regimes[regime] += 1
     if sums.size == 0:
         return 0
-    return BufferDict(BufferLevels.from_sorted_coords(coords, sums))
+    if take is None:    # passed through: a result shares no memory with a stored array
+        cols, sums = [col.copy() for col in cols], sums.copy()
+    else:
+        cols = [col[take] for col in cols]
+    return BufferDict(BufferLevels.from_sorted_columns(cols, sums))
 
 
-def _reduce_lanes(body, lanes: int):
+def _reduce_lanes(rt: _Runtime, body, lanes: int):
     """Collapse a batched sum body over *all* lanes into one value."""
     if isinstance(body, TBatch):
         return body.data.sum().item()
     if _is_dict_batched(body):
         cols, vals, _ = _flatten(body, lanes)
-        return _group_result(cols, vals)
+        return _group_result(rt, cols, vals)
     # Constant across lanes (the body used no batched variable).
     return v_mul(lanes, body)
 
@@ -560,6 +645,8 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
             found = found & valid
         return TBatch(np.where(found, keys, 0)), found
     if isinstance(target, np.ndarray) and target.ndim == 1:
+        if valid is None and lanes and _all_inside(keys, target.shape[0]):
+            return TBatch(_num(target[keys])), np.ones(lanes, dtype=bool)
         found = (keys >= 0) & (keys < target.shape[0])
         if valid is not None:
             found = found & valid
@@ -625,22 +712,23 @@ def _expand_source(rt: _Runtime, source, lanes: int):
     """
     if isinstance(source, TSlice):
         counts = np.maximum(source.hi - source.lo, 0)
-        parent = np.repeat(np.arange(lanes, dtype=np.int64), counts)
-        keys = expand_ranges(source.lo, counts)
-        if source.target is None:
-            return parent, keys, TBatch(keys), counts
+        parent, keys = expand_lanes(source.lo, counts)
         return parent, keys, TBatch(_gather(source.target, keys)), counts
     if isinstance(source, TSegs):
         levels = source.levels
         seg = levels.seg[source.level]
-        safe = np.maximum(source.owner, 0)
-        starts = seg[safe]
-        ends = seg[np.minimum(safe + 1, seg.shape[0] - 1)]
-        counts = np.where(source.owner >= 0, ends - starts, 0)
-        parent = np.repeat(np.arange(lanes, dtype=np.int64), counts)
-        pos = expand_ranges(np.where(source.owner >= 0, starts, 0), counts)
+        owner = source.owner
+        if owner.shape[0] and int(owner.min()) >= 0:
+            starts = seg[owner]
+            counts = seg[owner + 1] - starts
+        else:   # lanes with the empty dictionary (owner < 0) iterate nothing
+            safe = np.maximum(owner, 0)
+            starts = seg[safe]
+            ends = seg[np.minimum(safe + 1, seg.shape[0] - 1)]
+            counts = np.where(owner >= 0, ends - starts, 0)
+        parent, pos = expand_lanes(starts, counts)
         keys = levels.keys[source.level][pos]
-        scale = None if source.scale is None else np.repeat(source.scale, counts)
+        scale = None if source.scale is None else source.scale[parent]
         if source.level == levels.depth - 1:
             values = levels.values[pos]
             if scale is not None:
@@ -817,6 +905,16 @@ def _singleton_lanes(rt: _Runtime, klanes: np.ndarray, value, lanes: int):
 # ---------------------------------------------------------------------------
 
 
+def _note_fallback(rt: _Runtime, slot, source: Expr, reason: str) -> None:
+    """Count a ``sum``/``merge`` that runs as a Python loop; say so once per run."""
+    if slot not in rt.fallbacks:
+        rt.fallbacks.add(slot)
+        if _log.isEnabledFor(logging.DEBUG):
+            kind, number = ("sum", slot) if isinstance(slot, int) else slot
+            _log.debug("typed %s #%d over %s falls back to a Python loop: %s",
+                       kind, number, pretty(source, resolve_indices=False), reason)
+
+
 def _hoist_guard(body: Expr) -> Expr:
     """Float equality guards above let-bindings that they do not reference.
 
@@ -861,7 +959,8 @@ class _Lowerer:
             def idx_f(frames, rt):
                 if index >= len(frames):
                     raise ExecutionError(f"unbound De Bruijn index %{index}")
-                return frames[-1 - index]
+                value = frames[-1 - index]
+                return value.force() if isinstance(value, _Deferred) else value
             return idx_f
         if isinstance(expr, Var):
             raise ExecutionError("named variables must be converted to De Bruijn form first")
@@ -911,7 +1010,7 @@ class _Lowerer:
                 return left / right
             return div_f
         if isinstance(expr, Cmp):
-            comparator = _COMPARATORS[expr.op]
+            comparator = COMPARATORS[expr.op]
             left_f, right_f = self.lower(expr.left), self.lower(expr.right)
             def cmp_f(frames, rt):
                 left, right = left_f(frames, rt), right_f(frames, rt)
@@ -1068,7 +1167,7 @@ class _Lowerer:
         :class:`BufferDict` views that downstream batched iteration and
         lookups consume with no conversion walk.
         """
-        if not _is_closed(expr):
+        if not is_closed(expr):
             return closure
         slot = self.invariant_slots
         self.invariant_slots += 1
@@ -1104,15 +1203,15 @@ class _Lowerer:
         body = _hoist_guard(expr.body)
         if isinstance(body, IfThen) and isinstance(body.cond, Cmp) and body.cond.op == "==":
             left, right = body.cond.left, body.cond.right
-            if isinstance(left, Idx) and left.index == 1 and not _uses_sum_binders(right):
+            if isinstance(left, Idx) and left.index == 1 and not uses_sum_binders(right):
                 probe_f = self.lower(right)
-            elif isinstance(right, Idx) and right.index == 1 and not _uses_sum_binders(left):
+            elif isinstance(right, Idx) and right.index == 1 and not uses_sum_binders(left):
                 probe_f = self.lower(left)
             if probe_f is not None:
                 then_f = self.lower(body.then)
 
-        def python_loop(frames, rt, source):
-            rt.fallbacks.add(slot)
+        def python_loop(frames, rt, source, reason):
+            _note_fallback(rt, slot, expr.source, reason)
             accumulator: Any = 0
             iterations = 0
             for key, value in iter_items(source):
@@ -1144,10 +1243,10 @@ class _Lowerer:
                     # Same-key-on-every-lane probe into an invariant source.
                     as_float = float(probe_key)
                     if as_float.is_integer():
-                        entry = _probe_entry(source, int(as_float))
+                        entry = probe_entry(source, int(as_float))
                         if entry is None:
                             return 0
-                        if entry is not _NO_PROBE:
+                        if entry is not NO_PROBE:
                             frames.append(int(as_float))
                             frames.append(entry)
                             try:
@@ -1155,7 +1254,7 @@ class _Lowerer:
                             finally:
                                 frames.pop()
                                 frames.pop()
-                    elif _probe_entry(source, 0) is not _NO_PROBE:
+                    elif probe_entry(source, 0) is not NO_PROBE:
                         return 0
                 if isinstance(probe_key, TBatch) or \
                         (is_scalar(probe_key) and _is_batched(source)):
@@ -1193,7 +1292,7 @@ class _Lowerer:
                 rt.profile.record_loop(slot, parent.shape[0], entries=lanes)
             if parent.shape[0] == 0:
                 return 0
-            new_frames = [_reindex(frame, parent) for frame in frames]
+            new_frames = _defer_frames(frames, parent)
             new_frames.append(TBatch(keys))
             new_frames.append(values)
             rt.lanes = parent.shape[0]
@@ -1218,10 +1317,10 @@ class _Lowerer:
                 if is_scalar(probe_key) and not isinstance(probe_key, (bool, np.bool_)):
                     as_float = float(probe_key)
                     if as_float.is_integer():
-                        entry = _probe_entry(source, int(as_float))
+                        entry = probe_entry(source, int(as_float))
                         if entry is None:
                             return 0
-                        if entry is not _NO_PROBE:
+                        if entry is not NO_PROBE:
                             frames.append(int(as_float))
                             frames.append(entry)
                             try:
@@ -1229,11 +1328,14 @@ class _Lowerer:
                             finally:
                                 frames.pop()
                                 frames.pop()
-                    elif _probe_entry(source, 0) is not _NO_PROBE:
+                    elif probe_entry(source, 0) is not NO_PROBE:
                         return 0
+            reason = "its typed attempt already failed in this run"
             if slot not in rt.failed_batch:
                 space = _iteration_space(rt, source)
-                if space is not None:
+                if space is None:
+                    reason = f"cannot batch iteration over {type(source).__name__}"
+                else:
                     keys, values = space
                     lanes = keys.shape[0]
                     if rt.profile is not None:
@@ -1244,19 +1346,18 @@ class _Lowerer:
                     rt.batched, rt.lanes = True, lanes
                     frames.append(TBatch(keys))
                     frames.append(values)
-                    failed = False
                     try:
                         body_value = body_f(frames, rt)
-                    except Untyped:
+                    except Untyped as exc:
                         rt.failed_batch.add(slot)
-                        failed = True
+                        reason = str(exc)
+                    else:
+                        return _reduce_lanes(rt, body_value, lanes)
                     finally:
                         frames.pop()
                         frames.pop()
                         rt.batched, rt.lanes = False, outer_lanes
-                    if not failed:
-                        return _reduce_lanes(body_value, lanes)
-            return python_loop(frames, rt, source)
+            return python_loop(frames, rt, source, reason)
 
         return sum_f
 
@@ -1266,8 +1367,8 @@ class _Lowerer:
         left_f, right_f = self.lower(expr.left), self.lower(expr.right)
         body_f = self.lower(expr.body)
 
-        def python_merge(frames, rt, left, right):
-            rt.fallbacks.add(slot)
+        def python_merge(frames, rt, left, right, reason):
+            _note_fallback(rt, slot, expr.left, reason)
             by_value: dict = {}
             for key, value in iter_items(right):
                 by_value.setdefault(merge_hashable(value), []).append(key)
@@ -1294,9 +1395,11 @@ class _Lowerer:
             right = right_f(frames, rt)
             pairs_left = _flat_pairs(rt, left)
             pairs_right = _flat_pairs(rt, right) if pairs_left is not None else None
+            reason = "an operand is not a flat scalar-valued collection"
             if pairs_left is not None and pairs_right is not None:
                 left_keys, left_vals = pairs_left
                 right_keys, right_vals = pairs_right
+                reason = "non-finite merge values"
                 if np.all(np.isfinite(left_vals)) and np.all(np.isfinite(right_vals)):
                     # Value-equality join: sort the right side by value, then
                     # locate every left value's match range in one
@@ -1310,25 +1413,24 @@ class _Lowerer:
                     lanes = int(counts.sum())
                     if lanes == 0:
                         return 0
-                    key1 = np.repeat(left_keys, counts)
-                    values = np.repeat(left_vals, counts)
-                    key2 = right_keys_sorted[expand_ranges(lo, counts)]
+                    parent, pos = expand_lanes(lo, counts)
+                    key1, values = left_keys[parent], left_vals[parent]
+                    key2 = right_keys_sorted[pos]
                     outer_lanes = rt.lanes
                     rt.batched, rt.lanes = True, lanes
                     frames.append(TBatch(key1))
                     frames.append(TBatch(key2))
                     frames.append(TBatch(values))
-                    failed = False
                     try:
                         body_value = body_f(frames, rt)
-                    except Untyped:
-                        failed = True
+                    except Untyped as exc:
+                        reason = str(exc)
+                    else:
+                        return _reduce_lanes(rt, body_value, lanes)
                     finally:
                         del frames[-3:]
                         rt.batched, rt.lanes = False, outer_lanes
-                    if not failed:
-                        return _reduce_lanes(body_value, lanes)
-            return python_merge(frames, rt, left, right)
+            return python_merge(frames, rt, left, right, reason)
 
         return merge_f
 
@@ -1345,7 +1447,11 @@ class TypedPlan:
     Mirrors :class:`repro.execution.vectorize.VectorizedPlan`: calling the
     object with an environment executes the plan.  Pass a ``stats`` dict to
     receive per-run fallback accounting (``sum_loops`` lowered, and
-    ``fallback_sums`` — how many of them ran a scalar Python loop).
+    ``fallback_sums`` — how many of them ran a scalar Python loop) and how
+    many group-by reductions took each regime of
+    :func:`repro.storage.formats.group_sum` (``group_by_ordered``,
+    ``group_by_segmented``, ``group_by_dense``, ``group_by_sorted``,
+    ``group_by_lexsort``).
     """
 
     plan: Expr
@@ -1390,6 +1496,8 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
                 1 for slot in rt.fallbacks if isinstance(slot, int))
             stats["fallback_merges"] = sum(
                 1 for slot in rt.fallbacks if not isinstance(slot, int))
+            for regime in GROUP_REGIMES:
+                stats[f"group_by_{regime}"] = rt.regimes[regime]
         return result
 
     return TypedPlan(plan=plan, function=function, sum_count=lowerer.sum_count,

@@ -64,8 +64,6 @@ from ..sdqlite.ast import (
     Sum,
     Sym,
     Var,
-    binder_arities,
-    children,
 )
 from ..sdqlite.errors import EvaluationError, ExecutionError
 from ..sdqlite.values import (
@@ -84,6 +82,7 @@ from ..sdqlite.values import (
     v_sub,
 )
 from ..storage.physical import PhysicalArray
+from .lowering import COMPARATORS, NO_PROBE, is_closed, probe_entry, uses_sum_binders
 
 __all__ = ["vectorize_plan", "VectorizedPlan", "Unvectorizable"]
 
@@ -305,63 +304,6 @@ def _reduce_batched(body, lanes: int):
     return v_mul(lanes, body)
 
 
-def _uses_sum_binders(expr: Expr, depth: int = 0) -> bool:
-    """True when ``expr`` (inside a sum body) references the sum's key or value.
-
-    ``depth`` counts binders entered below the sum body; the sum's own
-    binders appear as indices ``depth`` (value) and ``depth + 1`` (key).
-    """
-    if isinstance(expr, Idx):
-        return depth <= expr.index < depth + 2
-    for child, arity in zip(children(expr), binder_arities(expr)):
-        if _uses_sum_binders(child, depth + arity):
-            return True
-    return False
-
-
-def _is_closed(expr: Expr, depth: int = 0) -> bool:
-    """True when ``expr`` references no De Bruijn index bound outside itself."""
-    if isinstance(expr, Idx):
-        return expr.index < depth
-    return all(_is_closed(child, depth + arity)
-               for child, arity in zip(children(expr), binder_arities(expr)))
-
-
-#: Sentinel distinguishing "probe missed" (contributes 0) from "not probeable".
-_NO_PROBE = object()
-
-
-def _probe_entry(source, key: int):
-    """O(1) lookup of ``key`` in a dense iteration space.
-
-    Returns the iteration value for ``key``, 0-contribution ``None`` when the
-    key is outside the space, or :data:`_NO_PROBE` when the source is not a
-    range / array / array slice (whose keys are exactly the positions — for
-    other collections the caller must iterate).
-    """
-    if isinstance(source, PhysicalArray):
-        source = source.data
-    if isinstance(source, RangeDict):
-        return key if source.lo <= key < source.hi else None
-    if isinstance(source, np.ndarray) and source.ndim == 1:
-        return source[key] if 0 <= key < source.shape[0] else None
-    if isinstance(source, SliceDict):
-        if source.lo <= key < source.hi:
-            return lookup(source.target, key)
-        return None
-    return _NO_PROBE
-
-
-_COMPARATORS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 # ---------------------------------------------------------------------------
 # Lowering: AST -> closures
 # ---------------------------------------------------------------------------
@@ -441,7 +383,7 @@ class _Lowerer:
                 return left / right
             return div_f
         if isinstance(expr, Cmp):
-            comparator = _COMPARATORS[expr.op]
+            comparator = COMPARATORS[expr.op]
             left_f, right_f = self.lower(expr.left), self.lower(expr.right)
             def cmp_f(frames, rt):
                 left, right = left_f(frames, rt), right_f(frames, rt)
@@ -547,7 +489,7 @@ class _Lowerer:
         pure, so a subplan with no free loop variables has the same value on
         every iteration and is computed at most once per ``run()``.
         """
-        if not _is_closed(expr):
+        if not is_closed(expr):
             return closure
         slot = self.invariant_slots
         self.invariant_slots += 1
@@ -642,9 +584,9 @@ class _Lowerer:
         body = expr.body
         if isinstance(body, IfThen) and isinstance(body.cond, Cmp) and body.cond.op == "==":
             left, right = body.cond.left, body.cond.right
-            if isinstance(left, Idx) and left.index == 1 and not _uses_sum_binders(right):
+            if isinstance(left, Idx) and left.index == 1 and not uses_sum_binders(right):
                 probe_f = self.lower(right)
-            elif isinstance(right, Idx) and right.index == 1 and not _uses_sum_binders(left):
+            elif isinstance(right, Idx) and right.index == 1 and not uses_sum_binders(left):
                 probe_f = self.lower(left)
             if probe_f is not None:
                 then_f = self.lower(body.then)
@@ -671,10 +613,10 @@ class _Lowerer:
                 if is_scalar(probe_key) and not isinstance(probe_key, (bool, np.bool_)):
                     as_float = float(probe_key)
                     if as_float.is_integer():
-                        entry = _probe_entry(source, int(as_float))
+                        entry = probe_entry(source, int(as_float))
                         if entry is None:
                             return 0
-                        if entry is not _NO_PROBE:
+                        if entry is not NO_PROBE:
                             frames.append(int(as_float))
                             frames.append(entry)
                             try:
@@ -682,7 +624,7 @@ class _Lowerer:
                             finally:
                                 frames.pop()
                                 frames.pop()
-                    elif _probe_entry(source, 0) is not _NO_PROBE:
+                    elif probe_entry(source, 0) is not NO_PROBE:
                         # Integer-keyed space, non-integer probe: no match.
                         return 0
             if slot not in rt.failed_batch:

@@ -64,21 +64,23 @@ def coo_from_dense(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords.astype(np.int64), np.asarray(values, dtype=np.float64)
 
 
-def _key_space(blocks: Sequence[np.ndarray], axes: Sequence[int] = ()):
+def _key_space(blocks: Sequence[Sequence[np.ndarray]], axes: Sequence[int] = ()):
     """``(lo, weights)`` linearizing coordinates into one order-preserving int64 key.
 
-    :func:`_linear_keys` orders rows lexicographically by the columns
-    ``axes`` (most significant first; ``()``: natural order) for every row
-    inside the bounding box of the non-empty ``blocks``.  ``None`` when the
-    box has ``2**63`` or more cells, so the key would overflow.
+    A block is a sequence of equal-length coordinate columns (``coords.T`` of
+    a coordinate matrix).  :func:`_linear_keys` orders rows lexicographically
+    by the columns ``axes`` (most significant first; ``()``: natural order)
+    for every row inside the bounding box of the non-empty ``blocks``.
+    ``None`` when the box has ``2**63`` or more cells, so the key would
+    overflow.
     """
-    blocks = [block for block in blocks if block.shape[0]]
-    rank = blocks[0].shape[1]
+    blocks = [block for block in blocks if block[0].shape[0]]
+    rank = len(blocks[0])
     lo, weights = [0] * rank, [0] * rank
     cells = 1
     for axis in reversed(axes or range(rank)):
-        lo[axis] = min(int(block[:, axis].min()) for block in blocks)
-        hi = max(int(block[:, axis].max()) for block in blocks)
+        lo[axis] = min(int(block[axis].min()) for block in blocks)
+        hi = max(int(block[axis].max()) for block in blocks)
         weights[axis] = cells
         cells *= hi - lo[axis] + 1
         if cells >= 1 << 63:
@@ -86,22 +88,110 @@ def _key_space(blocks: Sequence[np.ndarray], axes: Sequence[int] = ()):
     return lo, weights
 
 
-def _linear_keys(coords: np.ndarray, lo: list[int], weights: list[int]) -> np.ndarray:
-    """The int64 key of every row of ``coords`` in a :func:`_key_space`."""
-    keys = np.zeros(coords.shape[0], dtype=np.int64)
-    for axis, (low, weight) in enumerate(zip(lo, weights)):
-        term = coords[:, axis] - low
-        term *= weight
-        keys += term
+def _linear_keys(cols: Sequence[np.ndarray], lo: list[int], weights: list[int]) -> np.ndarray:
+    """The int64 key of every row of the columns ``cols`` in a :func:`_key_space`.
+
+    Read-only: a single zero-based column is returned as it is.
+    """
+    keys = None
+    for col, low, weight in zip(cols, lo, weights):
+        term = col - low if low else col
+        if weight != 1:
+            term = term * weight
+        keys = term if keys is None else keys + term
     return keys
 
 
 def _first_of_run(keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a sorted key array (1-D or row matrix) that start a run."""
+    """Mask of the entries of a sorted 1-D key array that start a run."""
     first = np.ones(keys.shape[0], dtype=bool)
-    changed = keys[1:] != keys[:-1]
-    first[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return first
+
+
+#: Group-by regimes, from the least work to the most (see :func:`group_sum`).
+GROUP_REGIMES = ("ordered", "segmented", "dense", "sorted", "lexsort")
+
+#: The dense accumulation workspace of :func:`group_sum` may have this many
+#: cells per input entry; wider key ranges are sorted instead.
+_DENSE_CELLS_PER_ENTRY = 8
+
+
+def group_sum(cols: Sequence[np.ndarray], values: np.ndarray):
+    """Group-by-sum over integer key columns: ``(take, sums, regime)``.
+
+    ``cols`` are equal-length int64 columns, most significant first, and
+    ``values`` float64.  ``take`` indexes one input row per distinct key,
+    keys in lexicographic order — ``None`` when that is every row, in input
+    order — and ``sums`` adds the values of each key **in input order**, so
+    every regime gives bit-identical sums.  Keys whose values sum to zero
+    are dropped (the semiring identifies a zero entry with an absent one).
+
+    The one implementation behind :func:`sum_duplicates` and the typed
+    backend's accumulation looks at its input and does the least work that
+    is exact; ``regime`` names what it did:
+
+    * ``"ordered"`` — the linearized keys are strictly increasing (canonical
+      order): the entries pass through;
+    * ``"segmented"`` — non-decreasing: equal keys are adjacent, one
+      ``np.bincount`` over run ids and no sort;
+    * ``"dense"`` — unordered keys whose range has at most
+      ``_DENSE_CELLS_PER_ENTRY`` cells per entry: one ``np.bincount``
+      straight into a workspace over the key range;
+    * ``"sorted"`` — one sort of ``key * n + row``, a unique key that keeps
+      input order inside a group whatever the sorting algorithm (a stable
+      ``argsort`` of the key, several times slower, when that product would
+      overflow);
+    * ``"lexsort"`` — the columns' bounding box has ``2**63`` or more cells
+      and no int64 key exists.
+    """
+    n = values.shape[0]
+    if n == 0:
+        return None, values, "ordered"
+    space = _key_space([cols])
+    order = first = None
+    if space is None:
+        regime = "lexsort"
+        order = np.lexsort(tuple(reversed(cols)))
+        first = np.zeros(n, dtype=bool)
+        first[0] = True
+        for col in cols:
+            col = col[order]
+            first[1:] |= col[1:] != col[:-1]
+    else:
+        keys = _linear_keys(cols, *space)
+        step = int(np.diff(keys).min()) if n > 1 else 1
+        if step > 0:
+            regime = "ordered"
+        elif step == 0:
+            regime = "segmented"
+            first = _first_of_run(keys)
+        else:
+            top = int(keys.max()) + 1
+            if top <= _DENSE_CELLS_PER_ENTRY * n:
+                sums = np.bincount(keys, weights=values)
+                present = np.flatnonzero(sums != 0)
+                last = np.empty(top, dtype=np.intp)   # read only where a key is present
+                last[keys] = np.arange(n)
+                return last[present], sums[present], "dense"
+            regime = "sorted"
+            if top * n < 1 << 63:
+                keys, order = np.divmod(np.sort(keys * n + np.arange(n)), n)
+            else:
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+            first = _first_of_run(keys)
+    take = order
+    sums = values if order is None else values[order]
+    if first is not None and not first.all():
+        # bincount adds in array order, i.e. in input order within a key.
+        sums = np.bincount(np.cumsum(first) - 1, weights=sums)
+        take = np.flatnonzero(first) if order is None else order[first]
+    nonzero = sums != 0
+    if not nonzero.all():
+        take = np.flatnonzero(nonzero) if take is None else take[nonzero]
+        sums = sums[nonzero]
+    return take, sums, regime
 
 
 def sum_duplicates(coords: np.ndarray, values: np.ndarray,
@@ -117,33 +207,16 @@ def sum_duplicates(coords: np.ndarray, values: np.ndarray,
     coordinates are unique and sorted in row-major (lexicographic) order —
     the *canonical order* every sorted-array format stores its entries in.
 
-    One stable sort of a linearized int64 key (``np.lexsort`` of the columns
-    when the coordinates' bounding box has ``2**63`` or more cells); the
-    values of one coordinate are accumulated in input order.
+    One :func:`group_sum`: input already in canonical order is not sorted
+    again, and the values of one coordinate are accumulated in input order.
+    The result never shares memory with the arguments.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, rank or 1)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if coords.shape[0] == 0:
-        return coords, values
-    space = _key_space([coords])
-    if space is None:
-        order = np.lexsort(tuple(coords[:, axis] for axis in range(coords.shape[1] - 1, -1, -1)))
-        coords = np.take(coords, order, axis=0)  # much faster than coords[order]
-        first = _first_of_run(coords)
-    else:
-        keys = _linear_keys(coords, *space)
-        order = np.argsort(keys, kind="stable")
-        coords = np.take(coords, order, axis=0)
-        first = _first_of_run(keys[order])
-    values = values[order]
-    if not first.all():
-        # bincount adds in array order, i.e. in input order within a coordinate.
-        values = np.bincount(np.cumsum(first) - 1, weights=values)
-        coords = coords[first]
-    nonzero = values != 0
-    if not np.all(nonzero):
-        coords, values = coords[nonzero], values[nonzero]
-    return coords, values
+    take, sums, _ = group_sum(coords.T, values)
+    if take is None:
+        return coords.copy(), sums.copy()
+    return np.take(coords, take, axis=0), sums  # much faster than coords[take]
 
 
 def merge_coo(base_coords: np.ndarray, base_values: np.ndarray,
@@ -166,11 +239,11 @@ def merge_coo(base_coords: np.ndarray, base_values: np.ndarray,
     """
     if not coords.shape[0]:
         return base_coords, base_values
-    space = _key_space([base_coords, coords], axes)
+    space = _key_space([base_coords.T, coords.T], axes)
     if space is None:
         return None
-    base_keys = _linear_keys(base_coords, *space)
-    keys = _linear_keys(coords, *space)
+    base_keys = _linear_keys(base_coords.T, *space)
+    keys = _linear_keys(coords.T, *space)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = _first_of_run(keys)

@@ -145,3 +145,57 @@ def test_physical_trie_export_matches_buffer_levels():
     rebuilt = {tuple(map(int, c)): v
                for c, v in zip(coords, levels.values)}
     assert rebuilt == entries
+
+
+# ---------------------------------------------------------------------------
+# BufferLevels.from_sorted_columns against the builder it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_levels(coords, values):
+    """``BufferLevels.from_sorted_coords`` as it was (pinned): one pass per
+    level over entry ids, segment counts by ``np.add.at``."""
+    n, depth = coords.shape
+    keys_levels, segs = [], []
+    prev_ids = np.zeros(n, dtype=np.int64)
+    prev_count = 1
+    for d in range(depth):
+        if n:
+            new = np.empty(n, dtype=bool)
+            new[0] = True
+            new[1:] = (prev_ids[1:] != prev_ids[:-1]) | (coords[1:, d] != coords[:-1, d])
+            starts = np.flatnonzero(new)
+            ids = np.cumsum(new) - 1
+        else:
+            starts = np.empty(0, dtype=np.int64)
+            ids = prev_ids
+        keys_d = coords[starts, d] if n else np.empty(0, dtype=np.int64)
+        seg = np.zeros(prev_count + 1, dtype=np.int64)
+        if starts.size:
+            np.add.at(seg, prev_ids[starts] + 1, 1)
+        keys_levels.append(keys_d)
+        segs.append(np.cumsum(seg))
+        prev_ids, prev_count = ids, keys_d.shape[0]
+    return keys_levels, segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_levels_from_sorted_columns_match_the_old_builder(data):
+    depth = data.draw(st.integers(1, 4))
+    rows = sorted(data.draw(st.sets(
+        st.tuples(*[st.integers(-2, 3)] * depth), max_size=30)))
+    coords = np.array(rows, dtype=np.int64).reshape(-1, depth)
+    values = np.arange(1.0, len(rows) + 1)
+    levels = BufferLevels.from_sorted_coords(coords, values)
+    keys, segs = reference_levels(coords, values)
+    assert levels.depth == depth
+    for d in range(depth):
+        np.testing.assert_array_equal(levels.keys[d], keys[d])
+        np.testing.assert_array_equal(levels.seg[d], segs[d])
+        assert levels.keys[d].dtype == levels.seg[d].dtype == np.int64
+    np.testing.assert_array_equal(levels.values, values)
+    np.testing.assert_array_equal(levels.leaf_coords(), coords)
+    # The leaf coordinates kept by the builder are the ones the levels imply.
+    rebuilt = BufferLevels(levels.keys, levels.seg, levels.values)
+    np.testing.assert_array_equal(rebuilt.leaf_coords(), coords)

@@ -525,7 +525,7 @@ def test_sum_duplicates_without_an_int64_key():
     coords = np.array([[top, top, top], [0, 0, 0], [top, 0, top], [0, 0, 0],
                        [top, top, top], [0, top, 0]])
     values = np.array([0.1, 0.2, 1.0, 0.3, -0.1, 2.0])
-    assert formats_module._key_space([coords]) is None
+    assert formats_module._key_space([coords.T]) is None
     got = sum_duplicates(coords, values, 3)
     expected = reference_sum_duplicates(coords, values, 3)
     assert_bit_equal(got[0], expected[0])
@@ -668,3 +668,155 @@ def test_catalog_update_never_normalizes_the_base(kind, monkeypatch):
     catalog.update("A", delta, delta_values)
     assert max(sizes, default=0) <= k
     np.testing.assert_allclose(catalog["A"].to_dense(), expected.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# group_sum: the one order-aware group-by behind from_coo and the typed backend
+# ---------------------------------------------------------------------------
+
+from hypothesis import event  # noqa: E402
+
+from repro.storage.formats import GROUP_REGIMES, group_sum  # noqa: E402
+
+
+def reference_group_sum_sorted(cols, vals):
+    """The typed backend's ``group_sum_sorted`` as it was before (pinned):
+    a ``np.lexsort`` over every column, whatever the order of the input."""
+    n = vals.shape[0]
+    if n == 0:
+        return np.empty((0, len(cols)), dtype=np.int64), np.empty(0, dtype=np.float64)
+    order = np.lexsort(tuple(reversed(cols)))
+    sorted_cols = [np.ascontiguousarray(c[order]) for c in cols]
+    sorted_vals = vals[order]
+    boundary = np.zeros(n, dtype=bool)
+    boundary[0] = True
+    for column in sorted_cols:
+        boundary[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(boundary)
+    with np.errstate(invalid="ignore"):       # inf - inf
+        sums = np.add.reduceat(sorted_vals, starts)
+    coords = np.stack([column[starts] for column in sorted_cols], axis=1)
+    nonzero = sums != 0
+    if not np.all(nonzero):
+        coords, sums = coords[nonzero], sums[nonzero]
+    return coords, sums
+
+
+def reference_sequential_sums(rows, vals):
+    """Per key, the values added one by one in input order; zero sums dropped."""
+    sums = {}
+    for row, value in zip(rows, vals):
+        sums[row] = sums.get(row, 0.0) + value
+    return sorted((row, value) for row, value in sums.items() if value != 0)
+
+
+def grouped(cols, vals):
+    take, sums, regime = group_sum(cols, vals)
+    assert regime in GROUP_REGIMES
+    coords = np.stack([col if take is None else col[take] for col in cols], axis=1)
+    return coords, sums, regime
+
+
+@st.composite
+def key_rows(draw):
+    """Rows of integer keys: depth 1-4, negative keys, a small, wide or
+    >= 2**63-cell bounding box, and in strictly sorted, sorted or drawn order."""
+    depth = draw(st.integers(1, 4))
+    box = draw(st.sampled_from(["small", "wide", "tall", "huge"]))
+    pools = []
+    for axis in range(depth):
+        if box == "small":
+            low = draw(st.integers(-3, 3))
+            pools.append(list(range(low, low + draw(st.integers(1, 4)))))
+        else:
+            bound = {"wide": 1 << 13, "tall": 1 << 60 if axis == 0 else 1,
+                     "huge": 1 << 62}[box]
+            pools.append(draw(st.lists(st.integers(-bound, bound), min_size=1,
+                                       max_size=4, unique=True)))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)),
+                         max_size=40))
+    if box == "huge":       # the first axis alone spans 2**63 + 1 cells
+        rows += [(-(1 << 62),) + rows[0][1:], ((1 << 62),) + rows[0][1:]] if rows else []
+    order = draw(st.sampled_from(["strict", "sorted", "drawn"]))
+    if order != "drawn":
+        rows = sorted(set(rows) if order == "strict" else rows)
+    return depth, rows
+
+
+def columns_of(depth, rows):
+    matrix = np.array(rows, dtype=np.int64).reshape(-1, depth)
+    return [np.ascontiguousarray(matrix[:, axis]) for axis in range(depth)]
+
+
+#: Sums of these do not depend on the order of addition (small integers are
+#: exact; NaN and opposite infinities give NaN whatever the order).
+EXACT = st.one_of(st.integers(-4, 4).map(float),
+                  st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_group_sum_matches_the_old_lexsort_implementation(data):
+    depth, rows = data.draw(key_rows())
+    vals = data.draw(st.lists(EXACT, min_size=len(rows), max_size=len(rows)))
+    cancel = data.draw(st.integers(0, len(rows)))   # these entries cancel exactly
+    rows, vals = rows + rows[:cancel], vals + [-value for value in vals[:cancel]]
+    cols, vals = columns_of(depth, rows), np.array(vals, dtype=np.float64)
+    coords, sums, regime = grouped(cols, vals)
+    event(regime)
+    expected_coords, expected_sums = reference_group_sum_sorted(cols, vals)
+    assert_bit_equal(coords, expected_coords)
+    np.testing.assert_allclose(sums, expected_sums, rtol=1e-12, atol=0, equal_nan=True)
+    again = grouped(cols, vals)
+    assert_bit_equal(again[0], coords)
+    assert_bit_equal(again[1], sums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_group_sum_adds_in_input_order(data):
+    """Every regime adds the values of a key one by one in input order."""
+    depth, rows = data.draw(key_rows())
+    vals = data.draw(st.lists(float_values, min_size=len(rows), max_size=len(rows)))
+    coords, sums, regime = grouped(columns_of(depth, rows), np.array(vals, dtype=np.float64))
+    event(regime)
+    expected = reference_sequential_sums(rows, vals)
+    assert [tuple(row) for row in coords.tolist()] == [row for row, _ in expected]
+    assert_bit_equal(sums, np.array([value for _, value in expected], dtype=np.float64))
+
+
+def test_group_sum_takes_each_regime():
+    def regime(*cols):
+        cols = [np.array(col, dtype=np.int64) for col in cols]
+        return grouped(cols, np.ones(cols[0].shape[0]))[2]
+
+    assert regime([0, 1, 5]) == "ordered"
+    assert regime([0, 0, 2], [1, 3, 0]) == "ordered"
+    assert regime([0, 1, 1, 5]) == "segmented"
+    assert regime([2, 0, 1, 0]) == "dense"
+    assert regime([1 << 40, 0, 7, 0]) == "sorted"
+    assert regime([1 << 61, 0, 7, 0]) == "sorted"         # key * n overflows: stable argsort
+    assert regime([1 << 62, -(1 << 62), 0], [0, 1, 2]) == "lexsort"
+    assert regime([]) == "ordered"
+
+
+def test_sorted_input_is_not_sorted_again(no_sorting):
+    """``from_coo`` on canonical-order input (what ``to_coo`` and the data
+    generators return) performs no sort; shuffled input still does."""
+    rng = np.random.default_rng(11)
+    coords = np.unique(np.column_stack([rng.integers(0, 60, 500),
+                                        rng.integers(0, 70, 500)]), axis=0)
+    values = rng.random(coords.shape[0]) + 0.5
+    shuffled = rng.permutation(coords.shape[0])
+    expected = COOFormat.from_coo("A", coords[shuffled], values[shuffled], (60, 70))
+    no_sorting()
+    got_coords, got_values = sum_duplicates(coords, values, 2)
+    assert_bit_equal(got_coords, coords)
+    assert_bit_equal(got_values, values)
+    assert not np.shares_memory(got_coords, coords)
+    assert not np.shares_memory(got_values, values)
+    for cls in (COOFormat, CSRFormat):
+        assert_same_buffers(cls.from_coo("A", coords, values, (60, 70)),
+                            cls.from_coo("A", *expected.to_coo(), (60, 70)))
+    with pytest.raises(AssertionError, match="must not be sorted"):
+        sum_duplicates(coords[shuffled], values[shuffled], 2)

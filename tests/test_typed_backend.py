@@ -8,12 +8,19 @@ loop-invariant memoization, fallback accounting, and the scatter path that
 turns root :class:`BufferDict` results into dense arrays.
 """
 
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.execution import typed_plan
+from repro.execution import typed_backend, typed_plan
 from repro.execution.buffers import (
     HAVE_NUMBA,
+    HEAP_KEPT,
     BufferDict,
     BufferLevels,
     levels_from_mapping,
@@ -24,7 +31,7 @@ from repro.execution.typed_backend import _hoist_guard
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.values import v_add
 from repro.sdqlite.ast import IfThen, Let
-from repro.storage import TrieFormat, build_format
+from repro.storage import COOFormat, TrieFormat, build_format
 
 
 def db(source):
@@ -125,11 +132,162 @@ def test_stats_report_kernelized_loops():
     assert stats["fallback_merges"] == 0
 
 
+def test_stats_report_group_by_regimes():
+    """Every reduction to a dictionary names the regime it took; the other
+    counters are there and zero."""
+    def regimes(source, env):
+        stats = {}
+        check(source, env, stats)
+        return {key[len("group_by_"):]: count for key, count in stats.items()
+                if key.startswith("group_by_")}
+
+    nothing = dict.fromkeys(("ordered", "segmented", "dense", "sorted", "lexsort"), 0)
+    env = {"V": np.array([1.0, 2.0, 3.0, 4.0]), "K": np.array([3, 1, 1, 0]),
+           "S": np.array([0, 0, 2, 5]), "W": np.array([0, 1 << 40, 7, 1 << 40]),
+           "H": np.array([0, 1 << 62, 5, 1 << 62])}
+    assert regimes("sum(<i, v> in V) { i -> v }", env) == {**nothing, "ordered": 1}
+    assert regimes("sum(<i, v> in V) { S(i) -> v }", env) == {**nothing, "segmented": 1}
+    assert regimes("sum(<i, v> in V) { K(i) -> v }", env) == {**nothing, "dense": 1}
+    assert regimes("sum(<i, v> in V) { W(i) -> v }", env) == {**nothing, "sorted": 1}
+    assert regimes("sum(<i, v> in V) { H(i) -> { H(i) -> v } }", env) == \
+        {**nothing, "lexsort": 1}
+    assert regimes("sum(<i, v> in V) v", env) == nothing
+
+
+def test_python_loop_fallback_is_a_debug_event(caplog):
+    # Float values as dictionary keys have no typed representation.
+    env = {"V": np.array([0.5, 1.5, 0.5])}
+    stats = {}
+    with caplog.at_level(logging.DEBUG, logger="repro.execution"):
+        check("sum(<i, v> in V) { v -> 1 }", env, stats)
+    assert stats["fallback_sums"] == 1 and stats["fallback_merges"] == 0
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "typed sum #1 over V falls back to a Python loop" in message
+    assert "non-integer dictionary keys" in message
+
+
+def test_merge_fallback_is_a_debug_event(caplog):
+    env = {"L": {0: float("inf"), 1: 2.0}, "R": {5: 2.0, 6: float("inf")}}
+    stats = {}
+    with caplog.at_level(logging.DEBUG, logger="repro.execution"):
+        check("merge(<p1, p2, l> in <L, R>) { l -> p1 + p2 }", env, stats)
+    assert stats["fallback_merges"] == 1
+    assert any("typed merge #1 over L falls back to a Python loop: non-finite merge values"
+               in record.getMessage() for record in caplog.records)
+
+
+def test_kernelized_loops_log_nothing(caplog):
+    matrix = build_format("csr", "A", np.array([[1.0, 0.0], [2.0, 3.0]]))
+    with caplog.at_level(logging.DEBUG, logger="repro.execution"):
+        check("sum(<row, _> in 0:A_len1) "
+              "sum(<off, col> in A_idx2(A_pos2(row):A_pos2(row+1))) "
+              "{ col -> A_val(off) }", matrix.physical())
+    assert not caplog.records
+
+
 def test_source_marker_names_the_kernel_mode():
     plan = typed_plan(db("sum(<i, v> in V) v"))
     mode = "numba-JIT" if HAVE_NUMBA else "NumPy"
     assert mode in plan.source
     assert "typed" in plan.source
+
+
+# ---------------------------------------------------------------------------
+# order-aware accumulation and late materialization
+# ---------------------------------------------------------------------------
+
+
+def test_coo_rebuild_never_sorts(no_sorting):
+    """A COO tensor is stored in canonical order, so rebuilding the nested
+    dictionary from its arrays passes the entries through."""
+    rng = np.random.default_rng(5)
+    coords = np.column_stack([rng.integers(0, 30, 200), rng.integers(0, 40, 200)])
+    fmt = COOFormat.from_coo("A", coords, rng.random(200), (30, 40))
+    plan = typed_plan(db("sum(<p, _> in 0:A_nnz) { A_idx1(p) -> { A_idx2(p) -> A_val(p) } }"))
+    stats = {}
+    no_sorting()
+    result = plan(fmt.physical(), stats)
+    assert stats["group_by_ordered"] == 1
+    np.testing.assert_array_equal(result_to_matrix(result, (30, 40)), fmt.to_dense())
+
+
+def test_csr_row_major_output_never_sorts(no_sorting):
+    rng = np.random.default_rng(6)
+    dense = rng.random((20, 25)) * (rng.random((20, 25)) < 0.2)
+    fmt = build_format("csr", "A", dense)
+    plan = typed_plan(db("sum(<row, _> in 0:A_len1) "
+                         "sum(<off, col> in A_idx2(A_pos2(row):A_pos2(row+1))) "
+                         "{ row -> { col -> 2 * A_val(off) } }"))
+    stats = {}
+    no_sorting()
+    result = plan(fmt.physical(), stats)
+    assert stats["group_by_ordered"] == 1
+    np.testing.assert_array_equal(result_to_matrix(result, (20, 25)), 2 * dense)
+
+
+def test_results_share_no_memory_with_the_inputs():
+    env = {"V": np.array([1.0, 2.0, 3.0])}
+    result = typed_plan(db("sum(<i, v> in V) { i -> v }"))(env)
+    assert not np.shares_memory(result.levels.values, env["V"])
+
+
+def test_unread_outer_bindings_are_never_gathered(monkeypatch):
+    """Lane expansion defers the enclosing bindings: only those the body reads
+    are re-indexed, once, however many expansions lie in between."""
+    fmt = build_format("csr", "A", np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]))
+    env = {**fmt.physical(), "V": np.array([10.0, 20.0]), "W": np.array([1.0, 2.0])}
+    gathered = []
+    reindex = typed_backend._reindex
+
+    def recording(value, parent):
+        gathered.append((value, parent.shape[0]))
+        return reindex(value, parent)
+
+    monkeypatch.setattr(typed_backend, "_reindex", recording)
+    # `row`, `unread` and `v` are bound two expansions above the body, `off`
+    # and `col` one; the body reads `v`, `off` and `col`.
+    check("sum(<row, unread> in W) let v = V(row) in "
+          "sum(<off, col> in A_idx2(A_pos2(row):A_pos2(row+1))) "
+          "sum(<k, _> in 0:2) { col -> v * A_val(off) }", env)
+    assert all(lanes == 8 for _, lanes in gathered)         # 4 stored entries x range(2)
+    outermost = [value.data for value, _ in gathered if value.data.shape[0] == 2]
+    assert len(gathered) == 3 and len(outermost) == 1
+    np.testing.assert_array_equal(outermost[0], env["V"])   # in one gather, not one per level
+
+
+_HEAP_PROBE = """
+import resource
+import numpy as np
+from repro.execution import typed_plan
+from repro.sdqlite import parse_expr, to_debruijn
+from repro.storage import CSRFormat
+
+rng = np.random.default_rng(7)
+fmt = CSRFormat.from_coo("A", rng.integers(0, 4000, (80000, 2)), rng.random(80000), (4000, 4000))
+plan = typed_plan(to_debruijn(parse_expr(
+    "sum(<row, _> in 0:A_len1) sum(<off, col> in A_idx2(A_pos2(row):A_pos2(row+1))) "
+    "{ col -> { row -> A_val(off) } }")))
+env = fmt.physical()
+for _ in range(3):
+    plan(env)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    plan(env)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not HEAP_KEPT, reason="the allocator has no glibc mallopt")
+def test_repeated_executions_reuse_the_heap():
+    """The MBs of lane arrays an execution frees are there for the next one.
+    In a fresh process that never freed a large block, glibc would hand them
+    back in between: ~750 minor faults per execution of this kernel."""
+    src = Path(typed_backend.__file__).resolve().parents[2]
+    done = subprocess.run([sys.executable, "-c", _HEAP_PROBE], text=True, check=True,
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)})
+    assert int(done.stdout) < 10 * 64
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from repro.execution.vectorize import (
     BatchDict,
     Unvectorizable,
     _iteration_arrays,
-    _is_closed,
     _scatter,
-    _uses_sum_binders,
 )
+from repro.execution.lowering import is_closed, uses_sum_binders
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.ast import Cmp, Idx, Sum, Sym
 from repro.sdqlite.values import RangeDict, SemiringDict, SliceDict, to_plain
@@ -163,12 +162,12 @@ def test_probe_does_not_fire_when_expression_uses_loop_variables():
 
 def test_uses_sum_binders_accounts_for_nested_binders():
     # %1 at depth 0 is the sum key; under one extra binder it is %2.
-    assert _uses_sum_binders(Idx(1))
-    assert _uses_sum_binders(Idx(0))
-    assert not _uses_sum_binders(Idx(2))
+    assert uses_sum_binders(Idx(1))
+    assert uses_sum_binders(Idx(0))
+    assert not uses_sum_binders(Idx(2))
     inner = Sum(Sym("V"), Cmp("==", Idx(3), Idx(0)))  # %3 = outer sum key
-    assert _uses_sum_binders(inner)
-    assert not _uses_sum_binders(Sum(Sym("V"), Cmp("==", Idx(4), Idx(0))))
+    assert uses_sum_binders(inner)
+    assert not uses_sum_binders(Sum(Sym("V"), Cmp("==", Idx(4), Idx(0))))
 
 
 def test_loop_invariant_sum_is_memoized_per_execution():
@@ -193,9 +192,9 @@ def test_loop_invariant_sum_is_memoized_per_execution():
 
 
 def test_is_closed_tracks_binders():
-    assert _is_closed(db("sum(<i, v> in V) { i -> v }"))
+    assert is_closed(db("sum(<i, v> in V) { i -> v }"))
     open_sum = Sum(Sym("V"), Idx(2))  # %2 escapes the sum's two binders
-    assert not _is_closed(open_sum)
+    assert not is_closed(open_sum)
 
 
 # ---------------------------------------------------------------------------
