@@ -126,9 +126,10 @@ def bench_pair(label: str, method: str, options: dict, connections: int,
 
     private_latencies, private_wall = _run_clients(private_connection, connections)
 
+    # The default configuration, as a user gets it: one executing request
+    # at a time (docs/serving.md), the other clients queue on the gate.
     server = Server(catalog, method=method, backend=BACKEND,
-                    optimizer_options=dict(options),
-                    max_concurrency=CLIENTS)
+                    optimizer_options=dict(options))
 
     def shared_connection(latencies: list[float]) -> None:
         statement = server.session().prepare(kernel.source, dense_shape=shape)

@@ -23,17 +23,23 @@ Workers rebuild the environment once (pool initializer), lower plan parts
 through their own process-wide plan cache, and return
 :func:`~repro.sdqlite.values.to_plain` partials — plain scalars and dicts,
 cheap to pickle and exact to merge.  Parallel execution is strictly a
-performance path: callers (``repro.session`` / ``repro.serving``) fall back
-to in-process streaming on any failure, and results are identical either way
-because per-shard key ranges are disjoint.
+performance path: :meth:`ShardExecutor.run_plan` answers
+:data:`NOT_DISPATCHED` when the pool, pickling, the operating system or a
+worker fails (:data:`DISPATCH_ERRORS`) — logged once per cause and counted —
+and its callers (``repro.session`` / ``repro.serving``) then run the plan
+in-process, where the same chain streams; results are identical either way
+because per-shard key ranges are disjoint.  Anything else is a programming
+error and propagates.
 """
 
 from __future__ import annotations
 
 import importlib
+import logging
+import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Mapping
+from concurrent.futures import CancelledError, ProcessPoolExecutor
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -41,12 +47,35 @@ from ..sdqlite.ast import Add, Expr
 from ..sdqlite.values import to_plain, v_add
 
 __all__ = [
+    "DISPATCH_ERRORS",
+    "NOT_DISPATCHED",
     "ShardExecutor",
+    "ShardWorkerError",
     "catalog_payload",
     "environment_from_payload",
     "merge_partials",
     "split_plan",
 ]
+
+
+class ShardWorkerError(RuntimeError):
+    """A worker process raised while executing a plan part.
+
+    Whatever it raised is chained as ``__cause__``.  The in-process run is
+    the authority on whether the plan itself is at fault: it is what the
+    caller falls back to, and it raises the plan's own error if there is one.
+    """
+
+
+#: What a failing pool can raise at its caller: a broken or shut-down pool
+#: (``BrokenProcessPool`` and "cannot schedule new futures" are both
+#: ``RuntimeError``), futures cancelled by a concurrent retirement, arguments
+#: or results that do not pickle, process/pipe/memmap trouble from the OS,
+#: and :class:`ShardWorkerError`.
+DISPATCH_ERRORS = (RuntimeError, CancelledError, pickle.PickleError, OSError)
+
+#: :meth:`ShardExecutor.run_plan`'s answer when nothing ran on the pool.
+NOT_DISPATCHED = object()
 
 
 def split_plan(plan: Expr) -> list[Expr]:
@@ -177,13 +206,20 @@ class ShardExecutor:
     (an executor is owned by one session/server, so epochs identify the
     state unambiguously).
 
-    Failures propagate to the caller, which is expected to fall back to
-    in-process execution; the pool is retired on the way out so a poisoned
-    worker never serves a later call.
+    :meth:`run_parts` lets failures propagate — after retiring the pool, so
+    a poisoned worker never serves a later call; :meth:`run_plan` is the
+    entry point sessions and servers use, which turns a failed dispatch into
+    :data:`NOT_DISPATCHED`, logs it on ``log`` once per cause, counts it in
+    :attr:`fallbacks` and calls ``on_fallback`` (the server's stats hook).
     """
 
-    def __init__(self, workers: int = 0):
+    def __init__(self, workers: int = 0, *, log: logging.Logger | None = None,
+                 on_fallback: Callable[[], None] | None = None):
         self.workers = max(0, int(workers))
+        self.log = log if log is not None else logging.getLogger("repro.execution")
+        self.on_fallback = on_fallback
+        self.fallbacks = 0
+        self._logged_causes: set[str] = set()
         self._pool: ProcessPoolExecutor | None = None
         self._key: tuple | None = None
         # Guards pool identity only; executions submit under the lock but
@@ -196,14 +232,51 @@ class ShardExecutor:
         """Whether parallel dispatch is enabled at all."""
         return self.workers >= 2
 
+    def run_plan(self, plan: Expr, source, backend: str,
+                 overrides: Mapping[str, Any] | None = None) -> Any:
+        """``plan``'s result computed on the pool, or :data:`NOT_DISPATCHED`.
+
+        Not dispatched when the executor is off, when ``plan`` is not a
+        per-shard ``+`` chain, or when the dispatch failed with one of
+        :data:`DISPATCH_ERRORS`; in each case the caller runs the plan
+        in-process.  ``overrides`` carries every per-request binding —
+        scalar parameters and literal slots alike.
+        """
+        if not self.available():
+            return NOT_DISPATCHED
+        parts = split_plan(plan)
+        if len(parts) < 2:
+            return NOT_DISPATCHED
+        try:
+            return self.run_parts(parts, source, backend, overrides)
+        except DISPATCH_ERRORS as exc:
+            self._note_fallback(exc)
+            return NOT_DISPATCHED
+
+    def _note_fallback(self, exc: BaseException) -> None:
+        cause = exc.__cause__ if isinstance(exc, ShardWorkerError) else exc
+        name = type(cause).__name__
+        with self._lock:
+            self.fallbacks += 1
+            first = name not in self._logged_causes
+            self._logged_causes.add(name)
+        if first:
+            self.log.warning(
+                "parallel shard dispatch failed (%s: %s); serving in-process "
+                "(further %s fallbacks are counted, not logged)",
+                name, cause, name, exc_info=exc)
+        if self.on_fallback is not None:
+            self.on_fallback()
+
     def run_parts(self, parts, source, backend: str,
                   overrides: Mapping[str, Any] | None = None) -> Any:
         """Execute plan ``parts`` over ``source``'s data; merge the partials.
 
         ``source`` is the catalog (or snapshot) the parts were planned
-        against; ``overrides`` re-binds scalar parameters for this execution
-        only.  Raises on any worker/pool failure — after retiring the pool —
-        so the caller's serial fallback runs against a clean slate.
+        against; ``overrides`` re-binds scalars for this execution only.
+        Raises on any worker/pool failure — after retiring the pool — so a
+        serial fallback runs against a clean slate; what a *worker* raised
+        arrives as :class:`ShardWorkerError`.
         """
         overrides = dict(overrides or {})
         try:
@@ -211,7 +284,16 @@ class ShardExecutor:
                 pool = self._ensure_pool(source)
                 futures = [pool.submit(_run_part, part, backend, overrides)
                            for part in parts]
-            return merge_partials(future.result() for future in futures)
+            try:
+                partials = [future.result() for future in futures]
+            except DISPATCH_ERRORS:
+                raise
+            except Exception as exc:
+                # Only a worker's own exception can get here: the pool
+                # re-raises it, unchanged, out of ``future.result()``.
+                raise ShardWorkerError(
+                    f"a shard worker raised {type(exc).__name__}: {exc}") from exc
+            return merge_partials(partials)
         except BaseException:
             self.close()
             raise

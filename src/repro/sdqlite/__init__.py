@@ -5,6 +5,8 @@ Public surface:
 * AST node classes and helpers (:mod:`repro.sdqlite.ast`),
 * :func:`parse_expr` / :func:`parse_program` — text to AST,
 * :func:`pretty` — AST to text,
+* :data:`FRONT_END` / :func:`front_end` — the memoized text → (AST, query,
+  literal vector) front end, and :func:`lift_literals` behind it,
 * :func:`to_debruijn` / :func:`to_named` — nameless conversion,
 * :func:`evaluate` — the reference interpreter,
 * runtime value helpers (:mod:`repro.sdqlite.values`).
@@ -54,7 +56,9 @@ from .errors import (
     SDQLiteError,
     StorageError,
 )
+from .frontend import FRONT_END, FrontEnd, FrontEndMemo, Query, front_end
 from .interpreter import Environment, evaluate
+from .literals import lift_literals, literal_bindings, substitute_literals
 from .parser import (
     ArrayDecl,
     HashMapDecl,
@@ -76,6 +80,8 @@ __all__ = [
     "EvaluationError", "ExecutionError", "OptimizationError", "ParseError",
     "ScopeError", "SDQLiteError", "StorageError",
     "Environment", "evaluate",
+    "FRONT_END", "FrontEnd", "FrontEndMemo", "Query", "front_end",
+    "lift_literals", "literal_bindings", "substitute_literals",
     "ArrayDecl", "HashMapDecl", "ScalarDecl", "TensorDecl", "TrieDecl",
     "parse_expr", "parse_program",
     "pretty", "to_source",

@@ -33,12 +33,22 @@ from .ast import (
 )
 from .errors import DesugarError
 
-_fresh_counter = itertools.count(1)
+class Gensym:
+    """The fresh-name supply of one parse.
 
+    Names are numbered per instance — the parser creates one per
+    :func:`~repro.sdqlite.parser.parse_expr` call — so the same source text
+    always desugars to the same named AST, in this process and in any other,
+    while every binder introduced within the one parse still gets its own
+    name.  Separately parsed fragments may therefore reuse a name; every site
+    that combines them converts to De Bruijn form first.
+    """
 
-def gensym(prefix: str = "_t") -> str:
-    """Return a fresh variable name that cannot clash with user names."""
-    return f"{prefix}{next(_fresh_counter)}"
+    def __init__(self) -> None:
+        self._counter = itertools.count(1)
+
+    def __call__(self, prefix: str = "_t") -> str:
+        return f"{prefix}{next(self._counter)}"
 
 
 @dataclass
@@ -113,13 +123,15 @@ def desugar_let(bindings: list[LetBinding], body: Expr) -> Expr:
     return out
 
 
-def desugar_sum(bindings: list[Binding], body: Expr) -> Expr:
+def desugar_sum(bindings: list[Binding], body: Expr, gensym: Gensym) -> Expr:
     """Lower a surface multi-binding ``sum`` to nested core ``Sum`` nodes.
 
     Handles the three Table-1 rules for ``sum``: multiple bindings become
     nested sums, tuple key patterns become one nested sum per component, and
     a variable name repeated across bindings is renamed with an equality
-    filter inserted around the body.
+    filter inserted around the body.  ``gensym`` supplies the fresh names
+    (wildcards, row variables, renamed duplicates); nested ``sum``s of one
+    parse must share it.
     """
     if not bindings:
         raise DesugarError("sum requires at least one binding")
@@ -175,5 +187,5 @@ __all__ = [
     "desugar_dict_literal",
     "desugar_let",
     "desugar_sum",
-    "gensym",
+    "Gensym",
 ]

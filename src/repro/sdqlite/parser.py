@@ -164,6 +164,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.position = 0
+        self.gensym = sugar.Gensym()
 
     # -- token helpers ------------------------------------------------------
 
@@ -400,7 +401,7 @@ class _Parser:
             bindings.append(self.parse_binding())
         self.expect(")")
         body = self.parse_expression()
-        return sugar.desugar_sum(bindings, body)
+        return sugar.desugar_sum(bindings, body, self.gensym)
 
     def parse_binding(self) -> sugar.Binding:
         self.expect("<")

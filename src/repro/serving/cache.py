@@ -8,12 +8,14 @@ are full prepared plans (optimizer output + lowered artifact) keyed by
 ``(canonical program, method, backend, optimizer options,
    format-config fingerprint, catalog schema epoch)``
 
-where the canonical program is the query's de Bruijn AST — binder names are
-parse-time gensyms, so keying on the de Bruijn form (not source text) is
-what makes two parses of the same query text compare equal — so that
+where the canonical program is the query's de Bruijn AST with its liftable
+literals replaced by parameter slots (:mod:`repro.sdqlite.literals`) —
+keying on the nameless, literal-free form (not source text) is what makes
+whitespace variants, binder renamings and ``2 * x`` / ``3 * x`` one query —
+so that
 
-* the same query text from any client under the same catalog schema maps to
-  the same key (one global preparation, whitespace variants included);
+* the same query from any client under the same catalog schema maps to the
+  same key (one global preparation, whatever literal it scales by);
 * *any* schema change — a tensor re-stored in a different format, a tensor
   or scalar added or dropped — changes the key (the epoch bumps, and the
   fingerprint usually changes too), so a stale-epoch plan can never be
@@ -59,9 +61,9 @@ def plan_key(query, *, method: str, backend: str,
     """The :class:`SharedPlanCache` key for one query under one snapshot.
 
     ``query`` is any hashable canonical identity of the program — the
-    server passes the de Bruijn AST (see :class:`~repro.serving.server
-    .ServedStatement`), which is parse-stable where pretty-printed source
-    text is not."""
+    server passes the front end's :class:`~repro.sdqlite.frontend.Query`
+    (nameless, literal-free, hashed once), which is parse-stable where
+    pretty-printed source text is not."""
     return (query, method, backend,
             tuple(sorted(optimizer_options.items())),
             catalog_fingerprint(snapshot), snapshot.schema_version)
@@ -83,6 +85,11 @@ class SharedPlan:
     optimization: OptimizationResult
     prepared: PreparedPlan
     schema_version: int
+    #: The adaptive-feedback epoch the plan was optimized under.
+    feedback_epoch: int = 0
+    #: The literal vector of the request that built the plan; every other
+    #: vector binds into the same slots (``repro.sdqlite.literals``).
+    literals: tuple = ()
 
     def run(self, env: Mapping[str, Any]) -> Any:
         """Execute against ``env`` (artifacts are environment-independent)."""
@@ -105,6 +112,11 @@ class SharedPlanCache:
     (updated under the lock).  ``maxsize`` bounds retained entries; stale
     epochs age out via LRU or can be dropped eagerly with
     :meth:`purge_stale`.
+
+    The cache also remembers, per :func:`base_key`, the newest key inserted
+    for it (:meth:`latest`) — how the server tells a first preparation from
+    a re-preparation under a newer epoch.  That index only ever points at
+    live entries, so it is bounded by ``maxsize`` like the entries are.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -116,6 +128,7 @@ class SharedPlanCache:
         self.coalesced = 0
         self.evictions = 0
         self._entries: OrderedDict[tuple, SharedPlan] = OrderedDict()
+        self._latest: dict[tuple, tuple] = {}   # base_key -> newest live key
         self._inflight: dict[tuple, _InFlight] = {}
         self._lock = threading.Lock()
 
@@ -146,9 +159,26 @@ class SharedPlanCache:
     def _put_locked(self, key: tuple, entry: SharedPlan) -> None:
         self._entries[key] = entry
         self._entries.move_to_end(key)
+        self._latest[base_key(key)] = key
         while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
+            self._forget_locked(evicted)
             self.evictions += 1
+
+    def _forget_locked(self, key: tuple) -> None:
+        """``key`` left the cache: it can no longer be anyone's newest plan."""
+        base = base_key(key)
+        if self._latest.get(base) == key:
+            del self._latest[base]
+
+    def latest(self, base: tuple) -> SharedPlan | None:
+        """The newest still-cached plan whose key has this :func:`base_key`.
+
+        No counter impact and no recency bump: this is bookkeeping, not a
+        lookup on behalf of a request."""
+        with self._lock:
+            key = self._latest.get(base)
+            return self._entries.get(key) if key is not None else None
 
     def get_or_prepare(self, key: tuple,
                        build: Callable[[], SharedPlan]) -> tuple[SharedPlan, bool]:
@@ -207,7 +237,8 @@ class SharedPlanCache:
     def discard(self, key: tuple) -> None:
         """Drop one entry if present (no counter impact)."""
         with self._lock:
-            self._entries.pop(key, None)
+            if self._entries.pop(key, None) is not None:
+                self._forget_locked(key)
 
     def purge_stale(self, current_schema_version: int) -> int:
         """Eagerly drop every entry prepared under a different schema epoch.
@@ -221,6 +252,7 @@ class SharedPlanCache:
                      if entry.schema_version != current_schema_version]
             for key in stale:
                 del self._entries[key]
+                self._forget_locked(key)
             self.evictions += len(stale)
             return len(stale)
 
@@ -232,4 +264,5 @@ class SharedPlanCache:
         """Drop every entry and reset all counters."""
         with self._lock:
             self._entries.clear()
+            self._latest.clear()
             self.hits = self.misses = self.coalesced = self.evictions = 0

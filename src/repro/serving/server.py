@@ -5,11 +5,15 @@ queries share one catalog and its statistics; :class:`Server` is that system
 boundary.  It multiplexes any number of concurrent client threads over one
 shared :class:`~repro.storage.Catalog` with four guarantees:
 
-* **Prepare once, globally.**  Plans live in a cross-session
-  :class:`~repro.serving.cache.SharedPlanCache` keyed on (program source,
-  format-config fingerprint, catalog schema epoch): the first request for a
-  query pays the optimizer, every other client — concurrent ones included,
-  via single-flight coalescing — reuses the entry.
+* **Prepare once, globally.**  A request's text goes through the front end
+  (parse, De Bruijn conversion, literal lifting) once per distinct text
+  (:data:`repro.sdqlite.frontend.FRONT_END`), and plans live in a
+  cross-session :class:`~repro.serving.cache.SharedPlanCache` keyed on
+  (literal-free query, format-config fingerprint, catalog schema epoch): the
+  first request for a query pays the optimizer, every other client —
+  concurrent ones included, via single-flight coalescing, and ones asking
+  for ``3 * x`` after ``2 * x`` — reuses the entry and binds its own
+  literals into it at execution time.
 * **Snapshot isolation.**  Every request executes against an immutable
   :meth:`~repro.storage.Catalog.snapshot` taken at admission: a concurrent
   :meth:`replace_format` / :meth:`set_scalar` can never expose a
@@ -17,10 +21,12 @@ shared :class:`~repro.storage.Catalog` with four guarantees:
   exactly the program evaluated at *some* point of the update sequence
   (serial equivalence; fuzz-checked by ``repro.fuzz``'s concurrent mode).
 * **Admission control.**  At most ``max_concurrency`` requests execute at
-  once; up to ``max_queue`` more wait (bounded, FIFO-fair via condition
-  wakeups) for at most ``queue_timeout`` seconds.  Beyond that the server
-  sheds load: :class:`ServerBusy` on a full queue, :class:`RequestTimeout`
-  on a slot wait that expires — back-pressure the caller can see.
+  once — one by default, so a waiting request sleeps on the gate instead of
+  fighting the executing one for the interpreter lock; up to ``max_queue``
+  more wait (bounded, FIFO-fair via condition wakeups) for at most
+  ``queue_timeout`` seconds.  Beyond that the server sheds load:
+  :class:`ServerBusy` on a full queue, :class:`RequestTimeout` on a slot
+  wait that expires — back-pressure the caller can see.
 * **Observability.**  :attr:`Server.stats` counts hits / misses /
   re-prepares / rejections and records per-request latency with p50/p99
   queries (:mod:`repro.serving.stats`).
@@ -32,10 +38,12 @@ See ``docs/serving.md`` for the lifecycle walk-through and tuning guide,
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Mapping
 
 from ..core.feedback import FeedbackConfig, FeedbackStore
@@ -48,15 +56,17 @@ from ..execution.engine import (
     result_to_dense,
 )
 from ..execution.profile import ExecutionProfile
-from ..execution.sharded import ShardExecutor, split_plan
+from ..execution.sharded import NOT_DISPATCHED, ShardExecutor
 from ..sdqlite.ast import Expr
-from ..sdqlite.debruijn import to_debruijn_safe
 from ..sdqlite.errors import StorageError
+from ..sdqlite.frontend import FRONT_END, FrontEnd, front_end
+from ..sdqlite.literals import substitute_literals
 from ..sdqlite.pretty import to_source
-from ..sdqlite.parser import parse_expr
 from ..storage.catalog import Catalog, CatalogSnapshot
 from .cache import SharedPlan, SharedPlanCache, base_key, plan_key
 from .stats import ServerStats
+
+_LOG = logging.getLogger("repro.serving")
 
 
 class ServingError(RuntimeError):
@@ -80,9 +90,18 @@ class ServerConfig:
     """Tuning knobs for a :class:`Server` (see ``docs/serving.md``).
 
     ``max_concurrency``
-        Executing requests at once.  Python's GIL serializes interpretation
-        anyway, so this is a *fairness* bound (keeps one heavy query from
-        hogging every slot), not a parallelism dial.
+        Executing requests at once; **1 by default**.  Requests are
+        interpreter-bound, and two of them executing at once do not share
+        the interpreter lock fairly: a thread that releases it inside a
+        NumPy call waits up to the 5 ms switch interval to get it back from
+        a peer that is parsing or optimizing.  Measured on the e2e
+        ``serve_mixed`` workload (2 closed-loop clients, 2 cores), two
+        admitted requests completed *less* than one (``serving.scaling_2c``
+        0.57) and a 0.8 ms hit took 6–8 ms beside a second client; with one
+        executing request the waiter sleeps on the gate's condition variable
+        and both finish sooner.  Raising it can pay only when kernels spend
+        long stretches in code that releases the lock *and* spare cores
+        exist — unproven on this hardware.
     ``max_queue``
         Requests allowed to wait for a slot before new arrivals are shed
         with :class:`ServerBusy`.
@@ -113,10 +132,13 @@ class ServerConfig:
         pool of that many worker processes; the pool is keyed on the
         snapshot's epochs, so every catalog mutation retires it and requests
         behave identically under snapshot isolation.  ``0`` (the default)
-        never spawns processes; failures fall back to in-process streaming.
+        never spawns processes; a pool failure falls back to in-process
+        streaming, is logged once per cause on
+        ``logging.getLogger("repro.serving")`` and counted as
+        ``shard_fallbacks``.
     """
 
-    max_concurrency: int = 8
+    max_concurrency: int = 1
     max_queue: int = 64
     queue_timeout: float | None = 10.0
     plan_cache_size: int = 256
@@ -224,10 +246,11 @@ class Server:
             sample_every=self.config.profile_every,
             threshold=self.config.reoptimize_threshold))
             if self.config.profile_every > 0 else None)
-        self._shard_executor = ShardExecutor(self.config.shard_workers)
+        self._shard_executor = ShardExecutor(
+            self.config.shard_workers, log=_LOG,
+            on_fallback=partial(self.stats.count, "shard_fallbacks"))
         self._envs: OrderedDict[int, dict[str, Any]] = OrderedDict()
         self._statistics: OrderedDict[int, Statistics] = OrderedDict()
-        self._prepared_epochs: dict[tuple, tuple[int, int]] = {}
         self._memo_lock = threading.Lock()
         self._views = None  # lazy repro.ivm.views.ViewRegistry
         self._views_lock = threading.Lock()
@@ -255,7 +278,6 @@ class Server:
         with self._memo_lock:
             self._envs.clear()
             self._statistics.clear()
-            self._prepared_epochs.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Server(tensors={sorted(self.catalog.tensors)}, "
@@ -353,7 +375,8 @@ class Server:
         """
         if self._closed:
             raise ServerClosed("cannot create a view on a closed server")
-        program = parse_expr(program) if isinstance(program, str) else program
+        if isinstance(program, str):
+            program = FRONT_END.get(program).program
         view = self._view_registry().create(
             name, program, method=method, backend=backend,
             dense_shape=dense_shape, optimizer_options=optimizer_options)
@@ -438,15 +461,16 @@ class Server:
 
     # -- the request path ------------------------------------------------------
 
-    def _shared_plan(self, query: Expr, program: Expr, *, method: str,
-                     backend: str, optimizer_options: dict,
+    def _shared_plan(self, front: FrontEnd, *, method: str, backend: str,
+                     optimizer_options: dict,
                      snapshot: CatalogSnapshot) -> SharedPlan:
         """Look up / build the shared plan for one query under one snapshot.
 
-        ``query`` is the statement's canonical (de Bruijn) form — the
-        cache-key identity; ``program`` is the named form the optimizer
-        consumes."""
-        key = plan_key(query, method=method, backend=backend,
+        ``front.query`` — nameless and literal-free — is both the cache-key
+        identity and what the optimizer consumes, so the plan (and its
+        lowered artifact) reads its literals from ``$k`` slots and serves
+        every literal vector."""
+        key = plan_key(front.query, method=method, backend=backend,
                        optimizer_options=optimizer_options, snapshot=snapshot)
         feedback_epoch = self.feedback.epoch if self.feedback is not None else 0
         if self.feedback is not None:
@@ -455,64 +479,43 @@ class Server:
             # and adopting new observations structurally invalidates every
             # plan optimized under the old statistics.
             key = key + (feedback_epoch,)
+        previous: SharedPlan | None = None
 
         def build() -> SharedPlan:
+            nonlocal previous
+            previous = self.plans.latest(base_key(key))
             options = dict(self.optimizer_options)
             options.update(optimizer_options)
             optimizer = Optimizer(self._statistics_for(snapshot), **options)
-            optimization = optimizer.optimize(program, snapshot.mappings(),
-                                              method=method)
+            optimization = optimizer.optimize(front.query.expr,
+                                              snapshot.mappings(), method=method)
             engine = ExecutionEngine(env=self._env_for(snapshot),
                                      backend=backend, cache=self.lowered)
             prepared = engine.prepare(optimization.plan)
             return SharedPlan(key=key, optimization=optimization,
                               prepared=prepared,
-                              schema_version=snapshot.schema_version)
+                              schema_version=snapshot.schema_version,
+                              feedback_epoch=feedback_epoch,
+                              literals=front.literals)
 
         entry, was_hit = self.plans.get_or_prepare(key, build)
         if was_hit:
             self.stats.count("plan_hits")
         else:
             self.stats.count("plan_misses")
-            with self._memo_lock:
-                previous = self._prepared_epochs.get(base_key(key))
-                self._prepared_epochs[base_key(key)] = (snapshot.schema_version,
-                                                        feedback_epoch)
             if previous is not None:
-                prev_schema, prev_feedback = previous
-                if prev_schema != snapshot.schema_version:
+                if previous.schema_version != snapshot.schema_version:
                     self.stats.count("re_prepares")
-                elif prev_feedback != feedback_epoch:
+                elif previous.feedback_epoch != feedback_epoch:
                     # Same schema, new adaptive epoch: this miss is the
                     # feedback loop re-optimizing the query.
                     self.stats.count("re_optimizations")
         return entry
 
-    def _execute(self, entry: SharedPlan, env: Mapping[str, Any],
-                 snapshot: CatalogSnapshot, backend: str,
-                 scalar_params: Mapping[str, float]) -> Any:
-        """Run a shared plan: parallel shard dispatch when configured, else in-process.
-
-        The worker pool is keyed on the snapshot's epochs, so it always
-        serves exactly the state the plan was prepared against; scalar
-        parameters travel per-call instead of riding in the shipped
-        environment.  Any pool failure falls back to the in-process path,
-        which produces the identical result (shard key ranges are disjoint).
-        """
-        if self._shard_executor.available():
-            parts = split_plan(entry.prepared.plan)
-            if len(parts) >= 2:
-                try:
-                    return self._shard_executor.run_parts(
-                        parts, snapshot, backend, scalar_params)
-                except Exception:
-                    pass
-        return entry.run(env)
-
-    def _serve(self, query: Expr, program: Expr, *, method: str, backend: str,
+    def _serve(self, front: FrontEnd, *, method: str, backend: str,
                optimizer_options: dict, dense_shape: tuple[int, ...] | None,
                scalar_params: Mapping[str, float]) -> Any:
-        """Admission → snapshot → shared plan → execute → record."""
+        """Admission → snapshot → shared plan → bind → execute → record."""
         if self._closed:
             raise ServerClosed("server is closed")
         if backend not in BACKENDS:
@@ -527,13 +530,15 @@ class Server:
         except RequestTimeout:
             self.stats.count("rejected_timeout")
             raise
+        self.stats.queue_wait.record((time.perf_counter() - start) * 1_000.0)
         self.stats.enter()
         try:
             snapshot = self.catalog.snapshot()
-            entry = self._shared_plan(query, program, method=method,
-                                      backend=backend,
+            entry = self._shared_plan(front, method=method, backend=backend,
                                       optimizer_options=optimizer_options,
                                       snapshot=snapshot)
+            if entry.literals != front.literals:
+                self.stats.count("literal_shared")
             env = self._env_for(snapshot)
             if scalar_params:
                 unknown = [name for name in scalar_params
@@ -542,8 +547,11 @@ class Server:
                     raise StorageError(
                         f"unknown scalar parameter(s) {sorted(unknown)}; "
                         f"registered scalars: {sorted(snapshot.scalars)}")
-                env = dict(env)
-                env.update(scalar_params)
+            # Everything bound per request: the caller's scalar parameters
+            # and the text's literal vector, into the plan's ``$k`` slots.
+            overrides = {**scalar_params, **front.bindings}
+            if overrides:
+                env = {**env, **overrides}
             store = self.feedback
             if store is not None and store.should_sample():
                 # Sampled execution: profile loop iteration counts and the
@@ -563,8 +571,15 @@ class Server:
                     self.stats.count("misestimations",
                                      counters["feedback_misestimations"])
             else:
-                result = self._execute(entry, env, snapshot, backend,
-                                       scalar_params)
+                # Parallel shard dispatch when configured and the plan is a
+                # per-shard chain; the pool is keyed on the snapshot's
+                # epochs, so it serves exactly the state the plan was
+                # prepared against, and the per-request bindings travel with
+                # the call instead of riding in the shipped environment.
+                result = self._shard_executor.run_plan(
+                    entry.prepared.plan, snapshot, backend, overrides)
+                if result is NOT_DISPATCHED:
+                    result = entry.run(env)
             if dense_shape is not None:
                 result = result_to_dense(result, dense_shape)
             return result
@@ -647,33 +662,60 @@ class ServedStatement:
     def __init__(self, server: Server, program: "str | Expr", *, method: str,
                  backend: str, dense_shape: tuple[int, ...] | None,
                  optimizer_options: dict[str, Any]):
-        self.program = parse_expr(program) if isinstance(program, str) else program
-        self.source = to_source(self.program)
-        # Cache on the de Bruijn form: binder names are parse-time gensyms,
-        # so two parses of the same query text (or whitespace variants of
-        # it) only compare equal once names are out of the comparison.
-        self.query = to_debruijn_safe(self.program)
+        if isinstance(program, str):
+            # One front-end run per distinct text, process-wide: a request
+            # for a text seen before costs a dictionary lookup here.
+            self._front, seen = FRONT_END.lookup(program)
+            server.stats.count("text_hits" if seen else "text_misses")
+        else:
+            self._front = front_end(program)
         self.server = server
         self.method = method
         self.backend = backend
         self.dense_shape = dense_shape
         self.optimizer_options = optimizer_options
 
+    @property
+    def program(self) -> Expr:
+        """The named AST of the statement, literals in place."""
+        return self._front.program
+
+    @property
+    def query(self) -> Expr:
+        """The cache identity: the De Bruijn form with literals lifted to slots."""
+        return self._front.query.expr
+
+    @property
+    def source(self) -> str:
+        """The statement as re-parseable SDQLite text (rendered on demand)."""
+        return to_source(self.program)
+
     def execute(self, **scalar_params: float) -> Any:
         """Execute once against a fresh snapshot of the server's catalog."""
-        return self.server._serve(self.query, self.program,
+        return self.server._serve(self._front,
                                   method=self.method, backend=self.backend,
                                   optimizer_options=self.optimizer_options,
                                   dense_shape=self.dense_shape,
                                   scalar_params=scalar_params)
 
     def explain(self) -> str:
-        """The plan this statement resolves to under the current catalog."""
+        """The plan this statement resolves to under the current catalog.
+
+        The shared plan is literal-free; it is shown instantiated with this
+        statement's literals, followed by the parameter slots they were
+        bound through."""
         from ..session import format_explanation
 
         snapshot = self.server.catalog.snapshot()
         entry = self.server._shared_plan(
-            self.query, self.program, method=self.method,
+            self._front, method=self.method,
             backend=self.backend, optimizer_options=self.optimizer_options,
             snapshot=snapshot)
-        return format_explanation(entry.optimization)
+        bindings = self._front.bindings
+        lines = [format_explanation(replace(
+            entry.optimization,
+            plan=substitute_literals(entry.optimization.plan, bindings)))]
+        if bindings:
+            lines.append("literal parameters (one shared plan serves every binding):")
+            lines.extend(f"  {slot} = {value!r}" for slot, value in bindings.items())
+        return "\n".join(lines)

@@ -75,8 +75,13 @@ class ServerStats:
     ``plan_hits``       served from the shared plan cache (incl. coalesced
                         waiters of an in-flight preparation)
     ``plan_misses``     required a full prepare (optimize + lower)
-    ``re_prepares``     misses for a query the server had already prepared
-                        under an older schema epoch (invalidation cost)
+    ``re_prepares``     misses for a query whose plan from an older schema
+                        epoch is still cached (invalidation cost)
+    ``text_hits``       requests whose text the front-end memo already held
+                        (no parse, no De Bruijn conversion, no lifting)
+    ``text_misses``     requests whose text had to go through the front end
+    ``literal_shared``  requests served by a plan first built for another
+                        literal vector (``2 * x`` reusing ``3 * x``'s plan)
     ``profiled_runs``   executions sampled by the adaptive feedback loop
     ``misestimations``  profiled observations whose estimated vs actual
                         cardinality q-error exceeded the re-optimize
@@ -89,6 +94,8 @@ class ServerStats:
     ``rejected_full``   rejected immediately: admission queue at capacity
     ``rejected_timeout`` gave up waiting for an execution slot
     ``errors``          admitted requests that raised during execution
+    ``shard_fallbacks`` requests whose parallel shard dispatch failed and
+                        that were served in-process instead
     ``peak_in_flight``  high-water mark of concurrently executing requests
     ``sessions``        client sessions opened over the server's lifetime
     ``views``           materialized views registered over the lifetime
@@ -104,17 +111,24 @@ class ServerStats:
 
     Maintenance latency (one observation per :meth:`Server.update`, covering
     every view it refreshed) is recorded in its own window, surfaced as
-    ``maintenance_*`` fields of :meth:`snapshot`.
+    ``maintenance_*`` fields of :meth:`snapshot`.  So is the time each
+    request spent in :meth:`AdmissionGate.acquire` (``queue_wait_ms_p50`` /
+    ``queue_wait_ms_p99``): with one request executing at a time it is the
+    main part of a request's latency that is not its own kernel.
     """
 
     def __init__(self, *, latency_window: int = 8192):
         self.latency = LatencyRecorder(window=latency_window)
         self.maintenance = LatencyRecorder(window=latency_window)
+        self.queue_wait = LatencyRecorder(window=latency_window)
         self._plan_cache = None
         self.requests = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self.re_prepares = 0
+        self.text_hits = 0
+        self.text_misses = 0
+        self.literal_shared = 0
         self.profiled_runs = 0
         self.misestimations = 0
         self.re_optimizations = 0
@@ -123,6 +137,7 @@ class ServerStats:
         self.rejected_full = 0
         self.rejected_timeout = 0
         self.errors = 0
+        self.shard_fallbacks = 0
         self.in_flight = 0
         self.peak_in_flight = 0
         self.sessions = 0
@@ -177,12 +192,16 @@ class ServerStats:
         """Every counter plus p50/p99/mean latency, as one plain dict."""
         p50, p99 = self.latency.percentiles(0.50, 0.99)
         m50, m99 = self.maintenance.percentiles(0.50, 0.99)
+        q50, q99 = self.queue_wait.percentiles(0.50, 0.99)
         with self._lock:
             return {
                 "requests": self.requests,
                 "plan_hits": self.plan_hits,
                 "plan_misses": self.plan_misses,
                 "re_prepares": self.re_prepares,
+                "text_hits": self.text_hits,
+                "text_misses": self.text_misses,
+                "literal_shared": self.literal_shared,
                 "profiled_runs": self.profiled_runs,
                 "misestimations": self.misestimations,
                 "re_optimizations": self.re_optimizations,
@@ -193,6 +212,7 @@ class ServerStats:
                 "rejected_full": self.rejected_full,
                 "rejected_timeout": self.rejected_timeout,
                 "errors": self.errors,
+                "shard_fallbacks": self.shard_fallbacks,
                 "in_flight": self.in_flight,
                 "peak_in_flight": self.peak_in_flight,
                 "sessions": self.sessions,
@@ -204,6 +224,8 @@ class ServerStats:
                 "latency_mean_ms": round(self.latency.mean_ms, 4),
                 "latency_p50_ms": round(p50, 4),
                 "latency_p99_ms": round(p99, 4),
+                "queue_wait_ms_p50": round(q50, 4),
+                "queue_wait_ms_p99": round(q99, 4),
                 "maintenance_count": self.maintenance.count,
                 "maintenance_mean_ms": round(self.maintenance.mean_ms, 4),
                 "maintenance_p50_ms": round(m50, 4),

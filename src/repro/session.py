@@ -57,16 +57,17 @@ from .execution.engine import (
     result_to_dense,
 )
 from .execution.profile import ExecutionProfile
-from .execution.sharded import ShardExecutor, split_plan
+from .execution.sharded import NOT_DISPATCHED, ShardExecutor
 from .sdqlite.ast import Expr, Sym, children
 from .sdqlite.errors import StorageError
-from .sdqlite.parser import parse_expr
+from .sdqlite.frontend import FRONT_END
 from .storage.catalog import Catalog
 
 
 def _as_program(program: "str | Expr") -> Expr:
+    """The named AST of ``program``; text goes through the front-end memo."""
     if isinstance(program, str):
-        return parse_expr(program)
+        return FRONT_END.get(program).program
     return program
 
 
@@ -163,9 +164,10 @@ class Session:
         shard parts on a pool of that many worker processes and
         ``v_add``-merge the partials; anything else — including every
         failure of the pool — runs the plan in-process, where the same
-        chain streams one shard at a time.  ``0`` (the default) never
-        spawns processes.  Feedback-enabled sessions always execute
-        in-process so sampled profiles keep observing whole plans.
+        chain streams one shard at a time; a pool failure is logged once
+        per cause on ``logging.getLogger("repro.execution")``.  ``0`` (the
+        default) never spawns processes.  Feedback-enabled sessions always
+        execute in-process so sampled profiles keep observing whole plans.
     """
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
@@ -684,22 +686,18 @@ class Statement:
         if scalar_params:
             self._check_params(scalar_params)
         store = self._session._feedback
-        if store is None and stats is None and self._session._shard_executor.available():
+        if store is None and stats is None:
             # Parallel shard dispatch: a per-shard + chain executes its
             # addends on the session's worker pool and merges the partials.
-            # Strictly a performance path — any failure falls through to the
-            # in-process execution below, which streams the same chain one
-            # shard at a time.  Skipped when backend counters (stats) or the
-            # feedback loop want to observe the whole in-process run.
-            parts = split_plan(prepared.plan)
-            if len(parts) >= 2:
-                try:
-                    result = self._session._shard_executor.run_parts(
-                        parts, self._session.catalog, self.backend,
-                        scalar_params)
-                    return self._finish(result)
-                except Exception:
-                    pass
+            # Strictly a performance path — a failed dispatch is logged,
+            # counted and answered NOT_DISPATCHED, and the in-process
+            # execution below streams the same chain one shard at a time.
+            # Skipped when backend counters (stats) or the feedback loop
+            # want to observe the whole in-process run.
+            result = self._session._shard_executor.run_plan(
+                prepared.plan, self._session.catalog, self.backend, scalar_params)
+            if result is not NOT_DISPATCHED:
+                return self._finish(result)
         if scalar_params:
             env = dict(env)
             env.update(scalar_params)

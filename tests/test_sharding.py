@@ -16,6 +16,7 @@ Covers the pieces of ``docs/sharding.md``:
   ``Server``.
 """
 
+import logging
 import os
 
 import numpy as np
@@ -28,8 +29,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro import storel  # noqa: E402
 from repro.execution.engine import BACKENDS  # noqa: E402
+from repro.execution import sharded as sharded_module  # noqa: E402
 from repro.execution.sharded import (  # noqa: E402
+    NOT_DISPATCHED,
     ShardExecutor,
+    ShardWorkerError,
     catalog_payload,
     environment_from_payload,
     merge_partials,
@@ -416,6 +420,107 @@ def test_session_falls_back_when_pool_fails(monkeypatch):
         np.testing.assert_allclose(statement.execute(), expected)
     finally:
         session.close()
+
+
+def _failing_part(part, backend, overrides):
+    """Stands in for the worker entry point: a worker that raises."""
+    raise ValueError("injected worker fault")
+
+
+SCALED_BATAX = ("sum(<i, Ai> in A) sum(<j, Aij> in Ai) sum(<k, Aik> in Ai) "
+                "{ j -> 3 * beta * Aij * Aik * X(k) }")
+
+
+def test_server_literal_bindings_reach_the_shard_workers():
+    A = _random_dense(12, (14, 5))
+    X = np.arange(5, dtype=float)
+    expected = storel.run(SCALED_BATAX, _batax_catalog(A, X, shards=3), dense_shape=(5,))
+    with Server(_batax_catalog(A, X, shards=3), shard_workers=2) as server:
+        # The shared plan reads its literal from the $0 slot; a worker that
+        # did not receive the binding would raise "unknown global symbol".
+        np.testing.assert_allclose(
+            server.execute(SCALED_BATAX, dense_shape=(5,)), expected)
+        np.testing.assert_allclose(
+            server.execute(SCALED_BATAX.replace("3 *", "6 *"), dense_shape=(5,), beta=1.0),
+            expected)
+        stats = server.stats.snapshot()
+        assert stats["shard_fallbacks"] == 0 and stats["plan_misses"] == 1
+        assert server._shard_executor._pool is not None      # it really was dispatched
+
+
+def test_server_serves_in_process_when_a_worker_raises(monkeypatch, caplog):
+    A = _random_dense(12, (14, 5))
+    X = np.arange(5, dtype=float)
+    expected = storel.run(SCALED_BATAX, _batax_catalog(A, X, shards=3), dense_shape=(5,))
+    monkeypatch.setattr(sharded_module, "_run_part", _failing_part)
+    with Server(_batax_catalog(A, X, shards=3), shard_workers=2) as server:
+        with caplog.at_level(logging.WARNING, logger="repro.serving"):
+            for _ in range(3):
+                np.testing.assert_allclose(
+                    server.execute(SCALED_BATAX, dense_shape=(5,)), expected)
+        assert server.stats.snapshot()["shard_fallbacks"] == 3
+        assert server.stats.errors == 0
+    records = [record for record in caplog.records if record.name == "repro.serving"]
+    assert len(records) == 1                                 # once per cause, not per request
+    assert "ValueError" in records[0].getMessage()
+    assert "injected worker fault" in records[0].getMessage()
+    assert isinstance(records[0].exc_info[1], ShardWorkerError)
+
+
+def test_session_logs_the_pool_fallback_once_per_cause(monkeypatch, caplog):
+    A = _random_dense(10, (14, 5))
+    X = np.arange(5, dtype=float)
+    session = Session(_batax_catalog(A, X, shards=3), shard_workers=2)
+    try:
+        statement = session.prepare(get_kernel("batax").source, dense_shape=(5,))
+        expected = storel.run(get_kernel("batax").source,
+                              _batax_catalog(A, X, shards=3), dense_shape=(5,))
+        causes = iter([OSError("no more processes"), OSError("no more processes"),
+                       RuntimeError("pool down")])
+
+        def boom(*args, **kwargs):
+            raise next(causes)
+
+        monkeypatch.setattr(session._shard_executor, "run_parts", boom)
+        with caplog.at_level(logging.WARNING, logger="repro.execution"):
+            for _ in range(3):
+                np.testing.assert_allclose(statement.execute(), expected)
+        assert session._shard_executor.fallbacks == 3
+        messages = [record.getMessage() for record in caplog.records
+                    if record.name == "repro.execution"]
+        assert len(messages) == 2
+        assert "OSError" in messages[0] and "RuntimeError" in messages[1]
+    finally:
+        session.close()
+
+
+def test_programming_errors_in_dispatch_propagate(monkeypatch):
+    A = _random_dense(10, (14, 5))
+    X = np.arange(5, dtype=float)
+    session = Session(_batax_catalog(A, X, shards=3), shard_workers=2)
+    try:
+        statement = session.prepare(get_kernel("batax").source, dense_shape=(5,))
+
+        def typo(*args, **kwargs):
+            raise TypeError("run_parts() got an unexpected keyword argument")
+
+        monkeypatch.setattr(session._shard_executor, "run_parts", typo)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            statement.execute()
+        assert session._shard_executor.fallbacks == 0
+    finally:
+        session.close()
+
+
+def test_run_plan_does_not_dispatch_what_is_not_a_shard_chain():
+    A = _random_dense(10, (14, 5))
+    X = np.arange(5, dtype=float)
+    catalog = _batax_catalog(A, X, shards=3)
+    statement = Session(catalog).prepare("sum(<i, x> in X) x")
+    assert ShardExecutor(0).run_plan(statement.plan, catalog, "compile") is NOT_DISPATCHED
+    executor = ShardExecutor(2)
+    assert executor.run_plan(statement._prepared.plan, catalog, "compile") is NOT_DISPATCHED
+    assert executor._pool is None and executor.fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
