@@ -21,16 +21,6 @@ TENSOR_SCALE = int(os.environ.get("REPRO_TENSOR_SCALE", "48"))
 #: Repetitions per measurement in the printed summary tables.
 REPEATS = int(os.environ.get("REPRO_REPEATS", "1"))
 
-#: Execution backends compared by the backend benchmarks (comma-separated in
-#: the environment): any of "interpret", "compile", "vectorize", "typed".
-BACKENDS = tuple(
-    backend.strip()
-    for backend in os.environ.get(
-        "REPRO_BACKENDS", "interpret,compile,vectorize,typed").split(",")
-    if backend.strip()
-)
-
-
 def print_report(text: str) -> None:
     """Print a report block that survives pytest's output capturing (-s not needed)."""
     sys.stdout.write("\n" + text + "\n")

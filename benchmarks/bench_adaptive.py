@@ -39,17 +39,17 @@ import time
 
 import numpy as np
 
-from _config import MATRIX_SCALE, print_report
+from _config import print_report
 from repro.advisor import OnlineAdvisor
 from repro.core.feedback import FeedbackConfig
 from repro.kernels import KERNELS
 from repro.session import Session
 from repro.storage import DenseFormat
 from repro.storage.convert import reformat
-from repro.workloads.experiments import matrix_kernel_catalog
+from repro.workloads.experiments import synthetic_catalog
 from repro.workloads.reporting import format_table
 
-#: Smoke mode (CI): smaller matrix, fewer repeats, looser overhead bar.
+#: Smoke mode (CI): smaller matrices, fewer overhead blocks, looser overhead bar.
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
 #: Adaptive steady state must be within this factor of the per-phase best
@@ -63,8 +63,12 @@ FROZEN_LOSS = 1.5
 #: session.  The real bar is 2%; smoke runs on shared CI boxes get headroom.
 OVERHEAD_TOLERANCE = 1.15 if SMOKE else 1.02
 
-SIZE = 72 if SMOKE else 120
-REPEATS = 3 if SMOKE else 7
+#: Sized for the ``typed`` executor: every timed request of the drift
+#: scenario (0.5-50 ms) and of the overhead check (1-4 ms) is work, not the
+#: fixed per-request overhead the tolerances below would otherwise measure.
+SIZE = 1024 if SMOKE else 1536
+OVERHEAD_SIZE = 256 if SMOKE else 384
+REPEATS = 15
 #: Overhead check: ``OVERHEAD_BLOCKS`` adjacent without/with block pairs,
 #: each block ``OVERHEAD_RUNS`` timed executions (plus one warm-up); the
 #: reported ratio is the median over the per-pair ratios.
@@ -83,7 +87,7 @@ STATIC_FORMATS = ("dense", "csr")
 FROZEN = "dense"
 
 #: Fig. 7 kernels the overhead check runs (matrix kernels; the rank-3 ones
-#: exercise the same profiling hooks through the same backends).
+#: exercise the same profiling hooks), on 5%-dense synthetic matrices.
 OVERHEAD_KERNELS = ("MMM", "BATAX")
 
 _JSON_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -182,8 +186,8 @@ def measure_overhead(kernel_name: str) -> dict:
     exactly the code path under test.
     """
     kernel = KERNELS[kernel_name]
-    session = Session(matrix_kernel_catalog(kernel_name, "pdb1HYS",
-                                            scale=MATRIX_SCALE))
+    session = Session(synthetic_catalog(kernel_name, 0.05, rows=OVERHEAD_SIZE,
+                                        cols=OVERHEAD_SIZE))
     statement = session.prepare(kernel.source)
     statement.execute()
 
@@ -264,8 +268,10 @@ def run_bench() -> dict:
     return {
         "benchmark": "adaptive",
         "size": SIZE,
+        "overhead_size": OVERHEAD_SIZE,
         "repeats": REPEATS,
         "smoke": SMOKE,
+        "backend": Session().backend,
         "tolerance_vs_best_static": TOLERANCE,
         "frozen_loss_floor": FROZEN_LOSS,
         "overhead_tolerance": OVERHEAD_TOLERANCE,

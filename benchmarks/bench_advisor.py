@@ -189,6 +189,7 @@ def run_bench(repeats: int = max(3, REPEATS)) -> dict:
         "tensor_scale": TENSOR_SCALE,
         "repeats": repeats,
         "smoke": SMOKE,
+        "backend": Session().backend,
         "tolerance_vs_best": TOLERANCE,
         "python": platform.python_version(),
         "machine": platform.machine(),

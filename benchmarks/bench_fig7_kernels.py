@@ -12,8 +12,9 @@ substantially faster on the kernels with factorization opportunities
 
 import pytest
 
-from _config import BACKENDS, MATRIX_SCALE, REPEATS, TENSOR_SCALE, print_report
+from _config import MATRIX_SCALE, REPEATS, TENSOR_SCALE, print_report
 from repro.baselines import NotSupportedError
+from repro.execution import BACKENDS
 from repro.kernels import KERNELS
 from repro.workloads.experiments import (
     fig7_measurements,
@@ -67,7 +68,7 @@ def test_fig7_matrix_kernel_per_system(benchmark, kernel_name, system_index):
 
 @pytest.mark.parametrize("kernel_name", MATRIX_KERNELS + TENSOR_KERNELS)
 def test_fig7_backend_comparison(benchmark, kernel_name):
-    """STOREL's three execution backends on one representative dataset per kernel."""
+    """``typed`` beside the reference interpreter on one dataset per kernel."""
     if kernel_name in MATRIX_KERNELS:
         catalog = matrix_kernel_catalog(kernel_name, "pdb1HYS", scale=MATRIX_SCALE)
         dataset = "pdb1HYS"

@@ -12,8 +12,9 @@ plain MMM the BLAS-backed baselines win at high density.
 
 import pytest
 
-from _config import BACKENDS, REPEATS, print_report
+from _config import REPEATS, print_report
 from repro.baselines import NotSupportedError, NumpySystem, ScipySystem, StorelSystem, TacoLikeSystem
+from repro.execution import BACKENDS
 from repro.data.synthetic import density_sweep
 from repro.kernels import KERNELS
 from repro.workloads.experiments import fig8_measurements, synthetic_catalog
@@ -51,7 +52,7 @@ def test_fig8_batax_storel_per_density(benchmark, density, storage):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fig8_batax_per_backend(benchmark, backend):
-    """STOREL's execution backends on BATAX at the densest sweep point."""
+    """``typed`` and the reference interpreter on BATAX at the densest sweep point."""
     catalog = synthetic_catalog("BATAX", DENSITIES[-1], rows=MATRIX_ROWS,
                                 cols=MATRIX_ROWS, storage="sparse")
     run = StorelSystem(backend=backend).prepare(KERNELS["BATAX"], catalog)

@@ -49,9 +49,6 @@ CLIENTS = int(os.environ.get("REPRO_SERVING_CLIENTS", "8"))
 #: Size of the synthetic point-query matrix.
 SIZE = int(os.environ.get("REPRO_SERVING_SIZE", "24"))
 
-#: The measured execution backend.
-BACKEND = os.environ.get("REPRO_SERVING_BACKEND", "compile")
-
 #: Saturation limits for the egraph rows — small enough that one preparation
 #: is ~200 ms, large enough that the rewrite rules genuinely fire.
 EGRAPH_OPTIONS = {"iter_limit": 4, "node_limit": 1200, "time_limit": 3600.0}
@@ -108,7 +105,7 @@ def bench_pair(label: str, method: str, options: dict, connections: int,
     kernel = KERNELS["BATAX"]
     catalog = synthetic_catalog("BATAX", 0.05, rows=SIZE, cols=SIZE)
     shape = (SIZE,)
-    reference = storel.run(kernel.source, catalog, backend=BACKEND,
+    reference = storel.run(kernel.source, catalog, backend="interpret",
                            dense_shape=shape)
 
     def check(result) -> None:
@@ -116,7 +113,7 @@ def bench_pair(label: str, method: str, options: dict, connections: int,
             raise AssertionError(f"{label}: served result diverged from reference")
 
     def private_connection(latencies: list[float]) -> None:
-        session = Session(catalog, method=method, backend=BACKEND,
+        session = Session(catalog, method=method,
                           optimizer_options=dict(options), cache=PlanCache())
         statement = session.prepare(kernel.source, dense_shape=shape)
         for _ in range(requests):
@@ -128,8 +125,7 @@ def bench_pair(label: str, method: str, options: dict, connections: int,
 
     # The default configuration, as a user gets it: one executing request
     # at a time (docs/serving.md), the other clients queue on the gate.
-    server = Server(catalog, method=method, backend=BACKEND,
-                    optimizer_options=dict(options))
+    server = Server(catalog, method=method, optimizer_options=dict(options))
 
     def shared_connection(latencies: list[float]) -> None:
         statement = server.session().prepare(kernel.source, dense_shape=shape)
@@ -179,14 +175,14 @@ def run_bench(smoke: bool | None = None) -> dict:
                          title=f"Serving — shared plan cache vs per-session caches "
                                f"({CLIENTS} clients x {connections} connections "
                                f"x {requests} identical requests, "
-                               f"backend {BACKEND}, size {SIZE})")
+                               f"size {SIZE})")
     print_report(table)
     return {
         "benchmark": "serving",
         "clients": CLIENTS,
         "connections_per_client": connections,
         "requests_per_connection": requests,
-        "backend": BACKEND,
+        "backend": Server().backend,
         "size": SIZE,
         "smoke": smoke,
         "python": platform.python_version(),
@@ -196,11 +192,7 @@ def run_bench(smoke: bool | None = None) -> dict:
     }
 
 
-def test_serving_bench(benchmark):
-    """Both method pairs, correctness-checked; writes BENCH_serving.json."""
-    report = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-    with open(_JSON_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
+def _check(report: dict) -> None:
     # The acceptance point: at 8 concurrent clients on an identical-query
     # workload, the shared cache at least doubles throughput.
     assert report["best_speedup"] >= 2.0, \
@@ -209,14 +201,26 @@ def test_serving_bench(benchmark):
     assert all(row["hit_rate"] > 0.5 for row in shared_rows)
 
 
+def _write(report: dict) -> None:
+    with open(_JSON_PATH, "w") as handle:
+        json.dump(report, handle, indent=2)
+
+
+def test_serving_bench(benchmark):
+    """Both method pairs, correctness-checked; writes BENCH_serving.json."""
+    report = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    _write(report)
+    _check(report)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="shrunk workload for CI smoke runs")
     args = parser.parse_args()
     report = run_bench(smoke=True if args.smoke else None)
-    with open(_JSON_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
+    _write(report)
+    _check(report)
     print(f"wrote {_JSON_PATH} (best speedup {report['best_speedup']}x)")
 
 

@@ -8,7 +8,7 @@ only the backend lowering is shared through the process-wide plan cache.  A
 :meth:`~repro.session.Statement.execute` is parameter binding + execution.
 
 This benchmark measures the per-call latency of the three call styles on the
-same kernel / catalog / backend:
+same kernel / catalog, on the default backend (``typed``):
 
 * ``one-shot``      — ``storel.run(source, catalog)`` per call (warm plan
   cache, so this is the *best case* for the one-shot API);
@@ -52,9 +52,6 @@ CASES = (("SUMMM", "serving"), ("MMM", "serving"), ("BATAX", "serving"),
 #: Size of the ``serving`` synthetic matrix.
 SERVING_SIZE = int(os.environ.get("REPRO_SERVING_SIZE", "32"))
 
-#: Backends measured (interpret adds nothing here: it has no lowering to skip).
-MEASURED_BACKENDS = ("compile", "vectorize")
-
 #: Bindings per ``execute_many`` batch.
 BATCH = 16
 
@@ -71,7 +68,7 @@ def _catalog(kernel_name: str, dataset: str):
     return tensor_kernel_catalog(kernel_name, dataset, scale=TENSOR_SCALE)
 
 
-def bench_case(kernel_name: str, dataset: str, backend: str, repeats: int) -> dict:
+def bench_case(kernel_name: str, dataset: str, repeats: int) -> dict:
     kernel = KERNELS[kernel_name]
     catalog = _catalog(kernel_name, dataset)
     shape = output_shape(kernel, catalog)
@@ -79,13 +76,13 @@ def bench_case(kernel_name: str, dataset: str, backend: str, repeats: int) -> di
 
     # One-shot: the full pipeline per call (first call warms the plan cache).
     def one_shot():
-        return storel.run(kernel.source, catalog, backend=backend, dense_shape=shape)
+        return storel.run(kernel.source, catalog, dense_shape=shape)
 
     one_shot()
     one_shot_ms, one_shot_result = time_callable(one_shot, repeats)
 
     # Prepared: optimize once, execute many.
-    session = Session(catalog, backend=backend)
+    session = Session(catalog)
     statement = session.prepare(kernel.source, dense_shape=shape)
     prepared_ms, prepared_result = time_callable(
         lambda: statement.execute(**params), repeats)
@@ -102,7 +99,6 @@ def bench_case(kernel_name: str, dataset: str, backend: str, repeats: int) -> di
     return {
         "kernel": kernel_name,
         "dataset": dataset,
-        "backend": backend,
         "one_shot_ms": round(one_shot_ms, 4),
         "prepared_ms": round(prepared_ms, 4),
         "execute_many_ms": round(many_ms, 4),
@@ -113,10 +109,9 @@ def bench_case(kernel_name: str, dataset: str, backend: str, repeats: int) -> di
 
 
 def run_bench(repeats: int = max(5, REPEATS)) -> dict:
-    """All cases × backends; return the report dict written to JSON."""
-    rows = [bench_case(kernel_name, dataset, backend, repeats)
-            for kernel_name, dataset in CASES
-            for backend in MEASURED_BACKENDS]
+    """All cases; return the report dict written to JSON."""
+    rows = [bench_case(kernel_name, dataset, repeats)
+            for kernel_name, dataset in CASES]
     table = format_table(rows, title="Prepared statements — per-call latency (ms): "
                                      "one-shot storel.run vs Statement.execute "
                                      f"(matrix scale {MATRIX_SCALE}, "
@@ -128,7 +123,7 @@ def run_bench(repeats: int = max(5, REPEATS)) -> dict:
         "tensor_scale": TENSOR_SCALE,
         "repeats": repeats,
         "batch": BATCH,
-        "backends": list(MEASURED_BACKENDS),
+        "backend": Session().backend,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,
@@ -136,11 +131,7 @@ def run_bench(repeats: int = max(5, REPEATS)) -> dict:
     }
 
 
-def test_session_bench(benchmark):
-    """All cases, correctness-checked; writes BENCH_session.json."""
-    report = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-    with open(_JSON_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
+def _check(report: dict) -> None:
     assert all(row["correct"] for row in report["rows"]), \
         "prepared execution diverged from one-shot storel.run"
     # The whole point of preparing: optimization cost is off the per-call path.
@@ -148,10 +139,22 @@ def test_session_bench(benchmark):
         f"expected >=5x on at least one kernel, best was {report['best_speedup']}x"
 
 
-def main() -> None:
-    report = run_bench()
+def _write(report: dict) -> None:
     with open(_JSON_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
+
+
+def test_session_bench(benchmark):
+    """All cases, correctness-checked; writes BENCH_session.json."""
+    report = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    _write(report)
+    _check(report)
+
+
+def main() -> None:
+    report = run_bench()
+    _write(report)
+    _check(report)
     print(f"wrote {_JSON_PATH}")
 
 

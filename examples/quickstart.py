@@ -5,8 +5,8 @@ CSR, a dense vector ``X``, and the BATAX kernel
 ``Q(j) = Σ_ik β · A(i,j) · A(i,k) · X(k)``.  The Data Admin registers the
 tensors once in a :class:`~repro.session.Session`; STOREL composes the
 program with the storage mappings, rewrites it (factorization + fusion),
-picks the cheapest plan with its cost model and compiles it to Python —
-once, at ``prepare`` time.  Each ``execute`` then just re-binds the β
+picks the cheapest plan with its cost model and lowers it to batched kernels
+over flat typed buffers — once, at ``prepare`` time.  Each ``execute`` then just re-binds the β
 parameter and runs.
 
 Run with::
@@ -68,8 +68,9 @@ def main() -> None:
                              key=lambda kv: kv[1]):
         print(f"  {name:26s} {cost:12.1f}")
     print()
-    print("Generated Python for the chosen plan:")
-    print(statement.plan_source)
+    print(statement.explain().split("\n\n")[0])    # the "== chosen plan ==" block
+    print()
+    print("How it executes:", statement.plan_source)
 
 
 if __name__ == "__main__":

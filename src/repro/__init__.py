@@ -11,10 +11,11 @@ It provides:
 * :mod:`repro.egraph` — an equality-saturation engine (Egg reimplementation),
 * :mod:`repro.core` — the rewrite rules, cardinality/cost models and the
   two-stage cost-based optimizer (STOREL itself),
-* :mod:`repro.execution` — the three physical-plan execution backends
-  (``interpret`` / ``compile`` / ``vectorize`` / ``typed``) plus the prepared-plan LRU
-  cache; every API that executes plans takes a ``backend=`` parameter
-  accepting exactly those three values (see ``docs/backends.md``),
+* :mod:`repro.execution` — the physical-plan executor (``typed``: batched
+  kernels over flat typed buffers) and the reference interpreter it is
+  checked against (``interpret``), plus the prepared-plan LRU cache; every
+  API that executes plans takes a ``backend=`` parameter accepting exactly
+  those two values (see ``docs/backends.md``),
 * :mod:`repro.advisor` — the workload-driven storage format advisor
   (searches candidate storage configurations with the cost model and
   returns recommendations sessions apply in place — see ``docs/advisor.md``),

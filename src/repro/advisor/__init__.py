@@ -21,8 +21,8 @@ Entry points, cheapest first:
 * :func:`repro.storel.advise` — one-shot wrapper over a throwaway session;
 * :class:`Advisor` — reusable, holds the conversion/costing caches;
 * ``Advisor.advise(..., measure=True)`` — additionally validates the top-k
-  estimated configurations against real executions on the vectorized
-  backend and ranks by measured time.
+  estimated configurations against real executions (``typed`` backend)
+  and ranks by measured time.
 
 See ``docs/advisor.md`` for a walkthrough and
 ``benchmarks/bench_advisor.py`` for advisor-picked vs. hand-picked formats

@@ -14,16 +14,16 @@ free, and the raw configuration space is the product of per-tensor menus):
    Unassigned tensors are scored at their independent best, so every score
    is the cost of one *complete* configuration.
 3. **Optional measurement** — ``measure=True`` executes a small probe set
-   for real (vectorized backend by default — see ``docs/backends.md``) and
-   re-ranks by measured time.  The probe set is the top-k estimated
+   for real (on the ``typed`` backend by default — see ``docs/backends.md``)
+   and re-ranks by measured time.  The probe set is the top-k estimated
    configurations plus one uniform configuration per storage *family*
    (dense / coo / compressed / dok / trie), followed by a short
    measurement-driven local search over single format swaps.  Rationale:
    the Fig. 6 cost model ranks plans *within* a configuration and
    configurations *within* a family reliably, but its γ constants were
-   calibrated for compiled loops — the relative constants of pure-Python
-   execution differ per backend, so cross-family ordering is exactly what
-   real executions are needed for.  Probes and swap candidates whose
+   calibrated for compiled scalar loops — the relative constants of batched
+   NumPy kernels differ, so cross-family ordering is exactly what real
+   executions are needed for.  Probes and swap candidates whose
    estimated cost exceeds ``probe_cost_cap`` times the best estimate are
    never executed (the estimates *are* trusted to rule out catastrophes),
    which keeps measurement time bounded and the search polynomial.
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.optimizer import Optimizer
+from ..execution.engine import check_backend
 from ..sdqlite.ast import Expr, Sym, children
 from ..sdqlite.errors import StorageError
 from ..sdqlite.parser import parse_expr
@@ -203,7 +204,7 @@ class Advisor:
         ``"egraph"``).
     backend:
         Execution backend for ``measure=True`` validation runs
-        (``"vectorize"`` default).
+        (``"typed"`` default); checked at construction.
     beam_width / per_tensor_top:
         Pruning knobs of the beam stage: how many partial configurations
         survive each step, and how many of a tensor's independently-ranked
@@ -224,13 +225,13 @@ class Advisor:
     #: per-shard overheads dominate and the search space doubles for nothing.
     _SHARD_ADVISE_MIN_NNZ = 1 << 15
 
-    def __init__(self, session, *, method: str = "greedy", backend: str = "vectorize",
+    def __init__(self, session, *, method: str = "greedy", backend: str = "typed",
                  beam_width: int = 4, per_tensor_top: int = 3,
                  optimizer_options: Mapping[str, Any] | None = None,
                  shard_counts: Sequence[int] = ()):
         self.session = session
         self.method = method
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.beam_width = max(1, int(beam_width))
         self.per_tensor_top = max(1, int(per_tensor_top))
         self.optimizer_options = dict(optimizer_options or {})

@@ -1,7 +1,7 @@
-"""STOREL as a benchmarkable system: optimize, compile, execute.
+"""STOREL as a benchmarkable system: optimize, lower, execute.
 
-This wraps the full pipeline (composition, cost-based optimization, code
-generation) behind the common :class:`~repro.baselines.base.System`
+This wraps the full pipeline (composition, cost-based optimization, kernel
+lowering) behind the common :class:`~repro.baselines.base.System`
 interface used by the benchmark harness.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..core import strategies
 from ..core.compose import compose
-from ..execution.engine import ExecutionEngine, result_to_dense
+from ..execution.engine import ExecutionEngine, check_backend, result_to_dense
 from ..kernels.programs import Kernel
 from ..session import Session
 from ..storage.catalog import Catalog
@@ -32,11 +32,10 @@ class StorelSystem(System):
         faster, and the paper excludes optimization time from Fig. 7–9
         anyway).
     backend:
-        Execution backend: ``"compile"`` (generated Python loops, default),
-        ``"interpret"`` (reference interpreter), ``"vectorize"``
-        (whole-array NumPy with automatic loop fallback) or ``"typed"``
-        (flat typed buffers, JIT-compiled when numba is available); see
-        ``docs/backends.md``.
+        Execution backend: ``"typed"`` (batched kernels over flat typed
+        buffers, JIT-compiled when numba is available; the default) or
+        ``"interpret"`` (the reference interpreter); see
+        ``docs/backends.md``.  Checked at construction.
     session:
         An optional shared :class:`~repro.session.Session`.  When given and
         its catalog is the one being benchmarked, preparation reuses the
@@ -47,12 +46,13 @@ class StorelSystem(System):
     """
 
     method: str = "greedy"
-    backend: str = "compile"
+    backend: str = "typed"
     name: str = "STOREL"
     session: Session | None = None
 
     def __post_init__(self):
-        if self.name == "STOREL" and self.backend != "compile":
+        check_backend(self.backend)
+        if self.name == "STOREL" and self.backend != "typed":
             self.name = f"STOREL[{self.backend}]"
 
     def prepare(self, kernel: Kernel, catalog: Catalog) -> RunCallable:
@@ -79,11 +79,11 @@ class FixedPlanSystem(System):
     ``variant`` is one of the candidate-plan names produced by
     :func:`repro.core.strategies.candidate_plans`: ``naive``, ``fused``,
     ``factorized``, ``fused+factorized`` (or ``fused+factorized+merge``).
-    ``backend`` is ``"compile"``, ``"interpret"`` or ``"vectorize"``.
+    ``backend`` is ``"typed"`` or ``"interpret"``.
     """
 
     variant: str = "fused+factorized"
-    backend: str = "compile"
+    backend: str = "typed"
 
     def __post_init__(self):
         self.name = f"STOREL[{self.variant}]"
@@ -116,7 +116,7 @@ class TacoLikeSystem(System):
     rewrites only (see DESIGN.md, "Substitutions").
     """
 
-    backend: str = "compile"
+    backend: str = "typed"
     name: str = "Taco-like"
 
     def prepare(self, kernel: Kernel, catalog: Catalog) -> RunCallable:

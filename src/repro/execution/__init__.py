@@ -1,27 +1,27 @@
-"""Physical plan execution: interpretation, code generation, vectorization.
+"""Physical plan execution: one executor and the interpreter it is checked against.
 
-Four backends (selected with ``backend=`` on :class:`ExecutionEngine`,
-:func:`repro.storel.run` and the benchmark systems; see ``docs/backends.md``):
+Two backends (selected with ``backend=`` on :class:`ExecutionEngine`,
+:class:`repro.Session`, :func:`repro.storel.run` and the benchmark systems;
+see ``docs/backends.md``):
 
-* ``"interpret"`` — the reference interpreter (the semantics oracle),
-* ``"compile"``   — generated Python loops (default),
-* ``"vectorize"`` — whole-array NumPy with automatic per-sum loop fallback,
 * ``"typed"``     — lane-expanding kernels over flat typed columnar buffers
-  (numba-JIT when available, NumPy-vectorized otherwise).
+  (numba-JIT when available, NumPy otherwise); the default everywhere,
+* ``"interpret"`` — the reference interpreter (the semantics oracle).
 
-Prepared plans are cached across calls by :class:`PlanCache`
-(:data:`GLOBAL_PLAN_CACHE` by default), keyed on backend, plan hash and
-environment schema.
+Any other name raises :class:`~repro.sdqlite.errors.ExecutionError` where it
+is given (:func:`check_backend`).  Prepared plans are cached across calls by
+:class:`PlanCache` (:data:`GLOBAL_PLAN_CACHE` by default), keyed on backend,
+plan hash and environment schema.
 """
 
 from .buffers import HAVE_NUMBA, BufferDict, BufferLevels, to_buffer_levels
-from .codegen import CompiledPlan, compile_plan
 from .engine import (
     BACKENDS,
     GLOBAL_PLAN_CACHE,
     ExecutionEngine,
     PlanCache,
     PreparedPlan,
+    check_backend,
     env_signature,
     result_to_dense,
     result_to_matrix,
@@ -30,12 +30,9 @@ from .engine import (
     result_to_vector,
 )
 from .typed_backend import TypedPlan, typed_plan
-from .vectorize import Unvectorizable, VectorizedPlan, vectorize_plan
 
 __all__ = [
-    "BACKENDS",
-    "CompiledPlan", "compile_plan",
-    "VectorizedPlan", "vectorize_plan", "Unvectorizable",
+    "BACKENDS", "check_backend",
     "TypedPlan", "typed_plan",
     "BufferDict", "BufferLevels", "to_buffer_levels", "HAVE_NUMBA",
     "ExecutionEngine", "PreparedPlan",

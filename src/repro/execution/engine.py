@@ -1,26 +1,20 @@
 """Execution of physical plans over the registered storage.
 
-Four backends are provided (see ``docs/backends.md`` for a full guide):
+Two backends (see ``docs/backends.md``):
 
+* ``typed``     — the executor, and the default everywhere
+  (:mod:`repro.execution.typed_backend`): whole plans run as batched kernels
+  over flat columnar buffers (:mod:`repro.execution.buffers`), with nested
+  sums expanding the lane space, merges joining by sorted values and
+  nested-dict lookups becoming composite-key ``searchsorted``; kernels JIT
+  via numba when it is importable and run as equivalent NumPy code when it
+  is not.  A loop it cannot batch runs as a Python loop and says why
+  (``fallback_reasons`` in the ``stats`` sink).
 * ``interpret`` — the reference interpreter (:mod:`repro.sdqlite.interpreter`);
-  the executable semantics of SDQLite and the oracle everything else is
-  checked against.
-* ``compile``   — Python code generation (:mod:`repro.execution.codegen`),
-  the reproduction's stand-in for the paper's Julia backend: nested scalar
-  ``for`` loops, the default for benchmarks.
-* ``vectorize`` — whole-array NumPy execution
-  (:mod:`repro.execution.vectorize`): ``sum`` loops over ranges, physical
-  arrays and segmented-array slices are evaluated as batched array
-  expressions with scatter/gather, falling back to Python loops per ``sum``
-  for constructs that don't vectorize (merge, tries, nested hash-maps).
-* ``typed``     — typed-buffer compiled execution
-  (:mod:`repro.execution.typed_backend`): whole plans run over flat columnar
-  buffers (:mod:`repro.execution.buffers`), with nested sums expanding the
-  lane space, merges joining by sorted values and nested-dict lookups
-  becoming composite-key ``searchsorted``; kernels JIT via numba when it is
-  importable and run as equivalent NumPy code when it is not.
+  the executable semantics of SDQLite and the oracle ``typed`` is checked
+  against.
 
-All backends produce identical values (tested per kernel × format); results
+Both produce identical values (tested per kernel × format × plan); results
 are plain scalars / nested dicts convertible to NumPy arrays via the
 ``result_to_*`` helpers below.
 
@@ -28,7 +22,7 @@ Plan lowering is cached: :class:`ExecutionEngine.prepare` consults a
 :class:`PlanCache` (an LRU keyed on backend, plan hash and environment
 schema) so that repeated preparation of the same plan — e.g. across
 benchmark iterations or repeated :func:`repro.storel.run` calls — skips
-re-compilation.  Lowered artifacts are environment-independent, so a cache
+re-lowering.  Lowered artifacts are environment-independent, so a cache
 hit is always safe: the environment is only bound at
 :meth:`PreparedPlan.run` time.
 """
@@ -48,12 +42,28 @@ from ..sdqlite.errors import ExecutionError
 from ..sdqlite.interpreter import evaluate
 from ..sdqlite.values import is_scalar, to_plain
 from .buffers import BufferDict
-from .codegen import CompiledPlan, compile_plan
+from .profile import sum_sources_of
 from .typed_backend import TypedPlan, typed_plan
-from .vectorize import VectorizedPlan, vectorize_plan
 
 #: Accepted values of the ``backend`` parameter, everywhere one is taken.
-BACKENDS = ("interpret", "compile", "vectorize", "typed")
+BACKENDS = ("interpret", "typed")
+
+
+def check_backend(name: str) -> str:
+    """Return ``name`` if it is one of :data:`BACKENDS`, else raise.
+
+    Every constructor and per-call ``backend=`` override goes through here,
+    so a misspelt backend fails where it was written, before any
+    optimization is paid for.
+    """
+    if name in BACKENDS:
+        return name
+    hint = ""
+    if name in ("compile", "vectorize"):
+        hint = (f"; the {name!r} backend was removed in favour of 'typed' "
+                "(see docs/backends.md)")
+    raise ExecutionError(
+        f"unknown execution backend {name!r}; expected one of {BACKENDS}{hint}")
 
 
 def env_signature(env: Mapping[str, Any]) -> tuple:
@@ -70,16 +80,15 @@ class PlanCache:
     """A small LRU cache of lowered plan artifacts.
 
     Keys are ``(backend, plan, env_signature)`` — plans are frozen
-    dataclasses and hash structurally.  Values are the backend artifacts
-    (:class:`~repro.execution.codegen.CompiledPlan` or
-    :class:`~repro.execution.vectorize.VectorizedPlan`); both are pure
-    functions of the plan, so sharing them across environments with the
-    same schema is sound.  The environment schema is part of the key by
-    design even though today's lowerings ignore the environment: it keeps
-    the cache correct if a future backend specializes its artifact to the
-    physical kinds of the symbols, at the cost of one extra lowering per
-    distinct schema.  ``hits`` / ``misses`` counters are exposed for tests
-    and benchmark reporting.
+    dataclasses and hash structurally.  Values are the lowered artifacts
+    (:class:`~repro.execution.typed_backend.TypedPlan`), pure functions of
+    the plan, so sharing them across environments with the same schema is
+    sound.  The environment schema is part of the key by design even though
+    today's lowering ignores the environment: it keeps the cache correct if
+    a future backend specializes its artifact to the physical kinds of the
+    symbols, at the cost of one extra lowering per distinct schema.
+    ``hits`` / ``misses`` counters are exposed for tests and benchmark
+    reporting.
 
     All operations are atomic: the cache is shared process-wide (and, through
     the serving layer, across concurrent client threads), so lookup +
@@ -158,9 +167,10 @@ class ExecutionEngine:
         Mapping from physical symbol names to runtime values (NumPy arrays,
         hash-maps, tries, scalars) — usually ``catalog.globals()``.
     backend:
-        One of :data:`BACKENDS`: ``"interpret"`` (reference interpreter),
-        ``"compile"`` (generated Python loops, the default) or
-        ``"vectorize"`` (whole-array NumPy with automatic loop fallback).
+        One of :data:`BACKENDS`: ``"typed"`` (batched kernels over flat
+        typed buffers, the default) or ``"interpret"`` (the reference
+        interpreter).  Anything else raises
+        :class:`~repro.sdqlite.errors.ExecutionError` here, at construction.
     cache:
         The :class:`PlanCache` to consult when preparing plans; ``None``
         (the default) uses the process-wide :data:`GLOBAL_PLAN_CACHE`.
@@ -168,48 +178,36 @@ class ExecutionEngine:
     """
 
     env: Mapping[str, Any]
-    backend: str = "compile"
+    backend: str = "typed"
     cache: PlanCache | None = None
 
+    def __post_init__(self) -> None:
+        check_backend(self.backend)
+
     @classmethod
-    def for_catalog(cls, catalog, backend: str = "compile",
+    def for_catalog(cls, catalog, backend: str = "typed",
                     cache: "PlanCache | None" = None) -> "ExecutionEngine":
         """Build an engine over ``catalog.globals()`` with the given backend."""
         return cls(env=catalog.globals(), backend=backend, cache=cache)
-
-    def _plan_cache(self) -> PlanCache:
-        return self.cache if self.cache is not None else GLOBAL_PLAN_CACHE
 
     def prepare(self, plan: Expr) -> "PreparedPlan":
         """Lower (or wrap) a plan for repeated execution.
 
         The plan is converted to De Bruijn form, then looked up in the plan
-        cache under ``(backend, plan, env schema)``; on a miss the backend
+        cache under ``(backend, plan, env schema)``; on a miss the typed
         artifact is built and cached.  ``interpret`` has no lowering step
         and bypasses the cache.
         """
         plan = to_debruijn_safe(plan)
         if self.backend == "interpret":
             return PreparedPlan(plan, self.env)
-        if self.backend not in BACKENDS:
-            raise ExecutionError(
-                f"unknown execution backend {self.backend!r}; expected one of {BACKENDS}")
-        cache = self._plan_cache()
+        cache = self.cache if self.cache is not None else GLOBAL_PLAN_CACHE
         key = (self.backend, plan, env_signature(self.env))
         artifact = cache.get(key)
         if artifact is None:
-            if self.backend == "compile":
-                artifact = compile_plan(plan)
-            elif self.backend == "typed":
-                artifact = typed_plan(plan)
-            else:
-                artifact = vectorize_plan(plan)
+            artifact = typed_plan(plan)
             cache.put(key, artifact)
-        if self.backend == "compile":
-            return PreparedPlan(plan, self.env, compiled=artifact, cache_key=key)
-        if self.backend == "typed":
-            return PreparedPlan(plan, self.env, typed=artifact, cache_key=key)
-        return PreparedPlan(plan, self.env, vectorized=artifact, cache_key=key)
+        return PreparedPlan(plan, self.env, artifact=artifact, cache_key=key)
 
     def run(self, plan: Expr) -> Any:
         """Prepare and execute a plan once (cache-aware; see :meth:`prepare`)."""
@@ -220,31 +218,23 @@ class ExecutionEngine:
 class PreparedPlan:
     """A plan bound to an environment, ready to execute repeatedly.
 
-    Exactly one of ``compiled`` / ``vectorized`` is set for the ``compile``
-    and ``vectorize`` backends; both are ``None`` for ``interpret``.
-    ``cache_key`` records the :class:`PlanCache` key the artifact lives
-    under (``None`` for ``interpret``), so holders — e.g. prepared
-    statements in :mod:`repro.session` — can evict it when the catalog
-    schema changes underneath them.
+    ``artifact`` is the lowered :class:`TypedPlan` (``None`` for
+    ``interpret``, which evaluates ``plan`` directly).  ``cache_key``
+    records the :class:`PlanCache` key the artifact lives under (``None``
+    for ``interpret``), so holders — e.g. prepared statements in
+    :mod:`repro.session` — can evict it when the catalog schema changes
+    underneath them.
     """
 
     plan: Expr
     env: Mapping[str, Any]
-    compiled: CompiledPlan | None = None
-    vectorized: VectorizedPlan | None = None
-    typed: TypedPlan | None = None
+    artifact: TypedPlan | None = None
     cache_key: Hashable | None = None
 
     @property
     def backend(self) -> str:
         """The backend this plan was prepared for."""
-        if self.compiled is not None:
-            return "compile"
-        if self.vectorized is not None:
-            return "vectorize"
-        if self.typed is not None:
-            return "typed"
-        return "interpret"
+        return "interpret" if self.artifact is None else "typed"
 
     def run(self, env: Mapping[str, Any] | None = None,
             stats: dict | None = None, profile=None) -> Any:
@@ -254,54 +244,38 @@ class PreparedPlan:
         prepared plan under a different binding of the same symbols — e.g. a
         prepared statement re-binding a scalar parameter — is sound.
 
-        ``stats``, when given, receives per-run execution counters from the
-        backends that collect them (``vectorize`` and ``typed`` report
-        ``sum_loops`` and ``fallback_sums`` — how many loops took the scalar
-        Python fallback instead of a batched kernel).
+        ``stats``, when given, receives ``typed``'s per-run execution
+        counters (``sum_loops``, ``fallback_sums``, ``fallback_reasons``, …
+        — how many loops took the scalar Python fallback instead of a
+        batched kernel, and why); the interpreter leaves it untouched.
 
         ``profile``, when given, is an
         :class:`~repro.execution.profile.ExecutionProfile` filled with the
-        run's per-``sum``-loop iteration counts on every backend; resolve
+        run's per-``sum``-loop iteration counts on either backend; resolve
         its loop keys with :meth:`loop_sources`.  The default ``None`` adds
         no per-iteration work.
         """
         if env is None:
             env = self.env
-        if self.compiled is not None:
-            return self.compiled(env, profile)
-        if self.vectorized is not None:
-            return self.vectorized(env, stats, profile)
-        if self.typed is not None:
-            return self.typed(env, stats, profile)
-        return evaluate(self.plan, env, profile=profile)
+        if self.artifact is None:
+            return evaluate(self.plan, env, profile=profile)
+        return self.artifact(env, stats, profile)
 
     def loop_sources(self) -> Mapping[Any, Expr]:
         """``{loop slot: source expression}`` for this plan's ``sum`` loops.
 
         Slots are whatever :meth:`run` records into an execution profile:
-        integers for the lowering backends, the plan's
-        :class:`~repro.sdqlite.ast.Sum` nodes for the interpreter.
+        integers for ``typed``, the plan's :class:`~repro.sdqlite.ast.Sum`
+        nodes for the interpreter.
         """
-        if self.compiled is not None:
-            return dict(enumerate(self.compiled.sum_sources))
-        if self.vectorized is not None:
-            return self.vectorized.sum_sources or {}
-        if self.typed is not None:
-            return self.typed.sum_sources or {}
-        from .profile import sum_sources_of
-
-        return sum_sources_of(self.plan)
+        if self.artifact is None:
+            return sum_sources_of(self.plan)
+        return self.artifact.sum_sources or {}
 
     @property
     def source(self) -> str:
-        """Generated Python source (``compile``) or a backend marker."""
-        if self.compiled is not None:
-            return self.compiled.source
-        if self.vectorized is not None:
-            return self.vectorized.source
-        if self.typed is not None:
-            return self.typed.source
-        return "<interpreted>"
+        """A one-line marker naming the backend and its kernel mode."""
+        return "<interpreted>" if self.artifact is None else self.artifact.source
 
 
 # ---------------------------------------------------------------------------

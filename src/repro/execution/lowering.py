@@ -1,8 +1,8 @@
-"""Plan-shape tests and probe helpers shared by the closure-lowering backends.
+"""Plan-shape tests and probe helpers of the closure lowering.
 
-Both :mod:`repro.execution.vectorize` and :mod:`repro.execution.typed_backend`
-lower a De Bruijn plan into closures and short-circuit equality-probe loops;
-what they share lives here so neither depends on the other.
+:mod:`repro.execution.typed_backend` lowers a De Bruijn plan into closures
+and short-circuits equality-probe loops; the plan-shape predicates and the
+O(1) probe it uses for that live here, apart from the batched machinery.
 """
 
 from __future__ import annotations

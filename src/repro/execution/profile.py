@@ -2,7 +2,7 @@
 
 The cost model (Fig. 6) runs on *estimated* cardinalities; this module is the
 measurement side of the adaptive loop (ROADMAP item 3): a tiny, optional
-:class:`ExecutionProfile` object that the four backends fill with the actual
+:class:`ExecutionProfile` object that both backends fill with the actual
 per-``sum``-loop iteration counts of one execution, plus helpers to turn a
 runtime result into an observed :class:`~repro.core.cardinality.Card`.
 
@@ -10,9 +10,7 @@ Design constraints, in order:
 
 * **Zero cost when off.**  Profiling is opt-in per run — ``profile=None`` (the
   default everywhere) leaves the hot loops untouched apart from one attribute
-  check per *loop*, not per iteration.  The ``compile`` backend goes further
-  and generates a separate profiled variant of the function, so the unprofiled
-  code path is byte-identical with or without this module.
+  check per *loop*, not per iteration.
 * **Loop counts, not traces.**  A profile records, per ``sum`` loop, the total
   number of iterations and the number of loop entries (inner loops run once
   per outer iteration); the mean is the observed top-level size of the loop's
@@ -46,7 +44,7 @@ def sum_sources_of(plan: Expr) -> dict[Expr, Expr]:
     The interpreter backend has no slot numbering, so it keys loop records by
     the :class:`~repro.sdqlite.ast.Sum` node itself (plans are frozen and hash
     structurally); this map lets the feedback layer resolve those keys the
-    same way it resolves the integer slots of the lowering backends.
+    same way it resolves the integer slots of the ``typed`` backend.
     """
     sources: dict[Expr, Expr] = {}
     stack = [plan]
@@ -108,7 +106,7 @@ class ExecutionProfile:
 
     One profile may accumulate several executions of the *same* prepared
     plan (``runs`` counts them); loop keys are backend loop slots — integers
-    for the lowering backends, :class:`Sum` nodes for the interpreter.
+    for ``typed``, :class:`Sum` nodes for the interpreter.
     """
 
     __slots__ = ("loops", "entries", "output_card", "runs")

@@ -1,9 +1,9 @@
 """Typed-buffer compiled execution of physical SDQLite plans.
 
-The fourth execution backend (``backend="typed"``).  Where the ``vectorize``
-backend batches a single ``sum`` loop and **falls back to scalar Python** for
-anything nested inside an already-batched body (inner sums, merges, trie and
-nested-hash-map iteration, dict-valued lookups), this backend keeps going:
+The execution backend (``backend="typed"``, the default everywhere; the
+reference interpreter is the only other one).  A ``sum`` loop is evaluated
+as one batched array expression over its iteration space — one *lane* per
+iteration — and what is nested inside a batched body stays batched:
 
 * every collection is viewed through the flat columnar buffers of
   :mod:`repro.execution.buffers` (one sorted int64 key array per nesting
@@ -15,7 +15,9 @@ nested-hash-map iteration, dict-valued lookups), this backend keeps going:
   reads it, through one composed lane map however many expansions lie
   between (bindings nobody reads are never expanded),
 * lookups with per-lane keys into nested dictionaries become one
-  composite-key ``searchsorted`` over the level's (parent, key) order,
+  composite-key ``searchsorted`` over the level's (parent, key) order, and
+  into a per-lane entry bag (a dictionary an inner ``sum`` just built) one
+  comparison plus one ``np.bincount``,
 * equality-probe loops (``sum(<k,_> in S) if (e == k) then ...``) with a
   *per-lane* probe key become one batched point lookup,
 * ``merge`` over flat scalar-valued collections becomes a value-sorted join
@@ -39,9 +41,10 @@ raises :class:`Untyped`; the nearest enclosing non-batched ``sum`` (or
 ``merge``) then falls back to a plain Python loop — inside which nested
 sums get a fresh chance to batch — so the backend executes every plan the
 interpreter executes, with identical results.  The number of loops that took
-the fallback is reported through the optional ``stats`` sink (see
-:class:`TypedPlan`), and each fallback is a debug event on
-``logging.getLogger("repro.execution")``.
+the fallback, and why (``fallback_reasons``), is reported through the
+optional ``stats`` sink (see :class:`TypedPlan`), and each fallback is a
+debug event on ``logging.getLogger("repro.execution")``; ``docs/backends.md``
+lists what is known not to kernelize.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ class _Runtime:
         self.lanes = 0
         self.invariants: dict = {}
         self.failed_batch: set = set()   # sums whose typed attempt failed this run
-        self.fallbacks: set = set()      # sums/merges that ran a Python loop
+        self.fallbacks: dict = {}        # sum/merge that ran a Python loop -> why
         self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
         self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
@@ -599,8 +602,8 @@ def _apply_mask(result, mask: np.ndarray):
 def _iteration_space(rt: _Runtime, source):
     """``(keys, values)`` for batching a non-batched sum source, else ``None``.
 
-    Unlike the vectorizer's equivalent, nested dictionaries and tries batch
-    too: their value side is a :class:`TSegs` over the levelized buffers.
+    Nested dictionaries and tries batch too: their value side is a
+    :class:`TSegs` over the levelized buffers.
     """
     source = _unwrap(source)
     if isinstance(source, RangeDict):
@@ -687,6 +690,27 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
         if isinstance(target.value, TBatchDict):
             return target.value.with_mask(found), found
         return TBatch(np.where(found, _num(np.asarray(target.value)), 0)), found
+    if isinstance(target, TFlat):
+        # An entry bag: the entries whose outermost key is their lane's key.
+        keep = target.cols[0] == keys[target.rows]
+        if valid is not None:
+            keep &= valid[target.rows]
+        rows, vals = target.rows[keep], target.vals[keep]
+        if len(target.cols) == 1:
+            # bincount adds a lane's duplicates in input order, like v_add;
+            # an entry that sums to zero does not exist.
+            sums = np.bincount(rows, weights=vals, minlength=lanes)
+            return TBatch(sums), sums != 0
+        # Deeper: peel the matched column.  Summing per remaining key first
+        # keeps `found` exact when a lane's matches cancel to nothing.
+        cols = [rows] + [col[keep] for col in target.cols[1:]]
+        take, vals, regime = group_sum(cols, vals)
+        rt.regimes[regime] += 1
+        if take is not None:
+            cols = [col[take] for col in cols]
+        found = np.zeros(lanes, dtype=bool)
+        found[cols[0]] = True
+        return TFlat(cols[1:], vals, cols[0]), found
     if _is_batched(target):
         return None
     view = _levels_of(rt, target)
@@ -908,7 +932,7 @@ def _singleton_lanes(rt: _Runtime, klanes: np.ndarray, value, lanes: int):
 def _note_fallback(rt: _Runtime, slot, source: Expr, reason: str) -> None:
     """Count a ``sum``/``merge`` that runs as a Python loop; say so once per run."""
     if slot not in rt.fallbacks:
-        rt.fallbacks.add(slot)
+        rt.fallbacks[slot] = reason
         if _log.isEnabledFor(logging.DEBUG):
             kind, number = ("sum", slot) if isinstance(slot, int) else slot
             _log.debug("typed %s #%d over %s falls back to a Python loop: %s",
@@ -1444,11 +1468,13 @@ class _Lowerer:
 class TypedPlan:
     """A plan lowered to typed-buffer kernels.
 
-    Mirrors :class:`repro.execution.vectorize.VectorizedPlan`: calling the
-    object with an environment executes the plan.  Pass a ``stats`` dict to
-    receive per-run fallback accounting (``sum_loops`` lowered, and
-    ``fallback_sums`` — how many of them ran a scalar Python loop) and how
-    many group-by reductions took each regime of
+    Calling the object with an environment executes the plan.  Pass a
+    ``stats`` dict to receive per-run fallback accounting (``sum_loops`` /
+    ``merge_loops`` lowered, ``fallback_sums`` / ``fallback_merges`` — how
+    many of them ran a scalar Python loop — and ``fallback_reasons``, a
+    ``{reason: loops}`` dict with the strings of the debug log event, empty
+    when everything kernelized) and how many group-by reductions took each
+    regime of
     :func:`repro.storage.formats.group_sum` (``group_by_ordered``,
     ``group_by_segmented``, ``group_by_dense``, ``group_by_sorted``,
     ``group_by_lexsort``).
@@ -1465,7 +1491,7 @@ class TypedPlan:
 
     @property
     def source(self) -> str:
-        """Pseudo-source marker (there is no generated Python text)."""
+        """A one-line marker: loop count and kernel mode (there is no source text)."""
         from .buffers import HAVE_NUMBA
 
         mode = "numba-JIT" if HAVE_NUMBA else "NumPy"
@@ -1496,6 +1522,7 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
                 1 for slot in rt.fallbacks if isinstance(slot, int))
             stats["fallback_merges"] = sum(
                 1 for slot in rt.fallbacks if not isinstance(slot, int))
+            stats["fallback_reasons"] = dict(Counter(rt.fallbacks.values()))
             for regime in GROUP_REGIMES:
                 stats[f"group_by_{regime}"] = rt.regimes[regime]
         return result

@@ -4,12 +4,12 @@ A corpus file is a tiny, self-contained Python module — no imports, just
 data — describing one (program, data, format-assignment) point and the
 configurations it once diverged under::
 
-    \"\"\"Shrunk fuzz repro (seed 42): greedy/vectorize diverged from reference.\"\"\"
+    \"\"\"Shrunk fuzz repro (seed 42): greedy/typed diverged from reference.\"\"\"
     PROGRAM = "sum(<k1, v1> in T0) { k1 -> v1 * 2 }"
     TENSORS = {"T0": [[0.0, 1.0], [1.0, 0.0]]}
     FORMATS = {"T0": "csr"}
     SCALARS = {}
-    CONFIGS = [("greedy", "vectorize")]
+    CONFIGS = [("greedy", "typed")]
 
 Files under ``tests/corpus/`` are replayed by ``tests/test_corpus_replay.py``
 on every tier-1 run: a shrunk failure, once fixed, becomes a permanent
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..execution.engine import check_backend
 from ..sdqlite.parser import parse_expr
 from .oracle import CatalogUpdate, DeltaUpdate, Divergence, FuzzCase
 
@@ -111,7 +112,11 @@ class CorpusEntry:
 
 
 def load_corpus_entry(path: str | pathlib.Path) -> CorpusEntry:
-    """Load a corpus file, serial or concurrent, into a :class:`CorpusEntry`."""
+    """Load a corpus file, serial or concurrent, into a :class:`CorpusEntry`.
+
+    A ``CONFIGS`` pair naming an unknown execution backend is rejected here
+    (:class:`~repro.sdqlite.errors.ExecutionError`), not mid-replay.
+    """
     spec = runpy.run_path(str(path))
     case = FuzzCase(
         seed=0,
@@ -121,7 +126,8 @@ def load_corpus_entry(path: str | pathlib.Path) -> CorpusEntry:
         formats=dict(spec["FORMATS"]),
         scalars=dict(spec.get("SCALARS", {})),
     )
-    configs = [tuple(pair) for pair in spec.get("CONFIGS", [])]
+    configs = [(method, check_backend(backend))
+               for method, backend in spec.get("CONFIGS", [])]
     mode = spec.get("MODE", "serial")
     updates = [CatalogUpdate.from_dict(entry)
                for entry in spec.get("UPDATES", [])]

@@ -1,4 +1,4 @@
-"""The differential oracle: one program, every backend × engine × format.
+"""The differential oracle: one program, both backends × every engine × format.
 
 The paper's central equivalence claim is that the *same* tensor program
 produces the *same* result under any storage format and any execution
@@ -9,15 +9,15 @@ machine-generated scenarios:
   (:mod:`repro.fuzz.genprog`), fabricated tensor data and a legal per-tensor
   format assignment (:mod:`repro.fuzz.gendata`), plus the scalar bindings;
 * :func:`check_case` executes the point under the cross-product of execution
-  backends (``interpret`` / ``compile`` / ``vectorize`` / ``typed``) and optimizer
-  engines — the plain composed plan (``unoptimized``), the greedy strategy
+  backends (``interpret`` / ``typed``) and optimizer engines — the plain composed plan (``unoptimized``), the greedy strategy
   picker (``greedy``), equality saturation on the fast engine (``egraph``)
   and on the legacy engine (``egraph-legacy``) — and compares every result
   against the reference (unoptimized plan on the interpreter) after a single
   canonical value-normalization;
 * :func:`campaign` drives a seeded run of many cases, shrinking and
   serializing any divergence into a replayable corpus file
-  (:mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus`).
+  (:mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus`), and keeps a census
+  of the loops ``typed`` ran as Python loops instead of kernels, by reason.
 
 Value normalization and comparison live *here*, in exactly one place
 (:func:`canonical` / :func:`results_match`): results are reduced to plain
@@ -33,13 +33,14 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from ..core import LEGACY_ENGINE, compose
-from ..execution.engine import ExecutionEngine
+from ..execution.engine import BACKENDS, ExecutionEngine
 from ..sdqlite.ast import Expr
 from ..sdqlite.debruijn import to_debruijn_safe
 from ..sdqlite.pretty import to_source
@@ -109,7 +110,7 @@ class FuzzCase:
 class OracleConfig:
     """Which (engine, backend) pairs to run and how to compare results."""
 
-    backends: tuple[str, ...] = ("interpret", "compile", "vectorize", "typed")
+    backends: tuple[str, ...] = BACKENDS
     methods: tuple[str, ...] = ("unoptimized", "greedy", "egraph")
     optimizer_options: Mapping[str, Any] = field(
         default_factory=lambda: dict(FUZZ_OPTIMIZER_OPTIONS))
@@ -121,6 +122,17 @@ class OracleConfig:
         grid = [(method, backend) for method in self.methods
                 for backend in self.backends]
         return [pair for pair in grid if pair != REFERENCE]
+
+    def optimized_pairs(self) -> list[tuple[str, str]]:
+        """The pairs a served / maintained / adaptive campaign rotates over.
+
+        Those go through a :class:`~repro.serving.Server` or a
+        :class:`~repro.session.Session`, which only run optimized plans on
+        the production engine; never empty.
+        """
+        pairs = [(method, backend) for method, backend in self.pairs()
+                 if method not in ("unoptimized", "egraph-legacy")]
+        return pairs or [("greedy", "typed")]
 
     def with_legacy(self) -> "OracleConfig":
         """This configuration plus the legacy saturation engine."""
@@ -247,12 +259,15 @@ class _CaseRunner:
     The catalog is built once; the naive composed plan is computed once; one
     :class:`~repro.session.Session` serves all optimized configurations, so
     each optimizer engine runs once per case and its chosen plan is then
-    executed on each backend.
+    executed on each backend.  ``typed_stats`` collects the execution
+    counters of every ``typed`` run (the interpreter reports none).
     """
 
-    def __init__(self, case: FuzzCase, config: OracleConfig):
+    def __init__(self, case: FuzzCase, config: OracleConfig,
+                 typed_stats: list[dict] | None = None):
         self.case = case
         self.config = config
+        self.typed_stats = typed_stats if typed_stats is not None else []
         self.catalog = build_catalog(case.tensors, case.formats, case.scalars)
         self.session = Session(self.catalog,
                                optimizer_options=dict(config.optimizer_options))
@@ -267,27 +282,36 @@ class _CaseRunner:
         return self._naive
 
     def run(self, method: str, backend: str) -> Any:
+        stats: dict = {}
         if method == "unoptimized":
             engine = ExecutionEngine.for_catalog(self.catalog, backend=backend)
-            return engine.run(self.naive_plan())
-        if method == "egraph-legacy":
-            options = dict(self.config.optimizer_options)
-            options.update(LEGACY_ENGINE)
-            return self.session.run(self.case.program, method="egraph",
-                                    backend=backend, optimizer_options=options)
-        return self.session.run(self.case.program, method=method, backend=backend)
+            result = engine.prepare(self.naive_plan()).run(stats=stats)
+        else:
+            options = None
+            if method == "egraph-legacy":
+                method = "egraph"
+                options = dict(self.config.optimizer_options)
+                options.update(LEGACY_ENGINE)
+            outcome = self.session.run_detailed(
+                self.case.program, method=method, backend=backend,
+                optimizer_options=options)
+            result, stats = outcome.result, outcome.execution_stats or {}
+        if stats:
+            self.typed_stats.append(stats)
+        return result
 
 
-def check_case(case: FuzzCase,
-               config: OracleConfig | None = None) -> Divergence | None:
+def check_case(case: FuzzCase, config: OracleConfig | None = None,
+               typed_stats: list[dict] | None = None) -> Divergence | None:
     """Run ``case`` under every configuration; return the first divergence.
 
     Raises :class:`CaseSkipped` when the reference itself fails — such a
     case carries no signal.  Returns ``None`` when every configuration
-    agrees with the reference.
+    agrees with the reference.  ``typed_stats``, when given, receives the
+    execution counters of every ``typed`` run of the case.
     """
     config = config or OracleConfig()
-    runner = _CaseRunner(case, config)
+    runner = _CaseRunner(case, config, typed_stats)
     try:
         reference = canonical(runner.run(*REFERENCE), abs_tol=config.abs_tol)
     except Exception as exc:  # noqa: BLE001 - reference failures end the case
@@ -321,15 +345,40 @@ class CampaignReport:
     divergences: list[Divergence] = field(default_factory=list)
     corpus_paths: list[str] = field(default_factory=list)
     elapsed: float = 0.0
+    #: Census of the ``typed`` runs of a plain campaign: ``sum``/``merge``
+    #: loops lowered, how many ran as Python loops instead of kernels, in how
+    #: many cases, and why (the ``Untyped`` reason -> loops).
+    typed_loops: int = 0
+    fallback_loops: int = 0
+    fallback_cases: int = 0
+    fallback_reasons: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
         return not self.divergences
 
+    def record_typed(self, typed_stats: list[dict]) -> None:
+        """Fold one case's ``typed`` execution counters into the census."""
+        fallbacks = 0
+        for stats in typed_stats:
+            self.typed_loops += stats["sum_loops"] + stats["merge_loops"]
+            fallbacks += stats["fallback_sums"] + stats["fallback_merges"]
+            self.fallback_reasons.update(stats["fallback_reasons"])
+        self.fallback_loops += fallbacks
+        self.fallback_cases += bool(fallbacks)
+
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.divergences)} DIVERGENCE(S)"
-        return (f"fuzz campaign seed={self.seed}: {self.cases_run} cases, "
+        line = (f"fuzz campaign seed={self.seed}: {self.cases_run} cases, "
                 f"{self.skipped} skipped, {status} in {self.elapsed:.1f}s")
+        if self.typed_loops:
+            reasons = "; ".join(f"{loops} x {reason}" for reason, loops
+                                in self.fallback_reasons.most_common())
+            line += (f"\ntyped census: {self.fallback_loops} of "
+                     f"{self.typed_loops} loops fell back to Python in "
+                     f"{self.fallback_cases} case(s)"
+                     + (f": {reasons}" if reasons else ""))
+        return line
 
 
 def case_seed(master_seed: int, index: int) -> int:
@@ -364,13 +413,15 @@ def campaign(seed: int, cases: int, *, config: OracleConfig | None = None,
         case_config = base_config
         if legacy_every and index % legacy_every == 0:
             case_config = base_config.with_legacy()
+        typed_stats: list[dict] = []
         try:
-            divergence = check_case(case, case_config)
+            divergence = check_case(case, case_config, typed_stats)
         except CaseSkipped:
             report.skipped += 1
             report.cases_run += 1
             continue
         report.cases_run += 1
+        report.record_typed(typed_stats)
         if divergence is not None:
             if shrink:
                 divergence = shrink_case(divergence, case_config)
@@ -579,11 +630,7 @@ def check_concurrent_case(case: FuzzCase, updates: list[CatalogUpdate], *,
     from ..serving import Server
 
     config = config or OracleConfig()
-    pairs = [(method, backend) for method, backend in
-             (list(config.pairs()) or [("greedy", "compile")])
-             if method not in ("unoptimized", "egraph-legacy")]
-    if not pairs:
-        pairs = [("greedy", "compile")]
+    pairs = config.optimized_pairs()
     expected = _serial_state_results(case, updates, config)
 
     server = Server(build_catalog(case.tensors, case.formats, case.scalars),
@@ -865,11 +912,7 @@ def check_ivm_case(case: FuzzCase, deltas: list[DeltaUpdate], *,
     from ..serving import Server
 
     config = config or OracleConfig()
-    pairs = [(method, backend) for method, backend in
-             (list(config.pairs()) or [("greedy", "compile")])
-             if method not in ("unoptimized", "egraph-legacy")][:max_views]
-    if not pairs:
-        pairs = [("greedy", "compile")]
+    pairs = config.optimized_pairs()[:max_views]
     expected = _ivm_state_results(case, deltas, config)
 
     server = Server(build_catalog(case.tensors, case.formats, case.scalars),
@@ -1103,11 +1146,7 @@ def check_adaptive_case(case: FuzzCase, deltas: list[DeltaUpdate], *,
     from ..core.feedback import FeedbackConfig
 
     config = config or OracleConfig()
-    pairs = [(method, backend) for method, backend in
-             (list(config.pairs()) or [("greedy", "compile")])
-             if method not in ("unoptimized", "egraph-legacy")][:max_statements]
-    if not pairs:
-        pairs = [("greedy", "compile")]
+    pairs = config.optimized_pairs()[:max_statements]
     expected = _ivm_state_results(case, deltas, config)
 
     session = Session(build_catalog(case.tensors, case.formats, case.scalars),

@@ -4,10 +4,11 @@ This is the executable semantics of the language (Sec. 3.2 of the paper):
 every construct is evaluated directly over semiring-dictionary values.  The
 interpreter serves three roles in the reproduction:
 
-* the *oracle* against which optimized plans, generated code, and baselines
-  are checked,
-* the default execution engine for physical plans (the paper uses Julia; we
-  interpret or generate Python — see :mod:`repro.execution`),
+* the *oracle* against which optimized plans, the ``typed`` executor's
+  kernels, and baselines are checked,
+* the ``interpret`` execution backend for physical plans (the paper
+  generates Julia; we lower to batched NumPy kernels and keep this as the
+  reference — see :mod:`repro.execution`),
 * the semantics used by property-based tests of the rewrite rules.
 
 Expressions may be in named form (variables are

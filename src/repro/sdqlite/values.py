@@ -34,16 +34,15 @@ def is_scalar(value: Any) -> bool:
 def is_dictlike(value: Any) -> bool:
     """True for values that can be iterated as key/value pairs.
 
-    Besides the interpreter's own value types this accepts ``range`` (the
-    compile backend's unmaterialized ``lo:hi``) and any object exposing
-    ``items`` — notably the physical collections
+    Besides the interpreter's own value types this accepts any object
+    exposing ``items`` — notably the physical collections
     (:class:`~repro.storage.physical.PhysicalHashMap` /
     :class:`~repro.storage.physical.PhysicalTrie`), which optimized plans
     can legitimately feed straight into ``+`` / ``*`` (found by the
     differential fuzzer: ``A + B`` over two tries must not depend on
     whether the optimizer fused the storage mappings away).
     """
-    if isinstance(value, (SemiringDict, RangeDict, SliceDict, dict, np.ndarray, range)):
+    if isinstance(value, (SemiringDict, RangeDict, SliceDict, dict, np.ndarray)):
         return True
     return not is_scalar(value) and hasattr(value, "items")
 
@@ -209,9 +208,6 @@ def iter_items(value) -> Iterator[tuple[Any, Any]]:
         yield from value.items()
     elif isinstance(value, dict):
         yield from value.items()
-    elif isinstance(value, range):
-        for key in value:
-            yield key, key
     elif isinstance(value, np.ndarray):
         if value.ndim == 1:
             for index, item in enumerate(value):
@@ -243,10 +239,6 @@ def lookup(value, key, default=0):
         return value.get(key, default)
     if isinstance(value, dict):
         return value.get(key, default)
-    if isinstance(value, range):
-        index = integral_index(key)
-        return index if index is not None and value.start <= index < value.stop \
-            else default
     if hasattr(value, "get"):
         return value.get(key, default)
     if is_scalar(value):
@@ -269,8 +261,6 @@ def is_zero(value) -> bool:
     if isinstance(value, np.ndarray):
         return bool(np.all(value == 0))
     if isinstance(value, (RangeDict, SliceDict)):
-        return len(value) == 0
-    if isinstance(value, range):
         return len(value) == 0
     if hasattr(value, "items"):
         # Physical collections (hash-maps, tries) prune zeros at
@@ -359,7 +349,7 @@ def normalize_key(value):
     """Normalise a dictionary key: booleans and integral floats become ints.
 
     The single definition of SDQLite's key coercion rule, shared by the
-    interpreter and the vectorized backend so they cannot diverge.
+    interpreter and the typed backend so they cannot diverge.
     Non-integral floats stay float keys; non-scalars are rejected.
     """
     if isinstance(value, (bool, np.bool_)):

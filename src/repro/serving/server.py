@@ -50,9 +50,9 @@ from ..core.feedback import FeedbackConfig, FeedbackStore
 from ..core.optimizer import Optimizer
 from ..core.statistics import Statistics
 from ..execution.engine import (
-    BACKENDS,
     ExecutionEngine,
     PlanCache,
+    check_backend,
     result_to_dense,
 )
 from ..execution.profile import ExecutionProfile
@@ -213,7 +213,11 @@ class Server:
         :meth:`replace_format` / …) mutate it atomically; clients only ever
         read point-in-time snapshots of it.
     method / backend:
-        Server-wide defaults, overridable per session and per statement.
+        Server-wide defaults, overridable per session and per statement;
+        ``backend`` is ``"typed"`` (default) or ``"interpret"``, and an
+        unknown name raises :class:`~repro.sdqlite.errors.ExecutionError`
+        wherever it is given — here, ``session()``, ``prepare()``,
+        ``execute()`` — never later inside a request.
     optimizer_options:
         Default keyword arguments for every optimizer run; part of the
         shared-plan-cache key.
@@ -223,7 +227,7 @@ class Server:
     """
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
-                 backend: str = "compile",
+                 backend: str = "typed",
                  optimizer_options: Mapping[str, Any] | None = None,
                  config: ServerConfig | None = None, **overrides):
         if config is not None and overrides:
@@ -233,7 +237,7 @@ class Server:
         self.config = config or ServerConfig()
         self.catalog = catalog if catalog is not None else Catalog()
         self.method = method
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.optimizer_options = dict(optimizer_options or {})
         self.plans = SharedPlanCache(maxsize=self.config.plan_cache_size)
         self.stats = ServerStats(latency_window=self.config.latency_window)
@@ -410,7 +414,7 @@ class Server:
             raise ServerClosed("cannot open a session on a closed server")
         self.stats.count("sessions")
         return ClientSession(self, method=method or self.method,
-                             backend=backend or self.backend,
+                             backend=check_backend(backend or self.backend),
                              optimizer_options=dict(optimizer_options
                                                     or self.optimizer_options))
 
@@ -518,9 +522,6 @@ class Server:
         """Admission → snapshot → shared plan → bind → execute → record."""
         if self._closed:
             raise ServerClosed("server is closed")
-        if backend not in BACKENDS:
-            raise StorageError(
-                f"unknown execution backend {backend!r}; expected one of {BACKENDS}")
         start = time.perf_counter()
         try:
             self._gate.acquire()
@@ -636,7 +637,7 @@ class ClientSession:
         options.update(optimizer_options or {})
         return ServedStatement(self.server, program,
                                method=method or self.method,
-                               backend=backend or self.backend,
+                               backend=check_backend(backend or self.backend),
                                dense_shape=dense_shape,
                                optimizer_options=options)
 

@@ -54,6 +54,7 @@ from .execution.engine import (
     ExecutionEngine,
     PlanCache,
     PreparedPlan,
+    check_backend,
     result_to_dense,
 )
 from .execution.profile import ExecutionProfile
@@ -90,8 +91,8 @@ class RunOutcome:
     result: Any
     optimization: OptimizationResult
     plan_source: str
-    #: Backend execution counters (``sum_loops``, ``fallback_sums``, ...) for
-    #: the vectorize/typed backends; ``None`` for backends without counters.
+    #: ``typed``'s execution counters (``sum_loops``, ``fallback_sums``,
+    #: ``fallback_reasons``, ...); ``None`` for the interpreter, which has none.
     execution_stats: dict[str, Any] | None = None
 
     def explain(self) -> str:
@@ -122,7 +123,13 @@ def format_explanation(optimization: OptimizationResult, *,
     if execution_stats:
         lines.append("execution counters:")
         for name in sorted(execution_stats):
-            lines.append(f"  {name:<26}: {execution_stats[name]}")
+            if name != "fallback_reasons":
+                lines.append(f"  {name:<26}: {execution_stats[name]}")
+        reasons = execution_stats.get("fallback_reasons")
+        if reasons:
+            lines.append("loops that fell back to Python, by reason:")
+            for reason, loops in sorted(reasons.items()):
+                lines.append(f"  {loops} x {reason}")
     return "\n".join(lines)
 
 
@@ -139,8 +146,11 @@ class Session:
         Default optimization method for :meth:`prepare` / :meth:`run`
         (``"greedy"`` or ``"egraph"``).
     backend:
-        Default execution backend (``"interpret"`` / ``"compile"`` /
-        ``"vectorize"``).
+        Default execution backend: ``"typed"`` (the default) or
+        ``"interpret"`` (the reference interpreter).  Checked here and on
+        every per-call ``backend=`` override: an unknown name raises
+        :class:`~repro.sdqlite.errors.ExecutionError` before anything is
+        optimized.
     cache:
         The :class:`~repro.execution.engine.PlanCache` lowered plans are
         kept in; the process-wide
@@ -171,13 +181,13 @@ class Session:
     """
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
-                 backend: str = "compile", cache: PlanCache | None = None,
+                 backend: str = "typed", cache: PlanCache | None = None,
                  optimizer_options: Mapping[str, Any] | None = None,
                  feedback: FeedbackConfig | None = None,
                  shard_workers: int = 0):
         self.catalog = catalog if catalog is not None else Catalog()
         self.method = method
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.cache = cache if cache is not None else GLOBAL_PLAN_CACHE
         self.optimizer_options = dict(optimizer_options or {})
         self.shard_workers = shard_workers
@@ -531,7 +541,7 @@ class Session:
         """Optimize and lower ``program`` once; return a reusable :class:`Statement`."""
         return Statement(self, _as_program(program),
                          method=method or self.method,
-                         backend=backend or self.backend,
+                         backend=check_backend(backend or self.backend),
                          dense_shape=dense_shape,
                          optimizer_options=dict(optimizer_options or {}))
 
@@ -729,10 +739,10 @@ class Statement:
     def execute_with_stats(self, stats: dict, **scalar_params: float) -> Any:
         """Like :meth:`execute`, but populate ``stats`` with backend counters.
 
-        The vectorize and typed backends record loop/fallback counts
-        (``sum_loops``, ``merge_loops``, ``fallback_sums``,
-        ``fallback_merges``) into the given dictionary; other backends
-        leave it untouched.  When the session's adaptive feedback loop is
+        The ``typed`` backend records loop/fallback counts (``sum_loops``,
+        ``merge_loops``, ``fallback_sums``, ``fallback_merges``,
+        ``fallback_reasons``) into the given dictionary; the interpreter
+        leaves it untouched.  When the session's adaptive feedback loop is
         enabled and this execution was sampled, the dictionary additionally
         receives the estimated-vs-actual counters (``feedback_checked``,
         ``feedback_misestimations``, ``feedback_max_q_error``,
@@ -779,7 +789,7 @@ class Statement:
 
     @property
     def plan_source(self) -> str:
-        """Generated backend source (``compile``) or a backend marker."""
+        """A one-line marker naming the backend and its kernel mode."""
         return self._prepared.source
 
     def explain(self) -> str:

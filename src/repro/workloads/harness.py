@@ -6,13 +6,12 @@ measurement is repeated a configurable number of times and the average is
 reported.  Systems that cannot run a configuration (out of memory, missing
 sparse rank-3 support) are recorded as such rather than failing the run.
 
-STOREL itself can be measured on any of its four execution backends
-(``interpret`` / ``compile`` / ``vectorize`` / ``typed``);
-:func:`backend_shootout` runs one kernel/catalog across several backends so
-their relative speed can be reported side by side
-(``benchmarks/bench_backends.py`` uses it).  Backends that prepare work on
+STOREL itself runs on the ``typed`` backend, with the reference interpreter
+(``interpret``) beside it; :func:`backend_shootout` runs one kernel/catalog
+on both so the executor's speed-up over the semantics oracle can be reported
+side by side (``benchmarks/bench_backends.py`` uses it).  Work done on the
 first call (the typed backend JIT-compiles its kernels when numba is
-available) are handled by a warmup execution that is timed separately as
+available) is handled by a warmup execution that is timed separately as
 ``compile_ms`` and excluded from the steady-state ``mean_ms``.
 """
 
@@ -46,8 +45,8 @@ class Measurement:
     #: Wall-clock of the warmup execution (first call, where JIT backends
     #: compile); ``None`` when no warmup ran.  Excluded from ``mean_ms``.
     compile_ms: float | None = None
-    #: Backend loop-fallback counters from the warmup run (vectorize/typed
-    #: only): sums / merges that executed as Python loops instead of kernels.
+    #: ``typed``'s loop-fallback counters from the warmup run: sums / merges
+    #: that executed as Python loops instead of kernels.
     fallback_sums: int | None = None
     fallback_merges: int | None = None
 
@@ -141,10 +140,9 @@ def backend_shootout(kernel: Kernel, catalog: Catalog, *,
                      check: bool = True) -> list[Measurement]:
     """Measure STOREL on one kernel/catalog across several execution backends.
 
-    ``backends`` is a sequence of backend names, each one of ``"interpret"``,
-    ``"compile"``, ``"vectorize"`` or ``"typed"`` (the full set by default);
-    each backend
-    yields one :class:`Measurement` whose system name is
+    ``backends`` is a sequence of backend names out of ``"interpret"`` and
+    ``"typed"`` (both by default); each backend yields one
+    :class:`Measurement` whose system name is
     ``STOREL[<backend>]``.  One :class:`~repro.session.Session` is shared
     across all backends, so statistics and plan optimization happen once per
     kernel rather than once per backend; as everywhere in the harness, only
@@ -184,7 +182,7 @@ def reformatted_catalog(catalog: Catalog, formats: Mapping[str, str]) -> Catalog
 
 def advisor_shootout(kernel: Kernel, catalog: Catalog,
                      configurations: Mapping[str, Mapping[str, str]], *,
-                     backend: str = "vectorize", method: str = "greedy",
+                     backend: str = "typed", method: str = "greedy",
                      dataset: str = "", repeats: int = 3, rounds: int = 3,
                      check: bool = True) -> list[Measurement]:
     """Measure STOREL on one kernel under several named storage configurations.

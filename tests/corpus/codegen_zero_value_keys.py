@@ -6,4 +6,4 @@ PROGRAM = "sum(<k1, v2> in T0) k1"
 TENSORS = {"T0": [0.0, 1.0, 0.0, 0.0]}
 FORMATS = {"T0": "dense"}
 SCALARS = {}
-CONFIGS = [("unoptimized", "compile"), ("greedy", "compile"), ("egraph", "compile")]
+CONFIGS = [("unoptimized", "typed"), ("greedy", "typed"), ("egraph", "typed")]

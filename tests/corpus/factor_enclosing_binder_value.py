@@ -10,4 +10,4 @@ TENSORS = {"T0": [[[0.4, 0.9], [0.2, 0.0], [0.7, 0.3]],
                   [[0.3, 0.0], [0.9, 0.4], [0.5, 0.2]]]}
 FORMATS = {"T0": "dense"}
 SCALARS = {}
-CONFIGS = [("greedy", "interpret"), ("egraph", "interpret"), ("greedy", "vectorize")]
+CONFIGS = [("greedy", "interpret"), ("egraph", "interpret"), ("greedy", "typed")]

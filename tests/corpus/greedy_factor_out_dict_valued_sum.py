@@ -6,4 +6,4 @@ PROGRAM = "sum(<k1, v2> in T1) { 1 -> 1.83 * T0(k1) }"
 TENSORS = {"T0": [[0.0, 1.0], [1.0, 0.5]], "T1": [0.3, 0.6]}
 FORMATS = {"T0": "dense", "T1": "dense"}
 SCALARS = {}
-CONFIGS = [("greedy", "interpret"), ("greedy", "compile"), ("greedy", "vectorize")]
+CONFIGS = [("greedy", "interpret"), ("greedy", "typed")]

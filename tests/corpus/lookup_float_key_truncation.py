@@ -6,4 +6,4 @@ PROGRAM = "sum(<k1, v2> in T0) T0(v2)"
 TENSORS = {"T0": [0.5, 2.0]}
 FORMATS = {"T0": "dense"}
 SCALARS = {}
-CONFIGS = [("greedy", "interpret"), ("greedy", "compile"), ("greedy", "vectorize")]
+CONFIGS = [("greedy", "interpret"), ("greedy", "typed")]

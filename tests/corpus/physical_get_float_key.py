@@ -6,4 +6,4 @@ PROGRAM = "sum(<k3, v4> in T0) T0(v4)"
 TENSORS = {"T0": [0.5, 2.0, 0.75]}
 FORMATS = {"T0": "trie"}
 SCALARS = {}
-CONFIGS = [("egraph", "interpret"), ("greedy", "compile"), ("greedy", "vectorize")]
+CONFIGS = [("egraph", "interpret"), ("greedy", "typed")]

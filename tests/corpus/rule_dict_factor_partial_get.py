@@ -6,4 +6,4 @@ PROGRAM = "{ 1 -> 1.27 } * T1(3)"
 TENSORS = {"T1": [[0.2, 0.0], [0.0, 0.7], [0.4, 0.0], [0.0, 0.9]]}
 FORMATS = {"T1": "dense"}
 SCALARS = {}
-CONFIGS = [("egraph", "interpret"), ("egraph", "compile")]
+CONFIGS = [("egraph", "interpret"), ("egraph", "typed")]

@@ -7,4 +7,4 @@ PROGRAM = "sum(<k1, v2> in T0) { 3 -> T0 * v2 }"
 TENSORS = {"T0": [[1.0, 1.0, 1.0, 1.0]] * 5}
 FORMATS = {"T0": "trie"}
 SCALARS = {}
-CONFIGS = [("egraph", "interpret"), ("egraph", "compile")]
+CONFIGS = [("egraph", "interpret"), ("egraph", "typed")]

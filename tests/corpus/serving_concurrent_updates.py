@@ -11,6 +11,6 @@ PROGRAM = 'sum(<k1, v2> in T0) { k1 + 1 -> (if (3 >= k1 + 0) then ((sum(<k3, v4>
 TENSORS = {'T0': [0.0, 0.0, 0.0, 0.8172347064826995], 'T1': [0.0, 0.0, 0.0, 0.0, 0.0]}
 FORMATS = {'T0': 'trie', 'T1': 'coo'}
 SCALARS = {'c0': 0.0}
-CONFIGS = [('greedy', 'compile'), ('egraph', 'vectorize')]
+CONFIGS = [('greedy', 'typed'), ('egraph', 'typed')]
 MODE = "concurrent"
 UPDATES = [{'kind': 'set_scalar', 'name': 'c0', 'value': -1.258}, {'kind': 'replace', 'name': 'T1', 'value': 2.0, 'fmt': 'dense'}, {'kind': 'set_scalar', 'name': 'c0', 'value': -1.978}, {'kind': 'replace', 'name': 'T0', 'value': 0.75, 'fmt': 'dense'}, {'kind': 'replace', 'name': 'T1', 'value': 2.0, 'fmt': 'coo'}]

@@ -246,7 +246,7 @@ class TestAdvise:
 class TestApply:
     def test_apply_recommendation_reformats_and_reprepares(self):
         catalog = batax_catalog(a_format=TrieFormat)
-        session = Session(catalog, backend="vectorize")
+        session = Session(catalog, backend="typed")
         statement = session.prepare(BATAX_SRC, dense_shape=(48,))
         before = statement.execute()
         schema_before = catalog.schema_version

@@ -1,27 +1,33 @@
-"""Tests for the execution engine: all backends agree with the interpreter."""
+"""Tests for the execution engine: ``typed`` agrees with the interpreter."""
 
 import numpy as np
 import pytest
 
+from repro import Session, storel
+from repro.advisor import Advisor
+from repro.baselines.base import output_shape
+from repro.baselines.storel_system import StorelSystem
 from repro.core import compose, strategies
+from repro.core.optimizer import optimize
+from repro.core.statistics import Statistics
 from repro.data.synthetic import random_dense_vector, random_sparse_matrix, random_sparse_tensor3
 from repro.execution import (
     BACKENDS,
     ExecutionEngine,
     PlanCache,
-    compile_plan,
     env_signature,
     result_to_dense,
     result_to_matrix,
     result_to_scalar,
     result_to_vector,
     typed_plan,
-    vectorize_plan,
 )
 from repro.kernels import KERNELS
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
+from repro.sdqlite.debruijn import to_debruijn_safe
 from repro.sdqlite.errors import ExecutionError
 from repro.sdqlite.values import to_plain
+from repro.serving import Server
 from repro.storage import (
     FORMATS,
     Catalog,
@@ -38,17 +44,18 @@ def db(source):
 
 
 def both_backends(plan, env):
-    compiled = compile_plan(plan)(env)
+    """Run ``plan`` on ``typed``; assert it equals the interpreter's result."""
+    typed = typed_plan(plan)(env)
     interpreted = evaluate(plan, env)
-    assert values_equal(compiled, interpreted)
-    return compiled
+    assert values_equal(typed, interpreted)
+    return typed
 
 
 def test_codegen_scalar_expressions():
-    assert compile_plan(db("1 + 2 * 3"))({}) == 7
-    assert compile_plan(db("let x = 4 in x * x"))({}) == 16
-    assert compile_plan(db("if (2 > 3) then 5"))({}) == 0
-    assert compile_plan(db("if (3 > 2) then 5"))({}) == 5
+    assert both_backends(db("1 + 2 * 3"), {}) == 7
+    assert both_backends(db("let x = 4 in x * x"), {}) == 16
+    assert both_backends(db("if (2 > 3) then 5"), {}) == 0
+    assert both_backends(db("if (3 > 2) then 5"), {}) == 5
 
 
 def test_codegen_sum_and_dict():
@@ -76,14 +83,7 @@ def test_codegen_merge():
 
 def test_codegen_named_variables_rejected():
     with pytest.raises(ExecutionError):
-        compile_plan(parse_expr("sum(<i, v> in V) { i -> v }"))  # named form
-
-
-def test_codegen_source_is_inspectable():
-    plan = db("sum(<i, v> in V) { i -> v }")
-    compiled = compile_plan(plan, name="my_plan")
-    assert "def my_plan(_env):" in compiled.source
-    assert "_iter" in compiled.source
+        typed_plan(parse_expr("sum(<i, v> in V) { i -> v }"))  # named form
 
 
 @pytest.mark.parametrize("kernel_name", ["MMM", "SUMMM", "BATAX", "BATAX-nested", "TTM", "MTTKRP"])
@@ -115,18 +115,66 @@ def test_execution_engine_backends_agree():
     catalog = Catalog()
     catalog.add(DOKFormat.from_dense("A", random_sparse_matrix(6, 6, 0.4, seed=31)))
     plan = db("sum(<(i,j), v> in A_hash) { i -> v }")
-    compiled_engine = ExecutionEngine.for_catalog(catalog, backend="compile")
+    typed_engine = ExecutionEngine.for_catalog(catalog)        # the default
     interpreted_engine = ExecutionEngine.for_catalog(catalog, backend="interpret")
-    assert values_equal(compiled_engine.run(plan), interpreted_engine.run(plan))
-    prepared = compiled_engine.prepare(plan)
-    assert "def" in prepared.source
+    assert values_equal(typed_engine.run(plan), interpreted_engine.run(plan))
+    assert typed_engine.prepare(plan).source.startswith("<typed:")
     assert interpreted_engine.prepare(plan).source == "<interpreted>"
+
+
+def _vector_catalog():
+    return Catalog().add(DenseFormat.from_dense("X", np.array([1.0, 2.0])))
+
+
+_SUM_X = "sum(<i, x> in X) x"
+
+#: Everywhere a backend name is taken: constructors and per-call overrides.
+_BACKEND_ENTRY_POINTS = {
+    "ExecutionEngine": lambda name: ExecutionEngine(env={}, backend=name),
+    "ExecutionEngine.for_catalog": lambda name: ExecutionEngine.for_catalog(
+        _vector_catalog(), backend=name),
+    "Session": lambda name: Session(_vector_catalog(), backend=name),
+    "Session.prepare": lambda name: Session(_vector_catalog()).prepare(_SUM_X, backend=name),
+    "Session.run": lambda name: Session(_vector_catalog()).run(_SUM_X, backend=name),
+    "Session.create_view": lambda name: Session(_vector_catalog()).create_view(
+        "v", _SUM_X, backend=name),
+    "Session.advise": lambda name: Session(_vector_catalog()).advise(_SUM_X, backend=name),
+    "storel.run": lambda name: storel.run(_SUM_X, _vector_catalog(), backend=name),
+    "Server": lambda name: Server(_vector_catalog(), backend=name),
+    "Server.session": lambda name: Server(_vector_catalog()).session(backend=name),
+    "Server.execute": lambda name: Server(_vector_catalog()).execute(_SUM_X, backend=name),
+    "ClientSession.prepare": lambda name: Server(_vector_catalog()).session().prepare(
+        _SUM_X, backend=name),
+    "Advisor": lambda name: Advisor(Session(_vector_catalog()), backend=name),
+    "StorelSystem": lambda name: StorelSystem(backend=name),
+}
+
+
+@pytest.mark.parametrize("name", ["julia", "compile", "vectorize"])
+@pytest.mark.parametrize("entry", _BACKEND_ENTRY_POINTS)
+def test_unknown_backend_is_one_error_at_the_entry_point(entry, name):
+    """One exception type, one message, raised where the name was written."""
+    with pytest.raises(ExecutionError) as info:
+        _BACKEND_ENTRY_POINTS[entry](name)
+    message = str(info.value)
+    assert message.startswith(
+        f"unknown execution backend {name!r}; expected one of ('interpret', 'typed')")
+    assert ("removed in favour of 'typed'" in message) == (name != "julia")
+
+
+def test_unknown_backend_is_rejected_before_optimization_is_paid():
+    session = Session(_vector_catalog())
     with pytest.raises(ExecutionError):
-        ExecutionEngine(env={}, backend="julia").prepare(plan)
+        session.prepare(_SUM_X, backend="compile")
+    assert not session._opt_memo
+    server = Server(_vector_catalog())
+    with pytest.raises(ExecutionError):
+        server.execute(_SUM_X, backend="compile")
+    assert len(server.plans) == 0 and server.stats.plan_misses == 0
 
 
 # ---------------------------------------------------------------------------
-# vectorize backend: kernel × format parity with the interpreter
+# kernel × format parity with the interpreter
 # ---------------------------------------------------------------------------
 
 MATRIX_FORMATS = ("dense", "coo", "csr", "csc", "dcsr", "dok", "trie")
@@ -165,48 +213,68 @@ def _parity_catalog(kernel_name: str, fmt: str, size: int = 8) -> Catalog:
     return catalog
 
 
-@pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
-                         ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
-def test_vectorize_matches_interpreter(kernel_name, fmt):
-    """The vectorize backend equals the interpreter on every kernel × format."""
-    kernel = KERNELS[kernel_name]
-    catalog = _parity_catalog(kernel_name, fmt)
-    naive = compose(kernel.program, catalog.mappings())
-    env = catalog.globals()
-    for plan in strategies.candidate_plans(naive).values():
-        vectorized = vectorize_plan(plan)
-        assert values_equal(vectorized(env), evaluate(plan, env))
+_parity = pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
+                                  ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
 
 
-@pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
-                         ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
+def _assert_kernelized(plan, env):
+    """``typed`` equals the interpreter on ``plan`` without a Python-loop fallback."""
+    stats = {}
+    assert values_equal(typed_plan(plan)(env, stats), evaluate(plan, env))
+    assert stats["fallback_sums"] == stats["fallback_merges"] == 0, \
+        stats["fallback_reasons"]
+    assert stats["fallback_reasons"] == {}
+
+
+# The three tests below walk the matrix over every plan the pipeline can hand
+# the executor: 36 cells x (5 strategy variants + the greedy and the e-graph
+# pick) = 252 plans, each of which must lower to kernels only.  (Two of them
+# carry the test IDs of the deleted backends' parity matrices.)
+
+
+@_parity
 def test_typed_matches_interpreter(kernel_name, fmt):
-    """The typed backend equals the interpreter on every kernel × format."""
-    kernel = KERNELS[kernel_name]
+    """Every strategy variant of every kernel × format kernelizes and is right."""
     catalog = _parity_catalog(kernel_name, fmt)
-    naive = compose(kernel.program, catalog.mappings())
+    naive = compose(KERNELS[kernel_name].program, catalog.mappings())
     env = catalog.globals()
     for plan in strategies.candidate_plans(naive).values():
-        assert values_equal(typed_plan(plan)(env), evaluate(plan, env))
+        _assert_kernelized(plan, env)
 
 
-@pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
-                         ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
+@_parity
 def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt):
-    """The compile backend equals the interpreter on every kernel × format.
+    """The plans the optimizer itself picks kernelize and are right.
 
-    The systematic counterpart of ``test_vectorize_matches_interpreter``:
-    until this matrix existed only the vectorize backend had kernel × format
-    coverage, while ``compile`` was exercised on a handful of hand-picked
-    catalogs (and the differential fuzzer promptly found a zero-pruning
-    divergence there — see ``tests/corpus/codegen_zero_value_keys.py``).
+    ``candidate_plans`` is what the strategies can produce; what a request
+    runs is the greedy pick or the e-graph's extraction, which need not be
+    one of them (TTM's picks were where ``typed`` used to fall back).
+    """
+    catalog = _parity_catalog(kernel_name, fmt)
+    env = catalog.globals()
+    stats = Statistics.from_catalog(catalog)
+    for method in ("greedy", "egraph"):
+        pick = optimize(KERNELS[kernel_name].program, catalog.mappings(), stats,
+                        method=method)
+        _assert_kernelized(to_debruijn_safe(pick.plan), env)
+
+
+@_parity
+def test_vectorize_matches_interpreter(kernel_name, fmt):
+    """The default pipeline end to end: what a user gets with no ``backend=``.
+
+    ``storel.run`` on its defaults (greedy, ``typed``) must return the dense
+    array the interpreter backend returns, with nothing run as a Python loop.
     """
     kernel = KERNELS[kernel_name]
     catalog = _parity_catalog(kernel_name, fmt)
-    naive = compose(kernel.program, catalog.mappings())
-    env = catalog.globals()
-    for plan in strategies.candidate_plans(naive).values():
-        assert values_equal(compile_plan(plan)(env), evaluate(plan, env))
+    shape = output_shape(kernel, catalog)
+    outcome = storel.run_detailed(kernel.program, catalog, dense_shape=shape)
+    expected = storel.run(kernel.program, catalog, dense_shape=shape,
+                          backend="interpret")
+    np.testing.assert_allclose(outcome.result, expected)
+    assert outcome.execution_stats["fallback_sums"] == 0
+    assert outcome.execution_stats["fallback_reasons"] == {}
 
 
 def test_vectorize_engine_agrees_with_other_backends():
@@ -218,29 +286,18 @@ def test_vectorize_engine_agrees_with_other_backends():
     results = {backend: ExecutionEngine.for_catalog(catalog, backend=backend,
                                                     cache=PlanCache()).run(plan)
                for backend in BACKENDS}
-    assert values_equal(results["vectorize"], results["interpret"])
-    assert values_equal(results["vectorize"], results["compile"])
+    assert values_equal(results["typed"], results["interpret"])
 
 
 def test_vectorize_probe_shortcut_semantics():
     """Equality-probe loops: in range, out of range, and non-integer probes."""
     env = {"V": np.array([5.0, 6.0, 7.0]), "N": 3}
     for j, expected in [(1, 6.0), (7, 0), (-2, 0)]:
-        plan = db(f"sum(<i, v> in V) if (i == {j}) then v")
-        assert vectorize_plan(plan)(env) == evaluate(plan, env) == expected
-    plan = db("sum(<i, _> in 0:N) if (i == 1.5) then 9")
-    assert vectorize_plan(plan)(env) == evaluate(plan, env) == 0
+        assert both_backends(db(f"sum(<i, v> in V) if (i == {j}) then v"), env) == expected
+    assert both_backends(db("sum(<i, _> in 0:N) if (i == 1.5) then 9"), env) == 0
     # Probe expression referencing an outer binder.
-    plan = db("sum(<j, _> in 0:N) { j -> sum(<i, v> in V) if (i == j) then 2 * v }")
-    assert values_equal(vectorize_plan(plan)(env), evaluate(plan, env))
-
-
-def test_vectorize_source_marker_and_named_form_rejection():
-    plan = db("sum(<i, v> in V) { i -> v }")
-    vectorized = vectorize_plan(plan)
-    assert "vectorized" in vectorized.source
-    with pytest.raises(ExecutionError):
-        vectorize_plan(parse_expr("sum(<i, v> in V) { i -> v }"))  # named form
+    both_backends(
+        db("sum(<j, _> in 0:N) { j -> sum(<i, v> in V) if (i == j) then 2 * v }"), env)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +308,14 @@ def test_vectorize_source_marker_and_named_form_rejection():
 def test_plan_cache_hits_on_repeated_prepare():
     cache = PlanCache(maxsize=8)
     env = {"V": np.array([1.0, 2.0, 3.0])}
-    engine = ExecutionEngine(env=env, backend="compile", cache=cache)
+    engine = ExecutionEngine(env=env, cache=cache)
     plan = db("sum(<i, v> in V) v")
     first = engine.prepare(plan)
     assert (cache.hits, cache.misses) == (0, 1)
     second = engine.prepare(plan)
     assert (cache.hits, cache.misses) == (1, 1)
     # The lowered artifact is shared; the bound environment is per-prepare.
-    assert second.compiled is first.compiled
+    assert second.artifact is first.artifact
     assert first.run() == second.run() == pytest.approx(6.0)
 
 
@@ -267,22 +324,20 @@ def test_plan_cache_invalidates_on_env_schema_and_backend():
     plan = db("sum(<i, v> in V) v")
     array_env = {"V": np.array([1.0, 2.0])}
     dict_env = {"V": {0: 1.0, 5: 4.0}}
-    ExecutionEngine(env=array_env, backend="compile", cache=cache).prepare(plan)
-    ExecutionEngine(env=dict_env, backend="compile", cache=cache).prepare(plan)
+    ExecutionEngine(env=array_env, cache=cache).prepare(plan)
+    ExecutionEngine(env=dict_env, cache=cache).prepare(plan)
     assert cache.misses == 2 and cache.hits == 0  # different env schema
-    ExecutionEngine(env=array_env, backend="vectorize", cache=cache).prepare(plan)
-    assert cache.misses == 3  # different backend
     other_plan = db("sum(<i, v> in V) 2 * v")
-    ExecutionEngine(env=array_env, backend="compile", cache=cache).prepare(other_plan)
-    assert cache.misses == 4  # different plan hash
-    ExecutionEngine(env=array_env, backend="compile", cache=cache).prepare(plan)
+    ExecutionEngine(env=array_env, cache=cache).prepare(other_plan)
+    assert cache.misses == 3  # different plan hash
+    ExecutionEngine(env=array_env, cache=cache).prepare(plan)
     assert cache.hits == 1
 
 
 def test_plan_cache_lru_eviction_and_clear():
     cache = PlanCache(maxsize=2)
     env = {"V": np.array([1.0])}
-    engine = ExecutionEngine(env=env, backend="compile", cache=cache)
+    engine = ExecutionEngine(env=env, cache=cache)
     plans = [db(f"sum(<i, v> in V) {k} * v") for k in (1, 2, 3)]
     engine.prepare(plans[0])
     engine.prepare(plans[1])

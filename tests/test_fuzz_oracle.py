@@ -4,7 +4,7 @@ Three layers:
 
 * the comparison layer itself (``canonical`` / ``results_match``) — the one
   place result equality is defined;
-* a seeded smoke campaign over the real pipeline (all backends, fast and
+* a seeded smoke campaign over the real pipeline (both backends, fast and
   legacy saturation engines) that must be divergence-free;
 * an *injected bug* — the optimizer's chosen plan is corrupted by flipping a
   multiplication into an addition, mimicking a wrong rewrite rule — which the
@@ -98,6 +98,32 @@ def test_seeded_smoke_campaign_is_divergence_free():
     assert report.cases_run == 25
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
     assert "OK" in report.summary()
+    # ... and says, in one line, what `typed` did not kernelize.
+    assert report.typed_loops > 0
+    assert report.fallback_loops == sum(report.fallback_reasons.values())
+    assert report.fallback_cases <= min(report.fallback_loops, report.cases_run)
+    census = report.summary().splitlines()[1]
+    assert census.startswith(f"typed census: {report.fallback_loops} of "
+                             f"{report.typed_loops} loops fell back to Python")
+    assert all(reason in census for reason in report.fallback_reasons)
+
+
+def test_campaign_report_folds_typed_counters_per_case():
+    from repro.fuzz import CampaignReport
+
+    report = CampaignReport(seed=0)
+    clean = {"sum_loops": 3, "merge_loops": 1, "fallback_sums": 0,
+             "fallback_merges": 0, "fallback_reasons": {}}
+    report.record_typed([clean, clean])
+    report.record_typed([clean, {**clean, "fallback_sums": 2, "fallback_merges": 1,
+                                 "fallback_reasons": {"a": 2, "b": 1}}])
+    report.record_typed([{**clean, "fallback_sums": 1, "fallback_reasons": {"a": 1}}])
+    assert (report.typed_loops, report.fallback_loops, report.fallback_cases) == (20, 4, 2)
+    assert report.fallback_reasons == {"a": 3, "b": 1}
+    assert report.summary().endswith(
+        "typed census: 4 of 20 loops fell back to Python in 2 case(s): 3 x a; 1 x b")
+    # Campaigns that collect no typed counters print no census line.
+    assert "census" not in CampaignReport(seed=0).summary()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +201,19 @@ def test_corpus_case_replays_clean_once_bug_is_fixed(tmp_path):
     assert replay(case, configs) is None
 
 
+def test_corpus_entry_naming_an_unknown_backend_is_rejected_at_load(tmp_path):
+    from repro.fuzz import load_corpus_entry
+    from repro.sdqlite.errors import ExecutionError
+
+    path = tmp_path / "stale.py"
+    path.write_text('PROGRAM = "sum(<k, v> in T0) v"\n'
+                    'TENSORS = {"T0": [1.0, 2.0]}\n'
+                    'FORMATS = {"T0": "dense"}\n'
+                    'CONFIGS = [("greedy", "typed"), ("egraph", "vectorize")]\n')
+    with pytest.raises(ExecutionError, match="'vectorize' backend was removed"):
+        load_corpus_entry(path)
+
+
 # ---------------------------------------------------------------------------
 # shrinker mechanics
 # ---------------------------------------------------------------------------
@@ -188,14 +227,14 @@ def test_shrinker_reduces_an_artificial_divergence():
     import repro.fuzz.shrink as shrink_module
 
     case = _mmm_case()
-    divergence = Divergence(case, "greedy", "compile", expected=0, actual=1)
+    divergence = Divergence(case, "greedy", "typed", expected=0, actual=1)
 
     def fake_check(candidate, config):
         if "T0" not in candidate.tensors or not candidate.tensors["T0"].any():
             return None
         if "T0" not in symbols(candidate.program):
             return None
-        return Divergence(candidate, "greedy", "compile", expected=0, actual=1)
+        return Divergence(candidate, "greedy", "typed", expected=0, actual=1)
 
     real_check = shrink_module.check_case
     shrink_module.check_case = fake_check

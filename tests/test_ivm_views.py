@@ -124,7 +124,7 @@ def test_prepared_statements_survive_a_value_only_replace():
 
 def test_session_view_maintains_through_updates(caplog):
     catalog, a, b = small_catalog()
-    with Session(catalog) as session:
+    with Session(catalog, backend="interpret") as session:
         view = session.create_view("mmm", MMM)
         registry = session.views()
         registry.fallback_ratio = 1e9   # toy scale: force the delta path
@@ -132,7 +132,7 @@ def test_session_view_maintains_through_updates(caplog):
 
         with caplog.at_level(logging.DEBUG, logger="repro.ivm"):
             session.update("A", [(0, 1), (1, 0)], [5.0, -1.0])
-        # The default backend's results are not typed buffers.
+        # The interpreter's results are not typed buffers.
         assert "view 'mmm'" in caplog.text and "entry by entry" in caplog.text
         a2 = a.copy()
         a2[0, 1] += 5.0

@@ -122,7 +122,8 @@ def test_storel_run_detailed_and_explain():
     outcome = storel.run_detailed(MMM.source, catalog, dense_shape=(6, 6))
     expected = reference_result(MMM, catalog)
     np.testing.assert_allclose(outcome.result, expected)
-    assert "def " in outcome.plan_source
+    assert outcome.plan_source.startswith("<typed:")
+    assert outcome.execution_stats["fallback_sums"] == 0
     assert outcome.optimization.cost > 0
     text = storel.explain(SUM_MMM.source, mmm_catalog(size=6))
     assert "chosen plan" in text and "candidate costs" in text
@@ -130,6 +131,6 @@ def test_storel_run_detailed_and_explain():
 
 def test_storel_interpret_backend():
     catalog = mmm_catalog(size=5)
-    compiled = storel.run(MMM.source, catalog, dense_shape=(5, 5), backend="compile")
+    default = storel.run(MMM.source, catalog, dense_shape=(5, 5))
     interpreted = storel.run(MMM.source, catalog, dense_shape=(5, 5), backend="interpret")
-    np.testing.assert_allclose(compiled, interpreted)
+    np.testing.assert_allclose(default, interpreted)

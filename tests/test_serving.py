@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.execution.engine import BACKENDS, PlanCache
-from repro.sdqlite.errors import StorageError
+from repro.sdqlite.errors import ExecutionError, StorageError
 from repro.serving import (
     AdmissionGate,
     LatencyRecorder,
@@ -98,7 +98,7 @@ def test_plan_cache_concurrent_mixed_ops_keep_invariants():
     classified exactly once: hits + misses == total gets.
     """
     cache = PlanCache(maxsize=4)
-    keys = [("compile", ("plan", i), ("sig",)) for i in range(8)]
+    keys = [("typed", ("plan", i), ("sig",)) for i in range(8)]
     threads, ops_per_thread = 8, 2_000
     gets = [0] * threads
     errors = []
@@ -450,8 +450,9 @@ def test_server_scalar_params_override_per_request():
 def test_server_rejects_unknown_backend():
     a, x = make_inputs()
     server = Server(make_catalog(a, x))
-    with pytest.raises(StorageError, match="backend"):
+    with pytest.raises(ExecutionError, match="unknown execution backend 'llvm'"):
         server.execute(BATAX_PROGRAM, backend="llvm")
+    assert server.stats.requests == 0        # rejected before admission
 
 
 def test_server_config_and_overrides_are_mutually_exclusive():
@@ -523,7 +524,7 @@ def test_whitespace_variants_share_one_cache_entry():
 def test_distinct_backends_prepare_separately():
     a, x = make_inputs()
     server = Server(make_catalog(a, x))
-    server.execute(BATAX_PROGRAM, backend="compile")
+    server.execute(BATAX_PROGRAM, backend="typed")
     server.execute(BATAX_PROGRAM, backend="interpret")
     assert server.stats.plan_misses == 2
 

@@ -70,7 +70,7 @@ programs = st.sampled_from([
     "sum(<i, Ai> in A) sum(<j, v> in Ai) { i -> v }",
 ])
 methods = st.sampled_from(["greedy", "egraph"])
-backends = st.sampled_from(["interpret", "compile", "vectorize", "typed"])
+backends = st.sampled_from(["interpret", "typed"])
 options = st.dictionaries(st.sampled_from(["iter_limit", "node_limit"]),
                           st.integers(min_value=1, max_value=10), max_size=2)
 
@@ -163,9 +163,9 @@ def test_epoch_alone_distinguishes_identical_fingerprints(source, catalog):
     after = snapshot_of(catalog)
     after.schema_version += 2
     assert catalog_fingerprint(before) == catalog_fingerprint(after)
-    assert (plan_key(source, method="greedy", backend="compile",
+    assert (plan_key(source, method="greedy", backend="typed",
                      optimizer_options={}, snapshot=before)
-            != plan_key(source, method="greedy", backend="compile",
+            != plan_key(source, method="greedy", backend="typed",
                         optimizer_options={}, snapshot=after))
 
 
@@ -197,7 +197,7 @@ def test_cache_never_serves_a_stale_epoch_plan(source, catalog, script):
             cache.purge_stale(catalog.schema_version)
         else:
             snapshot = snapshot_of(catalog)
-            key = plan_key(source, method="greedy", backend="compile",
+            key = plan_key(source, method="greedy", backend="typed",
                            optimizer_options={}, snapshot=snapshot)
             entry, _ = cache.get_or_prepare(key, lambda: SharedPlan(
                 key=key, optimization=None, prepared=None,
@@ -206,7 +206,7 @@ def test_cache_never_serves_a_stale_epoch_plan(source, catalog, script):
             assert entry.key == key
     # after the dust settles: one more lookup at the final epoch is also fresh
     snapshot = snapshot_of(catalog)
-    key = plan_key(source, method="greedy", backend="compile",
+    key = plan_key(source, method="greedy", backend="typed",
                    optimizer_options={}, snapshot=snapshot)
     cached = cache.get(key)
     if cached is not None:

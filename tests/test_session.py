@@ -140,10 +140,10 @@ def test_explain_shared_pipeline_and_optimizer_options():
 def test_session_memoizes_optimization_across_backends_and_statements():
     a, x = make_inputs()
     session = make_session(a, x)
-    compiled = session.prepare(BATAX_PROGRAM, backend="compile")
-    vectorized = session.prepare(BATAX_PROGRAM, backend="vectorize")
-    assert compiled.optimization is vectorized.optimization  # optimized once
-    assert session.prepare(BATAX_PROGRAM).optimization is compiled.optimization
+    typed = session.prepare(BATAX_PROGRAM, backend="typed")
+    interpreted = session.prepare(BATAX_PROGRAM, backend="interpret")
+    assert typed.optimization is interpreted.optimization  # optimized once
+    assert session.prepare(BATAX_PROGRAM).optimization is typed.optimization
 
 
 def test_session_context_manager_closes():
@@ -302,7 +302,7 @@ def test_storel_system_reuses_a_shared_session():
     catalog = fresh_catalog(a, x, 0.5)
     session = Session(catalog)
     runs = [StorelSystem(backend=backend, session=session).prepare(BATAX, catalog)
-            for backend in ("compile", "vectorize")]
+            for backend in ("typed", "interpret")]
     assert runs[0].optimization is runs[1].optimization  # one optimization, shared
     for run in runs:
         np.testing.assert_allclose(run(), batax_oracle(a, x, 0.5))

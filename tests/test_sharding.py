@@ -346,19 +346,19 @@ def test_shard_executor_matches_serial_and_retires_on_mutation():
     try:
         parts = split_plan(statement._prepared.plan)
         assert len(parts) == 4
-        merged = executor.run_parts(parts, catalog, "compile")
+        merged = executor.run_parts(parts, catalog, "typed")
         from repro.execution.engine import result_to_dense
         np.testing.assert_allclose(result_to_dense(merged, (6,)), serial)
         first_key = executor._key
         catalog.update("A", np.array([[0, 0]]), np.array([1.0]))
-        merged = executor.run_parts(parts, catalog, "compile")
+        merged = executor.run_parts(parts, catalog, "typed")
         assert executor._key != first_key  # pool retired on the version bump
     finally:
         executor.close()
     session.close()
 
 
-@pytest.mark.parametrize("backend", ["compile", "vectorize"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_session_shard_workers_parity(backend):
     A = _random_dense(10, (14, 5))
     X = np.arange(5, dtype=float)
@@ -517,9 +517,9 @@ def test_run_plan_does_not_dispatch_what_is_not_a_shard_chain():
     X = np.arange(5, dtype=float)
     catalog = _batax_catalog(A, X, shards=3)
     statement = Session(catalog).prepare("sum(<i, x> in X) x")
-    assert ShardExecutor(0).run_plan(statement.plan, catalog, "compile") is NOT_DISPATCHED
+    assert ShardExecutor(0).run_plan(statement.plan, catalog, "typed") is NOT_DISPATCHED
     executor = ShardExecutor(2)
-    assert executor.run_plan(statement._prepared.plan, catalog, "compile") is NOT_DISPATCHED
+    assert executor.run_plan(statement._prepared.plan, catalog, "typed") is NOT_DISPATCHED
     assert executor._pool is None and executor.fallbacks == 0
 
 

@@ -27,7 +27,13 @@ from repro.execution.buffers import (
     lookup_sorted,
 )
 from repro.execution.engine import result_to_matrix, result_to_vector
-from repro.execution.typed_backend import _hoist_guard
+from repro.execution.typed_backend import (
+    TBatch,
+    TFlat,
+    _hoist_guard,
+    _lookup_batched,
+    _Runtime,
+)
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.values import v_add
 from repro.sdqlite.ast import IfThen, Let
@@ -98,6 +104,85 @@ def test_probe_out_of_range_keys():
 
 
 # ---------------------------------------------------------------------------
+# lookups into a per-lane entry bag (the dictionary an inner sum just built)
+# ---------------------------------------------------------------------------
+
+# Lane i builds { K(p) -> V(p) : p in LO(i):HI(i) }: lane 0 holds key 1
+# twice, lane 1 keys 0 and 2, lane 2 key 3, lane 3 is empty.
+_BAG = "(sum(<p, k> in K(LO(i):HI(i))) { k -> V(p) })"
+_BAG_ENV = {"N": 4, "LO": np.array([0, 2, 4, 5]), "HI": np.array([2, 4, 5, 5]),
+            "K": np.array([1, 1, 0, 2, 3]), "V": np.array([1.0, 2.0, 3.0, 4.0, 5.0])}
+
+
+def _kernelized(source, env):
+    stats = {}
+    result = check(source, env, stats)
+    assert stats["fallback_sums"] == 0, stats["fallback_reasons"]
+    return result
+
+
+def test_entry_bag_lookup_with_a_key_per_lane():
+    env = {**_BAG_ENV, "Q": np.array([1, 2, 9, 3])}
+    result = _kernelized(f"sum(<i, _> in 0:N) {{ i -> {_BAG}(Q(i)) }}", env)
+    # duplicates of one lane add up; a missing key and an empty bag read 0
+    assert result_to_vector(result, 4).tolist() == [3.0, 4.0, 0.0, 0.0]
+
+
+def test_entry_bag_lookup_with_one_key_for_every_lane():
+    result = _kernelized(f"sum(<i, _> in 0:N) {{ i -> {_BAG}(1) }}", _BAG_ENV)
+    assert result_to_vector(result, 4).tolist() == [3.0, 0.0, 0.0, 0.0]
+    assert _kernelized(f"sum(<i, _> in 0:N) {_BAG}(1.5)", _BAG_ENV) == 0
+
+
+def test_entry_bag_lookup_of_a_key_that_cancels_to_zero():
+    env = {**_BAG_ENV, "V": np.array([1.0, -1.0, 3.0, 4.0, 5.0])}
+    assert _kernelized(f"sum(<i, _> in 0:N) {{ i -> {_BAG}(1) }}", env) == 0
+
+
+def test_entry_bag_lookup_skips_non_integer_key_lanes():
+    env = {**_BAG_ENV, "Q": np.array([1.0, 2.5, np.nan, 3.0])}
+    result = _kernelized(f"sum(<i, _> in 0:N) {{ i -> {_BAG}(Q(i)) }}", env)
+    assert result_to_vector(result, 4).tolist() == [3.0, 0.0, 0.0, 0.0]
+
+
+def test_entry_bag_lookup_peels_one_level_of_a_deeper_bag():
+    bag = "(sum(<p, k> in K(LO(i):HI(i))) { k -> { p -> V(p) } })"
+    env = {**_BAG_ENV, "Q": np.array([1, 0, 3, 0])}
+    result = _kernelized(f"sum(<i, _> in 0:N) {{ i -> {bag}(Q(i)) }}", env)
+    assert result_to_matrix(result, (4, 5)).tolist() == [
+        [1.0, 2.0, 0, 0, 0], [0, 0, 3.0, 0, 0], [0, 0, 0, 0, 5.0], [0] * 5]
+
+
+def test_lookup_batched_entry_bag_reports_surviving_lanes():
+    def bag(cols, vals, rows):
+        return TFlat([np.array(col, dtype=np.int64) for col in cols],
+                     np.array(vals, dtype=np.float64), np.array(rows, dtype=np.int64))
+
+    rt = _Runtime({})
+    keys = np.array([3, 3, 3], dtype=np.int64)
+    # lane 0: 3 twice and a 4; lane 1: 3 cancelling to zero; lane 2: nothing
+    flat = bag([[3, 4, 3, 3, 3]], [1.0, 9.0, 2.0, 5.0, -5.0], [0, 0, 0, 1, 1])
+    value, found = _lookup_batched(rt, flat, keys, None)
+    assert isinstance(value, TBatch) and value.data.tolist() == [3.0, 0.0, 0.0]
+    assert found.tolist() == [True, False, False]
+    # an invalid (non-integer) key lane hits nothing
+    value, found = _lookup_batched(rt, flat, keys, np.array([False, True, True]))
+    assert value.data.tolist() == [0.0, 0.0, 0.0] and not found.any()
+    # an empty bag
+    value, found = _lookup_batched(rt, bag([[]], [], []), keys, None)
+    assert value.data.tolist() == [0.0, 0.0, 0.0] and not found.any()
+    # depth 2: the matching entries with the outermost column peeled; lane 1's
+    # two matches cancel, so it holds nothing
+    deep = bag([[3, 3, 4, 3, 3, 3], [7, 8, 9, 6, 6, 7]],
+               [1.0, 2.0, 3.0, 5.0, -5.0, 4.0], [0, 0, 0, 1, 1, 2])
+    value, found = _lookup_batched(rt, deep, keys, None)
+    assert isinstance(value, TFlat) and len(value.cols) == 1
+    assert value.cols[0].tolist() == [7, 8, 7] and value.rows.tolist() == [0, 0, 2]
+    assert value.vals.tolist() == [1.0, 2.0, 4.0]
+    assert found.tolist() == [True, False, True]
+
+
+# ---------------------------------------------------------------------------
 # guard hoisting through let
 # ---------------------------------------------------------------------------
 
@@ -130,6 +215,7 @@ def test_stats_report_kernelized_loops():
     assert stats["sum_loops"] == 1
     assert stats["fallback_sums"] == 0
     assert stats["fallback_merges"] == 0
+    assert stats["fallback_reasons"] == {}
 
 
 def test_stats_report_group_by_regimes():
@@ -161,11 +247,30 @@ def test_python_loop_fallback_is_a_debug_event(caplog):
     with caplog.at_level(logging.DEBUG, logger="repro.execution"):
         check("sum(<i, v> in V) { v -> 1 }", env, stats)
     assert stats["fallback_sums"] == 1 and stats["fallback_merges"] == 0
+    # the stats sink names the reason with the log event's own string
+    assert stats["fallback_reasons"] == {"non-integer dictionary keys in batched body": 1}
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
     assert "typed sum #1 over V falls back to a Python loop" in message
     assert "non-integer dictionary keys" in message
+
+
+def test_run_outcome_explain_says_why_a_loop_fell_back():
+    from repro import Session
+    from repro.storage import DenseFormat
+
+    session = Session().register(DenseFormat.from_dense("V", np.array([0.5, 1.5, 0.5])))
+    outcome = session.run_detailed("sum(<i, v> in V) { v -> 1 }")
+    assert outcome.execution_stats["fallback_reasons"] == \
+        {"non-integer dictionary keys in batched body": 1}
+    rendered = outcome.explain().splitlines()
+    at = rendered.index("loops that fell back to Python, by reason:")
+    assert rendered[at + 1] == "  1 x non-integer dictionary keys in batched body"
+    assert not any("fallback_reasons" in line for line in rendered)
+    # Nothing to explain when everything kernelized.
+    clean = session.run_detailed("sum(<i, v> in V) { i -> v }").explain()
+    assert "fell back" not in clean and "fallback_sums" in clean
 
 
 def test_merge_fallback_is_a_debug_event(caplog):
@@ -174,6 +279,7 @@ def test_merge_fallback_is_a_debug_event(caplog):
     with caplog.at_level(logging.DEBUG, logger="repro.execution"):
         check("merge(<p1, p2, l> in <L, R>) { l -> p1 + p2 }", env, stats)
     assert stats["fallback_merges"] == 1
+    assert stats["fallback_reasons"] == {"non-finite merge values": 1}
     assert any("typed merge #1 over L falls back to a Python loop: non-finite merge values"
                in record.getMessage() for record in caplog.records)
 

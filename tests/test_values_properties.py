@@ -2,8 +2,8 @@
 
 The differential oracle's comparison layer (and every backend's runtime)
 rests on ``normalize_key`` / ``truthy`` / ``merge_hashable`` and friends —
-the one definition of SDQLite's coercion rules shared by the interpreter,
-the vectorizer and generated code.  A comparison layer that is itself wrong
+the one definition of SDQLite's coercion rules shared by the interpreter
+and the typed backend.  A comparison layer that is itself wrong
 would silently validate divergent backends, so these invariants are checked
 property-style over arbitrary scalars and nested dictionaries.
 """
@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.sdqlite.errors import EvaluationError  # noqa: E402
 from repro.sdqlite.values import (  # noqa: E402
+    RangeDict,
     SemiringDict,
     integral_index,
     is_zero,
@@ -111,7 +112,7 @@ def test_integral_index_matches_is_integer(value):
 def test_non_integral_keys_miss_positional_containers(key):
     array = np.array([10.0, 20.0, 30.0])
     assert lookup(array, key) == 0
-    assert lookup(range(3), key) == 0
+    assert lookup(RangeDict(0, 3), key) == 0
 
 
 # ---------------------------------------------------------------------------

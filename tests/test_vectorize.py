@@ -1,26 +1,24 @@
-"""Unit tests for the vectorized NumPy backend (repro.execution.vectorize).
+"""Semantics of batched (one lane per iteration) evaluation, on ``typed``.
 
-The kernel × format parity matrix lives in ``tests/test_execution.py``;
-these tests target the individual mechanisms: batched arithmetic, masked
-conditionals, gather/scatter, the per-sum loop fallback, probe
-short-circuiting and loop-invariant memoization.
+The kernel × format parity matrix lives in ``tests/test_execution.py`` and
+the typed backend's own mechanisms in ``tests/test_typed_backend.py``; these
+cases pin what any batched evaluation of a ``sum`` must preserve: arithmetic
+and comparisons per lane, masked conditionals, gather with out-of-range
+keys, dictionary construction with repeated and non-integer keys, probe
+short-circuiting and per-execution memoization of loop-invariant sums —
+plus the two plan-shape predicates of ``repro.execution.lowering``.  (They
+were written against the whole-array backend this one replaced; the file
+keeps its name because the test IDs are pinned.)
 """
 
 import numpy as np
 import pytest
 
-from repro.execution import vectorize_plan
-from repro.execution.vectorize import (
-    Batch,
-    BatchDict,
-    Unvectorizable,
-    _iteration_arrays,
-    _scatter,
-)
+from repro.execution import typed_plan
 from repro.execution.lowering import is_closed, uses_sum_binders
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.ast import Cmp, Idx, Sum, Sym
-from repro.sdqlite.values import RangeDict, SemiringDict, SliceDict, to_plain
+from repro.sdqlite.values import SemiringDict, to_plain
 from repro.storage import TrieFormat
 
 
@@ -30,10 +28,10 @@ def db(source):
 
 def check(source, env):
     plan = db(source)
-    vectorized = vectorize_plan(plan)(env)
+    typed = typed_plan(plan)(env)
     interpreted = evaluate(plan, env)
-    assert values_equal(vectorized, interpreted)
-    return vectorized
+    assert values_equal(typed, interpreted)
+    return typed
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +57,13 @@ def test_zero_divisor_matches_the_interpreter():
     with pytest.raises(ZeroDivisionError):
         evaluate(plan, env)
     with pytest.raises(ZeroDivisionError):
-        vectorize_plan(plan)(env)
+        typed_plan(plan)(env)
     # NumPy-scalar values: the interpreter yields inf, and so do we (the
     # batched path must not silently diverge by masking the lane).
     env = {"V": np.array([1.0, 0.0])}
     plan = db("sum(<i, v> in V) 8 / v")
     with np.errstate(divide="ignore"):
-        assert vectorize_plan(plan)(env) == evaluate(plan, env) == np.inf
+        assert typed_plan(plan)(env) == evaluate(plan, env) == np.inf
     # A guarded division never divides by zero on any backend.
     env = {"V": np.array([2.0, 0.0, 4.0])}
     assert check("sum(<i, v> in V) if (v != 0) then 8 / v", env) == pytest.approx(6.0)
@@ -113,7 +111,7 @@ def test_empty_iteration_spaces():
 
 
 # ---------------------------------------------------------------------------
-# fallback paths
+# sources the whole-array backend ran as loops (tries, nested dicts, merge)
 # ---------------------------------------------------------------------------
 
 
@@ -125,8 +123,7 @@ def test_trie_source_falls_back_to_loop():
 
 
 def test_nested_dict_iteration_falls_back_and_stays_correct():
-    # Dict-of-dicts sources can't batch (outer) and dict lookups with vector
-    # keys can't gather (inner): both levels fall back to loops.
+    # A dict-of-dicts source and a dictionary lookup with a per-lane key.
     env = {"M": {0: {0: 1.0, 1: 2.0}, 1: {1: 3.0}}, "N": 2,
            "X": np.array([5.0, 7.0])}
     result = check("sum(<i, row> in M) { i -> sum(<k, _> in 0:N) row(k) * X(k) }", env)
@@ -180,13 +177,13 @@ def test_loop_invariant_sum_is_memoized_per_execution():
 
     env = {"D": CountingDict({0: 1.0, 1: 2.0}), "N": 50}
     plan = db("sum(<i, _> in 0:N) (sum(<k, v> in D) { k -> v })(i)")
-    vectorized = vectorize_plan(plan)
-    first = vectorized(env)
+    lowered = typed_plan(plan)
+    first = lowered(env)
     # The closed inner sum materialized once for the whole execution, not
     # once per outer iteration (the interpreter re-iterates D on every one).
     per_run = calls["n"]
     assert per_run <= 2
-    vectorized(env)
+    lowered(env)
     assert calls["n"] == 2 * per_run  # recomputed per run(), not cached across
     assert values_equal(first, evaluate(plan, env))
 
@@ -197,47 +194,9 @@ def test_is_closed_tracks_binders():
     assert not is_closed(open_sum)
 
 
-# ---------------------------------------------------------------------------
-# internals: iteration arrays and scatter
-# ---------------------------------------------------------------------------
-
-
-def test_iteration_arrays_sources():
-    keys, values = _iteration_arrays(RangeDict(2, 5))
-    np.testing.assert_array_equal(keys, [2, 3, 4])
-    np.testing.assert_array_equal(values, [2, 3, 4])
-    array = np.array([1.0, 2.0])
-    keys, values = _iteration_arrays(array)
-    np.testing.assert_array_equal(keys, [0, 1])
-    keys, values = _iteration_arrays(SliceDict(array, 1, 4))  # overruns the array
-    np.testing.assert_array_equal(keys, [1, 2, 3])
-    np.testing.assert_array_equal(values, [2.0, 0.0, 0.0])
-    keys, values = _iteration_arrays({3: 1.5, 1: 2.5})
-    np.testing.assert_array_equal(keys, [3, 1])
-    assert _iteration_arrays({(0, 1): 1.0}) is None          # tuple keys
-    assert _iteration_arrays({0: {1: 2.0}}) is None          # nested values
-    assert _iteration_arrays(np.zeros((2, 2))) is None       # not rank 1
-
-
-def test_scatter_prunes_zeros_and_handles_negative_keys():
-    keys = np.array([0, 1, 0, -3], dtype=np.int64)
-    values = np.array([2.0, 5.0, -2.0, 4.0])
-    result = _scatter(BatchDict(keys, values), np.arange(4))
-    assert to_plain(result) == {1: 5.0, -3: 4.0}  # key 0 cancelled to zero
-    masked = BatchDict(keys, values, mask=np.array([True, False, True, False]))
-    assert _scatter(masked, np.arange(4)) == 0  # only the cancelling pair survives
-
-
 def test_unvectorizable_is_contained():
-    # A batched body hitting an unvectorizable construct (here: a nested sum
-    # that depends on the loop variable) must not leak the exception — the
-    # outer sum silently falls back to a loop and still produces the result.
+    # A nested sum that depends on the loop variable: whether or not the
+    # body batches, no internal exception may leak and the result is right.
     env = {"V": np.array([1.0, 2.0, 3.0]), "H": {0: {0: 1.0}}}
     result = check("sum(<i, v> in V) v * (sum(<k, r> in H) r(i))", env)
     assert result == pytest.approx(1.0)
-    assert issubclass(Unvectorizable, Exception)  # exported for callers
-
-
-def test_batch_repr_helpers():
-    assert "Batch" in repr(Batch(np.array([1.0])))
-    assert "BatchDict" in repr(BatchDict(np.array([0]), np.array([1.0])))
