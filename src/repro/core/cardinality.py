@@ -13,8 +13,7 @@ have the element cardinality of the iterated collection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..sdqlite.ast import (
     Add,
@@ -42,9 +41,12 @@ from ..sdqlite.ast import (
 )
 
 
-@dataclass(frozen=True)
-class Card:
-    """A cardinality estimate: ``scalar`` or ``count`` keys of cardinality ``child``."""
+class Card(NamedTuple):
+    """A cardinality estimate: ``scalar`` or ``count`` keys of cardinality ``child``.
+
+    A named tuple, so the binder environments extraction memoizes on (tuples
+    of cards) hash and compare in C.
+    """
 
     count: Optional[float]
     child: Optional["Card"]

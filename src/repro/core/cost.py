@@ -125,6 +125,10 @@ class CostModel:
         self.require_physical = require_physical
         self.gamma = gamma or Gamma()
         self._cards = CardinalityEstimator(stats)
+        #: (expr, env) -> CostInfo, for the life of the model.  The
+        #: statistics are read as a snapshot: build a new model after
+        #: changing them (the optimizer builds its models per ``optimize``).
+        self._analyses: dict[tuple, CostInfo] = {}
 
     # ------------------------------------------------------------------
     # Term-level costing
@@ -142,12 +146,17 @@ class CostModel:
         the estimated one — the node's own cost formula is unchanged, but
         every enclosing loop now multiplies by the *measured* size.
         """
+        key = (expr, env)
+        info = self._analyses.get(key)
+        if info is not None:
+            return info
         info = self._analyze(expr, env)
         observations = getattr(self.stats, "observations", None)
         if observations:
             observed = observations.get(expr)
             if observed is not None and observed is not info.card:
-                return CostInfo(info.cost, observed, info.kind)
+                info = CostInfo(info.cost, observed, info.kind)
+        self._analyses[key] = info
         return info
 
     def _analyze(self, expr: Expr, env: Env = ()) -> CostInfo:

@@ -67,6 +67,9 @@ class OptimizationResult:
     candidate_costs: dict[str, float] = field(default_factory=dict)
     chosen_candidate: str | None = None
     optimization_time_ms: float = 0.0
+    #: Wall-clock milliseconds per phase of this optimization, in pipeline
+    #: order (the keys of :data:`PHASES` that ran).
+    phase_ms: dict[str, float] = field(default_factory=dict)
 
     def table4_rows(self) -> list[dict]:
         rows = []
@@ -74,6 +77,29 @@ class OptimizationResult:
             if stage is not None:
                 rows.append(stage.as_row())
         return rows
+
+
+#: The phases ``OptimizationResult.phase_ms`` accounts for, in pipeline order.
+#: ``rule_tables`` is the one-time construction of the shared rule objects
+#: (0 after the process's first saturation); ``compose`` covers both the
+#: naive plan and the composition of the stage-1 result; ``candidates`` is
+#: running and costing the deterministic strategies (and seeding stage 2).
+PHASES = ("rule_tables", "stage1_saturation", "stage1_extraction", "compose",
+          "candidates", "stage2_saturation", "stage2_extraction")
+
+
+class _PhaseClock:
+    """Accumulates wall-clock time per named phase of one optimization."""
+
+    def __init__(self) -> None:
+        self.phase_ms: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Charge the time since the previous lap to ``phase``."""
+        now = time.perf_counter()
+        self.phase_ms[phase] = self.phase_ms.get(phase, 0.0) + (now - self._last) * 1_000.0
+        self._last = now
 
 
 #: Engine configuration that reproduces the textbook (pre-index) saturation
@@ -124,16 +150,20 @@ class Optimizer:
                  method: str = "egraph") -> OptimizationResult:
         """Optimize ``program`` for tensors stored according to ``mappings``."""
         start = time.perf_counter()
+        clock = _PhaseClock()
         program = to_debruijn_safe(program)
         mappings = {name: to_debruijn_safe(mapping) for name, mapping in mappings.items()}
         naive = compose(program, mappings)
+        clock.lap("compose")
 
         if method == "greedy":
-            result = self._optimize_greedy(program, mappings, naive)
+            result = self._optimize_greedy(mappings, naive, clock)
         elif method == "egraph":
-            result = self._optimize_egraph(program, mappings, naive)
+            result = self._optimize_egraph(program, mappings, naive, clock)
         else:
             raise OptimizationError(f"unknown optimization method {method!r}")
+        result.phase_ms = {phase: round(clock.phase_ms[phase], 3)
+                           for phase in PHASES if phase in clock.phase_ms}
         result.optimization_time_ms = (time.perf_counter() - start) * 1_000.0
         return result
 
@@ -141,12 +171,13 @@ class Optimizer:
     # greedy mode: strategy candidates + cost model
     # ------------------------------------------------------------------
 
-    def _optimize_greedy(self, program: Expr, mappings: Mapping[str, Expr],
-                         naive: Expr) -> OptimizationResult:
+    def _optimize_greedy(self, mappings: Mapping[str, Expr], naive: Expr,
+                         clock: _PhaseClock) -> OptimizationResult:
         model = CostModel(self.stats)
         candidates = strategies.candidate_plans(naive, self._symbol_ranks(mappings))
         costs = {name: model.plan_cost(plan) for name, plan in candidates.items()}
         chosen = min(costs, key=costs.get)
+        clock.lap("candidates")
         return OptimizationResult(
             plan=candidates[chosen],
             cost=costs[chosen],
@@ -178,19 +209,28 @@ class Optimizer:
         return ranks
 
     def _optimize_egraph(self, program: Expr, mappings: Mapping[str, Expr],
-                         naive: Expr) -> OptimizationResult:
+                         naive: Expr, clock: _PhaseClock) -> OptimizationResult:
         ranks = self._symbol_ranks(mappings)
+        logical_rules = rule_sets.logical_rules()
+        all_rules = rule_sets.all_rules()
+        clock.lap("rule_tables")
+        # One logical cost model per optimize: stage-1 extraction, the
+        # candidates' costs and the relaxed fallback share its memo.
+        logical_model = CostModel(self.stats, require_physical=False)
+
         # Stage 1: storage-independent optimization of the tensor program.
         stage1_graph = EGraph(eager_terms=self.eager_terms)
         stage1_graph.symbol_ranks = ranks
         root1 = stage1_graph.add_expr(program)
-        report1 = self._make_runner(stage1_graph, rule_sets.logical_rules()).run()
-        logical_model = CostModel(self.stats, require_physical=False)
+        report1 = self._make_runner(stage1_graph, logical_rules).run()
+        clock.lap("stage1_saturation")
         stage1_plan, stage1_cost = logical_model.extract(stage1_graph, root1)
         stage1 = StageReport("storage-independent", report1, stage1_cost)
+        clock.lap("stage1_extraction")
 
         # Compose the optimized program with the storage mappings.
         composed = compose(stage1_plan, mappings)
+        clock.lap("compose")
 
         # Stage 2: storage-aware optimization of the composed plan.
         stage2_graph = EGraph(eager_terms=self.eager_terms)
@@ -198,23 +238,24 @@ class Optimizer:
         root2 = stage2_graph.add_expr(composed)
         candidate_costs: dict[str, float] = {}
         if self.seed_candidates:
-            greedy_model = CostModel(self.stats)
             for name, plan in strategies.candidate_plans(composed, ranks).items():
-                candidate_costs[name] = greedy_model.plan_cost(plan)
+                candidate_costs[name] = logical_model.plan_cost(plan)
                 seeded = stage2_graph.add_expr(plan)
                 stage2_graph.union(root2, seeded)
             stage2_graph.rebuild()
-        report2 = self._make_runner(stage2_graph, rule_sets.all_rules()).run()
+        clock.lap("candidates")
+        report2 = self._make_runner(stage2_graph, all_rules).run()
+        clock.lap("stage2_saturation")
 
-        physical_model = CostModel(self.stats, require_physical=True)
         try:
+            physical_model = CostModel(self.stats, require_physical=True)
             plan, cost = physical_model.extract(stage2_graph, root2)
         except OptimizationError:
             # Saturation stopped before the physical-annotation rules reached
             # every dictionary constructor; fall back to the logical cost.
-            relaxed_model = CostModel(self.stats, require_physical=False)
-            plan, cost = relaxed_model.extract(stage2_graph, root2)
+            plan, cost = logical_model.extract(stage2_graph, root2)
         stage2 = StageReport("storage-aware", report2, cost)
+        clock.lap("stage2_extraction")
 
         chosen = None
         if candidate_costs:

@@ -21,6 +21,8 @@ Rule sets:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..egraph.rewrite import Rewrite, bidirectional, var_independent_of
 from . import strategies
 
@@ -28,7 +30,7 @@ from . import strategies
 def _dynamic(name: str, pattern: str, transform, *conditions) -> Rewrite:
     """A dynamic rule that applies ``transform`` to the matched node's term."""
 
-    def applier(egraph, enode, term, subst):
+    def applier(egraph, term):
         return transform(term)
 
     return Rewrite.make_dynamic(name, pattern, applier, *conditions)
@@ -42,7 +44,7 @@ def _dynamic_with_ranks(name: str, pattern: str, transform, *conditions) -> Rewr
     come from the e-graph, set by the optimizer.
     """
 
-    def applier(egraph, enode, term, subst):
+    def applier(egraph, term):
         return transform(term, None, egraph.symbol_ranks)
 
     return Rewrite.make_dynamic(name, pattern, applier, *conditions)
@@ -280,22 +282,39 @@ def physical_annotation_rules() -> list[Rewrite]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _rule_tables() -> tuple[tuple[Rewrite, ...], tuple[Rewrite, ...]]:
+    """``(logical, physical)`` — parsed and compiled once per process.
+
+    A :class:`Rewrite` holds no per-run state (the runner keeps its
+    scheduler and application memo), so every saturation shares these.
+    """
+    logical = (associativity_commutativity_rules()
+               + simplification_rules()
+               + distributivity_rules()
+               + dictionary_rules())
+    physical = fusion_rules() + physical_annotation_rules()
+    return tuple(logical), tuple(physical)
+
+
 def logical_rules() -> list[Rewrite]:
-    """Storage-independent rules (stage 1 of the pipeline, Sec. 6.4)."""
-    return (associativity_commutativity_rules()
-            + simplification_rules()
-            + distributivity_rules()
-            + dictionary_rules())
+    """Storage-independent rules (stage 1 of the pipeline, Sec. 6.4).
+
+    A fresh list over the process-wide rule objects: callers may reorder or
+    filter it, but must not mutate the rules.
+    """
+    return list(_rule_tables()[0])
 
 
 def physical_rules() -> list[Rewrite]:
     """Rules that interact with the storage mappings (stage 2)."""
-    return fusion_rules() + physical_annotation_rules()
+    return list(_rule_tables()[1])
 
 
 def all_rules() -> list[Rewrite]:
     """The full rule base (the paper's 44 rules)."""
-    return logical_rules() + physical_rules()
+    logical, physical = _rule_tables()
+    return list(logical + physical)
 
 
 def rule_names() -> list[str]:

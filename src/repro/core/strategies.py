@@ -621,6 +621,9 @@ def _child_env(node: Expr, index: int, value_child: Expr,
     return env
 
 
+_BINDER_TYPES = (Sum, Let, Merge)
+
+
 def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
                        max_passes: int = 20,
                        symbol_ranks: "Mapping[str, int] | None" = None) -> Expr:
@@ -631,17 +634,29 @@ def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
     ``wants_env`` — the factor-moving rewrites, whose scalarness guards
     would otherwise be blind to dictionary-valued variables bound by
     *enclosing* loops.
+
+    One pass is a function of ``(subtree, env)`` alone, so a subtree a pass
+    left unchanged is *settled* for the rest of the call: later passes (and
+    other occurrences under the same environment) skip it, and a fixpoint
+    pass walks only the paths the previous pass changed.
     """
-    transforms = list(transforms)
+    transforms = [(transform, getattr(transform, "wants_env", False))
+                  for transform in transforms]
+    settled: set[tuple[Expr, tuple[int, ...]]] = set()
 
     def rewrite_once(node: Expr, env: tuple[int, ...]) -> tuple[Expr, bool]:
-        changed = False
+        key = (node, env)
+        if key in settled:
+            return node, False
         kids = children(node)
+        changed = False
         if kids:
+            binds = type(node) in _BINDER_TYPES
             new_kids: list[Expr] = []
             for index, child in enumerate(kids):
-                value_child = new_kids[0] if index > 0 else child
-                child_env = _child_env(node, index, value_child, env, symbol_ranks)
+                child_env = env
+                if binds and index:
+                    child_env = _child_env(node, index, new_kids[0], env, symbol_ranks)
                 new_child, child_changed = rewrite_once(child, child_env)
                 changed = changed or child_changed
                 new_kids.append(new_child)
@@ -650,13 +665,15 @@ def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
                 # fixpoint passes over already-normalized plans then allocate
                 # nothing (this runs once per candidate plan per optimize).
                 node = rebuild(node, new_kids)
-        for transform in transforms:
-            if getattr(transform, "wants_env", False):
+        for transform, wants_env in transforms:
+            if wants_env:
                 result = transform(node, env, symbol_ranks)
             else:
                 result = transform(node)
             if result is not None and result != node:
                 return result, True
+        if not changed:
+            settled.add(key)
         return node, changed
 
     current = term
@@ -718,9 +735,14 @@ def greedy_optimize(term: Expr, *, with_fusion: bool = True,
     if with_factorization:
         plan = factorize(plan, symbol_ranks=symbol_ranks)
     if with_merge:
-        plan = rewrite_everywhere(plan, (introduce_merge,), max_passes=5,
-                                  symbol_ranks=symbol_ranks)
+        plan = _introduce_merges(plan, symbol_ranks)
     return plan
+
+
+def _introduce_merges(plan: Expr, symbol_ranks: "Mapping[str, int] | None") -> Expr:
+    """The optional last stage of :func:`greedy_optimize`: F4 everywhere."""
+    return rewrite_everywhere(plan, (introduce_merge,), max_passes=5,
+                              symbol_ranks=symbol_ranks)
 
 
 #: Rewrites applied to every candidate plan, including the "naive" one: they
@@ -751,12 +773,15 @@ def candidate_plans(term: Expr,
     protect them.
     """
     base = normalize(term)
-    optimize = lambda **kw: greedy_optimize(base, symbol_ranks=symbol_ranks, **kw)  # noqa: E731
+    # The five pipelines of ``greedy_optimize`` share prefixes; each distinct
+    # one runs once (six fixpoint runs instead of ten).
+    factorized = factorize(base, symbol_ranks=symbol_ranks)
+    both = factorize(fuse(factorized, symbol_ranks=symbol_ranks),
+                     symbol_ranks=symbol_ranks)
     return {
         "naive": base,
-        "fused": optimize(with_fusion=True, with_factorization=False),
-        "factorized": optimize(with_fusion=False, with_factorization=True),
-        "fused+factorized": optimize(with_fusion=True, with_factorization=True),
-        "fused+factorized+merge": optimize(
-            with_fusion=True, with_factorization=True, with_merge=True),
+        "fused": fuse(base, symbol_ranks=symbol_ranks),
+        "factorized": factorize(factorized, symbol_ranks=symbol_ranks),
+        "fused+factorized": both,
+        "fused+factorized+merge": _introduce_merges(both, symbol_ranks),
     }

@@ -34,6 +34,11 @@ Three auxiliary structures keep equality saturation fast (see
 assembled from its children's best terms in O(arity), so dynamic rewrites
 never fall back to a whole-graph extraction.  ``eager_terms=False`` restores
 the historical lazy behaviour (kept for the before/after benchmark).
+
+A **term memo** maps every term inserted through :meth:`add_expr` to its
+class and size.  Terms hash in O(1), so inserting a term costs one probe per
+node the graph has *not* seen: the terms dynamic rewrites produce are a new
+spine over the classes' own best terms, and only the spine is walked.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ class EGraph:
         self.find = self._union_find.find
         self._classes: dict[int, EClass] = {}
         self._hashcons: dict[ENode, int] = {}
+        #: term -> (class id at insertion, term size); ids resolve through
+        #: the union-find, which keeps an entry valid across unions.
+        self._terms: dict[Expr, tuple[int, int]] = {}
         self._pending: list[int] = []
         self._label_index: dict[Label, dict[int, None]] = {}
         self._dirty: dict[int, None] = {}
@@ -180,10 +188,14 @@ class EGraph:
     # -- insertion ------------------------------------------------------------
 
     def add_enode(self, enode: ENode) -> int:
-        """Insert an e-node (children must already be canonical class ids)."""
-        enode = enode.canonicalize(self.find)
-        if enode in self._hashcons:
-            return self.find(self._hashcons[enode])
+        """Insert an e-node over existing classes; returns its class id."""
+        return self._add_canonical(enode.canonicalize(self.find))
+
+    def _add_canonical(self, enode: ENode) -> int:
+        """:meth:`add_enode` for a node whose children are canonical ids."""
+        known = self._hashcons.get(enode)
+        if known is not None:
+            return self.find(known)
         identifier = self._union_find.make_set()
         eclass = EClass(identifier)
         eclass.nodes.append(enode)
@@ -217,7 +229,15 @@ class EGraph:
     def _add_expr_sized(self, expr: Expr) -> tuple[int, int]:
         """Recursive insertion carrying the subtree size bottom-up, so each
         level's best-term offer is O(arity) instead of an O(subtree)
-        ``node_count`` recomputation (O(n²) over the whole insertion)."""
+        ``node_count`` recomputation (O(n²) over the whole insertion).
+
+        A term seen before is its class: re-inserting it leaf by leaf would
+        find every node in the hashcons and offer a term the class already
+        holds, so the descent stops there.
+        """
+        known = self._terms.get(expr)
+        if known is not None:
+            return self.find(known[0]), known[1]
         size = 1
         kids = []
         for child in ast_children(expr):
@@ -226,7 +246,13 @@ class EGraph:
             size += child_size
         identifier = self.add_enode(ENode(ast_to_label(expr), tuple(kids)))
         self._offer_term(identifier, expr, size)
+        self._terms[expr] = (identifier, size)
         return identifier, size
+
+    def has_term(self, expr: Expr) -> bool:
+        """True when ``expr`` went through :meth:`add_expr` (so it is nameless
+        and represented; a term only *reachable* in the graph may not be)."""
+        return expr in self._terms
 
     def _offer_term(self, identifier: int, expr: Expr, size: int | None = None) -> None:
         identifier = self.find(identifier)
@@ -252,11 +278,6 @@ class EGraph:
             eclass.best_term = extract_smallest(self, identifier)
             eclass.best_size = node_count(eclass.best_term)
         return eclass.best_term
-
-    def node_term(self, enode: ENode) -> Expr:
-        """A concrete term for one e-node, built from its children's best terms."""
-        kids = [self.best_term(child) for child in enode.children]
-        return label_to_ast(enode.label, kids)
 
     # -- union / congruence ----------------------------------------------------
 

@@ -12,8 +12,7 @@ break the congruence invariant (see Sec. 5.4 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..sdqlite.ast import (
     Add,
@@ -52,114 +51,78 @@ BINDERS_BY_HEAD: dict[str, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ENode:
-    """An operator label applied to e-class children."""
+class ENode(NamedTuple):
+    """An operator label applied to e-class children.
+
+    A named tuple: hashing and equality run in C over ``(label, children)``
+    — every hashcons probe hashes one — and construction is one allocation.
+    """
 
     label: Label
     children: tuple[int, ...]
 
     def canonicalize(self, find) -> "ENode":
-        return ENode(self.label, tuple(find(child) for child in self.children))
+        kids = self.children
+        if not kids:
+            return self
+        canonical = tuple(map(find, kids))
+        return self if canonical == kids else ENode(self.label, canonical)
 
     @property
     def head(self) -> str:
         return self.label[0]
 
 
+#: Labels of the node types whose label carries no payload.
+_FIXED_LABELS: dict[type, Label] = {
+    Add: ("add",), Sub: ("sub",), Mul: ("mul",), Div: ("div",), Neg: ("neg",),
+    And: ("and",), Or: ("or",), Not: ("not",), Get: ("get",),
+    RangeExpr: ("range",), SliceGet: ("slice",), IfThen: ("if",),
+    Let: ("let",), Sum: ("sum",), Merge: ("merge",),
+}
+
+
 def ast_to_label(expr: Expr) -> Label:
     """The e-node label (without children) of an AST node."""
-    if isinstance(expr, Const):
-        return ("const", expr.value)
-    if isinstance(expr, Sym):
-        return ("sym", expr.name)
-    if isinstance(expr, Idx):
+    cls = type(expr)
+    label = _FIXED_LABELS.get(cls)
+    if label is not None:
+        return label
+    if cls is Idx:
         return ("idx", expr.index)
-    if isinstance(expr, Var):
+    if cls is Sym:
+        return ("sym", expr.name)
+    if cls is Const:
+        return ("const", expr.value)
+    if cls is DictExpr:
+        return ("dict", expr.annot, expr.unique)
+    if cls is Cmp:
+        return ("cmp", expr.op)
+    if cls is Var:
         raise OptimizationError(
             f"named variable {expr.name!r} cannot enter the e-graph; convert to De Bruijn form first"
         )
-    if isinstance(expr, Add):
-        return ("add",)
-    if isinstance(expr, Sub):
-        return ("sub",)
-    if isinstance(expr, Mul):
-        return ("mul",)
-    if isinstance(expr, Div):
-        return ("div",)
-    if isinstance(expr, Neg):
-        return ("neg",)
-    if isinstance(expr, Cmp):
-        return ("cmp", expr.op)
-    if isinstance(expr, And):
-        return ("and",)
-    if isinstance(expr, Or):
-        return ("or",)
-    if isinstance(expr, Not):
-        return ("not",)
-    if isinstance(expr, DictExpr):
-        return ("dict", expr.annot, expr.unique)
-    if isinstance(expr, Get):
-        return ("get",)
-    if isinstance(expr, RangeExpr):
-        return ("range",)
-    if isinstance(expr, SliceGet):
-        return ("slice",)
-    if isinstance(expr, IfThen):
-        return ("if",)
-    if isinstance(expr, Let):
-        return ("let",)
-    if isinstance(expr, Sum):
-        return ("sum",)
-    if isinstance(expr, Merge):
-        return ("merge",)
-    raise OptimizationError(f"cannot convert {type(expr).__name__} to an e-node label")
+    raise OptimizationError(f"cannot convert {cls.__name__} to an e-node label")
+
+
+#: Per label head, the constructor call that rebuilds the AST node.
+_BUILDERS = {
+    "const": lambda label, kids: Const(label[1]),
+    "sym": lambda label, kids: Sym(label[1]),
+    "idx": lambda label, kids: Idx(label[1]),
+    "cmp": lambda label, kids: Cmp(label[1], kids[0], kids[1]),
+    "dict": lambda label, kids: DictExpr(kids[0], kids[1], label[1], label[2]),
+    **{label[0]: (lambda label, kids, cls=cls: cls(*kids))
+       for cls, label in _FIXED_LABELS.items()},
+}
 
 
 def label_to_ast(label: Label, kids: Sequence[Expr]) -> Expr:
     """Rebuild an AST node from a label and already-built child ASTs."""
-    head = label[0]
-    if head == "const":
-        return Const(label[1])
-    if head == "sym":
-        return Sym(label[1])
-    if head == "idx":
-        return Idx(label[1])
-    if head == "add":
-        return Add(kids[0], kids[1])
-    if head == "sub":
-        return Sub(kids[0], kids[1])
-    if head == "mul":
-        return Mul(kids[0], kids[1])
-    if head == "div":
-        return Div(kids[0], kids[1])
-    if head == "neg":
-        return Neg(kids[0])
-    if head == "cmp":
-        return Cmp(label[1], kids[0], kids[1])
-    if head == "and":
-        return And(kids[0], kids[1])
-    if head == "or":
-        return Or(kids[0], kids[1])
-    if head == "not":
-        return Not(kids[0])
-    if head == "dict":
-        return DictExpr(kids[0], kids[1], annot=label[1], unique=label[2])
-    if head == "get":
-        return Get(kids[0], kids[1])
-    if head == "range":
-        return RangeExpr(kids[0], kids[1])
-    if head == "slice":
-        return SliceGet(kids[0], kids[1], kids[2])
-    if head == "if":
-        return IfThen(kids[0], kids[1])
-    if head == "let":
-        return Let(kids[0], kids[1])
-    if head == "sum":
-        return Sum(kids[0], kids[1])
-    if head == "merge":
-        return Merge(kids[0], kids[1], kids[2])
-    raise OptimizationError(f"unknown e-node label {label!r}")
+    builder = _BUILDERS.get(label[0])
+    if builder is None:
+        raise OptimizationError(f"unknown e-node label {label!r}")
+    return builder(label, kids)
 
 
 def label_binders(label: Label) -> tuple[int, ...]:

@@ -10,11 +10,18 @@ Matching a pattern against an e-class yields substitutions mapping pattern
 variable names to e-class ids; a pattern can also be *instantiated* under a
 substitution, adding the corresponding nodes to the e-graph.
 
-Matching is generator-based throughout: :meth:`Pattern.search_iter` yields
-``(class id, substitution)`` pairs lazily so a caller with a match budget
-stops the search early instead of materializing (and then truncating) every
-match, and it accepts an explicit candidate-class list so the runner can
-probe only classes the operator index and the dirty set nominate.
+:meth:`Pattern.search_iter` yields ``(class id, substitution)`` pairs lazily,
+one root class at a time, so a caller with a match budget stops the search
+early instead of materializing (and then truncating) every match, and it
+accepts an explicit candidate-class list so the runner can probe only classes
+the operator index and the dirty set nominate.
+
+A pattern is compiled once into a short program over class *registers*
+(register 0 holds the root class): ``bind`` enumerates the e-nodes of a
+register's class that carry an operator label and loads their children into
+fresh registers, ``check`` compares two registers (a repeated pattern
+variable).  Matching backtracks over one register file and builds a
+substitution dictionary only for a complete match.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ class Pattern:
         self.template = template
         self.root = _compile(template)
         self.variables = sorted(_collect_variables(self.root))
+        self._program, self._bindings, self._registers = _assemble(self.root)
 
     @property
     def root_label(self) -> Label | None:
@@ -63,7 +71,58 @@ class Pattern:
 
     def search_class(self, egraph: EGraph, identifier: int) -> list[Subst]:
         """All substitutions under which this pattern matches the given e-class."""
-        return list(_match_class(egraph, self.root, egraph.find(identifier), {}))
+        return self._matcher(egraph)(egraph.find(identifier))
+
+    def _matcher(self, egraph: EGraph):
+        """``canonical root class -> [substitution, ...]`` over ``egraph``.
+
+        Substitutions come in the order a depth-first walk finds them:
+        e-nodes in class order, children left to right.  One matcher serves
+        every root of a search (its register file is reused), so build it per
+        search, not per class.
+        """
+        program = self._program
+        bindings = self._bindings
+        end = len(program)
+        if not end:
+            # A bare-variable pattern: every class matches itself.
+            return lambda root: [{name: root for name, _ in bindings}]
+        classes = egraph._classes
+        find = egraph.find
+        registers = [0] * self._registers
+        matches: list[Subst] = []
+
+        def run(pc: int) -> None:
+            first, source, label, arity = program[pc]
+            pc += 1
+            if label is None:           # check: a pattern variable seen before
+                if registers[first] != registers[source]:
+                    return
+                if pc == end:
+                    matches.append({name: registers[reg] for name, reg in bindings})
+                else:
+                    run(pc)
+                return
+            for enode in classes[registers[source]].nodes:
+                if enode[0] == label:
+                    kids = enode[1]
+                    if len(kids) == arity:
+                        if arity:
+                            registers[first:first + arity] = map(find, kids)
+                        if pc == end:
+                            matches.append({name: registers[reg]
+                                            for name, reg in bindings})
+                        else:
+                            run(pc)
+
+        def match_root(root: int) -> list[Subst]:
+            nonlocal matches
+            registers[0] = root
+            run(0)
+            found, matches = matches, []
+            return found
+
+        return match_root
 
     def search_iter(self, egraph: EGraph,
                     candidates: Iterable[int] | None = None, *,
@@ -84,9 +143,10 @@ class Pattern:
                 identifiers = [eclass.identifier for eclass in list(egraph.classes())]
         else:
             identifiers = list(dict.fromkeys(find(identifier) for identifier in candidates))
+        match_root = self._matcher(egraph)
         for identifier in identifiers:
             canonical = find(identifier)
-            for subst in _match_class(egraph, self.root, canonical, {}):
+            for subst in match_root(canonical):
                 yield canonical, subst
 
     def search(self, egraph: EGraph) -> list[tuple[int, Subst]]:
@@ -95,11 +155,9 @@ class Pattern:
         Scans every class (no index probe) — kept as the reference
         implementation; the runner uses :meth:`search_iter`.
         """
-        matches: list[tuple[int, Subst]] = []
-        for eclass in list(egraph.classes()):
-            for subst in self.search_class(egraph, eclass.identifier):
-                matches.append((eclass.identifier, subst))
-        return matches
+        match_root = self._matcher(egraph)
+        return [(eclass.identifier, subst) for eclass in list(egraph.classes())
+                for subst in match_root(eclass.identifier)]
 
     def instantiate(self, egraph: EGraph, subst: Mapping[str, int]) -> int:
         """Add this pattern to the e-graph with variables replaced per ``subst``."""
@@ -176,33 +234,35 @@ def _collect_variables(node: PatternNode) -> set[str]:
     return out
 
 
-def _match_class(egraph: EGraph, node: PatternNode, identifier: int,
-                 subst: Subst) -> Iterator[Subst]:
-    identifier = egraph.find(identifier)
-    if node.is_variable:
-        bound = subst.get(node.variable)
-        if bound is None:
-            extended = dict(subst)
-            extended[node.variable] = identifier
-            yield extended
-        elif egraph.find(bound) == identifier:
-            yield dict(subst)
-        return
-    for enode in egraph[identifier].nodes:
-        if enode.label != node.label or len(enode.children) != len(node.children):
-            continue
-        yield from _match_children(egraph, node.children, enode.children, 0, subst)
+def _assemble(root: PatternNode) -> tuple[list[tuple], list[tuple[str, int]], int]:
+    """Compile a pattern tree to ``(program, variable registers, register count)``.
 
+    Instructions are ``(first, source, label, arity)``: with a label, *bind*
+    — for each e-node of register ``source``'s class with that label and
+    arity, load its children into registers ``first ..``; with ``label``
+    ``None``, *check* that registers ``first`` and ``source`` hold the same
+    class.  Instructions follow the pattern in pre-order, so matches come out
+    in depth-first order.
+    """
+    program: list[tuple] = []
+    bindings: dict[str, int] = {}
+    count = 1
 
-def _match_children(egraph: EGraph, pattern_children, class_children, position,
-                    subst: Subst) -> Iterator[Subst]:
-    if position == len(pattern_children):
-        yield dict(subst)
-        return
-    for extended in _match_class(egraph, pattern_children[position],
-                                 class_children[position], subst):
-        yield from _match_children(egraph, pattern_children, class_children,
-                                   position + 1, extended)
+    def visit(node: PatternNode, register: int) -> None:
+        nonlocal count
+        if node.is_variable:
+            seen = bindings.setdefault(node.variable, register)
+            if seen != register:
+                program.append((register, seen, None, 0))
+            return
+        first = count
+        count += len(node.children)
+        program.append((first, register, node.label, len(node.children)))
+        for offset, child in enumerate(node.children):
+            visit(child, first + offset)
+
+    visit(root, 0)
+    return program, list(bindings.items()), count
 
 
 def _instantiate(egraph: EGraph, node: PatternNode, subst: Mapping[str, int]) -> int:
@@ -211,5 +271,6 @@ def _instantiate(egraph: EGraph, node: PatternNode, subst: Mapping[str, int]) ->
             return egraph.find(subst[node.variable])
         except KeyError as exc:
             raise OptimizationError(f"unbound pattern variable {node.variable}") from exc
-    kids = tuple(_instantiate(egraph, child, subst) for child in node.children)
-    return egraph.add_enode(ENode(node.label, kids))
+    # Children come back canonical and nothing is unioned in between.
+    kids = tuple([_instantiate(egraph, child, subst) for child in node.children])
+    return egraph._add_canonical(ENode(node.label, kids))

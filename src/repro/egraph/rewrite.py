@@ -7,10 +7,10 @@ Two kinds of rules exist, mirroring how the paper's optimizer is built on Egg
   every match of the LHS instantiates the RHS and unions the two classes.
   Optional *conditions* receive the e-graph and the substitution (used, e.g.,
   to consult the free-variable analysis).
-* **Dynamic rules** — the right-hand side is a Python function.  It receives
-  the e-graph, the matched e-node (with a concrete representative term built
-  from the children's best terms) and the substitution, and returns a new
-  term (or ``None`` to decline).  Dynamic rules implement the binder-crossing
+* **Dynamic rules** — the right-hand side is a Python function of the
+  e-graph and a concrete representative term of the matched e-node (built
+  from the children's best terms); it returns a new term (or ``None`` to
+  decline).  Dynamic rules implement the binder-crossing
   rewrites (loop factorization D2–D4, loop fusion F1–F4, let inlining), where
   index-shifted substitution cannot be expressed as a pattern.
 """
@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..sdqlite.ast import Expr
-from ..sdqlite.debruijn import to_debruijn_safe
+from ..sdqlite.ast import Expr, Var, children
+from ..sdqlite.debruijn import to_debruijn
 from .egraph import EGraph
-from .language import ENode, Label
+from .language import Label, label_to_ast
 from .pattern import Pattern, Subst
 
 Condition = Callable[[EGraph, Subst], bool]
-DynamicApplier = Callable[[EGraph, ENode, Expr, Subst], Expr | None]
+DynamicApplier = Callable[[EGraph, Expr], Expr | None]
 
 
 @dataclass
@@ -81,53 +81,80 @@ class Rewrite:
         return self.searcher.search_iter(egraph, candidates, use_index=use_index)
 
     def apply_match(self, egraph: EGraph, identifier: int, subst: Subst,
-                    memo: dict | None = None) -> bool:
+                    memo: dict | None = None, stats=None) -> bool:
         """Apply the rule to one match; returns True when the e-graph changed.
 
         ``memo`` (optional, per saturation run) records dynamic applications
         already performed.  Re-running a dynamic transform on the same e-node
-        with the same representative term and substitution is a guaranteed
-        no-op — the produced term is already in the graph and unioned — so
-        the incremental runner passes a memo to skip the recomputation.  The
-        key includes the representative term: when a class's best term
+        with the same representative term is a guaranteed no-op — the
+        produced term is already in the graph and unioned — so the
+        incremental runner passes a memo to skip the recomputation: one
+        application per (rule, e-node, term) covers every match rooted at
+        the class.  The key includes the representative term (as the
+        children's best terms, which determine it): when a class's best term
         improves, the transform runs again, exactly as a full rescan would.
+
+        ``stats`` (a :class:`~repro.egraph.runner.RuleStats`, optional)
+        receives the ``declined`` / ``memo_hits`` counts.
         """
         for condition in self.conditions:
             if not condition(egraph, subst):
+                if stats is not None:
+                    stats.declined += 1
                 return False
-        before = egraph.find(identifier)
+        find = egraph.find
+        before = find(identifier)
         if self.applier is not None:
             new_id = self.applier.instantiate(egraph, subst)
             merged = egraph.union(before, new_id)
-            return merged != before or egraph.find(new_id) != new_id
+            changed = merged != before or find(new_id) != new_id
+            if stats is not None and not changed:
+                stats.declined += 1
+            return changed
         # Dynamic rule: rebuild a concrete term for the matched node and let
         # the applier produce a transformed term.
         changed = False
-        subst_key = None
-        if memo is not None:
-            subst_key = tuple(sorted((name, egraph.find(value))
-                                     for name, value in subst.items()))
-        for enode in list(egraph[identifier].nodes):
-            if enode.label != self.searcher.root.label:
-                continue
-            matched_term = egraph.node_term(enode)
+        root_label = self.searcher.root.label
+        best_term = egraph.best_term
+        for enode in [node for node in egraph[before].nodes if node.label == root_label]:
+            kids = [best_term(child) for child in enode.children]
             if memo is not None:
-                key = (id(self), enode, matched_term, subst_key)
+                key = (id(self), enode, tuple(kids))
                 if key in memo:
+                    if stats is not None:
+                        stats.memo_hits += 1
                     continue
-            produced = self.dynamic(egraph, enode, matched_term, dict(subst))
+                memo[key] = True
+            matched_term = label_to_ast(enode.label, kids)
+            produced = self.dynamic(egraph, matched_term)
             if produced is not None:
-                produced = to_debruijn_safe(produced)
+                if _mentions_variable(produced, egraph):
+                    produced = to_debruijn(produced)
                 new_id = egraph.add_expr(produced)
-                if egraph.find(new_id) != egraph.find(identifier):
+                if find(new_id) != find(identifier):
                     egraph.union(identifier, new_id)
                     changed = True
-            if memo is not None:
-                memo[key] = True
+                    continue
+            if stats is not None:
+                stats.declined += 1
         return changed
 
     def __repr__(self) -> str:
         return f"Rewrite({self.name})"
+
+
+def _mentions_variable(term: Expr, egraph: EGraph) -> bool:
+    """True when a named variable occurs in ``term`` outside the subterms the
+    e-graph handed out (those are nameless, see :meth:`EGraph.has_term`)."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if egraph.has_term(node):
+            continue
+        if type(node) is Var:
+            return True
+        stack.extend(children(node))
+    return False
 
 
 def bidirectional(name: str, lhs: str | Expr, rhs: str | Expr,

@@ -24,12 +24,19 @@ individually switchable so the benchmark can reproduce the naive engine):
 An iteration in which at least one rule was banned never reports
 ``saturated``: the loop keeps going until the banned rules have been given a
 final chance (or another limit fires).
+
+The wall-clock limit is a deadline, not an end-of-iteration check: it is
+read before every rule's search and before every match application, so one
+iteration over an exploding graph overruns it by at most one rule's search
+or one application.  The interrupted iteration still ends with a rebuild —
+the graph a caller extracts from is always congruent.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from itertools import islice
+from time import perf_counter
 from typing import Iterable, Sequence
 
 from .egraph import EGraph
@@ -46,6 +53,16 @@ class RuleStats:
     search_ms: float = 0.0
     apply_ms: float = 0.0
     bans: int = 0
+    #: Applications that left the graph as it was: a side condition failed,
+    #: the transform returned ``None``, or what it produced was already in
+    #: the matched class.
+    declined: int = 0
+    #: Dynamic applications skipped because the same (e-node, representative
+    #: term) was transformed before in this run.
+    memo_hits: int = 0
+    #: E-nodes this rule's applications added (before the rebuild merges
+    #: congruent ones).
+    new_nodes: int = 0
 
     def as_row(self) -> dict:
         return {
@@ -206,14 +223,16 @@ class Runner:
         report.rule_stats = {rule.name: RuleStats(rule.name) for rule in self.rules}
         egraph = self.egraph
         scheduler = self.scheduler
-        start = time.perf_counter()
+        start = perf_counter()
+        deadline = start + self.time_limit
+        timed_out = False
         # Marks accumulated while the caller built the graph are irrelevant:
         # the first iteration searches everything.
         egraph.take_dirty()
         pool: dict[int, None] | None = None
         carry: list[int] = []
         # Dynamic-application memo (incremental mode only): re-transforming
-        # an unchanged (node, term, subst) is a guaranteed no-op.
+        # an unchanged (rule, node, term) is a guaranteed no-op.
         apply_memo: dict | None = {} if self.incremental else None
         # Dirty classes a banned rule missed while sitting out; replayed
         # into its candidate set when the ban expires.
@@ -233,6 +252,9 @@ class Runner:
             iter_apply_ms = 0.0
             for rule_index, rule in enumerate(self.rules):
                 stats = report.rule_stats[rule.name]
+                if perf_counter() >= deadline:
+                    timed_out = True
+                    break
                 if not scheduler.allow(rule_index, iteration):
                     banned_names.append(rule.name)
                     if self.incremental and pool is not None:
@@ -255,8 +277,7 @@ class Runner:
                     # classes that were dirtied while it sat out.
                     rule_pool = dict(backlog)
                     rule_pool.update(pool)
-                t0 = time.perf_counter()
-                matches: list[tuple[int, dict]] = []
+                t0 = perf_counter()
                 candidates = self._candidates(rule, rule_pool)
                 if self.incremental:
                     # Collect one match beyond the scheduler's current ban
@@ -266,17 +287,15 @@ class Runner:
                     threshold_of = getattr(scheduler, "threshold", None)
                     threshold = threshold_of(rule_index) if threshold_of else None
                     cap = limit if threshold is None else max(limit, threshold)
-                    for match in rule.search_iter(egraph, candidates,
-                                                  use_index=self.indexed):
-                        matches.append(match)
-                        if len(matches) > cap:
-                            break
+                    matches = list(islice(
+                        rule.search_iter(egraph, candidates, use_index=self.indexed),
+                        cap + 1))
                 else:
                     # Textbook behaviour: materialize every match, then
                     # truncate (kept for the before/after benchmark).
                     matches = list(rule.search_iter(egraph, candidates,
                                                     use_index=self.indexed))
-                t1 = time.perf_counter()
+                t1 = perf_counter()
                 if scheduler.record(rule_index, iteration, len(matches)):
                     stats.bans += 1
                     if self.incremental:
@@ -297,20 +316,26 @@ class Runner:
                 # engines' reports measures the same unit of work.
                 found = len(matches)
                 matches_found += found
+                nodes_before = egraph.num_nodes
                 for identifier, subst in matches[:limit]:
-                    if rule.apply_match(egraph, identifier, subst, memo=apply_memo):
+                    if perf_counter() >= deadline:
+                        timed_out = True
+                        break
+                    if rule.apply_match(egraph, identifier, subst, memo=apply_memo,
+                                        stats=stats):
                         applied += 1
                         stats.applied += 1
                         changed = True
-                t2 = time.perf_counter()
+                stats.new_nodes += egraph.num_nodes - nodes_before
+                t2 = perf_counter()
                 stats.matches += found
                 stats.search_ms += (t1 - t0) * 1_000.0
                 stats.apply_ms += (t2 - t1) * 1_000.0
                 iter_search_ms += (t1 - t0) * 1_000.0
                 iter_apply_ms += (t2 - t1) * 1_000.0
-            t3 = time.perf_counter()
+            t3 = perf_counter()
             egraph.rebuild()
-            rebuild_ms = (time.perf_counter() - t3) * 1_000.0
+            rebuild_ms = (perf_counter() - t3) * 1_000.0
             if self.incremental:
                 carry.extend(egraph.take_dirty())
             else:
@@ -327,14 +352,17 @@ class Runner:
                 rebuild_ms=round(rebuild_ms, 3),
                 banned=tuple(banned_names),
             ))
-            elapsed = time.perf_counter() - start
+            if timed_out:
+                # Cut short: ``changed`` says nothing about saturation.
+                report.stop_reason = "time_limit"
+                break
             if not changed and not banned_names:
                 report.stop_reason = "saturated"
                 break
             if egraph.num_nodes >= self.node_limit:
                 report.stop_reason = "node_limit"
                 break
-            if elapsed >= self.time_limit:
+            if perf_counter() >= deadline:
                 report.stop_reason = "time_limit"
                 break
         else:
@@ -342,7 +370,7 @@ class Runner:
         report.nodes = egraph.num_nodes
         report.classes = egraph.num_classes
         report.memo = egraph.memo_size
-        report.time_ms = (time.perf_counter() - start) * 1_000.0
+        report.time_ms = (perf_counter() - start) * 1_000.0
         return report
 
 

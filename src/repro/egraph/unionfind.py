@@ -27,12 +27,15 @@ class UnionFind:
 
     def find(self, identifier: int) -> int:
         """Return the canonical representative of ``identifier``'s set."""
-        root = identifier
-        while self._parent[root] != root:
-            root = self._parent[root]
+        parent = self._parent
+        root = parent[identifier]
+        if root == identifier:      # the common case: already a representative
+            return root
+        while parent[root] != root:
+            root = parent[root]
         # Path compression.
-        while self._parent[identifier] != root:
-            self._parent[identifier], identifier = root, self._parent[identifier]
+        while parent[identifier] != root:
+            parent[identifier], identifier = root, parent[identifier]
         return root
 
     def union(self, a: int, b: int) -> int:

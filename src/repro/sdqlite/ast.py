@@ -29,13 +29,17 @@ node       binds           indices inside the body
 ``Merge``  3 variables     ``%0`` = value, ``%1`` = key2, ``%2`` = key1
 ========== =============== ==========================================
 
-All nodes are frozen dataclasses, therefore hashable and usable as keys in
-memo tables.
+All nodes are frozen, slotted dataclasses, therefore hashable and usable as
+keys in memo tables.  The structural hash is computed once per node object
+and kept in a slot (a node's hash then costs O(arity), its children's being
+cached already); it is salted per process like every ``str`` hash, so it is
+left out when a node is pickled or copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 Number = Union[int, float, bool]
@@ -50,7 +54,12 @@ DICT_ANNOTATIONS = (None, "dense", "hash")
 class Expr:
     """Base class of all SDQLite expression nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __reduce__(self):
+        # Rebuild from the fields alone: the cached hash is only valid in the
+        # process that computed it (``str`` hashes are salted per process).
+        return type(self), _ALL_FIELDS[type(self)](self)
 
     # The arithmetic sugar below makes building programs in Python pleasant:
     # ``a * b + c`` produces the corresponding AST.
@@ -88,6 +97,40 @@ class Expr:
         return pretty(self)
 
 
+#: Per node type, its fields as a tuple: all of them (for ``__reduce__``).
+_ALL_FIELDS: dict[type, "attrgetter"] = {}
+
+
+def _fields_getter(names: Sequence[str]):
+    """``node -> tuple of the named attributes`` (``attrgetter`` returns a
+    bare value for one name and rejects none)."""
+    if len(names) == 1:
+        single = attrgetter(names[0])
+        return lambda node: (single(node),)
+    return attrgetter(*names) if names else lambda node: ()
+
+
+def _node(cls: type) -> type:
+    """Class decorator of every AST node: a frozen, slotted dataclass whose
+    hash over the compared fields is computed once and kept in ``_hash``."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    tag = cls.__name__
+    compared = _fields_getter([f.name for f in fields(cls) if f.compare])
+    _ALL_FIELDS[cls] = _fields_getter([f.name for f in fields(cls)])
+    set_hash = object.__setattr__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((tag, compared(self)))
+            set_hash(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 def lift(value: "Expr | Number") -> Expr:
     """Wrap a Python number into a :class:`Const`; pass expressions through."""
     if isinstance(value, Expr):
@@ -102,7 +145,7 @@ def lift(value: "Expr | Number") -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Expr):
     """A scalar literal (integer, real, or boolean)."""
 
@@ -113,21 +156,21 @@ class Const(Expr):
             raise TypeError(f"Const value must be a number, got {type(self.value)}")
 
 
-@dataclass(frozen=True)
+@_node
 class Sym(Expr):
     """A global symbol: a physical array, hash-map, trie, scalar, or a logical tensor name."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     """A named variable occurrence (surface / named form only)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Idx(Expr):
     """A De Bruijn index occurrence ``%k`` (nameless form only)."""
 
@@ -143,7 +186,7 @@ class Idx(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     """``e1 + e2`` — semiring addition of scalars or dictionaries."""
 
@@ -151,7 +194,7 @@ class Add(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     """``e1 - e2`` — subtraction (scalars, or element-wise on dictionaries)."""
 
@@ -159,7 +202,7 @@ class Sub(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     """``e1 * e2`` — semiring multiplication; overloaded for scalar × dictionary."""
 
@@ -167,7 +210,7 @@ class Mul(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     """``e1 / e2`` — scalar division."""
 
@@ -175,14 +218,14 @@ class Div(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     """Unary minus."""
 
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp(Expr):
     """A comparison ``e1 <op> e2`` returning a boolean."""
 
@@ -195,7 +238,7 @@ class Cmp(Expr):
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class And(Expr):
     """Boolean conjunction ``e1 && e2``."""
 
@@ -203,7 +246,7 @@ class And(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Expr):
     """Boolean disjunction ``e1 || e2``."""
 
@@ -211,7 +254,7 @@ class Or(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Expr):
     """Boolean negation ``!e``."""
 
@@ -223,7 +266,7 @@ class Not(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class DictExpr(Expr):
     """A singleton dictionary ``{ key -> value }``.
 
@@ -243,7 +286,7 @@ class DictExpr(Expr):
             raise ValueError(f"unknown dictionary annotation {self.annot!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Get(Expr):
     """Dictionary lookup ``e(key)``."""
 
@@ -251,7 +294,7 @@ class Get(Expr):
     key: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class RangeExpr(Expr):
     """The range dictionary ``lo:hi`` = ``{lo -> lo, ..., hi-1 -> hi-1}``."""
 
@@ -259,7 +302,7 @@ class RangeExpr(Expr):
     hi: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class SliceGet(Expr):
     """The sub-array ``e(lo:hi)`` = ``{lo -> e(lo), ..., hi-1 -> e(hi-1)}``.
 
@@ -271,7 +314,7 @@ class SliceGet(Expr):
     hi: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class IfThen(Expr):
     """``if (cond) then body`` — returns ``body`` or the zero of its type."""
 
@@ -284,7 +327,7 @@ class IfThen(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Let(Expr):
     """``let x = value in body``; ``body`` sees the bound value as ``%0``."""
 
@@ -293,7 +336,7 @@ class Let(Expr):
     name: str | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
     """``sum(<k, v> in source) body``.
 
@@ -307,7 +350,7 @@ class Sum(Expr):
     val_name: str | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Merge(Expr):
     """``merge(<k1, k2, v> in <left, right>) body`` — the physical sort-merge operator.
 
@@ -362,10 +405,12 @@ _BINDER_ARITY: dict[type, tuple[int, ...]] = {
 }
 
 
+_CHILDREN_OF = {cls: _fields_getter(names) for cls, names in _CHILD_FIELDS.items()}
+
+
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Return the direct sub-expressions of ``expr`` in a fixed order."""
-    names = _CHILD_FIELDS[type(expr)]
-    return tuple(getattr(expr, name) for name in names)
+    return _CHILDREN_OF[type(expr)](expr)
 
 
 def binder_arities(expr: Expr) -> tuple[int, ...]:
@@ -377,22 +422,40 @@ def binder_arities(expr: Expr) -> tuple[int, ...]:
 
 
 def rebuild(expr: Expr, new_children: Sequence[Expr]) -> Expr:
-    """Create a node equal to ``expr`` but with ``new_children`` as sub-expressions.
+    """A node equal to ``expr`` but with ``new_children`` as sub-expressions.
 
     Non-child payload fields (constants, names, annotations) are preserved.
+    When every new child *is* the old one the node itself is returned, so a
+    traversal that changes nothing below a subtree hands that subtree back
+    as the same object (and memo tables keyed on it hit by identity).
     """
-    names = _CHILD_FIELDS[type(expr)]
-    if len(names) != len(new_children):
+    cls = type(expr)
+    old_children = _CHILDREN_OF[cls](expr)
+    if len(old_children) != len(new_children):
         raise ValueError(
-            f"{type(expr).__name__} expects {len(names)} children, got {len(new_children)}"
+            f"{cls.__name__} expects {len(old_children)} children, got {len(new_children)}"
         )
-    kwargs = {}
-    for f in fields(expr):
-        if f.name in names:
-            kwargs[f.name] = new_children[names.index(f.name)]
-        else:
-            kwargs[f.name] = getattr(expr, f.name)
-    return type(expr)(**kwargs)
+    for old, new in zip(old_children, new_children):
+        if old is not new:
+            break
+    else:
+        return expr
+    with_payload = _REBUILD_WITH_PAYLOAD.get(cls)
+    if with_payload is not None:
+        return with_payload(expr, new_children)
+    return cls(*new_children)
+
+
+#: The node types that carry more than their children, each with the
+#: constructor call that keeps that payload.
+_REBUILD_WITH_PAYLOAD = {
+    Cmp: lambda e, kids: Cmp(e.op, kids[0], kids[1]),
+    DictExpr: lambda e, kids: DictExpr(kids[0], kids[1], e.annot, e.unique),
+    Let: lambda e, kids: Let(kids[0], kids[1], e.name),
+    Sum: lambda e, kids: Sum(kids[0], kids[1], e.key_name, e.val_name),
+    Merge: lambda e, kids: Merge(kids[0], kids[1], kids[2],
+                                 e.key1_name, e.key2_name, e.val_name),
+}
 
 
 def postorder(expr: Expr) -> Iterator[Expr]:

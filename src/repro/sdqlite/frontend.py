@@ -51,6 +51,11 @@ class Query:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # The hash is recomputed where the query is rebuilt (``str`` hashes
+        # are salted per process).
+        return Query, (self.expr,)
+
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True

@@ -120,6 +120,25 @@ def format_explanation(optimization: OptimizationResult, *,
         lines.append(f"stage 1 (storage-independent): {optimization.stage1.as_row()}")
     if optimization.stage2 is not None:
         lines.append(f"stage 2 (storage-aware):       {optimization.stage2.as_row()}")
+    for stage in (optimization.stage1, optimization.stage2):
+        if stage is not None and stage.runner.stop_reason != "saturated":
+            lines.append(
+                f"!! {stage.name} stage did NOT saturate: stopped on "
+                f"{stage.runner.stop_reason} after {stage.runner.iterations} iterations "
+                f"({stage.runner.nodes} e-nodes); the plan is the best found so far")
+    rule_stats = [stats for stage in (optimization.stage1, optimization.stage2)
+                  if stage is not None for stats in stage.runner.rule_stats.values()]
+    if rule_stats:
+        # Timings belong to the saturation report; a greedy explanation stays
+        # free of them (and therefore reproducible text).
+        lines.append("optimization time by phase (ms): " + ", ".join(
+            f"{phase} {ms:.1f}" for phase, ms in optimization.phase_ms.items()))
+        lines.append("rules with the most apply time:")
+        for stats in sorted(rule_stats, key=lambda s: s.apply_ms, reverse=True)[:3]:
+            lines.append(
+                f"  {stats.name:<26}: {stats.apply_ms:.1f} ms, {stats.matches} matches, "
+                f"{stats.applied} applied, {stats.declined} declined, "
+                f"{stats.memo_hits} memo hits, {stats.new_nodes} new e-nodes")
     if execution_stats:
         lines.append("execution counters:")
         for name in sorted(execution_stats):

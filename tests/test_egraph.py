@@ -144,6 +144,25 @@ def test_pattern_repeated_variable_requires_same_class():
     assert len(matches) == 1
 
 
+def test_variable_root_pattern_matches_every_class():
+    egraph = EGraph()
+    root = egraph.add_expr(db("x * (y + z)"))
+    pattern = Pattern("?x")
+    assert pattern.root_label is None
+    every = sorted(eclass.identifier for eclass in egraph.classes())
+    assert len(every) == 5
+    assert pattern.search_class(egraph, root) == [{"?x": egraph.find(root)}]
+    for matches in (pattern.search(egraph), list(pattern.search_iter(egraph))):
+        assert sorted(identifier for identifier, _ in matches) == every
+        assert all(subst == {"?x": identifier} for identifier, subst in matches)
+    assert list(pattern.search_iter(egraph, [root])) == [(root, {"?x": root})]
+    # As a rule's left-hand side: `?x -> ?x * 1` rewrites every class.
+    rule = Rewrite.syntactic("times-one", "?x", "?x * 1")
+    report = Runner(egraph, [rule], iter_limit=1).run()
+    assert report.rule_stats["times-one"].matches == 5
+    assert egraph.equivalent(root, egraph.add_expr(db("x * (y + z) * 1")))
+
+
 def test_pattern_instantiation_adds_nodes():
     egraph = EGraph()
     egraph.add_expr(db("x + y"))
@@ -197,13 +216,13 @@ def test_runner_simplifies_with_extraction():
 
 def test_conditional_rule_respects_free_vars():
     # Hoist ?e out of a sum only when it does not use the bound variables.
-    def hoist(egraph, enode, term, subst):
+    def hoist(egraph, term):
         from repro.sdqlite.ast import Mul, Sum
         from repro.sdqlite.debruijn import shift
 
-        factor = egraph.best_term(subst["?f"])
-        rest = egraph.best_term(subst["?r"])
-        return Mul(shift(factor, -2), Sum(egraph.best_term(subst["?e"]), rest))
+        # term is the representative of the match: Sum(?e, Mul(?f, ?r)).
+        product = term.body
+        return Mul(shift(product.left, -2), Sum(term.source, product.right))
 
     rule = Rewrite.make_dynamic(
         "hoist", "sum(<k, v> in ?e) ?f * ?r", hoist,

@@ -134,3 +134,86 @@ def test_storel_interpret_backend():
     default = storel.run(MMM.source, catalog, dense_shape=(5, 5))
     interpreted = storel.run(MMM.source, catalog, dense_shape=(5, 5), backend="interpret")
     np.testing.assert_allclose(default, interpreted)
+
+
+# ---------------------------------------------------------------------------
+# Observability: where the optimization time went, and when a stage gave up
+# ---------------------------------------------------------------------------
+
+
+def test_phase_ms_accounts_for_the_optimization_in_pipeline_order():
+    from repro.core.optimizer import PHASES
+
+    catalog = batax_catalog()
+    stats = Statistics.from_catalog(catalog)
+    optimizer = Optimizer(stats, iter_limit=4, node_limit=2000)
+    optimizer.optimize(BATAX_NESTED.program, catalog.mappings(), method="egraph")
+    result = optimizer.optimize(BATAX_NESTED.program, catalog.mappings(), method="egraph")
+    assert tuple(result.phase_ms) == PHASES
+    assert all(ms >= 0.0 for ms in result.phase_ms.values())
+    assert sum(result.phase_ms.values()) <= result.optimization_time_ms + 0.01
+    assert sum(result.phase_ms.values()) >= 0.9 * result.optimization_time_ms
+    # The rule tables are process-wide: after first use, handing them out is
+    # a list copy, and both stages run the very same rule objects.
+    assert result.phase_ms["rule_tables"] < 1.0
+    assert result.phase_ms["stage2_saturation"] >= result.stage2.runner.time_ms * 0.99
+    greedy = optimizer.optimize(BATAX_NESTED.program, catalog.mappings(), method="greedy")
+    assert tuple(greedy.phase_ms) == ("compose", "candidates")
+
+
+def test_rule_tables_are_built_once_and_handed_out_as_fresh_lists():
+    from repro.core.rules import all_rules, logical_rules, physical_rules
+
+    first, second = all_rules(), all_rules()
+    assert first is not second and first == second
+    assert all(a is b for a, b in zip(first, second))
+    assert [rule.name for rule in logical_rules() + physical_rules()] == \
+        [rule.name for rule in first]
+    first.clear()                       # a caller's list, not the table
+    assert len(all_rules()) == len(second)
+
+
+def test_rule_stats_count_declined_memo_hits_and_new_nodes():
+    catalog = batax_catalog()
+    stats = Statistics.from_catalog(catalog)
+    result = Optimizer(stats, iter_limit=4, node_limit=2000).optimize(
+        BATAX_NESTED.program, catalog.mappings(), method="egraph")
+    rules = result.stage2.runner.rule_stats
+    assert sum(rule.new_nodes for rule in rules.values()) > 0
+    # A dynamic rule re-matched on an unchanged (e-node, term) is a memo hit,
+    # not a second transform; a syntactic rule has no memo.
+    assert any(rule.memo_hits > 0 for rule in rules.values())
+    assert rules["mul-comm"].memo_hits == 0
+    # Commutativity re-applied to its own output produces what is there.
+    assert rules["mul-comm"].declined > 0
+    assert rules["mul-comm"].applied + rules["mul-comm"].declined <= rules["mul-comm"].matches
+    # The pre-existing row format is unchanged.
+    assert list(rules["mul-comm"].as_row()) == [
+        "rule", "matches", "applied", "search_ms", "apply_ms", "bans"]
+
+
+def test_explanation_names_phases_top_rules_and_a_stage_that_gave_up():
+    from repro.session import format_explanation
+
+    catalog = batax_catalog()
+    stats = Statistics.from_catalog(catalog)
+    saturated = Optimizer(stats).optimize(
+        BATAX_NESTED.program, catalog.mappings(), method="egraph")
+    text = format_explanation(saturated)
+    assert "optimization time by phase (ms): rule_tables" in text
+    assert "rules with the most apply time:" in text
+    assert "memo hits" in text and "declined" in text
+    if saturated.stage2.runner.stop_reason == "saturated":
+        assert "did NOT saturate" not in text
+    cut = Optimizer(stats, iter_limit=1).optimize(
+        BATAX_NESTED.program, catalog.mappings(), method="egraph")
+    assert cut.stage2.runner.stop_reason == "iter_limit"
+    loud = [line for line in format_explanation(cut).splitlines()
+            if line.startswith("!!")]
+    assert any("storage-aware stage did NOT saturate: stopped on iter_limit" in line
+               for line in loud)
+    greedy = Optimizer(stats).optimize(
+        BATAX_NESTED.program, catalog.mappings(), method="greedy")
+    greedy_text = format_explanation(greedy)
+    assert "rules with the most apply time" not in greedy_text
+    assert "time by phase" not in greedy_text      # greedy text stays reproducible

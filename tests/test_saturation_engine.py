@@ -112,3 +112,80 @@ def test_engine_knobs_reachable_through_optimizer_options():
     fast = storel.run(BATAX_NESTED.source, catalog, dense_shape=(6,),
                       optimizer_options={"iter_limit": 3})
     np.testing.assert_allclose(naive, fast)
+
+
+# ---------------------------------------------------------------------------
+# The wall-clock limit is a deadline inside the iteration
+# ---------------------------------------------------------------------------
+
+
+class FakeClock:
+    """A ``perf_counter`` the test moves: by hand, or by ``tick`` per read."""
+
+    def __init__(self, tick: float = 0.0):
+        self.now = 0.0
+        self.tick = tick
+
+    def __call__(self) -> float:
+        self.now += self.tick
+        return self.now
+
+
+def test_time_limit_stops_within_one_rule_and_leaves_the_graph_congruent(monkeypatch):
+    from repro.egraph import EGraph, Rewrite, Runner
+    from repro.egraph import runner as runner_module
+    from repro.sdqlite import parse_expr
+    from repro.sdqlite.debruijn import to_debruijn
+
+    clock = FakeClock()
+    monkeypatch.setattr(runner_module, "perf_counter", clock)
+
+    def an_hour_passes(egraph, subst) -> bool:
+        clock.now += 3600.0
+        return True
+
+    rules = [
+        Rewrite.syntactic("first", "?a * ?b", "?b * ?a"),
+        Rewrite.syntactic("slow", "?a + ?b", "?b + ?a", an_hour_passes),
+        Rewrite.syntactic("never", "?a * (?b + ?c)", "?a * ?b + ?a * ?c"),
+    ]
+    egraph = EGraph()
+    egraph.add_expr(to_debruijn(parse_expr("x * (a + b) * (c + d) * (e + f)")))
+    report = Runner(egraph, rules, iter_limit=10, time_limit=5.0).run()
+    stats = report.rule_stats
+    assert report.stop_reason == "time_limit" and report.iterations == 1
+    assert stats["first"].applied == stats["first"].matches > 0
+    # The deadline passed during the slow rule's first application: that one
+    # finishes, its two other matches and the third rule are never run.
+    assert stats["slow"].matches == 3 and stats["slow"].applied == 1
+    assert stats["never"].matches == 0 and stats["never"].search_ms == 0.0
+    assert not egraph._pending     # the cut iteration still ended with a rebuild
+    egraph.sanity_check()
+    # An untouched clock saturates the same rules on the same term.
+    clock.now = 0.0
+    rules[1] = Rewrite.syntactic("slow", "?a + ?b", "?b + ?a")
+    egraph = EGraph()
+    egraph.add_expr(to_debruijn(parse_expr("x * (a + b) * (c + d) * (e + f)")))
+    assert Runner(egraph, rules, iter_limit=10, time_limit=5.0).run().stop_reason == "saturated"
+
+
+@pytest.mark.parametrize("tick_ms", [0.02, 0.1, 1.0])
+def test_a_plan_extracted_after_a_timeout_is_no_costlier_than_greedy(monkeypatch, tick_ms):
+    from repro.egraph import runner as runner_module
+
+    # Every clock read costs ``tick_ms``: the 25 ms budget runs out in the
+    # middle of an iteration (earlier the coarser the tick), where the old
+    # end-of-iteration check would have let the iteration finish first.
+    monkeypatch.setattr(runner_module, "perf_counter", FakeClock(tick=tick_ms / 1e3))
+    catalog = batax_catalog()
+    stats = Statistics.from_catalog(catalog)
+    result = Optimizer(stats, time_limit=0.025).optimize(
+        BATAX_NESTED.program, catalog.mappings(), method="egraph")
+    report = result.stage2.runner
+    assert report.stop_reason == "time_limit"
+    assert report.time_ms <= 25.0 + 400 * tick_ms   # one rule's reads past the limit
+    assert np.isfinite(result.cost)
+    assert result.cost <= min(result.candidate_costs.values()) * (1 + 1e-12)
+    value = evaluate(result.plan, catalog.globals())
+    got = np.array([value.get(j, 0.0) for j in range(10)])
+    np.testing.assert_allclose(got, reference_result(BATAX_NESTED, catalog), rtol=1e-9)
