@@ -7,8 +7,8 @@ back to Python loops (``docs/backends.md``) — checks both against the NumPy
 oracle, prints the runtime table and the typed-over-interpret speedups, and
 records the raw rows in ``BENCH_backends.json`` at the repository root.  The
 first execution of every (kernel, backend) pair is timed separately as
-``compile_ms`` and excluded from the steady-state ``mean_ms`` (the typed
-backend JIT-compiles there when numba is available).
+``compile_ms`` and excluded from the steady-state ``mean_ms`` (it fills
+one-time caches).
 
 Run either as a pytest module (``pytest benchmarks/bench_backends.py -s``)
 or directly (``python benchmarks/bench_backends.py``).  Scale factors come

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..core import strategies
 from ..core.compose import compose
-from ..execution.engine import ExecutionEngine, check_backend, result_to_dense
+from ..execution.engine import ExecutionEngine, check_backend
 from ..kernels.programs import Kernel
 from ..session import Session
 from ..storage.catalog import Catalog
@@ -32,8 +32,8 @@ class StorelSystem(System):
         faster, and the paper excludes optimization time from Fig. 7–9
         anyway).
     backend:
-        Execution backend: ``"typed"`` (batched kernels over flat typed
-        buffers, JIT-compiled when numba is available; the default) or
+        Execution backend: ``"typed"`` (batched NumPy kernels over flat
+        typed buffers; the default) or
         ``"interpret"`` (the reference interpreter); see
         ``docs/backends.md``.  Checked at construction.
     session:
@@ -99,7 +99,7 @@ class FixedPlanSystem(System):
         shape = output_shape(kernel, catalog)
 
         def run():
-            return result_to_dense(prepared.run(), shape)
+            return prepared.run(dense_shape=shape)
 
         run.plan = plan  # type: ignore[attr-defined]
         run.plan_source = prepared.source  # type: ignore[attr-defined]
@@ -127,7 +127,7 @@ class TacoLikeSystem(System):
         shape = output_shape(kernel, catalog)
 
         def run():
-            return result_to_dense(prepared.run(), shape)
+            return prepared.run(dense_shape=shape)
 
         run.plan = plan  # type: ignore[attr-defined]
         return run

@@ -4,8 +4,8 @@ Two backends (selected with ``backend=`` on :class:`ExecutionEngine`,
 :class:`repro.Session`, :func:`repro.storel.run` and the benchmark systems;
 see ``docs/backends.md``):
 
-* ``"typed"``     — lane-expanding kernels over flat typed columnar buffers
-  (numba-JIT when available, NumPy otherwise); the default everywhere,
+* ``"typed"``     — lane-expanding NumPy kernels over flat typed columnar
+  buffers; the default everywhere,
 * ``"interpret"`` — the reference interpreter (the semantics oracle).
 
 Any other name raises :class:`~repro.sdqlite.errors.ExecutionError` where it

@@ -8,9 +8,9 @@ runs on:
   nested dictionary: one sorted key array per nesting level, segment-pointer
   arrays linking a parent entry to its children, and one float64 leaf value
   array.  Within every parent segment the keys are sorted, and entries are
-  globally ordered by (parent id, key), so per-segment binary search
-  vectorizes over thousands of segments at once via a composite-key
-  ``searchsorted``.
+  globally ordered by (parent id, key), so a per-segment lookup vectorizes
+  over thousands of segments at once as one lookup of a composite
+  (parent, key) integer.
 * :class:`BufferDict` — a lazy dictionary view over a :class:`BufferLevels`
   node.  It satisfies the generic ``items()`` / ``get()`` protocol of
   :mod:`repro.sdqlite.values`, so typed results flow through ``v_add``,
@@ -20,25 +20,27 @@ runs on:
   dicts, tries, semiring dicts, 1-D arrays, ranges) into a
   :class:`LevelView`, with ``None`` for shapes the typed representation
   cannot hold (tuple or float keys, ragged depth).
-* The kernel twins :func:`expand_lanes` / :func:`parent_sum` /
-  :func:`lookup_sorted`: when ``numba`` is importable they are JIT-compiled
-  ``@njit`` loops, otherwise semantically identical NumPy-vectorized
-  implementations.  Both modes produce bit-identical results; the backend is
-  always available and never requires numba.
+* The NumPy kernels :func:`expand_lanes` / :func:`parent_sum` /
+  :func:`lookup_sorted`.  A lookup chooses its regime from its input, like
+  :func:`repro.storage.formats.group_sum` does: one gather through a
+  position table when the haystack's key range is dense, a ``searchsorted``
+  otherwise (:data:`LOOKUP_REGIMES`).
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..sdqlite.values import integral_index, is_dictlike, is_scalar, iter_items
-from ..storage.formats import merge_coo
+from ..storage.formats import _DENSE_CELLS_PER_ENTRY, merge_coo
 
 __all__ = [
     "HAVE_NUMBA",
     "HEAP_KEPT",
+    "LOOKUP_REGIMES",
     "BufferLevels",
     "BufferDict",
     "LevelView",
@@ -50,15 +52,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Kernel twins: numba @njit when available, NumPy-vectorized otherwise
+# Kernels
 # ---------------------------------------------------------------------------
 
-try:  # pragma: no cover - exercised on the optional numba CI leg
-    from numba import njit as _njit
+#: Whether numba is importable.  Reported with the benchmark environment;
+#: no kernel uses it — every kernel below is NumPy.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default environment
-    HAVE_NUMBA = False
+#: Lookup regimes of :func:`lookup_sorted`, from the least work to the most.
+LOOKUP_REGIMES = ("direct", "search")
 
 
 def _keep_heap_between_runs() -> bool:
@@ -87,7 +89,7 @@ def _keep_heap_between_runs() -> bool:
 HEAP_KEPT = _keep_heap_between_runs()
 
 
-def _np_expand_lanes(lo: np.ndarray, counts: np.ndarray):
+def expand_lanes(lo: np.ndarray, counts: np.ndarray):
     """Fan every lane ``i`` out into ``arange(lo[i], lo[i] + counts[i])``.
 
     Returns ``(parent, positions)``: the lane each new lane came from and the
@@ -108,84 +110,45 @@ def _np_expand_lanes(lo: np.ndarray, counts: np.ndarray):
     return parent, positions
 
 
-def _np_parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+def parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """Sum ``weights`` per parent lane: ``out[p] = Σ weights[parent == p]``."""
     if parent.size == 0:
         return np.zeros(size, dtype=np.float64)
     return np.bincount(parent, weights=weights, minlength=size)[:size]
 
 
-def _np_lookup_sorted(haystack: np.ndarray, queries: np.ndarray):
-    """Binary-search every query in an ascending array: ``(positions, found)``."""
-    if haystack.size == 0:
-        return (np.zeros(queries.shape[0], dtype=np.int64),
-                np.zeros(queries.shape[0], dtype=bool))
-    pos = np.searchsorted(haystack, queries)
-    clipped = np.minimum(pos, haystack.size - 1)
-    return clipped, haystack[clipped] == queries
+def lookup_sorted(haystack: np.ndarray, queries: np.ndarray):
+    """Find every query in a strictly ascending int64 array.
 
+    Returns ``(positions, found, regime)``: ``positions[i]`` is the index of
+    ``queries[i]`` in ``haystack`` where ``found[i]`` (a miss's position is
+    unspecified), and ``regime`` names how it was found
+    (:data:`LOOKUP_REGIMES`):
 
-if HAVE_NUMBA:  # pragma: no cover - exercised on the optional numba CI leg
+    * ``"direct"`` — the haystack's key range has at most
+      ``_DENSE_CELLS_PER_ENTRY`` cells per haystack and query entry: one
+      position table over the range (``-1``: absent) and one gather;
+    * ``"search"`` — one ``np.searchsorted``.
 
-    @_njit(cache=False)
-    def _nb_expand_lanes(lo, counts, parent, positions):
-        k = 0
-        for i in range(lo.shape[0]):
-            for j in range(counts[i]):
-                parent[k] = i
-                positions[k] = lo[i] + j
-                k += 1
-
-    def expand_lanes(lo: np.ndarray, counts: np.ndarray):
-        total = int(counts.sum())
-        parent = np.empty(total, dtype=np.int64)
-        positions = np.empty(total, dtype=np.int64)
-        _nb_expand_lanes(np.ascontiguousarray(lo, dtype=np.int64),
-                         np.ascontiguousarray(counts, dtype=np.int64),
-                         parent, positions)
-        return parent, positions
-
-    @_njit(cache=False)
-    def _nb_parent_sum(parent, weights, out):
-        for i in range(parent.shape[0]):
-            out[parent[i]] += weights[i]
-
-    def parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-        out = np.zeros(size, dtype=np.float64)
-        _nb_parent_sum(np.ascontiguousarray(parent, dtype=np.int64),
-                       np.ascontiguousarray(weights, dtype=np.float64), out)
-        return out
-
-    @_njit(cache=False)
-    def _nb_lookup_sorted(haystack, queries, pos, found):
-        n = haystack.shape[0]
-        for i in range(queries.shape[0]):
-            q = queries[i]
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if haystack[mid] < q:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            p = lo if lo < n else n - 1
-            pos[i] = p
-            found[i] = haystack[p] == q
-
-    def lookup_sorted(haystack: np.ndarray, queries: np.ndarray):
-        if haystack.size == 0:
-            return (np.zeros(queries.shape[0], dtype=np.int64),
-                    np.zeros(queries.shape[0], dtype=bool))
-        pos = np.empty(queries.shape[0], dtype=np.int64)
-        found = np.empty(queries.shape[0], dtype=bool)
-        _nb_lookup_sorted(np.ascontiguousarray(haystack, dtype=np.int64),
-                          np.ascontiguousarray(queries, dtype=np.int64), pos, found)
-        return pos, found
-
-else:
-    expand_lanes = _np_expand_lanes
-    parent_sum = _np_parent_sum
-    lookup_sorted = _np_lookup_sorted
+    Both regimes find the same positions.
+    """
+    n, m = haystack.shape[0], queries.shape[0]
+    if n == 0:
+        return np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool), "direct"
+    low, high = int(haystack[0]), int(haystack[-1])
+    if high - low >= _DENSE_CELLS_PER_ENTRY * (n + m):
+        pos = np.searchsorted(haystack, queries)
+        np.minimum(pos, n - 1, out=pos)
+        return pos, haystack[pos] == queries, "search"
+    table = np.full(high - low + 1, -1, dtype=np.int64)
+    table[haystack - low] = np.arange(n, dtype=np.int64)
+    if m and low <= int(queries.min()) and int(queries.max()) <= high:
+        pos = table[queries - low]
+        return pos, pos >= 0, "direct"
+    # Clamp before subtracting the low key, so no query can overflow.
+    inside = (queries >= low) & (queries <= high)
+    pos = table[np.clip(queries, low, high) - low]
+    return pos, inside & (pos >= 0), "direct"
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +229,27 @@ class BufferLevels:
         return cached
 
     def composite(self, level: int):
-        """``(comp, kmin, kmax, big)`` for composite-key lookups, or ``None``.
+        """``(comp, kmin, kmax, big, span)`` for composite-key lookups, or ``None``.
 
         ``comp = parents(level) * big + (keys[level] - kmin)`` is globally
-        ascending; ``None`` when the composite would overflow int64 (the
-        backend then falls back to its Python loop).
+        ascending, and every parent below ``span`` (one past the last parent
+        with children) has a composite below ``span * big < 2**62``; ``None``
+        when that bound fails (the backend then falls back to its Python
+        loop).
         """
         cached = self._comps.get(level)
         if cached is None:
             keys = self.keys[level]
             if keys.size == 0:
-                cached = (np.empty(0, dtype=np.int64), 0, -1, 1)
+                cached = (np.empty(0, dtype=np.int64), 0, -1, 1, 0)
             else:
                 kmin = int(keys.min())
                 kmax = int(keys.max())
                 big = kmax - kmin + 1
                 parents = self.parents(level)
-                span = int(parents[-1]) + 1 if parents.size else 1
-                if big > 0 and span * big < (1 << 62):
-                    cached = (parents * big + (keys - kmin), kmin, kmax, big)
+                span = int(parents[-1]) + 1
+                if span * big < (1 << 62):
+                    cached = (parents * big + (keys - kmin), kmin, kmax, big, span)
                 else:
                     cached = None
             self._comps[level] = cached
@@ -295,20 +260,25 @@ class BufferLevels:
         """Vectorized per-segment lookup: for every lane, find ``keys[i]``
         among the children of parent entry ``owner[i]`` at ``level``.
 
-        ``owner < 0`` lanes (empty views) always miss.  Returns
-        ``(positions, found)`` or ``None`` when the composite key overflows.
+        Lanes whose owner has no children there — ``owner < 0`` (empty
+        views) or at or past the composite's ``span`` — always miss.
+        Returns :func:`lookup_sorted`'s ``(positions, found, regime)``, or
+        ``None`` when the composite key overflows.
         """
         comp_info = self.composite(level)
         if comp_info is None:
             return None
-        comp, kmin, kmax, big = comp_info
-        in_range = (owner >= 0) & (keys >= kmin) & (keys <= kmax)
+        comp, kmin, kmax, big, span = comp_info
+        in_range = (owner >= 0) & (owner < span) & (keys >= kmin) & (keys <= kmax)
         if valid is not None:
-            in_range = in_range & valid
-        shifted = np.where(in_range, keys - kmin, 0)
-        queries = np.where(in_range, owner, 0) * big + shifted
-        pos, found = lookup_sorted(comp, queries)
-        return pos, found & in_range
+            in_range &= valid
+        if in_range.all():
+            queries = owner * big + (keys - kmin)
+        else:   # mask before multiplying, so no out-of-range lane can overflow
+            queries = np.where(in_range, owner, 0) * big \
+                + (np.where(in_range, keys, kmin) - kmin)
+        pos, found, regime = lookup_sorted(comp, queries)
+        return pos, found & in_range, regime
 
     def leaf_columns(self) -> list[np.ndarray]:
         """The full coordinate of every leaf entry, one column per level."""

@@ -6,17 +6,19 @@ Two backends (see ``docs/backends.md``):
   (:mod:`repro.execution.typed_backend`): whole plans run as batched kernels
   over flat columnar buffers (:mod:`repro.execution.buffers`), with nested
   sums expanding the lane space, merges joining by sorted values and
-  nested-dict lookups becoming composite-key ``searchsorted``; kernels JIT
-  via numba when it is importable and run as equivalent NumPy code when it
-  is not.  A loop it cannot batch runs as a Python loop and says why
-  (``fallback_reasons`` in the ``stats`` sink).
+  nested-dict lookups becoming one composite-key gather or ``searchsorted``,
+  whichever the key range makes cheaper; every kernel is NumPy.  A loop it
+  cannot batch runs as a Python loop and says why (``fallback_reasons`` in
+  the ``stats`` sink).
 * ``interpret`` — the reference interpreter (:mod:`repro.sdqlite.interpreter`);
   the executable semantics of SDQLite and the oracle ``typed`` is checked
   against.
 
 Both produce identical values (tested per kernel × format × plan); results
 are plain scalars / nested dicts convertible to NumPy arrays via the
-``result_to_*`` helpers below.
+``result_to_*`` helpers below.  A caller that wants a dense array passes
+``dense_shape`` to :meth:`PreparedPlan.run`, the one dense path: ``typed``
+then sums its root reduction straight into the array.
 
 Plan lowering is cached: :class:`ExecutionEngine.prepare` consults a
 :class:`PlanCache` (an LRU keyed on backend, plan hash and environment
@@ -43,7 +45,7 @@ from ..sdqlite.interpreter import evaluate
 from ..sdqlite.values import is_scalar, to_plain
 from .buffers import BufferDict
 from .profile import sum_sources_of
-from .typed_backend import TypedPlan, typed_plan
+from .typed_backend import DenseResult, TypedPlan, typed_plan
 
 #: Accepted values of the ``backend`` parameter, everywhere one is taken.
 BACKENDS = ("interpret", "typed")
@@ -237,7 +239,8 @@ class PreparedPlan:
         return "interpret" if self.artifact is None else "typed"
 
     def run(self, env: Mapping[str, Any] | None = None,
-            stats: dict | None = None, profile=None) -> Any:
+            stats: dict | None = None, profile=None,
+            dense_shape: tuple[int, ...] | None = None) -> Any:
         """Execute the plan against ``env`` (default: the bound environment).
 
         Lowered artifacts are environment-independent, so running the same
@@ -254,12 +257,24 @@ class PreparedPlan:
         run's per-``sum``-loop iteration counts on either backend; resolve
         its loop keys with :meth:`loop_sources`.  The default ``None`` adds
         no per-iteration work.
+
+        ``dense_shape``, when given, makes the result the value
+        :func:`result_to_dense` gives for it.  Without a profile, ``typed``
+        then accumulates its root reduction straight into that array
+        instead of building a :class:`BufferDict` to scatter (bit-identical;
+        ``dense_sink`` in ``stats`` says whether it did).
         """
         if env is None:
             env = self.env
         if self.artifact is None:
-            return evaluate(self.plan, env, profile=profile)
-        return self.artifact(env, stats, profile)
+            result = evaluate(self.plan, env, profile=profile)
+        elif dense_shape is None or profile is not None or not 0 < len(dense_shape) <= 3:
+            result = self.artifact(env, stats, profile)
+        else:
+            result = self.artifact(env, stats, dense_shape=tuple(dense_shape))
+            if isinstance(result, DenseResult):
+                return result.array
+        return result if dense_shape is None else result_to_dense(result, dense_shape)
 
     def loop_sources(self) -> Mapping[Any, Expr]:
         """``{loop slot: source expression}`` for this plan's ``sum`` loops.

@@ -14,9 +14,11 @@ iteration — and what is nested inside a batched body stays batched:
   enclosing binding is gathered onto the expanded lanes only when the body
   reads it, through one composed lane map however many expansions lie
   between (bindings nobody reads are never expanded),
-* lookups with per-lane keys into nested dictionaries become one
-  composite-key ``searchsorted`` over the level's (parent, key) order, and
-  into a per-lane entry bag (a dictionary an inner ``sum`` just built) one
+* lookups with per-lane keys into nested dictionaries become one lookup of
+  a composite (parent, key) integer over the level's order — one gather
+  through a position table when the key range is dense, a ``searchsorted``
+  otherwise (:func:`~repro.execution.buffers.lookup_sorted`) — and into a
+  per-lane entry bag (a dictionary an inner ``sum`` just built) one
   comparison plus one ``np.bincount``,
 * equality-probe loops (``sum(<k,_> in S) if (e == k) then ...``) with a
   *per-lane* probe key become one batched point lookup,
@@ -27,13 +29,13 @@ iteration — and what is nested inside a batched body stays batched:
   (:func:`repro.storage.formats.group_sum`, which sorts only entries that
   do not already arrive in order) producing a
   :class:`~repro.execution.buffers.BufferDict` — a lazy view the engine's
-  ``result_to_*`` helpers scatter straight into dense output.
+  ``result_to_*`` helpers scatter straight into dense output,
+* except at the root of a run whose caller asked for a dense shape: there
+  the entry bag accumulates straight into the output array, one
+  ``np.bincount`` over the linearized coordinate (:class:`DenseResult`),
+  with the same per-cell sums in the same order.
 
-The kernels underneath (:func:`~repro.execution.buffers.expand_lanes`,
-:func:`~repro.execution.buffers.parent_sum`,
-:func:`~repro.execution.buffers.lookup_sorted`) JIT via ``numba.njit`` when
-numba is importable and run as equivalent NumPy code when it is not, so the
-backend is always available; pure Python remains the reference path.
+Every kernel is NumPy; pure Python remains the reference path.
 
 Anything the typed representation cannot hold (tuple or non-integral float
 dictionary keys, ragged nesting, value types that only exist mid-expression)
@@ -50,6 +52,7 @@ lists what is known not to kernelize.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -102,6 +105,7 @@ from ..sdqlite.pretty import pretty
 from ..storage.formats import GROUP_REGIMES, group_sum
 from ..storage.physical import PhysicalArray
 from .buffers import (
+    LOOKUP_REGIMES,
     BufferDict,
     BufferLevels,
     LevelView,
@@ -112,7 +116,7 @@ from .buffers import (
 )
 from .lowering import COMPARATORS, NO_PROBE, is_closed, probe_entry, uses_sum_binders
 
-__all__ = ["typed_plan", "TypedPlan", "Untyped"]
+__all__ = ["typed_plan", "TypedPlan", "DenseResult", "Untyped"]
 
 _log = logging.getLogger("repro.execution")
 
@@ -232,13 +236,25 @@ def _is_dict_batched(value) -> bool:
     return isinstance(value, (TBatchDict, TSlice, TSegs, TFlat))
 
 
+class DenseResult:
+    """A run's value already accumulated into the dense array its caller
+    asked for (see :meth:`TypedPlan.__call__`)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 class _Runtime:
     """Per-execution state threaded through the closures."""
 
     __slots__ = ("env", "batched", "lanes", "invariants", "failed_batch",
-                 "fallbacks", "buffers", "profile", "regimes")
+                 "fallbacks", "buffers", "profile", "regimes", "lookups",
+                 "dense_shape", "dense_sinks")
 
-    def __init__(self, env: Mapping[str, Any], profile=None):
+    def __init__(self, env: Mapping[str, Any], profile=None,
+                 dense_shape: tuple[int, ...] | None = None):
         self.env = env
         self.batched = False
         self.lanes = 0
@@ -248,6 +264,9 @@ class _Runtime:
         self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
         self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
+        self.lookups: Counter = Counter()  # lookup regime -> batched lookups that took it
+        self.dense_shape = dense_shape     # the root reduction's dense sink, if any
+        self.dense_sinks = 0
 
 
 _Closure = Callable[[list, _Runtime], Any]
@@ -428,9 +447,8 @@ def _reindex(value, parent: np.ndarray):
 def _safe_gather(arr: np.ndarray, pos: np.ndarray, found: np.ndarray):
     """``arr[pos]`` with miss lanes redirected to entry 0 (result unmasked).
 
-    ``lookup_sorted``/``lookup_level`` clip positions on a miss, which can
-    still land out of range when the searched span is empty — only lanes
-    where ``found`` is true carry a real position.
+    ``lookup_sorted``/``lookup_level`` leave a miss's position unspecified
+    — only lanes where ``found`` is true carry a real position.
     """
     if arr.shape[0] == 0:
         return np.zeros(found.shape[0], dtype=arr.dtype)
@@ -537,12 +555,44 @@ def _group_result(rt: _Runtime, cols: list, vals: np.ndarray):
     return BufferDict(BufferLevels.from_sorted_columns(cols, sums))
 
 
-def _reduce_lanes(rt: _Runtime, body, lanes: int):
-    """Collapse a batched sum body over *all* lanes into one value."""
+def _dense_sink(cols: list, vals: np.ndarray, shape: tuple[int, ...]):
+    """An entry bag summed straight into a dense array of ``shape``.
+
+    ``np.bincount`` adds the values of each cell in input order starting
+    from 0.0.  Every :func:`group_sum` regime adds them in the same order
+    and drops the keys that sum to zero (``-0.0`` included), which the eager
+    path densifies to ``+0.0`` — so the array equals scattering the grouped
+    result into zeros bit for bit.  ``None`` when the rank differs or a key
+    lies outside ``[0, shape)``: the eager path then keeps its
+    wrap-or-raise indexing.
+    """
+    if len(cols) != len(shape):
+        return None
+    flat = None
+    for col, extent in zip(cols, shape):
+        if col.shape[0] and (int(col.min()) < 0 or int(col.max()) >= extent):
+            return None
+        flat = col if flat is None else flat * extent + col
+    sums = np.bincount(flat, weights=np.asarray(vals, dtype=np.float64),
+                       minlength=math.prod(shape))
+    return sums.reshape(shape)
+
+
+def _reduce_lanes(rt: _Runtime, body, lanes: int, root: bool = False):
+    """Collapse a batched sum body over *all* lanes into one value.
+
+    The reduction at the ``root`` of a run with a dense shape returns a
+    :class:`DenseResult` when :func:`_dense_sink` takes the entry bag.
+    """
     if isinstance(body, TBatch):
         return body.data.sum().item()
     if _is_dict_batched(body):
         cols, vals, _ = _flatten(body, lanes)
+        if root and rt.dense_shape is not None:
+            dense = _dense_sink(cols, vals, rt.dense_shape)
+            if dense is not None:
+                rt.dense_sinks += 1
+                return DenseResult(dense)
         return _group_result(rt, cols, vals)
     # Constant across lanes (the body used no batched variable).
     return v_mul(lanes, body)
@@ -672,7 +722,8 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
         hit = target.levels.lookup_level(target.level, target.owner, keys, valid)
         if hit is None:
             raise Untyped("composite key overflow in nested lookup")
-        pos, found = hit
+        pos, found, regime = hit
+        rt.lookups[regime] += 1
         levels = target.levels
         if target.level == levels.depth - 1:
             values = _safe_gather(levels.values, pos, found)
@@ -718,7 +769,8 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
         return None
     levels = view.levels
     span = levels.keys[view.level][view.lo:view.hi]
-    pos, found = lookup_sorted(span, keys)
+    pos, found, regime = lookup_sorted(span, keys)
+    rt.lookups[regime] += 1
     pos = pos + view.lo
     if valid is not None:
         found = found & valid
@@ -966,7 +1018,9 @@ class _Lowerer:
         self.invariant_slots = 0
         self.sum_sources: dict[int, Expr] = {}  # slot -> source expression
 
-    def lower(self, expr: Expr) -> _Closure:
+    def lower(self, expr: Expr, root: bool = False) -> _Closure:
+        """The closure evaluating ``expr``; ``root`` when its value is the
+        plan's value (the plan itself, or the body of a top-level ``let``)."""
         if isinstance(expr, Const):
             value = expr.value
             return lambda frames, rt: value
@@ -1168,7 +1222,7 @@ class _Lowerer:
                 return 0
             return if_f
         if isinstance(expr, Let):
-            value_f, body_f = self.lower(expr.value), self.lower(expr.body)
+            value_f, body_f = self.lower(expr.value), self.lower(expr.body, root)
             def let_f(frames, rt):
                 frames.append(value_f(frames, rt))
                 try:
@@ -1177,7 +1231,7 @@ class _Lowerer:
                     frames.pop()
             return let_f
         if isinstance(expr, Sum):
-            return self._maybe_memoize(expr, self._lower_sum(expr))
+            return self._maybe_memoize(expr, self._lower_sum(expr, root))
         if isinstance(expr, Merge):
             return self._maybe_memoize(expr, self._lower_merge(expr))
         raise ExecutionError(f"cannot lower node of type {type(expr).__name__}")
@@ -1213,7 +1267,7 @@ class _Lowerer:
             return value
         return memoized
 
-    def _lower_sum(self, expr) -> _Closure:
+    def _lower_sum(self, expr, root: bool = False) -> _Closure:
         self.sum_count += 1
         slot = self.sum_count
         self.sum_sources[slot] = expr.source
@@ -1376,7 +1430,7 @@ class _Lowerer:
                         rt.failed_batch.add(slot)
                         reason = str(exc)
                     else:
-                        return _reduce_lanes(rt, body_value, lanes)
+                        return _reduce_lanes(rt, body_value, lanes, root)
                     finally:
                         frames.pop()
                         frames.pop()
@@ -1473,11 +1527,14 @@ class TypedPlan:
     ``merge_loops`` lowered, ``fallback_sums`` / ``fallback_merges`` — how
     many of them ran a scalar Python loop — and ``fallback_reasons``, a
     ``{reason: loops}`` dict with the strings of the debug log event, empty
-    when everything kernelized) and how many group-by reductions took each
+    when everything kernelized), how many group-by reductions ran in each
     regime of
     :func:`repro.storage.formats.group_sum` (``group_by_ordered``,
     ``group_by_segmented``, ``group_by_dense``, ``group_by_sorted``,
-    ``group_by_lexsort``).
+    ``group_by_lexsort``), how many batched lookups took each regime of
+    :func:`~repro.execution.buffers.lookup_sorted` (``lookup_direct``,
+    ``lookup_search``) and whether the root reduction went straight to the
+    dense output (``dense_sink``: 0 or 1).
     """
 
     plan: Expr
@@ -1486,17 +1543,20 @@ class TypedPlan:
     sum_sources: Mapping[int, Expr] | None = None
 
     def __call__(self, env: Mapping[str, Any], stats: dict | None = None,
-                 profile=None) -> Any:
-        return self.function(env, stats, profile)
+                 profile=None, dense_shape: tuple[int, ...] | None = None) -> Any:
+        """Execute against ``env``.
+
+        With a ``dense_shape``, a root reduction whose keys all lie inside it
+        returns a :class:`DenseResult` holding the dense output; every other
+        result is the plain value, for the caller to convert.
+        """
+        return self.function(env, stats, profile, dense_shape)
 
     @property
     def source(self) -> str:
         """A one-line marker: loop count and kernel mode (there is no source text)."""
-        from .buffers import HAVE_NUMBA
-
-        mode = "numba-JIT" if HAVE_NUMBA else "NumPy"
         return (f"<typed: {self.sum_count} sum loop(s) over flat columnar "
-                f"buffers, {mode} kernels with loop fallback>")
+                f"buffers, NumPy kernels with loop fallback>")
 
 
 def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
@@ -1509,11 +1569,11 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
     :class:`~repro.execution.buffers.BufferDict` views).
     """
     lowerer = _Lowerer()
-    root = lowerer.lower(plan)
+    root = lowerer.lower(plan, root=True)
 
     def function(env: Mapping[str, Any], stats: dict | None = None,
-                 profile=None) -> Any:
-        rt = _Runtime(env, profile=profile)
+                 profile=None, dense_shape: tuple[int, ...] | None = None) -> Any:
+        rt = _Runtime(env, profile, dense_shape)
         result = root([], rt)
         if stats is not None:
             stats["sum_loops"] = lowerer.sum_count
@@ -1525,6 +1585,9 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
             stats["fallback_reasons"] = dict(Counter(rt.fallbacks.values()))
             for regime in GROUP_REGIMES:
                 stats[f"group_by_{regime}"] = rt.regimes[regime]
+            for regime in LOOKUP_REGIMES:
+                stats[f"lookup_{regime}"] = rt.lookups[regime]
+            stats["dense_sink"] = rt.dense_sinks
         return result
 
     return TypedPlan(plan=plan, function=function, sum_count=lowerer.sum_count,

@@ -91,9 +91,11 @@ class SharedPlan:
     #: vector binds into the same slots (``repro.sdqlite.literals``).
     literals: tuple = ()
 
-    def run(self, env: Mapping[str, Any]) -> Any:
-        """Execute against ``env`` (artifacts are environment-independent)."""
-        return self.prepared.run(env)
+    def run(self, env: Mapping[str, Any],
+            dense_shape: tuple[int, ...] | None = None) -> Any:
+        """Execute against ``env`` (artifacts are environment-independent),
+        densified to ``dense_shape`` when given."""
+        return self.prepared.run(env, dense_shape=dense_shape)
 
 
 class _InFlight:

@@ -580,7 +580,7 @@ class Server:
                 result = self._shard_executor.run_plan(
                     entry.prepared.plan, snapshot, backend, overrides)
                 if result is NOT_DISPATCHED:
-                    result = entry.run(env)
+                    return entry.run(env, dense_shape)
             if dense_shape is not None:
                 result = result_to_dense(result, dense_shape)
             return result

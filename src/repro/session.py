@@ -743,7 +743,7 @@ class Statement:
             if stats is not None:
                 stats.update(counters)
             return self._finish(result)
-        return self._finish(prepared.run(env, stats))
+        return prepared.run(env, stats, dense_shape=self.dense_shape)
 
     def execute(self, **scalar_params: float) -> Any:
         """Execute the prepared plan, re-binding the given scalar parameters.
@@ -791,7 +791,7 @@ class Statement:
                 env[name] = base[name]
             env.update(params)
             overridden = set(params)
-            results.append(self._finish(prepared.run(env)))
+            results.append(prepared.run(env, dense_shape=self.dense_shape))
         return results
 
     # -- introspection ---------------------------------------------------------

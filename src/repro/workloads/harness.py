@@ -10,9 +10,9 @@ STOREL itself runs on the ``typed`` backend, with the reference interpreter
 (``interpret``) beside it; :func:`backend_shootout` runs one kernel/catalog
 on both so the executor's speed-up over the semantics oracle can be reported
 side by side (``benchmarks/bench_backends.py`` uses it).  Work done on the
-first call (the typed backend JIT-compiles its kernels when numba is
-available) is handled by a warmup execution that is timed separately as
-``compile_ms`` and excluded from the steady-state ``mean_ms``.
+first call (one-time caches) is handled by a warmup execution that is timed
+separately as ``compile_ms`` and excluded from the steady-state
+``mean_ms``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class Measurement:
     status: str = "ok"          # ok | unsupported | error
     detail: str = ""
     correct: bool | None = None
-    #: Wall-clock of the warmup execution (first call, where JIT backends
-    #: compile); ``None`` when no warmup ran.  Excluded from ``mean_ms``.
+    #: Wall-clock of the warmup execution (first call, which fills one-time
+    #: caches); ``None`` when no warmup ran.  Excluded from ``mean_ms``.
     compile_ms: float | None = None
     #: ``typed``'s loop-fallback counters from the warmup run: sums / merges
     #: that executed as Python loops instead of kernels.
@@ -82,9 +82,8 @@ def measure(system: System, kernel: Kernel, catalog: Catalog, *, dataset: str = 
     """Run one system on one kernel / catalog and record the outcome.
 
     With ``warmup`` (the default) the first execution is timed separately as
-    ``compile_ms`` and excluded from the steady-state ``mean_ms`` — for JIT
-    backends that call pays the compilation, for every backend it pays
-    one-time caches.  The warmup run also collects the backend's
+    ``compile_ms`` and excluded from the steady-state ``mean_ms`` — that call
+    pays one-time caches.  The warmup run also collects the backend's
     loop-fallback counters when the system exposes a
     :class:`~repro.session.Statement`.
     """

@@ -17,3 +17,17 @@ def no_sorting(monkeypatch):
             monkeypatch.setattr(np, name, refuse)
 
     return forbid
+
+
+def _assert_same_dense(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.fixture(scope="session")
+def same_dense():
+    """``same_dense(actual, expected)`` asserts two dense results are equal
+    bit for bit: values, NaNs and the sign of every zero."""
+    return _assert_same_dense

@@ -15,6 +15,7 @@ from repro.execution import (
     BACKENDS,
     ExecutionEngine,
     PlanCache,
+    PreparedPlan,
     env_signature,
     result_to_dense,
     result_to_matrix,
@@ -217,33 +218,46 @@ _parity = pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
                                   ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
 
 
-def _assert_kernelized(plan, env):
-    """``typed`` equals the interpreter on ``plan`` without a Python-loop fallback."""
+def _assert_kernelized(plan, env, shape, same_dense):
+    """``typed`` equals the interpreter on ``plan`` without a Python-loop
+    fallback, and asking it for the dense ``shape`` gives exactly what
+    densifying its dictionary result gives.  Returns whether the root
+    reduction went straight to the dense array."""
+    artifact = typed_plan(plan)
     stats = {}
-    assert values_equal(typed_plan(plan)(env, stats), evaluate(plan, env))
+    result = artifact(env, stats)
+    assert values_equal(result, evaluate(plan, env))
     assert stats["fallback_sums"] == stats["fallback_merges"] == 0, \
         stats["fallback_reasons"]
     assert stats["fallback_reasons"] == {}
+    assert stats["dense_sink"] == 0
+    sink_stats = {}
+    dense = PreparedPlan(plan, env, artifact).run(stats=sink_stats, dense_shape=shape)
+    same_dense(dense, result_to_dense(result, shape))
+    return sink_stats["dense_sink"] == 1
 
 
 # The three tests below walk the matrix over every plan the pipeline can hand
 # the executor: 36 cells x (5 strategy variants + the greedy and the e-graph
-# pick) = 252 plans, each of which must lower to kernels only.  (Two of them
-# carry the test IDs of the deleted backends' parity matrices.)
+# pick) = 252 plans, each of which must lower to kernels only, and each of
+# the 203 with a non-scalar output must sum its root reduction straight into
+# the dense output.  (Two of them carry the test IDs of the deleted backends'
+# parity matrices.)
 
 
 @_parity
-def test_typed_matches_interpreter(kernel_name, fmt):
+def test_typed_matches_interpreter(kernel_name, fmt, same_dense):
     """Every strategy variant of every kernel × format kernelizes and is right."""
     catalog = _parity_catalog(kernel_name, fmt)
     naive = compose(KERNELS[kernel_name].program, catalog.mappings())
     env = catalog.globals()
+    shape = output_shape(KERNELS[kernel_name], catalog)
     for plan in strategies.candidate_plans(naive).values():
-        _assert_kernelized(plan, env)
+        assert _assert_kernelized(plan, env, shape, same_dense) == bool(shape)
 
 
 @_parity
-def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt):
+def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt, same_dense):
     """The plans the optimizer itself picks kernelize and are right.
 
     ``candidate_plans`` is what the strategies can produce; what a request
@@ -252,11 +266,13 @@ def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt):
     """
     catalog = _parity_catalog(kernel_name, fmt)
     env = catalog.globals()
+    shape = output_shape(KERNELS[kernel_name], catalog)
     stats = Statistics.from_catalog(catalog)
     for method in ("greedy", "egraph"):
         pick = optimize(KERNELS[kernel_name].program, catalog.mappings(), stats,
                         method=method)
-        _assert_kernelized(to_debruijn_safe(pick.plan), env)
+        assert _assert_kernelized(to_debruijn_safe(pick.plan), env, shape,
+                                  same_dense) == bool(shape)
 
 
 @_parity
@@ -275,6 +291,7 @@ def test_vectorize_matches_interpreter(kernel_name, fmt):
     np.testing.assert_allclose(outcome.result, expected)
     assert outcome.execution_stats["fallback_sums"] == 0
     assert outcome.execution_stats["fallback_reasons"] == {}
+    assert outcome.execution_stats["dense_sink"] == (1 if shape else 0)
 
 
 def test_vectorize_engine_agrees_with_other_backends():
