@@ -10,6 +10,12 @@ first execution of every (kernel, backend) pair is timed separately as
 ``compile_ms`` and excluded from the steady-state ``mean_ms`` (it fills
 one-time caches).
 
+One more row, ``batax_flat_vs_nested``, runs BATAX as written (flat, its
+``i == i2`` join an equality guard) against its row-nested form on ``typed``
+with the greedy optimizer, on pdb1HYS at a fixed matrix scale of 8 (4500²,
+60k non-zeros, CSR) whatever ``REPRO_MATRIX_SCALE`` says: the flat program
+must reach the factorized plan of Fig. 9 and run within 2x of the nested one.
+
 Run either as a pytest module (``pytest benchmarks/bench_backends.py -s``)
 or directly (``python benchmarks/bench_backends.py``).  Scale factors come
 from :mod:`_config` (``REPRO_MATRIX_SCALE``, ``REPRO_TENSOR_SCALE``).
@@ -18,10 +24,18 @@ from :mod:`_config` (``REPRO_MATRIX_SCALE``, ``REPRO_TENSOR_SCALE``).
 import json
 import os
 import platform
+import time
+from statistics import median
+
+import numpy as np
 
 from _config import MATRIX_SCALE, REPEATS, TENSOR_SCALE, print_report
+from repro.data.suitesparse import load_matrix
 from repro.execution import BACKENDS
-from repro.kernels import KERNELS
+from repro.execution.engine import PlanCache
+from repro.kernels import BATAX, BATAX_NESTED, KERNELS
+from repro.session import Session
+from repro.storage import Catalog, CSRFormat, DenseFormat
 from repro.workloads.harness import backend_shootout, reformatted_catalog
 from repro.workloads.experiments import matrix_kernel_catalog, tensor_kernel_catalog
 from repro.workloads.reporting import format_table, pivot_measurements
@@ -40,6 +54,10 @@ CASES = tuple((name, name, {}) for name in MATRIX_KERNELS) + (
     ("MTTKRP", "MTTKRP", {}),
 )
 
+#: Matrix scale of the flat-vs-nested BATAX row, and its timed runs per form.
+FLAT_VS_NESTED_SCALE = 8
+FLAT_VS_NESTED_RUNS = 21
+
 _JSON_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "BENCH_backends.json")
 
@@ -57,6 +75,38 @@ def _shootout(label: str, kernel_name: str, formats: dict, repeats: int):
     for measurement in measurements:
         measurement.kernel = label
     return measurements
+
+
+def run_flat_vs_nested() -> dict:
+    """Flat BATAX against BATAX-nested, greedy plans on ``typed`` (median ms)."""
+    coords, values, shape = load_matrix(MATRIX_DATASET, FLAT_VS_NESTED_SCALE,
+                                        max_dim=10**9, sparse=True)
+    catalog = Catalog()
+    catalog.add(CSRFormat.from_coo("A", coords, values, shape))
+    catalog.add(DenseFormat.from_dense("X", np.random.default_rng(101).uniform(0.1, 1.0, shape[1])))
+    catalog.add_scalar("beta", 0.5)
+    row = {"dataset": MATRIX_DATASET, "matrix_scale": FLAT_VS_NESTED_SCALE,
+           "shape": list(shape), "nnz": int(len(values)), "format": "csr",
+           "method": "greedy", "runs": FLAT_VS_NESTED_RUNS}
+    results = {}
+    for key, kernel in (("flat", BATAX), ("nested", BATAX_NESTED)):
+        statement = Session(catalog, cache=PlanCache()).prepare(
+            kernel.source, method="greedy", dense_shape=(shape[1],))
+        results[key] = statement.execute()
+        times = []
+        for _ in range(FLAT_VS_NESTED_RUNS):
+            start = time.perf_counter()
+            statement.execute()
+            times.append((time.perf_counter() - start) * 1e3)
+        row[f"{key}_ms"] = round(median(times), 3)
+        row[f"{key}_plan"] = statement.optimization.chosen_candidate
+    row["flat_over_nested"] = round(row["flat_ms"] / row["nested_ms"], 3)
+    row["equal"] = bool(np.allclose(results["flat"], results["nested"]))
+    print_report(f"BATAX flat vs nested, {MATRIX_DATASET} at scale {FLAT_VS_NESTED_SCALE} "
+                 f"({shape[0]}x{shape[1]}, {row['nnz']} nnz, CSR, greedy, typed): "
+                 f"flat {row['flat_ms']} ms, nested {row['nested_ms']} ms "
+                 f"({row['flat_over_nested']}x)")
+    return row
 
 
 def run_shootout(repeats: int = REPEATS) -> dict:
@@ -78,6 +128,7 @@ def run_shootout(repeats: int = REPEATS) -> dict:
         "machine": platform.machine(),
         "rows": [m.as_row() for m in measurements],
         "typed_speedup_over_interpret": {},
+        "batax_flat_vs_nested": run_flat_vs_nested(),
     }
     by_kernel: dict[str, dict[str, float]] = {}
     for measurement in measurements:
@@ -112,6 +163,11 @@ def _check(report: dict) -> None:
     speedups = report["typed_speedup_over_interpret"]
     assert set(speedups) == {label for label, _, _ in CASES}
     assert all(speedup > 1.0 for speedup in speedups.values()), speedups
+    # The flat program reaches the factorized plan (it ran 100x off the
+    # nested one while its join stayed a run-time probe).
+    probe = report["batax_flat_vs_nested"]
+    assert probe["equal"], "flat and nested BATAX disagree"
+    assert probe["flat_over_nested"] <= 2.0, probe
 
 
 def _write(report: dict) -> None:

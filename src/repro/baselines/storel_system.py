@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from ..core import strategies
 from ..core.compose import compose
+from ..core.optimizer import symbol_ranks
+from ..core.statistics import Statistics
 from ..execution.engine import ExecutionEngine, check_backend
 from ..kernels.programs import Kernel
 from ..session import Session
@@ -90,7 +92,7 @@ class FixedPlanSystem(System):
 
     def prepare(self, kernel: Kernel, catalog: Catalog) -> RunCallable:
         naive = compose(kernel.program, catalog.mappings())
-        candidates = strategies.candidate_plans(naive)
+        candidates = strategies.candidate_plans(naive, _symbol_ranks(catalog))
         if self.variant not in candidates:
             raise KeyError(f"unknown plan variant {self.variant!r}")
         plan = candidates[self.variant]
@@ -121,7 +123,8 @@ class TacoLikeSystem(System):
 
     def prepare(self, kernel: Kernel, catalog: Catalog) -> RunCallable:
         naive = compose(kernel.program, catalog.mappings())
-        plan = strategies.greedy_optimize(naive, with_fusion=True, with_factorization=False)
+        plan = strategies.greedy_optimize(naive, with_fusion=True, with_factorization=False,
+                                          symbol_ranks=_symbol_ranks(catalog))
         engine = ExecutionEngine.for_catalog(catalog, backend=self.backend)
         prepared = engine.prepare(plan)
         shape = output_shape(kernel, catalog)
@@ -131,3 +134,8 @@ class TacoLikeSystem(System):
 
         run.plan = plan  # type: ignore[attr-defined]
         return run
+
+
+def _symbol_ranks(catalog: Catalog) -> strategies.SymbolRanks:
+    """The optimizer's symbol facts for ``catalog`` (ranks, integer symbols)."""
+    return symbol_ranks(Statistics.from_catalog(catalog), catalog.mappings())

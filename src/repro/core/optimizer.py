@@ -12,8 +12,8 @@ Pipeline (Fig. 2):
    (Sec. 5.1);
 4. **stage 2** — the composed plan is rewritten with the full rule set
    (fusion, physical annotations); the e-graph is additionally seeded with
-   the candidate plans produced by the deterministic strategies, so the
-   well-known plan shapes are always represented regardless of whether
+   the cheapest candidate plan of the deterministic strategies (the greedy
+   pick), so that plan is always represented regardless of whether
    saturation completes within its limits;
 5. the cheapest physical plan is extracted with the cost model of Fig. 6 and
    returned together with the Egg-style metrics of both stages (Table 4).
@@ -174,7 +174,7 @@ class Optimizer:
     def _optimize_greedy(self, mappings: Mapping[str, Expr], naive: Expr,
                          clock: _PhaseClock) -> OptimizationResult:
         model = CostModel(self.stats)
-        candidates = strategies.candidate_plans(naive, self._symbol_ranks(mappings))
+        candidates = strategies.candidate_plans(naive, symbol_ranks(self.stats, mappings))
         costs = {name: model.plan_cost(plan) for name, plan in candidates.items()}
         chosen = min(costs, key=costs.get)
         clock.lap("candidates")
@@ -190,27 +190,9 @@ class Optimizer:
     # e-graph mode: two-stage equality saturation + cost-based extraction
     # ------------------------------------------------------------------
 
-    def _symbol_ranks(self, mappings: Mapping[str, Expr]) -> dict[str, int]:
-        """Nesting rank per dictionary-valued symbol, for typed rule conditions.
-
-        Logical tensor names (they stand for their storage mappings) and
-        every physical symbol the statistics know a cardinality profile for;
-        scalars are simply absent.  Rules that are only sound for scalar
-        operands (the dict-factor rules) consult this map through
-        ``EGraph.symbol_ranks``.
-        """
-        ranks: dict[str, int] = {}
-        for name, card in self.stats.profiles.items():
-            rank = card.depth()
-            if rank > 0:
-                ranks[name] = rank
-        for name in mappings:
-            ranks.setdefault(name, 1)
-        return ranks
-
     def _optimize_egraph(self, program: Expr, mappings: Mapping[str, Expr],
                          naive: Expr, clock: _PhaseClock) -> OptimizationResult:
-        ranks = self._symbol_ranks(mappings)
+        ranks = symbol_ranks(self.stats, mappings)
         logical_rules = rule_sets.logical_rules()
         all_rules = rule_sets.all_rules()
         clock.lap("rule_tables")
@@ -237,11 +219,17 @@ class Optimizer:
         stage2_graph.symbol_ranks = ranks
         root2 = stage2_graph.add_expr(composed)
         candidate_costs: dict[str, float] = {}
+        chosen = None
         if self.seed_candidates:
-            for name, plan in strategies.candidate_plans(composed, ranks).items():
-                candidate_costs[name] = logical_model.plan_cost(plan)
-                seeded = stage2_graph.add_expr(plan)
-                stage2_graph.union(root2, seeded)
+            # Seed with the greedy pick alone: its plan is then in the graph
+            # whatever saturation reaches, and the other candidates — whose
+            # shapes the rules rediscover from the composed plan anyway — no
+            # longer each grow the graph by their own rewrites.
+            candidates = strategies.candidate_plans(composed, ranks)
+            candidate_costs = {name: logical_model.plan_cost(plan)
+                               for name, plan in candidates.items()}
+            chosen = min(candidate_costs, key=candidate_costs.get)
+            stage2_graph.union(root2, stage2_graph.add_expr(candidates[chosen]))
             stage2_graph.rebuild()
         clock.lap("candidates")
         report2 = self._make_runner(stage2_graph, all_rules).run()
@@ -257,9 +245,6 @@ class Optimizer:
         stage2 = StageReport("storage-aware", report2, cost)
         clock.lap("stage2_extraction")
 
-        chosen = None
-        if candidate_costs:
-            chosen = min(candidate_costs, key=candidate_costs.get)
         return OptimizationResult(
             plan=plan,
             cost=cost,
@@ -269,6 +254,26 @@ class Optimizer:
             candidate_costs=candidate_costs,
             chosen_candidate=chosen,
         )
+
+
+def symbol_ranks(stats: Statistics, mappings: Mapping[str, Expr]) -> strategies.SymbolRanks:
+    """Nesting rank per dictionary-valued symbol, plus the integer symbols.
+
+    Logical tensor names (they stand for their storage mappings) and every
+    physical symbol the statistics know a cardinality profile for; scalars
+    are simply absent.  Rules that are only sound for scalar operands (the
+    dict-factor rules) consult the ranks, the range rewrites the integer
+    symbols (``stats.integral``), through ``EGraph.symbol_ranks`` and the
+    strategies' ``symbol_ranks`` argument.
+    """
+    ranks: dict[str, int] = {}
+    for name, card in stats.profiles.items():
+        rank = card.depth()
+        if rank > 0:
+            ranks[name] = rank
+    for name in mappings:
+        ranks.setdefault(name, 1)
+    return strategies.SymbolRanks(ranks, stats.integral)
 
 
 def optimize(program: Expr, mappings: Mapping[str, Expr], stats: Statistics,

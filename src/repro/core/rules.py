@@ -179,6 +179,67 @@ def scalar_factor(variable: str):
     return check
 
 
+def _class_is_integral(egraph, identifier: int, seen: set) -> bool:
+    """Conservatively decide whether an e-class is an integer scalar.
+
+    The e-graph analogue of :func:`repro.core.strategies.is_integral`, but
+    without binder context: a bound variable proves nothing here.  True when
+    a member is an integer literal, an integer scalar symbol, a lookup into
+    a range or an integer array, or ``+ - *`` / negation of integer classes.
+    """
+    identifier = egraph.find(identifier)
+    if identifier in seen:
+        return False
+    seen.add(identifier)
+    ranks = egraph.symbol_ranks
+    integral = strategies.integral_symbols(ranks)
+    for enode in egraph[identifier].nodes:
+        head = enode.head
+        if head == "const":
+            value = enode.label[1]
+            if type(value) is int or (type(value) is float and value.is_integer()):
+                return True
+        elif head == "sym":
+            if enode.label[1] in integral and not ranks.get(enode.label[1], 0):
+                return True
+        elif head == "get":
+            if _class_is_integer_valued(egraph, enode.children[0]):
+                return True
+        elif head in ("add", "sub", "mul", "neg"):
+            if all(_class_is_integral(egraph, child, seen) for child in enode.children):
+                return True
+    return False
+
+
+def _class_is_integer_valued(egraph, identifier: int) -> bool:
+    """A member of the class is a range or an integer array (or a slice of one)."""
+    ranks = egraph.symbol_ranks
+    integral = strategies.integral_symbols(ranks)
+    for enode in egraph[egraph.find(identifier)].nodes:
+        if enode.head == "range":
+            return True
+        if enode.head == "slice":
+            return _class_is_integer_valued(egraph, enode.children[0])
+        if (enode.head == "sym" and enode.label[1] in integral
+                and ranks.get(enode.label[1], 0) == 1):
+            return True
+    return False
+
+
+def integral_classes(*variables: str):
+    """Condition: every listed pattern variable is bound to an integer class.
+
+    T4 turns ``(lo:hi)(k)`` into a bounds check, which is only sound for
+    integer ``k``, ``lo`` and ``hi``: ``lo:hi`` has no key ``2.5``.
+    """
+
+    def check(egraph, subst) -> bool:
+        return all(_class_is_integral(egraph, subst[variable], set())
+                   for variable in variables)
+
+    return check
+
+
 # ---------------------------------------------------------------------------
 # Rule groups
 # ---------------------------------------------------------------------------
@@ -261,7 +322,8 @@ def dictionary_rules() -> list[Rewrite]:
         Rewrite.syntactic("T3-dict-add", "{ ?k -> ?a } + { ?k -> ?b }", "{ ?k -> ?a + ?b }"),
         Rewrite.syntactic("T3-rev", "{ ?k -> ?a + ?b }", "{ ?k -> ?a } + { ?k -> ?b }"),
         Rewrite.syntactic("T4-range-lookup", "(?lo:?hi)(?k)",
-                          "if (?lo <= ?k && ?k < ?hi) then ?k"),
+                          "if (?lo <= ?k && ?k < ?hi) then ?k",
+                          integral_classes("?lo", "?hi", "?k")),
         Rewrite.syntactic("T5-dict-lookup", "{ ?k -> ?v }(?k)", "?v"),
         Rewrite.syntactic("if-nest", "if (?a) then if (?b) then ?e",
                           "if (?a && ?b) then ?e"),

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from ..storage.physical import KIND_HASH, KIND_TRIE
 from .cardinality import Card, card_from_profile
 
@@ -44,6 +46,11 @@ class Statistics:
         Average segment length per segmented array symbol (``A_idx2`` ...).
     selectivity:
         Default selectivity of predicates.
+    integral:
+        Physical symbols that hold integers: integer scalars (dimension
+        sizes, nnz counts) and integer arrays (positions, coordinates).  The
+        optimizer's range rewrites need integral keys and bounds
+        (:mod:`repro.core.strategies`); these are the integers it can prove.
     observations:
         Runtime cardinality feedback: observed :class:`Card` per **closed**
         De Bruijn sub-expression (no free indices — context-independent, see
@@ -60,6 +67,7 @@ class Statistics:
     selectivity: float = DEFAULT_SELECTIVITY
     default_dimension: float = DEFAULT_DIMENSION
     default_segment: float = DEFAULT_SEGMENT
+    integral: set[str] = field(default_factory=set)
     observations: dict = field(default_factory=dict)
 
     # -- constructors ---------------------------------------------------------
@@ -88,6 +96,8 @@ class Statistics:
         self.kinds.update(fmt.physical_kinds())
         self.segments.update(fmt.segment_profiles())
         for symbol, value in fmt.physical().items():
+            if _holds_integers(value):
+                self.integral.add(symbol)
             if isinstance(value, (int, float)):
                 self.scalar_values[symbol] = value
             # Nested physical collections (hash-maps, tries) *are* the
@@ -117,6 +127,7 @@ class Statistics:
             self.scalar_values.pop(symbol, None)
             self.profiles.pop(symbol, None)
             self.segments.pop(symbol, None)
+            self.integral.discard(symbol)
 
     def set_scalar(self, name: str, value: float) -> None:
         """Record (or update) a global scalar's value and kind."""
@@ -150,6 +161,7 @@ class Statistics:
             selectivity=self.selectivity,
             default_dimension=self.default_dimension,
             default_segment=self.default_segment,
+            integral=set(self.integral),
         )
         for current, candidate in swaps:
             copy.remove_format(current)
@@ -205,5 +217,16 @@ class Statistics:
             selectivity=selectivity,
             default_dimension=self.default_dimension,
             default_segment=self.default_segment,
+            integral=set(self.integral),
             observations=dict(self.observations),
         )
+
+
+def _holds_integers(value) -> bool:
+    """An integer scalar, or an array whose elements are integers."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, (int, np.integer)):
+        return True
+    dtype = getattr(value, "dtype", None)
+    return isinstance(dtype, np.dtype) and np.issubdtype(dtype, np.integer)

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..sdqlite.ast import (
     Add,
+    And,
     Cmp,
     Const,
     DictExpr,
@@ -45,9 +46,13 @@ from ..sdqlite.ast import (
     postorder,
     rebuild,
 )
-from ..sdqlite.debruijn import free_indices, shift, substitute, uses_indices
+from ..sdqlite.debruijn import free_indices, hoist_guard, shift, substitute, uses_indices
 
 Transform = Callable[[Expr], "Expr | None"]
+
+#: The value and key binders of a ``sum`` body, as seen from the body.
+_VALUE, _KEY = Idx(0), Idx(1)
+_RANGE_BINDERS = (_VALUE, _KEY)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,37 @@ def is_strict_in(expr: Expr, index: int) -> bool:
     return False
 
 
+class SymbolRanks(dict):
+    """Symbol name -> proven dictionary nesting rank, plus integrality.
+
+    ``integral`` names the symbols that hold integers: integer scalars
+    (dimension sizes) and integer arrays (positions, coordinates), as the
+    statistics report them.  A plain mapping works wherever this one does;
+    it just proves no integer.
+    """
+
+    __slots__ = ("integral",)
+
+    def __init__(self, ranks: "Mapping[str, int] | None" = None,
+                 integral: Iterable[str] = ()):
+        super().__init__(ranks or {})
+        self.integral = frozenset(integral)
+
+
+def integral_symbols(symbol_ranks) -> frozenset:
+    """The integer symbols ``symbol_ranks`` knows (none for a plain mapping)."""
+    return getattr(symbol_ranks, "integral", frozenset())
+
+
+#: Flags of a binder-environment entry, above the proven rank in its low
+#: bits: the bound value is a scalar proven to be an integer (``INTEGRAL``),
+#: or every key at every nesting level of it is one (``INT_KEYS``; vacuous
+#: for a scalar).
+INTEGRAL = 1 << 8
+INT_KEYS = 1 << 9
+_RANK_BITS = INTEGRAL - 1
+
+
 def value_rank_lb(expr: Expr, env: tuple[int, ...] = (),
                   symbol_ranks: "Mapping[str, int] | None" = None) -> int:
     """A proven *lower bound* on the dictionary nesting rank of ``expr``.
@@ -125,8 +161,9 @@ def value_rank_lb(expr: Expr, env: tuple[int, ...] = (),
     0 means "no proof" — the expression may still be a scalar or an unknown
     leaf (symbol without an entry in ``symbol_ranks``, out-of-scope
     variable).  ``env[i]`` carries the proven rank of the binder behind
-    ``Idx(i)``: a ``sum`` over a rank-``r`` source binds a rank-``r-1``
-    value, so ``sum(<k, v> in T) v`` over a matrix is provably rank 1.
+    ``Idx(i)`` (plus the flags above it, see :data:`INTEGRAL`): a ``sum``
+    over a rank-``r`` source binds a rank-``r-1`` value, so
+    ``sum(<k, v> in T) v`` over a matrix is provably rank 1.
     The factorization guards use this to keep dictionary-valued factors from
     being moved across ``{ key -> ... }`` constructors, where scalar scaling
     silently becomes key intersection (found by the differential fuzzer).
@@ -158,10 +195,112 @@ def value_rank_lb(expr: Expr, env: tuple[int, ...] = (),
     if isinstance(expr, Get):
         return max(value_rank_lb(expr.target, env, symbol_ranks) - 1, 0)
     if isinstance(expr, Idx):
-        return env[expr.index] if expr.index < len(env) else 0
+        return env[expr.index] & _RANK_BITS if expr.index < len(env) else 0
     if isinstance(expr, Sym) and symbol_ranks:
         return symbol_ranks.get(expr.name, 0)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Integrality: a range has only integer keys
+# ---------------------------------------------------------------------------
+
+
+def is_integral(expr: Expr, env: tuple[int, ...] = (),
+                symbol_ranks: "Mapping[str, int] | None" = None) -> bool:
+    """True when ``expr`` provably evaluates to an integer scalar.
+
+    Proven integers: integer literals, integer scalar symbols, binders the
+    environment flags :data:`INTEGRAL` (keys of integer-keyed sources,
+    values of ranges and integer arrays), lookups into ranges and integer
+    arrays (a miss is 0), and ``+ - *`` of proven integers.  The range
+    rewrites below are only sound for integer keys: ``lo:hi`` has no key
+    ``2.5``.
+    """
+    if isinstance(expr, Idx):
+        return expr.index < len(env) and bool(env[expr.index] & INTEGRAL)
+    if isinstance(expr, Const):
+        value = expr.value
+        return type(value) is int or (type(value) is float and value.is_integer())
+    if isinstance(expr, Sym):
+        return (expr.name in integral_symbols(symbol_ranks)
+                and not (symbol_ranks or {}).get(expr.name, 0))
+    if isinstance(expr, (Add, Sub, Mul)):
+        return (is_integral(expr.left, env, symbol_ranks)
+                and is_integral(expr.right, env, symbol_ranks))
+    if isinstance(expr, Neg):
+        return is_integral(expr.operand, env, symbol_ranks)
+    if isinstance(expr, Get):
+        return _integer_valued(expr.target, symbol_ranks)
+    if isinstance(expr, IfThen):
+        return is_integral(expr.then, env, symbol_ranks)
+    if isinstance(expr, Let):
+        return is_integral(expr.body, (_let_entry(expr.value, env, symbol_ranks),) + env,
+                           symbol_ranks)
+    return False
+
+
+def _integer_valued(source: Expr, symbol_ranks) -> bool:
+    """The first-level values of ``source`` are integer scalars."""
+    if isinstance(source, RangeExpr):
+        return True
+    if isinstance(source, SliceGet):
+        source = source.target
+    return (isinstance(source, Sym) and source.name in integral_symbols(symbol_ranks)
+            and (symbol_ranks or {}).get(source.name, 0) == 1)
+
+
+def has_int_keys(expr: Expr, env: tuple[int, ...] = (),
+                 symbol_ranks: "Mapping[str, int] | None" = None) -> bool:
+    """True when every key at every nesting level of ``expr`` is an integer.
+
+    Stored tensors, ranges and slices are keyed by positions and
+    coordinates; a dictionary an expression builds is integer-keyed when its
+    key expressions are proven integers.  Vacuously true for scalars.
+    """
+    if isinstance(expr, (Sym, Const, RangeExpr, SliceGet)):
+        return True
+    if isinstance(expr, Idx):
+        return expr.index < len(env) and bool(env[expr.index] & INT_KEYS)
+    if isinstance(expr, DictExpr):
+        return (is_integral(expr.key, env, symbol_ranks)
+                and has_int_keys(expr.value, env, symbol_ranks))
+    if isinstance(expr, (Get, Neg)):
+        return has_int_keys(children(expr)[0], env, symbol_ranks)
+    if isinstance(expr, (Add, Sub, Mul)):
+        return (has_int_keys(expr.left, env, symbol_ranks)
+                and has_int_keys(expr.right, env, symbol_ranks))
+    if isinstance(expr, IfThen):
+        return has_int_keys(expr.then, env, symbol_ranks)
+    if isinstance(expr, Let):
+        return has_int_keys(expr.body, (_let_entry(expr.value, env, symbol_ranks),) + env,
+                            symbol_ranks)
+    if isinstance(expr, Sum):
+        return has_int_keys(expr.body, _sum_entries(expr.source, env, symbol_ranks) + env,
+                            symbol_ranks)
+    # Comparisons and connectives are scalars; a merge body binds values
+    # this analysis does not follow.
+    return not isinstance(expr, Merge)
+
+
+def _let_entry(value: Expr, env: tuple[int, ...], symbol_ranks) -> int:
+    """The environment entry of a ``let`` binding ``value``."""
+    entry = value_rank_lb(value, env, symbol_ranks)
+    if is_integral(value, env, symbol_ranks):
+        entry |= INTEGRAL
+    if has_int_keys(value, env, symbol_ranks):
+        entry |= INT_KEYS
+    return entry
+
+
+def _sum_entries(source: Expr, env: tuple[int, ...], symbol_ranks) -> tuple[int, int]:
+    """The environment entries ``(value, key)`` of a ``sum`` over ``source``."""
+    value = max(value_rank_lb(source, env, symbol_ranks) - 1, 0)
+    if not has_int_keys(source, env, symbol_ranks):
+        return value, 0
+    if _integer_valued(source, symbol_ranks):
+        value |= INTEGRAL
+    return value | INT_KEYS, INTEGRAL | INT_KEYS
 
 
 def is_collection_producer(expr: Expr, depth: int = 0,
@@ -176,28 +315,87 @@ def is_collection_producer(expr: Expr, depth: int = 0,
 # ---------------------------------------------------------------------------
 
 
+def _peel(body: Expr, through_guards: bool) -> tuple[list[Expr], Expr, int]:
+    """``(wrappers, core, lets)``: the ``let``/``if`` nodes above ``body``'s core.
+
+    Fusion leaves a loop body as ``let k = v2 in let a = A_val(p) in
+    if (c) then core``; the guard-crossing factorization rewrites move
+    invariant parts of ``core`` past them.  ``lets`` counts the binders the
+    wrappers introduce.  Without ``through_guards`` the core is the body.
+    """
+    wrappers: list[Expr] = []
+    lets = 0
+    while through_guards and isinstance(body, (Let, IfThen)):
+        wrappers.append(body)
+        if isinstance(body, Let):
+            lets += 1
+            body = body.body
+        else:
+            body = body.then
+    return wrappers, body, lets
+
+
+def _rewrap(wrappers: Sequence[Expr], core: Expr) -> Expr:
+    """Put the wrappers :func:`_peel` took off back around ``core``."""
+    for node in reversed(wrappers):
+        if isinstance(node, Let):
+            core = Let(node.value, core, name=node.name)
+        else:
+            core = IfThen(node.cond, core)
+    return core
+
+
+def _hoist_factor(term: Expr, through_guards: bool) -> Expr | None:
+    if not isinstance(term, Sum):
+        return None
+    wrappers, core, lets = _peel(term.body, through_guards)
+    factors = _flatten_product(core)
+    if len(factors) < 2:
+        return None
+    bound = range(lets + 2)
+    invariant = [f for f in factors if not uses_indices(f, bound)]
+    dependent = [f for f in factors if uses_indices(f, bound)]
+    if not invariant or not dependent:
+        return None
+    # ``let x = e in a * b`` is ``a * let x = e in b`` and ``if c then a * b``
+    # is ``a * if c then b`` for an ``a`` that reads neither ``x`` nor ``c``'s
+    # outcome; then the sum distributes over the product.
+    hoisted = _product([shift(f, -(lets + 2)) for f in invariant])
+    remaining = _rewrap(wrappers, _product(dependent))
+    return Mul(hoisted, Sum(term.source, remaining,
+                            key_name=term.key_name, val_name=term.val_name))
+
+
 def hoist_factor(term: Expr) -> Expr | None:
     """D2/D3: pull loop-invariant factors out of a ``sum``.
 
     ``sum(<k,v> in e1) a * b``, where ``a`` does not mention ``k``/``v``,
     becomes ``a' * sum(<k,v> in e1) b``.
     """
+    return _hoist_factor(term, False)
+
+
+def hoist_factor_past_guards(term: Expr) -> Expr | None:
+    """D2/D3 through the ``let``/``if`` wrappers of a fused loop body:
+    ``sum(<k,v> in e1) let x = e in if (c) then a * b`` →
+    ``a' * sum(<k,v> in e1) let x = e in if (c) then b``."""
+    return _hoist_factor(term, True)
+
+
+def _hoist_dict(term: Expr, through_guards: bool) -> Expr | None:
     if not isinstance(term, Sum):
         return None
-    factors = _flatten_product(term.body)
-    if len(factors) < 2:
+    wrappers, inner, lets = _peel(term.body, through_guards)
+    if not isinstance(inner, DictExpr) or uses_indices(inner.key, range(lets + 2)):
         return None
-    invariant = [f for f in factors if not uses_indices(f, (0, 1))]
-    dependent = [f for f in factors if uses_indices(f, (0, 1))]
-    if not invariant or not dependent:
-        return None
-    # Summing is linear in each factor only when the invariant part is scalar;
-    # hoisting a dictionary-valued factor out of the sum would change the
-    # meaning of the element-wise product, so only scalar-looking factors move.
-    hoisted = _product([shift(f, -2) for f in invariant])
-    remaining = _product(dependent)
-    return Mul(hoisted, Sum(term.source, remaining,
-                            key_name=term.key_name, val_name=term.val_name))
+    new_key = shift(inner.key, -(lets + 2))
+    # ``let x = e in { j -> v }`` is ``{ j -> let x = e in v }`` and
+    # ``if c then { j -> v }`` is ``{ j -> if c then v }`` (a zero value is
+    # no entry), so the constructor rises past the wrappers first.
+    new_sum = Sum(term.source, _rewrap(wrappers, inner.value),
+                  key_name=term.key_name, val_name=term.val_name)
+    # The hoisted key is now a single key, so the @unique assertion is dropped.
+    return DictExpr(new_key, new_sum, annot=inner.annot, unique=False)
 
 
 def hoist_dict(term: Expr) -> Expr | None:
@@ -206,28 +404,49 @@ def hoist_dict(term: Expr) -> Expr | None:
     ``sum(<k,v> in e1) { j -> e }`` with ``j`` independent of ``k, v`` becomes
     ``{ j' -> sum(<k,v> in e1) e }``.
     """
-    if not isinstance(term, Sum) or not isinstance(term.body, DictExpr):
+    return _hoist_dict(term, False)
+
+
+def hoist_dict_past_guards(term: Expr) -> Expr | None:
+    """D4 through the ``let``/``if`` wrappers of a fused loop body:
+    ``sum(<k,v> in e1) let x = e in if (c) then { j -> e2 }`` →
+    ``{ j' -> sum(<k,v> in e1) let x = e in if (c) then e2 }``."""
+    return _hoist_dict(term, True)
+
+
+def _hoist_if(term: Expr, through_guards: bool) -> Expr | None:
+    if not isinstance(term, Sum):
         return None
-    inner = term.body
-    if uses_indices(inner.key, (0, 1)):
+    inner = hoist_guard(term.body) if through_guards else term.body
+    if not isinstance(inner, IfThen) or uses_indices(inner.cond, (0, 1)):
         return None
-    new_key = shift(inner.key, -2)
-    new_sum = Sum(term.source, inner.value, key_name=term.key_name, val_name=term.val_name)
-    # The hoisted key is now a single key, so the @unique assertion is dropped.
-    return DictExpr(new_key, new_sum, annot=inner.annot, unique=False)
+    new_cond = shift(inner.cond, -2)
+    return IfThen(new_cond, Sum(term.source, inner.then,
+                                key_name=term.key_name, val_name=term.val_name))
 
 
 def hoist_if(term: Expr) -> Expr | None:
     """Pull a loop-invariant condition out of a sum:
     ``sum(<k,v> in e1) if (c) then e`` → ``if (c') then sum(<k,v> in e1) e``."""
-    if not isinstance(term, Sum) or not isinstance(term.body, IfThen):
-        return None
-    inner = term.body
-    if uses_indices(inner.cond, (0, 1)):
-        return None
-    new_cond = shift(inner.cond, -2)
-    return IfThen(new_cond, Sum(term.source, inner.then,
-                                key_name=term.key_name, val_name=term.val_name))
+    return _hoist_if(term, False)
+
+
+def hoist_if_past_lets(term: Expr) -> Expr | None:
+    """:func:`hoist_if` for a condition under ``let`` bindings it does not
+    read (:func:`~repro.sdqlite.debruijn.hoist_guard`)."""
+    return _hoist_if(term, True)
+
+
+def inline_renaming_let(term: Expr) -> Expr | None:
+    """``let x = y in e`` → ``e[x := y]`` for a variable ``y``.
+
+    Fusion binds keys under new names (``let k = v2``); the renaming costs
+    nothing to undo and hides that the key *is* a loop variable from the
+    independence tests of the factorization rewrites.
+    """
+    if isinstance(term, Let) and isinstance(term.value, Idx):
+        return substitute(term.body, 0, term.value)
+    return None
 
 
 def _movable_factor(factor: Expr, env: "tuple[int, ...] | None",
@@ -301,9 +520,9 @@ def sum_to_lookup(term: Expr) -> Expr | None:
     cond = term.body.cond
     if not (isinstance(cond, Cmp) and cond.op == "=="):
         return None
-    if cond.left == Idx(1) and not uses_indices(cond.right, (0, 1)):
+    if cond.left == _KEY and not uses_indices(cond.right, (0, 1)):
         key_expr = cond.right
-    elif cond.right == Idx(1) and not uses_indices(cond.left, (0, 1)):
+    elif cond.right == _KEY and not uses_indices(cond.left, (0, 1)):
         key_expr = cond.left
     else:
         return None
@@ -317,6 +536,37 @@ def sum_to_lookup(term: Expr) -> Expr | None:
     # drop the key binder; the value binder %0 becomes the let binding.
     new_body = substitute(body, 1, key_outside)
     return Let(Get(term.source, key_outside), new_body, name=term.val_name)
+
+
+def lookup_of_iterated_key(term: Expr) -> Expr | None:
+    """``sum(<k,v> in S) ... S(k) ...`` → ``sum(<k,v> in S) ... v ...``.
+
+    Every iteration binds ``v`` to the entry of ``S`` at ``k`` (a
+    dictionary's keys are unique), so looking ``k`` up in ``S`` again is
+    ``v``.  F1 leaves such lookups behind when a join walks one collection
+    twice — flat BATAX over a transposed operand iterates ``S`` and probes
+    ``S(i)`` — and each would re-evaluate ``S`` inside the loop.  Only for a
+    closed ``S``, whose meaning is the same at every depth of the body, that
+    a ``sum`` builds (a range, array or stored tensor is cheap to look up).
+    """
+    if not (isinstance(term, Sum) and isinstance(term.source, Sum)) \
+            or free_indices(term.source) or 1 not in free_indices(term.body):
+        return None
+    source = term.source
+
+    def replace(node: Expr, depth: int) -> Expr:
+        if isinstance(node, Get) and node.key == Idx(depth + 1) and node.target == source:
+            return Idx(depth)
+        kids = children(node)
+        if not kids:
+            return node
+        return rebuild(node, [replace(child, depth + arity)
+                              for child, arity in zip(kids, binder_arities(node))])
+
+    body = replace(term.body, 0)
+    if body is term.body:
+        return None
+    return Sum(source, body, key_name=term.key_name, val_name=term.val_name)
 
 
 def fuse_sum_of_sum(term: Expr) -> Expr | None:
@@ -339,7 +589,7 @@ def fuse_sum_of_sum(term: Expr) -> Expr | None:
         # visits them, so the outer body must annihilate on a zero value.
         return None
 
-    if dict_expr.key == Idx(1):
+    if dict_expr.key == _KEY:
         # F2 — the produced keys are exactly the keys of e1.
         # New context for the outer body: sum binds (k2=%2', v2=%1')... after the
         # let it is (k2=%2, v2=%1, v1=%0); old context was (k1=%1, v1=%0).
@@ -410,31 +660,101 @@ def introduce_merge(term: Expr) -> Expr | None:
                  key1_name=term.key_name, key2_name=inner.key_name, val_name="_shared")
 
 
-def lookup_of_range_sum(term: Expr) -> Expr | None:
-    """Turn a lookup into a range-built dictionary into a guarded direct access.
+def _range_guard(source: RangeExpr, key: Expr, env: "tuple[int, ...] | None",
+                 symbol_ranks: "Mapping[str, int] | None") -> Expr | None:
+    """The condition that ``key`` is a key of the range ``source``, or ``None``.
 
-    ``(sum(<k,_> in lo:hi) { k -> e })(j)`` becomes
-    ``if (lo <= j && j < hi) then e[k := j]``.  This is what makes lookups
-    like ``X(k)`` — composed with a dense storage mapping — compile to a
-    direct array access instead of re-materializing the mapping.
+    ``lo <= key && key < hi``, exact when ``key`` is a proven integer (see
+    :func:`is_integral`); otherwise the range's own lookup, which returns a
+    key exactly when it is one, joins it as an integrality test.  ``None``
+    when a bound is not a proven integer, because ``lo:hi`` truncates its
+    bounds and ``key < 2.5`` would then admit the key 2.
     """
-    if not isinstance(term, Get) or not isinstance(term.target, Sum):
+    env = env or ()
+    lo, hi = source.lo, source.hi
+    if not (is_integral(lo, env, symbol_ranks) and is_integral(hi, env, symbol_ranks)):
         return None
-    inner = term.target
-    if not isinstance(inner.source, RangeExpr) or not isinstance(inner.body, DictExpr):
-        return None
-    if inner.body.key != Idx(1):
-        return None
-    key = term.key
-    # For a range source the bound value equals the bound key, so both binders
-    # collapse onto the lookup key: first identify the value binder with the
-    # key binder, then replace the key binder by the lookup key expression.
-    value = substitute(inner.body.value, 0, Idx(0))
-    value = substitute(value, 0, key)
-    from ..sdqlite.ast import And
+    guard = And(Cmp("<=", lo, key), Cmp("<", key, hi))
+    if not is_integral(key, env, symbol_ranks):
+        guard = And(guard, Cmp("==", Get(source, key), key))
+    return guard
 
-    guard = And(Cmp("<=", inner.source.lo, key), Cmp("<", key, inner.source.hi))
-    return IfThen(guard, value)
+
+def lookup_of_range_sum(term: Expr, env: "tuple[int, ...] | None" = None,
+                        symbol_ranks: "Mapping[str, int] | None" = None) -> Expr | None:
+    """Turn a lookup into a range, or a range-built dictionary, into a guarded access.
+
+    * T4: ``(lo:hi)(j)`` becomes ``if (lo <= j && j < hi) then j`` — only
+      for a proven integer ``j`` (otherwise it stays the cheap range lookup
+      it is; the rewrite's guard would contain it again).
+    * ``(sum(<k,_> in lo:hi) { k -> e })(j)`` becomes
+      ``if (lo <= j && j < hi) then e[k := j]``.  This is what makes
+      lookups like ``X(k)`` — composed with a dense storage mapping —
+      compile to a direct array access instead of re-materializing the
+      mapping.
+
+    :func:`_range_guard` keeps both exact for non-integral keys.
+    """
+    if not isinstance(term, Get):
+        return None
+    target, key = term.target, term.key
+    if isinstance(target, RangeExpr):
+        if not is_integral(key, env or (), symbol_ranks):
+            return None
+        source, value = target, key
+    elif (isinstance(target, Sum) and isinstance(target.source, RangeExpr)
+          and isinstance(target.body, DictExpr) and target.body.key == _KEY):
+        source = target.source
+        # For a range source the bound value equals the bound key, so both
+        # binders collapse onto the lookup key: first identify the value
+        # binder with the key binder, then replace the key binder by the key.
+        value = substitute(substitute(target.body.value, 0, _VALUE), 0, key)
+    else:
+        return None
+    guard = _range_guard(source, key, env, symbol_ranks)
+    return None if guard is None else IfThen(guard, value)
+
+
+lookup_of_range_sum.wants_env = True
+
+
+def resolve_range_probe(term: Expr, env: "tuple[int, ...] | None" = None,
+                        symbol_ranks: "Mapping[str, int] | None" = None) -> Expr | None:
+    """Resolve an equality probe over a range at plan time.
+
+    ``sum(<v,w> in lo:hi) [let ...] if (x == v) then e``, with ``x``
+    independent of ``v`` and ``w``, becomes
+    ``if (lo <= x && x < hi) then e[v := x, w := x]``: a range binds every
+    key to itself, so at most the iteration ``v = x`` passes the guard.
+    This is the range form of F1 (:func:`sum_to_lookup`), the
+    sum-over-guard-becomes-lookup rewrite of SDQL; unlike F1 it needs no
+    strict body, because the bound value is the key itself.  The guard is
+    seen through ``let`` bindings (:func:`~repro.sdqlite.debruijn.hoist_guard`),
+    and :func:`_range_guard` keeps the rewrite exact when ``x`` is not a
+    proven integer.
+    """
+    if not isinstance(term, Sum) or not isinstance(term.source, RangeExpr):
+        return None
+    body = hoist_guard(term.body)
+    if not isinstance(body, IfThen):
+        return None
+    cond = body.cond
+    if not (isinstance(cond, Cmp) and cond.op == "=="):
+        return None
+    if cond.left in _RANGE_BINDERS and not uses_indices(cond.right, (0, 1)):
+        probe = cond.right
+    elif cond.right in _RANGE_BINDERS and not uses_indices(cond.left, (0, 1)):
+        probe = cond.left
+    else:
+        return None
+    key = shift(probe, -2)
+    guard = _range_guard(term.source, key, env, symbol_ranks)
+    if guard is None:
+        return None
+    return IfThen(guard, substitute(substitute(body.then, 0, _VALUE), 0, key))
+
+
+resolve_range_probe.wants_env = True
 
 
 def _flatten_add(term: Expr) -> list[Expr]:
@@ -560,40 +880,52 @@ def inline_collection_lets(term: Expr) -> Expr | None:
 # ---------------------------------------------------------------------------
 
 
+_ZERO, _ONE, _TRUE, _FALSE = Const(0), Const(1), Const(True), Const(False)
+
+
 def simplify_node(term: Expr) -> Expr | None:
-    """Local algebraic simplifications (rules L1–L6, T4, if-elimination)."""
+    """Local algebraic simplifications (rules L1–L6, if-elimination, and the
+    bounds check of a range's own key).
+
+    T4 (range lookup) needs integrality facts: see :func:`lookup_of_range_sum`.
+    """
     if isinstance(term, Add):
-        if term.left == Const(0):
+        if term.left == _ZERO:
             return term.right
-        if term.right == Const(0):
+        if term.right == _ZERO:
             return term.left
     if isinstance(term, Mul):
-        if term.left == Const(0) or term.right == Const(0):
-            return Const(0)
-        if term.left == Const(1):
+        if term.left == _ZERO or term.right == _ZERO:
+            return _ZERO
+        if term.left == _ONE:
             return term.right
-        if term.right == Const(1):
+        if term.right == _ONE:
             return term.left
     if isinstance(term, Sub):
-        if term.right == Const(0):
+        if term.right == _ZERO:
             return term.left
         if term.left == term.right:
-            return Const(0)
+            return _ZERO
     if isinstance(term, IfThen):
-        if term.cond == Const(True):
+        if term.cond == _TRUE:
             return term.then
-        if term.cond == Const(False):
-            return Const(0)
+        if term.cond == _FALSE:
+            return _ZERO
         if isinstance(term.cond, Cmp) and term.cond.op == "==" and term.cond.left == term.cond.right:
             return term.then
-    if isinstance(term, Sum) and term.body == Const(0):
-        return Const(0)
-    if isinstance(term, Get) and isinstance(term.target, RangeExpr):
-        # T4: looking up a range returns the key itself (guarded by bounds).
-        return IfThen(
-            Cmp("<=", term.target.lo, term.key),
-            IfThen(Cmp("<", term.key, term.target.hi), term.key),
-        )
+    if isinstance(term, Sum):
+        if term.body == _ZERO:
+            return _ZERO
+        if isinstance(term.source, RangeExpr) and isinstance(term.body, IfThen) \
+                and isinstance(term.body.cond, And) and is_integral(term.source.lo):
+            # The key of ``lo:hi`` is in ``lo:hi``: the bounds check a
+            # resolved range probe leaves on it always holds (``lo:hi``
+            # truncates its bounds, which only a fractional ``lo > 0`` can
+            # make matter).
+            lo, hi = shift(term.source.lo, 2), shift(term.source.hi, 2)
+            if term.body.cond == And(Cmp("<=", lo, _KEY), Cmp("<", _KEY, hi)):
+                return Sum(term.source, term.body.then,
+                           key_name=term.key_name, val_name=term.val_name)
     return None
 
 
@@ -608,14 +940,13 @@ def _child_env(node: Expr, index: int, value_child: Expr,
     """The binder environment seen by child ``index`` of ``node``.
 
     ``value_child`` is the (possibly already rewritten) child whose rank
-    determines the bound value: the source of a ``Sum``, the value of a
-    ``Let``.
+    and integrality determine the bound values: the source of a ``Sum``,
+    the value of a ``Let``.
     """
     if isinstance(node, Sum) and index == 1:
-        source_rank = value_rank_lb(value_child, env, symbol_ranks)
-        return (max(source_rank - 1, 0), 0) + env
+        return _sum_entries(value_child, env, symbol_ranks) + env
     if isinstance(node, Let) and index == 1:
-        return (value_rank_lb(value_child, env, symbol_ranks),) + env
+        return (_let_entry(value_child, env, symbol_ranks),) + env
     if isinstance(node, Merge) and index == 2:
         return (0, 0, 0) + env
     return env
@@ -629,20 +960,37 @@ def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
                        symbol_ranks: "Mapping[str, int] | None" = None) -> Expr:
     """Apply the transformations bottom-up anywhere they match, to fixpoint.
 
-    A binder environment of proven value ranks (see :func:`value_rank_lb`)
-    is maintained during the walk and handed to transforms that declare
-    ``wants_env`` — the factor-moving rewrites, whose scalarness guards
-    would otherwise be blind to dictionary-valued variables bound by
-    *enclosing* loops.
+    See :func:`_rewrite_to_fixpoint`, which also says whether the fixpoint
+    was reached within ``max_passes``.
+    """
+    return _rewrite_to_fixpoint(term, transforms, max_passes, symbol_ranks)[0]
+
+
+def _rewrite_to_fixpoint(term: Expr, transforms: Iterable[Transform], max_passes: int,
+                         symbol_ranks: "Mapping[str, int] | None") -> tuple[Expr, bool]:
+    """``(rewritten term, converged)`` — the body of :func:`rewrite_everywhere`.
+
+    A binder environment of proven value ranks and integrality (see
+    :func:`value_rank_lb` and :data:`INTEGRAL`) is maintained during the walk
+    and handed to transforms that declare ``wants_env`` — the factor-moving
+    rewrites, whose scalarness guards would otherwise be blind to
+    dictionary-valued variables bound by *enclosing* loops, and the range
+    rewrites, which need integer keys.
 
     One pass is a function of ``(subtree, env)`` alone, so a subtree a pass
     left unchanged is *settled* for the rest of the call: later passes (and
     other occurrences under the same environment) skip it, and a fixpoint
-    pass walks only the paths the previous pass changed.
+    pass walks only the paths the previous pass changed.  The environment a
+    binder extends is likewise computed once per call for each
+    ``(binder kind, bound expression, env)``, and a node is offered only to
+    the transforms :data:`TRANSFORM_ROOTS` says can rewrite its type.
     """
-    transforms = [(transform, getattr(transform, "wants_env", False))
+    transforms = [(transform, getattr(transform, "wants_env", False),
+                   TRANSFORM_ROOTS.get(transform, Expr))
                   for transform in transforms]
+    by_type: dict[type, list] = {}
     settled: set[tuple[Expr, tuple[int, ...]]] = set()
+    child_envs: dict[tuple, tuple[int, ...]] = {}
 
     def rewrite_once(node: Expr, env: tuple[int, ...]) -> tuple[Expr, bool]:
         key = (node, env)
@@ -656,7 +1004,11 @@ def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
             for index, child in enumerate(kids):
                 child_env = env
                 if binds and index:
-                    child_env = _child_env(node, index, new_kids[0], env, symbol_ranks)
+                    env_key = (type(node), index, new_kids[0], env)
+                    child_env = child_envs.get(env_key)
+                    if child_env is None:
+                        child_env = child_envs[env_key] = _child_env(
+                            node, index, new_kids[0], env, symbol_ranks)
                 new_child, child_changed = rewrite_once(child, child_env)
                 changed = changed or child_changed
                 new_kids.append(new_child)
@@ -665,7 +1017,12 @@ def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
                 # fixpoint passes over already-normalized plans then allocate
                 # nothing (this runs once per candidate plan per optimize).
                 node = rebuild(node, new_kids)
-        for transform, wants_env in transforms:
+        offered = by_type.get(type(node))
+        if offered is None:
+            offered = by_type[type(node)] = [
+                (transform, wants_env) for transform, wants_env, roots in transforms
+                if issubclass(type(node), roots)]
+        for transform, wants_env in offered:
             if wants_env:
                 result = transform(node, env, symbol_ranks)
             else:
@@ -680,8 +1037,24 @@ def rewrite_everywhere(term: Expr, transforms: Iterable[Transform],
     for _ in range(max_passes):
         current, changed = rewrite_once(current, ())
         if not changed:
-            break
-    return current
+            return current, True
+    return current, False
+
+
+#: The node types each transform can rewrite (it returns ``None`` on every
+#: other node); :func:`rewrite_everywhere` offers a transform only those.
+TRANSFORM_ROOTS: dict[Transform, tuple[type, ...]] = {
+    **dict.fromkeys((hoist_factor, hoist_factor_past_guards, hoist_dict,
+                     hoist_dict_past_guards, hoist_if, hoist_if_past_lets,
+                     sum_to_lookup, lookup_of_iterated_key, fuse_sum_of_sum, introduce_merge,
+                     resolve_range_probe, split_sharded_sum, hoist_let_from_source),
+                    (Sum,)),
+    **dict.fromkeys((inline_let, inline_collection_lets, inline_renaming_let), (Let,)),
+    **dict.fromkeys((lookup_of_range_sum, lookup_over_add), (Get,)),
+    factor_out_of_dict: (DictExpr,),
+    push_factor_into_dict: (Mul,),
+    simplify_node: (Add, Mul, Sub, IfThen, Sum),
+}
 
 
 #: The fusion pipeline: what a Taco-like compiler achieves for a given format.
@@ -690,7 +1063,9 @@ FUSION_TRANSFORMS: tuple[Transform, ...] = (
     hoist_let_from_source,
     fuse_sum_of_sum,
     hoist_if,
+    resolve_range_probe,
     sum_to_lookup,
+    lookup_of_iterated_key,
     lookup_of_range_sum,
     simplify_node,
 )
@@ -704,6 +1079,20 @@ FACTORIZATION_TRANSFORMS: tuple[Transform, ...] = (
     simplify_node,
 )
 
+#: The factorization that follows fusion: D2/D4/D5 cross the ``let``/``if``
+#: wrappers fused loop bodies carry, and renaming lets are undone, so the two
+#: row traversals of a resolved join split.  Before fusion these moves would
+#: bury a join guard (``if (i == i2)``) inside a product factor, where F1 and
+#: the range-probe rewrite no longer see it.
+FUSED_FACTORIZATION_TRANSFORMS: tuple[Transform, ...] = (
+    inline_renaming_let,
+    hoist_dict_past_guards,
+    factor_out_of_dict,
+    hoist_factor_past_guards,
+    hoist_if_past_lets,
+    simplify_node,
+)
+
 
 def fuse(term: Expr, max_passes: int = 30,
          symbol_ranks: "Mapping[str, int] | None" = None) -> Expr:
@@ -712,9 +1101,14 @@ def fuse(term: Expr, max_passes: int = 30,
 
 
 def factorize(term: Expr, max_passes: int = 30,
-              symbol_ranks: "Mapping[str, int] | None" = None) -> Expr:
-    """Apply the distributivity / factorization rewrites to fixpoint."""
-    return rewrite_everywhere(term, FACTORIZATION_TRANSFORMS, max_passes, symbol_ranks)
+              symbol_ranks: "Mapping[str, int] | None" = None, *,
+              after_fusion: bool = False) -> Expr:
+    """Apply the distributivity / factorization rewrites to fixpoint.
+
+    ``after_fusion`` selects :data:`FUSED_FACTORIZATION_TRANSFORMS`.
+    """
+    transforms = FUSED_FACTORIZATION_TRANSFORMS if after_fusion else FACTORIZATION_TRANSFORMS
+    return rewrite_everywhere(term, transforms, max_passes, symbol_ranks)
 
 
 def greedy_optimize(term: Expr, *, with_fusion: bool = True,
@@ -733,7 +1127,7 @@ def greedy_optimize(term: Expr, *, with_fusion: bool = True,
     if with_fusion:
         plan = fuse(plan, symbol_ranks=symbol_ranks)
     if with_factorization:
-        plan = factorize(plan, symbol_ranks=symbol_ranks)
+        plan = factorize(plan, symbol_ranks=symbol_ranks, after_fusion=with_fusion)
     if with_merge:
         plan = _introduce_merges(plan, symbol_ranks)
     return plan
@@ -758,9 +1152,10 @@ NORMALIZATION_TRANSFORMS: tuple[Transform, ...] = (
 )
 
 
-def normalize(term: Expr, max_passes: int = 10) -> Expr:
+def normalize(term: Expr, max_passes: int = 10,
+              symbol_ranks: "Mapping[str, int] | None" = None) -> Expr:
     """Apply the composition clean-up rewrites (see NORMALIZATION_TRANSFORMS)."""
-    return rewrite_everywhere(term, NORMALIZATION_TRANSFORMS, max_passes)
+    return rewrite_everywhere(term, NORMALIZATION_TRANSFORMS, max_passes, symbol_ranks)
 
 
 def candidate_plans(term: Expr,
@@ -772,16 +1167,23 @@ def candidate_plans(term: Expr,
     factor-moving guards; without it only syntactically derivable ranks
     protect them.
     """
-    base = normalize(term)
+    base = normalize(term, symbol_ranks=symbol_ranks)
     # The five pipelines of ``greedy_optimize`` share prefixes; each distinct
-    # one runs once (six fixpoint runs instead of ten).
-    factorized = factorize(base, symbol_ranks=symbol_ranks)
-    both = factorize(fuse(factorized, symbol_ranks=symbol_ranks),
-                     symbol_ranks=symbol_ranks)
+    # one runs once, and a run whose input is its own fixpoint is skipped.
+    factorized, converged = _rewrite_to_fixpoint(base, FACTORIZATION_TRANSFORMS, 30,
+                                                 symbol_ranks)
+    fused = fuse(base, symbol_ranks=symbol_ranks)
+    if factorized is not base:
+        fused_factorized = fuse(factorized, symbol_ranks=symbol_ranks)
+    else:
+        fused_factorized = fused
+    if not converged:
+        factorized = factorize(factorized, symbol_ranks=symbol_ranks)
+    both = factorize(fused_factorized, symbol_ranks=symbol_ranks, after_fusion=True)
     return {
         "naive": base,
-        "fused": fuse(base, symbol_ranks=symbol_ranks),
-        "factorized": factorize(factorized, symbol_ranks=symbol_ranks),
+        "fused": fused,
+        "factorized": factorized,
         "fused+factorized": both,
         "fused+factorized+merge": _introduce_merges(both, symbol_ranks),
     }

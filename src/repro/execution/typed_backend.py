@@ -83,7 +83,7 @@ from ..sdqlite.ast import (
     Sym,
     Var,
 )
-from ..sdqlite.debruijn import free_indices, shift
+from ..sdqlite.debruijn import hoist_guard
 from ..sdqlite.errors import EvaluationError, ExecutionError
 from ..sdqlite.values import (
     RangeDict,
@@ -250,7 +250,7 @@ class _Runtime:
     """Per-execution state threaded through the closures."""
 
     __slots__ = ("env", "batched", "lanes", "invariants", "failed_batch",
-                 "fallbacks", "buffers", "profile", "regimes", "lookups",
+                 "fallbacks", "probes", "buffers", "profile", "regimes", "lookups",
                  "dense_shape", "dense_sinks")
 
     def __init__(self, env: Mapping[str, Any], profile=None,
@@ -261,6 +261,7 @@ class _Runtime:
         self.invariants: dict = {}
         self.failed_batch: set = set()   # sums whose typed attempt failed this run
         self.fallbacks: dict = {}        # sum/merge that ran a Python loop -> why
+        self.probes: set = set()         # sums answered by their equality probe
         self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
         self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
@@ -991,31 +992,12 @@ def _note_fallback(rt: _Runtime, slot, source: Expr, reason: str) -> None:
                        kind, number, pretty(source, resolve_indices=False), reason)
 
 
-def _hoist_guard(body: Expr) -> Expr:
-    """Float equality guards above let-bindings that they do not reference.
-
-    ``let x = e in if (c) then t`` ≡ ``if (c') then (let x = e in t)`` when
-    ``c`` has no free ``%0`` (``c'`` is ``c`` with the vanished binder
-    shifted out).  Applied recursively so a chain of lets exposes the guard
-    underneath to the probe detector in :meth:`_Lowerer._lower_sum`.
-    """
-    if isinstance(body, Let):
-        inner = _hoist_guard(body.body)
-        if isinstance(inner, IfThen) and 0 not in free_indices(inner.cond):
-            return IfThen(shift(inner.cond, -1, 0),
-                          Let(body.value, inner.then, name=body.name))
-        if inner is not body.body:
-            return Let(body.value, inner, name=body.name)
-    return body
-
-
 class _Lowerer:
     """Translates a De Bruijn plan into a tree of typed evaluation closures."""
 
     def __init__(self) -> None:
         self.sum_count = 0
         self.merge_count = 0
-        self.invariant_slots = 0
         self.sum_sources: dict[int, Expr] = {}  # slot -> source expression
 
     def lower(self, expr: Expr, root: bool = False) -> _Closure:
@@ -1231,24 +1213,26 @@ class _Lowerer:
                     frames.pop()
             return let_f
         if isinstance(expr, Sum):
-            return self._maybe_memoize(expr, self._lower_sum(expr, root))
+            return self._maybe_memoize(expr, root, self._lower_sum(expr, root))
         if isinstance(expr, Merge):
-            return self._maybe_memoize(expr, self._lower_merge(expr))
+            return self._maybe_memoize(expr, root, self._lower_merge(expr))
         raise ExecutionError(f"cannot lower node of type {type(expr).__name__}")
 
-    def _maybe_memoize(self, expr: Expr, closure: _Closure) -> _Closure:
+    def _maybe_memoize(self, expr: Expr, root: bool, closure: _Closure) -> _Closure:
         """Cache closed (loop-invariant) sums/merges once per execution.
 
         Invariant subplans the optimizer leaves inside loops (e.g. a whole
         operand transpose) are computed once per run — and because this
         backend computes them, they materialize directly as
         :class:`BufferDict` views that downstream batched iteration and
-        lookups consume with no conversion walk.
+        lookups consume with no conversion walk.  The slot is the
+        expression itself, so every occurrence of one invariant (a
+        factorized plan may iterate a transpose and look rows up in it)
+        shares a single evaluation.
         """
         if not is_closed(expr):
             return closure
-        slot = self.invariant_slots
-        self.invariant_slots += 1
+        slot = (expr, root)
         def memoized(frames, rt):
             try:
                 return rt.invariants[slot]
@@ -1278,7 +1262,7 @@ class _Lowerer:
         # if (k == i) then ...`), which would otherwise hide the probe and
         # force a dense cross-product expansion of the range source.  The
         # generic paths below still lower the original body.
-        body = _hoist_guard(expr.body)
+        body = hoist_guard(expr.body)
         if isinstance(body, IfThen) and isinstance(body.cond, Cmp) and body.cond.op == "==":
             left, right = body.cond.left, body.cond.right
             if isinstance(left, Idx) and left.index == 1 and not uses_sum_binders(right):
@@ -1306,58 +1290,76 @@ class _Lowerer:
                 rt.profile.record_loop(slot, iterations)
             return accumulator
 
+        def probe(frames, rt, source):
+            """The sum's value by its equality probe, or :data:`NO_PROBE`.
+
+            A key that is the same on every lane looks up a range, array or
+            slice source in O(1); a per-lane key (or a per-lane source) is
+            one batched lookup.  Either way the sum counts in
+            ``probe_sums``.
+            """
+            frames.append(0)
+            frames.append(0)
+            try:
+                probe_key = probe_f(frames, rt)
+            finally:
+                frames.pop()
+                frames.pop()
+            if is_scalar(probe_key) and not _is_batched(source) \
+                    and not isinstance(probe_key, (bool, np.bool_)):
+                as_float = float(probe_key)
+                if as_float.is_integer():
+                    key = int(as_float)
+                    entry = probe_entry(source, key)
+                else:   # no key of a dense space is fractional
+                    key = None
+                    entry = None if probe_entry(source, 0) is not NO_PROBE else NO_PROBE
+                if entry is None:
+                    rt.probes.add(slot)
+                    return 0
+                if entry is not NO_PROBE:
+                    rt.probes.add(slot)
+                    frames.append(key)
+                    frames.append(entry)
+                    try:
+                        return then_f(frames, rt)
+                    finally:
+                        frames.pop()
+                        frames.pop()
+            if isinstance(probe_key, TBatch) or \
+                    (is_scalar(probe_key) and _is_batched(source)):
+                lanes = rt.lanes
+                if isinstance(probe_key, TBatch):
+                    q, valid = _int_lanes(probe_key.data)
+                else:
+                    index = integral_index(probe_key)
+                    if index is None:
+                        q = np.zeros(lanes, dtype=np.int64)
+                        valid = np.zeros(lanes, dtype=bool)
+                    else:
+                        q, valid = np.full(lanes, index, dtype=np.int64), None
+                hit = _lookup_batched(rt, source, q, valid)
+                if hit is not None:
+                    rt.probes.add(slot)
+                    value, found = hit
+                    if is_scalar(value) and is_zero(value):
+                        return 0
+                    frames.append(TBatch(q))
+                    frames.append(value)
+                    try:
+                        result = then_f(frames, rt)
+                    finally:
+                        frames.pop()
+                        frames.pop()
+                    return _apply_mask(result, found)
+            return NO_PROBE
+
         def sum_batched(frames, rt, source):
             lanes = rt.lanes
             if probe_f is not None:
-                frames.append(0)
-                frames.append(0)
-                try:
-                    probe_key = probe_f(frames, rt)
-                finally:
-                    frames.pop()
-                    frames.pop()
-                if is_scalar(probe_key) and not _is_batched(source) \
-                        and not isinstance(probe_key, (bool, np.bool_)):
-                    # Same-key-on-every-lane probe into an invariant source.
-                    as_float = float(probe_key)
-                    if as_float.is_integer():
-                        entry = probe_entry(source, int(as_float))
-                        if entry is None:
-                            return 0
-                        if entry is not NO_PROBE:
-                            frames.append(int(as_float))
-                            frames.append(entry)
-                            try:
-                                return then_f(frames, rt)
-                            finally:
-                                frames.pop()
-                                frames.pop()
-                    elif probe_entry(source, 0) is not NO_PROBE:
-                        return 0
-                if isinstance(probe_key, TBatch) or \
-                        (is_scalar(probe_key) and _is_batched(source)):
-                    if isinstance(probe_key, TBatch):
-                        q, valid = _int_lanes(probe_key.data)
-                    else:
-                        index = integral_index(probe_key)
-                        if index is None:
-                            q = np.zeros(lanes, dtype=np.int64)
-                            valid = np.zeros(lanes, dtype=bool)
-                        else:
-                            q, valid = np.full(lanes, index, dtype=np.int64), None
-                    hit = _lookup_batched(rt, source, q, valid)
-                    if hit is not None:
-                        value, found = hit
-                        if is_scalar(value) and is_zero(value):
-                            return 0
-                        frames.append(TBatch(q))
-                        frames.append(value)
-                        try:
-                            result = then_f(frames, rt)
-                        finally:
-                            frames.pop()
-                            frames.pop()
-                        return _apply_mask(result, found)
+                result = probe(frames, rt, source)
+                if result is not NO_PROBE:
+                    return result
             expanded = _expand_source(rt, source, lanes)
             if not isinstance(expanded, tuple):
                 if rt.profile is not None and lanes:
@@ -1385,29 +1387,9 @@ class _Lowerer:
             if rt.batched:
                 return sum_batched(frames, rt, source)
             if probe_f is not None:
-                frames.append(0)
-                frames.append(0)
-                try:
-                    probe_key = probe_f(frames, rt)
-                finally:
-                    frames.pop()
-                    frames.pop()
-                if is_scalar(probe_key) and not isinstance(probe_key, (bool, np.bool_)):
-                    as_float = float(probe_key)
-                    if as_float.is_integer():
-                        entry = probe_entry(source, int(as_float))
-                        if entry is None:
-                            return 0
-                        if entry is not NO_PROBE:
-                            frames.append(int(as_float))
-                            frames.append(entry)
-                            try:
-                                return then_f(frames, rt)
-                            finally:
-                                frames.pop()
-                                frames.pop()
-                    elif probe_entry(source, 0) is not NO_PROBE:
-                        return 0
+                result = probe(frames, rt, source)
+                if result is not NO_PROBE:
+                    return result
             reason = "its typed attempt already failed in this run"
             if slot not in rt.failed_batch:
                 space = _iteration_space(rt, source)
@@ -1527,7 +1509,9 @@ class TypedPlan:
     ``merge_loops`` lowered, ``fallback_sums`` / ``fallback_merges`` — how
     many of them ran a scalar Python loop — and ``fallback_reasons``, a
     ``{reason: loops}`` dict with the strings of the debug log event, empty
-    when everything kernelized), how many group-by reductions ran in each
+    when everything kernelized), ``probe_sums`` — how many sums an equality
+    probe answered by a lookup instead of a loop (see
+    :meth:`_Lowerer._lower_sum`) — how many group-by reductions ran in each
     regime of
     :func:`repro.storage.formats.group_sum` (``group_by_ordered``,
     ``group_by_segmented``, ``group_by_dense``, ``group_by_sorted``,
@@ -1583,6 +1567,7 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
             stats["fallback_merges"] = sum(
                 1 for slot in rt.fallbacks if not isinstance(slot, int))
             stats["fallback_reasons"] = dict(Counter(rt.fallbacks.values()))
+            stats["probe_sums"] = len(rt.probes)
             for regime in GROUP_REGIMES:
                 stats[f"group_by_{regime}"] = rt.regimes[regime]
             for regime in LOOKUP_REGIMES:

@@ -347,11 +347,15 @@ class CampaignReport:
     elapsed: float = 0.0
     #: Census of the ``typed`` runs of a plain campaign: ``sum``/``merge``
     #: loops lowered, how many ran as Python loops instead of kernels, in how
-    #: many cases, and why (the ``Untyped`` reason -> loops).
+    #: many cases, and why (the ``Untyped`` reason -> loops), plus the sums
+    #: answered by a run-time probe.
     typed_loops: int = 0
     fallback_loops: int = 0
     fallback_cases: int = 0
     fallback_reasons: Counter = field(default_factory=Counter)
+    #: Sums ``typed`` answered by its run-time equality probe, i.e. probes
+    #: the optimizer left in the plan.
+    probe_sums: int = 0
 
     @property
     def ok(self) -> bool:
@@ -364,6 +368,7 @@ class CampaignReport:
             self.typed_loops += stats["sum_loops"] + stats["merge_loops"]
             fallbacks += stats["fallback_sums"] + stats["fallback_merges"]
             self.fallback_reasons.update(stats["fallback_reasons"])
+            self.probe_sums += stats["probe_sums"]
         self.fallback_loops += fallbacks
         self.fallback_cases += bool(fallbacks)
 
@@ -377,7 +382,8 @@ class CampaignReport:
             line += (f"\ntyped census: {self.fallback_loops} of "
                      f"{self.typed_loops} loops fell back to Python in "
                      f"{self.fallback_cases} case(s)"
-                     + (f": {reasons}" if reasons else ""))
+                     + (f": {reasons}" if reasons else "")
+                     + f" | {self.probe_sums} sum(s) took the run-time probe")
         return line
 
 

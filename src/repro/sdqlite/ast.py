@@ -54,7 +54,9 @@ DICT_ANNOTATIONS = (None, "dense", "hash")
 class Expr:
     """Base class of all SDQLite expression nodes."""
 
-    __slots__ = ("_hash",)
+    #: ``_hash`` and ``_free`` (see :func:`repro.sdqlite.debruijn.free_indices`)
+    #: are computed on first use and kept: nodes are immutable.
+    __slots__ = ("_hash", "_free")
 
     def __reduce__(self):
         # Rebuild from the fields alone: the cached hash is only valid in the

@@ -10,6 +10,7 @@ optimization.  This module provides:
 * :func:`shift` — index shifting when an expression crosses a binder,
 * :func:`substitute` — capture-avoiding substitution of an index,
 * :func:`free_indices` — the set of free De Bruijn indices,
+* :func:`hoist_guard` — float a condition above the lets it does not use,
 * :func:`free_symbols_and_closed` — helpers used by rule side-conditions.
 
 De Bruijn conventions are documented in :mod:`repro.sdqlite.ast`:
@@ -24,6 +25,7 @@ from typing import Iterable
 from .ast import (
     Expr,
     Idx,
+    IfThen,
     Let,
     Merge,
     Sum,
@@ -197,20 +199,54 @@ def substitute_keep(expr: Expr, index: int, replacement: Expr) -> Expr:
     return rebuild(expr, new_kids)
 
 
+_NO_INDICES: frozenset[int] = frozenset()
+
+
 def free_indices(expr: Expr) -> frozenset[int]:
-    """The set of free De Bruijn indices of ``expr`` (relative to its root)."""
+    """The set of free De Bruijn indices of ``expr`` (relative to its root).
+
+    Computed once per node and cached on it, so the independence tests of
+    the rewrites cost O(1) on a term they have seen before.
+    """
+    try:
+        return expr._free
+    except AttributeError:
+        pass
     if isinstance(expr, Idx):
-        return frozenset({expr.index})
-    kids = children(expr)
-    if not kids:
-        return frozenset()
-    arities = binder_arities(expr)
-    out: set[int] = set()
-    for child, arity in zip(kids, arities):
-        for idx in free_indices(child):
-            if idx >= arity:
-                out.add(idx - arity)
-    return frozenset(out)
+        out = frozenset({expr.index})
+    else:
+        kids = children(expr)
+        if not kids:
+            out = _NO_INDICES
+        else:
+            found: set[int] = set()
+            for child, arity in zip(kids, binder_arities(expr)):
+                for idx in free_indices(child):
+                    if idx >= arity:
+                        found.add(idx - arity)
+            out = frozenset(found)
+    object.__setattr__(expr, "_free", out)
+    return out
+
+
+def hoist_guard(body: Expr) -> Expr:
+    """Float a condition above the ``let`` bindings it does not reference.
+
+    ``let x = e in if (c) then t`` ≡ ``if (c') then (let x = e in t)`` when
+    ``c`` has no free ``%0`` (``c'`` is ``c`` with the vanished binder
+    shifted out).  Applied recursively, so a chain of lets exposes the
+    guard underneath: greedy plans wrap an equality guard in let-bindings
+    (``let x = X_val(i) in if (k == i) then ...``), and both the optimizer's
+    range-probe rewrite and the typed backend's probe detection look for it.
+    """
+    if isinstance(body, Let):
+        inner = hoist_guard(body.body)
+        if isinstance(inner, IfThen) and 0 not in free_indices(inner.cond):
+            return IfThen(shift(inner.cond, -1, 0),
+                          Let(body.value, inner.then, name=body.name))
+        if inner is not body.body:
+            return Let(body.value, inner, name=body.name)
+    return body
 
 
 def is_closed(expr: Expr) -> bool:

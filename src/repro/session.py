@@ -760,7 +760,7 @@ class Statement:
 
         The ``typed`` backend records loop/fallback counts (``sum_loops``,
         ``merge_loops``, ``fallback_sums``, ``fallback_merges``,
-        ``fallback_reasons``) into the given dictionary; the interpreter
+        ``fallback_reasons``, ``probe_sums``) into the given dictionary; the interpreter
         leaves it untouched.  When the session's adaptive feedback loop is
         enabled and this execution was sampled, the dictionary additionally
         receives the estimated-vs-actual counters (``feedback_checked``,

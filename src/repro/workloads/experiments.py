@@ -264,7 +264,7 @@ def fig10_measurements(dimensions: list[int], *, repeats: int = 1,
 
     from ..core.compose import compose
     from ..core.cost import CostModel
-    from ..core.optimizer import Optimizer
+    from ..core.optimizer import Optimizer, symbol_ranks
     from ..core.statistics import Statistics
     from ..core import strategies
 
@@ -281,7 +281,8 @@ def fig10_measurements(dimensions: list[int], *, repeats: int = 1,
         stats = Statistics.from_catalog(catalog)
         model = CostModel(stats)
         naive = compose(BATAX.program, catalog.mappings())
-        candidates = strategies.candidate_plans(naive)
+        candidates = strategies.candidate_plans(
+            naive, symbol_ranks(stats, catalog.mappings()))
         variants = {
             "Unoptimized": ("naive", False),
             "Opt. Phase 1": ("factorized", False),

@@ -8,7 +8,7 @@ from repro.advisor import Advisor
 from repro.baselines.base import output_shape
 from repro.baselines.storel_system import StorelSystem
 from repro.core import compose, strategies
-from repro.core.optimizer import optimize
+from repro.core.optimizer import optimize, symbol_ranks
 from repro.core.statistics import Statistics
 from repro.data.synthetic import random_dense_vector, random_sparse_matrix, random_sparse_tensor3
 from repro.execution import (
@@ -238,22 +238,29 @@ def _assert_kernelized(plan, env, shape, same_dense):
 
 
 # The three tests below walk the matrix over every plan the pipeline can hand
-# the executor: 36 cells x (5 strategy variants + the greedy and the e-graph
-# pick) = 252 plans, each of which must lower to kernels only, and each of
-# the 203 with a non-scalar output must sum its root reduction straight into
-# the dense output.  (Two of them carry the test IDs of the deleted backends'
-# parity matrices.)
+# the executor: 36 cells x (5 strategy variants, with and without the
+# optimizer's symbol facts, + the greedy and the e-graph pick) = 432 plans,
+# each of which must lower to kernels only, and each of the 348 with a
+# non-scalar output must sum its root reduction straight into the dense
+# output.  (Two of them carry the test IDs of the deleted backends' parity
+# matrices.)
 
 
 @_parity
 def test_typed_matches_interpreter(kernel_name, fmt, same_dense):
-    """Every strategy variant of every kernel × format kernelizes and is right."""
+    """Every strategy variant of every kernel × format kernelizes and is right.
+
+    Without symbol facts no range bound is a proven integer and the range
+    rewrites stay off; with them (what the optimizer passes) they fire.
+    """
     catalog = _parity_catalog(kernel_name, fmt)
     naive = compose(KERNELS[kernel_name].program, catalog.mappings())
     env = catalog.globals()
     shape = output_shape(KERNELS[kernel_name], catalog)
-    for plan in strategies.candidate_plans(naive).values():
-        assert _assert_kernelized(plan, env, shape, same_dense) == bool(shape)
+    facts = symbol_ranks(Statistics.from_catalog(catalog), catalog.mappings())
+    for ranks in (None, facts):
+        for plan in strategies.candidate_plans(naive, ranks).values():
+            assert _assert_kernelized(plan, env, shape, same_dense) == bool(shape)
 
 
 @_parity

@@ -113,15 +113,17 @@ def test_campaign_report_folds_typed_counters_per_case():
 
     report = CampaignReport(seed=0)
     clean = {"sum_loops": 3, "merge_loops": 1, "fallback_sums": 0,
-             "fallback_merges": 0, "fallback_reasons": {}}
-    report.record_typed([clean, clean])
+             "fallback_merges": 0, "fallback_reasons": {}, "probe_sums": 0}
+    report.record_typed([clean, {**clean, "probe_sums": 2}])
     report.record_typed([clean, {**clean, "fallback_sums": 2, "fallback_merges": 1,
                                  "fallback_reasons": {"a": 2, "b": 1}}])
     report.record_typed([{**clean, "fallback_sums": 1, "fallback_reasons": {"a": 1}}])
     assert (report.typed_loops, report.fallback_loops, report.fallback_cases) == (20, 4, 2)
     assert report.fallback_reasons == {"a": 3, "b": 1}
+    assert report.probe_sums == 2
     assert report.summary().endswith(
-        "typed census: 4 of 20 loops fell back to Python in 2 case(s): 3 x a; 1 x b")
+        "typed census: 4 of 20 loops fell back to Python in 2 case(s): 3 x a; 1 x b"
+        " | 2 sum(s) took the run-time probe")
     # Campaigns that collect no typed counters print no census line.
     assert "census" not in CampaignReport(seed=0).summary()
 

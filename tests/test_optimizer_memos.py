@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core import strategies  # noqa: E402
 from repro.core.compose import compose  # noqa: E402
-from repro.core.optimizer import Optimizer  # noqa: E402
+from repro.core.optimizer import symbol_ranks  # noqa: E402
 from repro.core.statistics import Statistics  # noqa: E402
 from repro.egraph import EGraph, ENode, ast_to_label  # noqa: E402
 from repro.fuzz import generate_case  # noqa: E402
@@ -40,7 +40,7 @@ def composed_plan(seed: int):
     case = generate_case(seed)
     catalog = build_catalog(case.tensors, case.formats, case.scalars)
     mappings = catalog.mappings()
-    ranks = Optimizer(Statistics.from_catalog(catalog))._symbol_ranks(mappings)
+    ranks = symbol_ranks(Statistics.from_catalog(catalog), mappings)
     return compose(case.program, mappings), ranks
 
 
@@ -198,7 +198,7 @@ def test_rewrite_everywhere_with_the_settled_set_gives_the_same_term(
 @given(seeds)
 def test_candidate_plans_are_five_independent_greedy_optimizations(seed):
     plan, ranks = composed_plan(seed)
-    base = strategies.normalize(plan)
+    base = strategies.normalize(plan, symbol_ranks=ranks)
     flags = {
         "fused": dict(with_fusion=True, with_factorization=False),
         "factorized": dict(with_fusion=False, with_factorization=True),

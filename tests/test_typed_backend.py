@@ -29,11 +29,11 @@ from repro.execution.engine import result_to_matrix, result_to_vector
 from repro.execution.typed_backend import (
     TBatch,
     TFlat,
-    _hoist_guard,
     _lookup_batched,
     _Runtime,
 )
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
+from repro.sdqlite.debruijn import hoist_guard
 from repro.sdqlite.values import v_add
 from repro.sdqlite.ast import IfThen, Let
 from repro.storage import COOFormat, TrieFormat, build_format
@@ -188,14 +188,14 @@ def test_lookup_batched_entry_bag_reports_surviving_lanes():
 
 def test_hoist_guard_moves_condition_above_let():
     body = db("sum(<i, v> in V) let x = v in if (i == 2) then x").body
-    hoisted = _hoist_guard(body)
+    hoisted = hoist_guard(body)
     assert isinstance(hoisted, IfThen)
     assert isinstance(hoisted.then, Let)
 
 
 def test_hoist_guard_keeps_dependent_condition_in_place():
     body = db("sum(<i, v> in V) let x = v in if (x > 0) then x").body
-    assert isinstance(_hoist_guard(body), Let)
+    assert isinstance(hoist_guard(body), Let)
 
 
 def test_probe_behind_let_matches_interpreter():
