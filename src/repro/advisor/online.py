@@ -30,7 +30,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Mapping
 
-from ..workloads.harness import reformatted_catalog
+from ..workloads.harness import reformatted_catalog, time_workload
 from .advisor import Advisor, WorkloadQuery, as_workload
 
 __all__ = ["OnlineAdvisor"]
@@ -45,12 +45,12 @@ class OnlineAdvisor:
     Parameters
     ----------
     session:
-        The :class:`~repro.session.Session` whose catalog is adapted.
-        Applied changes go through :meth:`Session.apply_recommendation` /
-        :meth:`Session.replace_format`, so catalog epochs bump and live
-        prepared statements re-prepare transparently — including the
-        serving layer's shared plans when the session wraps a server's
-        catalog (see :meth:`for_server`).
+        The :class:`~repro.session.Session` — or
+        :class:`~repro.serving.Server`, which is one — whose catalog is
+        adapted.  Applied changes go through
+        :meth:`Session.apply_recommendation` / :meth:`Session.replace_format`,
+        so catalog epochs bump and live prepared statements and shared
+        plans re-prepare transparently (see :meth:`for_server`).
     window:
         Number of most-recent workload entries retained by :meth:`note`.
     min_estimated_speedup:
@@ -66,9 +66,9 @@ class OnlineAdvisor:
     rounds:
         Interleaved measurement rounds per side (best-of).
     measure:
-        ``measure(workload, catalog) -> seconds`` override; the default
-        prepares and times every workload query on a throwaway session over
-        the given catalog.  Injected by the deterministic guard tests.
+        ``measure(workload, catalog) -> seconds`` override; the default is
+        :func:`repro.workloads.harness.time_workload` under this advisor's
+        optimizer configuration.  Injected by the deterministic guard tests.
     clock:
         Monotonic-seconds override (default :func:`time.monotonic`); only
         used for backoff bookkeeping.
@@ -114,20 +114,14 @@ class OnlineAdvisor:
     def for_server(cls, server, **kwargs) -> "OnlineAdvisor":
         """An online advisor adapting a :class:`~repro.serving.Server`'s catalog.
 
-        Format changes are applied through an admin session over the
-        server's live catalog — each re-store is one atomic
-        :meth:`~repro.storage.Catalog.replace`, so in-flight requests keep
-        their snapshots and later requests re-prepare through the shared
-        plan cache.  Applies and rollbacks are mirrored into
-        ``server.stats``.
+        Format changes are applied through the server's own mutators — each
+        re-store is one atomic :meth:`~repro.storage.Catalog.replace`, so
+        in-flight requests keep their snapshots and later requests
+        re-prepare through the shared plan cache.  Applies and rollbacks are
+        mirrored into ``server.stats``.
         """
-        from ..session import Session
-
-        session = Session(server.catalog, method=server.method,
-                          backend=server.backend, cache=server.lowered,
-                          optimizer_options=server.optimizer_options)
         kwargs.setdefault("server_stats", server.stats)
-        return cls(session, **kwargs)
+        return cls(server, **kwargs)
 
     # -- the sliding workload window ------------------------------------------
 
@@ -238,26 +232,9 @@ class OnlineAdvisor:
         return best_baseline, best_candidate
 
     def _measure_workload(self, workload: list[WorkloadQuery], catalog) -> float:
-        """One weighted timing pass of the workload over ``catalog``.
-
-        Statements are prepared (and warmed once) before the clock starts,
-        so the pass times execution — preparation cost is paid identically
-        by both sides of the guard and would only add noise.
-        """
-        from ..session import Session
-
-        session = Session(catalog, method=self.session.method,
-                          backend=self.session.backend,
-                          optimizer_options=self.session.optimizer_options)
-        statements = [session.prepare(query.program) for query in workload]
-        for statement in statements:
-            statement.execute()
-        total = 0.0
-        for query, statement in zip(workload, statements):
-            start = time.perf_counter()
-            statement.execute()
-            total += query.weight * (time.perf_counter() - start)
-        return total
+        return time_workload(workload, catalog, method=self.session.method,
+                             backend=self.session.backend,
+                             optimizer_options=self.session.optimizer_options)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"OnlineAdvisor(window={len(self._window)}, "

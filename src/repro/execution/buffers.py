@@ -30,12 +30,16 @@ runs on:
 from __future__ import annotations
 
 import importlib.util
+import logging
 from typing import Any, NamedTuple
 
 import numpy as np
 
+from ..sdqlite.errors import EvaluationError
 from ..sdqlite.values import integral_index, is_dictlike, is_scalar, iter_items
 from ..storage.formats import _DENSE_CELLS_PER_ENTRY, merge_coo
+
+_LOG = logging.getLogger("repro.execution")
 
 __all__ = [
     "HAVE_NUMBA",
@@ -468,7 +472,11 @@ def levels_from_mapping(value: Any) -> BufferLevels | None:
                 if index is None:
                     return False
                 pairs.append((index, item))
-        except Exception:
+        except (EvaluationError, TypeError, ValueError) as exc:
+            # Not a dictionary (EvaluationError), or an ``items()`` that does
+            # not yield key/value pairs; anything else is a real failure.
+            _LOG.debug("%s is not levelizable (%s: %s); its loop runs untyped",
+                       type(node).__name__, type(exc).__name__, exc)
             return False
         pairs.sort(key=lambda pair: pair[0])
         while len(keys_per_level) <= depth:

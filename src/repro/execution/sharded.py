@@ -26,7 +26,7 @@ cheap to pickle and exact to merge.  Parallel execution is strictly a
 performance path: :meth:`ShardExecutor.run_plan` answers
 :data:`NOT_DISPATCHED` when the pool, pickling, the operating system or a
 worker fails (:data:`DISPATCH_ERRORS`) — logged once per cause and counted —
-and its callers (``repro.session`` / ``repro.serving``) then run the plan
+and its caller (the execute step of :mod:`repro.session`) then runs the plan
 in-process, where the same chain streams; results are identical either way
 because per-shard key ranges are disjoint.  Anything else is a programming
 error and propagates.

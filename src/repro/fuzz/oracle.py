@@ -924,7 +924,7 @@ def check_ivm_case(case: FuzzCase, deltas: list[DeltaUpdate], *,
     server = Server(build_catalog(case.tensors, case.formats, case.scalars),
                     optimizer_options=dict(config.optimizer_options))
     try:
-        registry = server._view_registry()
+        registry = server.views()
         # Correctness must hold on *both* refresh paths; forcing the delta
         # path maximizes coverage of the delta machinery (the full-refresh
         # path is the plain serving pipeline, fuzzed elsewhere).

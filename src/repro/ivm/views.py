@@ -200,10 +200,9 @@ class ViewRegistry:
 
     def _refresh_full(self, view: MaterializedView) -> None:
         # Epochs are read before executing: if a writer slips in between
-        # (only possible through direct catalog access — session mutators
-        # and registry maintenance hold locks), the recorded epochs are
-        # older than the result, so the next read refreshes again rather
-        # than serving stale state forever.
+        # (catalog writes do not take the registry lock), the recorded
+        # epochs are older than the result, so the next read refreshes
+        # again rather than serving stale state forever.
         epochs = self.session.catalog.epochs()
         view._result = view.statement.execute()
         view._version, view._schema_version = epochs
@@ -289,51 +288,51 @@ class ViewRegistry:
     def update(self, name: str, coords, values) -> None:
         """Apply a sparse point-update and maintain every registered view.
 
-        Delta-maintained results are computed against the pre-update state,
-        the catalog update is applied (value-only epoch bump), fallback
-        views are re-executed in full against the post-update state, and
-        everything is installed atomically w.r.t. view reads.
+        Delta-maintained results are computed against the pre-update state
+        and the catalog update is applied (value-only epoch bump), both
+        under the session lock; fallback views are then re-executed in full
+        as ordinary statement executions (on a server, through its gate),
+        and everything is installed atomically w.r.t. view reads.
         """
         session = self.session
         start = time.perf_counter()
-        with self._lock, session._lock:
-            catalog = session.catalog
-            old_fmt = catalog.tensors.get(name)
-            if old_fmt is None:
-                raise StorageError(
-                    f"cannot update {name!r}: not a registered tensor")
-            delta_fmt = COOFormat(delta_symbol(name), coords, values,
-                                  old_fmt.shape)
-            epochs_before = catalog.epochs()
-            # The delta's statistics and environment: one of each per update.
-            delta_stats = session.statistics().with_formats([])
-            delta_stats.apply_format(delta_fmt)
-            delta_env = dict(session.environment())
-            delta_env.update(delta_fmt.physical())
-            staged: dict[str, Any] = {}
-            pending_full: list[MaterializedView] = []
-            for view in self._views.values():
-                fresh = (view._version, view._schema_version) == epochs_before
-                plan = self.delta_plan(view, name) if fresh else None
-                if plan is None or not self._delta_pays(view, plan, delta_fmt,
-                                                        old_fmt, delta_stats):
-                    _log.debug(
-                        "view %r: full refresh instead of a delta on %r (%s)",
-                        view.name, name,
-                        "stale view" if not fresh else
-                        "no delta plan" if plan is None else "delta does not pay")
-                    pending_full.append(view)
-                elif plan.trivial:
-                    staged[view.name] = view._result
-                else:
-                    staged[view.name] = self._add_delta(
-                        view, plan.prepared.run(delta_env))
-            session._apply_update(name, delta_fmt.coords, delta_fmt.values)
-            epochs = catalog.epochs()
+        with self._lock:
+            with session._lock:
+                catalog = session.catalog
+                old_fmt = catalog.tensors.get(name)
+                if old_fmt is None:
+                    raise StorageError(
+                        f"cannot update {name!r}: not a registered tensor")
+                delta_fmt = COOFormat(delta_symbol(name), coords, values,
+                                      old_fmt.shape)
+                epochs_before = catalog.epochs()
+                # The delta's statistics and environment: one of each per update.
+                delta_stats = session.statistics().with_formats([])
+                delta_stats.apply_format(delta_fmt)
+                delta_env = dict(session.environment())
+                delta_env.update(delta_fmt.physical())
+                staged: dict[str, Any] = {}
+                pending_full: list[MaterializedView] = []
+                for view in self._views.values():
+                    fresh = (view._version, view._schema_version) == epochs_before
+                    plan = self.delta_plan(view, name) if fresh else None
+                    if plan is None or not self._delta_pays(view, plan, delta_fmt,
+                                                            old_fmt, delta_stats):
+                        _log.debug(
+                            "view %r: full refresh instead of a delta on %r (%s)",
+                            view.name, name,
+                            "stale view" if not fresh else
+                            "no delta plan" if plan is None else "delta does not pay")
+                        pending_full.append(view)
+                    elif plan.trivial:
+                        staged[view.name] = view._result
+                    else:
+                        staged[view.name] = self._add_delta(
+                            view, plan.prepared.run(delta_env))
+                session._apply_update(name, delta_fmt.coords, delta_fmt.values)
+                epochs = catalog.epochs()
             for view in pending_full:
-                view._result = view.statement.execute()
-                view._version, view._schema_version = epochs
-                view.full_refreshes += 1
+                self._refresh_full(view)
             for view_name, result in staged.items():
                 view = self._views[view_name]
                 view._result = result

@@ -1,9 +1,9 @@
-"""The cross-session shared plan cache: identical queries prepare once globally.
+"""The shared plan cache: identical queries prepare once per session or server.
 
-A :class:`~repro.session.Session` memoizes optimization per session; under
-serving traffic that still means every client pays the optimizer once per
-query.  The :class:`SharedPlanCache` hoists that memo to the server: entries
-are full prepared plans (optimizer output + lowered artifact) keyed by
+Every :class:`~repro.session.Session` — and so every
+:class:`~repro.serving.Server`, a session shared by many clients — resolves
+plans through one :class:`SharedPlanCache`: entries are full prepared plans
+(optimizer output + lowered artifact) keyed by
 
 ``(canonical program, method, backend, optimizer options,
    format-config fingerprint, catalog schema epoch)``
@@ -22,6 +22,9 @@ so that
   returned for a fresh snapshot: staleness is structural, not checked;
 * a value-only scalar re-bind (no schema bump) keeps the key — plans are
   environment-independent, values bind at execution time.
+
+The session appends its feedback epoch to :func:`plan_key`'s tuple, so
+adopting runtime observations invalidates plans the same structural way.
 
 Concurrent misses on one key are *single-flighted*: the first thread
 prepares while later arrivals wait on its result instead of duplicating the
@@ -61,7 +64,7 @@ def plan_key(query, *, method: str, backend: str,
     """The :class:`SharedPlanCache` key for one query under one snapshot.
 
     ``query`` is any hashable canonical identity of the program — the
-    server passes the front end's :class:`~repro.sdqlite.frontend.Query`
+    session passes the front end's :class:`~repro.sdqlite.frontend.Query`
     (nameless, literal-free, hashed once), which is parse-stable where
     pretty-printed source text is not."""
     return (query, method, backend,
@@ -116,7 +119,7 @@ class SharedPlanCache:
     :meth:`purge_stale`.
 
     The cache also remembers, per :func:`base_key`, the newest key inserted
-    for it (:meth:`latest`) — how the server tells a first preparation from
+    for it (:meth:`latest`) — how the session tells a first preparation from
     a re-preparation under a newer epoch.  That index only ever points at
     live entries, so it is bounded by ``maxsize`` like the entries are.
     """
@@ -172,6 +175,11 @@ class SharedPlanCache:
         base = base_key(key)
         if self._latest.get(base) == key:
             del self._latest[base]
+
+    def peek(self, key: tuple) -> SharedPlan | None:
+        """The entry for ``key`` or ``None``, with no counter or recency impact."""
+        with self._lock:
+            return self._entries.get(key)
 
     def latest(self, base: tuple) -> SharedPlan | None:
         """The newest still-cached plan whose key has this :func:`base_key`.

@@ -2,31 +2,33 @@
 
 The paper's flexible-storage design assumes a long-lived system in which many
 queries share one catalog and its statistics; :class:`Server` is that system
-boundary.  It multiplexes any number of concurrent client threads over one
-shared :class:`~repro.storage.Catalog` with four guarantees:
+boundary.  It is a :class:`~repro.session.Session` — the same mutators, the
+same plan resolution and the same execute step — shared by any number of
+client threads, with four guarantees on top:
 
 * **Prepare once, globally.**  A request's text goes through the front end
   (parse, De Bruijn conversion, literal lifting) once per distinct text
-  (:data:`repro.sdqlite.frontend.FRONT_END`), and plans live in a
-  cross-session :class:`~repro.serving.cache.SharedPlanCache` keyed on
-  (literal-free query, format-config fingerprint, catalog schema epoch): the
-  first request for a query pays the optimizer, every other client —
-  concurrent ones included, via single-flight coalescing, and ones asking
-  for ``3 * x`` after ``2 * x`` — reuses the entry and binds its own
-  literals into it at execution time.
-* **Snapshot isolation.**  Every request executes against an immutable
-  :meth:`~repro.storage.Catalog.snapshot` taken at admission: a concurrent
-  :meth:`replace_format` / :meth:`set_scalar` can never expose a
+  (:data:`repro.sdqlite.frontend.FRONT_END`), and its plan is resolved
+  through the session's single-flight
+  :class:`~repro.serving.cache.SharedPlanCache`: the first request for a
+  query pays the optimizer, every other client — concurrent ones included,
+  and ones asking for ``3 * x`` after ``2 * x`` — reuses the entry and binds
+  its own literals into it at execution time.
+* **Snapshot isolation.**  Every request resolves and executes against an
+  immutable :meth:`~repro.storage.Catalog.snapshot` taken at admission: a
+  concurrent :meth:`replace_format` / :meth:`set_scalar` can never expose a
   half-applied catalog state to an in-flight execution, and every result is
   exactly the program evaluated at *some* point of the update sequence
   (serial equivalence; fuzz-checked by ``repro.fuzz``'s concurrent mode).
-* **Admission control.**  At most ``max_concurrency`` requests execute at
+* **Admission control.**  At most ``max_concurrency`` executions run at
   once — one by default, so a waiting request sleeps on the gate instead of
   fighting the executing one for the interpreter lock; up to ``max_queue``
   more wait (bounded, FIFO-fair via condition wakeups) for at most
   ``queue_timeout`` seconds.  Beyond that the server sheds load:
   :class:`ServerBusy` on a full queue, :class:`RequestTimeout` on a slot
-  wait that expires — back-pressure the caller can see.
+  wait that expires — back-pressure the caller can see.  Every execution
+  passes the gate, ``Session.run`` / ``Statement.execute`` on the server
+  and view maintenance included.
 * **Observability.**  :attr:`Server.stats` counts hits / misses /
   re-prepares / rejections and records per-request latency with p50/p99
   queries (:mod:`repro.serving.stats`).
@@ -41,32 +43,17 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
-from ..core.feedback import FeedbackConfig, FeedbackStore
-from ..core.optimizer import Optimizer
-from ..core.statistics import Statistics
-from ..execution.engine import (
-    ExecutionEngine,
-    PlanCache,
-    check_backend,
-    result_to_dense,
-)
-from ..execution.profile import ExecutionProfile
-from ..execution.sharded import NOT_DISPATCHED, ShardExecutor
+from ..core.feedback import FeedbackConfig
+from ..execution.engine import PlanCache, check_backend
 from ..sdqlite.ast import Expr
-from ..sdqlite.errors import StorageError
-from ..sdqlite.frontend import FRONT_END, FrontEnd, front_end
-from ..sdqlite.literals import substitute_literals
 from ..sdqlite.pretty import to_source
-from ..storage.catalog import Catalog, CatalogSnapshot
-from .cache import SharedPlan, SharedPlanCache, base_key, plan_key
+from ..session import Session, Statement
+from ..storage.catalog import Catalog
+from .cache import SharedPlanCache
 from .stats import ServerStats
-
-_LOG = logging.getLogger("repro.serving")
 
 
 class ServingError(RuntimeError):
@@ -112,8 +99,6 @@ class ServerConfig:
         Entries in the shared plan cache (optimized + lowered plans).
     ``lowered_cache_size``
         Entries in the underlying per-artifact LRU shared by re-preparations.
-    ``env_cache_size``
-        Materialized snapshot environments kept per catalog version.
     ``latency_window``
         Latency observations retained for p50/p99 queries.
     ``profile_every``
@@ -143,7 +128,6 @@ class ServerConfig:
     queue_timeout: float | None = 10.0
     plan_cache_size: int = 256
     lowered_cache_size: int = 256
-    env_cache_size: int = 4
     latency_window: int = 8192
     profile_every: int = 0
     reoptimize_threshold: float = 2.0
@@ -202,16 +186,16 @@ class AdmissionGate:
             self._condition.notify()
 
 
-class Server:
+class Server(Session):
     """Serves many concurrent client sessions over one shared catalog.
 
     Parameters
     ----------
     catalog:
-        The shared catalog (a fresh empty one by default).  The server's
+        The shared catalog (a fresh empty one by default).  The inherited
         admin methods (:meth:`register` / :meth:`set_scalar` /
-        :meth:`replace_format` / …) mutate it atomically; clients only ever
-        read point-in-time snapshots of it.
+        :meth:`replace_format` / :meth:`update` / …) mutate it atomically;
+        requests only ever read point-in-time snapshots of it.
     method / backend:
         Server-wide defaults, overridable per session and per statement;
         ``backend`` is ``"typed"`` (default) or ``"interpret"``, and an
@@ -226,6 +210,8 @@ class Server:
         via keyword arguments (``Server(max_concurrency=2)``).
     """
 
+    _log = logging.getLogger("repro.serving")
+
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
                  backend: str = "typed",
                  optimizer_options: Mapping[str, Any] | None = None,
@@ -234,292 +220,39 @@ class Server:
             raise ValueError("pass either config= or individual overrides, not both")
         if overrides:
             config = ServerConfig(**overrides)
-        self.config = config or ServerConfig()
-        self.catalog = catalog if catalog is not None else Catalog()
-        self.method = method
-        self.backend = check_backend(backend)
-        self.optimizer_options = dict(optimizer_options or {})
-        self.plans = SharedPlanCache(maxsize=self.config.plan_cache_size)
-        self.stats = ServerStats(latency_window=self.config.latency_window)
+        self.config = config = config or ServerConfig()
+        self.stats = ServerStats(latency_window=config.latency_window)
+        feedback = (FeedbackConfig(sample_every=config.profile_every,
+                                   threshold=config.reoptimize_threshold)
+                    if config.profile_every > 0 else None)
+        super().__init__(catalog, method=method, backend=backend,
+                         cache=PlanCache(maxsize=config.lowered_cache_size),
+                         optimizer_options=optimizer_options, feedback=feedback,
+                         shard_workers=config.shard_workers)
+        self.plans = SharedPlanCache(maxsize=config.plan_cache_size)
         self.stats.attach_plan_cache(self.plans)
-        self.lowered = PlanCache(maxsize=self.config.lowered_cache_size)
-        self._gate = AdmissionGate(self.config.max_concurrency,
-                                   self.config.max_queue,
-                                   self.config.queue_timeout)
-        self.feedback = (FeedbackStore(FeedbackConfig(
-            sample_every=self.config.profile_every,
-            threshold=self.config.reoptimize_threshold))
-            if self.config.profile_every > 0 else None)
-        self._shard_executor = ShardExecutor(
-            self.config.shard_workers, log=_LOG,
-            on_fallback=partial(self.stats.count, "shard_fallbacks"))
-        self._envs: OrderedDict[int, dict[str, Any]] = OrderedDict()
-        self._statistics: OrderedDict[int, Statistics] = OrderedDict()
-        self._memo_lock = threading.Lock()
-        self._views = None  # lazy repro.ivm.views.ViewRegistry
-        self._views_lock = threading.Lock()
+        #: The lowered-artifact cache (:attr:`cache`, ``lowered_cache_size`` entries).
+        self.lowered = self.cache
+        self._gate = AdmissionGate(config.max_concurrency, config.max_queue,
+                                   config.queue_timeout)
         self._closed = False
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def __enter__(self) -> "Server":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    #: The server's :class:`repro.ivm.views.ViewRegistry` (same as :meth:`views`).
+    _view_registry = Session.views
 
     def close(self) -> None:
-        """Stop admitting requests and drop cached plans/environments/views."""
+        """Stop admitting requests and drop cached plans, artifacts and views."""
         self._closed = True
-        self._shard_executor.close()
-        self.plans.clear()
-        self.lowered.clear()
-        with self._views_lock:
-            registry = self._views
-            self._views = None
-        if registry is not None:
-            registry.session.close()
-        with self._memo_lock:
-            self._envs.clear()
-            self._statistics.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Server(tensors={sorted(self.catalog.tensors)}, "
-                f"backend={self.backend!r}, method={self.method!r}, "
-                f"plans={len(self.plans)}, closed={self._closed})")
-
-    # -- the data-admin API (atomic mutations of the shared catalog) ----------
-
-    def register(self, fmt) -> "Server":
-        """Register a new tensor in the shared catalog."""
-        self.catalog.add(fmt)
-        return self
-
-    def set_scalar(self, name: str, value: float) -> "Server":
-        """Register or re-bind a global scalar (value-only if it exists)."""
-        self.catalog.set_scalar(name, value)
-        return self
-
-    def drop(self, name: str) -> "Server":
-        """Unregister a tensor or scalar."""
-        self.catalog.drop(name)
-        return self
-
-    def replace_format(self, fmt) -> "Server":
-        """Re-store an already-registered tensor in a different format."""
-        self.catalog.replace(fmt)
-        return self
-
-    def apply_recommendation(self, recommendation) -> "Server":
-        """Apply a :class:`repro.advisor.Recommendation` to the shared catalog.
-
-        Each re-store is one atomic replace; in-flight requests keep their
-        snapshots, later requests see the new formats and re-prepare through
-        the shared cache.
-        """
-        from ..storage.convert import reformat
-
-        for name, kind in recommendation.formats.items():
-            current = self.catalog.tensors.get(name)
-            if current is None:
-                raise StorageError(
-                    f"recommendation names {name!r}, which is not a registered tensor")
-            if current.format_name != kind:
-                self.replace_format(reformat(current, kind))
-        return self
-
-    def update(self, name: str, coords, values) -> "Server":
-        """Apply a sparse point-update to tensor ``name``, maintaining views.
-
-        The update is a value-only mutation (:meth:`repro.storage.Catalog
-        .update`): the schema epoch is untouched, so shared plans survive
-        and in-flight snapshot readers are unaffected.  Every registered
-        materialized view (:meth:`create_view`) is refreshed *before* the
-        new epoch becomes observable to view readers — by its prepared
-        delta statement when the cost model says that pays, by full
-        re-execution otherwise (``docs/ivm.md``).  Maintenance counters and
-        latency land in :attr:`stats`.
-        """
-        if self._closed:
-            raise ServerClosed("cannot update a closed server")
-        with self._views_lock:
-            registry = self._views
-        if registry is not None and len(registry):
-            registry.update(name, coords, values)
-        else:
-            self.catalog.update(name, coords, values)
-        return self
-
-    # -- materialized views (incremental view maintenance) ---------------------
-
-    def _view_registry(self):
-        from ..ivm.views import ViewRegistry
-        from ..session import Session
-
-        with self._views_lock:
-            if self._views is None:
-                # A private maintenance session over the *live* catalog; its
-                # lowered artifacts share the server's cache.
-                maintenance = Session(self.catalog, method=self.method,
-                                      backend=self.backend, cache=self.lowered,
-                                      optimizer_options=self.optimizer_options)
-                self._views = ViewRegistry(
-                    maintenance,
-                    on_maintenance=self.stats.record_maintenance)
-            return self._views
-
-    def create_view(self, name: str, program: "str | Expr", *,
-                    method: str | None = None, backend: str | None = None,
-                    dense_shape: tuple[int, ...] | None = None,
-                    optimizer_options: Mapping[str, Any] | None = None):
-        """Register ``program`` as a materialized view, maintained by :meth:`update`.
-
-        Returns the :class:`repro.ivm.views.MaterializedView`; read its
-        current result with ``server.view(name).value()``.
-        """
-        if self._closed:
-            raise ServerClosed("cannot create a view on a closed server")
-        if isinstance(program, str):
-            program = FRONT_END.get(program).program
-        view = self._view_registry().create(
-            name, program, method=method, backend=backend,
-            dense_shape=dense_shape, optimizer_options=optimizer_options)
-        self.stats.count("views")
-        return view
-
-    def view(self, name: str):
-        """The registered :class:`repro.ivm.views.MaterializedView` named ``name``."""
-        return self._view_registry().get(name)
-
-    def drop_view(self, name: str) -> "Server":
-        """Unregister a materialized view."""
-        self._view_registry().drop(name)
-        return self
+        super().close()
+        self.cache.clear()
+        self._views = None
 
     def purge_stale_plans(self) -> int:
         """Eagerly drop shared plans from superseded schema epochs."""
         return self.plans.purge_stale(self.catalog.schema_version)
 
-    def feedback_report(self) -> dict[str, Any]:
-        """Lifetime counters of the adaptive feedback loop (empty when off)."""
-        return self.feedback.snapshot() if self.feedback is not None else {}
-
-    # -- client entry points ---------------------------------------------------
-
-    def session(self, *, method: str | None = None, backend: str | None = None,
-                optimizer_options: Mapping[str, Any] | None = None
-                ) -> "ClientSession":
-        """Open a lightweight client session (cheap; one per request is fine)."""
-        if self._closed:
-            raise ServerClosed("cannot open a session on a closed server")
-        self.stats.count("sessions")
-        return ClientSession(self, method=method or self.method,
-                             backend=check_backend(backend or self.backend),
-                             optimizer_options=dict(optimizer_options
-                                                    or self.optimizer_options))
-
-    #: Database-API-flavoured alias.
-    connect = session
-
-    def execute(self, program: "str | Expr", *, method: str | None = None,
-                backend: str | None = None,
-                dense_shape: tuple[int, ...] | None = None,
-                **scalar_params: float) -> Any:
-        """One-shot convenience: open a session, prepare (via the shared
-        cache — usually a hit), execute once."""
-        return (self.session(method=method, backend=backend)
-                .prepare(program, dense_shape=dense_shape)
-                .execute(**scalar_params))
-
-    # -- per-snapshot derived state (memoized per catalog version) -------------
-
-    def _env_for(self, snapshot: CatalogSnapshot) -> dict[str, Any]:
-        """``snapshot.globals()`` memoized on the snapshot's version epoch."""
-        with self._memo_lock:
-            env = self._envs.get(snapshot.version)
-            if env is not None:
-                self._envs.move_to_end(snapshot.version)
-                return env
-        env = snapshot.globals()
-        with self._memo_lock:
-            self._envs[snapshot.version] = env
-            self._envs.move_to_end(snapshot.version)
-            while len(self._envs) > self.config.env_cache_size:
-                self._envs.popitem(last=False)
-        return env
-
-    def _statistics_for(self, snapshot: CatalogSnapshot) -> Statistics:
-        """Statistics over the snapshot, memoized on its version epoch."""
-        with self._memo_lock:
-            stats = self._statistics.get(snapshot.version)
-            if stats is not None:
-                self._statistics.move_to_end(snapshot.version)
-                return stats
-        stats = Statistics.from_catalog(snapshot)
-        with self._memo_lock:
-            self._statistics[snapshot.version] = stats
-            self._statistics.move_to_end(snapshot.version)
-            while len(self._statistics) > self.config.env_cache_size:
-                self._statistics.popitem(last=False)
-        return stats
-
-    # -- the request path ------------------------------------------------------
-
-    def _shared_plan(self, front: FrontEnd, *, method: str, backend: str,
-                     optimizer_options: dict,
-                     snapshot: CatalogSnapshot) -> SharedPlan:
-        """Look up / build the shared plan for one query under one snapshot.
-
-        ``front.query`` — nameless and literal-free — is both the cache-key
-        identity and what the optimizer consumes, so the plan (and its
-        lowered artifact) reads its literals from ``$k`` slots and serves
-        every literal vector."""
-        key = plan_key(front.query, method=method, backend=backend,
-                       optimizer_options=optimizer_options, snapshot=snapshot)
-        feedback_epoch = self.feedback.epoch if self.feedback is not None else 0
-        if self.feedback is not None:
-            # The adaptive epoch rides at the TAIL of the key: ``base_key``
-            # (the first four components) stays the query's stable identity,
-            # and adopting new observations structurally invalidates every
-            # plan optimized under the old statistics.
-            key = key + (feedback_epoch,)
-        previous: SharedPlan | None = None
-
-        def build() -> SharedPlan:
-            nonlocal previous
-            previous = self.plans.latest(base_key(key))
-            options = dict(self.optimizer_options)
-            options.update(optimizer_options)
-            optimizer = Optimizer(self._statistics_for(snapshot), **options)
-            optimization = optimizer.optimize(front.query.expr,
-                                              snapshot.mappings(), method=method)
-            engine = ExecutionEngine(env=self._env_for(snapshot),
-                                     backend=backend, cache=self.lowered)
-            prepared = engine.prepare(optimization.plan)
-            return SharedPlan(key=key, optimization=optimization,
-                              prepared=prepared,
-                              schema_version=snapshot.schema_version,
-                              feedback_epoch=feedback_epoch,
-                              literals=front.literals)
-
-        entry, was_hit = self.plans.get_or_prepare(key, build)
-        if was_hit:
-            self.stats.count("plan_hits")
-        else:
-            self.stats.count("plan_misses")
-            if previous is not None:
-                if previous.schema_version != snapshot.schema_version:
-                    self.stats.count("re_prepares")
-                elif previous.feedback_epoch != feedback_epoch:
-                    # Same schema, new adaptive epoch: this miss is the
-                    # feedback loop re-optimizing the query.
-                    self.stats.count("re_optimizations")
-        return entry
-
-    def _serve(self, front: FrontEnd, *, method: str, backend: str,
-               optimizer_options: dict, dense_shape: tuple[int, ...] | None,
-               scalar_params: Mapping[str, float]) -> Any:
-        """Admission → snapshot → shared plan → bind → execute → record."""
+    def _admit(self, work: Callable[..., Any], *args) -> Any:
+        """Admission → ``work(*args)`` → record: one request through the gate."""
         if self._closed:
             raise ServerClosed("server is closed")
         start = time.perf_counter()
@@ -534,56 +267,7 @@ class Server:
         self.stats.queue_wait.record((time.perf_counter() - start) * 1_000.0)
         self.stats.enter()
         try:
-            snapshot = self.catalog.snapshot()
-            entry = self._shared_plan(front, method=method, backend=backend,
-                                      optimizer_options=optimizer_options,
-                                      snapshot=snapshot)
-            if entry.literals != front.literals:
-                self.stats.count("literal_shared")
-            env = self._env_for(snapshot)
-            if scalar_params:
-                unknown = [name for name in scalar_params
-                           if name not in snapshot.scalars]
-                if unknown:
-                    raise StorageError(
-                        f"unknown scalar parameter(s) {sorted(unknown)}; "
-                        f"registered scalars: {sorted(snapshot.scalars)}")
-            # Everything bound per request: the caller's scalar parameters
-            # and the text's literal vector, into the plan's ``$k`` slots.
-            overrides = {**scalar_params, **front.bindings}
-            if overrides:
-                env = {**env, **overrides}
-            store = self.feedback
-            if store is not None and store.should_sample():
-                # Sampled execution: profile loop iteration counts and the
-                # output cardinality, then fold them into the snapshot's
-                # statistics.  Misestimations beyond the threshold bump the
-                # adaptive epoch, so the next request for an affected query
-                # misses the shared cache and re-optimizes with the
-                # observed numbers.
-                profile = ExecutionProfile()
-                result = entry.prepared.run(env, None, profile)
-                profile.record_output(result)
-                counters = store.ingest(self._statistics_for(snapshot),
-                                        entry.prepared, profile,
-                                        snapshot.version)
-                self.stats.count("profiled_runs")
-                if counters["feedback_misestimations"]:
-                    self.stats.count("misestimations",
-                                     counters["feedback_misestimations"])
-            else:
-                # Parallel shard dispatch when configured and the plan is a
-                # per-shard chain; the pool is keyed on the snapshot's
-                # epochs, so it serves exactly the state the plan was
-                # prepared against, and the per-request bindings travel with
-                # the call instead of riding in the shipped environment.
-                result = self._shard_executor.run_plan(
-                    entry.prepared.plan, snapshot, backend, overrides)
-                if result is NOT_DISPATCHED:
-                    return entry.run(env, dense_shape)
-            if dense_shape is not None:
-                result = result_to_dense(result, dense_shape)
-            return result
+            return work(*args)
         except BaseException:
             self.stats.count("errors")
             raise
@@ -591,6 +275,33 @@ class Server:
             self.stats.leave()
             self._gate.release()
             self.stats.latency.record((time.perf_counter() - start) * 1_000.0)
+
+    # -- client entry points ---------------------------------------------------
+
+    def session(self, *, method: str | None = None, backend: str | None = None,
+                optimizer_options: Mapping[str, Any] | None = None
+                ) -> "ClientSession":
+        """Open a lightweight client session (cheap; one per request is fine)."""
+        if self._closed:
+            raise ServerClosed("cannot open a session on a closed server")
+        self.stats.count("sessions")
+        return ClientSession(self, method=method or self.method,
+                             backend=check_backend(backend or self.backend),
+                             optimizer_options={**self.optimizer_options,
+                                                **(optimizer_options or {})})
+
+    #: Database-API-flavoured alias.
+    connect = session
+
+    def execute(self, program: "str | Expr", *, method: str | None = None,
+                backend: str | None = None,
+                dense_shape: tuple[int, ...] | None = None,
+                **scalar_params: float) -> Any:
+        """One-shot convenience: open a session, prepare (via the shared
+        cache — usually a hit), execute once."""
+        return (self.session(method=method, backend=backend)
+                .prepare(program, dense_shape=dense_shape)
+                .execute(**scalar_params))
 
 
 class ClientSession:
@@ -627,19 +338,18 @@ class ClientSession:
         """A reusable statement handle.
 
         Unlike :meth:`repro.session.Session.prepare`, nothing is optimized
-        here: preparation happens (once, globally) on first execution, so
-        handles are free and never go stale — each execution resolves
-        against the catalog epoch current *at that moment*.
+        here: every execution resolves (through the shared cache) against
+        the catalog snapshot current *at that moment*, so handles are free
+        and never go stale.
         """
         if self._closed:
             raise ServerClosed("session is closed")
-        options = dict(self.optimizer_options)
-        options.update(optimizer_options or {})
         return ServedStatement(self.server, program,
                                method=method or self.method,
                                backend=check_backend(backend or self.backend),
                                dense_shape=dense_shape,
-                               optimizer_options=options)
+                               optimizer_options={**self.optimizer_options,
+                                                  **(optimizer_options or {})})
 
     def execute(self, program: "str | Expr", *,
                 dense_shape: tuple[int, ...] | None = None,
@@ -654,22 +364,18 @@ class ClientSession:
 class ServedStatement:
     """A query handle bound to a server, executable from any thread.
 
-    Every :meth:`execute` is one admission-controlled request served from a
-    fresh catalog snapshot; the optimized + lowered plan comes from the
-    server's shared cache, so repeated executions (from this or any other
-    statement for the same query) are pure cache hits.
+    Every :meth:`execute` is one admitted request: snapshot → plan resolution
+    → execute step, the same code a :class:`~repro.session.Statement` runs,
+    so repeated executions (from this or any other statement for the same
+    query) are plan-cache hits.
     """
 
     def __init__(self, server: Server, program: "str | Expr", *, method: str,
                  backend: str, dense_shape: tuple[int, ...] | None,
                  optimizer_options: dict[str, Any]):
-        if isinstance(program, str):
-            # One front-end run per distinct text, process-wide: a request
-            # for a text seen before costs a dictionary lookup here.
-            self._front, seen = FRONT_END.lookup(program)
-            server.stats.count("text_hits" if seen else "text_misses")
-        else:
-            self._front = front_end(program)
+        # One front-end run per distinct text, process-wide: a request for a
+        # text seen before costs a dictionary lookup here.
+        self._front = server._front_end(program)
         self.server = server
         self.method = method
         self.backend = backend
@@ -693,30 +399,19 @@ class ServedStatement:
 
     def execute(self, **scalar_params: float) -> Any:
         """Execute once against a fresh snapshot of the server's catalog."""
-        return self.server._serve(self._front,
-                                  method=self.method, backend=self.backend,
-                                  optimizer_options=self.optimizer_options,
-                                  dense_shape=self.dense_shape,
-                                  scalar_params=scalar_params)
+        return self.server._admit(self._serve, scalar_params)
+
+    def _serve(self, scalar_params: Mapping[str, float]) -> Any:
+        server, front = self.server, self._front
+        snapshot = server.catalog.snapshot()
+        entry, env = server._resolve(front, self.method, self.backend,
+                                     self.optimizer_options, snapshot)
+        return server._execute(entry, env, snapshot, self.dense_shape, None,
+                               scalar_params, front.bindings)
 
     def explain(self) -> str:
-        """The plan this statement resolves to under the current catalog.
-
-        The shared plan is literal-free; it is shown instantiated with this
-        statement's literals, followed by the parameter slots they were
-        bound through."""
-        from ..session import format_explanation
-
-        snapshot = self.server.catalog.snapshot()
-        entry = self.server._shared_plan(
-            self._front, method=self.method,
-            backend=self.backend, optimizer_options=self.optimizer_options,
-            snapshot=snapshot)
-        bindings = self._front.bindings
-        lines = [format_explanation(replace(
-            entry.optimization,
-            plan=substitute_literals(entry.optimization.plan, bindings)))]
-        if bindings:
-            lines.append("literal parameters (one shared plan serves every binding):")
-            lines.extend(f"  {slot} = {value!r}" for slot, value in bindings.items())
-        return "\n".join(lines)
+        """The plan this statement resolves to under the current catalog,
+        instantiated with its literals (see :meth:`Statement.explain`)."""
+        return Statement(self.server, self._front, method=self.method,
+                         backend=self.backend, dense_shape=self.dense_shape,
+                         optimizer_options=self.optimizer_options).explain()

@@ -117,34 +117,21 @@ class ServerStats:
     main part of a request's latency that is not its own kernel.
     """
 
+    #: Every counter above (plus ``in_flight``), in :meth:`snapshot` order.
+    COUNTERS = ("requests", "plan_hits", "plan_misses", "re_prepares", "text_hits",
+                "text_misses", "literal_shared", "profiled_runs", "misestimations",
+                "re_optimizations", "advisor_applies", "advisor_rollbacks",
+                "rejected_full", "rejected_timeout", "errors", "shard_fallbacks",
+                "in_flight", "peak_in_flight", "sessions", "views", "views_maintained",
+                "delta_executions", "full_refreshes")
+
     def __init__(self, *, latency_window: int = 8192):
         self.latency = LatencyRecorder(window=latency_window)
         self.maintenance = LatencyRecorder(window=latency_window)
         self.queue_wait = LatencyRecorder(window=latency_window)
         self._plan_cache = None
-        self.requests = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.re_prepares = 0
-        self.text_hits = 0
-        self.text_misses = 0
-        self.literal_shared = 0
-        self.profiled_runs = 0
-        self.misestimations = 0
-        self.re_optimizations = 0
-        self.advisor_applies = 0
-        self.advisor_rollbacks = 0
-        self.rejected_full = 0
-        self.rejected_timeout = 0
-        self.errors = 0
-        self.shard_fallbacks = 0
-        self.in_flight = 0
-        self.peak_in_flight = 0
-        self.sessions = 0
-        self.views = 0
-        self.views_maintained = 0
-        self.delta_executions = 0
-        self.full_refreshes = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self._lock = threading.Lock()
 
     def record_maintenance(self, delta_count: int, full_count: int,
@@ -194,32 +181,11 @@ class ServerStats:
         m50, m99 = self.maintenance.percentiles(0.50, 0.99)
         q50, q99 = self.queue_wait.percentiles(0.50, 0.99)
         with self._lock:
+            counters = {name: getattr(self, name) for name in self.COUNTERS}
+            looked_up = counters["plan_hits"] + counters["plan_misses"]
             return {
-                "requests": self.requests,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "re_prepares": self.re_prepares,
-                "text_hits": self.text_hits,
-                "text_misses": self.text_misses,
-                "literal_shared": self.literal_shared,
-                "profiled_runs": self.profiled_runs,
-                "misestimations": self.misestimations,
-                "re_optimizations": self.re_optimizations,
-                "advisor_applies": self.advisor_applies,
-                "advisor_rollbacks": self.advisor_rollbacks,
-                "hit_rate": round(self.plan_hits / (self.plan_hits + self.plan_misses), 4)
-                            if (self.plan_hits + self.plan_misses) else 0.0,
-                "rejected_full": self.rejected_full,
-                "rejected_timeout": self.rejected_timeout,
-                "errors": self.errors,
-                "shard_fallbacks": self.shard_fallbacks,
-                "in_flight": self.in_flight,
-                "peak_in_flight": self.peak_in_flight,
-                "sessions": self.sessions,
-                "views": self.views,
-                "views_maintained": self.views_maintained,
-                "delta_executions": self.delta_executions,
-                "full_refreshes": self.full_refreshes,
+                **counters,
+                "hit_rate": round(counters["plan_hits"] / looked_up, 4) if looked_up else 0.0,
                 "latency_count": self.latency.count,
                 "latency_mean_ms": round(self.latency.mean_ms, 4),
                 "latency_p50_ms": round(p50, 4),

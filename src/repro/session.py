@@ -1,27 +1,30 @@
-"""Sessions and prepared statements: optimize once, execute many.
+"""Sessions and prepared statements: the one request pipeline.
 
 The paper's workflow (Fig. 2) separates the *Data Admin* — who registers
 tensors, storage formats and statistics once — from the queries that run many
 times over that configuration.  A :class:`Session` is the database-style
-embodiment of that split:
+embodiment of that split, and the only place a request is planned and run:
+:class:`repro.serving.Server` is a session with an admission gate, counters
+and a catalog snapshot per request.  Every request takes the same steps, each
+written once here::
 
-* it owns a :class:`~repro.storage.Catalog` and keeps derived state —
-  :class:`~repro.core.statistics.Statistics`, the physical environment, one
-  :class:`~repro.execution.engine.ExecutionEngine` per backend, and memoized
-  optimizer decisions — in sync with it;
-* :meth:`Session.prepare` runs the full pipeline (parse → statistics →
-  cost-based optimization → backend lowering) **once** and hands back a
-  :class:`Statement` whose :meth:`Statement.execute` only re-binds named
-  scalar parameters and executes — no re-parsing, no re-optimization;
-* catalog mutations (:meth:`Session.register`, :meth:`Session.set_scalar`,
-  :meth:`Session.drop`, :meth:`Session.replace_format`) are epoch-tracked:
-  a *schema* change (tensors added / dropped / re-stored, new symbols)
-  invalidates optimized plans — stale statements transparently re-prepare on
-  their next execution, evicting their old artifact from the plan cache if
-  the plan actually changed — while a *value-only* change (re-binding an
-  existing scalar) merely refreshes the bound environment.  Statistics are
-  patched incrementally per-tensor on session mutations rather than rebuilt
-  from scratch.
+    resolve:  text ─► front end ─► key ─► SharedPlanCache ─► optimize ─► lower
+    execute:  gate ─► bind params + literal slots
+                   ─► feedback sample | shard dispatch ─► PreparedPlan.run(dense_shape=)
+
+* **Catalog mutators** bump the catalog epochs and patch the memoized
+  statistics incrementally.  A *schema* change (tensors added / dropped /
+  re-stored, new symbols) changes plan keys, so statements re-resolve on
+  their next execution; a *value-only* change only refreshes environments.
+* **Resolution** runs the front end once per distinct text
+  (:data:`~repro.sdqlite.frontend.FRONT_END`), keys the literal-free query
+  with :func:`~repro.serving.cache.plan_key` plus the feedback epoch, and
+  fills a single-flight :class:`~repro.serving.cache.SharedPlanCache`.
+  ``2 * x`` and ``3 * x`` share one plan; statements show it with their own
+  literals substituted back.
+* **Execution** binds scalar parameters and literal slots, then profiles a
+  sampled run for the feedback loop, offers the plan to the shard pool, or
+  runs it in-process.
 
 A typical lifecycle::
 
@@ -36,52 +39,45 @@ A typical lifecycle::
         result = statement.execute(beta=beta)                # execute many
 
 The one-shot helpers in :mod:`repro.storel` (``run`` / ``run_detailed`` /
-``explain``) are thin wrappers over a throwaway session, so every entry
-point shares this single code path.
+``explain``) are thin wrappers over a throwaway session.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping
 
 from .core.feedback import FeedbackConfig, FeedbackStore
 from .core.optimizer import OptimizationResult, Optimizer
 from .core.statistics import Statistics
 from .execution.engine import (
+    BACKENDS,
     GLOBAL_PLAN_CACHE,
     ExecutionEngine,
     PlanCache,
-    PreparedPlan,
     check_backend,
     result_to_dense,
 )
 from .execution.profile import ExecutionProfile
 from .execution.sharded import NOT_DISPATCHED, ShardExecutor
-from .sdqlite.ast import Expr, Sym, children
+from .sdqlite.ast import Expr, Sym, postorder
 from .sdqlite.errors import StorageError
-from .sdqlite.frontend import FRONT_END
-from .storage.catalog import Catalog
+from .sdqlite.frontend import FRONT_END, FrontEnd, front_end
+from .sdqlite.literals import substitute_literals
+from .serving.cache import SharedPlan, SharedPlanCache, base_key, plan_key
+from .storage.catalog import Catalog, CatalogSnapshot
 
 
-def _as_program(program: "str | Expr") -> Expr:
-    """The named AST of ``program``; text goes through the front-end memo."""
-    if isinstance(program, str):
-        return FRONT_END.get(program).program
-    return program
-
-
-def _global_symbols(expr: Expr) -> set[str]:
-    """Every global symbol (physical array / scalar / tensor name) in ``expr``."""
-    symbols: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            symbols.add(node.name)
-        stack.extend(children(node))
-    return symbols
+def _shown(optimization: OptimizationResult,
+           bindings: Mapping[str, Any]) -> OptimizationResult:
+    """``optimization`` with its literal slots substituted back, for display."""
+    if not bindings:
+        return optimization
+    return replace(optimization,
+                   plan=substitute_literals(optimization.plan, bindings))
 
 
 @dataclass
@@ -160,7 +156,7 @@ class Session:
     catalog:
         The catalog to serve; a fresh empty one by default.  The session
         mutates it in place through :meth:`register` / :meth:`set_scalar` /
-        :meth:`drop` / :meth:`replace_format`.
+        :meth:`drop` / :meth:`replace_format` / :meth:`update`.
     method:
         Default optimization method for :meth:`prepare` / :meth:`run`
         (``"greedy"`` or ``"egraph"``).
@@ -174,7 +170,8 @@ class Session:
         The :class:`~repro.execution.engine.PlanCache` lowered plans are
         kept in; the process-wide
         :data:`~repro.execution.engine.GLOBAL_PLAN_CACHE` by default, so
-        throwaway sessions still share lowering work.
+        throwaway sessions still share lowering work.  Optimized plans live
+        in the session's own :attr:`plans`.
     optimizer_options:
         Default keyword arguments for every
         :class:`~repro.core.optimizer.Optimizer` this session builds
@@ -188,16 +185,21 @@ class Session:
         disables the loop entirely; :meth:`enable_feedback` turns it on
         after construction.
     shard_workers:
-        When ``>= 2``, statements whose optimized plan is a per-shard ``+``
-        chain (sharded storage, see ``docs/sharding.md``) execute their
-        shard parts on a pool of that many worker processes and
-        ``v_add``-merge the partials; anything else — including every
-        failure of the pool — runs the plan in-process, where the same
-        chain streams one shard at a time; a pool failure is logged once
-        per cause on ``logging.getLogger("repro.execution")``.  ``0`` (the
-        default) never spawns processes.  Feedback-enabled sessions always
-        execute in-process so sampled profiles keep observing whole plans.
+        When ``>= 2``, executions whose plan is a per-shard ``+`` chain
+        (sharded storage, see ``docs/sharding.md``) run their shard parts
+        on a pool of that many worker processes and ``v_add``-merge the
+        partials; anything else — including every failure of the pool —
+        runs the plan in-process, where the same chain streams one shard at
+        a time; a pool failure is logged once per cause.  ``0`` (the
+        default) never spawns processes.  Executions the feedback loop
+        samples, and :meth:`Statement.execute_with_stats`, always run
+        in-process so their counters observe the whole plan.
     """
+
+    #: The serving layer's :class:`~repro.serving.stats.ServerStats`; a
+    #: plain session counts nothing.
+    stats = None
+    _log = logging.getLogger("repro.execution")
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
                  backend: str = "typed", cache: PlanCache | None = None,
@@ -209,23 +211,26 @@ class Session:
         self.backend = check_backend(backend)
         self.cache = cache if cache is not None else GLOBAL_PLAN_CACHE
         self.optimizer_options = dict(optimizer_options or {})
+        #: Optimized + lowered plans, shared by every statement of the session.
+        self.plans = SharedPlanCache()
         self.shard_workers = shard_workers
-        self._shard_executor = ShardExecutor(shard_workers)
+        self._shard_executor = ShardExecutor(
+            shard_workers, log=self._log,
+            on_fallback=partial(self._count, "shard_fallbacks"))
+        # One-entry memos per catalog version: the statistics are patched in
+        # place by this session's mutators; the environment is rebuilt, and
+        # swapped as one ``(version, env)`` tuple so readers need no lock.
         self._stats: Statistics | None = None
         self._stats_version = -1
-        self._env: dict[str, Any] | None = None
-        self._env_version = -1
-        self._engines: dict[str, ExecutionEngine] = {}
-        self._opt_memo: dict[Any, OptimizationResult] = {}
-        self._opt_memo_version: Any = None
+        self._env: tuple[int, dict[str, Any]] = (-1, {})
         self._views = None  # lazy repro.ivm.views.ViewRegistry
         self._feedback = FeedbackStore(feedback) if feedback is not None else None
-        # One re-entrant lock guards every piece of derived state above
-        # (statistics, environment, engines, the optimizer memo) plus the
-        # catalog-mutation + incremental-stats-patch pairs, so one Session
-        # can be shared by concurrent threads.  Lock order is always
-        # session lock -> catalog lock; the catalog never calls back into
-        # the session, so the order cannot invert.
+        # One re-entrant lock pairs each catalog mutation with its statistics
+        # patch and keeps optimizations and feedback ingestion from reading
+        # statistics mid-patch.  Whoever holds it never waits for the
+        # admission gate or for another request's plan, so executions can
+        # take it while holding a gate slot.  Lock order: view registry ->
+        # session -> catalog.
         self._lock = threading.RLock()
 
     # -- lifecycle ------------------------------------------------------------
@@ -237,21 +242,21 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Drop all derived state (the catalog itself is left untouched).
+        """Drop derived state and cached plans (the catalog itself is left untouched).
 
-        Lowered artifacts are left in the plan cache: they are pure
-        functions of the plan, the default cache is shared process-wide,
-        and the cache is LRU-bounded anyway.
+        Lowered artifacts are left in :attr:`cache`: they are pure functions
+        of the plan, the default cache is shared process-wide, and the cache
+        is LRU-bounded anyway.
         """
         with self._lock:
             self._stats = None
-            self._env = None
-            self._engines.clear()
-            self._opt_memo.clear()
+            self._stats_version = -1
+            self._env = (-1, {})
+            self.plans.clear()
             self._shard_executor.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Session(tensors={sorted(self.catalog.tensors)}, "
+        return (f"{type(self).__name__}(tensors={sorted(self.catalog.tensors)}, "
                 f"scalars={sorted(self.catalog.scalars)}, "
                 f"backend={self.backend!r}, method={self.method!r}, "
                 f"version={self.catalog.version})")
@@ -261,24 +266,38 @@ class Session:
     def _stats_in_sync(self) -> bool:
         return self._stats is not None and self._stats_version == self.catalog.version
 
-    # Each mutation delegates to the catalog (which bumps the epochs) and
-    # patches the memoized statistics in place.  No other invalidation is
-    # needed: the environment, engines, optimizer memo and statements all
-    # compare epochs lazily and rebuild / re-prepare on their next use.
-    # Runtime cardinality observations describe the *pre-mutation* data, so
-    # every patch also drops them — the feedback loop re-learns them from
-    # the next sampled executions.
+    def _mutate(self, mutation: Callable[[], Any],
+                patch: Callable[[Statistics], None]) -> "Session":
+        """Apply one catalog mutation and patch the memoized statistics to match.
 
-    def register(self, fmt) -> "Session":
-        """Register a new tensor (see :meth:`repro.storage.Catalog.add`)."""
+        The catalog bumps the epochs; no other invalidation is needed: the
+        environment memo and statements compare epochs lazily, and plan keys
+        carry the schema epoch.  Runtime cardinality observations describe
+        the *pre-mutation* data, so every patch also drops them — the
+        feedback loop re-learns them from the next sampled executions.
+        """
         with self._lock:
             in_sync = self._stats_in_sync()
-            self.catalog.add(fmt)
+            mutation()
             if in_sync:
-                self._stats.apply_format(fmt)
+                patch(self._stats)
                 self._stats.clear_observations()
                 self._stats_version = self.catalog.version
         return self
+
+    def _restored(self, name: str) -> Callable[[Statistics], None]:
+        """The statistics patch for tensor ``name`` changing its stored format."""
+        old = self.catalog.tensors.get(name)
+
+        def patch(stats: Statistics) -> None:
+            stats.remove_format(old)
+            stats.apply_format(self.catalog.tensors[name])
+        return patch
+
+    def register(self, fmt) -> "Session":
+        """Register a new tensor (see :meth:`repro.storage.Catalog.add`)."""
+        return self._mutate(lambda: self.catalog.add(fmt),
+                            lambda stats: stats.apply_format(fmt))
 
     def set_scalar(self, name: str, value: float) -> "Session":
         """Register a global scalar, or re-bind an existing one to a new value.
@@ -287,63 +306,38 @@ class Session:
         and only refresh their environment — no re-optimization, no
         re-lowering.
         """
-        with self._lock:
-            in_sync = self._stats_in_sync()
-            self.catalog.set_scalar(name, value)
-            if in_sync:
-                self._stats.set_scalar(name, value)
-                self._stats.clear_observations()
-                self._stats_version = self.catalog.version
-        return self
+        return self._mutate(lambda: self.catalog.set_scalar(name, value),
+                            lambda stats: stats.set_scalar(name, value))
 
     def drop(self, name: str) -> "Session":
         """Unregister a tensor or scalar (see :meth:`repro.storage.Catalog.drop`)."""
         with self._lock:
             fmt = self.catalog.tensors.get(name)
-            in_sync = self._stats_in_sync()
-            self.catalog.drop(name)
-            if in_sync:
-                if fmt is not None:
-                    self._stats.remove_format(fmt)
-                else:
-                    self._stats.remove_scalar(name)
-                self._stats.clear_observations()
-                self._stats_version = self.catalog.version
-        return self
+            return self._mutate(lambda: self.catalog.drop(name),
+                                lambda stats: stats.remove_format(fmt) if fmt is not None
+                                else stats.remove_scalar(name))
 
     def replace_format(self, fmt) -> "Session":
         """Re-store an already-registered tensor in a different format."""
         with self._lock:
-            old = self.catalog.tensors.get(fmt.name)
-            in_sync = self._stats_in_sync()
-            self.catalog.replace(fmt)
-            if in_sync:
-                self._stats.remove_format(old)
-                self._stats.apply_format(fmt)
-                self._stats.clear_observations()
-                self._stats_version = self.catalog.version
-        return self
+            return self._mutate(lambda: self.catalog.replace(fmt),
+                                self._restored(fmt.name))
 
     def _apply_update(self, name: str, coords, values) -> None:
         """Catalog point-update + incremental statistics patch (no views)."""
         with self._lock:
-            old = self.catalog.tensors.get(name)
-            in_sync = self._stats_in_sync()
-            self.catalog.update(name, coords, values)
-            if in_sync and old is not None:
-                self._stats.remove_format(old)
-                self._stats.apply_format(self.catalog.tensors[name])
-                self._stats.clear_observations()
-                self._stats_version = self.catalog.version
+            self._mutate(lambda: self.catalog.update(name, coords, values),
+                         self._restored(name))
 
     def update(self, name: str, coords, values) -> "Session":
         """Apply a sparse point-update to tensor ``name`` (value-only mutation).
 
         ``coords`` is an ``(n, rank)`` integer array and ``values`` the
         matching additive deltas — see :meth:`repro.storage.Catalog.update`.
-        Prepared statements survive (only their environment refreshes), and
-        every registered materialized view is maintained — by its prepared
-        delta statement when that pays, by full re-execution otherwise
+        Prepared statements and cached plans survive (only environments
+        refresh), and every registered materialized view is maintained
+        before its readers see the new epoch — by its prepared delta
+        statement when that pays, by full re-execution otherwise
         (``docs/ivm.md``).
         """
         # Lock order is registry -> session (view reads take the registry
@@ -353,40 +347,6 @@ class Session:
             registry.update(name, coords, values)
         else:
             self._apply_update(name, coords, values)
-        return self
-
-    # -- materialized views (incremental view maintenance) ---------------------
-
-    def views(self):
-        """This session's :class:`repro.ivm.views.ViewRegistry` (created lazily)."""
-        from .ivm.views import ViewRegistry
-
-        with self._lock:
-            if self._views is None:
-                self._views = ViewRegistry(self)
-            return self._views
-
-    def create_view(self, name: str, program: "str | Expr", *,
-                    method: str | None = None, backend: str | None = None,
-                    dense_shape: tuple[int, ...] | None = None,
-                    optimizer_options: Mapping[str, Any] | None = None):
-        """Register ``program`` as a materialized view named ``name``.
-
-        The view is materialized immediately and maintained incrementally
-        across :meth:`update` calls; read it with ``session.view(name)
-        .value()``.  Returns the :class:`repro.ivm.views.MaterializedView`.
-        """
-        return self.views().create(name, _as_program(program), method=method,
-                                   backend=backend, dense_shape=dense_shape,
-                                   optimizer_options=optimizer_options)
-
-    def view(self, name: str):
-        """The registered :class:`repro.ivm.views.MaterializedView` named ``name``."""
-        return self.views().get(name)
-
-    def drop_view(self, name: str) -> "Session":
-        """Unregister a materialized view (its tensor data is untouched)."""
-        self.views().drop(name)
         return self
 
     def apply_recommendation(self, recommendation) -> "Session":
@@ -443,6 +403,44 @@ class Session:
         constructor["optimizer_options"] = options
         return Advisor(self, **constructor).advise(programs, **kwargs)
 
+    # -- materialized views (incremental view maintenance) ---------------------
+
+    def views(self):
+        """This session's :class:`repro.ivm.views.ViewRegistry` (created lazily)."""
+        from .ivm.views import ViewRegistry
+
+        with self._lock:
+            if self._views is None:
+                self._views = ViewRegistry(
+                    self, on_maintenance=(self.stats.record_maintenance
+                                          if self.stats is not None else None))
+            return self._views
+
+    def create_view(self, name: str, program: "str | Expr", *,
+                    method: str | None = None, backend: str | None = None,
+                    dense_shape: tuple[int, ...] | None = None,
+                    optimizer_options: Mapping[str, Any] | None = None):
+        """Register ``program`` as a materialized view named ``name``.
+
+        The view is materialized immediately and maintained incrementally
+        across :meth:`update` calls; read it with ``session.view(name)
+        .value()``.  Returns the :class:`repro.ivm.views.MaterializedView`.
+        """
+        view = self.views().create(name, program, method=method, backend=backend,
+                                   dense_shape=dense_shape,
+                                   optimizer_options=optimizer_options)
+        self._count("views")
+        return view
+
+    def view(self, name: str):
+        """The registered :class:`repro.ivm.views.MaterializedView` named ``name``."""
+        return self.views().get(name)
+
+    def drop_view(self, name: str) -> "Session":
+        """Unregister a materialized view (its tensor data is untouched)."""
+        self.views().drop(name)
+        return self
+
     # -- adaptive feedback loop ------------------------------------------------
 
     @property
@@ -454,12 +452,12 @@ class Session:
                         threshold: float = 2.0) -> "Session":
         """Turn on the adaptive feedback loop (see ``docs/adaptive.md``).
 
-        One in every ``sample_every`` executions of each statement is
-        profiled; observed cardinalities that disagree with the estimates by
-        more than a ``threshold`` q-error refine the statistics and make
-        dependent statements re-prepare on their next execution.  Idempotent
-        when already enabled with the same configuration; re-configuring
-        replaces the store (and resets its counters).
+        One in every ``sample_every`` executions is profiled; observed
+        cardinalities that disagree with the estimates by more than a
+        ``threshold`` q-error refine the statistics and make dependent
+        statements re-prepare on their next execution.  Idempotent when
+        already enabled with the same configuration; re-configuring replaces
+        the store (and resets its counters).
         """
         config = FeedbackConfig(sample_every=sample_every, threshold=threshold)
         with self._lock:
@@ -487,70 +485,173 @@ class Session:
         store = self._feedback
         return store.epoch if store is not None else 0
 
-    def _ingest_profile(self, prepared: PreparedPlan,
-                        profile: ExecutionProfile) -> dict[str, Any]:
-        """Fold one sampled execution profile into the session statistics."""
-        with self._lock:
-            return self._feedback.ingest(self.statistics(), prepared, profile,
-                                         self.catalog.version)
+    # -- derived state, memoized per catalog version ---------------------------
 
-    # -- derived state, kept in sync with the catalog epochs ------------------
+    def statistics(self, snapshot: CatalogSnapshot | None = None) -> Statistics:
+        """Statistics over ``snapshot`` (default: the catalog now).
 
-    def statistics(self) -> Statistics:
-        """Statistics over the current catalog (memoized on the catalog epoch).
-
-        Session-driven mutations patch the memoized instance incrementally;
-        a full :meth:`Statistics.from_catalog` rebuild only happens when the
-        catalog was mutated behind the session's back.
+        Memoized on the catalog version: this session's mutations patch the
+        memoized instance incrementally, so a full
+        :meth:`Statistics.from_catalog` rebuild only happens when the catalog
+        was mutated behind the session's back — or for a request whose
+        snapshot a later write has already superseded, which gets
+        statistics of its own.
         """
         with self._lock:
-            if not self._stats_in_sync():
-                self._stats = Statistics.from_catalog(self.catalog)
-                self._stats_version = self.catalog.version
+            if snapshot is None:
+                snapshot = self.catalog.snapshot()
+            if self._stats is None or self._stats_version != snapshot.version:
+                stats = Statistics.from_catalog(snapshot)
+                if snapshot.version < self._stats_version:
+                    return stats
+                self._stats, self._stats_version = stats, snapshot.version
             return self._stats
 
-    def environment(self) -> dict[str, Any]:
-        """The physical environment ``catalog.globals()``, memoized per epoch."""
-        with self._lock:
-            if self._env is None or self._env_version != self.catalog.version:
-                version = self.catalog.version
-                self._env = self.catalog.globals()
-                self._env_version = version
-            return self._env
+    def environment(self, snapshot: CatalogSnapshot | None = None) -> dict[str, Any]:
+        """The physical environment ``globals()`` of ``snapshot`` (default: now).
 
-    def engine(self, backend: str | None = None) -> ExecutionEngine:
-        """The session's execution engine for ``backend`` (default backend if None)."""
-        backend = backend or self.backend
-        with self._lock:
-            env = self.environment()
-            engine = self._engines.get(backend)
-            if engine is None or engine.env is not env:
-                engine = ExecutionEngine(env=env, backend=backend, cache=self.cache)
-                self._engines[backend] = engine
-            return engine
-
-    def _optimize(self, expr: Expr, method: str,
-                  optimizer_options: Mapping[str, Any]) -> OptimizationResult:
-        """Cost-based optimization, memoized per (program, method, options, epoch).
-
-        The memo token pairs the catalog version with the feedback epoch, so
-        adopting runtime observations invalidates memoized plans exactly like
-        a catalog change does.
+        Memoized on the catalog version like :meth:`statistics`; a request
+        whose snapshot a later write superseded gets its own.
         """
-        with self._lock:
-            memo_token = (self.catalog.version, self._feedback_epoch())
-            if self._opt_memo_version != memo_token:
-                self._opt_memo.clear()
-                self._opt_memo_version = memo_token
-            options = dict(self.optimizer_options)
-            options.update(optimizer_options)
-            key = (expr, method, tuple(sorted(options.items())))
-            result = self._opt_memo.get(key)
-            if result is None:
-                optimizer = Optimizer(self.statistics(), **options)
-                result = optimizer.optimize(expr, self.catalog.mappings(), method=method)
-                self._opt_memo[key] = result
-            return result
+        if snapshot is None:
+            snapshot = self.catalog.snapshot()
+        version, env = self._env
+        if version != snapshot.version:
+            env = snapshot.globals()
+            with self._lock:
+                if snapshot.version > self._env[0]:
+                    self._env = (snapshot.version, env)
+        return env
+
+    def _bind(self, snapshot: CatalogSnapshot,
+              bindings: Mapping[str, Any]) -> Mapping[str, Any]:
+        """The environment of ``snapshot`` with a text's literal slots bound."""
+        env = self.environment(snapshot)
+        return {**env, **bindings} if bindings else env
+
+    # -- the request pipeline ----------------------------------------------------
+
+    def _count(self, field: str, delta: int = 1) -> None:
+        """Count an event of the pipeline into :attr:`stats` (if any)."""
+        if self.stats is not None:
+            self.stats.count(field, delta)
+
+    def _admit(self, work: Callable[..., Any], *args) -> Any:
+        """Run one execution; a plain session admits everything at once."""
+        return work(*args)
+
+    def _front_end(self, program: "str | Expr") -> FrontEnd:
+        """The front-end product of ``program``; text goes through the memo."""
+        if isinstance(program, str):
+            front, seen = FRONT_END.lookup(program)
+            self._count("text_hits" if seen else "text_misses")
+            return front
+        return front_end(program)
+
+    def _resolve(self, front: FrontEnd, method: str, backend: str,
+                 options: Mapping[str, Any], snapshot: CatalogSnapshot
+                 ) -> tuple[SharedPlan, Mapping[str, Any]]:
+        """The shared plan for ``front`` under ``snapshot``, and its environment.
+
+        The key is :func:`plan_key` with the feedback epoch as its tail: a
+        schema change or adopted observations miss, a value-only change or
+        another literal vector hits.  A miss optimizes the literal-free query
+        (once per key across threads) and lowers it through :attr:`cache`; a
+        plan that needs a symbol the snapshot does not bind is refused before
+        it is cached.  The environment has the text's literal slots bound.
+        """
+        epoch = self._feedback_epoch()
+        key = plan_key(front.query, method=method, backend=backend,
+                       optimizer_options=options, snapshot=snapshot) + (epoch,)
+        previous: SharedPlan | None = None
+
+        def build() -> SharedPlan:
+            nonlocal previous
+            previous = self.plans.latest(base_key(key))
+            # Optimization does not depend on the backend: another backend's
+            # plan for the same query and catalog state is reused as is.
+            twins = (self.plans.peek(key[:2] + (other,) + key[3:])
+                     for other in BACKENDS if other != backend)
+            twin = next(filter(None, twins), None)
+            if twin is not None:
+                optimization = twin.optimization
+            else:
+                with self._lock:
+                    optimization = Optimizer(self.statistics(snapshot), **options).optimize(
+                        front.query.expr, snapshot.mappings(), method=method)
+            env = self.environment(snapshot)
+            unbound = {node.name for node in postorder(optimization.plan)
+                       if isinstance(node, Sym)}.difference(env, front.bindings)
+            if unbound:
+                raise StorageError(
+                    f"plan references unbound symbol(s) {sorted(unbound)}; "
+                    "a tensor or scalar the program needs is not registered "
+                    "in the catalog (was it dropped?)")
+            prepared = ExecutionEngine(env=env, backend=backend,
+                                       cache=self.cache).prepare(optimization.plan)
+            return SharedPlan(key=key, optimization=optimization, prepared=prepared,
+                              schema_version=snapshot.schema_version,
+                              feedback_epoch=epoch, literals=front.literals)
+
+        entry, was_hit = self.plans.get_or_prepare(key, build)
+        if was_hit:
+            self._count("plan_hits")
+        else:
+            self._count("plan_misses")
+            if previous is not None:
+                if previous.schema_version != snapshot.schema_version:
+                    self._count("re_prepares")
+                elif previous.feedback_epoch != epoch:
+                    # Same schema, new adaptive epoch: this miss is the
+                    # feedback loop re-optimizing the query.
+                    self._count("re_optimizations")
+        if entry.literals != front.literals:
+            self._count("literal_shared")
+        return entry, self._bind(snapshot, front.bindings)
+
+    def _execute(self, entry: SharedPlan, env: Mapping[str, Any],
+                 snapshot: CatalogSnapshot, dense_shape: tuple[int, ...] | None,
+                 stats: dict | None, scalar_params: Mapping[str, Any],
+                 bindings: Mapping[str, Any]) -> Any:
+        """Bind scalar parameters, then a sampled profile, a shard dispatch or a run."""
+        if scalar_params:
+            unknown = [name for name in scalar_params if name not in snapshot.scalars]
+            if unknown:
+                raise StorageError(
+                    f"unknown scalar parameter(s) {sorted(unknown)}; "
+                    f"registered scalars: {sorted(snapshot.scalars)}")
+            env = {**env, **scalar_params}
+        prepared = entry.prepared
+        store = self._feedback
+        if store is not None and store.should_sample():
+            # Sampled execution: per-loop iteration counts plus the output
+            # cardinality (read from the raw result, before any dense
+            # conversion) refine the statistics; misestimations beyond the
+            # threshold bump the feedback epoch, so the next resolution of an
+            # affected query misses and re-optimizes.
+            profile = ExecutionProfile()
+            result = prepared.run(env, stats, profile)
+            profile.record_output(result)
+            with self._lock:
+                counters = store.ingest(self.statistics(snapshot), prepared, profile,
+                                        snapshot.version)
+            self._count("profiled_runs")
+            self._count("misestimations", counters["feedback_misestimations"])
+            if stats is not None:
+                stats.update(counters)
+        else:
+            result = NOT_DISPATCHED
+            if stats is None and self._shard_executor.available():
+                # A per-shard + chain runs its addends on the worker pool, keyed
+                # on the snapshot's epochs; per-request bindings travel with the
+                # call.  A failed dispatch answers NOT_DISPATCHED and the run
+                # below streams the same chain in-process.
+                result = self._shard_executor.run_plan(
+                    prepared.plan, snapshot, prepared.backend,
+                    {**scalar_params, **bindings})
+            if result is NOT_DISPATCHED:
+                return prepared.run(env, stats, dense_shape=dense_shape)
+        return result if dense_shape is None else result_to_dense(result, dense_shape)
 
     # -- the query API --------------------------------------------------------
 
@@ -558,11 +659,12 @@ class Session:
                 backend: str | None = None, dense_shape: tuple[int, ...] | None = None,
                 optimizer_options: Mapping[str, Any] | None = None) -> "Statement":
         """Optimize and lower ``program`` once; return a reusable :class:`Statement`."""
-        return Statement(self, _as_program(program),
-                         method=method or self.method,
-                         backend=check_backend(backend or self.backend),
+        backend = check_backend(backend or self.backend)
+        return Statement(self, self._front_end(program),
+                         method=method or self.method, backend=backend,
                          dense_shape=dense_shape,
-                         optimizer_options=dict(optimizer_options or {}))
+                         optimizer_options={**self.optimizer_options,
+                                            **(optimizer_options or {})})
 
     def run_detailed(self, program: "str | Expr", *, method: str | None = None,
                      backend: str | None = None,
@@ -590,160 +692,91 @@ class Session:
     def explain(self, program: "str | Expr", *, method: str | None = None,
                 optimizer_options: Mapping[str, Any] | None = None) -> str:
         """Human-readable description of the plan STOREL chooses for ``program``."""
-        optimization = self._optimize(_as_program(program), method or self.method,
-                                      dict(optimizer_options or {}))
-        return format_explanation(optimization)
+        return self.prepare(program, method=method,
+                            optimizer_options=optimizer_options).explain()
 
 
 class Statement:
-    """A prepared statement: an optimized, lowered plan ready to execute many times.
+    """A prepared statement: a resolved plan ready to execute many times.
 
-    Created by :meth:`Session.prepare`.  Execution re-binds named scalar
-    parameters into the prepared plan's environment — lowered artifacts are
-    environment-independent, so no re-parsing, re-optimization or
-    re-lowering happens on the hot path.  A statement notices catalog epochs
-    moving underneath it: after a schema change it transparently re-prepares
-    on the next execution (evicting its superseded artifact from the plan
-    cache); after a value-only change it merely refreshes its environment.
+    Created by :meth:`Session.prepare`.  A statement is the program's
+    front-end product plus the resolved shared plan, its bound environment
+    and the catalog snapshot and feedback epoch it was resolved at.
+    Execution re-binds named scalar parameters and runs — no re-parsing,
+    re-optimization or re-lowering on the hot path, and no locks while
+    nothing moved.  After a schema change or an adopted feedback
+    observation the statement transparently re-resolves on its next
+    execution (evicting its superseded artifact from a session-private
+    lowering cache); after a value-only change it only refreshes its
+    environment.
     """
 
-    def __init__(self, session: Session, program: Expr, *, method: str,
+    def __init__(self, session: Session, front: FrontEnd, *, method: str,
                  backend: str, dense_shape: tuple[int, ...] | None,
                  optimizer_options: dict[str, Any]):
         self._session = session
-        self.program = program
+        self._front = front
         self.method = method
         self.backend = backend
         self.dense_shape = dense_shape
         self.optimizer_options = optimizer_options
-        self.optimization: OptimizationResult = None  # set by _prepare
-        # The prepared artifact and the environment it executes against are
-        # kept in ONE tuple, swapped wholesale: a concurrent re-preparation
-        # can never be observed as a new artifact paired with an old
-        # environment (or vice versa) by an in-flight execute().
-        self._bound: tuple[PreparedPlan, Mapping[str, Any]] | None = None
-        self._schema_version = -1
-        self._version = -1
-        self._feedback_seen = 0
-        self._prepare()
+        # (shared plan, bound environment, snapshot, feedback epoch, plan as
+        # shown), swapped wholesale: a concurrent re-resolution can never be
+        # observed as a new plan paired with an old environment.
+        self._bound = self._resolve(session.catalog.snapshot())
 
-    # -- preparation / invalidation -------------------------------------------
+    # -- resolution / invalidation ---------------------------------------------
 
-    def _prepare(self) -> None:
+    def _resolve(self, snapshot: CatalogSnapshot) -> tuple:
+        entry, env = self._session._resolve(self._front, self.method, self.backend,
+                                            self.optimizer_options, snapshot)
+        return (entry, env, snapshot, entry.feedback_epoch,
+                _shown(entry.optimization, self._front.bindings))
+
+    def _current(self) -> tuple:
+        """The resolution to execute: the bound one while nothing moved."""
+        bound = self._bound
         session = self._session
-        with session._lock:
-            # Epochs are read *before* the derived state is rebuilt: if a
-            # writer slips in a mutation between the epoch read and the
-            # prepare (only possible through direct catalog access — session
-            # mutators hold the same lock), the recorded epochs are older
-            # than the state we built, so the next execution revalidates
-            # again rather than serving stale state forever.
-            version, schema_version = session.catalog.epochs()
-            self.optimization = session._optimize(self.program, self.method,
-                                                  self.optimizer_options)
-            engine = session.engine(self.backend)
-            unbound = _global_symbols(self.optimization.plan) - set(engine.env)
-            if unbound:
-                raise StorageError(
-                    f"plan references unbound symbol(s) {sorted(unbound)}; "
-                    "a tensor or scalar the program needs is not registered "
-                    "in the catalog (was it dropped?)")
-            self._bound = (engine.prepare(self.optimization.plan), engine.env)
-            self._schema_version = schema_version
-            self._version = version
-            self._feedback_seen = session._feedback_epoch()
+        epoch = session._feedback_epoch()
+        if session.catalog.version == bound[2].version and epoch == bound[3]:
+            return bound
+        snapshot = session.catalog.snapshot()
+        entry = bound[0]
+        if snapshot.schema_version == bound[2].schema_version and epoch == bound[3]:
+            # Value-only change: the plan stands, the values moved.
+            bound = (entry, session._bind(snapshot, self._front.bindings),
+                     snapshot) + bound[3:]
+        else:
+            bound = self._resolve(snapshot)
+            old_key, new_key = entry.prepared.cache_key, bound[0].prepared.cache_key
+            if (old_key is not None and old_key != new_key
+                    and session.cache is not GLOBAL_PLAN_CACHE):
+                # Artifacts are plan-pure: one in the shared process-wide cache
+                # may still serve other sessions, one in a private cache is
+                # dead weight for this statement.
+                session.cache.discard(old_key)
+        self._bound = bound
+        return bound
 
     @property
-    def _prepared(self) -> PreparedPlan | None:
-        return self._bound[0] if self._bound is not None else None
+    def _prepared(self):
+        return self._bound[0].prepared
 
     @property
-    def _env(self) -> Mapping[str, Any]:
-        return self._bound[1] if self._bound is not None else {}
+    def _feedback_seen(self) -> int:
+        return self._bound[3]
 
     @property
     def is_stale(self) -> bool:
         """True when a schema change invalidated the prepared plan."""
-        return self._schema_version != self._session.catalog.schema_version
-
-    def _revalidate(self) -> None:
-        session = self._session
-        catalog = session.catalog
-        if (catalog.schema_version == self._schema_version
-                and catalog.version == self._version
-                and session._feedback_epoch() == self._feedback_seen):
-            return  # fast path: nothing moved, no locking on the hot path
-        with session._lock:
-            if (catalog.schema_version != self._schema_version
-                    or session._feedback_epoch() != self._feedback_seen):
-                # Re-optimize and re-lower — the schema changed, or the
-                # feedback loop adopted new cardinality observations.  When
-                # the change left the plan and symbol schema intact, the
-                # cache key is unchanged and
-                # re-preparation is a pure cache hit.  If the key did change,
-                # the old entry is dead weight for this statement — evict it,
-                # but only from a session-private cache: artifacts are plan-pure,
-                # so an entry in the shared process-wide cache may still serve
-                # other sessions (and that cache is LRU-bounded anyway).
-                old_key = self._prepared.cache_key if self._prepared else None
-                self._prepare()
-                if (old_key is not None and old_key != self._prepared.cache_key
-                        and self._session.cache is not GLOBAL_PLAN_CACHE):
-                    self._session.cache.discard(old_key)
-            elif catalog.version != self._version:
-                self._bound = (self._bound[0], self._session.environment())
-                self._version = catalog.version
+        return self._bound[2].schema_version != self._session.catalog.schema_version
 
     # -- execution -------------------------------------------------------------
 
-    def _check_params(self, scalar_params: Mapping[str, Any]) -> None:
-        unknown = [name for name in scalar_params
-                   if name not in self._session.catalog.scalars]
-        if unknown:
-            raise StorageError(
-                f"unknown scalar parameter(s) {sorted(unknown)}; "
-                f"registered scalars: {sorted(self._session.catalog.scalars)}")
-
-    def _finish(self, result: Any) -> Any:
-        if self.dense_shape is not None:
-            return result_to_dense(result, self.dense_shape)
-        return result
-
     def _run(self, stats: dict | None, scalar_params: Mapping[str, Any]) -> Any:
-        self._revalidate()
-        prepared, env = self._bound
-        if scalar_params:
-            self._check_params(scalar_params)
-        store = self._session._feedback
-        if store is None and stats is None:
-            # Parallel shard dispatch: a per-shard + chain executes its
-            # addends on the session's worker pool and merges the partials.
-            # Strictly a performance path — a failed dispatch is logged,
-            # counted and answered NOT_DISPATCHED, and the in-process
-            # execution below streams the same chain one shard at a time.
-            # Skipped when backend counters (stats) or the feedback loop
-            # want to observe the whole in-process run.
-            result = self._session._shard_executor.run_plan(
-                prepared.plan, self._session.catalog, self.backend, scalar_params)
-            if result is not NOT_DISPATCHED:
-                return self._finish(result)
-        if scalar_params:
-            env = dict(env)
-            env.update(scalar_params)
-        if store is not None and store.should_sample():
-            # Sampled execution: collect per-loop iteration counts plus the
-            # output cardinality and feed them back into the statistics.
-            # The raw backend result is profiled *before* any dense
-            # conversion, so the typed backend's buffer lengths are read
-            # directly.
-            profile = ExecutionProfile()
-            result = prepared.run(env, stats, profile)
-            profile.record_output(result)
-            counters = self._session._ingest_profile(prepared, profile)
-            if stats is not None:
-                stats.update(counters)
-            return self._finish(result)
-        return prepared.run(env, stats, dense_shape=self.dense_shape)
+        entry, env, snapshot, _, _ = self._current()
+        return self._session._execute(entry, env, snapshot, self.dense_shape, stats,
+                                      scalar_params, self._front.bindings)
 
     def execute(self, **scalar_params: float) -> Any:
         """Execute the prepared plan, re-binding the given scalar parameters.
@@ -753,7 +786,7 @@ class Statement:
         :class:`~repro.sdqlite.errors.StorageError`.  Parameters given here
         override the catalog value for this execution only.
         """
-        return self._run(None, scalar_params)
+        return self._session._admit(self._run, None, scalar_params)
 
     def execute_with_stats(self, stats: dict, **scalar_params: float) -> Any:
         """Like :meth:`execute`, but populate ``stats`` with backend counters.
@@ -768,37 +801,32 @@ class Statement:
         ``feedback_refined``) — :meth:`RunOutcome.explain` renders them in
         its ``execution counters`` block.
         """
-        return self._run(stats, scalar_params)
+        return self._session._admit(self._run, stats, scalar_params)
 
     def execute_many(self, param_batches: Iterable[Mapping[str, float]]) -> list:
-        """Execute once per parameter binding, amortizing environment setup.
+        """Execute once per parameter binding, as one admitted request.
 
         ``param_batches`` is an iterable of ``{scalar: value}`` mappings;
-        one mutable copy of the environment is built up front and patched
-        in place per batch, so a sweep over thousands of bindings costs one
-        dict copy total instead of one per call.  Each batch sees exactly
-        the catalog values plus its own bindings — scalars overridden by an
-        earlier batch are restored from the base environment first.
+        each batch sees exactly the catalog values plus its own bindings.
         """
-        self._revalidate()
-        prepared, base = self._bound
-        env = dict(base)
-        overridden: set[str] = set()
-        results = []
-        for params in param_batches:
-            self._check_params(params)
-            for name in overridden.difference(params):
-                env[name] = base[name]
-            env.update(params)
-            overridden = set(params)
-            results.append(prepared.run(env, dense_shape=self.dense_shape))
-        return results
+        return self._session._admit(
+            lambda: [self._run(None, params) for params in param_batches])
 
     # -- introspection ---------------------------------------------------------
 
     @property
+    def program(self) -> Expr:
+        """The named AST of the statement, literals in place."""
+        return self._front.program
+
+    @property
+    def optimization(self) -> OptimizationResult:
+        """The optimizer's output, its plan shown with this text's literals."""
+        return self._bound[4]
+
+    @property
     def plan(self) -> Expr:
-        """The chosen physical plan."""
+        """The chosen physical plan (with this text's literals substituted back)."""
         return self.optimization.plan
 
     @property
@@ -812,5 +840,13 @@ class Statement:
         return self._prepared.source
 
     def explain(self) -> str:
-        """Human-readable description of this statement's prepared plan."""
-        return format_explanation(self.optimization)
+        """The plan this statement runs, followed by the literal slots it binds.
+
+        The shared plan is literal-free; it is shown instantiated with this
+        statement's literals."""
+        bindings = self._front.bindings
+        lines = [format_explanation(self.optimization)]
+        if bindings:
+            lines.append("literal parameters (one shared plan serves every binding):")
+            lines.extend(f"  {slot} = {value!r}" for slot, value in bindings.items())
+        return "\n".join(lines)

@@ -160,6 +160,31 @@ def backend_shootout(kernel: Kernel, catalog: Catalog, *,
     return measurements
 
 
+def time_workload(workload, catalog: Catalog, *, method: str = "greedy",
+                  backend: str = "typed",
+                  optimizer_options: Mapping | None = None) -> float:
+    """Seconds for one weighted pass of ``workload`` over ``catalog``.
+
+    ``workload`` is a sequence of :class:`repro.advisor.WorkloadQuery` rows
+    (``program`` + ``weight``).  Statements are prepared (and warmed once) on
+    a throwaway session before the clock starts, so the pass times
+    execution only.
+    """
+    from ..session import Session
+
+    session = Session(catalog, method=method, backend=backend,
+                      optimizer_options=optimizer_options)
+    statements = [session.prepare(query.program) for query in workload]
+    for statement in statements:
+        statement.execute()
+    total = 0.0
+    for query, statement in zip(workload, statements):
+        start = time.perf_counter()
+        statement.execute()
+        total += query.weight * (time.perf_counter() - start)
+    return total
+
+
 def reformatted_catalog(catalog: Catalog, formats: Mapping[str, str]) -> Catalog:
     """A new catalog with some tensors re-stored per ``{tensor: format_name}``.
 

@@ -483,8 +483,7 @@ def test_server_reoptimizes_without_schema_reprepare_on_misestimation():
     with server:
         # Poison the snapshot's derived statistics so the first profiled run
         # observes a massive q-error on the outer loop's range.
-        server._statistics_for(server.catalog.snapshot()).scalar_values[
-            "A_len1"] = 1_000_000.0
+        server.statistics().scalar_values["A_len1"] = 1_000_000.0
         expected = float((a @ x).sum())
         assert server.execute(SUM_AX) == pytest.approx(expected)
         assert server.feedback.epoch >= 1

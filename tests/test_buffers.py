@@ -13,6 +13,8 @@ duplicate coordinates (which the constructors must sum), empty tensors
 single-element tensors (the smallest non-trivial segment structure).
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.execution.buffers import BufferLevels  # noqa: E402
+from repro.execution.buffers import BufferLevels, levels_from_mapping  # noqa: E402
 from repro.storage import FORMATS, SPECIAL_FORMATS, build_format  # noqa: E402
 from repro.storage.physical import (  # noqa: E402
     PhysicalArray,
@@ -199,3 +201,37 @@ def test_levels_from_sorted_columns_match_the_old_builder(data):
     # The leaf coordinates kept by the builder are the ones the levels imply.
     rebuilt = BufferLevels(levels.keys, levels.seg, levels.values)
     np.testing.assert_array_equal(rebuilt.leaf_coords(), coords)
+
+
+# -- levelizing runtime collections: which failures mean "run untyped" ---------
+
+
+class _Triples:
+    """A dictionary-like value whose ``items()`` yields key/value/extra triples."""
+
+    def items(self):
+        return [(0, 1.0, "extra")]
+
+
+class _Unreadable:
+    """A dictionary-like value whose ``items()`` fails for its own reasons."""
+
+    def items(self):
+        raise RuntimeError("backing store vanished")
+
+
+@pytest.mark.parametrize("value, error", [
+    (3.5, "EvaluationError"),                  # a non-zero scalar is not a dict
+    ({0: {1: 2.0}, 1: object()}, "EvaluationError"),
+    (_Triples(), "ValueError"),                # items() that are not pairs
+])
+def test_a_non_levelizable_value_falls_back_untyped_and_says_so(caplog, value, error):
+    with caplog.at_level(logging.DEBUG, logger="repro.execution"):
+        assert levels_from_mapping(value) is None
+    messages = [r.getMessage() for r in caplog.records if r.name == "repro.execution"]
+    assert len(messages) == 1 and error in messages[0] and "untyped" in messages[0]
+
+
+def test_levelizing_propagates_failures_that_are_not_about_the_shape():
+    with pytest.raises(RuntimeError, match="vanished"):
+        levels_from_mapping({0: _Unreadable()})

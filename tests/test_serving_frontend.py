@@ -241,8 +241,8 @@ def test_fresh_literals_and_fresh_shapes_leave_every_map_bounded():
     def within_bounds():
         assert len(server.plans) <= 32 and len(server.plans._latest) <= len(server.plans)
         assert len(server.lowered) <= 32
-        assert len(server._envs) <= server.config.env_cache_size
-        assert len(server._statistics) <= server.config.env_cache_size
+        assert server._env[0] == server.catalog.version          # one memo: the current
+        assert server._stats_version == server.catalog.version   # version's, nothing older
         assert len(FRONT_END) <= FRONT_END_MEMO_SIZE
 
     for literal in range(2, 10_002):             # fresh literals: one plan serves all
@@ -301,13 +301,13 @@ def test_max_concurrency_two_still_admits_two(monkeypatch):
     server, _ = make_server(max_concurrency=2)
     server.execute(SCALE.format(c=2))
     both_inside = threading.Barrier(2)
-    env_for = server._env_for
+    env_for = server.environment
 
     def meet_inside(snapshot):
         both_inside.wait(timeout=30.0)           # only passes with two requests in flight
         return env_for(snapshot)
 
-    monkeypatch.setattr(server, "_env_for", meet_inside)
+    monkeypatch.setattr(server, "environment", meet_inside)
     run_threads([lambda: server.execute(SCALE.format(c=3))] * 2)
     assert server.stats.peak_in_flight == 2 and server.stats.errors == 0
 
