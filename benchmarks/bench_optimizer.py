@@ -1,160 +1,112 @@
-"""Saturation-engine benchmark: indexed/incremental/backoff vs the naive loop.
+"""Saturation-engine benchmark: what the two-stage e-graph optimization costs
+per kernel, and whether the plan it extracts is as cheap as it must be.
 
-For every evaluation kernel the full two-stage e-graph optimization is run
-twice at the optimizer's production limits — once with the textbook
-saturation loop the repository shipped before the indexed engine
-(``LEGACY_ENGINE``: full rescans, materialized match lists, no scheduler,
-lazy best terms) and once with the current defaults (operator index,
-incremental dirty-set e-matching, backoff scheduling, application memo,
-eager best terms).  Both engines are deterministic; the benchmark checks
-plan parity per kernel:
+For each of the six programs the golden table pins
+(``tests/golden/optimizer_golden.json``: the e2e benchmark's
+``cold_oneshot`` programs on their Table-3 storage formats) the full
+two-stage optimization runs at the optimizer's production limits, best of
+``repeats``.  Each row reports:
 
-* ``identical`` — byte-identical extracted plan at the identical cost (the
-  speedup is free: same answer, less work);
-* ``improved`` — the fast engine extracted a strictly *cheaper* plan.  This
-  happens when the per-rule match budget truncates the naive engine's
-  materialized match lists: the first-N window is spent re-finding matches
-  it already applied, starving genuinely new matches, while the incremental
-  engine spends the same budget only on new work.  A fast plan that is more
-  expensive than the naive plan is a failure.
-
-The geometric-mean speedup is computed over the optimization-heavy kernels
-(``HEAVY_KERNELS``: naive saturation well above a second — the Fig. 10
-"optimization overhead" regime this engine targets).  The remaining kernels
-saturate in tens of milliseconds, are engine-neutral by construction
-(productive rule applications dominate), and are reported as reference rows.
+* saturation time, stage 1 + stage 2 (the runners' own clocks);
+* per stage, why saturation stopped (``saturated`` / ``iter_limit`` /
+  ``node_limit`` / ``time_limit``), and the stage-2 e-nodes, e-classes and
+  the matches both stages collected;
+* the plan-cost check: the extracted cost must not exceed the cheapest
+  greedy candidate (``candidate_costs``; the greedy pick seeds stage 2, so a
+  costlier extraction is a bug), and plan and cost must equal the golden
+  table's entry wherever the table has the kernel.
 
 Run as a pytest module (``pytest benchmarks/bench_optimizer.py -s``) or
-directly (``python benchmarks/bench_optimizer.py``).  ``REPRO_SMOKE=1``
-shrinks the iteration budget for CI; scale factors come from ``_config``.
+directly (``python benchmarks/bench_optimizer.py``); both write
+``BENCH_optimizer.json`` and fail when a check does.  ``REPRO_SMOKE=1`` runs
+one repeat instead of three (the checks are the same).
 """
 
 import json
-import math
 import os
 import platform
+import sys
 
-from _config import MATRIX_SCALE, REPEATS, TENSOR_SCALE, print_report
-from repro.core.optimizer import LEGACY_ENGINE, Optimizer
+from _config import print_report
+from repro.core.optimizer import Optimizer
 from repro.core.statistics import Statistics
 from repro.kernels import KERNELS
-from repro.workloads.experiments import matrix_kernel_catalog, tensor_kernel_catalog
+from repro.sdqlite import pretty
 from repro.workloads.reporting import format_table
 
-#: Smoke mode (CI): fewer iterations, same kernels, same parity checks.
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "tests"))
+from test_optimizer_golden import TABLE3, _catalog, _golden  # noqa: E402
+
+#: Smoke mode (CI): one repeat, same kernels, same checks.
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+REPEATS = 1 if SMOKE else 3
 
-ITER_LIMIT = 4 if SMOKE else 8
-NODE_LIMIT = 2_500 if SMOKE else 5_000
-#: High enough that stops are deterministic (saturated / iter / node only).
-TIME_LIMIT = 600.0
-
-#: Kernels whose saturation workload is heavy enough that engine choice
-#: matters; the geometric-mean speedup is computed over these.
-HEAVY_KERNELS = ("BATAX", "TTM", "MTTKRP")
-
-_JSON_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "BENCH_optimizer.json")
+_JSON_PATH = os.path.join(_ROOT, "BENCH_optimizer.json")
 
 
-def _configurations():
-    """(label, kernel, catalog) per benchmark kernel — the Table 4 set."""
-    return [
-        ("BATAX", KERNELS["BATAX"], matrix_kernel_catalog("BATAX", "cant", scale=MATRIX_SCALE)),
-        ("BATAX-nested", KERNELS["BATAX-nested"],
-         matrix_kernel_catalog("BATAX", "cant", scale=MATRIX_SCALE)),
-        ("SUMMM", KERNELS["SUMMM"], matrix_kernel_catalog("SUMMM", "cant", scale=MATRIX_SCALE)),
-        ("MMM", KERNELS["MMM"], matrix_kernel_catalog("MMM", "cant", scale=MATRIX_SCALE)),
-        ("TTM", KERNELS["TTM"], tensor_kernel_catalog("TTM", "NIPS", scale=TENSOR_SCALE)),
-        ("MTTKRP", KERNELS["MTTKRP"], tensor_kernel_catalog("MTTKRP", "NIPS", scale=TENSOR_SCALE)),
-    ]
+def _optimize(kernel: str, repeats: int):
+    """Best-of-``repeats`` e-graph optimization; returns (result, saturation_ms).
 
-
-def _saturation_ms(result) -> float:
-    return result.stage1.runner.time_ms + result.stage2.runner.time_ms
-
-
-def _total_matches(result) -> int:
-    return result.stage1.runner.total_matches + result.stage2.runner.total_matches
-
-
-def _run_engine(kernel, catalog, engine_options, repeats: int):
-    """Best-of-``repeats`` optimization run; returns (result, saturation_ms).
-
-    Both engines are deterministic, so repeats only tighten the timing — the
-    extracted plan is identical across repeats.
+    Saturation is deterministic, so repeats only tighten the timing.
     """
+    catalog = _catalog(kernel)
     stats = Statistics.from_catalog(catalog)
-    best = None
-    best_ms = math.inf
+    best, best_ms = None, float("inf")
     for _ in range(max(1, repeats)):
-        optimizer = Optimizer(stats, iter_limit=ITER_LIMIT, node_limit=NODE_LIMIT,
-                              time_limit=TIME_LIMIT, **engine_options)
-        result = optimizer.optimize(kernel.program, catalog.mappings(), method="egraph")
-        elapsed = _saturation_ms(result)
+        result = Optimizer(stats).optimize(KERNELS[kernel].program, catalog.mappings(),
+                                           method="egraph")
+        elapsed = result.stage1.runner.time_ms + result.stage2.runner.time_ms
         if elapsed < best_ms:
             best, best_ms = result, elapsed
     return best, best_ms
 
 
+def _row(kernel: str, result, saturation_ms: float, golden: dict) -> dict:
+    stage1, stage2 = result.stage1.runner, result.stage2.runner
+    greedy = min(result.candidate_costs.values())
+    pinned = golden.get(f"{kernel}-egraph")
+    if pinned is None:
+        verdict = "absent"
+    elif (pretty(result.plan), repr(result.cost)) == (pinned["plan"], pinned["cost"]):
+        verdict = "equal"
+    else:
+        verdict = "DIFFERS"
+    return {
+        "kernel": kernel,
+        "saturation_ms": round(saturation_ms, 2),
+        "stage1_ms": round(stage1.time_ms, 2),
+        "stage2_ms": round(stage2.time_ms, 2),
+        "stage1_stop": stage1.stop_reason,
+        "stage2_stop": stage2.stop_reason,
+        "nodes": stage2.nodes,
+        "classes": stage2.classes,
+        "matches": stage1.total_matches + stage2.total_matches,
+        "cost": result.cost,
+        "greedy_cost": greedy,
+        "cost_le_greedy": result.cost <= greedy * (1 + 1e-12),
+        "golden": verdict,
+    }
+
+
 def run_benchmark(repeats: int = REPEATS) -> dict:
-    """Run every kernel on both engines; return the report dict."""
-    rows = []
-    speedups = {}
-    parity = {}
-    for label, kernel, catalog in _configurations():
-        legacy, legacy_ms = _run_engine(kernel, catalog, LEGACY_ENGINE, repeats)
-        fast, fast_ms = _run_engine(kernel, catalog, {}, repeats)
-        if str(fast.plan) == str(legacy.plan) and fast.cost == legacy.cost:
-            parity[label] = "identical"
-        elif fast.cost < legacy.cost:
-            parity[label] = "improved"
-        else:
-            parity[label] = "REGRESSED"
-        speedups[label] = legacy_ms / fast_ms if fast_ms > 0 else math.inf
-        for engine_name, result, elapsed in (("naive", legacy, legacy_ms),
-                                             ("indexed", fast, fast_ms)):
-            rows.append({
-                "kernel": label,
-                "engine": engine_name,
-                "saturation_ms": round(elapsed, 2),
-                "matches": _total_matches(result),
-                "nodes": result.stage2.runner.nodes,
-                "classes": result.stage2.runner.classes,
-                "stage1_stop": result.stage1.runner.stop_reason,
-                "stage2_stop": result.stage2.runner.stop_reason,
-                "cost": result.cost,
-                "plan_chars": len(str(result.plan)),
-            })
-    heavy = [speedups[k] for k in HEAVY_KERNELS if k in speedups]
-    geomean = math.exp(sum(math.log(s) for s in heavy) / len(heavy))
+    """Optimize every kernel; return the report dict."""
+    golden = _golden()
+    rows = [_row(kernel, *_optimize(kernel, repeats), golden) for kernel in sorted(TABLE3)]
     report = {
         "benchmark": "optimizer",
-        "matrix_scale": MATRIX_SCALE,
-        "tensor_scale": TENSOR_SCALE,
-        "iter_limit": ITER_LIMIT,
-        "node_limit": NODE_LIMIT,
-        "match_limit_per_rule": 400,
+        "data": "tests/test_optimizer_golden.py catalogs (cold_oneshot sizes, Table-3 formats)",
+        "optimizer": dict(Optimizer.__init__.__kwdefaults__),
         "repeats": repeats,
         "smoke": SMOKE,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,
-        "speedup_per_kernel": {k: round(v, 3) for k, v in speedups.items()},
-        "heavy_kernels": list(HEAVY_KERNELS),
-        "geomean_speedup_heavy": round(geomean, 3),
-        "plan_parity": parity,
     }
-    table = format_table(rows, columns=["kernel", "engine", "saturation_ms", "matches",
-                                        "nodes", "stage1_stop", "stage2_stop"],
-                         title="Saturation engine — naive loop vs indexed/incremental/backoff "
-                               f"(iter_limit {ITER_LIMIT}, node_limit {NODE_LIMIT})")
-    table += "\n" + format_table(
-        [{"kernel": k, "speedup": round(v, 2), "plan": parity[k],
-          "in_geomean": k in HEAVY_KERNELS}
-         for k, v in speedups.items()],
-        title=f"saturation speedup per kernel (heavy-kernel geometric mean {geomean:.2f}x)")
-    print_report(table)
+    print_report(format_table(
+        rows, columns=["kernel", "saturation_ms", "stage1_stop", "stage2_stop", "nodes",
+                       "classes", "matches", "cost_le_greedy", "golden"],
+        title=f"Two-stage saturation per kernel (best of {repeats}, production limits)"))
     return report
 
 
@@ -164,32 +116,25 @@ def _write(report: dict) -> None:
 
 
 def _check(report: dict) -> None:
-    bad = {k: v for k, v in report["plan_parity"].items() if v == "REGRESSED"}
-    assert not bad, f"fast engine extracted a worse plan: {bad}"
-    slow = {k: v for k, v in report["speedup_per_kernel"].items()
-            if k in report["heavy_kernels"] and v < 1.0}
-    assert not slow, f"fast engine slower on heavy kernels: {slow}"
+    costlier = [row["kernel"] for row in report["rows"] if not row["cost_le_greedy"]]
+    assert not costlier, f"extracted plan costlier than greedy's pick: {costlier}"
+    moved = [row["kernel"] for row in report["rows"] if row["golden"] == "DIFFERS"]
+    assert not moved, f"plan or cost differs from the golden table: {moved}"
 
 
 def test_optimizer_engine_benchmark(benchmark):
-    """Both engines on every kernel; asserts parity and the speedup floor."""
+    """Every kernel once through the engine; asserts the plan-cost checks."""
     report = benchmark.pedantic(run_benchmark, rounds=1, iterations=1)
     _write(report)
     _check(report)
-    if not SMOKE:
-        assert report["geomean_speedup_heavy"] >= 3.0, \
-            f"geomean saturation speedup {report['geomean_speedup_heavy']}x < 3x"
 
 
 def main() -> None:
-    report = run_benchmark(repeats=max(2, REPEATS))
+    report = run_benchmark()
     _write(report)
     _check(report)
-    print(f"wrote {_JSON_PATH} "
-          f"(heavy-kernel geomean speedup {report['geomean_speedup_heavy']}x)")
+    print(f"wrote {_JSON_PATH}")
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

@@ -3,7 +3,7 @@
 from .cardinality import Card, CardinalityEstimator, estimate
 from .compose import compose, compose_with_lets
 from .cost import CostInfo, CostModel, Gamma
-from .optimizer import LEGACY_ENGINE, OptimizationResult, Optimizer, StageReport, optimize
+from .optimizer import OptimizationResult, Optimizer, StageReport, optimize
 from .rules import all_rules, logical_rules, physical_rules, rule_names
 from .statistics import Statistics
 from . import strategies
@@ -12,7 +12,7 @@ __all__ = [
     "Card", "CardinalityEstimator", "estimate",
     "compose", "compose_with_lets",
     "CostInfo", "CostModel", "Gamma",
-    "LEGACY_ENGINE", "OptimizationResult", "Optimizer", "StageReport", "optimize",
+    "OptimizationResult", "Optimizer", "StageReport", "optimize",
     "all_rules", "logical_rules", "physical_rules", "rule_names",
     "Statistics",
     "strategies",

@@ -102,47 +102,27 @@ class _PhaseClock:
         self._last = now
 
 
-#: Engine configuration that reproduces the textbook (pre-index) saturation
-#: loop: full rescans, materialized match lists, no rule scheduling, lazy
-#: best-term maintenance.  Used by ``benchmarks/bench_optimizer.py`` as the
-#: before-side of the before/after comparison; pass ``**LEGACY_ENGINE`` to
-#: :class:`Optimizer` to get it.
-LEGACY_ENGINE: dict = {
-    "scheduler": "simple",
-    "indexed": False,
-    "incremental": False,
-    "eager_terms": False,
-}
-
-
 class Optimizer:
     """Cost-based optimizer over flexible storage."""
 
     def __init__(self, stats: Statistics, *, iter_limit: int = 8,
                  node_limit: int = 5_000, time_limit: float = 5.0,
                  match_limit_per_rule: int = 400, seed_candidates: bool = True,
-                 scheduler: str = "backoff", indexed: bool = True,
-                 incremental: bool = True, ban_length: int = 4,
-                 eager_terms: bool = True):
+                 ban_length: int = 4):
         self.stats = stats
         self.iter_limit = iter_limit
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.match_limit_per_rule = match_limit_per_rule
         self.seed_candidates = seed_candidates
-        self.scheduler = scheduler
-        self.indexed = indexed
-        self.incremental = incremental
         self.ban_length = ban_length
-        self.eager_terms = eager_terms
 
     def _make_runner(self, egraph: EGraph, rules) -> Runner:
         return Runner(egraph, rules,
                       iter_limit=self.iter_limit, node_limit=self.node_limit,
                       time_limit=self.time_limit,
                       match_limit_per_rule=self.match_limit_per_rule,
-                      scheduler=self.scheduler, indexed=self.indexed,
-                      incremental=self.incremental, ban_length=self.ban_length)
+                      ban_length=self.ban_length)
 
     # ------------------------------------------------------------------
 
@@ -201,7 +181,7 @@ class Optimizer:
         logical_model = CostModel(self.stats, require_physical=False)
 
         # Stage 1: storage-independent optimization of the tensor program.
-        stage1_graph = EGraph(eager_terms=self.eager_terms)
+        stage1_graph = EGraph()
         stage1_graph.symbol_ranks = ranks
         root1 = stage1_graph.add_expr(program)
         report1 = self._make_runner(stage1_graph, logical_rules).run()
@@ -215,7 +195,7 @@ class Optimizer:
         clock.lap("compose")
 
         # Stage 2: storage-aware optimization of the composed plan.
-        stage2_graph = EGraph(eager_terms=self.eager_terms)
+        stage2_graph = EGraph()
         stage2_graph.symbol_ranks = ranks
         root2 = stage2_graph.add_expr(composed)
         candidate_costs: dict[str, float] = {}

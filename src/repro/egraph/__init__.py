@@ -11,7 +11,6 @@ from .runner import (
     RuleStats,
     Runner,
     RunnerReport,
-    SimpleScheduler,
     saturate,
 )
 from .unionfind import UnionFind
@@ -23,6 +22,6 @@ __all__ = [
     "Pattern", "parse_pattern",
     "Rewrite", "bidirectional", "var_independent_of", "vars_distinct",
     "BackoffScheduler", "IterationStats", "RuleStats",
-    "Runner", "RunnerReport", "SimpleScheduler", "saturate",
+    "Runner", "RunnerReport", "saturate",
     "UnionFind",
 ]

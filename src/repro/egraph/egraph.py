@@ -32,8 +32,7 @@ Three auxiliary structures keep equality saturation fast (see
 
 ``best_term`` is maintained *eagerly*: when a class is created its term is
 assembled from its children's best terms in O(arity), so dynamic rewrites
-never fall back to a whole-graph extraction.  ``eager_terms=False`` restores
-the historical lazy behaviour (kept for the before/after benchmark).
+never need a whole-graph extraction.
 
 A **term memo** maps every term inserted through :meth:`add_expr` to its
 class and size.  Terms hash in O(1), so inserting a term costs one probe per
@@ -74,7 +73,7 @@ class EClass:
 class EGraph:
     """An e-graph over SDQLite expressions in De Bruijn form."""
 
-    def __init__(self, *, eager_terms: bool = True) -> None:
+    def __init__(self) -> None:
         self._union_find = UnionFind()
         # Hot-path binding: ``find`` is called millions of times per
         # saturation; skipping the delegating method call is measurable.
@@ -88,7 +87,6 @@ class EGraph:
         self._label_index: dict[Label, dict[int, None]] = {}
         self._dirty: dict[int, None] = {}
         self._num_nodes = 0
-        self._eager_terms = eager_terms
         self.unions_performed = 0
         #: Nesting rank per collection-valued global symbol (logical tensors,
         #: physical arrays / hash-maps / tries); symbols absent from the map
@@ -200,17 +198,16 @@ class EGraph:
         eclass = EClass(identifier)
         eclass.nodes.append(enode)
         eclass.free_vars = self._make_free_vars(enode)
-        if self._eager_terms:
-            # Assemble the best term bottom-up from the children's best terms:
-            # O(arity) instead of a whole-graph extraction on first use.
-            size = 1
-            kids: list[Expr] = []
-            for child in enode.children:
-                child_class = self._classes[self.find(child)]
-                kids.append(child_class.best_term)
-                size += child_class.best_size
-            eclass.best_term = label_to_ast(enode.label, kids)
-            eclass.best_size = size
+        # Assemble the best term bottom-up from the children's best terms:
+        # O(arity) instead of a whole-graph extraction on first use.
+        size = 1
+        kids: list[Expr] = []
+        for child in enode.children:
+            child_class = self._classes[self.find(child)]
+            kids.append(child_class.best_term)
+            size += child_class.best_size
+        eclass.best_term = label_to_ast(enode.label, kids)
+        eclass.best_size = size
         self._classes[identifier] = eclass
         self._hashcons[enode] = identifier
         self._label_index.setdefault(enode.label, {})[identifier] = None
@@ -268,16 +265,7 @@ class EGraph:
 
     def best_term(self, identifier: int) -> Expr:
         """The smallest concrete term known for the class of ``identifier``."""
-        eclass = self._classes[self.find(identifier)]
-        if eclass.best_term is None:
-            # Only reachable with ``eager_terms=False``: fall back to a
-            # size-based extraction (classes created by instantiating pattern
-            # templates have no offered term).
-            from .extract import extract_smallest
-
-            eclass.best_term = extract_smallest(self, identifier)
-            eclass.best_size = node_count(eclass.best_term)
-        return eclass.best_term
+        return self._classes[self.find(identifier)].best_term
 
     # -- union / congruence ----------------------------------------------------
 

@@ -125,19 +125,17 @@ class Pattern:
         return match_root
 
     def search_iter(self, egraph: EGraph,
-                    candidates: Iterable[int] | None = None, *,
-                    use_index: bool = True) -> Iterator[tuple[int, Subst]]:
+                    candidates: Iterable[int] | None = None) -> Iterator[tuple[int, Subst]]:
         """Lazily yield ``(class id, substitution)`` matches.
 
         ``candidates`` restricts the search to the given class ids (they are
         canonicalized and deduplicated here); ``None`` probes the e-graph's
         operator index for the pattern's root label — or scans every class
-        when the root is a variable or ``use_index`` is False (the textbook
-        full rescan, kept for the before/after benchmark).
+        when the root is a variable.
         """
         find = egraph.find
         if candidates is None:
-            if use_index and self.root.label is not None:
+            if self.root.label is not None:
                 identifiers = egraph.classes_with_label(self.root.label)
             else:
                 identifiers = [eclass.identifier for eclass in list(egraph.classes())]

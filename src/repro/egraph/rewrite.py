@@ -75,10 +75,9 @@ class Rewrite:
         return self.searcher.search(egraph)
 
     def search_iter(self, egraph: EGraph,
-                    candidates: Iterable[int] | None = None, *,
-                    use_index: bool = True) -> Iterator[tuple[int, Subst]]:
+                    candidates: Iterable[int] | None = None) -> Iterator[tuple[int, Subst]]:
         """Lazily yield matches, optionally restricted to candidate classes."""
-        return self.searcher.search_iter(egraph, candidates, use_index=use_index)
+        return self.searcher.search_iter(egraph, candidates)
 
     def apply_match(self, egraph: EGraph, identifier: int, subst: Subst,
                     memo: dict | None = None, stats=None) -> bool:
@@ -87,8 +86,8 @@ class Rewrite:
         ``memo`` (optional, per saturation run) records dynamic applications
         already performed.  Re-running a dynamic transform on the same e-node
         with the same representative term is a guaranteed no-op — the
-        produced term is already in the graph and unioned — so the
-        incremental runner passes a memo to skip the recomputation: one
+        produced term is already in the graph and unioned — so the runner
+        passes a memo to skip the recomputation: one
         application per (rule, e-node, term) covers every match rooted at
         the class.  The key includes the representative term (as the
         children's best terms, which determine it): when a class's best term

@@ -7,19 +7,18 @@ paper's optimizer.  The report exposes the metrics of Table 4 (iterations,
 e-nodes, e-classes, memo size, elapsed time) plus per-iteration and per-rule
 search/apply timing.
 
-Three orthogonal speedups over the textbook loop (all on by default, each
-individually switchable so the benchmark can reproduce the naive engine):
+Three things keep the loop cheap:
 
-* ``indexed`` — rules probe the e-graph's operator index and only visit
-  classes that contain a node with the pattern's root label;
-* ``incremental`` — after the first iteration a rule re-matches only against
-  classes dirtied since it last ran (plus their ancestor closure, where new
-  matches can be rooted);  matches are produced by a generator and collection
-  stops at the match budget instead of materializing everything first;
-* ``scheduler="backoff"`` — an egg-style backoff scheduler bans rules whose
-  match counts explode: the offending iteration still applies up to the
-  budget, then the rule sits out a geometrically growing number of
-  iterations while its threshold doubles.
+* rules probe the e-graph's operator index and only visit classes that
+  contain a node with the pattern's root label;
+* after the first iteration a rule re-matches only against classes dirtied
+  since it last ran (plus their ancestor closure, where new matches can be
+  rooted);  matches are produced by a generator and collection stops at the
+  match budget instead of materializing everything first;
+* an egg-style backoff scheduler bans rules whose match counts explode: the
+  offending iteration still applies up to the budget, then the rule sits
+  out a geometrically growing number of iterations while its threshold
+  doubles.
 
 An iteration in which at least one rule was banned never reports
 ``saturated``: the loop keeps going until the banned rules have been given a
@@ -115,21 +114,6 @@ class RunnerReport:
         }
 
 
-class SimpleScheduler:
-    """Run every rule every iteration (the textbook behaviour)."""
-
-    name = "simple"
-
-    def allow(self, rule_index: int, iteration: int) -> bool:
-        return True
-
-    def record(self, rule_index: int, iteration: int, matches: int) -> bool:
-        return False
-
-    def threshold(self, rule_index: int) -> int | None:
-        return None
-
-
 class BackoffScheduler:
     """Egg-style exponential backoff on rules whose match counts explode.
 
@@ -172,28 +156,15 @@ class Runner:
     def __init__(self, egraph: EGraph, rules: Sequence[Rewrite], *,
                  iter_limit: int = 30, node_limit: int = 50_000,
                  time_limit: float = 10.0, match_limit_per_rule: int = 2_000,
-                 scheduler: str = "backoff", indexed: bool = True,
-                 incremental: bool = True, ban_length: int = 4):
+                 ban_length: int = 4):
         self.egraph = egraph
         self.rules = list(rules)
         self.iter_limit = iter_limit
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.match_limit_per_rule = match_limit_per_rule
-        self.indexed = indexed
-        self.incremental = incremental
-        if isinstance(scheduler, str):
-            if scheduler == "backoff":
-                self.scheduler = BackoffScheduler(self.rules, match_limit_per_rule,
-                                                  ban_length=ban_length)
-            elif scheduler == "simple":
-                self.scheduler = SimpleScheduler()
-            else:
-                raise ValueError(
-                    f"unknown scheduler {scheduler!r}: use 'backoff', 'simple', "
-                    "or pass a scheduler object")
-        else:
-            self.scheduler = scheduler  # caller-provided scheduler object
+        self.scheduler = BackoffScheduler(self.rules, match_limit_per_rule,
+                                          ban_length=ban_length)
 
     # ------------------------------------------------------------------
 
@@ -205,16 +176,15 @@ class Runner:
         either set down to classes that contain the pattern's root label.
         """
         label = rule.root_label
-        if not self.indexed or label is None:
-            if pool is None:
-                return None  # search_iter scans every class (no index probe)
-            return sorted(pool)
+        if label is None:
+            # A variable root: every class (or every pooled one) is a candidate.
+            return None if pool is None else sorted(pool)
         labelled = self.egraph.classes_with_label(label)
         if pool is not None:
             labelled = [identifier for identifier in labelled if identifier in pool]
-        # Ascending class id = creation order = the order the naive full scan
-        # visits classes in; keeping it makes the engines apply identical
-        # match sequences (and extraction tie-breaks) when nothing truncates.
+        # Ascending class id = creation order = the order a full scan visits
+        # classes in (``Pattern.search``), so extraction tie-breaks do not
+        # depend on how the index happens to store a bucket.
         labelled.sort()
         return labelled
 
@@ -231,14 +201,14 @@ class Runner:
         egraph.take_dirty()
         pool: dict[int, None] | None = None
         carry: list[int] = []
-        # Dynamic-application memo (incremental mode only): re-transforming
-        # an unchanged (rule, node, term) is a guaranteed no-op.
-        apply_memo: dict | None = {} if self.incremental else None
+        # Dynamic-application memo: re-transforming an unchanged (rule, node,
+        # term) is a guaranteed no-op.
+        apply_memo: dict = {}
         # Dirty classes a banned rule missed while sitting out; replayed
         # into its candidate set when the ban expires.
         banned_backlog: dict[int, dict[int, None]] = {}
         for iteration in range(1, self.iter_limit + 1):
-            if self.incremental and iteration > 1:
+            if iteration > 1:
                 # Classes dirtied during the previous iteration (apply phase
                 # and rebuild), widened to their ancestors: only there can a
                 # rule that already ran find a new match.
@@ -257,18 +227,16 @@ class Runner:
                     break
                 if not scheduler.allow(rule_index, iteration):
                     banned_names.append(rule.name)
-                    if self.incremental and pool is not None:
+                    if pool is not None:
                         banned_backlog.setdefault(rule_index, {}).update(pool)
                     continue
-                if self.incremental:
-                    # Pick up classes dirtied by earlier rules this iteration
-                    # so in-iteration cascades are not delayed (the naive
-                    # full rescan sees them too).
-                    fresh = egraph.take_dirty()
-                    if fresh:
-                        carry.extend(fresh)
-                        if pool is not None:
-                            egraph.ancestors_closure(fresh, visited=pool)
+                # Pick up classes dirtied by earlier rules this iteration so
+                # in-iteration cascades are not delayed to the next one.
+                fresh = egraph.take_dirty()
+                if fresh:
+                    carry.extend(fresh)
+                    if pool is not None:
+                        egraph.ancestors_closure(fresh, visited=pool)
                 limit = rule.match_limit or self.match_limit_per_rule
                 rule_pool = pool
                 backlog = banned_backlog.pop(rule_index, None)
@@ -279,41 +247,27 @@ class Runner:
                     rule_pool.update(pool)
                 t0 = perf_counter()
                 candidates = self._candidates(rule, rule_pool)
-                if self.incremental:
-                    # Collect one match beyond the scheduler's current ban
-                    # threshold (which doubles per ban) so "hit the budget"
-                    # and "exploded past it" stay distinguishable and
-                    # repeated explosions keep triggering bans.
-                    threshold_of = getattr(scheduler, "threshold", None)
-                    threshold = threshold_of(rule_index) if threshold_of else None
-                    cap = limit if threshold is None else max(limit, threshold)
-                    matches = list(islice(
-                        rule.search_iter(egraph, candidates, use_index=self.indexed),
-                        cap + 1))
-                else:
-                    # Textbook behaviour: materialize every match, then
-                    # truncate (kept for the before/after benchmark).
-                    matches = list(rule.search_iter(egraph, candidates,
-                                                    use_index=self.indexed))
+                # Collect one match beyond the scheduler's current ban
+                # threshold (which doubles per ban) so "hit the budget" and
+                # "exploded past it" stay distinguishable and repeated
+                # explosions keep triggering bans.
+                cap = max(limit, scheduler.threshold(rule_index))
+                matches = list(islice(rule.search_iter(egraph, candidates), cap + 1))
                 t1 = perf_counter()
                 if scheduler.record(rule_index, iteration, len(matches)):
                     stats.bans += 1
-                    if self.incremental:
-                        # The unapplied tail of this explosion lives in the
-                        # candidate set just searched; remember it so the
-                        # rule revisits those classes when the ban expires
-                        # (they may never be re-dirtied otherwise).
-                        backlog = banned_backlog.setdefault(rule_index, {})
-                        if candidates is None:
-                            backlog.update(
-                                (eclass.identifier, None)
-                                for eclass in list(egraph.classes()))
-                        else:
-                            backlog.update(dict.fromkeys(candidates))
-                # Matches *materialized* by the search: the naive loop pays
-                # for every match each iteration, the incremental loop only
-                # for the collected budget — the same-named column in both
-                # engines' reports measures the same unit of work.
+                    # The unapplied tail of this explosion lives in the
+                    # candidate set just searched; remember it so the rule
+                    # revisits those classes when the ban expires (they may
+                    # never be re-dirtied otherwise).
+                    backlog = banned_backlog.setdefault(rule_index, {})
+                    if candidates is None:
+                        backlog.update(
+                            (eclass.identifier, None) for eclass in list(egraph.classes()))
+                    else:
+                        backlog.update(dict.fromkeys(candidates))
+                # Matches *materialized* by the search: the collected budget,
+                # not every match the graph holds.
                 found = len(matches)
                 matches_found += found
                 nodes_before = egraph.num_nodes
@@ -336,10 +290,7 @@ class Runner:
             t3 = perf_counter()
             egraph.rebuild()
             rebuild_ms = (perf_counter() - t3) * 1_000.0
-            if self.incremental:
-                carry.extend(egraph.take_dirty())
-            else:
-                egraph.take_dirty()  # keep the mark buffer bounded
+            carry.extend(egraph.take_dirty())
             report.iterations = iteration
             report.per_iteration.append(IterationStats(
                 index=iteration,

@@ -4,10 +4,12 @@ The subsystem converts "scenarios we imagined" into "scenarios the machine
 imagines": random well-typed SDQLite programs over random catalog schemas
 (:mod:`~repro.fuzz.genprog`), random data satisfying every storage format's
 structural preconditions (:mod:`~repro.fuzz.gendata`), a differential oracle
-over the cross-product of execution backends × optimizer engines × format
-assignments (:mod:`~repro.fuzz.oracle`), a delta-debugging shrinker
-(:mod:`~repro.fuzz.shrink`), and a replayable regression corpus
-(:mod:`~repro.fuzz.corpus`, replayed by ``tests/test_corpus_replay.py``).
+with one case model — program × formats × optional updates × concurrent
+readers / maintained views / feedback — checked across execution backends
+× optimizer methods against one reference (:mod:`~repro.fuzz.oracle`), a
+delta-debugging shrinker (:mod:`~repro.fuzz.shrink`), and a replayable
+regression corpus (:mod:`~repro.fuzz.corpus`, replayed by
+``tests/test_corpus_replay.py``).
 
 Run a campaign from the command line::
 
@@ -31,16 +33,14 @@ from .genprog import ProgramGenerator, Schema, TensorSpec, generate_program, gen
 from .oracle import (
     ADAPTIVE_FUZZ_FEEDBACK,
     FUZZ_OPTIMIZER_OPTIONS,
-    AdaptiveDivergence,
     CampaignReport,
     CaseSkipped,
     CatalogUpdate,
-    ConcurrentDivergence,
     DeltaUpdate,
     Divergence,
     FuzzCase,
-    IvmDivergence,
     OracleConfig,
+    Update,
     adaptive_campaign,
     apply_delta_update_state,
     campaign,
@@ -60,18 +60,16 @@ from .oracle import (
     replay_concurrent,
     replay_ivm,
     results_match,
-    shrink_adaptive,
-    shrink_ivm,
 )
-from .shrink import shrink_case
+from .shrink import shrink_adaptive, shrink_case, shrink_ivm
 
 __all__ = [
     "ProgramGenerator", "Schema", "TensorSpec", "generate_program", "generate_schema",
     "assign_formats", "build_catalog", "legal_format_names", "materialize_tensor",
     "ADAPTIVE_FUZZ_FEEDBACK", "FUZZ_OPTIMIZER_OPTIONS",
-    "AdaptiveDivergence", "CampaignReport", "CaseSkipped", "CatalogUpdate",
-    "ConcurrentDivergence", "DeltaUpdate", "Divergence",
-    "FuzzCase", "IvmDivergence", "OracleConfig",
+    "CampaignReport", "CaseSkipped", "CatalogUpdate",
+    "DeltaUpdate", "Divergence",
+    "FuzzCase", "OracleConfig", "Update",
     "adaptive_campaign", "apply_delta_update_state", "campaign", "canonical",
     "case_seed", "check_adaptive_case", "check_case", "check_concurrent_case",
     "check_ivm_case", "concurrent_campaign", "generate_case",

@@ -6,32 +6,26 @@ Examples::
     PYTHONPATH=src python -m repro.fuzz --seed 1 --cases 200
 
     # a long overnight campaign, shrinking failures into fuzz-failures/
-    PYTHONPATH=src python -m repro.fuzz --seed 1 --cases 100000 \\
-        --out fuzz-failures --legacy-every 4
+    PYTHONPATH=src python -m repro.fuzz --seed 1 --cases 100000 --out fuzz-failures
 
 Exits non-zero when any divergence is found; shrunk repro files written to
 ``--out`` are ready to be copied into ``tests/corpus/`` as permanent
 regression tests once the underlying bug is fixed.
 
-``--concurrent`` switches to the serial-equivalence campaign: each case is
-executed by concurrent reader threads through ``repro.serving.Server`` while
-a writer applies random catalog updates, and every observed result must
-match the program evaluated serially at some update prefix::
+Three flags switch on parts of the case model (``repro.fuzz.oracle``); each
+also gives every case a seeded update sequence, and they combine:
 
-    PYTHONPATH=src python -m repro.fuzz --concurrent --seed 1 --cases 40
-
-``--ivm`` switches to the view-maintenance campaign: each case's program is
-registered as materialized views while random sparse point-updates flow
-through ``Server.update``, and every maintained value must equal full
-re-execution at that state::
-
-    PYTHONPATH=src python -m repro.fuzz --ivm --seed 1 --cases 200
-
-``--adaptive`` switches to the feedback-loop campaign: each case's prepared
-statements execute repeatedly with profiling on every run and an aggressive
-re-optimize threshold while sparse updates drift the data, and every result
-— before and after each transparent re-preparation — must equal the serial
-reference at that state::
+* ``--concurrent``: reader threads execute each case through
+  ``repro.serving.Server`` while a writer applies random catalog updates;
+  every observed result must match the program evaluated serially at some
+  update prefix;
+* ``--ivm``: the program is registered as materialized views while random
+  sparse point-updates flow through ``Server.update``; every maintained
+  value must equal full re-execution at that state;
+* ``--adaptive``: prepared statements execute repeatedly with profiling on
+  every run and an aggressive re-optimize threshold while sparse updates
+  drift the data; every result — before and after each transparent
+  re-preparation — must equal the serial reference at that state::
 
     PYTHONPATH=src python -m repro.fuzz --adaptive --seed 1 --cases 200
 """
@@ -41,23 +35,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .oracle import adaptive_campaign, campaign, concurrent_campaign, ivm_campaign
+from .oracle import campaign
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
         description="Differential fuzzing: random SDQLite programs x formats "
-                    "x backends x optimizer engines.")
+                    "x backends x optimizer methods, optionally under "
+                    "updates, concurrent readers, views and feedback.")
     parser.add_argument("--seed", type=int, default=1,
                         help="master seed; every case derives from it (default 1)")
     parser.add_argument("--cases", type=int, default=200,
                         help="number of generated cases (default 200)")
     parser.add_argument("--fuel", type=int, default=14,
                         help="program-size budget per case (default 14)")
-    parser.add_argument("--legacy-every", type=int, default=4, metavar="K",
-                        help="also run the legacy saturation engine every "
-                             "K-th case; 0 disables (default 4)")
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
                         help="stop cleanly after this much wall-clock time")
     parser.add_argument("--out", default=None, metavar="DIR",
@@ -67,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-failures", type=int, default=5,
                         help="stop after this many divergences (default 5)")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-50-case progress lines")
+                        help="suppress progress lines")
     parser.add_argument("--concurrent", action="store_true",
                         help="serial-equivalence mode: race executions against "
                              "catalog updates through the serving layer")
@@ -81,62 +73,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--readers", type=int, default=3,
                         help="concurrent mode: reader threads per case (default 3)")
     parser.add_argument("--updates", type=int, default=None,
-                        help="concurrent/ivm/adaptive mode: updates per case "
-                             "(default 5 concurrent, 4 ivm, 3 adaptive)")
+                        help="updates per case with a mode on (default 5 "
+                             "concurrent, 4 ivm, 3 adaptive)")
     parser.add_argument("--executions", type=int, default=None,
-                        help="concurrent mode: executions per reader; adaptive "
-                             "mode: executions per statement per state "
-                             "(default 4 concurrent, 3 adaptive)")
+                        help="executions per reader (concurrent) or per "
+                             "statement per state (adaptive) (default 4 "
+                             "concurrent, 3 adaptive)")
     args = parser.parse_args(argv)
-    if sum((args.concurrent, args.ivm, args.adaptive)) > 1:
-        parser.error("--concurrent, --ivm and --adaptive are mutually exclusive")
 
-    if args.adaptive:
-        report = adaptive_campaign(
-            args.seed, args.cases,
-            updates_per_case=3 if args.updates is None else args.updates,
-            executions=3 if args.executions is None else args.executions,
-            shrink=not args.no_shrink,
-            out_dir=args.out,
-            time_budget=args.time_budget,
-            max_failures=args.max_failures,
-            progress=not args.quiet,
-            case_options={"fuel": args.fuel},
-        )
-    elif args.ivm:
-        report = ivm_campaign(
-            args.seed, args.cases,
-            updates_per_case=4 if args.updates is None else args.updates,
-            shrink=not args.no_shrink,
-            out_dir=args.out,
-            time_budget=args.time_budget,
-            max_failures=args.max_failures,
-            progress=not args.quiet,
-            case_options={"fuel": args.fuel},
-        )
-    elif args.concurrent:
-        report = concurrent_campaign(
-            args.seed, args.cases,
-            readers=args.readers,
-            executions=4 if args.executions is None else args.executions,
-            updates_per_case=5 if args.updates is None else args.updates,
-            out_dir=args.out,
-            time_budget=args.time_budget,
-            max_failures=args.max_failures,
-            progress=not args.quiet,
-            case_options={"fuel": args.fuel},
-        )
-    else:
-        report = campaign(
-            args.seed, args.cases,
-            legacy_every=args.legacy_every,
-            shrink=not args.no_shrink,
-            out_dir=args.out,
-            time_budget=args.time_budget,
-            max_failures=args.max_failures,
-            progress=not args.quiet,
-            case_options={"fuel": args.fuel},
-        )
+    report = campaign(
+        args.seed, args.cases,
+        concurrent=args.concurrent, views=args.ivm, feedback=args.adaptive,
+        updates_per_case=args.updates,
+        readers=args.readers,
+        executions=args.executions,
+        shrink=not args.no_shrink,
+        out_dir=args.out,
+        time_budget=args.time_budget,
+        max_failures=args.max_failures,
+        progress=not args.quiet,
+        case_options={"fuel": args.fuel},
+    )
     print(report.summary())
     for divergence in report.divergences:
         print("\n--- divergence " + "-" * 50)

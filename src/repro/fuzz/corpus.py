@@ -1,10 +1,10 @@
 """Serialization of shrunk fuzz failures into a replayable corpus.
 
 A corpus file is a tiny, self-contained Python module — no imports, just
-data — describing one (program, data, format-assignment) point and the
-configurations it once diverged under::
+data — describing one fuzz case and the configurations it once diverged
+under::
 
-    \"\"\"Shrunk fuzz repro (seed 42): greedy/typed diverged from reference.\"\"\"
+    \"\"\"Shrunk fuzz repro (seed 42): greedy/typed diverged from the reference result.\"\"\"
     PROGRAM = "sum(<k1, v1> in T0) { k1 -> v1 * 2 }"
     TENSORS = {"T0": [[0.0, 1.0], [1.0, 0.0]]}
     FORMATS = {"T0": "csr"}
@@ -15,53 +15,36 @@ Files under ``tests/corpus/`` are replayed by ``tests/test_corpus_replay.py``
 on every tier-1 run: a shrunk failure, once fixed, becomes a permanent
 regression test by copying the file there (see ``docs/testing.md``).
 
-Concurrent-mode repros (from :func:`repro.fuzz.oracle.concurrent_campaign`)
-add two keys — ``MODE = "concurrent"`` and ``UPDATES``, the serialized
-catalog-update sequence the case raced against — and replay through
-:func:`repro.fuzz.oracle.replay_concurrent` instead of :func:`replay`.
-IVM-mode repros (from :func:`repro.fuzz.oracle.ivm_campaign`) likewise add
-``MODE = "ivm"`` and ``DELTAS``, the sparse point-update sequence whose
-maintained views disagreed with full re-execution, and replay through
-:func:`repro.fuzz.oracle.replay_ivm`.  Adaptive-mode repros (from
-:func:`repro.fuzz.oracle.adaptive_campaign`) reuse the ``DELTAS`` key with
-``MODE = "adaptive"`` — the updates drift the data while the feedback loop
-re-optimizes — and replay through :func:`repro.fuzz.oracle.replay_adaptive`;
-the divergence class picks the mode via its ``corpus_mode`` attribute.
+A case with switches or updates adds two keys: ``MODE`` — ``"concurrent"``,
+``"ivm"`` (maintained views), ``"adaptive"`` (feedback) or a ``+``-joined
+mix such as ``"ivm+adaptive"`` — and ``UPDATES``, the
+:meth:`~repro.fuzz.oracle.Update.as_dict` forms of its update sequence.
+Files written before the modes were one case model keep loading: their
+``DELTAS`` key (point-updates without a ``kind``) reads as ``UPDATES``.
+Everything replays through :func:`repro.fuzz.oracle.replay`.
 """
 
 from __future__ import annotations
 
 import pathlib
 import runpy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..execution.engine import check_backend
+from ..sdqlite.errors import OptimizationError
 from ..sdqlite.parser import parse_expr
-from .oracle import CatalogUpdate, DeltaUpdate, Divergence, FuzzCase
+from .oracle import METHODS, MODES, Divergence, FuzzCase, Update
 
 
-def render_corpus_case(divergence) -> str:
-    """The corpus-file source text for a (normally shrunk) divergence.
-
-    Accepts a :class:`~repro.fuzz.oracle.Divergence`, a
-    :class:`~repro.fuzz.oracle.ConcurrentDivergence` (duck-typed on the
-    presence of an ``updates`` attribute), or an
-    :class:`~repro.fuzz.oracle.IvmDivergence` (a ``deltas`` attribute).
-    """
+def render_corpus_case(divergence: Divergence) -> str:
+    """The corpus-file source text for a (normally shrunk) divergence."""
     case = divergence.case
-    updates = getattr(divergence, "updates", None)
-    deltas = getattr(divergence, "deltas", None)
-    delta_mode = getattr(divergence, "corpus_mode", "ivm")
     what = (f"raised {divergence.error}" if divergence.error is not None
             else "diverged from the reference result")
-    if updates is not None:
-        what = f"{what} under concurrent catalog updates"
-    if deltas is not None:
-        what = (f"{what} under adaptive re-optimization"
-                if delta_mode == "adaptive"
-                else f"{what} under maintained sparse updates")
+    if case.mode != "serial":
+        what += f" in {case.mode} mode"
     lines = [
         f'"""Shrunk fuzz repro (seed {case.seed}): '
         f'{divergence.method}/{divergence.backend} {what}."""',
@@ -73,27 +56,21 @@ def render_corpus_case(divergence) -> str:
         f"SCALARS = {dict(sorted(case.scalars.items()))!r}",
         f"CONFIGS = [({divergence.method!r}, {divergence.backend!r})]",
     ]
-    if updates is not None:
-        lines.append('MODE = "concurrent"')
-        lines.append(f"UPDATES = {[update.as_dict() for update in updates]!r}")
-    if deltas is not None:
-        lines.append(f"MODE = {delta_mode!r}")
-        lines.append(f"DELTAS = {[delta.as_dict() for delta in deltas]!r}")
+    if case.mode != "serial":
+        lines.append(f"MODE = {case.mode!r}")
+    if case.updates:
+        lines.append(f"UPDATES = {[update.as_dict() for update in case.updates]!r}")
     return "\n".join(lines) + "\n"
 
 
-def write_corpus_case(divergence, directory: str | pathlib.Path
+def write_corpus_case(divergence: Divergence, directory: str | pathlib.Path
                       ) -> pathlib.Path:
     """Serialize a divergence into ``directory`` and return the file path."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if getattr(divergence, "updates", None) is not None:
-        mode = "concurrent_"
-    elif getattr(divergence, "deltas", None) is not None:
-        mode = getattr(divergence, "corpus_mode", "ivm") + "_"
-    else:
-        mode = ""
-    name = (f"fuzz_{mode}seed{divergence.case.seed}_{divergence.method}_"
+    mode = divergence.case.mode
+    prefix = "" if mode == "serial" else mode.replace("+", "_") + "_"
+    name = (f"fuzz_{prefix}seed{divergence.case.seed}_{divergence.method}_"
             f"{divergence.backend}.py")
     path = directory / name
     path.write_text(render_corpus_case(divergence))
@@ -102,22 +79,50 @@ def write_corpus_case(divergence, directory: str | pathlib.Path
 
 @dataclass
 class CorpusEntry:
-    """One loaded corpus file: the case plus how to replay it."""
+    """One loaded corpus file: the case (updates and switches included)
+    plus the configurations to replay it under."""
 
     case: FuzzCase
     configs: list[tuple[str, str]]
-    mode: str = "serial"          # "serial" | "concurrent" | "ivm" | "adaptive"
-    updates: list[CatalogUpdate] = field(default_factory=list)
-    deltas: list[DeltaUpdate] = field(default_factory=list)
+
+    @property
+    def mode(self) -> str:
+        """``"serial"``, ``"concurrent"``, ``"ivm"``, ``"adaptive"`` or a mix."""
+        return self.case.mode
+
+    @property
+    def updates(self) -> list[Update]:
+        return list(self.case.updates)
+
+    #: The name the point-update sequence had when it was a separate key.
+    deltas = updates
+
+
+def _check_method(method: str) -> str:
+    if method == "egraph-legacy":
+        raise OptimizationError(
+            "the 'egraph-legacy' method was removed with the legacy saturation "
+            "engine; replay the entry on 'egraph'")
+    if method not in METHODS:
+        raise OptimizationError(f"unknown method {method!r}: use one of {METHODS}")
+    return method
 
 
 def load_corpus_entry(path: str | pathlib.Path) -> CorpusEntry:
-    """Load a corpus file, serial or concurrent, into a :class:`CorpusEntry`.
+    """Load a corpus file into a :class:`CorpusEntry`.
 
-    A ``CONFIGS`` pair naming an unknown execution backend is rejected here
-    (:class:`~repro.sdqlite.errors.ExecutionError`), not mid-replay.
+    A ``CONFIGS`` pair naming an unknown method
+    (:class:`~repro.sdqlite.errors.OptimizationError`) or execution backend
+    (:class:`~repro.sdqlite.errors.ExecutionError`), or an unknown ``MODE``,
+    is rejected here, not mid-replay.
     """
     spec = runpy.run_path(str(path))
+    switches = {}
+    for mode in spec.get("MODE", "serial").split("+"):
+        if mode != "serial":
+            if mode not in MODES:
+                raise ValueError(f"{path}: unknown MODE {mode!r}: use one of {sorted(MODES)}")
+            switches[MODES[mode]] = True
     case = FuzzCase(
         seed=0,
         program=parse_expr(spec["PROGRAM"]),
@@ -125,16 +130,13 @@ def load_corpus_entry(path: str | pathlib.Path) -> CorpusEntry:
                  for name, data in spec["TENSORS"].items()},
         formats=dict(spec["FORMATS"]),
         scalars=dict(spec.get("SCALARS", {})),
+        updates=tuple(Update.from_dict(entry) for entry in
+                      spec.get("UPDATES", []) + spec.get("DELTAS", [])),
+        **switches,
     )
-    configs = [(method, check_backend(backend))
+    configs = [(_check_method(method), check_backend(backend))
                for method, backend in spec.get("CONFIGS", [])]
-    mode = spec.get("MODE", "serial")
-    updates = [CatalogUpdate.from_dict(entry)
-               for entry in spec.get("UPDATES", [])]
-    deltas = [DeltaUpdate.from_dict(entry)
-              for entry in spec.get("DELTAS", [])]
-    return CorpusEntry(case=case, configs=configs, mode=mode, updates=updates,
-                       deltas=deltas)
+    return CorpusEntry(case=case, configs=configs)
 
 
 def load_corpus_case(path: str | pathlib.Path

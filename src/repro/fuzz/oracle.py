@@ -1,4 +1,4 @@
-"""The differential oracle: one program, both backends × every engine × format.
+"""The differential oracle: one case model, one check, one reference.
 
 The paper's central equivalence claim is that the *same* tensor program
 produces the *same* result under any storage format and any execution
@@ -7,13 +7,24 @@ machine-generated scenarios:
 
 * a :class:`FuzzCase` is one sampled point — a generated program
   (:mod:`repro.fuzz.genprog`), fabricated tensor data and a legal per-tensor
-  format assignment (:mod:`repro.fuzz.gendata`), plus the scalar bindings;
-* :func:`check_case` executes the point under the cross-product of execution
-  backends (``interpret`` / ``typed``) and optimizer engines — the plain composed plan (``unoptimized``), the greedy strategy
-  picker (``greedy``), equality saturation on the fast engine (``egraph``)
-  and on the legacy engine (``egraph-legacy``) — and compares every result
-  against the reference (unoptimized plan on the interpreter) after a single
-  canonical value-normalization;
+  format assignment (:mod:`repro.fuzz.gendata`), the scalar bindings, an
+  optional sequence of catalog :class:`Update` s (scalar re-binds, data
+  replacements, re-formats, sparse point-updates) and three switches:
+  ``concurrent`` readers, maintained ``views`` and ``feedback``
+  (always-profiling adaptive re-optimization);
+* :func:`check_case` runs the case against one reference — the composed
+  plan on the interpreter, evaluated at every prefix state of the update
+  sequence.  A plain case runs every (method, backend) pair — the composed
+  plan (``unoptimized``), the greedy strategy picker (``greedy``) and
+  equality saturation (``egraph``) on ``interpret`` and ``typed`` — through
+  one :class:`~repro.session.Session`.  With a switch on, the pairs are read
+  through what the switch names: materialized views on a
+  :class:`~repro.serving.Server` whose registry is forced onto the delta
+  path, prepared statements under the feedback loop, served statements
+  polled by reader threads.  Updates go through the session's public
+  mutators.  A concurrent read must equal *some* prefix state (its
+  linearization witness); every other read must equal the state at its
+  exact step;
 * :func:`campaign` drives a seeded run of many cases, shrinking and
   serializing any divergence into a replayable corpus file
   (:mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus`), and keeps a census
@@ -26,20 +37,26 @@ tolerance treating a missing key as zero — so a backend materializing an
 explicit ``1e-17`` where another prunes an exact ``0.0`` does not produce a
 spurious divergence, while any structural or numeric disagreement beyond
 rounding does.
+
+The per-mode names (``check_concurrent_case``, ``ivm_campaign``,
+``replay_adaptive``, ``DeltaUpdate``, …) are one-line delegations at the
+end of the module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..core import LEGACY_ENGINE, compose
+from ..core import compose
 from ..execution.engine import BACKENDS, ExecutionEngine
 from ..sdqlite.ast import Expr
 from ..sdqlite.debruijn import to_debruijn_safe
@@ -50,6 +67,7 @@ from .gendata import (
     assign_formats,
     build_catalog,
     generate_scalars,
+    legal_format_names,
     materialize_schema,
 )
 from .genprog import generate_program, generate_schema
@@ -58,9 +76,13 @@ from .genprog import generate_program, generate_schema
 #: plan, executed by the reference interpreter.
 REFERENCE = ("unoptimized", "interpret")
 
+#: The methods a configuration may name: the composed plan and the two
+#: optimizer methods.
+METHODS = ("unoptimized", "greedy", "egraph")
+
 #: Saturation limits used during fuzzing: small enough that the e-graph
-#: engines keep up with thousands of generated programs, large enough that
-#: the rewrite rules genuinely fire.  The *time* limit is deliberately huge:
+#: keeps up with thousands of generated programs, large enough that the
+#: rewrite rules genuinely fire.  The *time* limit is deliberately huge:
 #: campaigns must be reproducible from their seed alone, so saturation has
 #: to stop on the deterministic iteration/node limits, never on wall-clock
 #: (a load-dependent stop changes the e-graph, and with it the extracted
@@ -72,6 +94,22 @@ FUZZ_OPTIMIZER_OPTIONS: dict = {
     "match_limit_per_rule": 64,
 }
 
+#: The deliberately aggressive loop configuration the ``feedback`` switch
+#: runs under: every execution is profiled and a 5% estimation error already
+#: re-optimizes, so mid-case re-preparation — the machinery under test —
+#: fires constantly.
+ADAPTIVE_FUZZ_FEEDBACK: dict = {"sample_every": 1, "threshold": 1.05}
+
+#: Corpus ``MODE`` names and the :class:`FuzzCase` switch each one sets.
+MODES = {"concurrent": "concurrent", "ivm": "views", "adaptive": "feedback"}
+
+#: How many optimized pairs get a materialized view / a prepared statement.
+MAX_VIEWS = 3
+MAX_STATEMENTS = 4
+
+#: Seconds the writer of a concurrent case sleeps before each update.
+WRITER_DELAY = 0.002
+
 
 class CaseSkipped(Exception):
     """Raised when the *reference* execution of a case fails.
@@ -82,71 +120,157 @@ class CaseSkipped(Exception):
     """
 
 
+@dataclass(frozen=True)
+class Update:
+    """One serialized catalog mutation of a fuzz case.
+
+    ``kind`` is one of:
+
+    * ``"set_scalar"`` — re-bind scalar ``name`` to ``value`` (value-only);
+    * ``"replace"``    — re-store tensor ``name`` with *new data* (the old
+      dense data scaled by ``value``) in format ``fmt`` (schema bump);
+    * ``"reformat"``   — re-store tensor ``name`` in format ``fmt`` with
+      unchanged data (schema bump, result-preserving);
+    * ``"delta"``      — add ``values`` at the integer ``coords`` of tensor
+      ``name`` (a sparse point-update, value-only; maintains views).
+    """
+
+    kind: str
+    name: str
+    value: float | None = None
+    fmt: str | None = None
+    coords: tuple[tuple[int, ...], ...] = ()
+    values: tuple[float, ...] = ()
+
+    def as_dict(self) -> dict:
+        if self.kind == "delta":
+            return {"kind": "delta", "name": self.name,
+                    "coords": [list(coord) for coord in self.coords],
+                    "values": list(self.values)}
+        out = {"kind": self.kind, "name": self.name}
+        if self.value is not None:
+            out["value"] = self.value
+        if self.fmt is not None:
+            out["fmt"] = self.fmt
+        return out
+
+    @classmethod
+    def from_dict(cls, spec: Mapping[str, Any]) -> "Update":
+        """The inverse of :meth:`as_dict`; a spec without ``kind`` is a delta."""
+        return cls(kind=spec.get("kind", "delta"), name=spec["name"],
+                   value=spec.get("value"), fmt=spec.get("fmt"),
+                   coords=tuple(tuple(int(c) for c in coord)
+                                for coord in spec.get("coords", ())),
+                   values=tuple(float(v) for v in spec.get("values", ())))
+
+    def apply(self, state: "FuzzCase") -> "FuzzCase":
+        """The successor state (functional — ``state`` is not modified)."""
+        if self.kind == "set_scalar":
+            return state.replace(scalars={**state.scalars, self.name: self.value})
+        if self.kind == "delta":
+            array = np.array(state.tensors[self.name], dtype=np.float64)
+            coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, array.ndim)
+            np.add.at(array, tuple(coords.T), np.asarray(self.values, dtype=np.float64))
+            return state.replace(tensors={**state.tensors, self.name: array})
+        if self.kind not in ("replace", "reformat"):
+            raise ValueError(f"unknown update kind {self.kind!r}")
+        tensors = state.tensors
+        if self.kind == "replace":
+            tensors = {**tensors, self.name: np.asarray(tensors[self.name]) * self.value}
+        return state.replace(tensors=tensors, formats={**state.formats, self.name: self.fmt})
+
+    def apply_live(self, session: Session, state: "FuzzCase") -> "FuzzCase":
+        """Apply to a live session through its public mutators; return the
+        successor of ``state``."""
+        from ..storage.convert import ALL_FORMATS, reformat
+
+        successor = self.apply(state)
+        if self.kind == "set_scalar":
+            session.set_scalar(self.name, self.value)
+        elif self.kind == "replace":
+            data = np.asarray(successor.tensors[self.name], dtype=np.float64)
+            session.replace_format(ALL_FORMATS[self.fmt].from_dense(self.name, data))
+        elif self.kind == "reformat":
+            session.replace_format(reformat(session.catalog.tensors[self.name], self.fmt))
+        else:
+            session.update(self.name, np.asarray(self.coords, dtype=np.int64),
+                           np.asarray(self.values, dtype=np.float64))
+        return successor
+
+
 @dataclass
 class FuzzCase:
-    """One generated (program, data, format-assignment) point."""
+    """One generated point: program × data × formats × updates × switches."""
 
     seed: int
     program: Expr                      # named-form AST over logical names
     tensors: dict[str, np.ndarray]     # dense data per logical tensor
     formats: dict[str, str]            # format_name per logical tensor
     scalars: dict[str, float]
+    updates: tuple[Update, ...] = ()
+    concurrent: bool = False           # reader threads race the updates
+    views: bool = False                # reads are maintained views
+    feedback: bool = False             # reads re-optimize under profiling
 
     @property
     def source(self) -> str:
         """The program as re-parseable SDQLite source text."""
         return to_source(self.program)
 
+    @property
+    def mode(self) -> str:
+        """The corpus ``MODE`` of the switches: ``"serial"`` when none is on,
+        else the ``+``-joined :data:`MODES` names (``"ivm+adaptive"``)."""
+        return "+".join(mode for mode, switch in MODES.items()
+                        if getattr(self, switch)) or "serial"
+
     def replace(self, **changes) -> "FuzzCase":
-        """A shallow-copied case with the given fields replaced."""
-        fields_ = dict(seed=self.seed, program=self.program,
-                       tensors=dict(self.tensors), formats=dict(self.formats),
-                       scalars=dict(self.scalars))
-        fields_.update(changes)
-        return FuzzCase(**fields_)
+        """A copy (fresh data dictionaries) with the given fields replaced."""
+        return dataclasses.replace(self, **{"tensors": dict(self.tensors),
+                                            "formats": dict(self.formats),
+                                            "scalars": dict(self.scalars), **changes})
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Which (engine, backend) pairs to run and how to compare results."""
+    """Which (method, backend) pairs to run and how to compare results."""
 
     backends: tuple[str, ...] = BACKENDS
-    methods: tuple[str, ...] = ("unoptimized", "greedy", "egraph")
+    methods: tuple[str, ...] = METHODS
     optimizer_options: Mapping[str, Any] = field(
         default_factory=lambda: dict(FUZZ_OPTIMIZER_OPTIONS))
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
 
     def pairs(self) -> list[tuple[str, str]]:
-        """The full engine × backend grid, reference first."""
+        """The full method × backend grid, reference excluded."""
         grid = [(method, backend) for method in self.methods
                 for backend in self.backends]
         return [pair for pair in grid if pair != REFERENCE]
 
     def optimized_pairs(self) -> list[tuple[str, str]]:
-        """The pairs a served / maintained / adaptive campaign rotates over.
+        """The pairs a case with a switch on reads through.
 
         Those go through a :class:`~repro.serving.Server` or a
-        :class:`~repro.session.Session`, which only run optimized plans on
-        the production engine; never empty.
+        :class:`~repro.session.Session`, which only run optimized plans;
+        never empty.
         """
-        pairs = [(method, backend) for method, backend in self.pairs()
-                 if method not in ("unoptimized", "egraph-legacy")]
+        pairs = [pair for pair in self.pairs() if pair[0] != "unoptimized"]
         return pairs or [("greedy", "typed")]
-
-    def with_legacy(self) -> "OracleConfig":
-        """This configuration plus the legacy saturation engine."""
-        if "egraph-legacy" in self.methods:
-            return self
-        return OracleConfig(backends=self.backends,
-                            methods=self.methods + ("egraph-legacy",),
-                            optimizer_options=dict(self.optimizer_options),
-                            rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 @dataclass
 class Divergence:
-    """The first disagreement found for a case."""
+    """The first disagreement found for a case.
+
+    ``step`` is the update index after which it was observed (``-1``:
+    before any update; ``None``: a concurrent read, which has no step, and
+    whose ``expected`` lists every prefix state's result); ``execution`` is
+    the repeat at that state (re-preparation typically happens *between*
+    repeats, so a failure at ``execution > 0`` points at a re-optimized
+    plan).  ``method`` and ``backend`` are ``"*"`` when an update itself
+    raised.
+    """
 
     case: FuzzCase
     method: str
@@ -154,18 +278,28 @@ class Divergence:
     expected: Any = None
     actual: Any = None
     error: str | None = None
+    step: int | None = None
+    execution: int | None = None
 
     def describe(self) -> str:
-        head = (f"seed={self.case.seed} {self.method}/{self.backend} "
-                f"formats={self.case.formats}")
+        case = self.case
+        head = f"seed={case.seed} {case.mode} {self.method}/{self.backend}"
+        if self.step is not None and (case.updates or case.mode != "serial"):
+            head += f" step={self.step}"
+        if self.execution:
+            head += f" execution={self.execution}"
+        head += f" formats={case.formats}"
+        if case.updates:
+            head += f" updates={[update.as_dict() for update in case.updates]}"
         if self.error is not None:
-            return f"{head}\n  raised: {self.error}\n  program: {self.case.source}"
-        return (f"{head}\n  expected: {self.expected!r}\n  actual:   "
-                f"{self.actual!r}\n  program: {self.case.source}")
+            return f"{head}\n  raised: {self.error}\n  program: {case.source}"
+        expected = "one of" if self.step is None and case.concurrent else "expected"
+        return (f"{head}\n  {expected}: {self.expected!r}\n  actual:   "
+                f"{self.actual!r}\n  program: {case.source}")
 
 
 # ---------------------------------------------------------------------------
-# case generation
+# case and update generation
 # ---------------------------------------------------------------------------
 
 
@@ -184,6 +318,95 @@ def generate_case(seed: int, *, fuel: int = 14, max_tensors: int = 3,
     scalars = generate_scalars(schema, rng)
     return FuzzCase(seed=seed, program=program, tensors=tensors,
                     formats=formats, scalars=scalars)
+
+
+def generate_updates(case: FuzzCase, rng: random.Random, count: int, *,
+                     delta: bool = False, max_entries: int = 3) -> list[Update]:
+    """A random, serially-applicable update sequence for ``case``.
+
+    Catalog updates by default — a scalar re-bind, a data replacement or a
+    re-format, drawn uniformly from the kinds the state allows.  With
+    ``delta=True``, sparse point-updates of up to ``max_entries`` entries
+    instead: updates to tensors stored in a *structural* special format are
+    restricted to the tensor's current non-zero support, so the format's
+    precondition (e.g. lower-triangularity) survives every update; general
+    formats mix on-support increments, exact cancellations (an entry driven
+    to precisely zero — a deletion, exercising the ring's subtraction), and
+    fresh off-support insertions.
+    """
+    updates: list[Update] = []
+    state = case
+    for _ in range(count):
+        if not state.tensors and (delta or not state.scalars):
+            break
+        update = (_draw_delta(state, rng, max_entries) if delta
+                  else _draw_catalog_update(state, rng))
+        if update is not None:
+            updates.append(update)
+            state = update.apply(state)
+    return updates
+
+
+def _draw_catalog_update(state: FuzzCase, rng: random.Random) -> Update:
+    kinds = (["set_scalar"] if state.scalars else []) + (
+        ["replace", "reformat"] if state.tensors else [])
+    kind = rng.choice(kinds)
+    if kind == "set_scalar":
+        name = rng.choice(sorted(state.scalars))
+        return Update("set_scalar", name, value=round(rng.uniform(-4.0, 4.0), 3))
+    name = rng.choice(sorted(state.tensors))
+    legal = legal_format_names(np.asarray(state.tensors[name]))
+    if kind == "replace":
+        # Scaling preserves the sparsity structure, so every format that was
+        # legal (including structural special formats) stays legal.
+        scale = round(rng.choice([0.5, 0.75, 1.25, 1.5, 2.0]), 3)
+        return Update("replace", name, value=scale, fmt=rng.choice(legal))
+    others = [fmt for fmt in legal if fmt != state.formats[name]] or legal
+    return Update("reformat", name, fmt=rng.choice(others))
+
+
+def _draw_delta(state: FuzzCase, rng: random.Random, max_entries: int) -> Update | None:
+    """One sparse point-update, or ``None`` when the drawn tensor has no
+    coordinate it may legally touch."""
+    from ..storage.special import SPECIAL_FORMATS
+
+    name = rng.choice(sorted(state.tensors))
+    array = np.asarray(state.tensors[name], dtype=np.float64)
+    special = state.formats.get(name) in SPECIAL_FORMATS
+    support = np.argwhere(array != 0)
+    if special and not len(support):
+        return None
+    entries: dict[tuple[int, ...], float] = {}
+    for _ in range(rng.randint(1, max_entries)):
+        if len(support) and (special or rng.random() < 0.4):
+            coord = tuple(int(c) for c in support[rng.randrange(len(support))])
+        else:
+            coord = tuple(rng.randrange(extent) for extent in array.shape)
+        if rng.random() < 0.25 and array[coord] != 0:
+            value = -float(array[coord])  # exact cancellation: a deletion
+        else:
+            value = rng.choice([0.5, 1.0, 2.0, -0.5, -1.0, -2.0])
+        entries[coord] = entries.get(coord, 0.0) + value
+    return Update("delta", name, coords=tuple(entries), values=tuple(entries.values()))
+
+
+#: How a campaign draws a case's updates, by the first switch that is on:
+#: ``(switch, seed salt, sparse deltas?, updates per case)``.  The salts
+#: keep each mode's update sequences what they were when the modes were
+#: separate campaigns, so the same command generates the same cases.
+UPDATE_DRAWS = (("concurrent", 0x5EEDC0DE, False, 5),
+                ("views", 0x1D3A5EED, True, 4),
+                ("feedback", 0x0ADA9FED, True, 3))
+
+
+def _draw_updates(case: FuzzCase, count: int | None) -> FuzzCase:
+    for switch, salt, delta, default in UPDATE_DRAWS:
+        if getattr(case, switch):
+            rng = random.Random(case.seed ^ salt)
+            updates = generate_updates(case, rng, default if count is None else count,
+                                       delta=delta)
+            return case.replace(updates=tuple(updates))
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -249,89 +472,211 @@ def _effectively_zero(value: Any, abs_tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# execution
+# the check
 # ---------------------------------------------------------------------------
 
 
-class _CaseRunner:
-    """Executes one case under every configuration, sharing work.
+def _run_composed(catalog, program: Expr, backend: str, stats: dict | None = None) -> Any:
+    """The naive composed plan of ``program`` over ``catalog``, no optimizer."""
+    mappings = {name: to_debruijn_safe(mapping)
+                for name, mapping in catalog.mappings().items()}
+    plan = compose(to_debruijn_safe(program), mappings)
+    return ExecutionEngine.for_catalog(catalog, backend=backend).prepare(plan).run(stats=stats)
 
-    The catalog is built once; the naive composed plan is computed once; one
-    :class:`~repro.session.Session` serves all optimized configurations, so
-    each optimizer engine runs once per case and its chosen plan is then
-    executed on each backend.  ``typed_stats`` collects the execution
-    counters of every ``typed`` run (the interpreter reports none).
-    """
 
-    def __init__(self, case: FuzzCase, config: OracleConfig,
-                 typed_stats: list[dict] | None = None):
-        self.case = case
-        self.config = config
-        self.typed_stats = typed_stats if typed_stats is not None else []
-        self.catalog = build_catalog(case.tensors, case.formats, case.scalars)
-        self.session = Session(self.catalog,
-                               optimizer_options=dict(config.optimizer_options))
-        self._naive: Expr | None = None
+def _state_results(case: FuzzCase, config: OracleConfig) -> list[Any]:
+    """The reference result at every prefix state s0..sm of the updates."""
+    expected = []
+    state = case
+    for step in range(-1, len(case.updates)):
+        if step >= 0:
+            state = case.updates[step].apply(state)
+        catalog = build_catalog(state.tensors, state.formats, state.scalars)
+        try:
+            result = _run_composed(catalog, state.program, REFERENCE[1])
+        except Exception as exc:  # noqa: BLE001 - no reference, no signal
+            raise CaseSkipped(f"reference execution failed at step {step}: {exc!r}") from exc
+        expected.append(canonical(result, abs_tol=config.abs_tol))
+    return expected
 
-    def naive_plan(self) -> Expr:
-        if self._naive is None:
-            program = to_debruijn_safe(self.case.program)
-            mappings = {name: to_debruijn_safe(mapping)
-                        for name, mapping in self.catalog.mappings().items()}
-            self._naive = compose(program, mappings)
-        return self._naive
 
-    def run(self, method: str, backend: str) -> Any:
-        stats: dict = {}
-        if method == "unoptimized":
-            engine = ExecutionEngine.for_catalog(self.catalog, backend=backend)
-            result = engine.prepare(self.naive_plan()).run(stats=stats)
-        else:
-            options = None
-            if method == "egraph-legacy":
-                method = "egraph"
-                options = dict(self.config.optimizer_options)
-                options.update(LEGACY_ENGINE)
-            outcome = self.session.run_detailed(
-                self.case.program, method=method, backend=backend,
-                optimizer_options=options)
-            result, stats = outcome.result, outcome.execution_stats or {}
-        if stats:
-            self.typed_stats.append(stats)
-        return result
+def _open_session(case: FuzzCase, config: OracleConfig) -> Session:
+    """The live session a check reads through: a gated
+    :class:`~repro.serving.Server` for concurrent readers and for views,
+    a plain :class:`~repro.session.Session` otherwise."""
+    from ..serving import Server
+
+    catalog = build_catalog(case.tensors, case.formats, case.scalars)
+    session = (Server if case.concurrent or case.views else Session)(
+        catalog, optimizer_options=dict(config.optimizer_options))
+    if case.feedback:
+        session.enable_feedback(**ADAPTIVE_FUZZ_FEEDBACK)
+    if case.views:
+        # Correctness must hold on *both* refresh paths; forcing the delta
+        # path maximizes coverage of the delta machinery (the full-refresh
+        # path is the plain serving pipeline, checked by every other read).
+        registry = session.views()
+        registry.fallback_ratio = 1e12
+        registry.max_delta_fraction = float("inf")
+    return session
+
+
+def _run(session: Session, program: Expr, method: str, backend: str,
+         typed_stats: list[dict] | None) -> Any:
+    """One plain execution on the session's current catalog."""
+    stats: dict = {}
+    if method == "unoptimized":
+        result = _run_composed(session.catalog, program, backend, stats)
+    else:
+        outcome = session.run_detailed(program, method=method, backend=backend)
+        result, stats = outcome.result, outcome.execution_stats or {}
+    if stats and typed_stats is not None:
+        typed_stats.append(stats)
+    return result
+
+
+def _readers(session: Session, case: FuzzCase, index: int, method: str, backend: str,
+             typed_stats: list[dict] | None) -> list[Callable[[], Any]]:
+    """The read functions a check polls for the ``index``-th pair."""
+    if case.mode == "serial":
+        return [partial(_run, session, case.program, method, backend, typed_stats)]
+    reads = []
+    if case.views and index < MAX_VIEWS:
+        reads.append(session.create_view(f"__view_{index}", case.program,
+                                         method=method, backend=backend).value)
+    if (case.feedback or case.concurrent) and index < MAX_STATEMENTS:
+        client = session.session() if case.concurrent else session
+        reads.append(client.prepare(case.program, method=method, backend=backend).execute)
+    return reads
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _observe(case: FuzzCase, config: OracleConfig, method: str, backend: str,
+             read: Callable[[], Any], witnesses: list[Any], step: int | None,
+             execution: int) -> Divergence | None:
+    """Read once: ``None`` when the result matches one of ``witnesses``,
+    else the divergence (a read that raises is one)."""
+    try:
+        value = canonical(read(), abs_tol=config.abs_tol)
+    except Exception as exc:  # noqa: BLE001 - any error is a divergence
+        return Divergence(case, method, backend, error=_error(exc), step=step,
+                          execution=execution)
+    if any(results_match(witness, value, rel_tol=config.rel_tol, abs_tol=config.abs_tol)
+           for witness in witnesses):
+        return None
+    return Divergence(case, method, backend, actual=value, step=step, execution=execution,
+                      expected=witnesses if step is None else witnesses[0])
 
 
 def check_case(case: FuzzCase, config: OracleConfig | None = None,
-               typed_stats: list[dict] | None = None) -> Divergence | None:
-    """Run ``case`` under every configuration; return the first divergence.
+               typed_stats: list[dict] | None = None, *, readers: int = 3,
+               executions: int | None = None) -> Divergence | None:
+    """Check ``case`` against the reference; return the first divergence.
 
-    Raises :class:`CaseSkipped` when the reference itself fails — such a
-    case carries no signal.  Returns ``None`` when every configuration
-    agrees with the reference.  ``typed_stats``, when given, receives the
-    execution counters of every ``typed`` run of the case.
+    The reference is the composed plan on the interpreter at every prefix
+    state of ``case.updates``; :class:`CaseSkipped` is raised when it fails
+    at any of them — such a case carries no signal.  What is read, through
+    one live session that the updates are applied to:
+
+    * no switch: every pair of ``config.pairs()``, one execution each;
+    * ``views``: a materialized view for each of the first
+      :data:`MAX_VIEWS` optimized pairs;
+    * ``feedback`` / ``concurrent``: a prepared statement for each of the
+      first :data:`MAX_STATEMENTS` optimized pairs (served through the gate
+      when ``concurrent``).
+
+    Each read runs ``executions`` times per state — by default 4 for
+    concurrent readers, 3 under feedback, else 1.  Serially, every read at
+    step ``s`` must equal the reference after update ``s``.  With
+    ``concurrent``, ``readers`` threads poll the reads (rotating over them)
+    while a writer applies the updates, and each result must equal the
+    reference at *some* prefix state.  ``typed_stats``, when given,
+    receives the execution counters of every plain ``typed`` run.
     """
     config = config or OracleConfig()
-    runner = _CaseRunner(case, config, typed_stats)
+    expected = _state_results(case, config)
+    if executions is None:
+        executions = 4 if case.concurrent else 3 if case.feedback else 1
+    session = _open_session(case, config)
     try:
-        reference = canonical(runner.run(*REFERENCE), abs_tol=config.abs_tol)
-    except Exception as exc:  # noqa: BLE001 - reference failures end the case
-        raise CaseSkipped(f"reference execution failed: {exc!r}") from exc
-    for method, backend in config.pairs():
+        pairs = config.pairs() if case.mode == "serial" else config.optimized_pairs()
+        observers = []
+        for index, (method, backend) in enumerate(pairs):
+            try:
+                observers += [(method, backend, read) for read in
+                              _readers(session, case, index, method, backend, typed_stats)]
+            except Exception as exc:  # noqa: BLE001 - errors are divergences
+                return Divergence(case, method, backend, error=_error(exc), step=-1)
+        if case.concurrent:
+            return _race(case, config, session, observers, expected, readers, executions)
+        state = case
+        for step in range(-1, len(case.updates)):
+            if step >= 0:
+                try:
+                    state = case.updates[step].apply_live(session, state)
+                except Exception as exc:  # noqa: BLE001
+                    return Divergence(case, "*", "*", error=_error(exc), step=step)
+            for method, backend, read in observers:
+                for execution in range(executions):
+                    divergence = _observe(case, config, method, backend, read,
+                                          [expected[step + 1]], step, execution)
+                    if divergence is not None:
+                        return divergence
+        return None
+    finally:
+        session.close()
+
+
+def _race(case: FuzzCase, config: OracleConfig, session: Session, observers: list,
+          expected: list[Any], readers: int, executions: int) -> Divergence | None:
+    """Reader threads poll ``observers`` while a writer applies the updates.
+
+    The serving layer promises snapshot isolation, so with a single writer
+    every state a snapshot can capture is a prefix state, and every result
+    must equal the reference at *some* prefix state — its linearization
+    witness.  A result matching none means a reader observed a torn catalog
+    (or a cache served a plan across epochs).
+    """
+    barrier = threading.Barrier(readers + 1)
+    divergences: list[Divergence | None] = []
+    divergences_lock = threading.Lock()
+
+    def reader(index: int) -> None:
+        method, backend, read = observers[index % len(observers)]
+        barrier.wait()
+        for execution in range(executions):
+            found = _observe(case, config, method, backend, read, expected, None, execution)
+            with divergences_lock:
+                divergences.append(found)
+
+    def writer() -> None:
+        state = case
+        barrier.wait()
         try:
-            actual = canonical(runner.run(method, backend),
-                               abs_tol=config.abs_tol)
-        except Exception as exc:  # noqa: BLE001 - any error is a divergence
-            return Divergence(case, method, backend,
-                              error=f"{type(exc).__name__}: {exc}")
-        if not results_match(reference, actual, rel_tol=config.rel_tol,
-                             abs_tol=config.abs_tol):
-            return Divergence(case, method, backend,
-                              expected=reference, actual=actual)
-    return None
+            for update in case.updates:
+                time.sleep(WRITER_DELAY)
+                state = update.apply_live(session, state)
+        except Exception as exc:  # noqa: BLE001 - a failed update is a divergence
+            with divergences_lock:
+                divergences.append(Divergence(case, "*", "*", error=_error(exc)))
+
+    threads = [threading.Thread(target=reader, args=(i,), daemon=True)
+               for i in range(readers)]
+    threads.append(threading.Thread(target=writer, daemon=True))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    if any(thread.is_alive() for thread in threads):
+        return Divergence(case, "*", "*", error="deadlock: worker threads did not finish")
+    return next((found for found in divergences if found is not None), None)
 
 
 # ---------------------------------------------------------------------------
-# campaigns
+# campaigns and replay
 # ---------------------------------------------------------------------------
 
 
@@ -345,10 +690,10 @@ class CampaignReport:
     divergences: list[Divergence] = field(default_factory=list)
     corpus_paths: list[str] = field(default_factory=list)
     elapsed: float = 0.0
-    #: Census of the ``typed`` runs of a plain campaign: ``sum``/``merge``
-    #: loops lowered, how many ran as Python loops instead of kernels, in how
-    #: many cases, and why (the ``Untyped`` reason -> loops), plus the sums
-    #: answered by a run-time probe.
+    #: Census of the plain ``typed`` runs: ``sum``/``merge`` loops lowered,
+    #: how many ran as Python loops instead of kernels, in how many cases,
+    #: and why (the ``Untyped`` reason -> loops), plus the sums answered by a
+    #: run-time probe.
     typed_loops: int = 0
     fallback_loops: int = 0
     fallback_cases: int = 0
@@ -393,901 +738,135 @@ def case_seed(master_seed: int, index: int) -> int:
 
 
 def campaign(seed: int, cases: int, *, config: OracleConfig | None = None,
-             legacy_every: int = 4, shrink: bool = True,
+             concurrent: bool = False, views: bool = False, feedback: bool = False,
+             updates_per_case: int | None = None, readers: int = 3,
+             executions: int | None = None, shrink: bool = True,
              out_dir: str | None = None, time_budget: float | None = None,
              max_failures: int = 5, progress: bool = False,
              case_options: Mapping[str, Any] | None = None) -> CampaignReport:
     """Run a seeded differential fuzz campaign of ``cases`` generated points.
 
-    Every ``legacy_every``-th case additionally runs the legacy saturation
-    engine (0 disables it).  Divergent cases are delta-debugged to a minimal
-    repro (``shrink=True``) and, when ``out_dir`` is given, serialized there
-    as self-contained corpus files.  ``time_budget`` (seconds) bounds the
+    Every case gets the given switches and, with one on, an update sequence
+    drawn per :data:`UPDATE_DRAWS` (``updates_per_case`` overrides the
+    count).  Divergent cases are delta-debugged to a minimal repro
+    (``shrink=True``; concurrent cases are kept as found — schedules do not
+    delta-debug) and, when ``out_dir`` is given, serialized there as
+    self-contained corpus files.  ``time_budget`` (seconds) bounds the
     wall-clock of CI smoke runs; the campaign stops cleanly when exceeded.
+    Case generation derives from ``seed`` alone; serial checks replay
+    exactly, concurrent ones under any interleaving.
     """
     from .corpus import write_corpus_case
     from .shrink import shrink_case
 
-    base_config = config or OracleConfig()
+    config = config or OracleConfig()
     report = CampaignReport(seed=seed)
     start = time.perf_counter()
     options = dict(case_options or {})
+    switches = {"concurrent": concurrent, "views": views, "feedback": feedback}
+    every = 10 if any(switches.values()) else 50
     for index in range(cases):
         if time_budget is not None and time.perf_counter() - start > time_budget:
             break
-        case = generate_case(case_seed(seed, index), **options)
-        case_config = base_config
-        if legacy_every and index % legacy_every == 0:
-            case_config = base_config.with_legacy()
+        case = generate_case(case_seed(seed, index), **options).replace(**switches)
+        case = _draw_updates(case, updates_per_case)
         typed_stats: list[dict] = []
+        report.cases_run += 1
         try:
-            divergence = check_case(case, case_config, typed_stats)
+            divergence = check_case(case, config, typed_stats, readers=readers,
+                                    executions=executions)
         except CaseSkipped:
             report.skipped += 1
-            report.cases_run += 1
             continue
-        report.cases_run += 1
         report.record_typed(typed_stats)
         if divergence is not None:
             if shrink:
-                divergence = shrink_case(divergence, case_config)
+                divergence = shrink_case(divergence, config)
             report.divergences.append(divergence)
             if out_dir is not None:
-                report.corpus_paths.append(
-                    str(write_corpus_case(divergence, out_dir)))
+                report.corpus_paths.append(str(write_corpus_case(divergence, out_dir)))
             if len(report.divergences) >= max_failures:
                 break
-        if progress and (index + 1) % 50 == 0:
-            elapsed = time.perf_counter() - start
-            print(f"  [{index + 1}/{cases}] {elapsed:.1f}s "
-                  f"({report.skipped} skipped, "
-                  f"{len(report.divergences)} divergences)")
+        if progress and (index + 1) % every == 0:
+            print(f"  [{index + 1}/{cases}] {time.perf_counter() - start:.1f}s "
+                  f"({report.skipped} skipped, {len(report.divergences)} divergences)")
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def replay(case: FuzzCase, configs: Iterable[tuple[str, str]] | None = None,
+def replay(case: FuzzCase, configs: Iterable[tuple[str, str]] | None = None, *,
+           readers: int = 3, executions: int | None = None,
            **tolerances) -> Divergence | None:
     """Re-check a (possibly corpus-loaded) case under the given config pairs."""
-    if configs is None:
-        return check_case(case)
-    configs = list(configs)
-    methods = tuple(dict.fromkeys(method for method, _ in configs))
-    backends = tuple(dict.fromkeys(backend for _, backend in configs))
-    config = OracleConfig(backends=backends,
-                          methods=("unoptimized",) + tuple(
-                              m for m in methods if m != "unoptimized"),
-                          **tolerances)
-    return check_case(case, config)
-
-
-# ---------------------------------------------------------------------------
-# concurrent campaigns: serial-equivalence under interleaved catalog updates
-# ---------------------------------------------------------------------------
-#
-# The serving layer (repro.serving) promises snapshot isolation: a request
-# racing a catalog update sees either the whole update or none of it.  The
-# concurrent oracle checks the observable consequence — *serial
-# equivalence*: with a single writer applying updates u1..um, every state a
-# snapshot can capture is a prefix state s0..sm, so every concurrent
-# execution's result must equal the program evaluated serially at SOME si
-# (its linearization witness).  A result matching no state means a reader
-# observed a torn catalog (or a cache served a plan across epochs).
-
-
-@dataclass(frozen=True)
-class CatalogUpdate:
-    """One serialized catalog mutation of a concurrent fuzz case.
-
-    ``kind`` is one of:
-
-    * ``"set_scalar"`` — re-bind scalar ``name`` to ``value`` (value-only);
-    * ``"replace"``    — re-store tensor ``name`` with *new data* (the old
-      dense data scaled by ``value``) in format ``fmt`` (schema bump);
-    * ``"reformat"``   — re-store tensor ``name`` in format ``fmt`` with
-      unchanged data (schema bump, result-preserving).
-    """
-
-    kind: str
-    name: str
-    value: float | None = None
-    fmt: str | None = None
-
-    def as_dict(self) -> dict:
-        out = {"kind": self.kind, "name": self.name}
-        if self.value is not None:
-            out["value"] = self.value
-        if self.fmt is not None:
-            out["fmt"] = self.fmt
-        return out
-
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "CatalogUpdate":
-        return cls(kind=spec["kind"], name=spec["name"],
-                   value=spec.get("value"), fmt=spec.get("fmt"))
-
-
-def apply_update_state(state: FuzzCase, update: CatalogUpdate) -> FuzzCase:
-    """The successor state (functional — ``state`` is not modified)."""
-    if update.kind == "set_scalar":
-        scalars = dict(state.scalars)
-        scalars[update.name] = update.value
-        return state.replace(scalars=scalars)
-    if update.kind == "replace":
-        tensors = dict(state.tensors)
-        tensors[update.name] = np.asarray(tensors[update.name]) * update.value
-        formats = dict(state.formats)
-        formats[update.name] = update.fmt
-        return state.replace(tensors=tensors, formats=formats)
-    if update.kind == "reformat":
-        formats = dict(state.formats)
-        formats[update.name] = update.fmt
-        return state.replace(formats=formats)
-    raise ValueError(f"unknown update kind {update.kind!r}")
-
-
-def apply_update_live(server, state: FuzzCase, update: CatalogUpdate) -> FuzzCase:
-    """Apply ``update`` to a live server atomically; return the new state."""
-    from ..storage.convert import ALL_FORMATS, reformat_in_catalog
-
-    successor = apply_update_state(state, update)
-    if update.kind == "set_scalar":
-        server.set_scalar(update.name, update.value)
-    elif update.kind == "replace":
-        data = np.asarray(successor.tensors[update.name], dtype=np.float64)
-        server.replace_format(ALL_FORMATS[update.fmt].from_dense(update.name, data))
-    elif update.kind == "reformat":
-        reformat_in_catalog(server.catalog, update.name, update.fmt)
-    return successor
-
-
-def generate_updates(case: FuzzCase, rng: random.Random,
-                     count: int) -> list[CatalogUpdate]:
-    """A random, serially-applicable update sequence for ``case``."""
-    from .gendata import legal_format_names
-
-    updates: list[CatalogUpdate] = []
-    state = case
-    for _ in range(count):
-        kinds = []
-        if state.scalars:
-            kinds.append("set_scalar")
-        if state.tensors:
-            kinds.extend(["replace", "reformat"])
-        if not kinds:
-            break
-        kind = rng.choice(kinds)
-        if kind == "set_scalar":
-            name = rng.choice(sorted(state.scalars))
-            update = CatalogUpdate("set_scalar", name,
-                                   value=round(rng.uniform(-4.0, 4.0), 3))
-        elif kind == "replace":
-            name = rng.choice(sorted(state.tensors))
-            # Scaling preserves the sparsity structure, so every format that
-            # was legal (including structural special formats) stays legal.
-            scale = round(rng.choice([0.5, 0.75, 1.25, 1.5, 2.0]), 3)
-            fmt = rng.choice(legal_format_names(np.asarray(state.tensors[name])))
-            update = CatalogUpdate("replace", name, value=scale, fmt=fmt)
-        else:
-            name = rng.choice(sorted(state.tensors))
-            legal = legal_format_names(np.asarray(state.tensors[name]))
-            others = [f for f in legal if f != state.formats[name]] or legal
-            update = CatalogUpdate("reformat", name, fmt=rng.choice(others))
-        updates.append(update)
-        state = apply_update_state(state, update)
-    return updates
-
-
-@dataclass
-class ConcurrentDivergence:
-    """A concurrent execution whose result matches no serial state."""
-
-    case: FuzzCase
-    updates: list[CatalogUpdate]
-    method: str
-    backend: str
-    actual: Any = None
-    error: str | None = None
-    expected: Any = None    # the serial state results, for the report
-
-    def describe(self) -> str:
-        head = (f"seed={self.case.seed} concurrent {self.method}/{self.backend} "
-                f"formats={self.case.formats} updates={[u.as_dict() for u in self.updates]}")
-        if self.error is not None:
-            return f"{head}\n  raised: {self.error}\n  program: {self.case.source}"
-        return (f"{head}\n  actual:   {self.actual!r}\n  matched none of "
-                f"{len(self.expected)} serial states: {self.expected!r}\n"
-                f"  program: {self.case.source}")
-
-
-def _serial_state_results(case: FuzzCase, updates: list[CatalogUpdate],
-                          config: OracleConfig) -> list[Any]:
-    """Reference result per prefix state s0..sm (the linearization witnesses)."""
-    expected = []
-    state = case
-    for index in range(len(updates) + 1):
-        runner = _CaseRunner(state, config)
-        try:
-            expected.append(canonical(runner.run(*REFERENCE),
-                                      abs_tol=config.abs_tol))
-        except Exception as exc:  # noqa: BLE001 - no reference, no signal
-            raise CaseSkipped(
-                f"serial reference failed at state {index}: {exc!r}") from exc
-        if index < len(updates):
-            state = apply_update_state(state, updates[index])
-    return expected
-
-
-def check_concurrent_case(case: FuzzCase, updates: list[CatalogUpdate], *,
-                          config: OracleConfig | None = None, readers: int = 3,
-                          executions: int = 4,
-                          writer_delay: float = 0.002
-                          ) -> ConcurrentDivergence | None:
-    """Hammer one case concurrently; assert serial equivalence.
-
-    ``readers`` threads execute the program ``executions`` times each
-    through one shared :class:`repro.serving.Server` (methods × backends
-    rotate over ``config.pairs()``, minus the composed-plan pseudo-method)
-    while a writer thread applies ``updates`` in order.  Every result must
-    equal the serial reference at some prefix state; the first observation
-    with no witness (or any raised error) is returned as a
-    :class:`ConcurrentDivergence`.
-    """
-    from ..serving import Server
-
-    config = config or OracleConfig()
-    pairs = config.optimized_pairs()
-    expected = _serial_state_results(case, updates, config)
-
-    server = Server(build_catalog(case.tensors, case.formats, case.scalars),
-                    optimizer_options=dict(config.optimizer_options))
-    barrier = threading.Barrier(readers + 1)
-    observations: list[tuple[str, str, Any, str | None]] = []
-    observations_lock = threading.Lock()
-
-    def reader(index: int) -> None:
-        method, backend = pairs[index % len(pairs)]
-        session = server.session(method=method, backend=backend)
-        statement = session.prepare(case.program)
-        barrier.wait()
-        for _ in range(executions):
-            try:
-                value = canonical(statement.execute(), abs_tol=config.abs_tol)
-                record = (method, backend, value, None)
-            except Exception as exc:  # noqa: BLE001 - errors are divergences
-                record = (method, backend, None, f"{type(exc).__name__}: {exc}")
-            with observations_lock:
-                observations.append(record)
-
-    def writer() -> None:
-        state = case
-        barrier.wait()
-        for update in updates:
-            time.sleep(writer_delay)
-            state = apply_update_live(server, state, update)
-
-    threads = [threading.Thread(target=reader, args=(i,), daemon=True)
-               for i in range(readers)]
-    threads.append(threading.Thread(target=writer, daemon=True))
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120.0)
-    if any(thread.is_alive() for thread in threads):
-        return ConcurrentDivergence(case, updates, "*", "*",
-                                    error="deadlock: worker threads did not finish")
-
-    for method, backend, value, error in observations:
-        if error is not None:
-            return ConcurrentDivergence(case, updates, method, backend, error=error)
-        if not any(results_match(witness, value, rel_tol=config.rel_tol,
-                                 abs_tol=config.abs_tol)
-                   for witness in expected):
-            return ConcurrentDivergence(case, updates, method, backend,
-                                        actual=value, expected=expected)
-    return None
-
-
-def concurrent_campaign(seed: int, cases: int, *,
-                        config: OracleConfig | None = None, readers: int = 3,
-                        executions: int = 4, updates_per_case: int = 5,
-                        out_dir: str | None = None,
-                        time_budget: float | None = None, max_failures: int = 5,
-                        progress: bool = False,
-                        case_options: Mapping[str, Any] | None = None
-                        ) -> CampaignReport:
-    """A seeded campaign of :func:`check_concurrent_case` points.
-
-    Case and update generation derive deterministically from ``seed``; the
-    serial-equivalence property must hold under *any* thread interleaving,
-    so a campaign is replayable even though schedules differ run to run.
-    Failures are serialized (un-shrunk — schedules don't delta-debug) as
-    ``MODE = "concurrent"`` corpus files when ``out_dir`` is given.
-    """
-    from .corpus import write_corpus_case
-
-    base_config = config or OracleConfig()
-    report = CampaignReport(seed=seed)
-    start = time.perf_counter()
-    options = dict(case_options or {})
-    for index in range(cases):
-        if time_budget is not None and time.perf_counter() - start > time_budget:
-            break
-        case = generate_case(case_seed(seed, index), **options)
-        rng = random.Random(case.seed ^ 0x5EEDC0DE)
-        updates = generate_updates(case, rng, updates_per_case)
-        try:
-            divergence = check_concurrent_case(case, updates,
-                                               config=base_config,
-                                               readers=readers,
-                                               executions=executions)
-        except CaseSkipped:
-            report.skipped += 1
-            report.cases_run += 1
-            continue
-        report.cases_run += 1
-        if divergence is not None:
-            report.divergences.append(divergence)
-            if out_dir is not None:
-                report.corpus_paths.append(str(write_corpus_case(divergence, out_dir)))
-            if len(report.divergences) >= max_failures:
-                break
-        if progress and (index + 1) % 10 == 0:
-            elapsed = time.perf_counter() - start
-            print(f"  [{index + 1}/{cases}] {elapsed:.1f}s "
-                  f"({report.skipped} skipped, "
-                  f"{len(report.divergences)} divergences)")
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-def replay_concurrent(case: FuzzCase, updates: Iterable[CatalogUpdate | Mapping],
-                      configs: Iterable[tuple[str, str]] | None = None,
-                      *, readers: int = 3, executions: int = 4,
-                      **tolerances) -> ConcurrentDivergence | None:
-    """Re-run a (corpus-loaded) concurrent case and re-check serial equivalence."""
-    updates = [update if isinstance(update, CatalogUpdate)
-               else CatalogUpdate.from_dict(update) for update in updates]
+    config = OracleConfig(**tolerances)
     if configs:
         configs = list(configs)
         methods = tuple(dict.fromkeys(method for method, _ in configs))
         backends = tuple(dict.fromkeys(backend for _, backend in configs))
-        config = OracleConfig(backends=backends, methods=methods, **tolerances)
-    else:
-        config = OracleConfig(**tolerances)
-    return check_concurrent_case(case, updates, config=config,
-                                 readers=readers, executions=executions)
+        config = dataclasses.replace(config, backends=backends, methods=(
+            "unoptimized",) + tuple(m for m in methods if m != "unoptimized"))
+    return check_case(case, config, readers=readers, executions=executions)
 
 
 # ---------------------------------------------------------------------------
-# IVM campaigns: maintained views vs. full re-execution after each delta
+# per-mode names: the one case model with one switch on
 # ---------------------------------------------------------------------------
-#
-# The IVM subsystem (repro.ivm) promises that a maintained view's value
-# after a sparse point-update equals the program re-executed in full
-# against the updated catalog — whether the refresh went through the
-# derived delta statement or the cost-based fallback.  The IVM oracle
-# checks exactly that: random update sequences are applied through
-# repro.serving.Server.update while registered views (one per
-# method/backend pair) must match the serial reference evaluated at every
-# post-update state.  The cost fallback is disabled during fuzzing so the
-# delta path — the interesting machinery — runs whenever derivation
-# succeeds; correctness must hold regardless of which path the cost model
-# would have picked.
 
 
-@dataclass(frozen=True)
-class DeltaUpdate:
-    """One serialized sparse point-update of an IVM fuzz case.
-
-    ``coords`` holds ``n`` integer coordinate tuples into tensor ``name``
-    and ``values`` the ``n`` additive deltas — the arguments of
-    :meth:`repro.serving.Server.update` in corpus-serializable form.
-    """
-
-    name: str
-    coords: tuple[tuple[int, ...], ...]
-    values: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {"name": self.name,
-                "coords": [list(coord) for coord in self.coords],
-                "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "DeltaUpdate":
-        return cls(name=spec["name"],
-                   coords=tuple(tuple(int(c) for c in coord)
-                                for coord in spec["coords"]),
-                   values=tuple(float(v) for v in spec["values"]))
+def _with(case: FuzzCase, updates: Iterable[Update | Mapping], **switches) -> FuzzCase:
+    """``case`` with the given updates (or their dict forms) and switches."""
+    return case.replace(updates=tuple(update if isinstance(update, Update)
+                                      else Update.from_dict(update) for update in updates),
+                        **switches)
 
 
-def apply_delta_update_state(state: FuzzCase, update: DeltaUpdate) -> FuzzCase:
-    """The successor state (functional — ``state`` is not modified)."""
-    tensors = dict(state.tensors)
-    array = np.asarray(tensors[update.name], dtype=np.float64).copy()
-    coords = np.asarray(update.coords, dtype=np.int64).reshape(-1, array.ndim)
-    np.add.at(array, tuple(coords.T), np.asarray(update.values, dtype=np.float64))
-    tensors[update.name] = array
-    return state.replace(tensors=tensors)
+CatalogUpdate = Update
 
 
-def generate_delta_updates(case: FuzzCase, rng: random.Random, count: int,
-                           *, max_entries: int = 3) -> list[DeltaUpdate]:
-    """A random, serially-applicable delta-update sequence for ``case``.
-
-    Updates to tensors stored in a *structural* special format are
-    restricted to the tensor's current non-zero support, so the format's
-    precondition (e.g. lower-triangularity) survives every update; general
-    formats mix on-support increments, exact cancellations (an entry
-    driven to precisely zero — a deletion, exercising the ring's
-    subtraction), and fresh off-support insertions.
-    """
-    from ..storage.special import SPECIAL_FORMATS
-
-    updates: list[DeltaUpdate] = []
-    state = case
-    names = sorted(state.tensors)
-    for _ in range(count):
-        if not names:
-            break
-        name = rng.choice(names)
-        array = np.asarray(state.tensors[name], dtype=np.float64)
-        special = state.formats.get(name) in SPECIAL_FORMATS
-        support = np.argwhere(array != 0)
-        if special and not len(support):
-            continue  # no legal coordinates to touch
-        entries: dict[tuple[int, ...], float] = {}
-        for _ in range(rng.randint(1, max_entries)):
-            on_support = len(support) and (special or rng.random() < 0.4)
-            if on_support:
-                coord = tuple(int(c) for c in support[rng.randrange(len(support))])
-            else:
-                coord = tuple(rng.randrange(extent) for extent in array.shape)
-            if rng.random() < 0.25 and array[coord] != 0:
-                value = -float(array[coord])  # exact cancellation: a deletion
-            else:
-                value = rng.choice([0.5, 1.0, 2.0, -0.5, -1.0, -2.0])
-            entries[coord] = entries.get(coord, 0.0) + value
-        update = DeltaUpdate(name, tuple(entries), tuple(entries.values()))
-        updates.append(update)
-        state = apply_delta_update_state(state, update)
-    return updates
+def DeltaUpdate(name: str, coords, values) -> Update:  # noqa: N802 - former class name
+    return Update("delta", name, coords=tuple(coords), values=tuple(values))
 
 
-@dataclass
-class IvmDivergence:
-    """A maintained view that disagrees with full re-execution.
-
-    ``step`` is the update index after which the disagreement was observed
-    (``-1`` = the initial materialization, before any update).
-    """
-
-    case: FuzzCase
-    deltas: list[DeltaUpdate]
-    step: int
-    method: str
-    backend: str
-    actual: Any = None
-    error: str | None = None
-    expected: Any = None
-
-    def describe(self) -> str:
-        head = (f"seed={self.case.seed} ivm {self.method}/{self.backend} "
-                f"step={self.step} formats={self.case.formats} "
-                f"deltas={[d.as_dict() for d in self.deltas]}")
-        if self.error is not None:
-            return f"{head}\n  raised: {self.error}\n  program: {self.case.source}"
-        return (f"{head}\n  view:     {self.actual!r}\n"
-                f"  expected: {self.expected!r}\n"
-                f"  program: {self.case.source}")
+def apply_update_state(state: FuzzCase, update: Update) -> FuzzCase:
+    return update.apply(state)
 
 
-def _ivm_state_results(case: FuzzCase, deltas: list[DeltaUpdate],
-                       config: OracleConfig) -> list[Any]:
-    """Reference result per prefix state s0..sm (full re-execution oracle)."""
-    expected = []
-    state = case
-    for index in range(len(deltas) + 1):
-        runner = _CaseRunner(state, config)
-        try:
-            expected.append(canonical(runner.run(*REFERENCE),
-                                      abs_tol=config.abs_tol))
-        except Exception as exc:  # noqa: BLE001 - no reference, no signal
-            raise CaseSkipped(
-                f"ivm reference failed at state {index}: {exc!r}") from exc
-        if index < len(deltas):
-            state = apply_delta_update_state(state, deltas[index])
-    return expected
+apply_delta_update_state = apply_update_state
 
 
-def check_ivm_case(case: FuzzCase, deltas: list[DeltaUpdate], *,
-                   config: OracleConfig | None = None,
-                   max_views: int = 3) -> IvmDivergence | None:
-    """Maintain one case's views across ``deltas``; assert the IVM invariant.
-
-    One materialized view per (method, backend) pair — minus the
-    composed-plan pseudo-method — is registered on a fresh
-    :class:`repro.serving.Server`; after the initial materialization and
-    after every :meth:`~repro.serving.Server.update`, each view's value
-    must equal the program re-executed in full (the serial reference) at
-    that state.  The registry's cost fallback is disabled so the derived
-    delta statements actually run; the first disagreement (or any raised
-    error) is returned as an :class:`IvmDivergence`.
-    """
-    from ..serving import Server
-
-    config = config or OracleConfig()
-    pairs = config.optimized_pairs()[:max_views]
-    expected = _ivm_state_results(case, deltas, config)
-
-    server = Server(build_catalog(case.tensors, case.formats, case.scalars),
-                    optimizer_options=dict(config.optimizer_options))
-    try:
-        registry = server.views()
-        # Correctness must hold on *both* refresh paths; forcing the delta
-        # path maximizes coverage of the delta machinery (the full-refresh
-        # path is the plain serving pipeline, fuzzed elsewhere).
-        registry.fallback_ratio = 1e12
-        registry.max_delta_fraction = float("inf")
-        views = []
-        for index, (method, backend) in enumerate(pairs):
-            try:
-                views.append(server.create_view(f"__ivm_{index}", case.program,
-                                                method=method, backend=backend))
-            except Exception as exc:  # noqa: BLE001 - errors are divergences
-                return IvmDivergence(case, deltas, -1, method, backend,
-                                     error=f"{type(exc).__name__}: {exc}")
-        for step in range(-1, len(deltas)):
-            if step >= 0:
-                update = deltas[step]
-                try:
-                    server.update(update.name,
-                                  np.asarray(update.coords, dtype=np.int64),
-                                  np.asarray(update.values, dtype=np.float64))
-                except Exception as exc:  # noqa: BLE001
-                    return IvmDivergence(case, deltas, step, "*", "*",
-                                         error=f"{type(exc).__name__}: {exc}")
-            witness = expected[step + 1]
-            for (method, backend), view in zip(pairs, views):
-                try:
-                    value = canonical(view.value(), abs_tol=config.abs_tol)
-                except Exception as exc:  # noqa: BLE001
-                    return IvmDivergence(case, deltas, step, method, backend,
-                                         error=f"{type(exc).__name__}: {exc}")
-                if not results_match(witness, value, rel_tol=config.rel_tol,
-                                     abs_tol=config.abs_tol):
-                    return IvmDivergence(case, deltas, step, method, backend,
-                                         actual=value, expected=witness)
-    finally:
-        server.close()
-    return None
+def generate_delta_updates(case: FuzzCase, rng: random.Random, count: int, *,
+                           max_entries: int = 3) -> list[Update]:
+    return generate_updates(case, rng, count, delta=True, max_entries=max_entries)
 
 
-def shrink_ivm(divergence: IvmDivergence, *,
-               config: OracleConfig | None = None,
-               max_attempts: int = 64) -> IvmDivergence:
-    """Greedy delta-debugging of an IVM failure's update sequence.
-
-    Tries dropping whole updates, then individual delta entries, keeping
-    any reduction under which :func:`check_ivm_case` still diverges.  The
-    program and data are left alone (the case generator's serial shrinker
-    does not understand update sequences); the update sequence is usually
-    where the noise is.
-    """
-    config = config or OracleConfig()
-    best = divergence
-    attempts = 0
-
-    def still_fails(deltas: list[DeltaUpdate]) -> IvmDivergence | None:
-        nonlocal attempts
-        attempts += 1
-        try:
-            return check_ivm_case(best.case, deltas, config=config)
-        except CaseSkipped:
-            return None
-
-    changed = True
-    while changed and attempts < max_attempts:
-        changed = False
-        for index in range(len(best.deltas) - 1, -1, -1):
-            if attempts >= max_attempts:
-                break
-            candidate = best.deltas[:index] + best.deltas[index + 1:]
-            reduced = still_fails(candidate)
-            if reduced is not None:
-                best, changed = reduced, True
-    for index, update in enumerate(list(best.deltas)):
-        for position in range(len(update.coords) - 1, -1, -1):
-            if attempts >= max_attempts or len(best.deltas[index].coords) <= 1:
-                break
-            update = best.deltas[index]
-            slim = DeltaUpdate(update.name,
-                               update.coords[:position] + update.coords[position + 1:],
-                               update.values[:position] + update.values[position + 1:])
-            candidate = best.deltas[:index] + [slim] + best.deltas[index + 1:]
-            reduced = still_fails(candidate)
-            if reduced is not None:
-                best = reduced
-    return best
+def check_concurrent_case(case: FuzzCase, updates, *, config: OracleConfig | None = None,
+                          readers: int = 3, executions: int = 4) -> Divergence | None:
+    return check_case(_with(case, updates, concurrent=True), config, readers=readers,
+                      executions=executions)
 
 
-def ivm_campaign(seed: int, cases: int, *, config: OracleConfig | None = None,
-                 updates_per_case: int = 4, shrink: bool = True,
-                 out_dir: str | None = None, time_budget: float | None = None,
-                 max_failures: int = 5, progress: bool = False,
-                 case_options: Mapping[str, Any] | None = None
-                 ) -> CampaignReport:
-    """A seeded campaign of :func:`check_ivm_case` points.
-
-    Case and update generation derive deterministically from ``seed``, and
-    checking is single-threaded, so the whole campaign — including shrinks
-    — replays exactly.  Failures are shrunk (update-sequence only) and
-    serialized as ``MODE = "ivm"`` corpus files when ``out_dir`` is given.
-    """
-    from .corpus import write_corpus_case
-
-    base_config = config or OracleConfig()
-    report = CampaignReport(seed=seed)
-    start = time.perf_counter()
-    options = dict(case_options or {})
-    for index in range(cases):
-        if time_budget is not None and time.perf_counter() - start > time_budget:
-            break
-        case = generate_case(case_seed(seed, index), **options)
-        rng = random.Random(case.seed ^ 0x1D3A5EED)
-        deltas = generate_delta_updates(case, rng, updates_per_case)
-        try:
-            divergence = check_ivm_case(case, deltas, config=base_config)
-        except CaseSkipped:
-            report.skipped += 1
-            report.cases_run += 1
-            continue
-        report.cases_run += 1
-        if divergence is not None:
-            if shrink:
-                divergence = shrink_ivm(divergence, config=base_config)
-            report.divergences.append(divergence)
-            if out_dir is not None:
-                report.corpus_paths.append(str(write_corpus_case(divergence, out_dir)))
-            if len(report.divergences) >= max_failures:
-                break
-        if progress and (index + 1) % 10 == 0:
-            elapsed = time.perf_counter() - start
-            print(f"  [{index + 1}/{cases}] {elapsed:.1f}s "
-                  f"({report.skipped} skipped, "
-                  f"{len(report.divergences)} divergences)")
-    report.elapsed = time.perf_counter() - start
-    return report
+def check_ivm_case(case: FuzzCase, deltas, *,
+                   config: OracleConfig | None = None) -> Divergence | None:
+    return check_case(_with(case, deltas, views=True), config)
 
 
-def replay_ivm(case: FuzzCase, deltas: Iterable[DeltaUpdate | Mapping],
-               configs: Iterable[tuple[str, str]] | None = None,
-               **tolerances) -> IvmDivergence | None:
-    """Re-run a (corpus-loaded) IVM case and re-check the IVM invariant."""
-    deltas = [delta if isinstance(delta, DeltaUpdate)
-              else DeltaUpdate.from_dict(delta) for delta in deltas]
-    if configs:
-        configs = list(configs)
-        methods = tuple(dict.fromkeys(method for method, _ in configs))
-        backends = tuple(dict.fromkeys(backend for _, backend in configs))
-        config = OracleConfig(backends=backends, methods=methods, **tolerances)
-    else:
-        config = OracleConfig(**tolerances)
-    return check_ivm_case(case, deltas, config=config)
+def check_adaptive_case(case: FuzzCase, deltas, *, config: OracleConfig | None = None,
+                        executions: int = 3) -> Divergence | None:
+    return check_case(_with(case, deltas, feedback=True), config, executions=executions)
 
 
-# ---------------------------------------------------------------------------
-# adaptive campaigns: feedback-driven re-optimization is result-invariant
-# ---------------------------------------------------------------------------
-#
-# The adaptive loop (repro.core.feedback, docs/adaptive.md) profiles sampled
-# executions, folds observed cardinalities into the statistics, and makes
-# statements whose estimates were off transparently re-prepare — possibly
-# choosing a *different plan* mid-stream.  The invariant the adaptive oracle
-# checks is that none of this is ever observable in results: with profiling
-# on every run and an aggressive re-optimize threshold, a statement executed
-# repeatedly while sparse updates drift the data underneath it must return
-# the serial reference value at every state, no matter how many times the
-# feedback loop re-optimized it in between.
+concurrent_campaign = partial(campaign, concurrent=True)
+ivm_campaign = partial(campaign, views=True)
+adaptive_campaign = partial(campaign, feedback=True)
 
 
-#: The deliberately aggressive loop configuration fuzzing runs under: every
-#: execution is profiled and a 5% estimation error already re-optimizes, so
-#: mid-campaign re-preparation — the machinery under test — fires constantly.
-ADAPTIVE_FUZZ_FEEDBACK: dict = {"sample_every": 1, "threshold": 1.05}
+def replay_concurrent(case: FuzzCase, updates, configs=None, **options) -> Divergence | None:
+    return replay(_with(case, updates, concurrent=True), configs, **options)
 
 
-@dataclass
-class AdaptiveDivergence:
-    """An adaptively re-optimized statement that changed its answer.
-
-    ``step`` is the update index after which the disagreement was observed
-    (``-1`` = before any update); ``execution`` is the repeat at that state
-    (re-preparation typically happens *between* repeats, so a failure at
-    ``execution > 0`` points at the re-optimized plan).
-    """
-
-    #: Corpus serialization tag (see :mod:`repro.fuzz.corpus`).
-    corpus_mode = "adaptive"
-
-    case: FuzzCase
-    deltas: list[DeltaUpdate]
-    step: int
-    method: str
-    backend: str
-    execution: int = 0
-    actual: Any = None
-    error: str | None = None
-    expected: Any = None
-
-    def describe(self) -> str:
-        head = (f"seed={self.case.seed} adaptive {self.method}/{self.backend} "
-                f"step={self.step} execution={self.execution} "
-                f"formats={self.case.formats} "
-                f"deltas={[d.as_dict() for d in self.deltas]}")
-        if self.error is not None:
-            return f"{head}\n  raised: {self.error}\n  program: {self.case.source}"
-        return (f"{head}\n  actual:   {self.actual!r}\n"
-                f"  expected: {self.expected!r}\n"
-                f"  program: {self.case.source}")
+def replay_ivm(case: FuzzCase, deltas, configs=None, **options) -> Divergence | None:
+    return replay(_with(case, deltas, views=True), configs, **options)
 
 
-def check_adaptive_case(case: FuzzCase, deltas: list[DeltaUpdate], *,
-                        config: OracleConfig | None = None,
-                        executions: int = 3,
-                        max_statements: int = 4) -> AdaptiveDivergence | None:
-    """Execute one case repeatedly under the adaptive loop; assert invariance.
-
-    One prepared statement per (method, backend) pair — minus the
-    composed-plan pseudo-method — lives on a single
-    :class:`~repro.session.Session` with feedback profiling on *every*
-    execution (:data:`ADAPTIVE_FUZZ_FEEDBACK`).  At each state (the initial
-    one and after every sparse update) each statement executes
-    ``executions`` times; every result must equal the serial reference at
-    that state.  Observed cardinalities accumulate across statements, so an
-    epoch bumped by one statement's profile re-prepares all of them — the
-    densest re-optimization schedule the production loop can produce.
-    """
-    from ..core.feedback import FeedbackConfig
-
-    config = config or OracleConfig()
-    pairs = config.optimized_pairs()[:max_statements]
-    expected = _ivm_state_results(case, deltas, config)
-
-    session = Session(build_catalog(case.tensors, case.formats, case.scalars),
-                      optimizer_options=dict(config.optimizer_options),
-                      feedback=FeedbackConfig(**ADAPTIVE_FUZZ_FEEDBACK))
-    statements = []
-    for method, backend in pairs:
-        try:
-            statements.append(session.prepare(case.program, method=method,
-                                              backend=backend))
-        except Exception as exc:  # noqa: BLE001 - errors are divergences
-            return AdaptiveDivergence(case, deltas, -1, method, backend,
-                                      error=f"{type(exc).__name__}: {exc}")
-    for step in range(-1, len(deltas)):
-        if step >= 0:
-            update = deltas[step]
-            try:
-                session.update(update.name,
-                               np.asarray(update.coords, dtype=np.int64),
-                               np.asarray(update.values, dtype=np.float64))
-            except Exception as exc:  # noqa: BLE001
-                return AdaptiveDivergence(case, deltas, step, "*", "*",
-                                          error=f"{type(exc).__name__}: {exc}")
-        witness = expected[step + 1]
-        for (method, backend), statement in zip(pairs, statements):
-            for repeat in range(executions):
-                try:
-                    value = canonical(statement.execute(),
-                                      abs_tol=config.abs_tol)
-                except Exception as exc:  # noqa: BLE001
-                    return AdaptiveDivergence(
-                        case, deltas, step, method, backend, execution=repeat,
-                        error=f"{type(exc).__name__}: {exc}")
-                if not results_match(witness, value, rel_tol=config.rel_tol,
-                                     abs_tol=config.abs_tol):
-                    return AdaptiveDivergence(
-                        case, deltas, step, method, backend, execution=repeat,
-                        actual=value, expected=witness)
-    return None
-
-
-def shrink_adaptive(divergence: AdaptiveDivergence, *,
-                    config: OracleConfig | None = None,
-                    max_attempts: int = 48) -> AdaptiveDivergence:
-    """Greedy delta-debugging of an adaptive failure's update sequence.
-
-    Tries dropping whole updates (newest first) while the case still
-    diverges; program and data are left to the serial shrinker's domain.
-    """
-    config = config or OracleConfig()
-    best = divergence
-    attempts = 0
-    changed = True
-    while changed and attempts < max_attempts:
-        changed = False
-        for index in range(len(best.deltas) - 1, -1, -1):
-            if attempts >= max_attempts:
-                break
-            attempts += 1
-            candidate = best.deltas[:index] + best.deltas[index + 1:]
-            try:
-                reduced = check_adaptive_case(best.case, candidate, config=config)
-            except CaseSkipped:
-                reduced = None
-            if reduced is not None:
-                best, changed = reduced, True
-    return best
-
-
-def adaptive_campaign(seed: int, cases: int, *,
-                      config: OracleConfig | None = None,
-                      updates_per_case: int = 3, executions: int = 3,
-                      shrink: bool = True, out_dir: str | None = None,
-                      time_budget: float | None = None, max_failures: int = 5,
-                      progress: bool = False,
-                      case_options: Mapping[str, Any] | None = None
-                      ) -> CampaignReport:
-    """A seeded campaign of :func:`check_adaptive_case` points.
-
-    Case and update generation derive deterministically from ``seed``, and
-    checking is single-threaded (the adaptive loop itself is the moving
-    part), so campaigns replay exactly.  Failures are shrunk
-    (update-sequence only) and serialized as ``MODE = "adaptive"`` corpus
-    files when ``out_dir`` is given.
-    """
-    from .corpus import write_corpus_case
-
-    base_config = config or OracleConfig()
-    report = CampaignReport(seed=seed)
-    start = time.perf_counter()
-    options = dict(case_options or {})
-    for index in range(cases):
-        if time_budget is not None and time.perf_counter() - start > time_budget:
-            break
-        case = generate_case(case_seed(seed, index), **options)
-        rng = random.Random(case.seed ^ 0x0ADA9FED)
-        deltas = generate_delta_updates(case, rng, updates_per_case)
-        try:
-            divergence = check_adaptive_case(case, deltas, config=base_config,
-                                             executions=executions)
-        except CaseSkipped:
-            report.skipped += 1
-            report.cases_run += 1
-            continue
-        report.cases_run += 1
-        if divergence is not None:
-            if shrink:
-                divergence = shrink_adaptive(divergence, config=base_config)
-            report.divergences.append(divergence)
-            if out_dir is not None:
-                report.corpus_paths.append(str(write_corpus_case(divergence, out_dir)))
-            if len(report.divergences) >= max_failures:
-                break
-        if progress and (index + 1) % 10 == 0:
-            elapsed = time.perf_counter() - start
-            print(f"  [{index + 1}/{cases}] {elapsed:.1f}s "
-                  f"({report.skipped} skipped, "
-                  f"{len(report.divergences)} divergences)")
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-def replay_adaptive(case: FuzzCase, deltas: Iterable[DeltaUpdate | Mapping],
-                    configs: Iterable[tuple[str, str]] | None = None,
-                    *, executions: int = 3,
-                    **tolerances) -> AdaptiveDivergence | None:
-    """Re-run a (corpus-loaded) adaptive case and re-check result invariance."""
-    deltas = [delta if isinstance(delta, DeltaUpdate)
-              else DeltaUpdate.from_dict(delta) for delta in deltas]
-    if configs:
-        configs = list(configs)
-        methods = tuple(dict.fromkeys(method for method, _ in configs))
-        backends = tuple(dict.fromkeys(backend for _, backend in configs))
-        config = OracleConfig(backends=backends, methods=methods, **tolerances)
-    else:
-        config = OracleConfig(**tolerances)
-    return check_adaptive_case(case, deltas, config=config,
-                               executions=executions)
+def replay_adaptive(case: FuzzCase, deltas, configs=None, **options) -> Divergence | None:
+    return replay(_with(case, deltas, feedback=True), configs, **options)

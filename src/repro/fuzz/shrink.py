@@ -1,23 +1,33 @@
 """Delta-debugging shrinker for divergent fuzz cases.
 
 A raw divergence from :func:`repro.fuzz.oracle.campaign` is rarely readable:
-a 40-node program over three tensors in exotic formats.  This module
-minimizes it while preserving the failure, using the oracle itself as the
-test predicate — a candidate reduction is kept only if the *shrunk* case
-still diverges under the same (engine, backend) configuration (a reduction
-that makes the reference fail, e.g. by unbinding a variable, self-rejects).
+a 40-node program over three tensors in exotic formats, behind five updates.
+This module minimizes it while preserving the failure, using the oracle
+itself as the test predicate — a candidate reduction is kept only if the
+*shrunk* case still diverges under the same (method, backend) pair and at
+the same step of its update sequence (a reduction that makes the reference
+fail, e.g. by unbinding a variable, self-rejects; one under which an update
+itself raises does not count unless the original failure was one).
 
-Passes, iterated to a fixed point under a global evaluation budget:
+Passes, under a global evaluation budget:
 
-1. **program** — every subexpression is tentatively replaced by one of its
+1. **updates** (first, once) — whole updates dropped, newest first, to a
+   fixed point, then single entries of sparse point-updates;
+
+then, iterated to a fixed point:
+
+2. **program** — every subexpression is tentatively replaced by one of its
    own children (hoisting) or by ``0`` / ``1``;
-2. **tensor data** — whole tensors zeroed, then single non-zero entries
+3. **tensor data** — whole tensors zeroed, then single non-zero entries
    zeroed, then surviving values snapped to ``1.0``;
-3. **scalars** — snapped to ``1.0`` / ``0.0``;
-4. **formats** — swapped to ``dense`` (keeping the failure format-specific
+4. **scalars** — snapped to ``1.0`` / ``0.0``;
+5. **formats** — swapped to ``dense`` (keeping the failure format-specific
    only when it really is);
-5. **garbage collection** — tensors and scalars the program no longer
-   references are dropped.
+6. **garbage collection** — tensors and scalars neither the program nor an
+   update references are dropped.
+
+Concurrent cases are returned as found: their reads race a writer, so
+"still fails" is a property of the schedule, not of the case.
 
 The result plugs into :func:`repro.fuzz.corpus.write_corpus_case`, which
 serializes it as a self-contained, replayable regression test.
@@ -25,6 +35,7 @@ serializes it as a self-contained, replayable regression test.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -34,7 +45,10 @@ from .oracle import CaseSkipped, Divergence, FuzzCase, OracleConfig, check_case
 
 
 def narrow_config(config: OracleConfig, divergence: Divergence) -> OracleConfig:
-    """Restrict ``config`` to the reference plus the one diverging pair."""
+    """Restrict ``config`` to the reference plus the one diverging pair
+    (all of ``config``'s pairs when an update itself raised)."""
+    if divergence.method == "*":
+        return config
     methods = ("unoptimized",)
     if divergence.method != "unoptimized":
         methods = methods + (divergence.method,)
@@ -81,13 +95,45 @@ class _Budget:
         return True
 
 
-def _still_fails(case: FuzzCase, config: OracleConfig, budget: _Budget) -> bool:
+def _still_fails(case: FuzzCase, config: OracleConfig, budget: _Budget,
+                 original: Divergence, step: int | None) -> bool:
+    """Whether ``case`` diverges at the original pair and at ``step``."""
     if not budget.spend():
         return False
     try:
-        return check_case(case, config) is not None
+        found = check_case(case, config)
     except CaseSkipped:
         return False
+    return (found is not None and (found.method, found.backend, found.step)
+            == (original.method, original.backend, step))
+
+
+def _shrink_updates(case: FuzzCase, step: int | None,
+                    fails: Callable[[FuzzCase, int | None], bool]) -> tuple[FuzzCase, int | None]:
+    """Drop whole updates (newest first) to a fixed point, then single
+    entries of point-updates.  Dropping an update at or before the failing
+    step moves the failure one step earlier."""
+    changed = True
+    while changed:
+        changed = False
+        for index in range(len(case.updates) - 1, -1, -1):
+            moved = step - 1 if step is not None and index <= step else step
+            attempt = case.replace(updates=case.updates[:index] + case.updates[index + 1:])
+            if fails(attempt, moved):
+                case, step, changed = attempt, moved, True
+    for index in range(len(case.updates)):
+        for position in range(len(case.updates[index].coords) - 1, -1, -1):
+            update = case.updates[index]
+            if len(update.coords) <= 1:
+                break
+            slim = dataclasses.replace(
+                update, coords=update.coords[:position] + update.coords[position + 1:],
+                values=update.values[:position] + update.values[position + 1:])
+            attempt = case.replace(
+                updates=case.updates[:index] + (slim,) + case.updates[index + 1:])
+            if fails(attempt, step):
+                case = attempt
+    return case, step
 
 
 def _shrink_program(case: FuzzCase, fails: Callable[[FuzzCase], bool]) -> FuzzCase:
@@ -162,7 +208,7 @@ def _shrink_formats(case: FuzzCase, fails: Callable[[FuzzCase], bool]) -> FuzzCa
 
 
 def _drop_unreferenced(case: FuzzCase, fails: Callable[[FuzzCase], bool]) -> FuzzCase:
-    referenced = symbols(case.program)
+    referenced = symbols(case.program) | {update.name for update in case.updates}
     tensors = {name: array for name, array in case.tensors.items()
                if name in referenced}
     scalars = {name: value for name, value in case.scalars.items()
@@ -180,15 +226,20 @@ def shrink_case(divergence: Divergence, config: OracleConfig | None = None, *,
     """Minimize a divergent case; returns the re-checked, shrunk divergence.
 
     The predicate is "still diverges under the original failing
-    (engine, backend) pair"; ``max_evaluations`` bounds the number of oracle
-    executions spent.  If shrinking loses the failure (e.g. a flaky budget
-    exhaustion), the original divergence is returned unchanged.
+    (method, backend) pair, at the same step"; ``max_evaluations`` bounds
+    the number of oracle executions spent.  If shrinking loses the failure
+    (e.g. a flaky budget exhaustion), the original divergence is returned
+    unchanged; so is a concurrent case's.
     """
+    if divergence.case.concurrent:
+        return divergence
     narrow = narrow_config(config or OracleConfig(), divergence)
     budget = _Budget(max_evaluations)
-    fails = lambda case: _still_fails(case, narrow, budget)  # noqa: E731
+    case, step = _shrink_updates(
+        divergence.case, divergence.step,
+        lambda attempt, at: _still_fails(attempt, narrow, budget, divergence, at))
+    fails = lambda attempt: _still_fails(attempt, narrow, budget, divergence, step)  # noqa: E731
 
-    case = divergence.case
     previous_size = None
     while previous_size != node_count(case.program):
         previous_size = node_count(case.program)
@@ -204,3 +255,7 @@ def shrink_case(divergence: Divergence, config: OracleConfig | None = None, *,
     except CaseSkipped:
         shrunk = None
     return shrunk if shrunk is not None else divergence
+
+
+#: The names of the former per-mode shrinkers.
+shrink_ivm = shrink_adaptive = shrink_case

@@ -78,8 +78,9 @@ def run(program: "str | Expr", catalog: Catalog, *, method: str = "greedy",
 
     ``backend`` selects the execution backend — ``"typed"`` (default) or
     ``"interpret"``; ``optimizer_options`` forwards
-    optimizer/engine knobs (limits, ``scheduler``, ``indexed``,
-    ``incremental``); see :func:`run_detailed` for all parameters.
+    :class:`~repro.core.optimizer.Optimizer` keyword arguments (the
+    iteration / node / time / match limits); see :func:`run_detailed` for
+    all parameters.
     """
     return run_detailed(program, catalog, method=method, backend=backend,
                         dense_shape=dense_shape,

@@ -9,4 +9,4 @@ PROGRAM = ("(if (0 == 3 || 1 == 1) then "
 TENSORS = {"T0": [0.9, 0.0, 0.4]}
 FORMATS = {"T0": "trie"}
 SCALARS = {"c1": 2.0}
-CONFIGS = [("egraph", "interpret"), ("egraph-legacy", "interpret")]
+CONFIGS = [("egraph", "interpret")]

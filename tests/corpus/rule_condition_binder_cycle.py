@@ -7,4 +7,4 @@ PROGRAM = "{ 0 -> T1 } * (let x9 = sum(<k7, v8> in 0) { k7 -> 0 } in T0)"
 TENSORS = {"T0": [[1.0, 0.0], [0.5, 2.0]], "T1": [1.0, 0.0, 3.0]}
 FORMATS = {"T0": "dense", "T1": "dense"}
 SCALARS = {}
-CONFIGS = [("egraph", "interpret"), ("egraph-legacy", "interpret")]
+CONFIGS = [("egraph", "interpret")]

@@ -522,8 +522,8 @@ def test_adaptive_oracle_detects_a_wrong_witness(monkeypatch):
     case = generate_case(case_seed(7, 12))
     deltas = generate_delta_updates(case, random.Random(case.seed ^ 0x0ADA9FED), 3)
     assert check_adaptive_case(case, deltas) is None
-    real = oracle._ivm_state_results
-    monkeypatch.setattr(oracle, "_ivm_state_results",
+    real = oracle._state_results
+    monkeypatch.setattr(oracle, "_state_results",
                         lambda *args: [{"wrong": 1.0}
                                        for _ in real(*args)])
     divergence = check_adaptive_case(case, deltas)

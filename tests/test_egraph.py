@@ -349,7 +349,7 @@ def test_ancestors_closure_reaches_match_roots():
 
 
 # ---------------------------------------------------------------------------
-# schedulers and incremental search
+# the scheduler and incremental search
 # ---------------------------------------------------------------------------
 
 
@@ -373,7 +373,7 @@ def test_banned_iteration_does_not_report_saturated():
     egraph.add_expr(db("a * (b + c) * (d + e)"))
     rules = simple_rules()
     report = Runner(egraph, rules, iter_limit=3, match_limit_per_rule=2,
-                    scheduler="backoff", ban_length=5).run()
+                    ban_length=5).run()
     banned_iters = [it for it in report.per_iteration if it.banned]
     assert banned_iters, "expected at least one iteration with banned rules"
     for stats in banned_iters:
@@ -389,19 +389,25 @@ def test_backoff_rebans_persistently_explosive_rule():
     egraph.add_expr(db("a * (b + c) * (d + e) * (f + g) * (h + i)"))
     rules = simple_rules()
     report = Runner(egraph, rules, iter_limit=30, node_limit=100_000,
-                    match_limit_per_rule=2, scheduler="backoff", ban_length=1).run()
+                    match_limit_per_rule=2, ban_length=1).run()
     assert max(stats.bans for stats in report.rule_stats.values()) >= 2
 
 
 def test_runner_rejects_unknown_scheduler_name():
+    # There is one scheduler: the runner always backs off, and the option
+    # that used to pick another one is gone.
+    from repro.egraph import BackoffScheduler
+
     egraph = EGraph()
     egraph.add_expr(db("a * b"))
-    with pytest.raises(ValueError):
-        Runner(egraph, simple_rules(), scheduler="back-off")
+    assert isinstance(Runner(egraph, simple_rules()).scheduler, BackoffScheduler)
+    with pytest.raises(TypeError):
+        Runner(egraph, simple_rules(), scheduler="backoff")
 
 
 def test_indexed_false_scans_without_probing_index(monkeypatch):
-    # The naive configuration must not benefit from the operator index.
+    # The runner finds its candidate classes through the operator index; the
+    # switch that turned the index off is gone.
     egraph = EGraph()
     left = egraph.add_expr(db("a * (b + c)"))
     right = egraph.add_expr(db("c * a + b * a"))
@@ -413,25 +419,48 @@ def test_indexed_false_scans_without_probing_index(monkeypatch):
         return original(self, label)
 
     monkeypatch.setattr(EGraph, "classes_with_label", counting)
-    Runner(egraph, simple_rules(), iter_limit=10, scheduler="simple",
-           indexed=False, incremental=False).run()
-    assert probes == []
+    Runner(egraph, simple_rules(), iter_limit=10).run()
+    assert probes
     assert egraph.equivalent(left, right)
+    with pytest.raises(TypeError):
+        Runner(egraph, simple_rules(), indexed=False)
+
+
+def _reference_saturate(egraph, rules, iterations=10):
+    """Textbook saturation over ``Pattern.search``: every rule matched against
+    every class, every match applied, until nothing changes."""
+    for _ in range(iterations):
+        matches = [(rule, identifier, subst) for rule in rules
+                   for identifier, subst in rule.search(egraph)]
+        changed = False
+        for rule, identifier, subst in matches:
+            changed |= rule.apply_match(egraph, identifier, subst)
+        egraph.rebuild()
+        if not changed:
+            return
 
 
 def test_incremental_engine_matches_naive_equalities():
-    # The incremental/indexed engine must prove the same equalities as the
-    # naive full rescan when nothing truncates.
-    for flags in ({"indexed": True, "incremental": True},
-                  {"indexed": True, "incremental": False},
-                  {"indexed": False, "incremental": True}):
-        egraph = EGraph()
-        left = egraph.add_expr(db("a * (b + c)"))
-        right = egraph.add_expr(db("c * a + b * a"))
-        report = Runner(egraph, simple_rules(), iter_limit=10,
-                        scheduler="simple", **flags).run()
-        assert egraph.equivalent(left, right), flags
-        egraph.sanity_check()
+    # The runner (index probes, dirty-set re-matching, backoff) proves the
+    # same equalities as a full rescan with ``Pattern.search`` when nothing
+    # truncates.
+    terms = ["a * (b + c)", "c * a + b * a", "(b + c) * a", "a * b + a * c",
+             "a * b", "a * c", "b + c", "a * (c + b) * 1"]
+    engine, reference = EGraph(), EGraph()
+    engine_ids = [engine.add_expr(db(term)) for term in terms]
+    reference_ids = [reference.add_expr(db(term)) for term in terms]
+    report = Runner(engine, simple_rules(), iter_limit=10).run()
+    _reference_saturate(reference, simple_rules())
+    assert report.stop_reason == "saturated"
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            assert (engine.equivalent(engine_ids[i], engine_ids[j])
+                    == reference.equivalent(reference_ids[i], reference_ids[j])), \
+                (terms[i], terms[j])
+    assert engine.equivalent(engine_ids[0], engine_ids[7])
+    assert not engine.equivalent(engine_ids[4], engine_ids[5])
+    engine.sanity_check()
+    reference.sanity_check()
 
 
 def test_runner_reports_rule_and_iteration_timings():
@@ -451,7 +480,7 @@ def test_match_limit_stops_collection_early():
     egraph = EGraph()
     egraph.add_expr(db("a * (b + c) * (d + e) * (f + g)"))
     report = Runner(egraph, simple_rules(), iter_limit=2,
-                    match_limit_per_rule=3, scheduler="simple").run()
+                    match_limit_per_rule=3).run()
     # Collection stops at the budget (+1 sentinel for explosion detection),
     # so no iteration reports more matches than rules x (limit + 1).
     for iteration in report.per_iteration:

@@ -1,16 +1,20 @@
 """Tests for the differential oracle, the shrinker and the corpus format.
 
-Three layers:
+Four layers:
 
 * the comparison layer itself (``canonical`` / ``results_match``) — the one
   place result equality is defined;
-* a seeded smoke campaign over the real pipeline (both backends, fast and
-  legacy saturation engines) that must be divergence-free;
+* a seeded smoke campaign over the real pipeline (both backends, greedy and
+  e-graph optimization) that must be divergence-free;
 * an *injected bug* — the optimizer's chosen plan is corrupted by flipping a
   multiplication into an addition, mimicking a wrong rewrite rule — which the
   oracle must catch, the shrinker must minimize to a tiny repro, and the
-  corpus round-trip must replay.
+  corpus round-trip must replay;
+* the one case model: views, feedback and point-updates checked together,
+  and an injected wrong witness shrunk through the update-sequence passes.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -82,8 +86,8 @@ def _mmm_case() -> FuzzCase:
 
 
 def test_check_case_agrees_on_handwritten_kernel_all_engines():
-    config = OracleConfig().with_legacy()
-    assert sorted(config.pairs())[0][0] in ("egraph", "egraph-legacy", "greedy", "unoptimized")
+    config = OracleConfig()
+    assert {method for method, _ in config.pairs()} == {"unoptimized", "greedy", "egraph"}
     assert check_case(_mmm_case(), config) is None
 
 
@@ -94,7 +98,7 @@ def test_check_case_skips_when_reference_fails():
 
 
 def test_seeded_smoke_campaign_is_divergence_free():
-    report = campaign(seed=7, cases=25, legacy_every=5, shrink=False)
+    report = campaign(seed=7, cases=25, shrink=False)
     assert report.cases_run == 25
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
     assert "OK" in report.summary()
@@ -164,7 +168,7 @@ def broken_optimizer(monkeypatch):
 
 
 def test_injected_bug_is_caught_shrunk_and_serialized(broken_optimizer, tmp_path):
-    report = campaign(seed=11, cases=60, legacy_every=0, shrink=True,
+    report = campaign(seed=11, cases=60, shrink=True,
                       out_dir=tmp_path, max_failures=1)
     assert not report.ok, "the injected Mul->Add bug was not detected"
     divergence = report.divergences[0]
@@ -194,7 +198,7 @@ def test_corpus_case_replays_clean_once_bug_is_fixed(tmp_path):
 
     try:
         Optimizer.optimize = corrupt
-        report = campaign(seed=11, cases=60, legacy_every=0, shrink=True,
+        report = campaign(seed=11, cases=60, shrink=True,
                           out_dir=tmp_path, max_failures=1)
     finally:
         Optimizer.optimize = real
@@ -214,6 +218,86 @@ def test_corpus_entry_naming_an_unknown_backend_is_rejected_at_load(tmp_path):
                     'CONFIGS = [("greedy", "typed"), ("egraph", "vectorize")]\n')
     with pytest.raises(ExecutionError, match="'vectorize' backend was removed"):
         load_corpus_entry(path)
+
+
+def test_corpus_entry_naming_an_unknown_method_is_rejected_at_load(tmp_path):
+    from repro.fuzz import load_corpus_entry
+    from repro.sdqlite.errors import OptimizationError
+
+    path = tmp_path / "stale.py"
+    path.write_text('PROGRAM = "sum(<k, v> in T0) v"\n'
+                    'TENSORS = {"T0": [1.0, 2.0]}\n'
+                    'FORMATS = {"T0": "dense"}\n'
+                    'CONFIGS = [("egraph", "interpret"), ("egraph-legacy", "interpret")]\n')
+    with pytest.raises(OptimizationError, match="'egraph-legacy' method was removed"):
+        load_corpus_entry(path)
+    path.write_text(path.read_text().replace("egraph-legacy", "simplex"))
+    with pytest.raises(OptimizationError, match="unknown method 'simplex'"):
+        load_corpus_entry(path)
+
+
+# ---------------------------------------------------------------------------
+# one case model: updates x views x feedback in one check
+# ---------------------------------------------------------------------------
+
+
+def test_views_feedback_and_point_updates_check_clean_together(monkeypatch):
+    """Maintained views and the always-profiling feedback loop on one server,
+    across seeded sparse point-updates: every view and every statement
+    equals the reference at every step, while the loop re-optimizes and the
+    views maintain through their delta statements."""
+    from repro.fuzz import ADAPTIVE_FUZZ_FEEDBACK, case_seed, oracle
+
+    case = generate_case(case_seed(5, 3)).replace(views=True, feedback=True)
+    case = case.replace(updates=tuple(oracle.generate_updates(
+        case, random.Random(case.seed), 4, delta=True)))
+    assert case.mode == "ivm+adaptive"
+    assert [update.kind for update in case.updates] == ["delta"] * 4
+    assert ADAPTIVE_FUZZ_FEEDBACK["sample_every"] == 1
+    opened = []
+    real = oracle._open_session
+    monkeypatch.setattr(oracle, "_open_session",
+                        lambda *args: opened.append(real(*args)) or opened[-1])
+    assert check_case(case) is None
+    server, = opened
+    assert server.feedback_report()["refinements"] > 0
+    assert server.stats.snapshot()["delta_executions"] > 0
+
+
+def _wrong_after_wide_delta(real):
+    """A wrong reference (a wrong IVM witness) at every state after the first
+    point-update with two or more entries."""
+    def state_results(case, config):
+        results = real(case, config)
+        wide = [index for index, update in enumerate(case.updates) if len(update.coords) >= 2]
+        if not wide:
+            return results
+        return results[:wide[0] + 1] + [{"wrong": 1.0}] * (len(results) - wide[0] - 1)
+    return state_results
+
+
+def test_injected_update_bug_shrinks_through_the_update_passes(monkeypatch, tmp_path):
+    from repro.fuzz import load_corpus_entry, oracle
+
+    real = oracle._state_results
+    monkeypatch.setattr(oracle, "_state_results", _wrong_after_wide_delta(real))
+    report = campaign(seed=5, cases=4, views=True, out_dir=tmp_path, max_failures=1)
+    assert not report.ok
+    divergence = report.divergences[0]
+    # Only the bug's trigger survives: one update, pared down to two entries,
+    # and the failure moved to the step right after it.
+    assert len(divergence.case.updates) == 1
+    assert len(divergence.case.updates[0].coords) == 2
+    assert divergence.step == 0 and divergence.expected == {"wrong": 1.0}
+    assert divergence.method != "*"
+    assert node_count(divergence.case.program) <= 3
+    # The corpus file round-trips: same case, diverging under the bug ...
+    entry = load_corpus_entry(report.corpus_paths[0])
+    assert entry.mode == "ivm" and entry.updates == list(divergence.case.updates)
+    assert replay(entry.case, entry.configs) is not None
+    # ... and clean once the bug is gone.
+    monkeypatch.setattr(oracle, "_state_results", real)
+    assert replay(entry.case, entry.configs) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Determinism and engine-parity tests for the saturation engine.
+"""Determinism and golden-plan parity tests for the saturation engine.
 
-The fast engine (operator index + incremental e-matching + backoff
-scheduler + eager best terms) must be deterministic — saturating the same
-kernel twice yields byte-identical extracted plans and costs — and must
-extract plans that are byte-identical to (or strictly cheaper than) the
-textbook full-rescan engine's under identical budgets.
+The engine (operator index + incremental e-matching + backoff scheduler +
+eager best terms) must be deterministic — saturating the same kernel twice
+yields byte-identical extracted plans, costs and search counts — and,
+driven through the plain :class:`~repro.core.Optimizer` API, must extract
+the plans pinned in ``tests/golden/optimizer_golden.json``.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import reference_result
-from repro.core import LEGACY_ENGINE, Optimizer, Statistics
+from repro.core import Optimizer, Statistics
 from repro.data.synthetic import random_dense_vector, random_sparse_matrix
 from repro.kernels import BATAX_NESTED, MMM, SUM_MMM
 from repro.sdqlite import evaluate
@@ -59,33 +59,40 @@ def test_saturation_is_deterministic(kernel, make_catalog):
 @pytest.mark.parametrize("kernel,make_catalog", KERNEL_CASES,
                          ids=[k.name for k, _ in KERNEL_CASES])
 def test_legacy_engine_is_deterministic_too(kernel, make_catalog):
-    catalog = make_catalog()
-    stats = Statistics.from_catalog(catalog)
+    """Two optimizers over independently built catalogs and statistics run
+    the same search: same plan, cost and per-stage counts."""
     outcomes = []
     for _ in range(2):
-        optimizer = Optimizer(stats, iter_limit=5, node_limit=2500, **LEGACY_ENGINE)
+        catalog = make_catalog()
+        optimizer = Optimizer(Statistics.from_catalog(catalog), iter_limit=5,
+                              node_limit=2500)
         result = optimizer.optimize(kernel.program, catalog.mappings(), method="egraph")
-        outcomes.append((str(result.plan), result.cost))
+        outcomes.append((str(result.plan), result.cost, [
+            (stage.runner.iterations, stage.runner.nodes, stage.runner.classes,
+             stage.runner.total_matches) for stage in (result.stage1, result.stage2)]))
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("kernel,make_catalog", KERNEL_CASES,
-                         ids=[k.name for k, _ in KERNEL_CASES])
-def test_fast_engine_plan_parity_with_legacy(kernel, make_catalog):
-    """Indexed/incremental/backoff engine extracts the same plan as the
-    textbook loop (or a strictly cheaper one when the naive loop's match
-    truncation starves it — never a worse one)."""
-    catalog = make_catalog()
-    stats = Statistics.from_catalog(catalog)
-    legacy = Optimizer(stats, iter_limit=5, node_limit=2500,
-                       **LEGACY_ENGINE).optimize(kernel.program, catalog.mappings(),
-                                                 method="egraph")
-    fast = Optimizer(stats, iter_limit=5, node_limit=2500).optimize(
-        kernel.program, catalog.mappings(), method="egraph")
-    if str(fast.plan) == str(legacy.plan):
-        assert fast.cost == legacy.cost
-    else:
-        assert fast.cost < legacy.cost
+#: Golden-table names of the kernels the table pins.
+GOLDEN_NAMES = ("BATAX-nested", "MMM", "SUMMM")
+
+
+@pytest.mark.parametrize("kernel", GOLDEN_NAMES)
+def test_fast_engine_plan_parity_with_legacy(kernel):
+    """``Optimizer.optimize`` on the golden catalogs extracts the pinned
+    egraph plan at the pinned cost (the golden test reaches it through a
+    ``Session``)."""
+    from test_optimizer_golden import _catalog, _golden
+
+    from repro.kernels import KERNELS
+    from repro.sdqlite import pretty
+
+    catalog = _catalog(kernel)
+    result = Optimizer(Statistics.from_catalog(catalog)).optimize(
+        KERNELS[kernel].program, catalog.mappings(), method="egraph")
+    golden = _golden()[f"{kernel}-egraph"]
+    assert pretty(result.plan) == golden["plan"]
+    assert repr(result.cost) == golden["cost"]
 
 
 def test_fast_engine_plan_is_correct():
@@ -100,18 +107,24 @@ def test_fast_engine_plan_is_correct():
     np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
-def test_engine_knobs_reachable_through_optimizer_options():
-    """The engine knobs thread through the high-level API (session options)."""
+def test_engine_knobs_reachable_through_optimizer_options(monkeypatch):
+    """Optimizer options thread through the high-level API, and a removed
+    engine switch is rejected before anything is optimized."""
     from repro import storel
 
     catalog = batax_catalog(size=6)
-    naive = storel.run(BATAX_NESTED.source, catalog, dense_shape=(6,),
-                       optimizer_options={"scheduler": "simple", "indexed": False,
-                                          "incremental": False, "eager_terms": False,
-                                          "iter_limit": 3})
-    fast = storel.run(BATAX_NESTED.source, catalog, dense_shape=(6,),
-                      optimizer_options={"iter_limit": 3})
-    np.testing.assert_allclose(naive, fast)
+    limited = storel.run(BATAX_NESTED.source, catalog, dense_shape=(6,),
+                         method="egraph", optimizer_options={"iter_limit": 3})
+    default = storel.run(BATAX_NESTED.source, catalog, dense_shape=(6,), method="egraph")
+    np.testing.assert_allclose(limited, default)
+
+    def never(*args, **kwargs):
+        raise AssertionError("optimized with a removed engine switch")
+
+    monkeypatch.setattr(Optimizer, "optimize", never)
+    with pytest.raises(TypeError, match="indexed"):
+        storel.run(BATAX_NESTED.source, catalog, dense_shape=(6,),
+                   optimizer_options={"indexed": False})
 
 
 # ---------------------------------------------------------------------------
