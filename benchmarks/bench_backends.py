@@ -3,9 +3,12 @@
 Runs every Fig. 7 kernel through the STOREL pipeline on both execution
 backends on one representative dataset each — plus TTM with ``B`` stored in
 CSR, the one cell of the kernel × format matrix where ``typed`` used to fall
-back to Python loops (``docs/backends.md``) — checks both against the NumPy
-oracle, prints the runtime table and the typed-over-interpret speedups, and
-records the raw rows in ``BENCH_backends.json`` at the repository root.  The
+back to Python loops (``docs/backends.md``), and TTM with ``A`` stored in COO,
+whose greedy pick carries a key-filtered join the optimizer must resolve into
+a lookup (iterated, it runs about 40x slower; ``_check`` holds the row within
+2x of the CSF one) — checks both against the NumPy oracle, prints the
+runtime table and the typed-over-interpret speedups, and records the raw
+rows in ``BENCH_backends.json`` at the repository root.  The
 first execution of every (kernel, backend) pair is timed separately as
 ``compile_ms`` and excluded from the steady-state ``mean_ms`` (it fills
 one-time caches).
@@ -51,6 +54,7 @@ TENSOR_DATASET = "Facebook"
 CASES = tuple((name, name, {}) for name in MATRIX_KERNELS) + (
     ("TTM", "TTM", {}),
     ("TTM/B-csr", "TTM", {"B": "csr"}),
+    ("TTM/A-coo", "TTM", {"A": "coo"}),
     ("MTTKRP", "MTTKRP", {}),
 )
 
@@ -163,6 +167,11 @@ def _check(report: dict) -> None:
     speedups = report["typed_speedup_over_interpret"]
     assert set(speedups) == {label for label, _, _ in CASES}
     assert all(speedup > 1.0 for speedup in speedups.values()), speedups
+    # TTM's greedy pick on COO is a key-filtered join: resolved into a
+    # lookup it runs near the CSF row, left a loop it does not.
+    typed_ms = {row["kernel"]: row["mean_ms"] for row in rows
+                if row["system"] == "STOREL[typed]"}
+    assert typed_ms["TTM/A-coo"] <= 2.0 * typed_ms["TTM"], typed_ms
     # The flat program reaches the factorized plan (it ran 100x off the
     # nested one while its join stayed a run-time probe).
     probe = report["batax_flat_vs_nested"]

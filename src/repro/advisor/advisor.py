@@ -148,12 +148,22 @@ class Recommendation:
         return self.baseline.estimated_cost / self.best.estimated_cost
 
     def changes(self, catalog: Catalog) -> dict[str, tuple[str, str]]:
-        """``{tensor: (current_format, recommended_format)}`` for actual changes."""
+        """``{tensor: (current_format, recommended_format)}`` for actual changes.
+
+        A tensor already stored as recommended is no change, sharded specs
+        included: ``spec_name`` carries the shard count (``sharded_csr@4``),
+        so the current format is reported by it.  Raises
+        :class:`~repro.sdqlite.errors.StorageError` for a tensor the catalog
+        does not hold.
+        """
         out = {}
         for name, kind in self.formats.items():
-            current = catalog.tensors[name].format_name
-            if current != kind:
-                out[name] = (current, kind)
+            current = catalog.tensors.get(name)
+            if current is None:
+                raise StorageError(
+                    f"recommendation names {name!r}, which is not a registered tensor")
+            if kind not in (current.format_name, current.spec_name):
+                out[name] = (current.spec_name, kind)
         return out
 
     def summary(self) -> str:
@@ -348,7 +358,8 @@ class Advisor:
             catalog.add(fmt)
         for name, value in self.session.catalog.scalars.items():
             catalog.add_scalar(name, value)
-        session = Session(catalog, method=self.method, backend=self.backend)
+        session = Session(catalog, method=self.method, backend=self.backend,
+                          optimizer_options=self.optimizer_options)
         statements = [session.prepare(query.expr) for query in workload]
         first = 0.0
         for query, statement in zip(workload, statements):

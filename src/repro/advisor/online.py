@@ -217,7 +217,7 @@ class OnlineAdvisor:
 
         for name, kind in previous.items():
             current = self.session.catalog.tensors[name]
-            if current.format_name != kind:
+            if kind not in (current.format_name, current.spec_name):
                 self.session.replace_format(reformat(current, kind))
 
     def _measure_pair(self, workload: list[WorkloadQuery],

@@ -19,7 +19,6 @@ from typing import Mapping
 
 from ..sdqlite.ast import Expr, Idx, Let, Sym, children, rebuild
 from ..sdqlite.debruijn import shift, to_debruijn_safe
-from ..sdqlite.errors import OptimizationError
 
 
 def compose(program: Expr, mappings: Mapping[str, Expr]) -> Expr:
@@ -81,12 +80,3 @@ def _replace_sym(expr: Expr, name: str, index: int, depth: int = 0) -> Expr:
         _replace_sym(child, name, index, depth + arity)
         for child, arity in zip(kids, arities)
     ])
-
-
-def check_closed_over(expr: Expr, available_symbols: set[str]) -> None:
-    """Raise if the composed plan references symbols that are not available."""
-    missing = _referenced(expr) - set(available_symbols)
-    if missing:
-        raise OptimizationError(
-            "the composed plan references unknown symbols: " + ", ".join(sorted(missing))
-        )

@@ -16,7 +16,11 @@ Pipeline (Fig. 2):
    pick), so that plan is always represented regardless of whether
    saturation completes within its limits;
 5. the cheapest physical plan is extracted with the cost model of Fig. 6 and
-   returned together with the Egg-style metrics of both stages (Table 4).
+   returned together with the Egg-style metrics of both stages (Table 4);
+6. a last pass resolves the equality probes the picked plan still carries
+   (:data:`~repro.core.strategies.PROBE_TRANSFORMS`: F1 and its range form),
+   and the cost is re-estimated when it changed anything — the plan
+   returned is the plan the executor runs, in both modes.
 
 A ``method="greedy"`` mode skips equality saturation and picks the cheapest
 of the strategy-generated candidates directly; it is used by the benchmark
@@ -84,6 +88,7 @@ class OptimizationResult:
 #: (0 after the process's first saturation); ``compose`` covers both the
 #: naive plan and the composition of the stage-1 result; ``candidates`` is
 #: running and costing the deterministic strategies (and seeding stage 2).
+#: The final probe pass is charged to the method's last phase.
 PHASES = ("rule_tables", "stage1_saturation", "stage1_extraction", "compose",
           "candidates", "stage2_saturation", "stage2_extraction")
 
@@ -107,22 +112,18 @@ class Optimizer:
 
     def __init__(self, stats: Statistics, *, iter_limit: int = 8,
                  node_limit: int = 5_000, time_limit: float = 5.0,
-                 match_limit_per_rule: int = 400, seed_candidates: bool = True,
-                 ban_length: int = 4):
+                 match_limit_per_rule: int = 400):
         self.stats = stats
         self.iter_limit = iter_limit
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.match_limit_per_rule = match_limit_per_rule
-        self.seed_candidates = seed_candidates
-        self.ban_length = ban_length
 
     def _make_runner(self, egraph: EGraph, rules) -> Runner:
         return Runner(egraph, rules,
                       iter_limit=self.iter_limit, node_limit=self.node_limit,
                       time_limit=self.time_limit,
-                      match_limit_per_rule=self.match_limit_per_rule,
-                      ban_length=self.ban_length)
+                      match_limit_per_rule=self.match_limit_per_rule)
 
     # ------------------------------------------------------------------
 
@@ -136,12 +137,23 @@ class Optimizer:
         naive = compose(program, mappings)
         clock.lap("compose")
 
+        ranks = symbol_ranks(self.stats, mappings)
         if method == "greedy":
-            result = self._optimize_greedy(mappings, naive, clock)
+            result = self._optimize_greedy(naive, ranks)
+            last_phase = "candidates"
         elif method == "egraph":
-            result = self._optimize_egraph(program, mappings, naive, clock)
+            result = self._optimize_egraph(program, mappings, ranks, clock)
+            last_phase = "stage2_extraction"
         else:
             raise OptimizationError(f"unknown optimization method {method!r}")
+        # Whatever the search returned, resolve the equality probes it left:
+        # the plan returned — and costed — is the plan the executor runs.
+        plan = strategies.rewrite_everywhere(result.plan, strategies.PROBE_TRANSFORMS,
+                                             symbol_ranks=ranks)
+        if plan != result.plan:
+            result.plan = plan
+            result.cost = CostModel(self.stats).plan_cost(plan)
+        clock.lap(last_phase)
         result.phase_ms = {phase: round(clock.phase_ms[phase], 3)
                            for phase in PHASES if phase in clock.phase_ms}
         result.optimization_time_ms = (time.perf_counter() - start) * 1_000.0
@@ -151,13 +163,12 @@ class Optimizer:
     # greedy mode: strategy candidates + cost model
     # ------------------------------------------------------------------
 
-    def _optimize_greedy(self, mappings: Mapping[str, Expr], naive: Expr,
-                         clock: _PhaseClock) -> OptimizationResult:
+    def _optimize_greedy(self, naive: Expr,
+                         ranks: strategies.SymbolRanks) -> OptimizationResult:
         model = CostModel(self.stats)
-        candidates = strategies.candidate_plans(naive, symbol_ranks(self.stats, mappings))
+        candidates = strategies.candidate_plans(naive, ranks)
         costs = {name: model.plan_cost(plan) for name, plan in candidates.items()}
         chosen = min(costs, key=costs.get)
-        clock.lap("candidates")
         return OptimizationResult(
             plan=candidates[chosen],
             cost=costs[chosen],
@@ -171,8 +182,8 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def _optimize_egraph(self, program: Expr, mappings: Mapping[str, Expr],
-                         naive: Expr, clock: _PhaseClock) -> OptimizationResult:
-        ranks = symbol_ranks(self.stats, mappings)
+                         ranks: strategies.SymbolRanks,
+                         clock: _PhaseClock) -> OptimizationResult:
         logical_rules = rule_sets.logical_rules()
         all_rules = rule_sets.all_rules()
         clock.lap("rule_tables")
@@ -198,19 +209,16 @@ class Optimizer:
         stage2_graph = EGraph()
         stage2_graph.symbol_ranks = ranks
         root2 = stage2_graph.add_expr(composed)
-        candidate_costs: dict[str, float] = {}
-        chosen = None
-        if self.seed_candidates:
-            # Seed with the greedy pick alone: its plan is then in the graph
-            # whatever saturation reaches, and the other candidates — whose
-            # shapes the rules rediscover from the composed plan anyway — no
-            # longer each grow the graph by their own rewrites.
-            candidates = strategies.candidate_plans(composed, ranks)
-            candidate_costs = {name: logical_model.plan_cost(plan)
-                               for name, plan in candidates.items()}
-            chosen = min(candidate_costs, key=candidate_costs.get)
-            stage2_graph.union(root2, stage2_graph.add_expr(candidates[chosen]))
-            stage2_graph.rebuild()
+        # Seed with the greedy pick alone: its plan is then in the graph
+        # whatever saturation reaches, and the other candidates — whose
+        # shapes the rules rediscover from the composed plan anyway — no
+        # longer each grow the graph by their own rewrites.
+        candidates = strategies.candidate_plans(composed, ranks)
+        candidate_costs = {name: logical_model.plan_cost(plan)
+                           for name, plan in candidates.items()}
+        chosen = min(candidate_costs, key=candidate_costs.get)
+        stage2_graph.union(root2, stage2_graph.add_expr(candidates[chosen]))
+        stage2_graph.rebuild()
         clock.lap("candidates")
         report2 = self._make_runner(stage2_graph, all_rules).run()
         clock.lap("stage2_saturation")

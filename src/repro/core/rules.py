@@ -382,21 +382,3 @@ def all_rules() -> list[Rewrite]:
 def rule_names() -> list[str]:
     """Names of every rule in the rule base (used by tests and docs)."""
     return [rule.name for rule in all_rules()]
-
-
-def rule_groups() -> dict[str, list[str]]:
-    """Rule names per Fig. 3 group (used by docs and per-rule bench reports).
-
-    Expansive groups (associativity/commutativity) are not given hard
-    per-rule ``match_limit`` budgets here: the runner's backoff scheduler
-    throttles them adaptively, which keeps the selective fusion rules
-    searching every iteration without hand-tuned caps.
-    """
-    return {
-        "associativity/commutativity": [r.name for r in associativity_commutativity_rules()],
-        "simplification": [r.name for r in simplification_rules()],
-        "distributivity": [r.name for r in distributivity_rules()],
-        "fusion": [r.name for r in fusion_rules()],
-        "dictionary": [r.name for r in dictionary_rules()],
-        "physical-annotation": [r.name for r in physical_annotation_rules()],
-    }

@@ -513,11 +513,16 @@ def sum_to_lookup(term: Expr) -> Expr | None:
     """F1: replace an iteration filtered on its key by a direct lookup.
 
     ``sum(<k,v> in e1) if (k == j) then e3`` (``j`` loop-invariant) becomes
-    ``let v = e1(j) in e3[k := j]``.
+    ``let v = e1(j) in e3[k := j]``.  The guard is seen through ``let``
+    bindings (:func:`~repro.sdqlite.debruijn.hoist_guard`), as fusion leaves
+    it: ``sum(<k,v> in e1) let x = e in if (k == j) then e3``.
     """
-    if not isinstance(term, Sum) or not isinstance(term.body, IfThen):
+    if not isinstance(term, Sum):
         return None
-    cond = term.body.cond
+    guarded = hoist_guard(term.body)
+    if not isinstance(guarded, IfThen):
+        return None
+    cond = guarded.cond
     if not (isinstance(cond, Cmp) and cond.op == "=="):
         return None
     if cond.left == _KEY and not uses_indices(cond.right, (0, 1)):
@@ -526,7 +531,7 @@ def sum_to_lookup(term: Expr) -> Expr | None:
         key_expr = cond.left
     else:
         return None
-    body = term.body.then
+    body = guarded.then
     if not is_strict_in(body, 0):
         # Replacing the iteration by a lookup is only sound when a missing key
         # (value 0) makes the body vanish.
@@ -1156,6 +1161,18 @@ def normalize(term: Expr, max_passes: int = 10,
               symbol_ranks: "Mapping[str, int] | None" = None) -> Expr:
     """Apply the composition clean-up rewrites (see NORMALIZATION_TRANSFORMS)."""
     return rewrite_everywhere(term, NORMALIZATION_TRANSFORMS, max_passes, symbol_ranks)
+
+
+#: The optimizer's last pass over the plan it picked: every equality probe a
+#: rewrite can resolve becomes a lookup or a bounds check, whatever search
+#: produced the plan (an e-graph extraction need not contain the resolved
+#: form).  The executor runs a probe left in a plan as the loop it is.
+PROBE_TRANSFORMS: tuple[Transform, ...] = (
+    resolve_range_probe,
+    sum_to_lookup,
+    lookup_of_range_sum,
+    simplify_node,
+)
 
 
 def candidate_plans(term: Expr,

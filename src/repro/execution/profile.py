@@ -14,9 +14,7 @@ Design constraints, in order:
 * **Loop counts, not traces.**  A profile records, per ``sum`` loop, the total
   number of iterations and the number of loop entries (inner loops run once
   per outer iteration); the mean is the observed top-level size of the loop's
-  source.  Merge loops and the O(1) probe short-circuits are deliberately not
-  recorded: a probe that answers from a single lookup says nothing about the
-  cardinality of the collection it probed.
+  source.  Merge loops are deliberately not recorded.
 * **Context-free keys only.**  Loop records are keyed by the backend's loop
   slot; :meth:`ExecutionProfile.loop_observations` resolves slots to source
   sub-expressions of the De Bruijn plan and keeps only the **closed** ones

@@ -20,8 +20,6 @@ iteration — and what is nested inside a batched body stays batched:
   otherwise (:func:`~repro.execution.buffers.lookup_sorted`) — and into a
   per-lane entry bag (a dictionary an inner ``sum`` just built) one
   comparison plus one ``np.bincount``,
-* equality-probe loops (``sum(<k,_> in S) if (e == k) then ...``) with a
-  *per-lane* probe key become one batched point lookup,
 * ``merge`` over flat scalar-valued collections becomes a value-sorted join
   (argsort + ``searchsorted``) instead of a per-key Python dict of lists,
 * dictionary-shaped loop bodies accumulate as flat (coords, values) entry
@@ -35,7 +33,10 @@ iteration — and what is nested inside a batched body stays batched:
   ``np.bincount`` over the linearized coordinate (:class:`DenseResult`),
   with the same per-cell sums in the same order.
 
-Every kernel is NumPy; pure Python remains the reference path.
+Every kernel is NumPy; pure Python remains the reference path.  A loop runs
+as the plan says: an equality probe the optimizer could resolve is already a
+lookup (:data:`repro.core.strategies.PROBE_TRANSFORMS`), and one it left is
+iterated.
 
 Anything the typed representation cannot hold (tuple or non-integral float
 dictionary keys, ragged nesting, value types that only exist mid-expression)
@@ -83,7 +84,7 @@ from ..sdqlite.ast import (
     Sym,
     Var,
 )
-from ..sdqlite.debruijn import hoist_guard
+from ..sdqlite.debruijn import free_indices
 from ..sdqlite.errors import EvaluationError, ExecutionError
 from ..sdqlite.values import (
     RangeDict,
@@ -114,11 +115,19 @@ from .buffers import (
     parent_sum,
     to_buffer_levels,
 )
-from .lowering import COMPARATORS, NO_PROBE, is_closed, probe_entry, uses_sum_binders
 
 __all__ = ["typed_plan", "TypedPlan", "DenseResult", "Untyped"]
 
 _log = logging.getLogger("repro.execution")
+
+COMPARATORS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
 
 #: Lane-count ceiling for cross-product expansion of a loop-invariant source
 #: inside a batched body (outer lanes × inner entries).  Beyond it the sum
@@ -250,7 +259,7 @@ class _Runtime:
     """Per-execution state threaded through the closures."""
 
     __slots__ = ("env", "batched", "lanes", "invariants", "failed_batch",
-                 "fallbacks", "probes", "buffers", "profile", "regimes", "lookups",
+                 "fallbacks", "buffers", "profile", "regimes", "lookups",
                  "dense_shape", "dense_sinks")
 
     def __init__(self, env: Mapping[str, Any], profile=None,
@@ -261,7 +270,6 @@ class _Runtime:
         self.invariants: dict = {}
         self.failed_batch: set = set()   # sums whose typed attempt failed this run
         self.fallbacks: dict = {}        # sum/merge that ran a Python loop -> why
-        self.probes: set = set()         # sums answered by their equality probe
         self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
         self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
@@ -475,22 +483,28 @@ def _gather(target: np.ndarray | None, keys: np.ndarray):
 
 
 def _flatten_tbd(tbd: TBatchDict, lanes: int):
-    """(cols, vals, rows) of a per-lane singleton-dictionary chain."""
-    sel = None      # the lanes still present; None: all of them
+    """(cols, vals, rows) of a per-lane singleton-dictionary chain.
+
+    A lane is an entry when every mask of the chain keeps it and its value
+    is not zero: ``{k -> 0}`` is ``{}``, so the lanes of a lookup that
+    missed (a resolved equality probe) never reach a reduction.  Adding a
+    zero changes no sum, so dropping them leaves every result bit for bit.
+    """
     cols: list = []
+    keep = None     # the lanes the masks keep; None: all of them
     node = tbd
     while isinstance(node, TBatchDict):
         if node.mask is not None:
-            keep = node.mask if sel is None else node.mask[sel]
-            if not keep.all():
-                sel = np.flatnonzero(keep) if sel is None else sel[keep]
-                cols = [c[keep] for c in cols]
-        cols.append(node.keys if sel is None else node.keys[sel])
+            keep = node.mask if keep is None else keep & node.mask
+        cols.append(node.keys)
         node = node.value
-    vals = np.asarray(node)
-    if sel is None:
-        return cols, vals.astype(np.float64, copy=False), np.arange(lanes, dtype=np.int64)
-    return cols, vals[sel].astype(np.float64, copy=False), sel
+    vals = np.asarray(node).astype(np.float64, copy=False)
+    nonzero = vals != 0
+    keep = nonzero if keep is None else keep & nonzero
+    if keep.all():
+        return cols, vals, np.arange(lanes, dtype=np.int64)
+    sel = np.flatnonzero(keep)
+    return [col[sel] for col in cols], vals[sel], sel
 
 
 def _flatten_segs(ts: TSegs):
@@ -576,7 +590,8 @@ def _dense_sink(cols: list, vals: np.ndarray, shape: tuple[int, ...]):
         flat = col if flat is None else flat * extent + col
     sums = np.bincount(flat, weights=np.asarray(vals, dtype=np.float64),
                        minlength=math.prod(shape))
-    return sums.reshape(shape)
+    # An empty bag (every lane masked or zero) comes back as int64.
+    return sums.astype(np.float64, copy=False).reshape(shape)
 
 
 def _reduce_lanes(rt: _Runtime, body, lanes: int, root: bool = False):
@@ -623,7 +638,7 @@ def _reduce_expanded(rt: _Runtime, body, parent: np.ndarray, out_lanes: int,
 
 
 def _apply_mask(result, mask: np.ndarray):
-    """Zero out the lanes where ``mask`` is False (``if`` / probe filtering)."""
+    """Zero out the lanes where ``mask`` is False (``if`` filtering)."""
     if isinstance(result, TBatch):
         return TBatch(np.where(mask, _num(result.data), 0))
     if isinstance(result, TBatchDict):
@@ -1230,7 +1245,7 @@ class _Lowerer:
         factorized plan may iterate a transpose and look rows up in it)
         shares a single evaluation.
         """
-        if not is_closed(expr):
+        if free_indices(expr):
             return closure
         slot = (expr, root)
         def memoized(frames, rt):
@@ -1256,21 +1271,6 @@ class _Lowerer:
         slot = self.sum_count
         self.sum_sources[slot] = expr.source
         source_f, body_f = self.lower(expr.source), self.lower(expr.body)
-        probe_f = then_f = None
-        # Probe detection runs on a guard-hoisted view of the body: greedy
-        # plans wrap the equality guard in let-bindings (`let x = X_val(i) in
-        # if (k == i) then ...`), which would otherwise hide the probe and
-        # force a dense cross-product expansion of the range source.  The
-        # generic paths below still lower the original body.
-        body = hoist_guard(expr.body)
-        if isinstance(body, IfThen) and isinstance(body.cond, Cmp) and body.cond.op == "==":
-            left, right = body.cond.left, body.cond.right
-            if isinstance(left, Idx) and left.index == 1 and not uses_sum_binders(right):
-                probe_f = self.lower(right)
-            elif isinstance(right, Idx) and right.index == 1 and not uses_sum_binders(left):
-                probe_f = self.lower(left)
-            if probe_f is not None:
-                then_f = self.lower(body.then)
 
         def python_loop(frames, rt, source, reason):
             _note_fallback(rt, slot, expr.source, reason)
@@ -1290,76 +1290,8 @@ class _Lowerer:
                 rt.profile.record_loop(slot, iterations)
             return accumulator
 
-        def probe(frames, rt, source):
-            """The sum's value by its equality probe, or :data:`NO_PROBE`.
-
-            A key that is the same on every lane looks up a range, array or
-            slice source in O(1); a per-lane key (or a per-lane source) is
-            one batched lookup.  Either way the sum counts in
-            ``probe_sums``.
-            """
-            frames.append(0)
-            frames.append(0)
-            try:
-                probe_key = probe_f(frames, rt)
-            finally:
-                frames.pop()
-                frames.pop()
-            if is_scalar(probe_key) and not _is_batched(source) \
-                    and not isinstance(probe_key, (bool, np.bool_)):
-                as_float = float(probe_key)
-                if as_float.is_integer():
-                    key = int(as_float)
-                    entry = probe_entry(source, key)
-                else:   # no key of a dense space is fractional
-                    key = None
-                    entry = None if probe_entry(source, 0) is not NO_PROBE else NO_PROBE
-                if entry is None:
-                    rt.probes.add(slot)
-                    return 0
-                if entry is not NO_PROBE:
-                    rt.probes.add(slot)
-                    frames.append(key)
-                    frames.append(entry)
-                    try:
-                        return then_f(frames, rt)
-                    finally:
-                        frames.pop()
-                        frames.pop()
-            if isinstance(probe_key, TBatch) or \
-                    (is_scalar(probe_key) and _is_batched(source)):
-                lanes = rt.lanes
-                if isinstance(probe_key, TBatch):
-                    q, valid = _int_lanes(probe_key.data)
-                else:
-                    index = integral_index(probe_key)
-                    if index is None:
-                        q = np.zeros(lanes, dtype=np.int64)
-                        valid = np.zeros(lanes, dtype=bool)
-                    else:
-                        q, valid = np.full(lanes, index, dtype=np.int64), None
-                hit = _lookup_batched(rt, source, q, valid)
-                if hit is not None:
-                    rt.probes.add(slot)
-                    value, found = hit
-                    if is_scalar(value) and is_zero(value):
-                        return 0
-                    frames.append(TBatch(q))
-                    frames.append(value)
-                    try:
-                        result = then_f(frames, rt)
-                    finally:
-                        frames.pop()
-                        frames.pop()
-                    return _apply_mask(result, found)
-            return NO_PROBE
-
         def sum_batched(frames, rt, source):
             lanes = rt.lanes
-            if probe_f is not None:
-                result = probe(frames, rt, source)
-                if result is not NO_PROBE:
-                    return result
             expanded = _expand_source(rt, source, lanes)
             if not isinstance(expanded, tuple):
                 if rt.profile is not None and lanes:
@@ -1386,10 +1318,6 @@ class _Lowerer:
             source = source_f(frames, rt)
             if rt.batched:
                 return sum_batched(frames, rt, source)
-            if probe_f is not None:
-                result = probe(frames, rt, source)
-                if result is not NO_PROBE:
-                    return result
             reason = "its typed attempt already failed in this run"
             if slot not in rt.failed_batch:
                 space = _iteration_space(rt, source)
@@ -1509,9 +1437,7 @@ class TypedPlan:
     ``merge_loops`` lowered, ``fallback_sums`` / ``fallback_merges`` — how
     many of them ran a scalar Python loop — and ``fallback_reasons``, a
     ``{reason: loops}`` dict with the strings of the debug log event, empty
-    when everything kernelized), ``probe_sums`` — how many sums an equality
-    probe answered by a lookup instead of a loop (see
-    :meth:`_Lowerer._lower_sum`) — how many group-by reductions ran in each
+    when everything kernelized), how many group-by reductions ran in each
     regime of
     :func:`repro.storage.formats.group_sum` (``group_by_ordered``,
     ``group_by_segmented``, ``group_by_dense``, ``group_by_sorted``,
@@ -1567,7 +1493,6 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
             stats["fallback_merges"] = sum(
                 1 for slot in rt.fallbacks if not isinstance(slot, int))
             stats["fallback_reasons"] = dict(Counter(rt.fallbacks.values()))
-            stats["probe_sums"] = len(rt.probes)
             for regime in GROUP_REGIMES:
                 stats[f"group_by_{regime}"] = rt.regimes[regime]
             for regime in LOOKUP_REGIMES:

@@ -692,15 +692,11 @@ class CampaignReport:
     elapsed: float = 0.0
     #: Census of the plain ``typed`` runs: ``sum``/``merge`` loops lowered,
     #: how many ran as Python loops instead of kernels, in how many cases,
-    #: and why (the ``Untyped`` reason -> loops), plus the sums answered by a
-    #: run-time probe.
+    #: and why (the ``Untyped`` reason -> loops).
     typed_loops: int = 0
     fallback_loops: int = 0
     fallback_cases: int = 0
     fallback_reasons: Counter = field(default_factory=Counter)
-    #: Sums ``typed`` answered by its run-time equality probe, i.e. probes
-    #: the optimizer left in the plan.
-    probe_sums: int = 0
 
     @property
     def ok(self) -> bool:
@@ -713,7 +709,6 @@ class CampaignReport:
             self.typed_loops += stats["sum_loops"] + stats["merge_loops"]
             fallbacks += stats["fallback_sums"] + stats["fallback_merges"]
             self.fallback_reasons.update(stats["fallback_reasons"])
-            self.probe_sums += stats["probe_sums"]
         self.fallback_loops += fallbacks
         self.fallback_cases += bool(fallbacks)
 
@@ -727,8 +722,7 @@ class CampaignReport:
             line += (f"\ntyped census: {self.fallback_loops} of "
                      f"{self.typed_loops} loops fell back to Python in "
                      f"{self.fallback_cases} case(s)"
-                     + (f": {reasons}" if reasons else "")
-                     + f" | {self.probe_sums} sum(s) took the run-time probe")
+                     + (f": {reasons}" if reasons else ""))
         return line
 
 

@@ -501,19 +501,9 @@ def singleton(key: Expr | Number, value: Expr | Number, *, unique: bool = False,
     return DictExpr(lift(key), lift(value), annot=annot, unique=unique)
 
 
-def scalar_dict(value: Expr | Number) -> Expr:
-    """Build ``{ () -> value }``: with 0-dimensional keys this is the value itself."""
-    return lift(value)
-
-
 def eq(left: Expr | Number, right: Expr | Number) -> Cmp:
     """Build ``left == right``."""
     return Cmp("==", lift(left), lift(right))
-
-
-def if_then(cond: Expr, then: Expr | Number) -> IfThen:
-    """Build ``if (cond) then then``."""
-    return IfThen(cond, lift(then))
 
 
 ZERO = Const(0)

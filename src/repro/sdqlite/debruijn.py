@@ -236,8 +236,8 @@ def hoist_guard(body: Expr) -> Expr:
     ``c`` has no free ``%0`` (``c'`` is ``c`` with the vanished binder
     shifted out).  Applied recursively, so a chain of lets exposes the
     guard underneath: greedy plans wrap an equality guard in let-bindings
-    (``let x = X_val(i) in if (k == i) then ...``), and both the optimizer's
-    range-probe rewrite and the typed backend's probe detection look for it.
+    (``let x = X_val(i) in if (k == i) then ...``), and the optimizer's
+    probe rewrites (F1 and its range form) look for it there.
     """
     if isinstance(body, Let):
         inner = hoist_guard(body.body)

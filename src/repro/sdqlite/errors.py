@@ -40,10 +40,6 @@ class ScopeError(SDQLiteError):
     """Raised when a variable is referenced outside of any binder."""
 
 
-class TypeError_(SDQLiteError):
-    """Raised when an expression is ill-typed (e.g. summing over a scalar)."""
-
-
 class EvaluationError(SDQLiteError):
     """Raised by the reference interpreter when an expression cannot be evaluated."""
 

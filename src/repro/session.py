@@ -366,16 +366,8 @@ class Session:
         """
         from .storage.convert import reformat
 
-        for name, kind in recommendation.formats.items():
-            current = self.catalog.tensors.get(name)
-            if current is None:
-                raise StorageError(
-                    f"recommendation names {name!r}, which is not a registered tensor")
-            # spec_name carries the shard count (e.g. "sharded_csr@4"), so a
-            # tensor already stored exactly as recommended is a no-op even
-            # when the recommendation names a sharded spec.
-            if kind not in (current.format_name, current.spec_name):
-                self.replace_format(reformat(current, kind))
+        for name, (_, kind) in recommendation.changes(self.catalog).items():
+            self.replace_format(reformat(self.catalog.tensors[name], kind))
         return self
 
     def advise(self, programs, **kwargs):
@@ -793,7 +785,7 @@ class Statement:
 
         The ``typed`` backend records loop/fallback counts (``sum_loops``,
         ``merge_loops``, ``fallback_sums``, ``fallback_merges``,
-        ``fallback_reasons``, ``probe_sums``) into the given dictionary; the interpreter
+        ``fallback_reasons``) into the given dictionary; the interpreter
         leaves it untouched.  When the session's adaptive feedback loop is
         enabled and this execution was sampled, the dictionary additionally
         receives the estimated-vs-actual counters (``feedback_checked``,

@@ -299,6 +299,38 @@ class TestApply:
             assert old != new
 
 
+    def test_changes_of_the_stored_sharded_spec_are_empty(self):
+        catalog = batax_catalog(a_format=CSRFormat)
+        reformat_in_catalog(catalog, "A", "sharded_csr@4")
+        recommendation = Recommendation(formats={"A": "sharded_csr@4", "X": "dense"},
+                                        baseline=None, ranked=[], candidates_per_tensor={})
+        assert recommendation.changes(catalog) == {}
+        to_csr = Recommendation(formats={"A": "csr"}, baseline=None, ranked=[],
+                                candidates_per_tensor={})
+        assert to_csr.changes(catalog) == {"A": ("sharded_csr@4", "csr")}
+
+
+def test_measurement_optimizes_under_the_callers_options(monkeypatch):
+    """``measure=True`` times the plans ``_score`` ranked: the measuring
+    session's optimizer gets the advisor's ``optimizer_options`` too."""
+    import repro.session as session_module
+
+    seen = []
+
+    class RecordingOptimizer(session_module.Optimizer):
+        def __init__(self, stats, **options):
+            seen.append(options)
+            super().__init__(stats, **options)
+
+    monkeypatch.setattr(session_module, "Optimizer", RecordingOptimizer)
+    advisor = Advisor(Session(batax_catalog(a_format=CSRFormat)),
+                      optimizer_options={"iter_limit": 3})
+    recommendation = advisor.advise(BATAX_SRC, measure=True, top_k=1, measure_repeats=1,
+                                    probe_families=False, refine_steps=0)
+    assert recommendation.measured
+    assert seen and all(options == {"iter_limit": 3} for options in seen)
+
+
 # ---------------------------------------------------------------------------
 # harness shootout
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from repro.execution import (
 )
 from repro.kernels import KERNELS
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
-from repro.sdqlite.debruijn import to_debruijn_safe
+from repro.sdqlite.ast import Cmp, Idx, IfThen, Sum, postorder
+from repro.sdqlite.debruijn import hoist_guard, to_debruijn_safe, uses_indices
 from repro.sdqlite.errors import ExecutionError
 from repro.sdqlite.values import to_plain
 from repro.serving import Server
@@ -280,6 +281,39 @@ def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt, same_dense)
                         method=method)
         assert _assert_kernelized(to_debruijn_safe(pick.plan), env, shape,
                                   same_dense) == bool(shape)
+
+
+def _key_filtered_strict_sums(plan):
+    """The ``sum(<k,v> in S) [let ...] if (k == x) then e`` of ``plan`` with
+    ``x`` independent of the loop and ``e`` strict in ``v``: exactly the
+    sums F1 turns into the lookup ``S(x)``."""
+    found = []
+    for node in postorder(plan):
+        if not isinstance(node, Sum):
+            continue
+        body = hoist_guard(node.body)
+        if not (isinstance(body, IfThen) and isinstance(body.cond, Cmp)
+                and body.cond.op == "=="):
+            continue
+        left, right = body.cond.left, body.cond.right
+        probe = (right if left == Idx(1) else left if right == Idx(1) else None)
+        if (probe is not None and not uses_indices(probe, (0, 1))
+                and strategies.is_strict_in(body.then, 0)):
+            found.append(node)
+    return found
+
+
+@_parity
+def test_optimizer_picks_carry_no_key_filtered_sum(kernel_name, fmt):
+    """The plan the optimizer returns is the plan that runs: no pick leaves an
+    equality probe F1 could resolve for the executor to find (``typed`` would
+    iterate it), whichever search produced the pick."""
+    catalog = _parity_catalog(kernel_name, fmt)
+    stats = Statistics.from_catalog(catalog)
+    for method in ("greedy", "egraph"):
+        pick = optimize(KERNELS[kernel_name].program, catalog.mappings(), stats,
+                        method=method)
+        assert not _key_filtered_strict_sums(to_debruijn_safe(pick.plan)), method
 
 
 @_parity

@@ -21,11 +21,11 @@ The matrix:
 import numpy as np
 import pytest
 
-from repro.advisor import OnlineAdvisor
+from repro.advisor import Advisor, OnlineAdvisor, Recommendation
 from repro.serving import Server
 from repro.serving.stats import ServerStats
 from repro.session import Session
-from repro.storage import DenseFormat
+from repro.storage import DenseFormat, ShardedCSRFormat
 
 SIZE = 64
 SUM_AX = "sum(<i, Ai> in A) sum(<j, v> in Ai) v * X(j)"
@@ -196,6 +196,26 @@ def test_history_and_report_track_every_step():
 def test_constructor_rejects_degenerate_knobs(kwargs):
     with pytest.raises(ValueError):
         OnlineAdvisor(sparse_session(), **kwargs)
+
+
+def test_a_recommendation_of_the_stored_sharded_spec_is_no_change(monkeypatch):
+    """``sharded_csr@4`` advised for a tensor stored as ``sharded_csr@4`` is
+    no change: nothing is applied or measured and no epoch moves."""
+    rng = np.random.default_rng(0)
+    session = Session()
+    session.register(ShardedCSRFormat.from_dense("A", rng.random((SIZE, SIZE)), shards=4))
+    session.register(DenseFormat.from_dense("X", rng.random(SIZE)))
+    recommendation = Recommendation(formats={"A": "sharded_csr@4"}, baseline=None,
+                                    ranked=[], candidates_per_tensor={})
+    assert recommendation.changes(session.catalog) == {}
+    monkeypatch.setattr(Advisor, "advise", lambda self, workload, **options: recommendation)
+    measured = []
+    advisor, _ = make_advisor(
+        session, {}, measure=lambda workload, catalog: measured.append(catalog) or 1.0)
+    before = session.catalog.epochs()
+    assert advisor.note(SUM_AX).step()["action"] == "no_change"
+    assert session.catalog.epochs() == before
+    assert advisor.applies == 0 and measured == []
 
 
 def test_real_measurement_path_runs_end_to_end():

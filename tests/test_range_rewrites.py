@@ -1,8 +1,11 @@
-"""Equality probes over ranges, resolved at plan time, and what that buys.
+"""Equality probes, resolved at plan time, and what that buys.
 
 * The range rewrites — the range-probe resolution, T4 and the lookup of a
   range-built dictionary — agree with the interpreter on fractional,
   negative, out-of-range and boundary keys: a range has only integer keys.
+* F1 over a dictionary or an array, with its guard under ``let`` bindings,
+  agrees with the interpreter on absent, fractional and negative keys, and
+  leaves a body that is not strict a loop.
 * Flat BATAX reaches the factorized plan of the paper's Fig. 9: no probe is
   left for the backend, the cost is no worse than BATAX-nested's, and no
   candidate buries the ``i == i2`` join guard in a product factor.
@@ -22,6 +25,7 @@ from repro.core.strategies import (
     lookup_of_range_sum,
     resolve_range_probe,
     rewrite_everywhere,
+    sum_to_lookup,
 )
 from repro.data.synthetic import random_sparse_matrix_coo
 from repro.execution import typed_plan
@@ -30,6 +34,7 @@ from repro.kernels import BATAX, BATAX_NESTED
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.ast import Cmp, Get, IfThen, Idx, Let, Mul, RangeExpr, Sum, postorder
 from repro.sdqlite.debruijn import hoist_guard
+from repro.sdqlite.values import SemiringDict
 from repro.session import Session
 from repro.storage import Catalog, CSCFormat, CSRFormat, DenseFormat
 
@@ -131,6 +136,42 @@ def test_optimized_range_lookups_agree_with_the_interpreter(values, bounds):
                 assert values_equal(got, expected), (program, method, backend)
 
 
+#: F1 through lets: ``x`` is a global of unknown type, ``i`` an outer key.
+F1_STRICT = (
+    "sum(<k, v> in {S}) let w = v * 2 in if (k == x) then {{ 0 -> (w + k) * v }}",
+    "sum(<k, v> in {S}) let w = k + 1 in let u = v in if (x == k) then w * u",
+    "sum(<i, _> in 0:4) sum(<k, v> in {S}) let w = v in if (k == i - 2) then {{ i -> w * k }}",
+)
+#: Bodies that are not strict in ``v``: a missing key must not read as 0.
+F1_LOOSE = (
+    "sum(<k, v> in {S}) let w = v + 1 in if (k == x) then w",
+    "sum(<k, v> in {S}) let w = v in if (k == x) then {{ k -> w + 3 }}",
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=KEYS,
+       entries=st.dictionaries(st.integers(min_value=-2, max_value=5),
+                               st.floats(min_value=-4, max_value=4, allow_nan=False)
+                               .filter(bool), max_size=5),
+       array=st.lists(st.floats(min_value=-4, max_value=4, allow_nan=False),
+                      min_size=0, max_size=5))
+def test_sum_to_lookup_through_lets_agrees_with_the_interpreter(key, entries, array):
+    env = {"x": key, "D": SemiringDict(entries), "V": np.array(array, dtype=float)}
+    for source in ("D", "V"):
+        for template in F1_STRICT:
+            term = db(template.format(S=source))
+            rewritten = rewrite_everywhere(term, (sum_to_lookup,))
+            assert rewritten != term, template
+            expected = evaluate(term, env)
+            assert values_equal(evaluate(rewritten, env), expected), (template, env)
+            assert values_equal(typed_plan(rewritten)(env), expected), (template, env)
+        for template in F1_LOOSE:
+            term = db(template.format(S=source))
+            assert rewrite_everywhere(term, (sum_to_lookup,)) == term, template
+            assert values_equal(typed_plan(term)(env), evaluate(term, env)), (template, env)
+
+
 # ---------------------------------------------------------------------------
 # (a), (b) flat BATAX reaches the factorized plan
 # ---------------------------------------------------------------------------
@@ -157,7 +198,7 @@ def test_flat_batax_plan_resolves_its_probes_and_costs_no_more_than_nested(fmt):
     np.testing.assert_allclose(flat.execute(), nested.execute())
     stats = {}
     flat.execute_with_stats(stats)
-    assert stats["probe_sums"] == 0 and stats["fallback_sums"] == 0
+    assert stats["fallback_sums"] == 0
 
 
 def _guard_in_product_factor(plan) -> bool:
@@ -218,12 +259,15 @@ def test_identical_closed_invariants_are_evaluated_once_per_run():
 
 
 def test_a_probe_left_in_the_plan_is_counted_and_explained():
-    """``probe_sums``: what the backend still answers by a run-time probe —
-    here an equality guard over an array, which no plan-time rewrite resolves
-    (the body is not strict, and an array is not a range)."""
+    """An equality guard no plan-time rewrite may resolve — over an array (not
+    a range), with a body that is not strict (a missing key would give 1, not
+    0) — stays in the plan, and the backend runs it as the loop the plan and
+    ``explain()`` show: one batched loop, no Python fallback."""
     catalog = Catalog()
     catalog.add(DenseFormat.from_dense("X", np.array([0.5, 2.0, 3.0, 0.25])))
     outcome = Session(catalog).run_detailed("sum(<k, v> in X_val) if (k == 2) then v + 1")
     assert outcome.result == 4.0
-    assert outcome.execution_stats["probe_sums"] == 1
-    assert "probe_sums                : 1" in outcome.explain()
+    assert isinstance(outcome.optimization.plan, Sum)
+    stats = outcome.execution_stats
+    assert stats["sum_loops"] == 1
+    assert stats["fallback_sums"] == 0 and stats["fallback_reasons"] == {}

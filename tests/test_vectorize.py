@@ -5,9 +5,8 @@ the typed backend's own mechanisms in ``tests/test_typed_backend.py``; these
 cases pin what any batched evaluation of a ``sum`` must preserve: arithmetic
 and comparisons per lane, masked conditionals, gather with out-of-range
 keys, dictionary construction with repeated and non-integer keys, probe
-short-circuiting and per-execution memoization of loop-invariant sums —
-plus the two plan-shape predicates of ``repro.execution.lowering``.  (They
-were written against the whole-array backend this one replaced; the file
+loops and per-execution memoization of loop-invariant sums — plus the two
+De Bruijn scope predicates the backend relies on.  (They were written against the whole-array backend this one replaced; the file
 keeps its name because the test IDs are pinned.)
 """
 
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.execution import typed_plan
-from repro.execution.lowering import is_closed, uses_sum_binders
+from repro.sdqlite.debruijn import is_closed, uses_indices
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.ast import Cmp, Idx, Sum, Sym
 from repro.sdqlite.values import SemiringDict, to_plain
@@ -137,7 +136,7 @@ def test_merge_runs_via_loop():
 
 
 # ---------------------------------------------------------------------------
-# probe short-circuiting and loop-invariant memoization
+# equality-guarded loops and loop-invariant memoization
 # ---------------------------------------------------------------------------
 
 
@@ -146,25 +145,27 @@ def test_probe_handles_all_source_kinds():
     assert check("sum(<i, _> in 0:N) if (i == j) then 10", env) == 10
     assert check("sum(<i, v> in V) if (i == j) then v", env) == pytest.approx(6.0)
     assert check("sum(<p, v> in V(1:3)) if (p == j) then v", env) == pytest.approx(6.0)
-    # Dictionary sources are not probed but still agree via iteration.
+    # Every source kind runs as the loop the plan says, dictionaries too.
     env_dict = {"D": {0: 1.0, 2: 9.0}, "j": 2}
     assert check("sum(<i, v> in D) if (i == j) then v", env_dict) == pytest.approx(9.0)
 
 
 def test_probe_does_not_fire_when_expression_uses_loop_variables():
     env = {"N": 4}
-    # i == i is True on every iteration; a naive probe would collapse it.
+    # i == i is True on every iteration; a lookup would collapse it.
     assert check("sum(<i, _> in 0:N) if (i == i) then 1", env) == 4
 
 
 def test_uses_sum_binders_accounts_for_nested_binders():
-    # %1 at depth 0 is the sum key; under one extra binder it is %2.
-    assert uses_sum_binders(Idx(1))
-    assert uses_sum_binders(Idx(0))
-    assert not uses_sum_binders(Idx(2))
+    # A sum body reads its own binders as %0 (value) and %1 (key); under
+    # one extra sum they are %2 and %3.
+    sum_binders = (0, 1)
+    assert uses_indices(Idx(1), sum_binders)
+    assert uses_indices(Idx(0), sum_binders)
+    assert not uses_indices(Idx(2), sum_binders)
     inner = Sum(Sym("V"), Cmp("==", Idx(3), Idx(0)))  # %3 = outer sum key
-    assert uses_sum_binders(inner)
-    assert not uses_sum_binders(Sum(Sym("V"), Cmp("==", Idx(4), Idx(0))))
+    assert uses_indices(inner, sum_binders)
+    assert not uses_indices(Sum(Sym("V"), Cmp("==", Idx(4), Idx(0))), sum_binders)
 
 
 def test_loop_invariant_sum_is_memoized_per_execution():
