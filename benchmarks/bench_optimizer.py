@@ -12,9 +12,13 @@ two-stage optimization runs at the optimizer's production limits, best of
   ``node_limit`` / ``time_limit``), and the stage-2 e-nodes, e-classes and
   the matches both stages collected;
 * the plan-cost check: the extracted cost must not exceed the cheapest
-  greedy candidate (``candidate_costs``; the greedy pick seeds stage 2, so a
-  costlier extraction is a bug), and plan and cost must equal the golden
-  table's entry wherever the table has the kernel.
+  greedy candidate (``candidate_costs``; stage 2 saturates from the greedy
+  pick, so a costlier extraction is a bug), and plan and cost must equal
+  the golden table's entry wherever the table has the kernel;
+* plan quality, measured: the greedy pick and the e-graph pick, each
+  prepared once on ``typed`` with the kernel's dense output, executed
+  round-robin ``RUNS`` times; the medians and their ratio (``< 1``: the
+  e-graph's plan runs faster).  The two results must agree.
 
 Run as a pytest module (``pytest benchmarks/bench_optimizer.py -s``) or
 directly (``python benchmarks/bench_optimizer.py``); both write
@@ -25,13 +29,20 @@ one repeat instead of three (the checks are the same).
 import json
 import os
 import platform
+import statistics
 import sys
+import time
+
+import numpy as np
 
 from _config import print_report
+from repro.baselines.base import output_shape
 from repro.core.optimizer import Optimizer
 from repro.core.statistics import Statistics
+from repro.execution.engine import PlanCache
 from repro.kernels import KERNELS
 from repro.sdqlite import pretty
+from repro.session import Session
 from repro.workloads.reporting import format_table
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,6 +52,8 @@ from test_optimizer_golden import TABLE3, _catalog, _golden  # noqa: E402
 #: Smoke mode (CI): one repeat, same kernels, same checks.
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 REPEATS = 1 if SMOKE else 3
+#: Interleaved executions per pick for the plan-quality medians.
+RUNS = 21
 
 _JSON_PATH = os.path.join(_ROOT, "BENCH_optimizer.json")
 
@@ -60,6 +73,38 @@ def _optimize(kernel: str, repeats: int):
         if elapsed < best_ms:
             best, best_ms = result, elapsed
     return best, best_ms
+
+
+def _pick_runtimes(kernel: str) -> dict:
+    """Median execution time of the greedy and the e-graph pick on ``typed``.
+
+    Both statements are prepared (optimized and lowered) up front; the timed
+    loop alternates them, reversing the order every other round so drift
+    and a neighbour's garbage collection tax both picks alike.
+    """
+    catalog = _catalog(kernel)
+    session = Session(catalog, cache=PlanCache())
+    shape = output_shape(KERNELS[kernel], catalog)
+    picks = {method: session.prepare(KERNELS[kernel].source, method=method,
+                                     backend="typed", dense_shape=shape)
+             for method in ("greedy", "egraph")}
+    results = {method: statement.execute() for method, statement in picks.items()}
+    times: dict[str, list[float]] = {method: [] for method in picks}
+    order = list(picks)
+    for round_index in range(RUNS):
+        for method in order if round_index % 2 == 0 else reversed(order):
+            start = time.perf_counter()
+            picks[method].execute()
+            times[method].append((time.perf_counter() - start) * 1_000.0)
+    greedy_ms, egraph_ms = (statistics.median(times[m]) for m in ("greedy", "egraph"))
+    return {
+        "same_plan": picks["greedy"].plan == picks["egraph"].plan,
+        "greedy_run_ms": round(greedy_ms, 3),
+        "egraph_run_ms": round(egraph_ms, 3),
+        "egraph_over_greedy": round(egraph_ms / greedy_ms, 3),
+        "results_agree": bool(np.allclose(results["greedy"], results["egraph"],
+                                          rtol=1e-9, atol=1e-12)),
+    }
 
 
 def _row(kernel: str, result, saturation_ms: float, golden: dict) -> dict:
@@ -86,6 +131,7 @@ def _row(kernel: str, result, saturation_ms: float, golden: dict) -> dict:
         "greedy_cost": greedy,
         "cost_le_greedy": result.cost <= greedy * (1 + 1e-12),
         "golden": verdict,
+        **_pick_runtimes(kernel),
     }
 
 
@@ -98,6 +144,8 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         "data": "tests/test_optimizer_golden.py catalogs (cold_oneshot sizes, Table-3 formats)",
         "optimizer": dict(Optimizer.__init__.__kwdefaults__),
         "repeats": repeats,
+        "runs": RUNS,
+        "backend": "typed",
         "smoke": SMOKE,
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -107,6 +155,10 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         rows, columns=["kernel", "saturation_ms", "stage1_stop", "stage2_stop", "nodes",
                        "classes", "matches", "cost_le_greedy", "golden"],
         title=f"Two-stage saturation per kernel (best of {repeats}, production limits)"))
+    print_report(format_table(
+        rows, columns=["kernel", "same_plan", "greedy_run_ms", "egraph_run_ms",
+                       "egraph_over_greedy", "results_agree"],
+        title=f"Greedy pick vs e-graph pick on typed (median of {RUNS} interleaved runs)"))
     return report
 
 
@@ -120,6 +172,8 @@ def _check(report: dict) -> None:
     assert not costlier, f"extracted plan costlier than greedy's pick: {costlier}"
     moved = [row["kernel"] for row in report["rows"] if row["golden"] == "DIFFERS"]
     assert not moved, f"plan or cost differs from the golden table: {moved}"
+    wrong = [row["kernel"] for row in report["rows"] if not row["results_agree"]]
+    assert not wrong, f"greedy and e-graph picks disagree: {wrong}"
 
 
 def test_optimizer_engine_benchmark(benchmark):

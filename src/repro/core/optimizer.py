@@ -10,11 +10,12 @@ Pipeline (Fig. 2):
    single saturation over the composed plan is too large a search space);
 3. the result is composed with the TSMs into the naive logical plan
    (Sec. 5.1);
-4. **stage 2** — the composed plan is rewritten with the full rule set
-   (fusion, physical annotations); the e-graph is additionally seeded with
-   the cheapest candidate plan of the deterministic strategies (the greedy
-   pick), so that plan is always represented regardless of whether
-   saturation completes within its limits;
+4. **stage 2** — the deterministic strategies rewrite the composed plan
+   into candidate plans, and the cheapest of them (the greedy pick) seeds
+   the stage-2 e-graph alone; the full rule set (fusion, physical
+   annotations) then saturates around that already fused, factorized plan
+   instead of re-deriving it from the naive one, and the pick stays in the
+   graph whatever the limits cut short;
 5. the cheapest physical plan is extracted with the cost model of Fig. 6 and
    returned together with the Egg-style metrics of both stages (Table 4);
 6. a last pass resolves the equality probes the picked plan still carries
@@ -205,20 +206,18 @@ class Optimizer:
         composed = compose(stage1_plan, mappings)
         clock.lap("compose")
 
-        # Stage 2: storage-aware optimization of the composed plan.
-        stage2_graph = EGraph()
-        stage2_graph.symbol_ranks = ranks
-        root2 = stage2_graph.add_expr(composed)
-        # Seed with the greedy pick alone: its plan is then in the graph
-        # whatever saturation reaches, and the other candidates — whose
-        # shapes the rules rediscover from the composed plan anyway — no
-        # longer each grow the graph by their own rewrites.
+        # Stage 2: storage-aware optimization, saturating from the greedy
+        # pick.  The pick is the composed plan under sound rewrites — the
+        # same program — already fused and factorized, so the rules explore
+        # around it instead of re-deriving it from the naive plan, and
+        # extraction can never return a costlier plan than greedy's.
         candidates = strategies.candidate_plans(composed, ranks)
         candidate_costs = {name: logical_model.plan_cost(plan)
                            for name, plan in candidates.items()}
         chosen = min(candidate_costs, key=candidate_costs.get)
-        stage2_graph.union(root2, stage2_graph.add_expr(candidates[chosen]))
-        stage2_graph.rebuild()
+        stage2_graph = EGraph()
+        stage2_graph.symbol_ranks = ranks
+        root2 = stage2_graph.add_expr(candidates[chosen])
         clock.lap("candidates")
         report2 = self._make_runner(stage2_graph, all_rules).run()
         clock.lap("stage2_saturation")

@@ -11,7 +11,6 @@ from .runner import (
     RuleStats,
     Runner,
     RunnerReport,
-    saturate,
 )
 from .unionfind import UnionFind
 
@@ -22,6 +21,6 @@ __all__ = [
     "Pattern", "parse_pattern",
     "Rewrite", "bidirectional", "var_independent_of", "vars_distinct",
     "BackoffScheduler", "IterationStats", "RuleStats",
-    "Runner", "RunnerReport", "saturate",
+    "Runner", "RunnerReport",
     "UnionFind",
 ]

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .egraph import EGraph
 from .rewrite import Rewrite
@@ -323,10 +323,3 @@ class Runner:
         report.memo = egraph.memo_size
         report.time_ms = (perf_counter() - start) * 1_000.0
         return report
-
-
-def saturate(expr_class: int, egraph: EGraph, rules: Iterable[Rewrite],
-             **limits) -> RunnerReport:
-    """Convenience wrapper: run the rules on an already-populated e-graph."""
-    runner = Runner(egraph, list(rules), **limits)
-    return runner.run()

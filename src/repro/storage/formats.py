@@ -1224,13 +1224,18 @@ def _branching_from_coords(coords: np.ndarray) -> list[float]:
     """Average branching factor per level of the coordinate tree."""
     if coords.size == 0:
         return [0.0] * (coords.shape[1] if coords.ndim == 2 else 1)
-    rank = coords.shape[1]
+    # Sorted lexicographically, a row starts a new length-``level`` prefix
+    # where it differs from its predecessor in one of the first ``level``
+    # columns: one sort, then one comparison per level.
+    rows = coords[np.lexsort(coords.T[::-1])]
+    starts = np.zeros(rows.shape[0] - 1, dtype=bool)
     factors = []
     previous_distinct = 1
-    for level in range(1, rank + 1):
-        prefixes = {tuple(int(c) for c in row[:level]) for row in coords}
-        factors.append(len(prefixes) / previous_distinct)
-        previous_distinct = len(prefixes)
+    for level in range(rows.shape[1]):
+        starts |= rows[1:, level] != rows[:-1, level]
+        distinct = 1 + int(np.count_nonzero(starts))
+        factors.append(distinct / previous_distinct)
+        previous_distinct = distinct
     return factors
 
 

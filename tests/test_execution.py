@@ -317,6 +317,20 @@ def test_optimizer_picks_carry_no_key_filtered_sum(kernel_name, fmt):
 
 
 @_parity
+def test_egraph_pick_is_no_costlier_than_greedy_and_saturates(kernel_name, fmt):
+    """Stage 2 saturates from the greedy pick, so at default limits it runs
+    to saturation, and the plan the e-graph returns — after the final probe
+    pass — never costs more than the one greedy returns."""
+    catalog = _parity_catalog(kernel_name, fmt)
+    stats = Statistics.from_catalog(catalog)
+    program, mappings = KERNELS[kernel_name].program, catalog.mappings()
+    greedy = optimize(program, mappings, stats, method="greedy")
+    egraph = optimize(program, mappings, stats, method="egraph")
+    assert egraph.stage2.runner.stop_reason == "saturated"
+    assert egraph.cost <= greedy.cost * (1 + 1e-12)
+
+
+@_parity
 def test_vectorize_matches_interpreter(kernel_name, fmt):
     """The default pipeline end to end: what a user gets with no ``backend=``.
 

@@ -186,17 +186,19 @@ def test_time_limit_stops_within_one_rule_and_leaves_the_graph_congruent(monkeyp
 def test_a_plan_extracted_after_a_timeout_is_no_costlier_than_greedy(monkeypatch, tick_ms):
     from repro.egraph import runner as runner_module
 
-    # Every clock read costs ``tick_ms``: the 25 ms budget runs out in the
+    # Every clock read costs ``tick_ms``: the 10 ms budget runs out in the
     # middle of an iteration (earlier the coarser the tick), where the old
     # end-of-iteration check would have let the iteration finish first.
+    # Stage 2 starts from the greedy pick and saturates in about 23 ms of
+    # 0.02 ms reads, so the budget must be well under that to cut it.
     monkeypatch.setattr(runner_module, "perf_counter", FakeClock(tick=tick_ms / 1e3))
     catalog = batax_catalog()
     stats = Statistics.from_catalog(catalog)
-    result = Optimizer(stats, time_limit=0.025).optimize(
+    result = Optimizer(stats, time_limit=0.010).optimize(
         BATAX_NESTED.program, catalog.mappings(), method="egraph")
     report = result.stage2.runner
     assert report.stop_reason == "time_limit"
-    assert report.time_ms <= 25.0 + 400 * tick_ms   # one rule's reads past the limit
+    assert report.time_ms <= 10.0 + 400 * tick_ms   # one rule's reads past the limit
     assert np.isfinite(result.cost)
     assert result.cost <= min(result.candidate_costs.values()) * (1 + 1e-12)
     value = evaluate(result.plan, catalog.globals())
