@@ -226,6 +226,35 @@ def _class_is_integer_valued(egraph, identifier: int) -> bool:
     return False
 
 
+def _class_is_at_least_one(egraph, identifier: int) -> bool:
+    """A member of the class is a numeric literal ``>= 1``."""
+    for enode in egraph[egraph.find(identifier)].nodes:
+        if enode.head == "const":
+            value = enode.label[1]
+            if type(value) in (int, float) and value >= 1:
+                return True
+    return False
+
+
+def binds_no_zero_value(variable: str):
+    """Condition: iterating the class bound to ``variable`` binds no zero value.
+
+    T1 (``sum(<k, v> in e) { k -> v }`` → ``e``) rebuilds ``e`` from its
+    entries, and a dictionary constructor drops an entry whose value is 0.
+    A range binds each key to itself, so ``0:n`` binds 0 at key 0 and the
+    rebuilt dictionary lacks it — unless ``lo`` is a literal ``>= 1`` (a
+    non-integral one truncates to at least 1).
+    """
+
+    def check(egraph, subst) -> bool:
+        for enode in egraph[egraph.find(subst[variable])].nodes:
+            if enode.head == "range" and not _class_is_at_least_one(egraph, enode.children[0]):
+                return False
+        return True
+
+    return check
+
+
 def integral_classes(*variables: str):
     """Condition: every listed pattern variable is bound to an integer class.
 
@@ -316,7 +345,8 @@ def fusion_rules() -> list[Rewrite]:
 def dictionary_rules() -> list[Rewrite]:
     """Rules T1–T5: interaction of sums, lookups, ranges and dictionaries."""
     rules: list[Rewrite] = [
-        Rewrite.syntactic("T1-sum-identity", "sum(<k, v> in ?e) { %1 -> %0 }", "?e"),
+        Rewrite.syntactic("T1-sum-identity", "sum(<k, v> in ?e) { %1 -> %0 }", "?e",
+                          binds_no_zero_value("?e")),
         Rewrite.syntactic("T2-lookup-add", "?a(?k) + ?b(?k)", "(?a + ?b)(?k)"),
         Rewrite.syntactic("T2-rev", "(?a + ?b)(?k)", "?a(?k) + ?b(?k)"),
         Rewrite.syntactic("T3-dict-add", "{ ?k -> ?a } + { ?k -> ?b }", "{ ?k -> ?a + ?b }"),

@@ -21,12 +21,8 @@ races random update sequences against maintained views with full
 re-execution as the oracle.
 """
 
-from .delta import (
-    DeltaNotSupported,
-    delta_symbol,
-    derive_delta,
-    is_linear_in,
-)
+from ..sdqlite.debruijn import is_linear_in
+from .delta import DeltaNotSupported, delta_symbol, derive_delta
 from .views import DeltaPlan, MaterializedView, ViewRegistry
 
 __all__ = [

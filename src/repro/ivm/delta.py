@@ -68,7 +68,7 @@ from ..sdqlite.ast import (
     Var,
     ZERO,
 )
-from ..sdqlite.debruijn import free_indices, shift, to_debruijn_safe
+from ..sdqlite.debruijn import is_linear_in, shift, to_debruijn_safe
 
 
 class DeltaNotSupported(Exception):
@@ -84,74 +84,6 @@ class DeltaNotSupported(Exception):
 def delta_symbol(tensor: str) -> str:
     """The reserved global symbol naming the sparse delta of ``tensor``."""
     return f"{tensor}__delta"
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous linearity
-# ---------------------------------------------------------------------------
-
-
-def _uses(expr: Expr, index: int) -> bool:
-    return index in free_indices(expr)
-
-
-def is_linear_in(expr: Expr, index: int) -> bool:
-    """True when ``expr`` is *homogeneously* linear in the free index ``%index``.
-
-    Homogeneous means ``expr[x := a + b] == expr[x := a] ⊕ expr[x := b]``
-    and in particular ``expr[x := 0] == 0`` — constants do **not** count as
-    linear.  This is exactly the property that makes the sum delta rule
-    exact: for a key present in both the source and its delta, evaluating
-    the body at the delta value yields the change of that key's
-    contribution.  The test is conservative (syntactic); ``False`` merely
-    triggers a full refresh.
-    """
-    if isinstance(expr, Idx):
-        return expr.index == index
-    if isinstance(expr, (Add, Sub)):
-        return is_linear_in(expr.left, index) and is_linear_in(expr.right, index)
-    if isinstance(expr, Neg):
-        return is_linear_in(expr.operand, index)
-    if isinstance(expr, Mul):
-        left_uses = _uses(expr.left, index)
-        right_uses = _uses(expr.right, index)
-        if left_uses and not right_uses:
-            return is_linear_in(expr.left, index)
-        if right_uses and not left_uses:
-            return is_linear_in(expr.right, index)
-        return False  # bilinear (x * x) or unused on both sides
-    if isinstance(expr, Div):
-        return (not _uses(expr.right, index)) and is_linear_in(expr.left, index)
-    if isinstance(expr, DictExpr):
-        return (not _uses(expr.key, index)) and is_linear_in(expr.value, index)
-    if isinstance(expr, Get):
-        return (not _uses(expr.key, index)) and is_linear_in(expr.target, index)
-    if isinstance(expr, SliceGet):
-        return (not _uses(expr.lo, index) and not _uses(expr.hi, index)
-                and is_linear_in(expr.target, index))
-    if isinstance(expr, IfThen):
-        return (not _uses(expr.cond, index)) and is_linear_in(expr.then, index)
-    if isinstance(expr, Sum):
-        if not _uses(expr.source, index):
-            return is_linear_in(expr.body, index + 2)
-        # Linear source, body linear in the iterated value and independent
-        # of the outer index: sum(S(x)) b distributes over x.
-        return (is_linear_in(expr.source, index)
-                and not _uses(expr.body, index + 2)
-                and is_linear_in(expr.body, 0))
-    if isinstance(expr, Let):
-        if not _uses(expr.value, index):
-            return is_linear_in(expr.body, index + 1)
-        return (is_linear_in(expr.value, index)
-                and not _uses(expr.body, index + 1)
-                and is_linear_in(expr.body, 0))
-    if isinstance(expr, Merge):
-        if _uses(expr.left, index) or _uses(expr.right, index):
-            return False
-        return is_linear_in(expr.body, index + 3)
-    # Const, Sym, Cmp, And, Or, Not, RangeExpr, Var: constant in %index
-    # (or opaque) — not homogeneously linear.
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ optimization.  This module provides:
 * :func:`shift` — index shifting when an expression crosses a binder,
 * :func:`substitute` — capture-avoiding substitution of an index,
 * :func:`free_indices` — the set of free De Bruijn indices,
+* :func:`is_linear_in` — homogeneous linearity in one bound variable,
 * :func:`hoist_guard` — float a condition above the lets it does not use,
 * :func:`free_symbols_and_closed` — helpers used by rule side-conditions.
 
@@ -23,11 +24,19 @@ from __future__ import annotations
 from typing import Iterable
 
 from .ast import (
+    Add,
+    DictExpr,
+    Div,
     Expr,
+    Get,
     Idx,
     IfThen,
     Let,
     Merge,
+    Mul,
+    Neg,
+    SliceGet,
+    Sub,
     Sum,
     Var,
     binder_arities,
@@ -227,6 +236,68 @@ def free_indices(expr: Expr) -> frozenset[int]:
             out = frozenset(found)
     object.__setattr__(expr, "_free", out)
     return out
+
+
+def _uses(expr: Expr, index: int) -> bool:
+    return index in free_indices(expr)
+
+
+def is_linear_in(expr: Expr, index: int) -> bool:
+    """True when ``expr`` is *homogeneously* linear in the free index ``%index``.
+
+    Homogeneous means ``expr[x := a + b] == expr[x := a] ⊕ expr[x := b]``
+    and in particular ``expr[x := 0] == 0`` — constants do **not** count as
+    linear.  A ``sum`` over a dictionary is then a homomorphism in it: the
+    IVM delta rule for a sum over an updated source, and loop fusion over a
+    dictionary whose keys repeat, rest on this.  The test is conservative
+    (syntactic): ``False`` only gives up a rewrite.
+    """
+    if isinstance(expr, Idx):
+        return expr.index == index
+    if isinstance(expr, (Add, Sub)):
+        return is_linear_in(expr.left, index) and is_linear_in(expr.right, index)
+    if isinstance(expr, Neg):
+        return is_linear_in(expr.operand, index)
+    if isinstance(expr, Mul):
+        left_uses = _uses(expr.left, index)
+        right_uses = _uses(expr.right, index)
+        if left_uses and not right_uses:
+            return is_linear_in(expr.left, index)
+        if right_uses and not left_uses:
+            return is_linear_in(expr.right, index)
+        return False  # bilinear (x * x) or unused on both sides
+    if isinstance(expr, Div):
+        return (not _uses(expr.right, index)) and is_linear_in(expr.left, index)
+    if isinstance(expr, DictExpr):
+        return (not _uses(expr.key, index)) and is_linear_in(expr.value, index)
+    if isinstance(expr, Get):
+        return (not _uses(expr.key, index)) and is_linear_in(expr.target, index)
+    if isinstance(expr, SliceGet):
+        return (not _uses(expr.lo, index) and not _uses(expr.hi, index)
+                and is_linear_in(expr.target, index))
+    if isinstance(expr, IfThen):
+        return (not _uses(expr.cond, index)) and is_linear_in(expr.then, index)
+    if isinstance(expr, Sum):
+        if not _uses(expr.source, index):
+            return is_linear_in(expr.body, index + 2)
+        # Linear source, body linear in the iterated value and independent
+        # of the outer index: sum(S(x)) b distributes over x.
+        return (is_linear_in(expr.source, index)
+                and not _uses(expr.body, index + 2)
+                and is_linear_in(expr.body, 0))
+    if isinstance(expr, Let):
+        if not _uses(expr.value, index):
+            return is_linear_in(expr.body, index + 1)
+        return (is_linear_in(expr.value, index)
+                and not _uses(expr.body, index + 1)
+                and is_linear_in(expr.body, 0))
+    if isinstance(expr, Merge):
+        if _uses(expr.left, index) or _uses(expr.right, index):
+            return False
+        return is_linear_in(expr.body, index + 3)
+    # Const, Sym, Cmp, And, Or, Not, RangeExpr, Var: constant in %index
+    # (or opaque) — not homogeneously linear.
+    return False
 
 
 def hoist_guard(body: Expr) -> Expr:

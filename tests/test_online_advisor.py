@@ -29,10 +29,13 @@ from repro.storage import DenseFormat, ShardedCSRFormat
 
 SIZE = 64
 SUM_AX = "sum(<i, Ai> in A) sum(<j, v> in Ai) v * X(j)"
+#: The format the advisor recommends for ``A`` under ``SUM_AX``: column-major,
+#: where the program runs as ``sum_j X(j) * (sum_i A(i)(j))``, one pass per column.
+ADVISED = "csc"
 
 
 def sparse_session():
-    """A 5%-dense matrix registered as ``dense``: the advisor wants ``csr``."""
+    """A 5%-dense matrix registered as ``dense``: the advisor wants :data:`ADVISED`."""
     rng = np.random.default_rng(0)
     a = np.where(rng.random((SIZE, SIZE)) < 0.05, rng.random((SIZE, SIZE)), 0.0)
     session = Session()
@@ -72,17 +75,17 @@ def make_advisor(session, timings, **kwargs):
 
 def test_faster_change_stays_applied():
     session = sparse_session()
-    advisor, _ = make_advisor(session, {"dense": 1.0, "csr": 0.5})
+    advisor, _ = make_advisor(session, {"dense": 1.0, ADVISED: 0.5})
     record = advisor.note(SUM_AX).step()
     assert record["action"] == "applied"
-    assert record["changes"]["A"] == ("dense", "csr")
-    assert session.catalog.tensors["A"].format_name == "csr"
+    assert record["changes"]["A"] == ("dense", ADVISED)
+    assert session.catalog.tensors["A"].format_name == ADVISED
     assert (advisor.applies, advisor.rollbacks) == (1, 0)
 
 
 def test_slower_change_is_rolled_back():
     session = sparse_session()
-    advisor, _ = make_advisor(session, {"dense": 1.0, "csr": 2.0})
+    advisor, _ = make_advisor(session, {"dense": 1.0, ADVISED: 2.0})
     record = advisor.note(SUM_AX).step()
     assert record["action"] == "rolled_back"
     assert record["candidate_s"] > record["baseline_s"]
@@ -92,15 +95,15 @@ def test_slower_change_is_rolled_back():
 
 def test_guard_ratio_tolerates_bounded_slowdown():
     session = sparse_session()
-    advisor, _ = make_advisor(session, {"dense": 1.0, "csr": 1.2},
+    advisor, _ = make_advisor(session, {"dense": 1.0, ADVISED: 1.2},
                               guard_ratio=1.5)
     assert advisor.note(SUM_AX).step()["action"] == "applied"
-    assert session.catalog.tensors["A"].format_name == "csr"
+    assert session.catalog.tensors["A"].format_name == ADVISED
 
 
 def test_rolled_back_change_is_not_retried_within_backoff():
     session = sparse_session()
-    advisor, clock = make_advisor(session, {"dense": 1.0, "csr": 2.0},
+    advisor, clock = make_advisor(session, {"dense": 1.0, ADVISED: 2.0},
                                   backoff=100.0)
     advisor.note(SUM_AX)
     assert advisor.step()["action"] == "rolled_back"
@@ -113,21 +116,21 @@ def test_rolled_back_change_is_not_retried_within_backoff():
 
 def test_rolled_back_change_is_retried_after_backoff_expires():
     session = sparse_session()
-    timings = {"dense": 1.0, "csr": 2.0}
+    timings = {"dense": 1.0, ADVISED: 2.0}
     advisor, clock = make_advisor(session, timings, backoff=100.0)
     advisor.note(SUM_AX)
     assert advisor.step()["action"] == "rolled_back"
     # The regression that made csr slow goes away; the clock passes backoff.
-    timings["csr"] = 0.5
+    timings[ADVISED] = 0.5
     clock.now = 101.0
     assert advisor.step()["action"] == "applied"
-    assert session.catalog.tensors["A"].format_name == "csr"
+    assert session.catalog.tensors["A"].format_name == ADVISED
 
 
 def test_counts_mirror_into_server_stats():
     session = sparse_session()
     stats = ServerStats()
-    advisor, clock = make_advisor(session, {"dense": 1.0, "csr": 2.0},
+    advisor, clock = make_advisor(session, {"dense": 1.0, ADVISED: 2.0},
                                   server_stats=stats)
     advisor.note(SUM_AX).step()                    # apply + rollback
     clock.now = 1000.0
@@ -143,13 +146,13 @@ def test_counts_mirror_into_server_stats():
 
 
 def test_empty_window_is_idle():
-    advisor, _ = make_advisor(sparse_session(), {"dense": 1.0, "csr": 0.5})
+    advisor, _ = make_advisor(sparse_session(), {"dense": 1.0, ADVISED: 0.5})
     assert advisor.step() == {"action": "idle"}
 
 
 def test_already_optimal_formats_are_no_change():
     session = sparse_session()
-    advisor, _ = make_advisor(session, {"dense": 1.0, "csr": 0.5})
+    advisor, _ = make_advisor(session, {"dense": 1.0, ADVISED: 0.5})
     advisor.note(SUM_AX)
     assert advisor.step()["action"] == "applied"
     assert advisor.step()["action"] == "no_change"
@@ -158,7 +161,7 @@ def test_already_optimal_formats_are_no_change():
 
 def test_small_estimated_wins_are_not_applied():
     session = sparse_session()
-    advisor, _ = make_advisor(session, {"dense": 1.0, "csr": 0.5},
+    advisor, _ = make_advisor(session, {"dense": 1.0, ADVISED: 0.5},
                               min_estimated_speedup=1e9)
     record = advisor.note(SUM_AX).step()
     assert record["action"] == "below_min_speedup"
@@ -172,7 +175,7 @@ def test_small_estimated_wins_are_not_applied():
 
 
 def test_window_keeps_only_the_most_recent_entries():
-    advisor, _ = make_advisor(sparse_session(), {"dense": 1.0, "csr": 0.5},
+    advisor, _ = make_advisor(sparse_session(), {"dense": 1.0, ADVISED: 0.5},
                               window=3)
     for weight in range(5):
         advisor.note(SUM_AX, weight=float(weight))
@@ -181,7 +184,7 @@ def test_window_keeps_only_the_most_recent_entries():
 
 def test_history_and_report_track_every_step():
     session = sparse_session()
-    advisor, _ = make_advisor(session, {"dense": 1.0, "csr": 0.5})
+    advisor, _ = make_advisor(session, {"dense": 1.0, ADVISED: 0.5})
     advisor.step()
     advisor.note(SUM_AX).step()
     assert [record["action"] for record in advisor.history] == ["idle", "applied"]
@@ -225,7 +228,7 @@ def test_real_measurement_path_runs_end_to_end():
     advisor = OnlineAdvisor(session, rounds=1)
     record = advisor.note(SUM_AX).step()
     assert record["action"] in ("applied", "rolled_back")
-    expected = "csr" if record["action"] == "applied" else "dense"
+    expected = ADVISED if record["action"] == "applied" else "dense"
     assert session.catalog.tensors["A"].format_name == expected
 
 
@@ -238,11 +241,11 @@ def test_for_server_adapts_the_live_catalog_and_counts_into_server_stats():
         server.register(DenseFormat.from_dense("X", x))
         expected = server.execute(SUM_AX)
         advisor = OnlineAdvisor.for_server(
-            server, measure=format_timed_measure({"dense": 1.0, "csr": 0.5}),
+            server, measure=format_timed_measure({"dense": 1.0, ADVISED: 0.5}),
             clock=FakeClock())
         record = advisor.note(SUM_AX).step()
         assert record["action"] == "applied"
-        assert server.catalog.tensors["A"].format_name == "csr"
+        assert server.catalog.tensors["A"].format_name == ADVISED
         assert server.stats.snapshot()["advisor_applies"] == 1
         # The adapted catalog serves the same result through the server path.
         assert server.execute(SUM_AX) == pytest.approx(expected)

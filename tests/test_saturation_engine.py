@@ -78,7 +78,7 @@ GOLDEN_NAMES = ("BATAX-nested", "MMM", "SUMMM")
 
 
 @pytest.mark.parametrize("kernel", GOLDEN_NAMES)
-def test_fast_engine_plan_parity_with_legacy(kernel):
+def test_optimizer_extracts_the_pinned_egraph_plan(kernel):
     """``Optimizer.optimize`` on the golden catalogs extracts the pinned
     egraph plan at the pinned cost (the golden test reaches it through a
     ``Session``)."""

@@ -24,14 +24,19 @@ from repro.core.strategies import (
     is_strict_in,
     lookup_of_range_sum,
     simplify_node,
+    sum_over_singleton,
     sum_to_lookup,
     fuse_sum_of_sum,
 )
+from repro.core import Statistics
+from repro.core.optimizer import optimize
 from repro.data.synthetic import random_dense_vector, random_sparse_matrix
 from repro.kernels import BATAX_NESTED, KERNELS, MMM, MTTKRP, SUM_MMM, TTM, BATAX
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
-from repro.sdqlite.ast import Idx, Let, Merge, Mul, Sum, DictExpr, IfThen
-from repro.storage import Catalog, CSFFormat, CSRFormat, CSCFormat, DenseFormat, TrieFormat
+from repro.sdqlite.ast import Idx, Let, Merge, Mul, Sum, DictExpr, IfThen, postorder
+from repro.sdqlite.debruijn import to_debruijn_safe
+from repro.storage import (Catalog, COOFormat, CSFFormat, CSRFormat, CSCFormat, DenseFormat,
+                           TrieFormat)
 from repro.data.synthetic import random_sparse_tensor3
 
 
@@ -121,9 +126,117 @@ def test_fuse_sum_of_sum_f2():
 
 
 def test_fuse_requires_unique_or_key_identity():
-    # keys come from an arbitrary expression without @unique: no fusion
-    term = db("sum(<k, v> in (sum(<i, a> in A) { B(i) -> a })) { k -> v * 2 }")
+    # keys come from an arbitrary expression without @unique, and the body is
+    # not linear in the value: no fusion
+    term = db("sum(<k, v> in (sum(<i, a> in A) { B(i) -> a })) { k -> v * v }")
     assert fuse_sum_of_sum(term) is None
+
+
+# ---------------------------------------------------------------------------
+# linear fusion: a sum whose body is linear in the value fuses over repeated keys
+# ---------------------------------------------------------------------------
+
+#: A column-major 3x3 matrix: column c holds rows A_idx(A_pos(c):A_pos(c+1)).
+CSC_ENV = {"n": 3, "A_pos": np.array([0, 2, 3, 5]), "A_idx": np.array([0, 2, 1, 0, 2]),
+           "A_val": np.array([1.0, 2.0, 3.0, 4.0, 5.0])}
+CSC_ROWS = ("sum(<c, _> in 0:n) sum(<off, r> in A_idx(A_pos(c):A_pos(c + 1))) "
+            "{ r -> { c -> A_val(off) } }")
+
+#: Coordinate lists with a repeated row (0) and a repeated cell (0, 1).
+COO_ENV = {"nnz": 4, "A_i": np.array([0, 0, 2, 0]), "A_j": np.array([1, 2, 0, 1]),
+           "A_v": np.array([1.0, 2.0, 3.0, 4.0]),
+           "B": {0: {0: 1.0, 1: 2.0}, 1: {1: 3.0}, 2: {0: 4.0}}}
+COO_ROWS = "sum(<p, _> in 0:nnz) { A_i(p) -> { A_j(p) -> A_v(p) } }"
+
+#: A dictionary built over repeated keys: B(i) maps 0 and 1 to the key 5.
+REPEATED = "(sum(<i, a> in A) { B(i) -> a })"
+REPEATED_ENV = {"A": {0: 1.0, 1: 2.0, 2: 4.0}, "B": np.array([5, 5, 7])}
+
+
+def _sums_over_built_dicts(plan):
+    """The ``sum`` nodes of ``plan`` whose source is itself a ``sum``."""
+    return [node for node in postorder(plan)
+            if isinstance(node, Sum) and isinstance(node.source, Sum)]
+
+
+def test_linear_fusion_distributes_the_csc_sum_of_all_entries():
+    term = db(f"sum(<i, row> in {CSC_ROWS}) sum(<j, v> in row) v")
+    out = fuse_sum_of_sum(term)
+    # The row-major rebuild is distributed over the columns it sums.
+    assert isinstance(out, Sum) and isinstance(out.body, Sum)
+    check_equivalent(term, out, CSC_ENV)
+    fused = fuse(term)
+    assert not _sums_over_built_dicts(fused)
+    check_equivalent(term, fused, CSC_ENV)
+
+
+def test_linear_fusion_streams_coo_entries_in_mmm():
+    term = db(f"sum(<i, row> in {COO_ROWS}) sum(<j, a> in row) {{ i -> a * B(j) }}")
+    out = fuse_sum_of_sum(term)
+    # F3's binding, without @unique: the row keys A_i(p) repeat.
+    assert isinstance(out, Sum) and isinstance(out.body, Let)
+    check_equivalent(term, out, COO_ENV)
+    fused = fuse(term)
+    assert not _sums_over_built_dicts(fused)
+    check_equivalent(term, fused, COO_ENV)
+
+
+@pytest.mark.parametrize("body", [
+    "{ k -> v * v }",              # not linear in the value
+    "v(3)",                        # a probe of the value
+    "if (k == 5) then v",          # the key in an equality
+    f"v * {REPEATED}(k)",          # the closed source mentioned again
+], ids=["bilinear", "probe-of-value", "key-equality", "source-again"])
+def test_linear_fusion_is_blocked(body):
+    term = db(f"sum(<k, v> in {REPEATED}) {body}")
+    assert fuse_sum_of_sum(term) is None
+
+
+def test_linear_fusion_over_repeated_keys_keeps_semantics():
+    term = db(f"sum(<k, v> in {REPEATED}) {{ k -> v * 2 }}")
+    check_equivalent(term, fuse_sum_of_sum(term), REPEATED_ENV)
+
+
+def test_sum_over_singleton_binds_key_and_value():
+    term = db("sum(<k, v> in { x -> y }) { k -> v * 2 }")
+    out = sum_over_singleton(term)
+    assert isinstance(out, Let)
+    for y in (0.0, 3.0):
+        check_equivalent(term, out, {"x": 4, "y": y})
+    # The sum over an empty singleton is 0, which a non-strict body is not.
+    assert sum_over_singleton(db("sum(<k, v> in { x -> y }) k + 1")) is None
+
+
+#: The greedy picks that rebuilt a dictionary out of stored entries on every
+#: run before linear fusion: row-major A from CSC, nested A from COO.
+REBUILDING_ROWS = {
+    "SUMMM-csc": ("SUMMM", {"A": CSCFormat, "B": CSRFormat}),
+    "MMM-coo": ("MMM", {"A": COOFormat, "B": CSRFormat}),
+    "MTTKRP-coo": ("MTTKRP", {"A": COOFormat, "B": CSRFormat, "C": CSCFormat}),
+}
+
+
+@pytest.mark.parametrize("row", sorted(REBUILDING_ROWS))
+def test_greedy_pick_sums_no_dictionary_it_builds(row):
+    kernel_name, formats = REBUILDING_ROWS[row]
+    catalog = Catalog()
+    if kernel_name == "MTTKRP":
+        coords, values = random_sparse_tensor3(8, 6, 7, 0.1, seed=3)
+        catalog.add(COOFormat.from_coo("A", coords, values, (8, 6, 7)))
+        catalog.add(CSRFormat.from_dense("B", random_sparse_matrix(6, 4, 0.4, seed=4)))
+        catalog.add(CSCFormat.from_dense("C", random_sparse_matrix(7, 4, 0.4, seed=5)))
+    else:
+        for offset, name in enumerate("AB"):
+            catalog.add(formats[name].from_dense(
+                name, random_sparse_matrix(10, 10, 0.3, seed=offset)))
+    kernel = KERNELS[kernel_name]
+    pick = optimize(kernel.program, catalog.mappings(), Statistics.from_catalog(catalog),
+                    method="greedy")
+    plan = to_debruijn_safe(pick.plan)
+    assert not _sums_over_built_dicts(plan), pick.plan
+    env = catalog.globals()
+    assert values_equal(evaluate(plan, env),
+                        evaluate(compose(kernel.program, catalog.mappings()), env))
 
 
 def test_introduce_merge_f4():

@@ -156,7 +156,7 @@ def test_probe_does_not_fire_when_expression_uses_loop_variables():
     assert check("sum(<i, _> in 0:N) if (i == i) then 1", env) == 4
 
 
-def test_uses_sum_binders_accounts_for_nested_binders():
+def test_uses_indices_shifts_sum_binders_under_a_nested_sum():
     # A sum body reads its own binders as %0 (value) and %1 (key); under
     # one extra sum they are %2 and %3.
     sum_binders = (0, 1)
