@@ -435,6 +435,12 @@ class _Extraction:
             card = (Card.scalar() if body_info.card.is_scalar
                     else Card(matches * body_info.card.size(), body_info.card.elem()))
             return CostInfo(cost, card, body_info.kind), expr
+        if head == "idx" and enode.label[1] >= len(env):
+            # A class unions terms that are equal wherever all of them are in
+            # scope: ``if (%3 == %3) then c0`` joins the class of ``c0``
+            # (rule eq-refl), which is also used at the top level.  A node
+            # naming a variable this context does not bind is no plan here.
+            return None
         # Non-binding operators: extract children under the same environment,
         # rebuild the node and delegate to the term-level analyzer for the
         # node-local cost so the two code paths cannot drift apart.

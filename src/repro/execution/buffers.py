@@ -37,7 +37,8 @@ import numpy as np
 
 from ..sdqlite.errors import EvaluationError
 from ..sdqlite.values import integral_index, is_dictlike, is_scalar, iter_items
-from ..storage.formats import _DENSE_CELLS_PER_ENTRY, merge_coo
+from ..storage.formats import _DENSE_CELLS_PER_ENTRY
+from ..storage.splice import splice
 
 _LOG = logging.getLogger("repro.execution")
 
@@ -303,19 +304,20 @@ class BufferLevels:
             np.empty((0, self.depth), dtype=np.int64)
 
     def merge(self, other: "BufferLevels") -> "BufferLevels | None":
-        """``self ⊕ other`` as new levels, by a sorted-key merge of the leaves.
+        """``self ⊕ other`` as new levels: ``other``'s leaves spliced into ``self``.
 
-        Leaves under the same coordinate add and exact cancellations drop
-        (:func:`repro.storage.formats.merge_coo`: only ``other`` is sorted
-        against ``self``; the rest is ``O(nnz)`` copying).  Interior entries
-        without leaves — semiring zeros — are not carried over.  ``None`` when
-        the depths differ or no int64 key can order the coordinates.
+        Leaves under the same coordinate add (``self``'s value first) and
+        exact cancellations drop (:func:`repro.storage.splice.splice`: ``other``
+        is located level by level in ``self``, whose arrays are edited, not
+        rebuilt, and shared where the merge leaves them unchanged).  Interior
+        entries without leaves — semiring zeros — are not carried over.
+        ``None`` when the depths differ.
         """
         if self.depth != other.depth:
             return None
-        merged = merge_coo(self.leaf_coords(), self.values,
-                           other.leaf_coords(), other.values)
-        return None if merged is None else BufferLevels.from_sorted_coords(*merged)
+        keys, seg, values = splice([[level] for level in self.keys], self.seg,
+                                   self.values, other.leaf_columns(), other.values)
+        return BufferLevels([level[0] for level in keys], seg, values)
 
     @property
     def nnz(self) -> int:

@@ -74,7 +74,9 @@ class MaterializedView:
     Created through :meth:`repro.session.Session.create_view` or
     :meth:`repro.serving.Server.create_view`; read through :meth:`value`.
     ``delta_refreshes`` / ``full_refreshes`` count how each refresh was
-    performed (the initial materialization counts as a full refresh).
+    performed (the initial materialization counts as a full refresh);
+    ``merge_fallbacks`` counts the delta refreshes whose result could not be
+    merged in buffer form and was added entry by entry instead.
     """
 
     def __init__(self, registry: "ViewRegistry", name: str, statement,
@@ -91,6 +93,7 @@ class MaterializedView:
         self._delta_plans: dict[str, Optional[DeltaPlan]] = {}
         self.delta_refreshes = 0
         self.full_refreshes = 0
+        self.merge_fallbacks = 0
 
     @property
     def program(self) -> Expr:
@@ -117,7 +120,7 @@ class MaterializedView:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MaterializedView({self.name!r}, delta={self.delta_refreshes}, "
-                f"full={self.full_refreshes})")
+                f"full={self.full_refreshes}, merge_fallbacks={self.merge_fallbacks})")
 
 
 class ViewRegistry:
@@ -279,6 +282,7 @@ class ViewRegistry:
             if merged is not None:
                 return BufferDict(merged)
         if is_dictlike(old) and is_dictlike(delta):
+            view.merge_fallbacks += 1
             _log.debug("view %r: %s + %s is not a buffer merge, adding entry by "
                        "entry", view.name, type(old).__name__, type(delta).__name__)
         return v_add(old, delta)

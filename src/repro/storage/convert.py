@@ -48,7 +48,6 @@ from .formats import (
     FORMATS,
     StorageFormat,
     TensorStats,
-    merge_coo,
     sum_duplicates,
 )
 from .sharded import SHARDED_FORMATS, ShardedFormat
@@ -202,13 +201,15 @@ def apply_delta(fmt: StorageFormat, coords, values) -> StorageFormat:
     :func:`repro.storage.formats.sum_duplicates`, so the result equals
     ``from_coo`` of the old entries followed by the delta, bit for bit.
 
-    The sorted-array formats (COO, CSR/CSC, DCSR, CSF and the sharded
-    family) binary-search the delta into their own sorted entries
-    (:func:`repro.storage.formats.merge_coo`) and rebuild only the position
-    arrays: ``O(k log nnz)`` comparisons plus ``O(nnz)`` copying for a
-    ``k``-entry delta, no sort of the base.  Dense storage scatters in
-    place of a copy; hash, trie and the Sec. 4 special layouts are rebuilt
-    through ``from_coo`` (one ``O(nnz log nnz)`` sort).  The format class
+    The sorted-array formats (COO, CSR/CSC, DCSR, CSF, and each touched
+    shard of the sharded family) splice the delta into their stored levels
+    (:func:`repro.storage.splice.splice`): ``O(k log k)`` to sort a
+    ``k``-entry delta, ``O(k log nnz)`` comparisons to place it, the
+    position arrays re-derived in ``O(#parents)``, and one copy of each
+    array that gains or loses an entry; untouched arrays are shared with
+    the old format.  Dense storage scatters into a copy; hash, trie and
+    the Sec. 4 special layouts are rebuilt through ``from_coo`` (one
+    ``O(nnz log nnz)`` sort).  The format class
     and shape are preserved, which is what lets
     :meth:`repro.storage.Catalog.update` treat this as a value-only
     mutation.  Special formats re-validate their structural preconditions
@@ -233,14 +234,10 @@ def apply_delta(fmt: StorageFormat, coords, values) -> StorageFormat:
         np.add.at(dense, tuple(coords.T), values)
         return DenseFormat(fmt.name, dense)
     if fmt._sort_axes is not None:
-        merged = merge_coo(*fmt.to_coo(), coords, values, fmt._sort_axes)
-        if merged is not None:
-            return type(fmt)._from_canonical(fmt.name, *merged, fmt.shape,
-                                             **fmt.from_coo_kwargs())
-    _log.debug("apply_delta: rebuilding %s %r (nnz=%d) for a %d-entry delta: %s",
-               fmt.format_name, fmt.name, fmt.nnz, len(values),
-               "the layout has no sorted-key merge" if fmt._sort_axes is None
-               else "no int64 key orders these coordinates")
+        return fmt._splice(coords, values)
+    _log.debug("apply_delta: rebuilding %s %r (nnz=%d) for a %d-entry delta: "
+               "the layout has no level chain", fmt.format_name, fmt.name,
+               fmt.nnz, len(values))
     base_coords, base_values = coo_arrays(fmt)
     return type(fmt).from_coo(fmt.name, np.concatenate([base_coords, coords]),
                               np.concatenate([base_values, values]), fmt.shape,

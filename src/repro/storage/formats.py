@@ -35,6 +35,7 @@ enumerates exactly the formats that say yes.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +54,7 @@ from .physical import (
     PhysicalHashMap,
     PhysicalTrie,
 )
+from .splice import splice
 
 Profile = tuple  # nested (count, child) tuples ending in "s"; see profile() docstrings
 
@@ -219,58 +221,6 @@ def sum_duplicates(coords: np.ndarray, values: np.ndarray,
     return np.take(coords, take, axis=0), sums  # much faster than coords[take]
 
 
-def merge_coo(base_coords: np.ndarray, base_values: np.ndarray,
-              coords: np.ndarray, values: np.ndarray,
-              axes: Sequence[int] = ()):
-    """Add the entries ``(coords, values)`` into a canonical ``base``.
-
-    ``base_coords`` must be unique and sorted lexicographically by the
-    columns ``axes`` (``()``: natural order); ``coords`` may come in any
-    order and repeat.  Coordinates present in the base are incremented,
-    absent ones inserted at their sorted position, and entries whose sum is
-    exactly zero dropped — per coordinate the additions happen in the order
-    *base value, then the delta values in input order*, so the result is
-    bit-for-bit what :func:`sum_duplicates` gives on the concatenation.
-
-    Only the delta is sorted: ``O(k log k + k log nnz)`` comparisons plus
-    ``O(nnz)`` copying.  Returns ``(coords, values)`` in the base's order, or
-    ``None`` when no int64 key can order the coordinates (see
-    :func:`_key_space`) and the caller has to rebuild.
-    """
-    if not coords.shape[0]:
-        return base_coords, base_values
-    space = _key_space([base_coords.T, coords.T], axes)
-    if space is None:
-        return None
-    base_keys = _linear_keys(base_coords.T, *space)
-    keys = _linear_keys(coords.T, *space)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = _first_of_run(keys)
-    unique = keys[first]
-    pos = np.searchsorted(base_keys, unique)
-    hit = np.zeros(unique.shape[0], dtype=bool)
-    inside = pos < base_keys.shape[0]
-    hit[inside] = base_keys[pos[inside]] == unique[inside]
-    sums = np.zeros(unique.shape[0], dtype=np.float64)
-    sums[hit] = base_values[pos[hit]]
-    np.add.at(sums, np.cumsum(first) - 1, values[order])
-    # The edit script as one gather over [base rows; inserted rows].
-    new = ~hit & (sums != 0)
-    all_coords = np.concatenate([base_coords, coords[order[first][new]]])
-    all_values = np.concatenate([base_values, sums[new]])
-    all_values[pos[hit]] = sums[hit]
-    n = base_keys.shape[0]
-    take = np.arange(n)
-    drop = pos[hit & (sums == 0)]
-    at = pos[new]
-    if drop.size:
-        take = np.delete(take, drop)
-        at = at - np.searchsorted(drop, at)
-    take = np.insert(take, at, np.arange(n, all_values.shape[0]))
-    return np.take(all_coords, take, axis=0), all_values[take]
-
-
 @dataclass(frozen=True)
 class TensorStats:
     """A structural summary of one stored tensor, for format legality checks.
@@ -390,27 +340,32 @@ class StorageFormat(ABC):
         """
         return False
 
-    #: Sorted-array formats implement ``_build`` and set this to the order of
-    #: significance (most significant first) of the coordinate columns their
-    #: entries are kept sorted by — ``(1, 0)`` for CSC, ``()`` for the natural
-    #: order of any rank.  ``None``: the layout is not a sorted run of entries.
+    #: Sorted-array formats set this to the order of significance (most
+    #: significant first) of the coordinate columns their entries are kept
+    #: sorted by — ``(1, 0)`` for CSC, ``()`` for the natural order of any
+    #: rank — and expose their arrays as one level chain
+    #: (:mod:`repro.storage.splice`) through ``_levels`` / ``_set_levels``.
+    #: ``None``: the layout is not a sorted run of entries.
     _sort_axes: tuple[int, ...] | None = None
 
-    @classmethod
-    def _from_canonical(cls, name: str, coords: np.ndarray, values: np.ndarray,
-                        shape: Sequence[int], **kwargs) -> "StorageFormat":
-        """Trusted constructor of the sorted-array formats: no normalization.
+    def _levels(self) -> tuple[list, list[np.ndarray], np.ndarray]:
+        """``(keys, seg, values)``: the stored arrays as a level chain."""
+        raise NotImplementedError
 
-        The caller guarantees the *canonical-order invariant*: ``coords`` is
-        an int64 ``(nnz, rank)`` matrix of unique in-range coordinates sorted
-        lexicographically by ``_sort_axes``, ``values`` a float64 array with
-        no zeros.  That is what :func:`sum_duplicates` returns (re-sorted by
-        column for CSC) and what :func:`merge_coo` preserves, so neither is
-        re-checked.  ``kwargs`` are those of :meth:`from_coo`.
+    def _set_levels(self, keys: list, seg: list[np.ndarray], values: np.ndarray) -> None:
+        """Install a level chain shaped like :meth:`_levels`'s (on a copy)."""
+        raise NotImplementedError
+
+    def _splice(self, coords: np.ndarray, values: np.ndarray) -> "StorageFormat":
+        """A copy holding this tensor plus the delta, by a level splice.
+
+        ``coords`` are validated in-range int64 coordinates.  Arrays the
+        delta leaves unchanged are shared with ``self``; none is written to.
         """
-        self = cls.__new__(cls)
-        self._build(name, coords, values, tuple(shape), **kwargs)
-        return self
+        axes = self._sort_axes or range(self.rank)
+        spliced = copy.copy(self)
+        spliced._set_levels(*splice(*self._levels(), [coords[:, a] for a in axes], values))
+        return spliced
 
     def from_coo_kwargs(self) -> dict[str, Any]:
         """Constructor kwargs that reproduce this instance's parameterization.
@@ -689,13 +644,19 @@ class COOFormat(StorageFormat):
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
         return self.coords.copy(), self.values.copy()
 
+    def _levels(self):
+        # One level keyed by the whole coordinate tuple.
+        return ([list(self.coords.T)], [np.array([0, self.nnz], dtype=np.int64)],
+                self.values)
+
+    def _set_levels(self, keys, seg, values) -> None:
+        if not np.may_share_memory(keys[0][0], self.coords):
+            self.coords = np.column_stack(keys[0])
+        self.values = values
+
     def profile(self) -> Profile:
         # All nnz entries are reached through a single flat iteration.
-        branching = _branching_from_coords(self.coords)
-        profile: Profile = ("s",)
-        for factor in reversed(branching):
-            profile = (factor, profile)
-        return profile
+        return _branching_profile(self.coords, canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +692,9 @@ class CSRFormat(StorageFormat):
 
     def _build(self, name, coords, values, shape) -> None:
         StorageFormat.__init__(self, name, shape)
-        self._outer_sorted = np.ascontiguousarray(coords[:, self._outer_axis])
         self.idx = np.ascontiguousarray(coords[:, self._inner_axis])
         self.val = values
-        self.pos = _compress(self._outer_sorted, self.shape[self._outer_axis])
+        self.pos = _compress(coords[:, self._outer_axis], self.shape[self._outer_axis])
 
     @classmethod
     def from_coo(cls, name, coords, values, shape, **kwargs):
@@ -775,9 +735,19 @@ class CSRFormat(StorageFormat):
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
         coords = np.empty((self.idx.shape[0], 2), dtype=np.int64)
-        coords[:, self._outer_axis] = self._outer_sorted
+        coords[:, self._outer_axis] = np.repeat(
+            np.arange(self.pos.shape[0] - 1, dtype=np.int64), np.diff(self.pos))
         coords[:, self._inner_axis] = self.idx
         return coords, self.val.copy()
+
+    def _levels(self):
+        # The outer level is dense: a row's entry id is the row.
+        return ([None, [self.idx]],
+                [np.array([0, self.pos.shape[0] - 1], dtype=np.int64), self.pos],
+                self.val)
+
+    def _set_levels(self, keys, seg, values) -> None:
+        (self.idx,), self.pos, self.val = keys[1], seg[1], values
 
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"pos": self.pos, "idx": self.idx, "val": self.val}
@@ -893,6 +863,13 @@ class DCSRFormat(StorageFormat):
             np.empty((0, 2), dtype=np.int64)
         return coords, self.val.copy()
 
+    def _levels(self):
+        return [[self.idx1], [self.idx2]], [self.pos1, self.pos2], self.val
+
+    def _set_levels(self, keys, seg, values) -> None:
+        ((self.idx1,), (self.idx2,)), (self.pos1, self.pos2) = keys, seg
+        self.val = values
+
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"pos1": self.pos1, "idx1": self.idx1,
                 "pos2": self.pos2, "idx2": self.idx2, "val": self.val}
@@ -998,6 +975,16 @@ class CSFFormat(StorageFormat):
             else np.empty((0, 3), dtype=np.int64)
         return coords, self.val.copy()
 
+    def _levels(self):
+        root = np.array([0, self.idx1.shape[0]], dtype=np.int64)
+        return ([[self.idx1], [self.idx2], [self.idx3]], [root, self.pos2, self.pos3],
+                self.val)
+
+    def _set_levels(self, keys, seg, values) -> None:
+        (self.idx1,), (self.idx2,), (self.idx3,) = keys
+        _, self.pos2, self.pos3 = seg
+        self.val = values
+
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"idx1": self.idx1, "pos2": self.pos2, "idx2": self.idx2,
                 "pos3": self.pos3, "idx3": self.idx3, "val": self.val}
@@ -1082,11 +1069,7 @@ class DOKFormat(StorageFormat):
 
     def profile(self) -> Profile:
         coords = np.array(list(self.hashmap.entries.keys()), dtype=np.int64).reshape(-1, self.rank)
-        branching = _branching_from_coords(coords)
-        profile: Profile = ("s",)
-        for factor in reversed(branching):
-            profile = (factor, profile)
-        return profile
+        return _branching_profile(coords)
 
 
 class TrieFormat(StorageFormat):
@@ -1220,23 +1203,31 @@ def _fill_dense_from_nested(dense: np.ndarray, nested: dict, prefix: tuple[int, 
             dense[prefix + (int(key),)] += value
 
 
-def _branching_from_coords(coords: np.ndarray) -> list[float]:
-    """Average branching factor per level of the coordinate tree."""
-    if coords.size == 0:
-        return [0.0] * (coords.shape[1] if coords.ndim == 2 else 1)
-    # Sorted lexicographically, a row starts a new length-``level`` prefix
-    # where it differs from its predecessor in one of the first ``level``
-    # columns: one sort, then one comparison per level.
-    rows = coords[np.lexsort(coords.T[::-1])]
-    starts = np.zeros(rows.shape[0] - 1, dtype=bool)
-    factors = []
-    previous_distinct = 1
-    for level in range(rows.shape[1]):
-        starts |= rows[1:, level] != rows[:-1, level]
-        distinct = 1 + int(np.count_nonzero(starts))
-        factors.append(distinct / previous_distinct)
-        previous_distinct = distinct
-    return factors
+def _branching_profile(coords: np.ndarray, *, canonical: bool = False) -> Profile:
+    """Nested profile of the coordinate tree: the average branching factor
+    of every level.
+
+    Sorted lexicographically, a row starts a new length-``level`` prefix
+    where it differs from its predecessor in one of the first ``level``
+    columns: one comparison per level, after one sort unless the rows are
+    already ``canonical`` (sorted and unique, as COO stores them).
+    """
+    factors: list[float] = []
+    if coords.shape[0] == 0:
+        factors = [0.0] * coords.shape[1]
+    else:
+        rows = coords if canonical else coords[np.lexsort(coords.T[::-1])]
+        starts = np.zeros(rows.shape[0] - 1, dtype=bool)
+        previous = 1
+        for level in range(rows.shape[1]):
+            starts |= rows[1:, level] != rows[:-1, level]
+            distinct = 1 + int(np.count_nonzero(starts))
+            factors.append(distinct / previous)
+            previous = distinct
+    profile: Profile = ("s",)
+    for factor in reversed(factors):
+        profile = (factor, profile)
+    return profile
 
 
 #: Registry of formats by short name, used by the benchmark harness.

@@ -28,9 +28,10 @@ Three formats:
 
 Shard boundaries are *deterministic* in ``(outer_dim, n_shards)`` — equal
 row ranges, not nnz-balanced — so a sparse delta
-(:func:`repro.storage.convert.apply_delta`) rebuilds a tensor with identical
-physical symbols and identical mapping text: exactly the value-only mutation
-contract :meth:`repro.storage.Catalog.update` relies on.
+(:func:`repro.storage.convert.apply_delta`) splices into the shards its rows
+fall in and leaves identical physical symbols and identical mapping text:
+exactly the value-only mutation contract :meth:`repro.storage.Catalog.update`
+relies on.
 
 Shard-local symbols are named ``{tensor}__s{i}_{suffix}``; the ``__s{i}_``
 infix is the marker the optimizer's shard-aware rewrites key on
@@ -39,10 +40,12 @@ infix is the marker the optimizer's shard-aware rewrites key on
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 import tempfile
 import weakref
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -53,10 +56,12 @@ from .formats import (
     Profile,
     StorageFormat,
     TensorStats,
+    _branching_profile,
     _compress,
     coo_from_dense,
     sum_duplicates,
 )
+from .splice import splice
 
 #: Matches a shard-local physical symbol and captures (tensor, shard index).
 SHARD_SYMBOL_RE = re.compile(r"^(.+)__s(\d+)_[A-Za-z0-9]+$")
@@ -152,6 +157,27 @@ class ShardedFormat(StorageFormat):
         """Per-shard :class:`TensorStats` (nnz of each row range)."""
         raise NotImplementedError
 
+    def _splice(self, coords: np.ndarray, values: np.ndarray) -> "ShardedFormat":
+        """Route the delta to the shards its rows fall in and splice each one.
+
+        Untouched shards — memory-mapped ones included — are shared with
+        ``self``; a touched shard's edited arrays are new in-memory arrays.
+        """
+        spliced = copy.copy(self)
+        spliced.__dict__.pop("_profile", None)      # cached from the old shards
+        spliced.shard_arrays = list(self.shard_arrays)
+        shard_of = np.searchsorted(self.bounds, coords[:, 0], "right") - 1
+        for shard in np.unique(shard_of):
+            mine = shard_of == shard
+            spliced.shard_arrays[shard] = self._splice_shard(
+                int(shard), coords[mine], values[mine])
+        return spliced
+
+    def _splice_shard(self, shard: int, coords: np.ndarray,
+                      values: np.ndarray) -> dict[str, np.ndarray]:
+        """Shard ``shard``'s arrays plus the delta entries of its rows."""
+        raise NotImplementedError
+
 
 class ShardedCOOFormat(ShardedFormat):
     """Row-range shards of COO with absolute coordinates.
@@ -193,7 +219,6 @@ class ShardedCOOFormat(ShardedFormat):
                     if path is not None:
                         self._own(path)
             self.shard_arrays.append(block)
-        self._profile = _coords_profile(coords, self.rank)
 
     @classmethod
     def from_coo(cls, name, coords, values, shape, **kwargs) -> "ShardedCOOFormat":
@@ -272,8 +297,22 @@ class ShardedCOOFormat(ShardedFormat):
                   else np.empty(0, dtype=np.float64))
         return cls(name, coords, values, shape, shards=len(bounds) - 1)
 
+    @cached_property
+    def _profile(self) -> Profile:
+        return _branching_profile(self.to_coo()[0], canonical=True)
+
     def profile(self) -> Profile:
         return self._profile
+
+    def _splice_shard(self, shard, coords, values):
+        block = self.shard_arrays[shard]
+        keys, _, val = splice(
+            [[block[f"idx{axis + 1}"] for axis in range(self.rank)]],
+            [np.array([0, block["val"].shape[0]], dtype=np.int64)], block["val"],
+            list(coords.T), values)
+        spliced = {f"idx{axis + 1}": col for axis, col in enumerate(keys[0])}
+        spliced["val"] = val
+        return spliced
 
     def shard_stats(self) -> list[TensorStats]:
         stats = []
@@ -424,6 +463,15 @@ class ShardedCSRFormat(ShardedFormat):
         avg = self.nnz / max(1, n_outer)
         return (float(n_outer), (float(avg), ("s",)))
 
+    def _splice_shard(self, shard, coords, values):
+        block = self.shard_arrays[shard]
+        pos2 = block["pos2"]
+        keys, seg, val = splice(
+            [None, [block["idx2"]]],
+            [np.array([0, pos2.shape[0] - 1], dtype=np.int64), pos2], block["val"],
+            [coords[:, 0] - self.bounds[shard], coords[:, 1]], values)
+        return {"pos2": seg[1], "idx2": keys[1][0], "val": val}
+
     def segment_profiles(self) -> dict[str, float]:
         profiles: dict[str, float] = {}
         for shard, block in enumerate(self.shard_arrays):
@@ -542,30 +590,6 @@ class MemmapDenseFormat(DenseFormat):
             # reshape preserves the memory map, nothing is copied.
             return cls(name, values.reshape(shape))
         return cls(name, np.asarray(values, dtype=np.float64).reshape(shape))
-
-
-def _coords_profile(coords: np.ndarray, rank: int) -> Profile:
-    """Branching-factor profile from **sorted** coordinates, vectorized.
-
-    Same shape as ``COOFormat.profile``; on sorted rows the number of
-    distinct length-``d`` prefixes is one plus the number of rows whose
-    prefix differs from the row before — sharded tensors are exactly the
-    ones big enough for avoiding Python sets to matter.
-    """
-    factors: list[float]
-    if coords.shape[0] == 0:
-        factors = [0.0] * max(1, rank)
-    else:
-        differs = np.logical_or.accumulate(coords[1:] != coords[:-1], axis=1)
-        factors = []
-        previous = 1
-        for distinct in 1 + differs.sum(axis=0):
-            factors.append(int(distinct) / previous)
-            previous = int(distinct)
-    profile: Profile = ("s",)
-    for factor in reversed(factors):
-        profile = (float(factor), profile)
-    return profile
 
 
 #: The sharded / out-of-core format family, merged into ``ALL_FORMATS`` by

@@ -235,3 +235,114 @@ def test_a_non_levelizable_value_falls_back_untyped_and_says_so(caplog, value, e
 def test_levelizing_propagates_failures_that_are_not_about_the_shape():
     with pytest.raises(RuntimeError, match="vanished"):
         levels_from_mapping({0: _Unreadable()})
+
+
+# ---------------------------------------------------------------------------
+# BufferLevels.merge: the level splice against the leaf merge it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_merge_coo(base_coords, base_values, coords, values):
+    """The sorted-key leaf merge ``BufferLevels.merge`` used before (pinned):
+    one int64 key per coordinate, the delta binary-searched into the base,
+    per coordinate the base value first, then the delta's in input order."""
+    from repro.storage.formats import _first_of_run, _key_space, _linear_keys
+
+    if not coords.shape[0]:
+        return base_coords, base_values
+    space = _key_space([base_coords.T, coords.T])
+    base_keys = _linear_keys(base_coords.T, *space)
+    keys = _linear_keys(coords.T, *space)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = _first_of_run(keys)
+    unique = keys[first]
+    pos = np.searchsorted(base_keys, unique)
+    hit = np.zeros(unique.shape[0], dtype=bool)
+    inside = pos < base_keys.shape[0]
+    hit[inside] = base_keys[pos[inside]] == unique[inside]
+    sums = np.zeros(unique.shape[0], dtype=np.float64)
+    sums[hit] = base_values[pos[hit]]
+    np.add.at(sums, np.cumsum(first) - 1, values[order])
+    new = ~hit & (sums != 0)
+    all_coords = np.concatenate([base_coords, coords[order[first][new]]])
+    all_values = np.concatenate([base_values, sums[new]])
+    all_values[pos[hit]] = sums[hit]
+    n = base_keys.shape[0]
+    take = np.arange(n)
+    drop = pos[hit & (sums == 0)]
+    at = pos[new]
+    if drop.size:
+        take = np.delete(take, drop)
+        at = at - np.searchsorted(drop, at)
+    take = np.insert(take, at, np.arange(n, all_values.shape[0]))
+    return np.take(all_coords, take, axis=0), all_values[take]
+
+
+#: Values whose sums depend on the order of addition, cancel exactly, or vanish.
+AWKWARD = [0.1, 0.2, 0.3, -0.1, -0.3, 1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 3.0]
+
+
+@st.composite
+def leaf_sets(draw, depth, seeds=()):
+    """Unique sorted coordinates with awkward values; ``seeds`` are re-hit."""
+    coordinate = st.tuples(*[st.integers(-2, 3)] * depth)
+    if seeds:
+        coordinate = st.one_of(coordinate, st.sampled_from(seeds))
+    rows = sorted(draw(st.sets(coordinate, max_size=20)))
+    values = draw(st.lists(st.sampled_from(AWKWARD), min_size=len(rows),
+                           max_size=len(rows)))
+    return (np.array(rows, dtype=np.int64).reshape(-1, depth),
+            np.array(values, dtype=np.float64))
+
+
+def assert_levels_bit_equal(got, expected):
+    assert got.depth == expected.depth
+    for a, b in zip(got.keys + got.seg + [got.values],
+                    expected.keys + expected.seg + [expected.values]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_merge_equals_the_leaf_merge(data):
+    """Splicing one view result into another gives the levels the old leaf
+    merge built, bit for bit — new top keys, new rows, duplicates across
+    sides, cancellations that empty a row — and the old levels stay as
+    they were."""
+    depth = data.draw(st.integers(1, 3))
+    base_coords, base_values = data.draw(leaf_sets(depth))
+    seeds = [tuple(int(c) for c in row) for row in base_coords]
+    coords, values = data.draw(leaf_sets(depth, seeds))
+    if seeds and data.draw(st.booleans()):      # cancel every leaf under one prefix
+        prefix = data.draw(st.integers(1, depth))
+        victim = base_coords[data.draw(st.integers(0, len(seeds) - 1)), :prefix]
+        doomed = (base_coords[:, :prefix] == victim).all(axis=1)
+        present = {tuple(row) for row in coords.tolist()}
+        extra = [i for i in np.flatnonzero(doomed)
+                 if tuple(base_coords[i].tolist()) not in present]
+        coords = np.concatenate([coords, base_coords[extra]])
+        values = np.concatenate([values, -base_values[extra]])
+        order = np.lexsort(coords.T[::-1])
+        coords, values = coords[order], values[order]
+    base = BufferLevels.from_sorted_coords(base_coords, base_values)
+    other = BufferLevels.from_sorted_coords(coords, values)
+    before = [np.array(a) for a in base.keys + base.seg + [base.values]]
+    got = base.merge(other)
+    expected = BufferLevels.from_sorted_coords(
+        *reference_merge_coo(base_coords, base_values, coords, values))
+    assert_levels_bit_equal(got, expected)
+    for a, b in zip(base.keys + base.seg + [base.values], before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_merge_drops_interior_entries_without_leaves():
+    """A levelized value may hold childless interior entries ({1: {}}); the
+    merge drops them, as rebuilding from the leaves did."""
+    base = levels_from_mapping({0: {1: {2: 2.0}}, 1: {}, 3: {0: {}, 5: {}}})
+    other = levels_from_mapping({3: {5: {4: 1.0}}})
+    assert base is not None and other is not None and base.depth == 3
+    expected = BufferLevels.from_sorted_coords(np.array([[0, 1, 2], [3, 5, 4]]),
+                                               np.array([2.0, 1.0]))
+    assert_levels_bit_equal(base.merge(other), expected)

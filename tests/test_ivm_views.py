@@ -269,6 +269,36 @@ def test_typed_views_stay_in_buffer_form_across_updates(caplog):
         np.testing.assert_array_equal(views["rowsum"].value(), a.sum(axis=1))
 
 
+def test_merge_fallbacks_count_entry_by_entry_additions():
+    """Typed MMM and rowsum views merge every delta in buffer form (the
+    counter stays 0 across 50 updates); an interpreter-backed view, whose
+    results are plain dictionaries, counts one fallback per update."""
+    rng = np.random.default_rng(23)
+    n = 16
+    a = np.where(rng.random((n, n)) < 0.3, rng.integers(1, 5, (n, n)), 0).astype(float)
+    b = rng.integers(1, 5, (n, 4)).astype(float)      # no empty row: no empty delta
+    catalog = Catalog().add(CSRFormat.from_dense("A", a)).add(CSRFormat.from_dense("B", b))
+    with Session(catalog, backend="typed") as session:
+        typed = [session.create_view("mmm", MMM, dense_shape=(n, 4)),
+                 session.create_view("rowsum", "sum(<(i, j), v> in A) { i -> v }",
+                                     dense_shape=(n,))]
+        interpreted = session.create_view("mmm_interpret", MMM, backend="interpret",
+                                          dense_shape=(n, 4))
+        session.views().fallback_ratio = 1e9
+        for step in range(50):
+            coords = rng.integers(0, n, (2, 2))
+            values = rng.integers(1, 4, 2).astype(float)
+            session.update("A", coords, values)
+            np.add.at(a, tuple(coords.T), values)
+            assert interpreted.merge_fallbacks == step + 1
+        for view in typed + [interpreted]:
+            assert view.delta_refreshes == 50
+        assert [view.merge_fallbacks for view in typed] == [0, 0]
+        np.testing.assert_array_equal(typed[0].value(), a @ b)
+        np.testing.assert_array_equal(typed[1].value(), a.sum(axis=1))
+        np.testing.assert_array_equal(interpreted.value(), a @ b)
+
+
 def test_trivial_delta_skips_execution_entirely():
     catalog, a, b = small_catalog()
     with Session(catalog) as session:

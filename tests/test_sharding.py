@@ -52,7 +52,7 @@ from repro.storage import (  # noqa: E402
     ShardedCOOFormat,
     ShardedCSRFormat,
 )
-from repro.storage.convert import parse_format_spec, reformat  # noqa: E402
+from repro.storage.convert import apply_delta, parse_format_spec, reformat  # noqa: E402
 from repro.storage.sharded import (  # noqa: E402
     SHARD_SYMBOL_RE,
     default_shard_count,
@@ -210,6 +210,32 @@ def test_catalog_update_preserves_shard_layout(kind):
     assert catalog.epochs() == (epochs[0] + 1, epochs[1])
     dense[4, 2] += 2.5
     np.testing.assert_allclose(after.to_dense(), dense)
+
+
+@pytest.mark.parametrize("kind", sorted(SHARDED_RANKS))
+def test_update_splices_only_the_touched_shards(kind, tmp_path):
+    """A write reaches the shards its rows fall in: the other shards keep
+    their memory-mapped arrays, the touched one gets new in-memory arrays,
+    and the old format's files and arrays are unchanged."""
+    dense = _random_dense(12, (9, 5))
+    dense[0, 0] = dense[4, 2] = 1.0
+    fmt = ALL_FORMATS[kind].from_dense("A", dense, shards=3, memmap_dir=str(tmp_path))
+    before = [{key: np.array(array) for key, array in block.items()}
+              for block in fmt.shard_arrays]
+    coords = np.array([[4, 2], [0, 0], [4, 2]])
+    values = np.array([2.5, -1.0, 0.5])     # row 0 cancels an entry, row 4 overwrites
+    after = apply_delta(fmt, coords, values)
+    np.add.at(dense, tuple(coords.T), values)
+    np.testing.assert_allclose(after.to_dense(), dense)
+    assert after.profile() == type(fmt).from_dense("A", dense, shards=3).profile()
+    untouched = after.shard_arrays[2]
+    assert all(array is fmt.shard_arrays[2][key] for key, array in untouched.items())
+    assert all(isinstance(array, np.memmap) for array in untouched.values())
+    for shard in (0, 1):                     # rows 0 and 4 live in shards 0 and 1
+        assert type(after.shard_arrays[shard]["val"]) is np.ndarray
+    for block, saved in zip(fmt.shard_arrays, before):
+        for key, array in block.items():
+            np.testing.assert_array_equal(array, saved[key])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from repro.storage import (
     morton_index,
 )
 from repro.data.synthetic import random_sparse_matrix, random_sparse_tensor3
+from repro.execution import buffers as buffers_module
+from repro.execution.buffers import BufferLevels
+from repro.session import Session
 
 #: The matrix from Fig. 1(b) of the paper.
 PAPER_MATRIX = np.array([
@@ -454,6 +457,7 @@ from repro.storage import Catalog  # noqa: E402
 from repro.storage import convert as convert_module  # noqa: E402
 from repro.storage.convert import apply_delta  # noqa: E402
 from repro.storage import formats as formats_module  # noqa: E402
+from repro.storage.formats import StorageFormat  # noqa: E402
 
 
 def reference_sum_duplicates(coords, values, rank):
@@ -547,22 +551,44 @@ def _formats_for(shape):
             yield cls, {}
 
 
+def assert_same_physical(got, expected):
+    """Every physical symbol equal: arrays bit for bit, scalars by value."""
+    got, expected = got.physical(), expected.physical()
+    assert got.keys() == expected.keys()
+    for symbol, value in got.items():
+        if isinstance(value, np.ndarray):
+            assert_bit_equal(value, expected[symbol])
+        else:
+            assert value == expected[symbol]
+
+
 def check_apply_delta(cls, kwargs, shape, base, delta):
-    """``apply_delta`` equals ``from_coo`` of base-then-delta, buffer for buffer."""
+    """``apply_delta`` equals ``from_coo`` of base-then-delta, buffer for
+    buffer, and leaves every array of the old format as it was."""
     fmt = cls.from_coo("T", *base, shape, **kwargs)
     base_coords, base_values = convert_module.coo_arrays(fmt)
     expected = cls.from_coo("T", np.concatenate([base_coords, delta[0]]),
                             np.concatenate([base_values, delta[1]]), shape,
                             **fmt.from_coo_kwargs())
     before = {key: np.array(value) for key, value in fmt.to_buffers().items()}
+    stored = {symbol: np.array(value) if isinstance(value, np.ndarray) else value
+              for symbol, value in fmt.physical().items()}
     got = apply_delta(fmt, *delta)
     assert type(got) is cls and got.shape == fmt.shape
     assert got.from_coo_kwargs() == fmt.from_coo_kwargs()
     assert got.spec_name == fmt.spec_name
+    assert got.mapping_source() == fmt.mapping_source()
     assert got.nnz == expected.nnz
     assert_same_buffers(got, expected)
+    if fmt._sort_axes is not None:      # the stored arrays themselves
+        assert_same_physical(got, expected)
     for key, value in fmt.to_buffers().items():     # the old format is untouched
         assert_bit_equal(value, before[key])
+    for symbol, value in fmt.physical().items():
+        if isinstance(value, np.ndarray):
+            assert_bit_equal(value, stored[symbol])
+        else:
+            assert value == stored[symbol]
 
 
 def test_apply_delta_edge_cases_equal_rebuild():
@@ -585,6 +611,40 @@ def test_apply_delta_edge_cases_equal_rebuild():
         assert apply_delta(fmt, *empty) is fmt
 
 
+def test_apply_delta_grows_and_prunes_levels_like_a_rebuild():
+    """New top-level keys, new rows and fibers under existing keys, and
+    cancellations that empty a fiber, a row or a whole top-level entry —
+    CSF's and DCSR's interior levels grow and shrink with the leaves."""
+    shape3 = (4, 3, 5)
+    base3 = (np.array([[0, 0, 1], [0, 0, 3], [0, 2, 2], [2, 1, 0], [2, 1, 4], [3, 0, 0]]),
+             np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    deltas3 = [
+        (np.array([[1, 2, 2], [1, 0, 4]]), np.array([7.0, 8.0])),         # a new i
+        (np.array([[0, 1, 0], [2, 2, 4], [2, 2, 1]]), np.array([1.0, 2.0, 3.0])),  # new fibers
+        (np.array([[0, 2, 2]]), np.array([-3.0])),                         # empties fiber (0, 2)
+        (np.array([[2, 1, 0], [2, 1, 4]]), np.array([-4.0, -5.0])),        # empties i = 2
+        (np.array([[3, 0, 0], [3, 1, 1]]), np.array([-6.0, 0.5])),         # i = 3 survives
+        (np.array([[3, 0, 0], [1, 1, 1], [1, 1, 1]]), np.array([-6.0, 0.3, -0.3])),  # nothing new
+    ]
+    shape2 = (5, 4)
+    base2 = (np.array([[0, 1], [0, 3], [2, 2], [4, 0]]), np.array([1.0, 2.0, 3.0, 4.0]))
+    deltas2 = [
+        (np.array([[3, 1], [1, 0], [3, 0]]), np.array([1.0, 2.0, 3.0])),   # new rows
+        (np.array([[2, 2], [0, 1], [0, 3]]), np.array([-3.0, -1.0, -2.0])),  # empties rows 0, 2
+        (np.array([[4, 0], [4, 1], [4, 0]]), np.array([-4.0, 1.0, 0.0])),  # row 4 re-keyed
+    ]
+    for shape, base, deltas in ((shape3, base3, deltas3), (shape2, base2, deltas2)):
+        empty = (np.empty((0, len(shape)), dtype=np.int64), np.empty(0))
+        for cls, kwargs in _formats_for(shape):
+            for start in (base, empty):
+                for delta in deltas:
+                    check_apply_delta(cls, kwargs, shape, start, delta)
+    got = apply_delta(CSFFormat.from_coo("T", *base3, shape3), *deltas3[3])
+    np.testing.assert_array_equal(got.idx1, [0, 3])
+    got = apply_delta(DCSRFormat.from_coo("T", *base2, shape2), *deltas2[1])
+    np.testing.assert_array_equal(got.idx1, [4])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_property_apply_delta_equals_rebuild(data):
@@ -597,6 +657,12 @@ def test_property_apply_delta_equals_rebuild(data):
     if seeds and data.draw(st.booleans()):      # exact cancellation of a stored entry
         delta = (np.concatenate([delta[0], stored[0][:1]]),
                  np.concatenate([delta[1], -stored[1][:1]]))
+    if seeds and data.draw(st.booleans()):      # cancel a whole row / fiber / top key
+        prefix = data.draw(st.integers(1, rank))
+        victim = stored[0][data.draw(st.integers(0, len(seeds) - 1)), :prefix]
+        doomed = (stored[0][:, :prefix] == victim).all(axis=1)
+        delta = (np.concatenate([delta[0], stored[0][doomed]]),
+                 np.concatenate([delta[1], -stored[1][doomed]]))
     for cls, kwargs in _formats_for(shape):
         check_apply_delta(cls, kwargs, shape, base, delta)
 
@@ -614,7 +680,9 @@ def test_apply_delta_special_formats_equal_rebuild(kind):
                         np.array([[0, 3]]), np.array([1.0]))
 
 
-def test_apply_delta_without_an_int64_key_rebuilds(caplog):
+def test_apply_delta_splices_where_no_int64_key_spans_the_coordinates(caplog):
+    """A (2**31)**3 bounding box has no int64 linear key; the splice needs
+    none, so the write stays a splice and logs no rebuild."""
     top = (1 << 31) - 1
     shape = (1 << 31,) * 3
     fmt = COOFormat("T", np.array([[0, 0, 0], [top, top, top]]),
@@ -623,7 +691,7 @@ def test_apply_delta_without_an_int64_key_rebuilds(caplog):
              np.array([-1.0, 2.0, 0.2, 0.3]))
     with caplog.at_level(logging.DEBUG, logger="repro.storage"):
         got = apply_delta(fmt, *delta)
-    assert "rebuilding coo 'T'" in caplog.text
+    assert not caplog.records
     expected = COOFormat("T", np.concatenate([fmt.coords, delta[0]]),
                          np.concatenate([fmt.values, delta[1]]), shape)
     assert_same_buffers(got, expected)
@@ -642,18 +710,40 @@ def test_apply_delta_logs_the_rebuild_path_only_where_it_is_taken(caplog):
     assert [record.args[0] for record in caplog.records] == ["dok", "trie"]
 
 
-@pytest.mark.parametrize("kind", ["coo", "csr", "csc", "csf"])
+def _forbidden(what):
+    def call(*args, **kwargs):
+        raise AssertionError(f"the write path reached {what}")
+    return call
+
+
+@pytest.mark.parametrize("kind", ["coo", "csr", "csc", "csf", "dcsr"])
 def test_catalog_update_never_normalizes_the_base(kind, monkeypatch):
-    """The O(nnz log nnz) path cannot silently come back: ``Catalog.update``
-    on a sorted-array format hands ``sum_duplicates`` at most the delta."""
+    """The O(nnz) rebuilds cannot silently come back.  ``Session.update`` on
+    a sorted-array tensor with two typed views maintained by delta hands
+    ``sum_duplicates`` at most the delta, and neither the storage write nor
+    the view merges reach a coordinate read-out or a rebuild from one."""
     rng = np.random.default_rng(7)
-    shape = (20, 30, 10) if kind == "csf" else (40, 50)
+    rank3 = kind == "csf"
+    shape = (20, 30, 10) if rank3 else (40, 50)
     coords = np.column_stack([rng.integers(0, extent, 400) for extent in shape])
     values = rng.random(400)
     catalog = Catalog().add(ALL_FORMATS[kind].from_coo("A", coords, values, shape))
+    catalog.add(CSRFormat.from_dense("B", rng.random((shape[-1], 6))))
+    session = Session(catalog)
+    if rank3:
+        product = ("sum(<(i,j,l), a> in A, <(l2,k), b> in B) "
+                   "if (l == l2) then { (i, j, k) -> a * b }", shape[:2] + (6,))
+        rowsum = ("sum(<(i,j,l), a> in A) { i -> a }", shape[:1])
+    else:
+        product = ("sum(<(i,j), a> in A, <(j2,k), b> in B) "
+                   "if (j == j2) then { (i, k) -> a * b }", (shape[0], 6))
+        rowsum = ("sum(<(i,j), a> in A) { i -> a }", shape[:1])
+    views = [session.create_view(name, program, dense_shape=dense_shape)
+             for name, (program, dense_shape) in (("product", product), ("rowsum", rowsum))]
     k = 6
     delta = np.column_stack([rng.integers(0, extent, k) for extent in shape])
     delta_values = rng.random(k)
+    delta[-1], delta_values[-1] = coords[0], -catalog["A"].to_dense()[tuple(coords[0])]
     expected = ALL_FORMATS[kind].from_coo(
         "A", np.concatenate([coords, delta]), np.concatenate([values, delta_values]), shape)
     sizes = []
@@ -663,11 +753,42 @@ def test_catalog_update_never_normalizes_the_base(kind, monkeypatch):
         sizes.append(len(np.asarray(values).reshape(-1)))
         return original(coords, values, rank)
 
-    for module in (formats_module, convert_module):
-        monkeypatch.setattr(module, "sum_duplicates", recording)
-    catalog.update("A", delta, delta_values)
+    # The typed backend builds every delta result with from_sorted_columns;
+    # only a view merge must not.
+    merging = []
+    merge, build = BufferLevels.merge, BufferLevels.from_sorted_columns
+
+    def tracked_merge(self, other):
+        merging.append(True)
+        try:
+            return merge(self, other)
+        finally:
+            merging.pop()
+
+    def guarded_build(cls, cols, values):
+        if merging:
+            raise AssertionError("a view merge rebuilt its levels")
+        return build(cols, values)
+
+    with monkeypatch.context() as patch:
+        for module in (formats_module, convert_module):
+            patch.setattr(module, "sum_duplicates", recording)
+        for module in (formats_module, convert_module, buffers_module):
+            patch.setattr(module, "merge_coo", _forbidden("merge_coo"), raising=False)
+        patch.setattr(StorageFormat, "_from_canonical", _forbidden("_from_canonical"),
+                      raising=False)
+        for cls in (COOFormat, CSRFormat, CSCFormat, DCSRFormat, CSFFormat):
+            patch.setattr(cls, "to_coo", _forbidden(f"{cls.__name__}.to_coo"))
+        patch.setattr(BufferLevels, "leaf_coords", _forbidden("leaf_coords"))
+        patch.setattr(BufferLevels, "merge", tracked_merge)
+        patch.setattr(BufferLevels, "from_sorted_columns", classmethod(guarded_build))
+        session.update("A", delta, delta_values)
     assert max(sizes, default=0) <= k
     np.testing.assert_allclose(catalog["A"].to_dense(), expected.to_dense())
+    for view in views:
+        assert (view.delta_refreshes, view.full_refreshes, view.merge_fallbacks) == (1, 1, 0)
+        maintained = view.value()
+        np.testing.assert_allclose(maintained, view.refresh().value())
 
 
 # ---------------------------------------------------------------------------
