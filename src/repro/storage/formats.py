@@ -343,29 +343,18 @@ class StorageFormat(ABC):
     #: Sorted-array formats set this to the order of significance (most
     #: significant first) of the coordinate columns their entries are kept
     #: sorted by — ``(1, 0)`` for CSC, ``()`` for the natural order of any
-    #: rank — and expose their arrays as one level chain
-    #: (:mod:`repro.storage.splice`) through ``_levels`` / ``_set_levels``.
+    #: rank — and add a delta to their arrays with :meth:`_splice`.
     #: ``None``: the layout is not a sorted run of entries.
     _sort_axes: tuple[int, ...] | None = None
 
-    def _levels(self) -> tuple[list, list[np.ndarray], np.ndarray]:
-        """``(keys, seg, values)``: the stored arrays as a level chain."""
-        raise NotImplementedError
-
-    def _set_levels(self, keys: list, seg: list[np.ndarray], values: np.ndarray) -> None:
-        """Install a level chain shaped like :meth:`_levels`'s (on a copy)."""
-        raise NotImplementedError
-
     def _splice(self, coords: np.ndarray, values: np.ndarray) -> "StorageFormat":
-        """A copy holding this tensor plus the delta, by a level splice.
+        """A copy holding this tensor plus the delta, by a level splice
+        (:mod:`repro.storage.splice`) of the stored arrays.
 
         ``coords`` are validated in-range int64 coordinates.  Arrays the
         delta leaves unchanged are shared with ``self``; none is written to.
         """
-        axes = self._sort_axes or range(self.rank)
-        spliced = copy.copy(self)
-        spliced._set_levels(*splice(*self._levels(), [coords[:, a] for a in axes], values))
-        return spliced
+        raise NotImplementedError
 
     def from_coo_kwargs(self) -> dict[str, Any]:
         """Constructor kwargs that reproduce this instance's parameterization.
@@ -597,6 +586,19 @@ class DenseFormat(StorageFormat):
 # ---------------------------------------------------------------------------
 
 
+def splice_coo(columns: Sequence[np.ndarray], values: np.ndarray,
+               delta_columns: Sequence[np.ndarray], deltas: np.ndarray):
+    """``(columns, values)`` of a COO block plus a delta, by a level splice.
+
+    COO is one level keyed by the whole coordinate tuple.  A column the
+    delta leaves unchanged comes back as the object passed in.
+    """
+    keys, _, values = splice([list(columns)],
+                             [np.array([0, values.shape[0]], dtype=np.int64)],
+                             values, delta_columns, deltas)
+    return keys[0], values
+
+
 class COOFormat(StorageFormat):
     """Coordinate format: one index array per dimension plus a value array."""
 
@@ -644,15 +646,13 @@ class COOFormat(StorageFormat):
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
         return self.coords.copy(), self.values.copy()
 
-    def _levels(self):
-        # One level keyed by the whole coordinate tuple.
-        return ([list(self.coords.T)], [np.array([0, self.nnz], dtype=np.int64)],
-                self.values)
-
-    def _set_levels(self, keys, seg, values) -> None:
-        if not np.may_share_memory(keys[0][0], self.coords):
-            self.coords = np.column_stack(keys[0])
-        self.values = values
+    def _splice(self, coords, values):
+        spliced = copy.copy(self)
+        columns, spliced.values = splice_coo(list(self.coords.T), self.values,
+                                             list(coords.T), values)
+        if not np.may_share_memory(columns[0], self.coords):
+            spliced.coords = np.column_stack(columns)
+        return spliced
 
     def profile(self) -> Profile:
         # All nnz entries are reached through a single flat iteration.
@@ -662,6 +662,20 @@ class COOFormat(StorageFormat):
 # ---------------------------------------------------------------------------
 # CSR / CSC (rank 2, segmented arrays)
 # ---------------------------------------------------------------------------
+
+
+def splice_csr(pos: np.ndarray, idx: np.ndarray, values: np.ndarray,
+               rows: np.ndarray, cols: np.ndarray, deltas: np.ndarray):
+    """``(pos, idx, values)`` of a CSR block plus a delta at ``(rows, cols)``.
+
+    CSR is a dense root level — a row's entry id is the row, so it is never
+    searched — over one sparse level of columns.  An array the delta leaves
+    unchanged comes back as the object passed in.
+    """
+    keys, seg, values = splice([None, [idx]],
+                               [np.array([0, pos.shape[0] - 1], dtype=np.int64), pos],
+                               values, [rows, cols], deltas)
+    return seg[1], keys[1][0], values
 
 
 def _compress(sorted_outer: np.ndarray, n_outer: int) -> np.ndarray:
@@ -740,14 +754,12 @@ class CSRFormat(StorageFormat):
         coords[:, self._inner_axis] = self.idx
         return coords, self.val.copy()
 
-    def _levels(self):
-        # The outer level is dense: a row's entry id is the row.
-        return ([None, [self.idx]],
-                [np.array([0, self.pos.shape[0] - 1], dtype=np.int64), self.pos],
-                self.val)
-
-    def _set_levels(self, keys, seg, values) -> None:
-        (self.idx,), self.pos, self.val = keys[1], seg[1], values
+    def _splice(self, coords, values):
+        spliced = copy.copy(self)
+        spliced.pos, spliced.idx, spliced.val = splice_csr(
+            self.pos, self.idx, self.val,
+            coords[:, self._outer_axis], coords[:, self._inner_axis], values)
+        return spliced
 
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"pos": self.pos, "idx": self.idx, "val": self.val}
@@ -863,12 +875,12 @@ class DCSRFormat(StorageFormat):
             np.empty((0, 2), dtype=np.int64)
         return coords, self.val.copy()
 
-    def _levels(self):
-        return [[self.idx1], [self.idx2]], [self.pos1, self.pos2], self.val
-
-    def _set_levels(self, keys, seg, values) -> None:
-        ((self.idx1,), (self.idx2,)), (self.pos1, self.pos2) = keys, seg
-        self.val = values
+    def _splice(self, coords, values):
+        spliced = copy.copy(self)
+        keys, seg, spliced.val = splice([[self.idx1], [self.idx2]], [self.pos1, self.pos2],
+                                        self.val, list(coords.T), values)
+        ((spliced.idx1,), (spliced.idx2,)), (spliced.pos1, spliced.pos2) = keys, seg
+        return spliced
 
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"pos1": self.pos1, "idx1": self.idx1,
@@ -975,15 +987,15 @@ class CSFFormat(StorageFormat):
             else np.empty((0, 3), dtype=np.int64)
         return coords, self.val.copy()
 
-    def _levels(self):
+    def _splice(self, coords, values):
+        spliced = copy.copy(self)
         root = np.array([0, self.idx1.shape[0]], dtype=np.int64)
-        return ([[self.idx1], [self.idx2], [self.idx3]], [root, self.pos2, self.pos3],
-                self.val)
-
-    def _set_levels(self, keys, seg, values) -> None:
-        (self.idx1,), (self.idx2,), (self.idx3,) = keys
-        _, self.pos2, self.pos3 = seg
-        self.val = values
+        keys, seg, spliced.val = splice([[self.idx1], [self.idx2], [self.idx3]],
+                                        [root, self.pos2, self.pos3], self.val,
+                                        list(coords.T), values)
+        (spliced.idx1,), (spliced.idx2,), (spliced.idx3,) = keys
+        _, spliced.pos2, spliced.pos3 = seg
+        return spliced
 
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"idx1": self.idx1, "pos2": self.pos2, "idx2": self.idx2,

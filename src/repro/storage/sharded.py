@@ -59,9 +59,10 @@ from .formats import (
     _branching_profile,
     _compress,
     coo_from_dense,
+    splice_coo,
+    splice_csr,
     sum_duplicates,
 )
-from .splice import splice
 
 #: Matches a shard-local physical symbol and captures (tensor, shard index).
 SHARD_SYMBOL_RE = re.compile(r"^(.+)__s(\d+)_[A-Za-z0-9]+$")
@@ -98,23 +99,27 @@ def default_shard_count(nnz: int, outer_dim: int) -> int:
     return max(1, min(wanted, max(1, int(outer_dim))))
 
 
-def _spill(array: np.ndarray,
-           directory: str | None,
-           prefix: str) -> tuple[np.ndarray, str | None]:
+def _spill(array: np.ndarray, directory: str | None, prefix: str) -> np.ndarray:
     """Write ``array`` to a fresh memory-mapped file, return a read-only view.
 
-    Empty arrays are returned unchanged with no file (a zero-length mmap is
-    not representable); callers only register cleanup when a path comes back.
+    The file is removed (pid-guarded) once the returned map is garbage: its
+    lifetime follows the array, not the format that first stored it, so a
+    format that a write derives from this one and that shares the array
+    keeps the file alive for workers that map it by name.  Empty arrays are
+    returned unchanged with no file (a zero-length mmap is not
+    representable).
     """
     if not array.size:
-        return array, None
+        return array
     fd, path = tempfile.mkstemp(prefix=f"{prefix}_", suffix=".mm", dir=directory)
     os.close(fd)
     writer = np.memmap(path, dtype=array.dtype, mode="w+", shape=array.shape)
     writer[:] = array
     writer.flush()
     del writer
-    return np.memmap(path, dtype=array.dtype, mode="r", shape=array.shape), path
+    mapped = np.memmap(path, dtype=array.dtype, mode="r", shape=array.shape)
+    weakref.finalize(mapped, _unlink_guarded, path, os.getpid())
+    return mapped
 
 
 def _unlink_guarded(path: str, owner_pid: int) -> None:
@@ -148,10 +153,6 @@ class ShardedFormat(StorageFormat):
 
     def _sym(self, shard: int, suffix: str) -> str:
         return f"{self.name}__s{shard}_{suffix}"
-
-    def _own(self, path: str) -> None:
-        """Tie a spill file's lifetime to this format object (pid-guarded)."""
-        weakref.finalize(self, _unlink_guarded, path, os.getpid())
 
     def shard_stats(self) -> list[TensorStats]:
         """Per-shard :class:`TensorStats` (nnz of each row range)."""
@@ -213,11 +214,8 @@ class ShardedCOOFormat(ShardedFormat):
                      for axis in range(self.rank)}
             block["val"] = np.ascontiguousarray(value_block)
             if memmap_dir is not None:
-                for key, array in block.items():
-                    mapped, path = _spill(array, memmap_dir, f"{name}_s{shard}_{key}")
-                    block[key] = mapped
-                    if path is not None:
-                        self._own(path)
+                block = {key: _spill(array, memmap_dir, f"{name}_s{shard}_{key}")
+                         for key, array in block.items()}
             self.shard_arrays.append(block)
 
     @classmethod
@@ -306,11 +304,9 @@ class ShardedCOOFormat(ShardedFormat):
 
     def _splice_shard(self, shard, coords, values):
         block = self.shard_arrays[shard]
-        keys, _, val = splice(
-            [[block[f"idx{axis + 1}"] for axis in range(self.rank)]],
-            [np.array([0, block["val"].shape[0]], dtype=np.int64)], block["val"],
-            list(coords.T), values)
-        spliced = {f"idx{axis + 1}": col for axis, col in enumerate(keys[0])}
+        columns, val = splice_coo([block[f"idx{axis + 1}"] for axis in range(self.rank)],
+                                  block["val"], list(coords.T), values)
+        spliced = {f"idx{axis + 1}": col for axis, col in enumerate(columns)}
         spliced["val"] = val
         return spliced
 
@@ -364,11 +360,8 @@ class ShardedCSRFormat(ShardedFormat):
                 "val": np.ascontiguousarray(value_block),
             }
             if memmap_dir is not None:
-                for key, array in block.items():
-                    mapped, path = _spill(array, memmap_dir, f"{name}_s{shard}_{key}")
-                    block[key] = mapped
-                    if path is not None:
-                        self._own(path)
+                block = {key: _spill(array, memmap_dir, f"{name}_s{shard}_{key}")
+                         for key, array in block.items()}
             self.shard_arrays.append(block)
 
     @classmethod
@@ -465,12 +458,9 @@ class ShardedCSRFormat(ShardedFormat):
 
     def _splice_shard(self, shard, coords, values):
         block = self.shard_arrays[shard]
-        pos2 = block["pos2"]
-        keys, seg, val = splice(
-            [None, [block["idx2"]]],
-            [np.array([0, pos2.shape[0] - 1], dtype=np.int64), pos2], block["val"],
-            [coords[:, 0] - self.bounds[shard], coords[:, 1]], values)
-        return {"pos2": seg[1], "idx2": keys[1][0], "val": val}
+        pos2, idx2, val = splice_csr(block["pos2"], block["idx2"], block["val"],
+                                     coords[:, 0] - self.bounds[shard], coords[:, 1], values)
+        return {"pos2": pos2, "idx2": idx2, "val": val}
 
     def segment_profiles(self) -> dict[str, float]:
         profiles: dict[str, float] = {}
@@ -507,15 +497,12 @@ class MemmapDenseFormat(DenseFormat):
         # np.memmap subclass to a plain (still file-backed) view, hiding the
         # map from the zero-copy wire export of repro.execution.sharded.
         array = np.asanyarray(array, dtype=np.float64)
-        path: str | None = None
         if not isinstance(array, np.memmap):
-            array, path = _spill(array, memmap_dir, f"{name}_val")
+            array = _spill(array, memmap_dir, f"{name}_val")
         StorageFormat.__init__(self, name, array.shape)
         if array.ndim not in (1, 2, 3):
             raise StorageError("MemmapDenseFormat supports tensors of rank 1, 2 or 3")
         self.array = array
-        if path is not None:
-            weakref.finalize(self, _unlink_guarded, path, os.getpid())
         self._nnz = (int(np.count_nonzero(self.array)) if _nnz is None
                      else int(_nnz))
 

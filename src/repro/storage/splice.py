@@ -207,10 +207,16 @@ def _bisect(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, key: np.ndarray,
     return base
 
 
-#: Up to this many insertions, :func:`_edit` copies the slices between them
-#: (a few ``memcpy``\ s) instead of calling ``np.insert`` (a boolean-mask
-#: scatter of the whole array, several times slower).
-_SLICED_INSERTS = 64
+def _sliced_inserts(n: int) -> int:
+    """Fewest insertions into an ``n``-entry array that :func:`_edit` hands
+    to ``np.insert`` rather than copying the slices between them.
+
+    ``np.insert`` scatters through a boolean mask: about 10 us plus 1 ns an
+    entry; the slice loop costs about 1 us an insertion on top of the
+    ``memcpy``.  Measured crossovers (2-CPU Intel Xeon, NumPy 2.4): 12
+    insertions at 200 entries, 16 at 2k, 28 at 10k, 45 at 40k, 110 at 100k.
+    """
+    return 12 + (n >> 10)
 
 
 def _edit(array: np.ndarray, delete: np.ndarray, at: np.ndarray,
@@ -221,7 +227,7 @@ def _edit(array: np.ndarray, delete: np.ndarray, at: np.ndarray,
         array = np.asarray(np.delete(array, delete))
         at = at - np.searchsorted(delete, at)
     k = at.shape[0]
-    if k > _SLICED_INSERTS:
+    if k >= _sliced_inserts(array.shape[0]):
         return np.insert(array, at, items)
     if k:
         out = np.empty(array.shape[0] + k, dtype=array.dtype)

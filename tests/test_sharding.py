@@ -16,6 +16,7 @@ Covers the pieces of ``docs/sharding.md``:
   ``Server``.
 """
 
+import gc
 import logging
 import os
 
@@ -359,6 +360,40 @@ def test_catalog_payload_roundtrips_environment(tmp_path):
         if isinstance(value, np.ndarray):
             np.testing.assert_array_equal(np.asarray(env[symbol]),
                                           np.asarray(value))
+
+
+@pytest.mark.parametrize("kind", ["sharded_coo", "sharded_csr"])
+def test_memmapped_shards_survive_an_update_for_process_fan_out(kind, tmp_path):
+    """After a write drops the old format, the spill files of the shards it
+    shares with the new one — untouched shards, and the key columns of a
+    shard whose values alone were overwritten — still exist, so a worker
+    can map them by file name; the file of the replaced array is removed."""
+    A = _random_dense(6, (12, 4))
+    A[0, 0] = 1.0
+    catalog = _batax_catalog(A, np.arange(4, dtype=float), fmt_cls=ALL_FORMATS[kind],
+                             shards=3, memmap_dir=str(tmp_path))
+    catalog.update("A", np.array([[0, 0]]), np.array([2.0]))    # a value-only write
+    gc.collect()
+    buffers = catalog.tensors["A"].to_buffers()
+    assert isinstance(buffers["s2__val"], np.memmap)            # untouched shard
+    assert isinstance(buffers["s0__idx2"], np.memmap)           # kept key column
+    mapped = {array.filename for array in buffers.values() if isinstance(array, np.memmap)}
+    assert mapped == {str(path) for path in tmp_path.iterdir()}  # the replaced ones are gone
+    env = environment_from_payload(catalog_payload(catalog))
+    for symbol, value in catalog.globals().items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(np.asarray(env[symbol]), np.asarray(value))
+    session = Session(catalog)
+    statement = session.prepare(get_kernel("batax").source, dense_shape=(4,))
+    executor = ShardExecutor(workers=2)
+    try:
+        parts = split_plan(statement._prepared.plan)
+        from repro.execution.engine import result_to_dense
+        merged = executor.run_parts(parts, catalog, "typed")
+        np.testing.assert_allclose(result_to_dense(merged, (4,)), statement.execute())
+    finally:
+        executor.close()
+        session.close()
 
 
 def test_shard_executor_matches_serial_and_retires_on_mutation():

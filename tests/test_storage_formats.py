@@ -33,6 +33,7 @@ from repro.data.synthetic import random_sparse_matrix, random_sparse_tensor3
 from repro.execution import buffers as buffers_module
 from repro.execution.buffers import BufferLevels
 from repro.session import Session
+from repro.storage import splice as splice_module
 
 #: The matrix from Fig. 1(b) of the paper.
 PAPER_MATRIX = np.array([
@@ -665,6 +666,25 @@ def test_property_apply_delta_equals_rebuild(data):
                  np.concatenate([delta[1], -stored[1][doomed]]))
     for cls, kwargs in _formats_for(shape):
         check_apply_delta(cls, kwargs, shape, base, delta)
+
+
+@pytest.mark.parametrize("n", [0, 7, 3000])
+def test_edit_equals_delete_then_insert_on_both_sides_of_the_slice_cutoff(n):
+    """Below its cutoff the splice's array edit copies slices, at and above
+    it calls ``np.insert``; both give the same array."""
+    rng = np.random.default_rng(n)
+    array = rng.standard_normal(n)
+    cutoff = splice_module._sliced_inserts(n)
+    for k in (0, 1, cutoff - 1, cutoff, 3 * cutoff):
+        at = np.sort(rng.integers(0, n + 1, k))
+        items = rng.standard_normal(k)
+        for delete in (np.empty(0, dtype=np.int64), np.unique(rng.integers(0, max(n, 1), 3))):
+            delete = delete[delete < n]
+            before = array.copy()
+            got = splice_module._edit(array, delete, at, items)
+            expected = np.insert(np.delete(array, delete), at - np.searchsorted(delete, at), items)
+            assert got.tobytes() == expected.tobytes()
+            assert array.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["lower_triangular", "band", "zorder"])
