@@ -194,6 +194,22 @@ class Statistics:
 
     # -- queries --------------------------------------------------------------
 
+    def fingerprint(self, names) -> tuple | None:
+        """Everything the estimators read about the symbols ``names``.
+
+        :class:`~repro.core.cost.CostModel` and the cardinality estimator
+        look statistics up only by the name of a :class:`~repro.sdqlite.ast.Sym`
+        in the plan, plus the defaults below, so a plan's estimates are a
+        function of its symbols' fingerprint.  ``None`` when runtime
+        observations are present: they are keyed by sub-expression instead.
+        """
+        if self.observations:
+            return None
+        return (self.selectivity, self.default_dimension, self.default_segment,
+                *((self.profiles.get(name), self.kinds.get(name),
+                   self.scalar_values.get(name), self.segments.get(name))
+                  for name in names))
+
     def profile(self, name: str) -> Card | None:
         return self.profiles.get(name)
 

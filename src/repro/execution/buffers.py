@@ -316,7 +316,8 @@ class BufferLevels:
         if self.depth != other.depth:
             return None
         keys, seg, values = splice([[level] for level in self.keys], self.seg,
-                                   self.values, other.leaf_columns(), other.values)
+                                   self.values, other.leaf_columns(), other.values,
+                                   canonical=True)
         return BufferLevels([level[0] for level in keys], seg, values)
 
     @property

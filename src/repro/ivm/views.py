@@ -25,7 +25,10 @@ decomposable in the updated tensor — otherwise the fallback is structural
 and permanent until the schema changes), (b) the delta is small relative to
 the tensor (``max_delta_fraction``), and (c) the cost model prices the
 delta plan — with the *actual* delta's statistics bound in — at no more
-than ``fallback_ratio`` times the full plan's cost.  Deletions are handled
+than ``fallback_ratio`` times the full plan's cost.  A price depends only
+on the statistics of the symbols the plan names, so each delta plan keeps
+its prices by their fingerprint (:meth:`DeltaPlan.price`): a run of
+same-shaped deltas is priced once.  Deletions are handled
 naturally: the calculus is a ring (subtraction is first-class), so a
 cancellation is just a negative delta value.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -44,7 +47,7 @@ from ..core.cost import CostModel
 from ..core.optimizer import OptimizationResult, Optimizer
 from ..execution.buffers import BufferDict
 from ..execution.engine import ExecutionEngine, PreparedPlan, result_to_dense
-from ..sdqlite.ast import Expr, ZERO
+from ..sdqlite.ast import Expr, ZERO, symbols
 from ..sdqlite.errors import StorageError
 from ..sdqlite.values import is_dictlike, v_add
 from ..storage.formats import COOFormat
@@ -66,6 +69,25 @@ class DeltaPlan:
     schema_version: int
     #: ΔQ is literally 0 — the view does not depend on the tensor.
     trivial: bool = False
+    #: The plan's symbols, and its priced cost per their statistics'
+    #: fingerprint: a delta of the same shape is priced once, not per update.
+    symbols: tuple[str, ...] = ()
+    costs: dict = field(default_factory=dict)
+
+    #: Distinct fingerprints kept before the price memo starts over.
+    MAX_PRICES = 64
+
+    def price(self, stats) -> float:
+        """The cost model's estimate of the delta plan under ``stats``."""
+        key = stats.fingerprint(self.symbols)
+        cost = self.costs.get(key) if key is not None else None
+        if cost is None:
+            cost = CostModel(stats).plan_cost(self.optimization.plan)
+            if key is not None:
+                if len(self.costs) >= self.MAX_PRICES:
+                    self.costs.clear()
+                self.costs[key] = cost
+        return cost
 
 
 class MaterializedView:
@@ -261,7 +283,8 @@ class ViewRegistry:
         engine = ExecutionEngine(env=env, backend=view.statement.backend,
                                  cache=session.cache)
         prepared = engine.prepare(optimization.plan)
-        return DeltaPlan(tensor, dname, program, optimization, prepared, schema)
+        return DeltaPlan(tensor, dname, program, optimization, prepared, schema,
+                         symbols=tuple(sorted(symbols(optimization.plan))))
 
     def _delta_pays(self, view: MaterializedView, plan: DeltaPlan,
                     delta_fmt: COOFormat, old_fmt, delta_stats) -> bool:
@@ -269,8 +292,7 @@ class ViewRegistry:
             return True
         if delta_fmt.nnz > self.max_delta_fraction * max(old_fmt.nnz, 1):
             return False
-        delta_cost = CostModel(delta_stats).plan_cost(plan.optimization.plan)
-        return delta_cost <= self.fallback_ratio * view.statement.optimization.cost
+        return plan.price(delta_stats) <= self.fallback_ratio * view.statement.optimization.cost
 
     @staticmethod
     def _add_delta(view: MaterializedView, delta: Any) -> Any:

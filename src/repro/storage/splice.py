@@ -52,18 +52,25 @@ _NONE = np.empty(0, dtype=np.int64)
 
 
 def splice(keys: Sequence, seg: Sequence[np.ndarray], values: np.ndarray,
-           cols: Sequence[np.ndarray], deltas: np.ndarray):
+           cols: Sequence[np.ndarray], deltas: np.ndarray, *, canonical: bool = False):
     """``(keys, seg, values)`` of the chain plus the delta ``(cols, deltas)``.
 
     ``keys`` holds per level a list of key columns (``None`` for a dense
     root), ``seg`` per level its segment array, as the module describes.
     ``cols`` are the delta's key columns in chain order (the columns of
-    level 0, then of level 1, ...), in any row order and with repeats.
-    Interior entries that have no children — in the chain as given or after
-    the edit — are dropped, except on a dense root.
+    level 0, then of level 1, ...), in any row order and with repeats —
+    or, with ``canonical``, already sorted and unique (the leaves of
+    another chain), which skips step 1.  Interior entries that have no
+    children — in the chain as given or after the edit — are dropped,
+    except on a dense root.
     """
     depth = len(keys)
-    lanes, run, ordered = _coalesce(cols, deltas)
+    if canonical:
+        lanes = [np.asarray(col, dtype=np.int64) for col in cols]
+        run = np.arange(lanes[0].shape[0])
+        ordered = np.asarray(deltas, dtype=np.float64)
+    else:
+        lanes, run, ordered = _coalesce(cols, deltas)
     spans, start = [], 0
     for level in keys:
         width = 1 if level is None else len(level)
@@ -195,15 +202,16 @@ def _bisect(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, key: np.ndarray,
             side: str) -> np.ndarray:
     """``lo[i] + np.searchsorted(col[lo[i]:hi[i]], key[i], side)`` for every
     lane ``i`` at once, by binary lifting: each step of a halving stride
-    advances the lanes whose next probe still sorts before the key."""
+    advances the lanes whose next probe (clamped to the range's end) still
+    sorts before the key.  A probe that does not move a lane reads outside
+    its range harmlessly."""
     before = np.less if side == "left" else np.less_equal
     base = lo
     stride = 1 << int((hi - lo).max(initial=0)).bit_length()
     while stride > 1:       # an empty column has only empty ranges: no probe
         stride >>= 1
-        step = base + stride
-        advance = before(col[np.minimum(step, hi) - 1], key) & (step <= hi)
-        base = np.where(advance, step, base)
+        probe = np.minimum(base + stride, hi)
+        base = np.where(before(col[probe - 1], key), probe, base)
     return base
 
 

@@ -299,6 +299,46 @@ def test_merge_fallbacks_count_entry_by_entry_additions():
         np.testing.assert_array_equal(interpreted.value(), a @ b)
 
 
+def test_delta_plans_are_priced_once_per_statistics_fingerprint(monkeypatch):
+    """The fallback decision's price of a delta plan depends only on the
+    statistics of the symbols the plan names: MMM's delta names B and the
+    delta, whose statistics repeat, so it is priced once; A @ A's delta also
+    names A, whose entry count changes with every insert, so it is priced
+    per update.  The memoized price always equals a fresh estimate."""
+    from repro.core.cost import CostModel
+    from repro.ivm.views import DeltaPlan
+
+    priced = []
+    price = DeltaPlan.price
+
+    def checked(plan, stats):
+        cost = price(plan, stats)
+        assert cost == CostModel(stats).plan_cost(plan.optimization.plan)
+        priced.append(plan.tensor)
+        return cost
+
+    monkeypatch.setattr(DeltaPlan, "price", checked)
+    n = 12
+    a = np.eye(n)
+    b = np.ones((n, 3))
+    square = MMM.replace("in B", "in A")
+    catalog = Catalog().add(CSRFormat.from_dense("A", a)).add(CSRFormat.from_dense("B", b))
+    with Session(catalog, backend="typed") as session:
+        views = [session.create_view("mmm", MMM, dense_shape=(n, 3)),
+                 session.create_view("square", square, dense_shape=(n, n))]
+        session.views().fallback_ratio = 1e9
+        for step in range(10):      # two new entries in distinct rows and columns
+            coords = np.array([[step + 1, step], [step, step + 2]])
+            session.update("A", coords, [1.0, 2.0])
+            np.add.at(a, tuple(coords.T), [1.0, 2.0])
+        assert len(priced) == 20
+        assert [view.delta_refreshes for view in views] == [10, 10]
+        assert len(views[0]._delta_plans["A"].costs) == 1
+        assert len(views[1]._delta_plans["A"].costs) == 10
+        np.testing.assert_allclose(views[0].value(), a @ b)
+        np.testing.assert_allclose(views[1].value(), a @ a)
+
+
 def test_trivial_delta_skips_execution_entirely():
     catalog, a, b = small_catalog()
     with Session(catalog) as session:
