@@ -1,4 +1,5 @@
-"""The cost model (Fig. 6 of the paper) and cost-based extraction.
+"""The cost model (Fig. 6 of the paper), cardinality estimation (Fig. 5) and
+cost-based extraction.
 
 Costs are estimated from cardinalities (Fig. 5) plus γ parameters that depend
 on the *collection kind* being accessed: iterating or probing a dense array
@@ -7,49 +8,32 @@ binding a scalar, and a **logical** dictionary — one the optimizer has not
 yet annotated ``@dense`` or ``@hash`` — costs ∞, which forces the extraction
 step to choose a physical representation (Sec. 5.6).
 
-Two entry points:
+Every formula lives in one per-node rule, :meth:`CostModel.node_info`: the
+cost, cardinality and collection kind of a node given its children's, with
+the runtime observation overlay applied.  :meth:`CostModel.child_env` gives
+the binder environment a child is costed under.  Three walks drive that rule:
 
-* :meth:`CostModel.plan_cost` — cost of a concrete SDQLite term,
+* :meth:`CostModel.analyze` / :meth:`CostModel.plan_cost` — over a concrete
+  SDQLite term,
 * :meth:`CostModel.extract` — cost-based extraction of the cheapest term
   represented in an e-graph (the paper's Egg extraction, but implemented
   top-down so the environment-dependent cardinalities of bound variables can
-  be tracked).
+  be tracked),
+* :func:`estimate` — the cardinality alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
-from ..sdqlite.ast import (
-    Add,
-    And,
-    Cmp,
-    Const,
-    DictExpr,
-    Div,
-    Expr,
-    Get,
-    IfThen,
-    Idx,
-    Let,
-    Merge,
-    Mul,
-    Neg,
-    Not,
-    Or,
-    RangeExpr,
-    SliceGet,
-    Sub,
-    Sum,
-    Sym,
-    Var,
-)
+from ..sdqlite.ast import Add, Const, Expr, Mul, Sub, Sym, Var, children
 from ..sdqlite.errors import OptimizationError
 from ..egraph.egraph import EGraph
-from ..egraph.language import label_to_ast
-from .cardinality import Card, CardinalityEstimator
+from ..egraph.language import ast_to_label, label_to_ast
+from .cardinality import Card
 from .statistics import Statistics
 
 INFINITY = math.inf
@@ -96,9 +80,9 @@ class Gamma:
         return self.insert.get(kind, 4.0)
 
 
-@dataclass(frozen=True)
-class CostInfo:
-    """The result of costing one (sub)expression."""
+class CostInfo(NamedTuple):
+    """The result of costing one (sub)expression (a named tuple: one is
+    built per costed node)."""
 
     cost: float
     card: Card
@@ -114,6 +98,15 @@ Env = tuple[Binding, ...]
 
 _LEAF_COST = 0.1
 _OP_COST = 0.2
+_SCALAR_BINDING: Binding = (Card.scalar(), K_SCALAR)
+_SCALAR_INFO = CostInfo(_LEAF_COST, Card.scalar(), K_SCALAR)
+
+#: Collection kind of a dictionary constructor, by its annotation; an
+#: unannotated one is logical.
+_DICT_KINDS = {"dense": K_DENSE, "hash": K_HASH}
+
+#: Constant folding of range bounds, per arithmetic node type.
+_EXTENT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 class CostModel:
@@ -124,7 +117,9 @@ class CostModel:
         self.stats = stats
         self.require_physical = require_physical
         self.gamma = gamma or Gamma()
-        self._cards = CardinalityEstimator(stats)
+        #: Runtime feedback (``Statistics.observations``, updated in place);
+        #: a truthiness test keeps the no-observations path free.
+        self._observations = getattr(stats, "observations", None)
         #: (expr, env) -> CostInfo, for the life of the model.  The
         #: statistics are read as a snapshot: build a new model after
         #: changing them (the optimizer builds its models per ``optimize``).
@@ -139,126 +134,159 @@ class CostModel:
         return self.analyze(expr, env).cost
 
     def analyze(self, expr: Expr, env: Env = ()) -> CostInfo:
-        """Cost, cardinality, and collection kind of ``expr``.
+        """Cost, cardinality, and collection kind of ``expr``."""
+        key = (expr, env)
+        info = self._analyses.get(key)
+        if info is None:
+            if type(expr) is Var:
+                info = _SCALAR_INFO
+            else:
+                head = ast_to_label(expr)[0]
+                infos: list[CostInfo] = []
+                for index, child in enumerate(children(expr)):
+                    infos.append(self.analyze(child, self.child_env(head, index, infos, env)))
+                info = self.node_info(head, expr, infos, env)
+            self._analyses[key] = info
+        return info
+
+    # ------------------------------------------------------------------
+    # The per-node rule (Fig. 5 cardinalities, Fig. 6 costs)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def child_env(head: str, index: int, earlier: Sequence[CostInfo], env: Env) -> Env:
+        """The environment child ``index`` of a ``head`` node is costed under.
+
+        ``earlier`` holds the infos of the children before it: ``sum`` binds
+        a scalar key and a value of its source's element cardinality, ``let``
+        its value, ``merge`` three scalars (both keys and the shared value).
+        """
+        if index == 1 and head == "sum":
+            elem = earlier[0].card.elem()
+            return env + (_SCALAR_BINDING, (elem, _element_kind(earlier[0].kind, elem)))
+        if index == 1 and head == "let":
+            return env + ((earlier[0].card, earlier[0].kind),)
+        if index == 2 and head == "merge":
+            return env + (_SCALAR_BINDING,) * 3
+        return env
+
+    def node_info(self, head: str, expr: Expr, child_infos: Sequence[CostInfo],
+                  env: Env) -> CostInfo:
+        """Cost, cardinality and kind of the ``head`` node ``expr``, given
+        the infos of its children (each under :meth:`child_env`).
 
         When the statistics carry runtime observations (adaptive feedback),
         an observed cardinality for this exact closed sub-expression replaces
         the estimated one — the node's own cost formula is unchanged, but
         every enclosing loop now multiplies by the *measured* size.
         """
-        key = (expr, env)
-        info = self._analyses.get(key)
-        if info is not None:
-            return info
-        info = self._analyze(expr, env)
-        observations = getattr(self.stats, "observations", None)
-        if observations:
-            observed = observations.get(expr)
-            if observed is not None and observed is not info.card:
-                info = CostInfo(info.cost, observed, info.kind)
-        self._analyses[key] = info
-        return info
-
-    def _analyze(self, expr: Expr, env: Env = ()) -> CostInfo:
-        if isinstance(expr, (Const,)):
-            return CostInfo(_LEAF_COST, Card.scalar(), K_SCALAR)
-        if isinstance(expr, Sym):
-            card = self.stats.profile(expr.name) or Card.scalar()
+        gamma = self.gamma
+        stats = self.stats
+        if head == "const":
+            cost, card, kind = _LEAF_COST, Card.scalar(), K_SCALAR
+        elif head == "sym":
+            cost = _LEAF_COST
+            card = stats.profile(expr.name) or Card.scalar()
             kind = self._symbol_kind(expr.name, card)
-            return CostInfo(_LEAF_COST, card, kind)
-        if isinstance(expr, Var):
-            return CostInfo(_LEAF_COST, Card.scalar(), K_SCALAR)
-        if isinstance(expr, Idx):
+        elif head == "idx":
+            cost = _LEAF_COST
             if expr.index < len(env):
                 card, kind = env[-1 - expr.index]
-                return CostInfo(_LEAF_COST, card, kind)
-            return CostInfo(_LEAF_COST, Card.scalar(), K_SCALAR)
-        if isinstance(expr, (Neg, Not)):
-            inner = self.analyze(expr.operand, env)
-            return CostInfo(inner.cost + _OP_COST, inner.card, inner.kind)
-        if isinstance(expr, (Cmp, And, Or)):
-            left = self.analyze(expr.left, env)
-            right = self.analyze(expr.right, env)
-            return CostInfo(left.cost + right.cost + _OP_COST, Card.scalar(), K_SCALAR)
-        if isinstance(expr, (Add, Sub, Mul, Div)):
-            left = self.analyze(expr.left, env)
-            right = self.analyze(expr.right, env)
-            card = self._cards.estimate(expr, tuple(card for card, _ in env))
-            kind = self._combine_kinds(left, right, card)
+            else:
+                card, kind = Card.scalar(), K_SCALAR
+        elif head in ("add", "sub", "mul", "div"):
+            left, right = child_infos
+            if head == "div" or (left.card.is_scalar and right.card.is_scalar):
+                card = Card.scalar()
+            elif left.card.is_scalar:
+                card = right.card
+            elif right.card.is_scalar:
+                card = left.card
+            elif head == "mul":
+                # Intersection of keys: bounded by the smaller estimate.
+                card = Card(min(left.card.size(), right.card.size()), left.card.elem())
+            else:
+                # Union of keys: bounded by the sum of the two estimates.
+                card = Card(left.card.size() + right.card.size(), left.card.elem())
+            kind = _combine_kinds(left, right, card)
             extra = 0.0
             if not card.is_scalar:
                 # Element-wise dictionary arithmetic touches every key of the
                 # larger operand.
                 extra = max(left.card.size(), right.card.size())
-            return CostInfo(left.cost + right.cost + _OP_COST + extra, card, kind)
-        if isinstance(expr, DictExpr):
-            key = self.analyze(expr.key, env)
-            value = self.analyze(expr.value, env)
-            kind = self._dict_kind(expr)
-            insert = self.gamma.for_insert(kind)
+            cost = left.cost + right.cost + _OP_COST + extra
+        elif head == "neg":
+            inner = child_infos[0]
+            cost, card, kind = inner.cost + _OP_COST, inner.card, inner.kind
+        elif head in ("cmp", "and", "or"):
+            left, right = child_infos
+            cost, card, kind = left.cost + right.cost + _OP_COST, Card.scalar(), K_SCALAR
+        elif head == "not":
+            cost, card, kind = child_infos[0].cost + _OP_COST, Card.scalar(), K_SCALAR
+        elif head == "dict":
+            key, value = child_infos
+            kind = _DICT_KINDS.get(expr.annot, K_LOGICAL)
+            insert = gamma.for_insert(kind)
             if kind == K_LOGICAL and self.require_physical:
                 insert = INFINITY
             cost = key.cost + value.cost + insert
-            return CostInfo(cost, Card(1.0, value.card), kind)
-        if isinstance(expr, Get):
-            target = self.analyze(expr.target, env)
-            key = self.analyze(expr.key, env)
-            lookup = self.gamma.for_lookup(target.kind)
+            card = Card(1.0, value.card)
+        elif head == "get":
+            target, key = child_infos
             card = target.card.elem()
-            kind = self._element_kind(target.kind, card)
-            return CostInfo(target.cost + key.cost + lookup, card, kind)
-        if isinstance(expr, RangeExpr):
-            lo = self.analyze(expr.lo, env)
-            hi = self.analyze(expr.hi, env)
-            card = self._cards.estimate(expr, tuple(card for card, _ in env))
-            return CostInfo(lo.cost + hi.cost + _OP_COST, card, K_RANGE)
-        if isinstance(expr, SliceGet):
-            target = self.analyze(expr.target, env)
-            lo = self.analyze(expr.lo, env)
-            hi = self.analyze(expr.hi, env)
-            card = self._cards.estimate(expr, tuple(card for card, _ in env))
-            return CostInfo(target.cost + lo.cost + hi.cost + _OP_COST, card, K_ARRAY)
-        if isinstance(expr, IfThen):
-            cond = self.analyze(expr.cond, env)
-            then = self.analyze(expr.then, env)
-            card = then.card if then.card.is_scalar else then.card.scale(self.stats.selectivity)
-            cost = cond.cost + self.stats.selectivity * then.cost
-            return CostInfo(cost, card, then.kind)
-        if isinstance(expr, Let):
-            value = self.analyze(expr.value, env)
-            gamma = (self.gamma.materialize_scalar if value.card.is_scalar
-                     else self.gamma.materialize_dict)
-            body = self.analyze(expr.body, env + ((value.card, value.kind),))
-            return CostInfo(gamma * value.cost + body.cost, body.card, body.kind)
-        if isinstance(expr, Sum):
-            source = self.analyze(expr.source, env)
-            body_env = env + ((Card.scalar(), K_SCALAR), (source.card.elem(),
-                              self._element_kind(source.kind, source.card.elem())))
-            body = self.analyze(expr.body, body_env)
-            iterate = self.gamma.for_iterate(source.kind)
-            cost = source.cost + iterate * source.card.size() * body.cost
-            if body.card.is_scalar:
-                card = Card.scalar()
-            else:
-                card = Card(source.card.size() * body.card.size(), body.card.elem())
-            return CostInfo(cost, card, body.kind)
-        if isinstance(expr, Merge):
-            left = self.analyze(expr.left, env)
-            right = self.analyze(expr.right, env)
-            body_env = env + (
-                (Card.scalar(), K_SCALAR),
-                (Card.scalar(), K_SCALAR),
-                (Card.scalar(), K_SCALAR),
-            )
-            body = self.analyze(expr.body, body_env)
-            iterate = (self.gamma.for_iterate(left.kind) * left.card.size()
-                       + self.gamma.for_iterate(right.kind) * right.card.size())
+            kind = _element_kind(target.kind, card)
+            cost = target.cost + key.cost + gamma.for_lookup(target.kind)
+        elif head == "range":
+            lo, hi = child_infos
+            cost = lo.cost + hi.cost + _OP_COST
+            card = _extent_card(expr, stats)
+            if card is None:
+                card = Card(stats.default_dimension, Card.scalar())
+            kind = K_RANGE
+        elif head == "slice":
+            target, lo, hi = child_infos
+            cost = target.cost + lo.cost + hi.cost + _OP_COST
+            card = _extent_card(expr, stats)
+            if card is None:
+                segment = (stats.segment(expr.target.name) if type(expr.target) is Sym
+                           else stats.default_segment)
+                card = Card(segment, Card.scalar())
+            kind = K_ARRAY
+        elif head == "if":
+            cond, then = child_infos
+            card = then.card if then.card.is_scalar else then.card.scale(stats.selectivity)
+            cost = cond.cost + stats.selectivity * then.cost
+            kind = then.kind
+        elif head == "let":
+            value, body = child_infos
+            materialize = (gamma.materialize_scalar if value.card.is_scalar
+                           else gamma.materialize_dict)
+            cost, card, kind = materialize * value.cost + body.cost, body.card, body.kind
+        elif head == "sum":
+            source, body = child_infos
+            cost = source.cost + gamma.for_iterate(source.kind) * source.card.size() * body.cost
+            card = (Card.scalar() if body.card.is_scalar
+                    else Card(source.card.size() * body.card.size(), body.card.elem()))
+            kind = body.kind
+        elif head == "merge":
+            left, right, body = child_infos
+            iterate = (gamma.for_iterate(left.kind) * left.card.size()
+                       + gamma.for_iterate(right.kind) * right.card.size())
             cost = left.cost + right.cost + iterate * body.cost
             matches = min(left.card.size(), right.card.size())
-            card = Card.scalar() if body.card.is_scalar else Card(
-                matches * body.card.size(), body.card.elem())
-            return CostInfo(cost, card, body.kind)
-        raise OptimizationError(f"cannot cost expression node {type(expr).__name__}")
+            card = (Card.scalar() if body.card.is_scalar
+                    else Card(matches * body.card.size(), body.card.elem()))
+            kind = body.kind
+        else:
+            raise OptimizationError(f"cannot cost expression node {head!r}")
+        observations = self._observations
+        if observations:
+            # Only closed expressions are ever recorded (see
+            # repro.execution.profile), so a hit is context-independent.
+            observed = observations.get(expr)
+            if observed is not None:
+                card = observed
+        return CostInfo(cost, card, kind)
 
     # ------------------------------------------------------------------
     # E-graph extraction
@@ -273,41 +301,70 @@ class CostModel:
         info, expr = result
         return expr, info.cost
 
-    # ------------------------------------------------------------------
-    # kind helpers
-    # ------------------------------------------------------------------
-
     def _symbol_kind(self, name: str, card: Card) -> str:
+        if card.is_scalar:
+            return K_SCALAR
         kind = self.stats.kind(name)
-        if card.is_scalar:
-            return K_SCALAR
-        if kind in (K_ARRAY, K_HASH, K_TRIE, K_SCALAR):
-            return kind if kind != K_SCALAR else K_SCALAR
+        return kind if kind in (K_ARRAY, K_HASH, K_TRIE, K_SCALAR) else K_HASH
+
+
+def estimate(expr: Expr, stats, env: Sequence[Card] = ()) -> Card:
+    """The Fig. 5 cardinality of ``expr``.
+
+    ``env`` is the stack of cardinalities of bound variables (innermost
+    last), used for De Bruijn indices; collection kinds do not affect a
+    cardinality.  A fresh model per call, because models memoize and
+    feedback ingestion calls ``stats.observe`` between estimates.
+    """
+    bindings = tuple((card, K_HASH) for card in env)
+    return CostModel(stats).analyze(expr, bindings).card
+
+
+# ----------------------------------------------------------------------
+# kind and extent helpers
+# ----------------------------------------------------------------------
+
+
+def _element_kind(container_kind: str, element_card: Card) -> str:
+    if element_card.is_scalar:
+        return K_SCALAR
+    if container_kind in (K_TRIE, K_HASH):
         return K_HASH
+    return container_kind
 
-    @staticmethod
-    def _element_kind(container_kind: str, element_card: Card) -> str:
-        if element_card.is_scalar:
-            return K_SCALAR
-        if container_kind in (K_TRIE, K_HASH):
-            return K_HASH
-        return container_kind
 
-    def _dict_kind(self, expr: DictExpr) -> str:
-        if expr.annot == "dense":
-            return K_DENSE
-        if expr.annot == "hash":
-            return K_HASH
-        return K_LOGICAL
+def _combine_kinds(left: CostInfo, right: CostInfo, card: Card) -> str:
+    if card.is_scalar:
+        return K_SCALAR
+    for candidate in (left, right):
+        if not candidate.card.is_scalar:
+            return candidate.kind
+    return K_HASH
 
-    @staticmethod
-    def _combine_kinds(left: CostInfo, right: CostInfo, card: Card) -> str:
-        if card.is_scalar:
-            return K_SCALAR
-        for candidate in (left, right):
-            if not candidate.card.is_scalar:
-                return candidate.kind
-        return K_HASH
+
+def _scalar_extent(expr: Expr, stats) -> float | None:
+    """The numeric value of a scalar expression when statically known."""
+    cls = type(expr)
+    if cls is Const:
+        return float(expr.value)
+    if cls is Sym:
+        return stats.scalar_value(expr.name)
+    combine = _EXTENT_OPS.get(cls)
+    if combine is not None:
+        left = _scalar_extent(expr.left, stats)
+        right = _scalar_extent(expr.right, stats)
+        if left is not None and right is not None:
+            return combine(left, right)
+    return None
+
+
+def _extent_card(expr: Expr, stats) -> Card | None:
+    """``hi - lo`` keys for a range or slice whose bounds are known."""
+    lo = _scalar_extent(expr.lo, stats)
+    hi = _scalar_extent(expr.hi, stats)
+    if lo is None or hi is None:
+        return None
+    return Card(max(hi - lo, 0.0), Card.scalar())
 
 
 #: A class may appear at most this many times on one extraction path.  The
@@ -377,133 +434,20 @@ class _Extraction:
 
     def _node(self, enode, env: Env) -> Optional[tuple[CostInfo, Expr]]:
         head = enode.head
-        model = self.model
-        # Leaves and simple scalar operators reuse the term-level analyzer on
-        # the reconstructed node once children are extracted.
-        if head == "sum":
-            source = self.best(enode.children[0], env)
-            if source is None:
-                return None
-            source_info, source_expr = source
-            body_env = env + (
-                (Card.scalar(), K_SCALAR),
-                (source_info.card.elem(),
-                 CostModel._element_kind(source_info.kind, source_info.card.elem())),
-            )
-            body = self.best(enode.children[1], body_env)
-            if body is None:
-                return None
-            body_info, body_expr = body
-            expr = label_to_ast(enode.label, [source_expr, body_expr])
-            iterate = model.gamma.for_iterate(source_info.kind)
-            cost = source_info.cost + iterate * source_info.card.size() * body_info.cost
-            card = (Card.scalar() if body_info.card.is_scalar
-                    else Card(source_info.card.size() * body_info.card.size(),
-                              body_info.card.elem()))
-            return CostInfo(cost, card, body_info.kind), expr
-        if head == "let":
-            value = self.best(enode.children[0], env)
-            if value is None:
-                return None
-            value_info, value_expr = value
-            body = self.best(enode.children[1], env + ((value_info.card, value_info.kind),))
-            if body is None:
-                return None
-            body_info, body_expr = body
-            expr = label_to_ast(enode.label, [value_expr, body_expr])
-            gamma = (model.gamma.materialize_scalar if value_info.card.is_scalar
-                     else model.gamma.materialize_dict)
-            cost = gamma * value_info.cost + body_info.cost
-            return CostInfo(cost, body_info.card, body_info.kind), expr
-        if head == "merge":
-            left = self.best(enode.children[0], env)
-            right = self.best(enode.children[1], env)
-            if left is None or right is None:
-                return None
-            body_env = env + ((Card.scalar(), K_SCALAR),) * 3
-            body = self.best(enode.children[2], body_env)
-            if body is None:
-                return None
-            left_info, left_expr = left
-            right_info, right_expr = right
-            body_info, body_expr = body
-            expr = label_to_ast(enode.label, [left_expr, right_expr, body_expr])
-            iterate = (model.gamma.for_iterate(left_info.kind) * left_info.card.size()
-                       + model.gamma.for_iterate(right_info.kind) * right_info.card.size())
-            cost = left_info.cost + right_info.cost + iterate * body_info.cost
-            matches = min(left_info.card.size(), right_info.card.size())
-            card = (Card.scalar() if body_info.card.is_scalar
-                    else Card(matches * body_info.card.size(), body_info.card.elem()))
-            return CostInfo(cost, card, body_info.kind), expr
         if head == "idx" and enode.label[1] >= len(env):
             # A class unions terms that are equal wherever all of them are in
             # scope: ``if (%3 == %3) then c0`` joins the class of ``c0``
             # (rule eq-refl), which is also used at the top level.  A node
             # naming a variable this context does not bind is no plan here.
             return None
-        # Non-binding operators: extract children under the same environment,
-        # rebuild the node and delegate to the term-level analyzer for the
-        # node-local cost so the two code paths cannot drift apart.
-        child_results = []
-        for child in enode.children:
-            result = self.best(child, env)
+        model = self.model
+        child_infos: list[CostInfo] = []
+        child_exprs: list[Expr] = []
+        for index, child in enumerate(enode.children):
+            result = self.best(child, model.child_env(head, index, child_infos, env))
             if result is None:
                 return None
-            child_results.append(result)
-        child_exprs = [expr for _, expr in child_results]
+            child_infos.append(result[0])
+            child_exprs.append(result[1])
         expr = label_to_ast(enode.label, child_exprs)
-        info = self._nonbinding_info(enode, [info for info, _ in child_results], expr, env)
-        return info, expr
-
-    def _nonbinding_info(self, enode, child_infos, expr, env: Env) -> CostInfo:
-        model = self.model
-        head = enode.head
-        if head in ("const", "sym", "idx"):
-            return model.analyze(expr, env)
-        if head in ("neg", "not"):
-            inner = child_infos[0]
-            return CostInfo(inner.cost + _OP_COST, inner.card, inner.kind)
-        if head in ("cmp", "and", "or"):
-            return CostInfo(sum(i.cost for i in child_infos) + _OP_COST,
-                            Card.scalar(), K_SCALAR)
-        if head in ("add", "sub", "mul", "div"):
-            left, right = child_infos
-            if left.card.is_scalar and right.card.is_scalar:
-                card = Card.scalar()
-            elif head == "mul" and (left.card.is_scalar or right.card.is_scalar):
-                card = right.card if left.card.is_scalar else left.card
-            elif head in ("add", "sub"):
-                if left.card.is_scalar:
-                    card = right.card
-                elif right.card.is_scalar:
-                    card = left.card
-                else:
-                    card = Card(left.card.size() + right.card.size(), left.card.elem())
-            else:
-                card = Card(min(left.card.size(), right.card.size()), left.card.elem())
-            kind = CostModel._combine_kinds(left, right, card)
-            extra = 0.0 if card.is_scalar else max(left.card.size(), right.card.size())
-            return CostInfo(left.cost + right.cost + _OP_COST + extra, card, kind)
-        if head == "dict":
-            key, value = child_infos
-            annot = enode.label[1]
-            kind = K_DENSE if annot == "dense" else K_HASH if annot == "hash" else K_LOGICAL
-            insert = model.gamma.for_insert(kind)
-            if kind == K_LOGICAL and model.require_physical:
-                insert = INFINITY
-            return CostInfo(key.cost + value.cost + insert, Card(1.0, value.card), kind)
-        if head == "get":
-            target, key = child_infos
-            lookup = model.gamma.for_lookup(target.kind)
-            card = target.card.elem()
-            kind = CostModel._element_kind(target.kind, card)
-            return CostInfo(target.cost + key.cost + lookup, card, kind)
-        if head == "range":
-            return model.analyze(expr, env)
-        if head == "slice":
-            return model.analyze(expr, env)
-        if head == "if":
-            cond, then = child_infos
-            card = then.card if then.card.is_scalar else then.card.scale(model.stats.selectivity)
-            return CostInfo(cond.cost + model.stats.selectivity * then.cost, card, then.kind)
-        raise OptimizationError(f"extraction cannot handle node head {head!r}")
+        return model.node_info(head, expr, child_infos, env), expr

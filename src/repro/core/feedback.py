@@ -29,7 +29,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .cardinality import Card, CardinalityEstimator
+from .cardinality import Card
+from .cost import estimate
 
 __all__ = ["FeedbackConfig", "FeedbackStore", "q_error"]
 
@@ -125,15 +126,14 @@ class FeedbackStore:
                 # session's back must not mix old observations with new data.
                 stats.clear_observations()
                 self._version = catalog_version
-            estimator = CardinalityEstimator(stats)
             checked = 0
             misestimated = 0
             worst = 1.0
             changed = False
             for source, observed_size in profile.loop_observations(
                     prepared.loop_sources()).items():
-                estimate = estimator.estimate(source, ())
-                error = q_error(estimate.size(), observed_size)
+                estimated = estimate(source, stats)
+                error = q_error(estimated.size(), observed_size)
                 checked += 1
                 worst = max(worst, error)
                 if error > self.config.threshold:
@@ -141,7 +141,7 @@ class FeedbackStore:
                     # Only the top level was measured; keep the estimated
                     # element shape underneath the observed count.
                     stats.observe(source, Card(float(observed_size),
-                                               estimate.elem()))
+                                               estimated.elem()))
                     changed = True
             output = profile.output_card
             if output is not None:
@@ -149,8 +149,8 @@ class FeedbackStore:
 
                 plan = prepared.plan
                 if plan is not None and is_closed(plan):
-                    estimate = estimator.estimate(plan, ())
-                    error = q_error(estimate.total(), output.total())
+                    estimated = estimate(plan, stats)
+                    error = q_error(estimated.total(), output.total())
                     checked += 1
                     worst = max(worst, error)
                     if error > self.config.threshold:

@@ -54,10 +54,11 @@ class Statistics:
     observations:
         Runtime cardinality feedback: observed :class:`Card` per **closed**
         De Bruijn sub-expression (no free indices — context-independent, see
-        :mod:`repro.execution.profile`).  The estimators consult this overlay
-        before their syntax-directed rules, so a plan whose loop sizes or
-        output cardinality were measured estimates with the measured numbers
-        on the next optimization.  Empty (and costing nothing) by default.
+        :mod:`repro.execution.profile`).  The cost model's per-node rule
+        (:meth:`~repro.core.cost.CostModel.node_info`) replaces a node's
+        estimated cardinality with its observation, so a plan whose loop
+        sizes or output cardinality were measured estimates with the
+        measured numbers on the next optimization.  Empty (and costing nothing) by default.
     """
 
     profiles: dict[str, Card] = field(default_factory=dict)
@@ -197,10 +198,10 @@ class Statistics:
     def fingerprint(self, names) -> tuple | None:
         """Everything the estimators read about the symbols ``names``.
 
-        :class:`~repro.core.cost.CostModel` and the cardinality estimator
-        look statistics up only by the name of a :class:`~repro.sdqlite.ast.Sym`
-        in the plan, plus the defaults below, so a plan's estimates are a
-        function of its symbols' fingerprint.  ``None`` when runtime
+        :class:`~repro.core.cost.CostModel` looks statistics up only by the
+        name of a :class:`~repro.sdqlite.ast.Sym` in the plan, plus the
+        defaults below, so a plan's estimates are a function of its symbols'
+        fingerprint.  ``None`` when runtime
         observations are present: they are keyed by sub-expression instead.
         """
         if self.observations:

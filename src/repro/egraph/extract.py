@@ -1,19 +1,18 @@
-"""Extraction of concrete terms from the e-graph.
+"""Environment-free extraction of concrete terms from the e-graph.
 
-After saturation the optimizer must pick, for the root e-class, the best
-expression represented in the graph ("extraction" in Egg terminology).  This
-module provides the generic machinery:
+After saturation a term must be picked for an e-class ("extraction" in Egg
+terminology).  This module holds the generic bottom-up machinery:
 
-* :func:`extract_smallest` — the classic AST-size extractor (used for tests,
-  for representative terms, and as a tie-breaker),
-* :class:`Extractor` — a bottom-up fixpoint extractor parameterized by a cost
+* :func:`extract_smallest` — the classic AST-size extractor,
+* :class:`Extractor` — a worklist extractor parameterized by a cost
   function on e-nodes (cost of a node given its children's chosen costs).
 
-The paper's full cost model (Fig. 6) needs an *environment* for bound
-variables' cardinalities, so it cannot be expressed as a purely bottom-up
-node cost; the cost-based extraction used by the optimizer therefore lives in
-:mod:`repro.core.cost` and works top-down with memoization.  The extractors
-here remain useful building blocks and sanity oracles.
+Both serve tests and sanity checks.  The optimizer's cost-based extraction
+is :meth:`repro.core.cost.CostModel.extract`: the paper's cost model
+(Fig. 6) sizes a bound variable by what binds it, so it works top-down and
+memoizes per (e-class, binder environment), costing each e-node with the
+same per-node rule, :meth:`~repro.core.cost.CostModel.node_info`, that
+prices a concrete plan.
 """
 
 from __future__ import annotations

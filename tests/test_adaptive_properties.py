@@ -26,8 +26,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.cardinality import Card, CardinalityEstimator  # noqa: E402
-from repro.core.cost import CostModel  # noqa: E402
+from repro.core.cardinality import Card  # noqa: E402
+from repro.core.cost import CostModel, estimate  # noqa: E402
 from repro.core.feedback import FeedbackConfig, FeedbackStore, q_error  # noqa: E402
 from repro.core.statistics import Statistics  # noqa: E402
 from repro.execution.engine import BACKENDS  # noqa: E402
@@ -104,7 +104,7 @@ def test_observation_overrides_the_estimate_exactly(size):
     stats.profiles["X"] = Card.of(100.0)
     expr = to_debruijn_safe(Sym("X"))
     stats.observe(expr, Card(size, Card.scalar()))
-    estimated = CardinalityEstimator(stats).estimate(expr, ())
+    estimated = estimate(expr, stats)
     assert estimated.size() == pytest.approx(size)
 
 
@@ -113,8 +113,7 @@ def test_observation_does_not_touch_other_expressions():
     stats.profiles["X"] = Card.of(100.0)
     stats.profiles["Y"] = Card.of(7.0)
     stats.observe(to_debruijn_safe(Sym("X")), Card.of(3.0))
-    estimator = CardinalityEstimator(stats)
-    assert estimator.estimate(to_debruijn_safe(Sym("Y")), ()).size() == 7.0
+    assert estimate(to_debruijn_safe(Sym("Y")), stats).size() == 7.0
 
 
 def test_cost_model_adopts_observed_card_but_keeps_the_cost_formula():
