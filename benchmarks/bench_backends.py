@@ -6,7 +6,10 @@ CSR, the one cell of the kernel × format matrix where ``typed`` used to fall
 back to Python loops (``docs/backends.md``), and TTM with ``A`` stored in COO,
 whose greedy pick carries a key-filtered join the optimizer must resolve into
 a lookup (iterated, it runs about 40x slower; ``_check`` holds the row within
-2x of the CSF one) — checks both against the NumPy oracle, prints the
+2x of the CSF one), and MMM and BATAX with ``A`` stored as a DOK hash-map
+or a trie, which a run reads through the container's own levelized view
+(built once, not walked per run; ``_check`` holds the MMM rows within 2x
+of the CSR one) — checks both against the NumPy oracle, prints the
 runtime table and the typed-over-interpret speedups, and records the raw
 rows in ``BENCH_backends.json`` at the repository root.  The
 first execution of every (kernel, backend) pair is timed separately as
@@ -56,6 +59,10 @@ CASES = tuple((name, name, {}) for name in MATRIX_KERNELS) + (
     ("TTM/B-csr", "TTM", {"B": "csr"}),
     ("TTM/A-coo", "TTM", {"A": "coo"}),
     ("MTTKRP", "MTTKRP", {}),
+    ("MMM/A-dok", "MMM", {"A": "dok"}),
+    ("MMM/A-trie", "MMM", {"A": "trie"}),
+    ("BATAX/A-dok", "BATAX", {"A": "dok"}),
+    ("BATAX/A-trie", "BATAX", {"A": "trie"}),
 )
 
 #: Matrix scale of the flat-vs-nested BATAX row, and its timed runs per form.
@@ -172,6 +179,10 @@ def _check(report: dict) -> None:
     typed_ms = {row["kernel"]: row["mean_ms"] for row in rows
                 if row["system"] == "STOREL[typed]"}
     assert typed_ms["TTM/A-coo"] <= 2.0 * typed_ms["TTM"], typed_ms
+    # Hash-map and trie storage is levelized once per stored version, not
+    # walked on every run (which took MMM-dok ~20x off MMM-csr).
+    for label in ("MMM/A-dok", "MMM/A-trie"):
+        assert typed_ms[label] <= 2.0 * typed_ms["MMM"], typed_ms
     # The flat program reaches the factorized plan (it ran 100x off the
     # nested one while its join stayed a run-time probe).
     probe = report["batax_flat_vs_nested"]

@@ -120,6 +120,11 @@ class ExecutionProfile:
         self.loops[slot] = self.loops.get(slot, 0.0) + float(iterations)
         self.entries[slot] = self.entries.get(slot, 0) + entries
 
+    def add_loops(self, other: "ExecutionProfile") -> None:
+        """Add every loop record of ``other`` (a part of the run it recorded)."""
+        for slot, iterations in other.loops.items():
+            self.record_loop(slot, iterations, other.entries[slot])
+
     def record_output(self, result: Any) -> None:
         """Record the observed cardinality of one execution's result."""
         self.output_card = observed_card(result)

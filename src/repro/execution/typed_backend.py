@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -83,6 +84,8 @@ from ..sdqlite.ast import (
     Sum,
     Sym,
     Var,
+    contains,
+    symbols,
 )
 from ..sdqlite.debruijn import free_indices
 from ..sdqlite.errors import EvaluationError, ExecutionError
@@ -104,7 +107,7 @@ from ..sdqlite.values import (
 )
 from ..sdqlite.pretty import pretty
 from ..storage.formats import GROUP_REGIMES, group_sum
-from ..storage.physical import PhysicalArray
+from ..storage.physical import PhysicalArray, PhysicalHashMap, PhysicalTrie
 from .buffers import (
     LOOKUP_REGIMES,
     BufferDict,
@@ -115,6 +118,7 @@ from .buffers import (
     parent_sum,
     to_buffer_levels,
 )
+from .profile import ExecutionProfile
 
 __all__ = ["typed_plan", "TypedPlan", "DenseResult", "Untyped"]
 
@@ -260,7 +264,8 @@ class _Runtime:
 
     __slots__ = ("env", "batched", "lanes", "invariants", "failed_batch",
                  "fallbacks", "buffers", "profile", "regimes", "lookups",
-                 "dense_shape", "dense_sinks")
+                 "dense_shape", "dense_sinks", "relayouts_built",
+                 "relayouts_reused", "levelized")
 
     def __init__(self, env: Mapping[str, Any], profile=None,
                  dense_shape: tuple[int, ...] | None = None):
@@ -276,6 +281,9 @@ class _Runtime:
         self.lookups: Counter = Counter()  # lookup regime -> batched lookups that took it
         self.dense_shape = dense_shape     # the root reduction's dense sink, if any
         self.dense_sinks = 0
+        self.relayouts_built = 0           # kept re-layouts this run computed ...
+        self.relayouts_reused = 0          # ... and took from an earlier run
+        self.levelized = 0                 # collections this run walked into levels
 
 
 _Closure = Callable[[list, _Runtime], Any]
@@ -344,17 +352,24 @@ def _trunc_lanes(value, lanes: int) -> np.ndarray:
 
 
 def _levels_of(rt: _Runtime, value) -> LevelView | None:
-    """Cached :func:`to_buffer_levels` view of a plain collection.
+    """Cached :func:`to_buffer_levels` view of a collection.
 
-    The cache is per-run and keeps a strong reference to the source object,
-    so an ``id()`` can never be recycled into a stale hit mid-run.
+    A stored hash-map or trie keeps its own view, built once
+    (:meth:`~repro.storage.physical.PhysicalHashMap.level_view`).  Any other
+    collection is cached per run, with a strong reference to the source
+    object, so an ``id()`` can never be recycled into a stale hit mid-run.
+    ``rt.levelized`` counts the walks.
     """
     if isinstance(value, BufferDict):
         return LevelView(value.levels, value.level, value.lo, value.hi)
+    if isinstance(value, (PhysicalHashMap, PhysicalTrie)):
+        rt.levelized += not value.levelized
+        return value.level_view()
     key = id(value)
     hit = rt.buffers.get(key)
     if hit is not None:
         return hit[1]
+    rt.levelized += 1
     view = to_buffer_levels(value)
     rt.buffers[key] = (value, view)
     return view
@@ -1007,6 +1022,104 @@ def _note_fallback(rt: _Runtime, slot, source: Expr, reason: str) -> None:
                        kind, number, pretty(source, resolve_indices=False), reason)
 
 
+def _is_key(expr: Expr) -> bool:
+    """A scalar expression: no ``sum``, ``merge`` or dictionary in it."""
+    return not contains(expr, lambda node: isinstance(node, (Sum, Merge, DictExpr)))
+
+
+def _is_iterable(source: Expr) -> bool:
+    """A ``sum`` source that yields stored values as they are: a collection
+    symbol or variable, a range, or a slice or entry of one."""
+    if isinstance(source, (Sym, Idx)):
+        return True
+    if isinstance(source, RangeExpr):
+        return _is_key(source.lo) and _is_key(source.hi)
+    if isinstance(source, SliceGet):
+        return (isinstance(source.target, (Sym, Idx))
+                and _is_key(source.lo) and _is_key(source.hi))
+    return (isinstance(source, Get) and isinstance(source.target, (Sym, Idx))
+            and _is_key(source.key))
+
+
+def _is_stored(expr: Expr, scope: tuple) -> bool:
+    """A stored read ``X(p)``, or a variable ``scope`` marks as holding one."""
+    if isinstance(expr, Get):
+        return isinstance(expr.target, (Sym, Idx)) and _is_key(expr.key)
+    return isinstance(expr, Idx) and scope[-1 - expr.index]
+
+
+def _rekeys(expr: Expr, scope: tuple) -> bool:
+    """Whether ``expr`` builds a dictionary of stored values under new keys.
+
+    ``scope`` has one flag per enclosing binder, innermost last: whether the
+    binder holds a stored value (a ``sum``'s value, or a ``let`` of a stored
+    read) rather than a key.
+    """
+    if isinstance(expr, Sum):
+        return _is_iterable(expr.source) and _rekeys(expr.body, scope + (False, True))
+    if isinstance(expr, Let):
+        stored = _is_stored(expr.value, scope)
+        return ((stored or _is_key(expr.value))
+                and _rekeys(expr.body, scope + (stored,)))
+    if isinstance(expr, IfThen):
+        return _is_key(expr.cond) and _rekeys(expr.then, scope)
+    if isinstance(expr, DictExpr):
+        return _is_key(expr.key) and (_is_stored(expr.value, scope)
+                                      or _rekeys(expr.value, scope))
+    return False
+
+
+def _is_relayout(expr: Expr) -> bool:
+    """Whether the closed ``expr`` only re-keys stored values: a transpose,
+    a re-nesting.
+
+    Its value is a dictionary whose leaves are stored reads ``X_val(p)`` or
+    iterated values, unchanged.  Arithmetic appears only in keys, range and
+    slice bounds, guards and the ``let``s that feed them, so a closed scalar
+    reduction such as ``sum(…) c * beta * …`` is not one.
+    """
+    return isinstance(expr, Sum) and _rekeys(expr, ())
+
+
+#: The values a kept re-layout may read: the catalog's containers, which no
+#: write changes in place (``docs/formats.md``), and scalars.
+_STORED_TYPES = (np.ndarray, PhysicalArray, PhysicalHashMap, PhysicalTrie)
+
+
+def _stored_inputs(env: Mapping[str, Any], names: list) -> tuple | None:
+    """The env values of ``names``, or ``None`` when one is not stored data."""
+    inputs = tuple(env.get(name) for name in names)
+    if all(isinstance(value, _STORED_TYPES) or is_scalar(value) for value in inputs):
+        return inputs
+    return None
+
+
+def _same_inputs(refs: tuple, inputs: tuple) -> bool:
+    """The identical containers, and scalars of equal value and type."""
+    return all(old() is value if isinstance(old, weakref.ref)
+               else type(old) is type(value) and old == value
+               for old, value in zip(refs, inputs))
+
+
+def _keep_entry(kept: dict, slot, inputs: tuple, value, loops) -> None:
+    """Store a kept re-layout that lives no longer than its stored inputs.
+
+    The entry refers to its containers weakly (scalars by value): once one
+    is collected no later run can present it again, so the entry, and the
+    value it holds, go with it.
+    """
+    token = object()
+
+    def forget(_):
+        entry = kept.get(slot)
+        if entry is not None and entry[-1] is token:
+            kept.pop(slot, None)
+
+    refs = tuple(item if is_scalar(item) else weakref.ref(item, forget)
+                 for item in inputs)
+    kept[slot] = (refs, value, loops, token)
+
+
 class _Lowerer:
     """Translates a De Bruijn plan into a tree of typed evaluation closures."""
 
@@ -1014,6 +1127,8 @@ class _Lowerer:
         self.sum_count = 0
         self.merge_count = 0
         self.sum_sources: dict[int, Expr] = {}  # slot -> source expression
+        # slot -> (input refs, value, loop records, token) of each kept re-layout
+        self.kept: dict = {}
 
     def lower(self, expr: Expr, root: bool = False) -> _Closure:
         """The closure evaluating ``expr``; ``root`` when its value is the
@@ -1120,7 +1235,7 @@ class _Lowerer:
                 return truthy(right)
             return bool_f
         if isinstance(expr, Get):
-            target_f, key_f = self.lower(expr.target), self.lower(expr.key)
+            target_f, key_f = self._lower_operand(expr.target), self.lower(expr.key)
             def get_f(frames, rt):
                 target = target_f(frames, rt)
                 key = key_f(frames, rt)
@@ -1233,7 +1348,18 @@ class _Lowerer:
             return self._maybe_memoize(expr, root, self._lower_merge(expr))
         raise ExecutionError(f"cannot lower node of type {type(expr).__name__}")
 
-    def _maybe_memoize(self, expr: Expr, root: bool, closure: _Closure) -> _Closure:
+    def _lower_operand(self, expr: Expr) -> _Closure:
+        """Lower a ``sum`` source or a lookup target.
+
+        A closed re-layout there (:func:`_is_relayout`) is kept across runs
+        (:meth:`_keep`); any other operand lowers as usual.
+        """
+        if isinstance(expr, Sum) and not free_indices(expr) and _is_relayout(expr):
+            return self._maybe_memoize(expr, False, self._lower_sum(expr), keep=True)
+        return self.lower(expr)
+
+    def _maybe_memoize(self, expr: Expr, root: bool, closure: _Closure,
+                       keep: bool = False) -> _Closure:
         """Cache closed (loop-invariant) sums/merges once per execution.
 
         Invariant subplans the optimizer leaves inside loops (e.g. a whole
@@ -1243,34 +1369,79 @@ class _Lowerer:
         lookups consume with no conversion walk.  The slot is the
         expression itself, so every occurrence of one invariant (a
         factorized plan may iterate a transpose and look rows up in it)
-        shares a single evaluation.
+        shares a single evaluation.  With ``keep`` the value also outlives
+        the run (:meth:`_keep`).
         """
         if free_indices(expr):
             return closure
         slot = (expr, root)
-        def memoized(frames, rt):
-            try:
-                return rt.invariants[slot]
-            except KeyError:
-                pass
+
+        def evaluate(rt):
             batched, lanes = rt.batched, rt.lanes
             rt.batched, rt.lanes = False, 0
             try:
                 # Closed subplans reference no loop variables: evaluate with
                 # an empty frame stack so the invariant's own batched sums
                 # never try to reindex outer-lane frames.
-                value = closure([], rt)
+                return closure([], rt)
             finally:
                 rt.batched, rt.lanes = batched, lanes
-            rt.invariants[slot] = value
+
+        if keep:
+            evaluate = self._keep(slot, sorted(symbols(expr)), evaluate)
+
+        def memoized(frames, rt):
+            try:
+                return rt.invariants[slot]
+            except KeyError:
+                pass
+            value = rt.invariants[slot] = evaluate(rt)
             return value
         return memoized
+
+    def _keep(self, slot, names: list, evaluate: Callable[[_Runtime], Any]):
+        """``evaluate``, reusing the value of an earlier run over the same inputs.
+
+        The kept entry refers to the env values of the re-layout's symbols,
+        and a run whose values are the identical containers (scalars: equal
+        value and type) takes the kept value instead of rebuilding it.  No
+        write changes a stored container in place, so the value is the one
+        the run would rebuild.  One entry per slot, which a rebuild replaces
+        and which keeps no input alive (:func:`_keep_entry`).  A build that
+        fell back to a Python loop is not kept, and inputs that are not
+        stored data (a plain dict, say) rebuild every run.  The build's loop
+        counts are kept too and replayed into a profiled run.
+        """
+        kept = self.kept
+
+        def keep(rt):
+            inputs = _stored_inputs(rt.env, names)
+            if inputs is None:
+                return evaluate(rt)
+            entry = kept.get(slot)
+            if entry is not None and _same_inputs(entry[0], inputs):
+                rt.relayouts_reused += 1
+                _, value, loops, _ = entry
+            else:
+                outer, rt.profile = rt.profile, ExecutionProfile()
+                fallbacks = len(rt.fallbacks)
+                try:
+                    value = evaluate(rt)
+                finally:
+                    loops, rt.profile = rt.profile, outer
+                rt.relayouts_built += 1
+                if len(rt.fallbacks) == fallbacks:
+                    _keep_entry(kept, slot, inputs, value, loops)
+            if rt.profile is not None:
+                rt.profile.add_loops(loops)
+            return value
+        return keep
 
     def _lower_sum(self, expr, root: bool = False) -> _Closure:
         self.sum_count += 1
         slot = self.sum_count
         self.sum_sources[slot] = expr.source
-        source_f, body_f = self.lower(expr.source), self.lower(expr.body)
+        source_f, body_f = self._lower_operand(expr.source), self.lower(expr.body)
 
         def python_loop(frames, rt, source, reason):
             _note_fallback(rt, slot, expr.source, reason)
@@ -1445,12 +1616,23 @@ class TypedPlan:
     :func:`~repro.execution.buffers.lookup_sorted` (``lookup_direct``,
     ``lookup_search``) and whether the root reduction went straight to the
     dense output (``dense_sink``: 0 or 1).
+
+    A closed re-layout a ``sum`` iterates or a lookup probes — a transpose
+    of a stored operand, say — is kept in ``kept`` with weak references to
+    the inputs it read, and reused by every later run over the identical
+    stored inputs: once per stored version, not once per run.  ``relayouts_built`` counts the ones
+    this run computed, ``relayouts_reused`` the ones it took from an earlier
+    run, and ``levelized`` the collections it walked into buffer levels (a
+    stored hash-map or trie is walked once, by its first run).  The other
+    counters describe the work the run did, so a reused re-layout's
+    group-by and lookups are not in them.
     """
 
     plan: Expr
     function: Callable[..., Any]
     sum_count: int = 0
     sum_sources: Mapping[int, Expr] | None = None
+    kept: dict | None = None
 
     def __call__(self, env: Mapping[str, Any], stats: dict | None = None,
                  profile=None, dense_shape: tuple[int, ...] | None = None) -> Any:
@@ -1498,7 +1680,10 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
             for regime in LOOKUP_REGIMES:
                 stats[f"lookup_{regime}"] = rt.lookups[regime]
             stats["dense_sink"] = rt.dense_sinks
+            stats["relayouts_built"] = rt.relayouts_built
+            stats["relayouts_reused"] = rt.relayouts_reused
+            stats["levelized"] = rt.levelized
         return result
 
     return TypedPlan(plan=plan, function=function, sum_count=lowerer.sum_count,
-                     sum_sources=lowerer.sum_sources)
+                     sum_sources=lowerer.sum_sources, kept=lowerer.kept)

@@ -95,7 +95,33 @@ class PhysicalArray:
         return f"PhysicalArray({self.name}, len={len(self)}, dtype={self.dtype})"
 
 
-class PhysicalHashMap:
+class _LevelizedOnce:
+    """A stored container's levelized view, built on first use.
+
+    No write changes a published container in place (``docs/formats.md``):
+    a write publishes a new one.  So the
+    :class:`~repro.execution.buffers.LevelView` the typed backend iterates
+    and probes is built once per container, not once per run.
+    """
+
+    _view: tuple | None = None     # (LevelView | None,) once built
+
+    @property
+    def levelized(self) -> bool:
+        """Whether :meth:`level_view` has already walked this container."""
+        return self._view is not None
+
+    def level_view(self):
+        """The container as buffer levels, or ``None`` when it has none."""
+        view = self._view
+        if view is None:
+            from ..execution.buffers import to_buffer_levels
+
+            view = self._view = (to_buffer_levels(self),)
+        return view[0]
+
+
+class PhysicalHashMap(_LevelizedOnce):
     """``CREATE [real|int] HASHMAP name(n1, ..., nd)`` — tuple keys to values.
 
     Physically a single flat hash table keyed by ``(i1, ..., id)``.  Logically
@@ -154,7 +180,7 @@ class PhysicalHashMap:
         return f"PhysicalHashMap({self.name}, dims={self.dims}, nnz={self.nnz})"
 
 
-class PhysicalTrie:
+class PhysicalTrie(_LevelizedOnce):
     """``CREATE [real|int] TRIE name(n1)...(nd)`` — a tree of hash-maps.
 
     The top level maps the first coordinate to another trie level; the leaves
@@ -191,11 +217,10 @@ class PhysicalTrie:
 
     def to_buffers(self) -> dict[str, np.ndarray]:
         """Export one sorted key/segment array pair per trie level."""
-        from ..execution.buffers import levels_from_mapping
-
-        levels = levels_from_mapping(self.nested)
-        if levels is None:
+        view = self.level_view()
+        if view is None:
             raise StorageError(f"trie {self.name!r} is not levelizable")
+        levels = view.levels
         buffers: dict[str, np.ndarray] = {}
         for depth in range(levels.depth):
             buffers[f"keys{depth + 1}"] = levels.keys[depth]
