@@ -18,7 +18,9 @@ the data drifts sparse (~3% non-zeros).  Three contenders:
 Acceptance (asserted, so a regression fails the bench):
 
 * the adaptive session's steady-state time ends within ``TOLERANCE``
-  (1.15x) of the best static configuration in **every** phase, and
+  (1.15x) of the best static configuration in **every** phase — the median,
+  over interleaved rounds, of the two contenders' time ratio in one round —
+  and
 * the frozen configuration is at least ``FROZEN_LOSS`` (1.5x) slower than
   the best static in at least one phase — i.e. the drift is real and the
   loop recovered speed a static configuration lost;
@@ -103,8 +105,8 @@ def phase_matrix(density: float, seed: int) -> np.ndarray:
 X_VECTOR = np.random.default_rng(9).random(SIZE)
 
 
-def interleaved_mins(statements: dict, repeats: int = REPEATS) -> dict:
-    """Best-of-``repeats`` per statement, round-robin interleaved.
+def interleaved_times(statements: dict, repeats: int = REPEATS) -> dict:
+    """``repeats`` times (ms) per statement, round-robin interleaved.
 
     Interleaving matters: wall-clock drift (thermal throttling, noisy
     neighbours) hits every contender equally instead of whichever happened
@@ -113,7 +115,7 @@ def interleaved_mins(statements: dict, repeats: int = REPEATS) -> dict:
     """
     for statement in statements.values():
         statement.execute()
-    best = {label: float("inf") for label in statements}
+    times = {label: [] for label in statements}
     order = list(statements)
     for round_index in range(repeats):
         # Reverse the visiting order every other round so position-within-
@@ -123,8 +125,21 @@ def interleaved_mins(statements: dict, repeats: int = REPEATS) -> dict:
             statement = statements[label]
             start = time.perf_counter()
             statement.execute()
-            best[label] = min(best[label], time.perf_counter() - start)
-    return {label: value * 1_000.0 for label, value in best.items()}
+            times[label].append((time.perf_counter() - start) * 1_000.0)
+    return times
+
+
+def paired_ratio(numerator: list, denominator: list) -> float:
+    """Median over rounds of one contender's time over another's.
+
+    The two ran in the same round, milliseconds apart, so a slow stretch of
+    the machine inflates both sides of a ratio; one unlucky round moves the
+    median by at most one rank.  The ratio of two best-of times does not
+    pair them, and on sub-millisecond requests read 1.21x once for two
+    sessions on the same format.
+    """
+    ratios = sorted(a / b for a, b in zip(numerator, denominator))
+    return ratios[len(ratios) // 2]
 
 
 def static_session(fmt: str, density: float, seed: int) -> Session:
@@ -162,13 +177,17 @@ def run_phases() -> list[dict]:
         contenders = {fmt: static_session(fmt, density, seed).prepare(PROGRAM)
                       for fmt in STATIC_FORMATS}
         contenders["adaptive"] = session.prepare(PROGRAM)
-        timed = interleaved_mins(contenders)
+        timed = interleaved_times(contenders)
         phases.append({
             "phase": name,
             "actions": actions,
             "format": session.catalog.tensors["A"].format_name,
-            "adaptive_ms": timed["adaptive"],
-            "static_ms": {fmt: timed[fmt] for fmt in STATIC_FORMATS},
+            "adaptive_ms": min(timed["adaptive"]),
+            "static_ms": {fmt: min(timed[fmt]) for fmt in STATIC_FORMATS},
+            "adaptive_vs": {fmt: paired_ratio(timed["adaptive"], timed[fmt])
+                            for fmt in STATIC_FORMATS},
+            "frozen_vs": {fmt: paired_ratio(timed[FROZEN], timed[fmt])
+                          for fmt in STATIC_FORMATS},
         })
     phases[-1]["feedback"] = session.feedback_report()
     phases[-1]["advisor"] = advisor.report()
@@ -252,8 +271,8 @@ def run_bench() -> dict:
             "best_static_ms": round(best_ms, 3),
             "best_static": best_fmt,
             "frozen_ms": round(frozen_ms, 3),
-            "vs_best_static": round(entry["adaptive_ms"] / best_ms, 3),
-            "frozen_vs_best": round(frozen_ms / best_ms, 3),
+            "vs_best_static": round(entry["adaptive_vs"][best_fmt], 3),
+            "frozen_vs_best": round(entry["frozen_vs"][best_fmt], 3),
         })
 
     table = format_table(phase_rows,
@@ -280,8 +299,8 @@ def run_bench() -> dict:
         "phases": phase_rows,
         "adaptive_detail": [
             {**entry, "adaptive_ms": round(entry["adaptive_ms"], 3),
-             "static_ms": {fmt: round(ms, 3)
-                           for fmt, ms in entry["static_ms"].items()}}
+             **{key: {fmt: round(value, 3) for fmt, value in entry[key].items()}
+                for key in ("static_ms", "adaptive_vs", "frozen_vs")}}
             for entry in adaptive],
         "overhead": overhead,
     }

@@ -96,8 +96,8 @@ def bench_streaming(smoke: bool) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_sharding_") as memmap_dir:
         fmt = ShardedCOOFormat.from_coo("A", coords, values, (side, side),
                                         shards=shards, memmap_dir=memmap_dir)
-        assert any(isinstance(block["val"], np.memmap)
-                   for block in fmt.shard_arrays), "shards did not spill to disk"
+        assert any(isinstance(shard.values, np.memmap)
+                   for shard in fmt.shards), "shards did not spill to disk"
         catalog = Catalog().add(fmt)
 
         tracemalloc.start()

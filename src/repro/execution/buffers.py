@@ -38,7 +38,7 @@ import numpy as np
 from ..sdqlite.errors import EvaluationError
 from ..sdqlite.values import integral_index, is_dictlike, is_scalar, iter_items
 from ..storage.formats import _DENSE_CELLS_PER_ENTRY
-from ..storage.splice import splice
+from ..storage.splice import build_levels, leaf_columns, splice
 
 _LOG = logging.getLogger("repro.execution")
 
@@ -196,31 +196,13 @@ class BufferLevels:
     @classmethod
     def from_sorted_columns(cls, cols: list[np.ndarray], values: np.ndarray) -> "BufferLevels":
         """Build levels from the columns of **unique, lexicographically sorted**
-        coordinates (outermost key first), in one comparison pass per level.
+        coordinates (outermost key first), with the storage formats' builder
+        (:func:`repro.storage.splice.build_levels`).
 
         The columns are kept as the leaf coordinates (:meth:`leaf_columns`).
         """
-        n, depth = values.shape[0], len(cols)
-        keys_levels: list[np.ndarray] = []
-        segs: list[np.ndarray] = []
-        starts = np.zeros(1, dtype=np.int64)    # leaf position where each parent entry starts
-        first = None
-        for d, col in enumerate(cols):
-            if d == depth - 1:      # unique coordinates: every leaf is an entry
-                keys_levels.append(col)
-                segs.append(np.append(starts, n))
-                break
-            changed = col[1:] != col[:-1]
-            if first is not None:
-                changed |= first[1:]
-            first = np.ones(n, dtype=bool)
-            first[1:] = changed
-            entries = np.flatnonzero(first)
-            keys_levels.append(col[entries])
-            # Every parent starts an entry here too, so the search is exact.
-            segs.append(np.append(np.searchsorted(entries, starts), entries.shape[0]))
-            starts = entries
-        levels = cls(keys_levels, segs, values)
+        keys, seg = build_levels(cols, (1,) * len(cols))
+        levels = cls([level[0] for level in keys], seg, values)
         levels._leaf_cols = [np.asarray(col, dtype=np.int64) for col in cols]
         return levels
 
@@ -288,14 +270,7 @@ class BufferLevels:
     def leaf_columns(self) -> list[np.ndarray]:
         """The full coordinate of every leaf entry, one column per level."""
         if self._leaf_cols is None:
-            depth = self.depth
-            cols: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-            cols[depth - 1] = self.keys[depth - 1]
-            ancestor = self.parents(depth - 1)
-            for d in range(depth - 2, -1, -1):
-                cols[d] = self.keys[d][ancestor]
-                ancestor = self.parents(d)[ancestor]
-            self._leaf_cols = cols
+            self._leaf_cols = leaf_columns([[level] for level in self.keys], self.seg)
         return self._leaf_cols
 
     def leaf_coords(self) -> np.ndarray:

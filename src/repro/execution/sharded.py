@@ -11,15 +11,15 @@ processes and ``v_add``-merges their partial results:
 * :func:`split_plan` recovers the addends of a De Bruijn plan's root ``+``
   chain.
 * :func:`catalog_payload` / :func:`environment_from_payload` define the wire
-  format: every tensor travels as its :meth:`StorageFormat.to_buffers` view
-  (plus class and shape), with memory-mapped buffers replaced by
-  ``(filename, dtype, shape)`` descriptors so out-of-core data is re-mapped
-  in the worker instead of being copied through a pipe.
+  format: every tensor's :meth:`StorageFormat.physical` symbols, with
+  memory-mapped arrays replaced by ``(filename, dtype, shape, offset)``
+  descriptors, so out-of-core data is re-mapped in the worker — still a
+  memory map — instead of being copied through a pipe.
 * :class:`ShardExecutor` owns a ``ProcessPoolExecutor`` bound to one catalog
   epoch; any mutation of the catalog (version *or* schema) retires the pool,
   so workers can never serve stale shards.
 
-Workers rebuild the environment once (pool initializer), lower plan parts
+Workers decode the environment once (pool initializer), lower plan parts
 through their own process-wide plan cache, and return
 :func:`~repro.sdqlite.values.to_plain` partials — plain scalars and dicts,
 cheap to pickle and exact to merge.  Parallel execution is strictly a
@@ -34,7 +34,6 @@ error and propagates.
 
 from __future__ import annotations
 
-import importlib
 import logging
 import pickle
 import threading
@@ -104,16 +103,17 @@ def split_plan(plan: Expr) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 
-def _encode_array(array: np.ndarray):
-    """One buffer as a picklable cell: memmaps by reference, arrays by value."""
-    filename = getattr(array, "filename", None)
-    if isinstance(array, np.memmap) and filename:
-        return ("memmap", str(filename), str(array.dtype),
-                tuple(int(s) for s in array.shape), int(array.offset))
-    return ("array", np.ascontiguousarray(array))
+def _encode_array(value):
+    """One physical value as a picklable cell: a memory map by file name,
+    anything else (arrays, scalars, hash-maps, tries) by value."""
+    filename = getattr(value, "filename", None)
+    if isinstance(value, np.memmap) and filename and value.size:
+        return ("memmap", str(filename), str(value.dtype),
+                tuple(int(s) for s in value.shape), int(value.offset))
+    return ("value", value)
 
 
-def _decode_array(cell) -> np.ndarray:
+def _decode_array(cell):
     if cell[0] == "memmap":
         _, filename, dtype, shape, offset = cell
         return np.memmap(filename, dtype=np.dtype(dtype), mode="r",
@@ -122,36 +122,26 @@ def _decode_array(cell) -> np.ndarray:
 
 
 def catalog_payload(source) -> dict:
-    """A picklable description of a catalog (or snapshot): buffers + scalars.
+    """A picklable description of a catalog (or snapshot): symbols + scalars.
 
     ``source`` is anything with ``tensors`` / ``scalars`` mappings — a
     :class:`~repro.storage.catalog.Catalog` or a
-    :class:`~repro.storage.catalog.CatalogSnapshot`.  Tensors are encoded as
-    ``(module, qualname, name, shape, buffers)`` so the worker can rebuild
-    the exact storage format class via :meth:`from_buffers` — preserving the
-    physical symbol layout (including shard counts, which ride along in the
-    buffer view) that the shipped plan parts were compiled against.
+    :class:`~repro.storage.catalog.CatalogSnapshot`.  Every tensor's
+    physical symbols — the names the shipped plan parts were compiled
+    against — travel as :func:`_encode_array` cells.
     """
-    tensors = []
+    symbols = {}
     for name in sorted(source.tensors):
-        fmt = source.tensors[name]
-        cls = type(fmt)
-        buffers = {key: _encode_array(np.asanyarray(array))
-                   for key, array in fmt.to_buffers().items()}
-        tensors.append((cls.__module__, cls.__qualname__, name,
-                        tuple(int(s) for s in fmt.shape), buffers))
-    return {"tensors": tensors, "scalars": dict(source.scalars)}
+        for symbol, value in source.tensors[name].physical().items():
+            symbols[symbol] = _encode_array(value)
+    return {"symbols": symbols, "scalars": dict(source.scalars)}
 
 
 def environment_from_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Rebuild the execution environment (``catalog.globals()``) from a payload."""
+    """The execution environment (``catalog.globals()``) of a payload."""
     env: dict[str, Any] = dict(payload["scalars"])
-    for module, qualname, name, shape, buffers in payload["tensors"]:
-        cls = getattr(importlib.import_module(module), qualname)
-        fmt = cls.from_buffers(
-            name, {key: _decode_array(cell) for key, cell in buffers.items()},
-            shape)
-        env.update(fmt.physical())
+    for symbol, cell in payload["symbols"].items():
+        env[symbol] = _decode_array(cell)
     return env
 
 

@@ -41,11 +41,10 @@ except ImportError:  # pragma: no cover - exercised only on scipy-less installs
 
 from ..sdqlite.errors import StorageError
 from .formats import (
-    CSCFormat,
-    CSRFormat,
-    DCSRFormat,
-    DenseFormat,
     FORMATS,
+    TUPLE,
+    DenseFormat,
+    LevelFormat,
     StorageFormat,
     TensorStats,
     sum_duplicates,
@@ -109,36 +108,52 @@ def from_scipy(kind: str, name: str, matrix) -> StorageFormat:
 def to_scipy_csr(fmt: StorageFormat):
     """Convert a rank-2 format to a SciPy CSR matrix (zero-copy when already CSR).
 
-    CSR hands its ``(val, idx, pos)`` triple over directly; DCSR expands its
-    compressed row directory into a full positions array (O(rows + nnz), no
-    value copy); everything else goes through coordinate form — never through
-    a dense intermediate.
+    A two-level chain kept in row order hands its arrays over directly
+    (:func:`_compressed`); everything else goes through coordinate form —
+    never through a dense intermediate.
     """
     _require_scipy()
     if len(fmt.shape) != 2:
         raise StorageError("to_scipy_csr requires a rank-2 tensor")
-    if isinstance(fmt, CSRFormat) and not isinstance(fmt, CSCFormat):
-        return sp.csr_matrix((fmt.val, fmt.idx, fmt.pos), shape=fmt.shape)
-    if isinstance(fmt, DCSRFormat):
-        pos = np.zeros(fmt.shape[0] + 1, dtype=np.int64)
-        if fmt.idx1.size:
-            pos[fmt.idx1 + 1] = np.diff(fmt.pos2)
-        return sp.csr_matrix((fmt.val, fmt.idx2, np.cumsum(pos)), shape=fmt.shape)
+    arrays = _compressed(fmt, (0, 1))
+    if arrays is not None:
+        return sp.csr_matrix(arrays, shape=fmt.shape)
     return _scipy_from_coo(sp.csr_matrix, fmt)
 
 
 def to_scipy_csc(fmt: StorageFormat):
     """Convert a rank-2 format to a SciPy CSC matrix (zero-copy when already CSC).
 
-    CSC's segmented arrays *are* SciPy's ``(data, indices, indptr)``; other
-    formats build the matrix from their coordinate read-out in O(nnz).
+    A two-level chain kept in column order hands its arrays over directly
+    (:func:`_compressed`); other formats build the matrix from their
+    coordinate read-out in O(nnz).
     """
     _require_scipy()
     if len(fmt.shape) != 2:
         raise StorageError("to_scipy_csc requires a rank-2 tensor")
-    if isinstance(fmt, CSCFormat):
-        return sp.csc_matrix((fmt.val, fmt.idx, fmt.pos), shape=fmt.shape)
+    arrays = _compressed(fmt, (1, 0))
+    if arrays is not None:
+        return sp.csc_matrix(arrays, shape=fmt.shape)
     return _scipy_from_coo(sp.csc_matrix, fmt)
+
+
+def _compressed(fmt: StorageFormat, axes: tuple[int, int]):
+    """SciPy's ``(data, indices, indptr)`` of a two-level chain stored in
+    axis order ``axes``, else ``None``.
+
+    A dense outer level's segment array *is* ``indptr`` (CSR, CSC: nothing
+    is copied); a compressed one's directory is expanded to every outer key
+    in O(outer + nnz) (DCSR).
+    """
+    if not isinstance(fmt, LevelFormat) or fmt.levels == (TUPLE,) \
+            or tuple(fmt._axes) != axes:
+        return None
+    (outer, (inner,)), (_, indptr) = fmt.keys, fmt.seg
+    if outer is not None:
+        counts = np.zeros(fmt.shape[axes[0]] + 1, dtype=np.int64)
+        counts[outer[0] + 1] = np.diff(indptr)
+        indptr = np.cumsum(counts)
+    return fmt.values, inner, indptr
 
 
 def _scipy_from_coo(matrix_cls, fmt: StorageFormat):

@@ -14,7 +14,9 @@ Each format class knows three things about a tensor:
 
 Formats implemented here: dense (rank 1–3), COO, CSR, CSC, DCSR, CSF (rank 3),
 DOK (hash-map), trie; the special formats of Sec. 4 (lower-triangular, band,
-Z-order curve) live in :mod:`repro.storage.special`.
+Z-order curve) live in :mod:`repro.storage.special`.  The sorted-array
+formats (COO, CSR, CSC, DCSR, CSF) are declarations over one level-chain
+base, :class:`LevelFormat`.
 
 All formats can be built from a dense NumPy array (:meth:`from_dense`) or
 from coordinate data (:meth:`from_coo`), and can reconstruct the dense tensor
@@ -54,7 +56,7 @@ from .physical import (
     PhysicalHashMap,
     PhysicalTrie,
 )
-from .splice import splice
+from .splice import build_levels, leaf_columns, splice
 
 Profile = tuple  # nested (count, child) tuples ending in "s"; see profile() docstrings
 
@@ -435,9 +437,8 @@ class StorageFormat(ABC):
         coalesced, explicit zeros dropped) plus a float64 ``val`` array.
         Formats with a richer physical layout override this with their
         native arrays (position/index pairs, trie level arrays).  Every
-        buffer is a contiguous NumPy array; together with ``shape`` the view
-        fully determines the tensor, and :meth:`from_buffers` inverts it up
-        to the normalization of :func:`sum_duplicates`.
+        buffer is a NumPy array; together with ``shape`` the view fully
+        determines the tensor.
         """
         from .convert import coo_arrays
 
@@ -447,20 +448,6 @@ class StorageFormat(ABC):
                    for axis in range(self.rank)}
         buffers["val"] = np.ascontiguousarray(values)
         return buffers
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "StorageFormat":
-        """Rebuild an instance of this format from a :meth:`to_buffers` view."""
-        values = np.asarray(buffers["val"], dtype=np.float64)
-        rank = len(tuple(shape))
-        if rank:
-            coords = np.column_stack([
-                np.asarray(buffers[f"idx{axis + 1}"], dtype=np.int64)
-                for axis in range(rank)])
-        else:
-            coords = np.empty((values.shape[0], 0), dtype=np.int64)
-        return cls.from_coo(name, coords, values, shape)
 
     # -- shared helpers -------------------------------------------------------
 
@@ -567,13 +554,6 @@ class DenseFormat(StorageFormat):
     def to_buffers(self) -> dict[str, np.ndarray]:
         return {"val": np.ascontiguousarray(self.array.reshape(-1))}
 
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "DenseFormat":
-        shape = tuple(int(s) for s in shape)
-        values = np.asarray(buffers["val"], dtype=np.float64)
-        return cls(name, values.reshape(shape))
-
     def profile(self) -> Profile:
         profile: Profile = ("s",)
         for size in reversed(self.shape):
@@ -582,133 +562,75 @@ class DenseFormat(StorageFormat):
 
 
 # ---------------------------------------------------------------------------
-# COO
+# Sorted-array formats: one chain of levels
 # ---------------------------------------------------------------------------
 
+#: Level kinds of a :class:`LevelFormat`.
+DENSE, COMPRESSED, TUPLE = "dense", "compressed", "tuple"
 
-def splice_coo(columns: Sequence[np.ndarray], values: np.ndarray,
-               delta_columns: Sequence[np.ndarray], deltas: np.ndarray):
-    """``(columns, values)`` of a COO block plus a delta, by a level splice.
 
-    COO is one level keyed by the whole coordinate tuple.  A column the
-    delta leaves unchanged comes back as the object passed in.
+class LevelFormat(StorageFormat):
+    """A sorted-array format, declared as one chain of levels.
+
+    The entries are stored as the level chain of :mod:`repro.storage.splice`
+    (``keys``, ``seg``, ``values``), after "Format Abstraction for Sparse
+    Tensor Algebra Compilers" (Chou, Kjolstad & Amarasinghe, OOPSLA 2018).
+    A format declares
+
+    * ``levels`` — the kind of every level, root first: :data:`DENSE` (the
+      root of a two-level chain: every row is present and its key is
+      implicit), :data:`COMPRESSED` (the keys present, sorted within each
+      parent's segment) or, alone, :data:`TUPLE` (COO: one level keyed by
+      the whole coordinate);
+    * ``_sort_axes`` — the axes in chain order when it is not the natural
+      one (CSC: ``(1, 0)``, its leading axis moved to the front);
+    * ``symbols`` — its physical symbols, as suffixes of ``{name}_``:
+      ``idx<k>`` is the ``k``-th key column (a dense level counts as one),
+      ``pos<k>`` the segment array of level ``k``, ``len<k>`` the size of a
+      dense level ``k``, ``nnz`` the number of entries and ``val`` the values;
+    * ``mapping_text`` — its Tensor Storage Mapping, ``$`` standing for
+      ``{name}_``.
+
+    Building, read-out, statistics, the buffer export and the write splice
+    follow from the declaration.
     """
-    keys, _, values = splice([list(columns)],
-                             [np.array([0, values.shape[0]], dtype=np.int64)],
-                             values, delta_columns, deltas)
-    return keys[0], values
 
-
-class COOFormat(StorageFormat):
-    """Coordinate format: one index array per dimension plus a value array."""
-
-    format_name = "coo"
-    _sort_axes = ()
+    levels: tuple[str, ...] = ()
+    _sort_axes: tuple[int, ...] = ()
+    symbols: tuple[str, ...] = ()
+    mapping_text = ""
 
     def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
                  shape: Sequence[int]):
-        self._build(name, *sum_duplicates(coords, values, len(tuple(shape))), shape)
+        shape = tuple(shape)
+        if self.levels != (TUPLE,) and len(shape) != len(self.levels):
+            raise StorageError(f"{type(self).__name__} stores rank-{len(self.levels)} tensors")
+        self._build(name, *sum_duplicates(coords, values, len(shape)), shape)
 
     def _build(self, name, coords, values, shape) -> None:
+        """Store canonical (sorted, unique, non-zero) entries.
+
+        COO's columns stay views of ``coords``; a chain's leaf keys get an
+        array of their own.
+        """
         StorageFormat.__init__(self, name, shape)
-        self.coords, self.values = coords, values
-
-    @classmethod
-    def from_coo(cls, name, coords, values, shape, **kwargs) -> "COOFormat":
-        return cls(name, coords, values, shape)
-
-    @classmethod
-    def candidates_for(cls, stats: TensorStats) -> bool:
-        return stats.rank >= 1
+        cols = [coords[:, axis] for axis in self._axes]
+        if self._sort_axes:
+            # The entries are in row-major order: a stable sort by the leading
+            # axis puts them in chain order.
+            order = np.argsort(cols[0], kind="stable")
+            cols, values = [col[order] for col in cols], values[order]
+        if self.levels == (TUPLE,):
+            self.keys, self.seg = build_levels(cols, (self.rank,))
+        else:
+            cols[-1] = np.ascontiguousarray(cols[-1])
+            dense = self.shape[self._axes[0]] if self.levels[0] == DENSE else None
+            self.keys, self.seg = build_levels(cols, (1,) * self.rank, dense)
+        self.values = values
 
     @property
-    def nnz(self) -> int:
-        return int(self.values.shape[0])
-
-    def physical(self) -> dict[str, Any]:
-        symbols: dict[str, Any] = {f"{self.name}_nnz": self.nnz,
-                                   f"{self.name}_val": self.values}
-        for axis in range(self.rank):
-            symbols[f"{self.name}_idx{axis + 1}"] = self.coords[:, axis]
-        return symbols
-
-    def mapping_source(self) -> str:
-        n = self.name
-        keys = ", ".join(f"{n}_idx{axis + 1}(p)" for axis in range(self.rank))
-        return f"sum(<p,_> in 0:{n}_nnz) {{ ({keys}) -> {n}_val(p) }}"
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        for coordinate, value in zip(self.coords, self.values):
-            dense[tuple(int(c) for c in coordinate)] += value
-        return dense
-
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.coords.copy(), self.values.copy()
-
-    def _splice(self, coords, values):
-        spliced = copy.copy(self)
-        columns, spliced.values = splice_coo(list(self.coords.T), self.values,
-                                             list(coords.T), values)
-        if not np.may_share_memory(columns[0], self.coords):
-            spliced.coords = np.column_stack(columns)
-        return spliced
-
-    def profile(self) -> Profile:
-        # All nnz entries are reached through a single flat iteration.
-        return _branching_profile(self.coords, canonical=True)
-
-
-# ---------------------------------------------------------------------------
-# CSR / CSC (rank 2, segmented arrays)
-# ---------------------------------------------------------------------------
-
-
-def splice_csr(pos: np.ndarray, idx: np.ndarray, values: np.ndarray,
-               rows: np.ndarray, cols: np.ndarray, deltas: np.ndarray):
-    """``(pos, idx, values)`` of a CSR block plus a delta at ``(rows, cols)``.
-
-    CSR is a dense root level — a row's entry id is the row, so it is never
-    searched — over one sparse level of columns.  An array the delta leaves
-    unchanged comes back as the object passed in.
-    """
-    keys, seg, values = splice([None, [idx]],
-                               [np.array([0, pos.shape[0] - 1], dtype=np.int64), pos],
-                               values, [rows, cols], deltas)
-    return seg[1], keys[1][0], values
-
-
-def _compress(sorted_outer: np.ndarray, n_outer: int) -> np.ndarray:
-    """Build a positions array (length ``n_outer + 1``) from sorted outer indices."""
-    pos = np.zeros(n_outer + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sorted_outer, minlength=n_outer), out=pos[1:])
-    return pos
-
-
-class CSRFormat(StorageFormat):
-    """Compressed Sparse Row: dense rows, sparse columns (the paper's Fig. 1(b))."""
-
-    format_name = "csr"
-    _outer_axis = 0
-    _inner_axis = 1
-    _sort_axes = ()
-
-    def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
-                 shape: Sequence[int]):
-        if len(tuple(shape)) != 2:
-            raise StorageError(f"{type(self).__name__} is a matrix format")
-        coords, values = sum_duplicates(coords, values, 2)
-        if self._outer_axis:
-            # CSC: row-major canonical order -> column-major storage order.
-            order = np.argsort(coords[:, self._outer_axis], kind="stable")
-            coords, values = np.take(coords, order, axis=0), values[order]
-        self._build(name, coords, values, shape)
-
-    def _build(self, name, coords, values, shape) -> None:
-        StorageFormat.__init__(self, name, shape)
-        self.idx = np.ascontiguousarray(coords[:, self._inner_axis])
-        self.val = values
-        self.pos = _compress(coords[:, self._outer_axis], self.shape[self._outer_axis])
+    def _axes(self) -> Sequence[int]:
+        return self._sort_axes or range(self.rank)
 
     @classmethod
     def from_coo(cls, name, coords, values, shape, **kwargs):
@@ -716,30 +638,40 @@ class CSRFormat(StorageFormat):
 
     @classmethod
     def candidates_for(cls, stats: TensorStats) -> bool:
-        return stats.rank == 2
+        return stats.rank >= 1 if cls.levels == (TUPLE,) else stats.rank == len(cls.levels)
 
     @property
     def nnz(self) -> int:
-        return int(self.val.shape[0])
+        return int(self.values.shape[0])
+
+    @cached_property
+    def _slots(self) -> list[tuple[str, str, int]]:
+        """``(suffix, kind, index)`` of every declared symbol, parsed once."""
+        return [(symbol, symbol[:3], int(symbol[3:] or 0) - 1) for symbol in self.symbols]
+
+    def _named(self) -> dict[str, Any]:
+        """The value of every declared symbol, keyed by its suffix."""
+        cols = [col for level in self.keys for col in level or (None,)]
+        named: dict[str, Any] = {}
+        for symbol, kind, index in self._slots:
+            named[symbol] = (self.values if kind == "val" else
+                             self.nnz if kind == "nnz" else
+                             int(self.seg[index][-1]) if kind == "len" else
+                             self.seg[index] if kind == "pos" else cols[index])
+        return named
 
     def physical(self) -> dict[str, Any]:
-        n = self.name
-        return {
-            f"{n}_len1": int(self.shape[self._outer_axis]),
-            f"{n}_pos2": self.pos,
-            f"{n}_idx2": self.idx,
-            f"{n}_val": self.val,
-        }
+        prefix = self.name + "_"
+        return {prefix + symbol: value for symbol, value in self._named().items()}
 
     def mapping_source(self) -> str:
-        n = self.name
-        # Dense outer dimension (rows), compressed inner dimension (columns).
-        return (
-            f"sum(<row,_> in 0:{n}_len1) "
-            f"{{ @unique row -> "
-            f"sum(<off, col> in {n}_idx2({n}_pos2(row):{n}_pos2(row+1))) "
-            f"{{ @unique col -> {n}_val(off) }} }}"
-        )
+        return self.mapping_text.replace("$", f"{self.name}_")
+
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
+        coords = np.empty((self.nnz, self.rank), dtype=np.int64)
+        for axis, col in zip(self._axes, leaf_columns(self.keys, self.seg)):
+            coords[:, axis] = col
+        return coords, self.values.copy()
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)
@@ -747,45 +679,86 @@ class CSRFormat(StorageFormat):
         dense[tuple(coords.T)] = values
         return dense
 
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
-        coords = np.empty((self.idx.shape[0], 2), dtype=np.int64)
-        coords[:, self._outer_axis] = np.repeat(
-            np.arange(self.pos.shape[0] - 1, dtype=np.int64), np.diff(self.pos))
-        coords[:, self._inner_axis] = self.idx
-        return coords, self.val.copy()
+    def to_buffers(self) -> dict[str, np.ndarray]:
+        """The physical arrays, keyed by symbol suffix (``pos2``, ``idx2``, ``val``)."""
+        return {symbol: value for symbol, value in self._named().items()
+                if isinstance(value, np.ndarray)}
+
+    def _with_arrays(self, fn) -> "LevelFormat":
+        """A copy whose physical arrays are ``fn(symbol name, array)``."""
+        names = {id(array): f"{self.name}_{symbol}"
+                 for symbol, array in self.to_buffers().items()}
+
+        def apply(array):
+            return array if id(array) not in names else fn(names[id(array)], array)
+
+        out = copy.copy(self)
+        out.keys = [None if level is None else [apply(col) for col in level]
+                    for level in self.keys]
+        out.seg = [apply(seg) for seg in self.seg]
+        out.values = apply(self.values)
+        return out
 
     def _splice(self, coords, values):
         spliced = copy.copy(self)
-        spliced.pos, spliced.idx, spliced.val = splice_csr(
-            self.pos, self.idx, self.val,
-            coords[:, self._outer_axis], coords[:, self._inner_axis], values)
+        spliced.keys, spliced.seg, spliced.values = splice(
+            self.keys, self.seg, self.values, [coords[:, axis] for axis in self._axes], values)
         return spliced
 
-    def to_buffers(self) -> dict[str, np.ndarray]:
-        return {"pos": self.pos, "idx": self.idx, "val": self.val}
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "CSRFormat":
-        pos = np.asarray(buffers["pos"], dtype=np.int64)
-        idx = np.asarray(buffers["idx"], dtype=np.int64)
-        val = np.asarray(buffers["val"], dtype=np.float64)
-        outer = np.repeat(np.arange(pos.shape[0] - 1, dtype=np.int64),
-                          np.diff(pos))
-        coords = np.empty((idx.shape[0], 2), dtype=np.int64)
-        coords[:, cls._outer_axis] = outer
-        coords[:, cls._inner_axis] = idx
-        return cls(name, coords, val, shape)
+    def _entry_counts(self) -> list[int]:
+        """Entries per level, root first.  COO's level counts the distinct
+        prefixes of every length, a dense level its size, and an interior
+        level at least one entry."""
+        if self.levels == (TUPLE,):
+            return _prefix_counts(self.keys[0])
+        counts = [seg.shape[0] - 1 for seg in self.seg[1:]] + [self.nnz]
+        return [count if d in (0, len(counts) - 1) else max(1, count)
+                for d, count in enumerate(counts)]
 
     def profile(self) -> Profile:
-        n_outer = self.shape[self._outer_axis]
-        avg = self.nnz / max(1, n_outer)
-        return (float(n_outer), (float(avg), ("s",)))
+        return _profile_of(self._entry_counts())
 
     def segment_profiles(self) -> dict[str, float]:
-        n_outer = max(1, self.shape[self._outer_axis])
-        avg = self.nnz / n_outer
-        return {f"{self.name}_idx2": avg, f"{self.name}_val": avg}
+        """Average segment length of every level below the root, and of ``val``."""
+        if len(self.keys) == 1:
+            return {}
+        counts = self._entry_counts()
+        profiles = {f"{self.name}_idx{d + 1}": counts[d] / max(1, counts[d - 1])
+                    for d in range(1, len(counts))}
+        profiles[f"{self.name}_val"] = counts[-1] / max(1, counts[-2])
+        return profiles
+
+
+class COOFormat(LevelFormat):
+    """Coordinate format: one index array per dimension plus a value array."""
+
+    format_name = "coo"
+    levels = (TUPLE,)
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return ("nnz", "val") + tuple(f"idx{axis + 1}" for axis in range(self.rank))
+
+    @property
+    def mapping_text(self) -> str:
+        keys = ", ".join(f"$idx{axis + 1}(p)" for axis in range(self.rank))
+        return f"sum(<p,_> in 0:$nnz) {{ ({keys}) -> $val(p) }}"
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The stored coordinates, an ``nnz x rank`` matrix in canonical order."""
+        return np.column_stack(self.keys[0])
+
+
+class CSRFormat(LevelFormat):
+    """Compressed Sparse Row: dense rows, sparse columns (the paper's Fig. 1(b))."""
+
+    format_name = "csr"
+    levels = (DENSE, COMPRESSED)
+    symbols = ("len1", "pos2", "idx2", "val")
+    mapping_text = ("sum(<row,_> in 0:$len1) { @unique row -> "
+                    "sum(<off, col> in $idx2($pos2(row):$pos2(row+1))) "
+                    "{ @unique col -> $val(off) } }")
 
 
 class CSCFormat(CSRFormat):
@@ -797,242 +770,33 @@ class CSCFormat(CSRFormat):
     """
 
     format_name = "csc"
-    _outer_axis = 1
-    _inner_axis = 0
     _sort_axes = (1, 0)
-
-    def mapping_source(self) -> str:
-        n = self.name
-        return (
-            f"sum(<col,_> in 0:{n}_len1) "
-            f"sum(<off, row> in {n}_idx2({n}_pos2(col):{n}_pos2(col+1))) "
-            f"{{ (row, col) -> {n}_val(off) }}"
-        )
+    mapping_text = ("sum(<col,_> in 0:$len1) "
+                    "sum(<off, row> in $idx2($pos2(col):$pos2(col+1))) "
+                    "{ (row, col) -> $val(off) }")
 
 
-class DCSRFormat(StorageFormat):
+class DCSRFormat(LevelFormat):
     """Doubly compressed sparse row (sparse-sparse): only non-empty rows are stored."""
 
     format_name = "dcsr"
-    _sort_axes = ()
-
-    def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
-                 shape: Sequence[int]):
-        if len(tuple(shape)) != 2:
-            raise StorageError("DCSRFormat is a matrix format")
-        self._build(name, *sum_duplicates(coords, values, 2), shape)
-
-    def _build(self, name, coords, values, shape) -> None:
-        StorageFormat.__init__(self, name, shape)
-        rows = coords[:, 0]
-        self.idx2 = np.ascontiguousarray(coords[:, 1])
-        self.val = values
-        self.idx1, counts = np.unique(rows, return_counts=True) if rows.size else (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        self.pos2 = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.pos1 = np.array([0, len(self.idx1)], dtype=np.int64)
-
-    @classmethod
-    def from_coo(cls, name, coords, values, shape, **kwargs):
-        return cls(name, coords, values, shape)
-
-    @classmethod
-    def candidates_for(cls, stats: TensorStats) -> bool:
-        return stats.rank == 2
-
-    @property
-    def nnz(self) -> int:
-        return int(self.val.shape[0])
-
-    def physical(self) -> dict[str, Any]:
-        n = self.name
-        return {
-            f"{n}_pos1": self.pos1,
-            f"{n}_idx1": self.idx1,
-            f"{n}_pos2": self.pos2,
-            f"{n}_idx2": self.idx2,
-            f"{n}_val": self.val,
-        }
-
-    def mapping_source(self) -> str:
-        n = self.name
-        return (
-            f"sum(<i_pos, i> in {n}_idx1) "
-            f"{{ @unique i -> "
-            f"sum(<j_pos, j> in {n}_idx2({n}_pos2(i_pos):{n}_pos2(i_pos+1))) "
-            f"{{ @unique j -> {n}_val(j_pos) }} }}"
-        )
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        coords, values = self.to_coo()
-        dense[tuple(coords.T)] = values
-        return dense
-
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.repeat(self.idx1, np.diff(self.pos2))
-        coords = np.column_stack([rows, self.idx2]) if self.idx2.size else \
-            np.empty((0, 2), dtype=np.int64)
-        return coords, self.val.copy()
-
-    def _splice(self, coords, values):
-        spliced = copy.copy(self)
-        keys, seg, spliced.val = splice([[self.idx1], [self.idx2]], [self.pos1, self.pos2],
-                                        self.val, list(coords.T), values)
-        ((spliced.idx1,), (spliced.idx2,)), (spliced.pos1, spliced.pos2) = keys, seg
-        return spliced
-
-    def to_buffers(self) -> dict[str, np.ndarray]:
-        return {"pos1": self.pos1, "idx1": self.idx1,
-                "pos2": self.pos2, "idx2": self.idx2, "val": self.val}
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "DCSRFormat":
-        idx1 = np.asarray(buffers["idx1"], dtype=np.int64)
-        pos2 = np.asarray(buffers["pos2"], dtype=np.int64)
-        idx2 = np.asarray(buffers["idx2"], dtype=np.int64)
-        val = np.asarray(buffers["val"], dtype=np.float64)
-        rows = np.repeat(idx1, np.diff(pos2))
-        coords = np.column_stack([rows, idx2]) if idx2.size else \
-            np.empty((0, 2), dtype=np.int64)
-        return cls(name, coords, val, shape)
-
-    def profile(self) -> Profile:
-        non_empty = max(1, len(self.idx1))
-        avg = self.nnz / non_empty
-        return (float(len(self.idx1)), (float(avg), ("s",)))
-
-    def segment_profiles(self) -> dict[str, float]:
-        non_empty = max(1, len(self.idx1))
-        avg = self.nnz / non_empty
-        return {f"{self.name}_idx2": avg, f"{self.name}_val": avg}
+    levels = (COMPRESSED, COMPRESSED)
+    symbols = ("pos1", "idx1", "pos2", "idx2", "val")
+    mapping_text = ("sum(<i_pos, i> in $idx1) { @unique i -> "
+                    "sum(<j_pos, j> in $idx2($pos2(i_pos):$pos2(i_pos+1))) "
+                    "{ @unique j -> $val(j_pos) } }")
 
 
-# ---------------------------------------------------------------------------
-# CSF (rank 3)
-# ---------------------------------------------------------------------------
-
-
-class CSFFormat(StorageFormat):
+class CSFFormat(LevelFormat):
     """Compressed Sparse Fiber for rank-3 tensors (sparse tree of segments)."""
 
     format_name = "csf"
-    _sort_axes = ()
-
-    def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
-                 shape: Sequence[int]):
-        if len(tuple(shape)) != 3:
-            raise StorageError("CSFFormat stores rank-3 tensors")
-        self._build(name, *sum_duplicates(coords, values, 3), shape)
-
-    def _build(self, name, coords, values, shape) -> None:
-        StorageFormat.__init__(self, name, shape)
-        # Leaf offsets at which a new level-1 entry (i) / level-2 fiber (i, k) starts.
-        new1 = _first_of_run(coords[:, 0])
-        starts2 = np.flatnonzero(new1 | _first_of_run(coords[:, 1]))
-        self.idx1 = coords[new1, 0]
-        self.pos2 = np.append(np.searchsorted(starts2, np.flatnonzero(new1)),
-                              starts2.shape[0])
-        self.idx2 = coords[starts2, 1]
-        self.pos3 = np.append(starts2, values.shape[0])
-        self.idx3 = np.ascontiguousarray(coords[:, 2])
-        self.val = values
-
-    @classmethod
-    def from_coo(cls, name, coords, values, shape, **kwargs):
-        return cls(name, coords, values, shape)
-
-    @classmethod
-    def candidates_for(cls, stats: TensorStats) -> bool:
-        return stats.rank == 3
-
-    @property
-    def nnz(self) -> int:
-        return int(self.val.shape[0])
-
-    def physical(self) -> dict[str, Any]:
-        n = self.name
-        return {
-            f"{n}_idx1": self.idx1,
-            f"{n}_pos2": self.pos2,
-            f"{n}_idx2": self.idx2,
-            f"{n}_pos3": self.pos3,
-            f"{n}_idx3": self.idx3,
-            f"{n}_val": self.val,
-        }
-
-    def mapping_source(self) -> str:
-        n = self.name
-        return (
-            f"sum(<p1, i> in {n}_idx1) "
-            f"{{ @unique i -> "
-            f"sum(<p2, k> in {n}_idx2({n}_pos2(p1):{n}_pos2(p1+1))) "
-            f"{{ @unique k -> "
-            f"sum(<p3, l> in {n}_idx3({n}_pos3(p2):{n}_pos3(p2+1))) "
-            f"{{ @unique l -> {n}_val(p3) }} }} }}"
-        )
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        coords, values = self.to_coo()
-        dense[tuple(coords.T)] = values
-        return dense
-
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
-        i_level2 = np.repeat(self.idx1, np.diff(self.pos2))
-        i_leaf = np.repeat(i_level2, np.diff(self.pos3))
-        k_leaf = np.repeat(self.idx2, np.diff(self.pos3))
-        coords = np.column_stack([i_leaf, k_leaf, self.idx3]) if self.idx3.size \
-            else np.empty((0, 3), dtype=np.int64)
-        return coords, self.val.copy()
-
-    def _splice(self, coords, values):
-        spliced = copy.copy(self)
-        root = np.array([0, self.idx1.shape[0]], dtype=np.int64)
-        keys, seg, spliced.val = splice([[self.idx1], [self.idx2], [self.idx3]],
-                                        [root, self.pos2, self.pos3], self.val,
-                                        list(coords.T), values)
-        (spliced.idx1,), (spliced.idx2,), (spliced.idx3,) = keys
-        _, spliced.pos2, spliced.pos3 = seg
-        return spliced
-
-    def to_buffers(self) -> dict[str, np.ndarray]:
-        return {"idx1": self.idx1, "pos2": self.pos2, "idx2": self.idx2,
-                "pos3": self.pos3, "idx3": self.idx3, "val": self.val}
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "CSFFormat":
-        idx1 = np.asarray(buffers["idx1"], dtype=np.int64)
-        pos2 = np.asarray(buffers["pos2"], dtype=np.int64)
-        idx2 = np.asarray(buffers["idx2"], dtype=np.int64)
-        pos3 = np.asarray(buffers["pos3"], dtype=np.int64)
-        idx3 = np.asarray(buffers["idx3"], dtype=np.int64)
-        val = np.asarray(buffers["val"], dtype=np.float64)
-        i_level2 = np.repeat(idx1, np.diff(pos2))
-        i_leaf = np.repeat(i_level2, np.diff(pos3))
-        k_leaf = np.repeat(idx2, np.diff(pos3))
-        coords = np.column_stack([i_leaf, k_leaf, idx3]) if idx3.size else \
-            np.empty((0, 3), dtype=np.int64)
-        return cls(name, coords, val, shape)
-
-    def profile(self) -> Profile:
-        n1 = max(1, len(self.idx1))
-        n2 = max(1, len(self.idx2))
-        return (
-            float(len(self.idx1)),
-            (float(n2 / n1), (float(self.nnz / max(1, n2)), ("s",))),
-        )
-
-    def segment_profiles(self) -> dict[str, float]:
-        n1 = max(1, len(self.idx1))
-        n2 = max(1, len(self.idx2))
-        return {
-            f"{self.name}_idx2": n2 / n1,
-            f"{self.name}_idx3": self.nnz / n2,
-            f"{self.name}_val": self.nnz / n2,
-        }
+    levels = (COMPRESSED, COMPRESSED, COMPRESSED)
+    symbols = ("idx1", "pos2", "idx2", "pos3", "idx3", "val")
+    mapping_text = ("sum(<p1, i> in $idx1) { @unique i -> "
+                    "sum(<p2, k> in $idx2($pos2(p1):$pos2(p1+1))) { @unique k -> "
+                    "sum(<p3, l> in $idx3($pos3(p2):$pos3(p2+1))) "
+                    "{ @unique l -> $val(p3) } } }")
 
 
 # ---------------------------------------------------------------------------
@@ -1081,7 +845,7 @@ class DOKFormat(StorageFormat):
 
     def profile(self) -> Profile:
         coords = np.array(list(self.hashmap.entries.keys()), dtype=np.int64).reshape(-1, self.rank)
-        return _branching_profile(coords)
+        return _profile_of(_prefix_counts(list(coords[np.lexsort(coords.T[::-1])].T)))
 
 
 class TrieFormat(StorageFormat):
@@ -1133,33 +897,17 @@ class TrieFormat(StorageFormat):
         return _coo_from_entries(entries, self.rank)
 
     def to_buffers(self) -> dict[str, np.ndarray]:
-        from ..execution.buffers import BufferLevels
+        """One key and one segment array per trie level, and the values."""
         from .convert import coo_arrays
 
         coords, values = coo_arrays(self)
-        levels = BufferLevels.from_sorted_coords(
-            coords.reshape(-1, max(1, self.rank)), values)
+        cols = [np.ascontiguousarray(col) for col in coords.reshape(-1, self.rank).T]
+        keys, seg = build_levels(cols, (1,) * self.rank)
         buffers: dict[str, np.ndarray] = {}
-        for depth in range(levels.depth):
-            buffers[f"keys{depth + 1}"] = levels.keys[depth]
-            buffers[f"seg{depth + 1}"] = levels.seg[depth]
-        buffers["val"] = levels.values
+        for depth, (level, segment) in enumerate(zip(keys, seg), start=1):
+            buffers[f"keys{depth}"], buffers[f"seg{depth}"] = level[0], segment
+        buffers["val"] = values
         return buffers
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "TrieFormat":
-        from ..execution.buffers import BufferLevels
-
-        rank = max(1, len(tuple(shape)))
-        levels = BufferLevels(
-            [np.asarray(buffers[f"keys{d + 1}"], dtype=np.int64)
-             for d in range(rank)],
-            [np.asarray(buffers[f"seg{d + 1}"], dtype=np.int64)
-             for d in range(rank)],
-            np.asarray(buffers["val"], dtype=np.float64))
-        coords = levels.leaf_coords()
-        return cls(name, _entries_from_coo(coords, levels.values, rank), shape)
 
     def profile(self) -> Profile:
         levels = []
@@ -1215,31 +963,31 @@ def _fill_dense_from_nested(dense: np.ndarray, nested: dict, prefix: tuple[int, 
             dense[prefix + (int(key),)] += value
 
 
-def _branching_profile(coords: np.ndarray, *, canonical: bool = False) -> Profile:
-    """Nested profile of the coordinate tree: the average branching factor
-    of every level.
+def _prefix_counts(cols: Sequence[np.ndarray]) -> list[int]:
+    """The number of distinct length-``k`` prefixes, for every ``k``, of
+    lexicographically sorted coordinates given as columns.
 
-    Sorted lexicographically, a row starts a new length-``level`` prefix
-    where it differs from its predecessor in one of the first ``level``
-    columns: one comparison per level, after one sort unless the rows are
-    already ``canonical`` (sorted and unique, as COO stores them).
+    A row starts a new length-``k`` prefix where it differs from its
+    predecessor in one of the first ``k`` columns: one comparison per column.
     """
-    factors: list[float] = []
-    if coords.shape[0] == 0:
-        factors = [0.0] * coords.shape[1]
-    else:
-        rows = coords if canonical else coords[np.lexsort(coords.T[::-1])]
-        starts = np.zeros(rows.shape[0] - 1, dtype=bool)
-        previous = 1
-        for level in range(rows.shape[1]):
-            starts |= rows[1:, level] != rows[:-1, level]
-            distinct = 1 + int(np.count_nonzero(starts))
-            factors.append(distinct / previous)
-            previous = distinct
+    n = cols[0].shape[0]
+    if n == 0:
+        return [0] * len(cols)
+    starts = np.zeros(n - 1, dtype=bool)
+    counts = []
+    for col in cols:
+        starts |= col[1:] != col[:-1]
+        counts.append(1 + int(np.count_nonzero(starts)))
+    return counts
+
+
+def _profile_of(counts: Sequence[int]) -> Profile:
+    """Nested profile from the entry count of every level: the root's count,
+    then the average number of children per entry of the level above."""
     profile: Profile = ("s",)
-    for factor in reversed(factors):
-        profile = (factor, profile)
-    return profile
+    for d in range(len(counts) - 1, 0, -1):
+        profile = (counts[d] / max(1, counts[d - 1]), profile)
+    return (float(counts[0]), profile)
 
 
 #: Registry of formats by short name, used by the benchmark harness.

@@ -14,12 +14,13 @@ the mapping, where the optimizer can also normalize it
 
 Three formats:
 
-* :class:`ShardedCOOFormat` — one COO block per row range, coordinates kept
-  *absolute* (no offset arithmetic in the mapping).  With ``memmap_dir=``
-  the per-shard index/value arrays live in memory-mapped files, so tensors
-  whose dense volume vastly exceeds RAM stream through execution with O(one
-  shard) resident memory.
-* :class:`ShardedCSRFormat` — one local CSR block per row range; the mapping
+* :class:`ShardedCOOFormat` — one :class:`~repro.storage.formats.COOFormat`
+  per row range, coordinates kept *absolute* (no offset arithmetic in the
+  mapping).  With ``memmap_dir=`` the per-shard index/value arrays live in
+  memory-mapped files, so tensors whose dense volume vastly exceeds RAM
+  stream through execution with O(one shard) resident memory.
+* :class:`ShardedCSRFormat` — one local
+  :class:`~repro.storage.formats.CSRFormat` per row range; the mapping
   re-bases rows through a per-shard offset scalar, so plans survive
   re-balancing deltas (the offset is a symbol, never a literal).
 * :class:`MemmapDenseFormat` — dense row-major storage backed by
@@ -33,9 +34,10 @@ fall in and leaves identical physical symbols and identical mapping text:
 exactly the value-only mutation contract :meth:`repro.storage.Catalog.update`
 relies on.
 
-Shard-local symbols are named ``{tensor}__s{i}_{suffix}``; the ``__s{i}_``
-infix is the marker the optimizer's shard-aware rewrites key on
-(:data:`SHARD_SYMBOL_RE`).
+The two sharded formats are one :class:`ShardedFormat` holding a plain
+format per shard, named ``{tensor}__s{i}``, so shard-local symbols are named
+``{tensor}__s{i}_{suffix}``; the ``__s{i}_`` infix is the marker the
+optimizer's shard-aware rewrites key on (:data:`SHARD_SYMBOL_RE`).
 """
 
 from __future__ import annotations
@@ -46,21 +48,22 @@ import re
 import tempfile
 import weakref
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..sdqlite.errors import StorageError
 from .formats import (
+    COOFormat,
+    CSRFormat,
     DenseFormat,
+    LevelFormat,
     Profile,
     StorageFormat,
     TensorStats,
-    _branching_profile,
-    _compress,
+    _prefix_counts,
+    _profile_of,
     coo_from_dense,
-    splice_coo,
-    splice_csr,
     sum_duplicates,
 )
 
@@ -137,12 +140,65 @@ def _unlink_guarded(path: str, owner_pid: int) -> None:
 
 
 class ShardedFormat(StorageFormat):
-    """Base of the row-range sharded formats (shared shard bookkeeping)."""
+    """Row-range shards, each one plain instance of :attr:`shard_format`.
 
-    def __init__(self, name: str, shape: Sequence[int], bounds: np.ndarray):
-        super().__init__(name, tuple(shape))
-        self.bounds = np.asarray(bounds, dtype=np.int64)
+    Shard ``i`` is named ``{tensor}__s{i}``, so its physical symbols are the
+    plain format's under that name, and it covers rows
+    ``[bounds[i], bounds[i+1])``.  A subclass declares the shard format, the
+    mapping term of a shard and the whole-tensor profile.
+    """
+
+    shard_format: type[LevelFormat]
+    _sort_axes = ()
+    #: Shards store rows counted from their first row, which the mapping
+    #: term adds back through the per-shard scalar ``{tensor}__s{i}_lo``.
+    _local_rows = False
+    #: The mapping of one shard, keyed by absolute coordinates, ``$``
+    #: standing for ``{tensor}__s{i}_``; empty: the shard format's own.
+    term_text = ""
+
+    def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
+                 shape: Sequence[int], *, shards: int | None = None,
+                 memmap_dir: str | None = None):
+        shape = tuple(int(s) for s in shape)
+        if not self.candidates_for(TensorStats(shape=shape, nnz=0)):
+            raise StorageError(f"{type(self).__name__} cannot store a rank-{len(shape)} tensor")
+        coords, values = sum_duplicates(coords, values, len(shape))
+        super().__init__(name, shape)
+        if shards is None:
+            shards = default_shard_count(len(values), shape[0])
+        self.bounds = shard_bounds(shape[0], shards)
         self.n_shards = int(len(self.bounds) - 1)
+        splits = np.searchsorted(coords[:, 0], self.bounds[1:-1])
+        self.shards: list[LevelFormat] = []
+        for index, (block, block_values) in enumerate(
+                zip(np.split(coords, splits), np.split(values, splits))):
+            shard_shape = self.shape
+            if self._local_rows:
+                shard_shape = (int(self.bounds[index + 1] - self.bounds[index]),) + self.shape[1:]
+            shard = self.shard_format.__new__(self.shard_format)
+            shard._build(f"{name}__s{index}", self._in_shard(index, block), block_values,
+                         shard_shape)
+            if memmap_dir is not None:
+                shard = shard._with_arrays(
+                    lambda symbol, array: _spill(array, memmap_dir, symbol))
+            self.shards.append(shard)
+
+    def _in_shard(self, index: int, coords: np.ndarray) -> np.ndarray:
+        """Coordinates of rows in shard ``index`` as the shard stores them."""
+        if not self._local_rows:
+            return coords
+        local = coords.copy()
+        local[:, 0] -= self.bounds[index]
+        return local
+
+    @classmethod
+    def from_coo(cls, name, coords, values, shape, **kwargs) -> "ShardedFormat":
+        return cls(name, coords, values, shape, **kwargs)
+
+    @classmethod
+    def candidates_for(cls, stats: TensorStats) -> bool:
+        return cls.shard_format.candidates_for(stats)
 
     @property
     def spec_name(self) -> str:
@@ -151,12 +207,46 @@ class ShardedFormat(StorageFormat):
     def from_coo_kwargs(self) -> dict[str, Any]:
         return {"shards": self.n_shards}
 
-    def _sym(self, shard: int, suffix: str) -> str:
-        return f"{self.name}__s{shard}_{suffix}"
+    @property
+    def nnz(self) -> int:
+        return sum(shard.nnz for shard in self.shards)
 
-    def shard_stats(self) -> list[TensorStats]:
-        """Per-shard :class:`TensorStats` (nnz of each row range)."""
-        raise NotImplementedError
+    def physical(self) -> dict[str, Any]:
+        symbols: dict[str, Any] = {}
+        for index, shard in enumerate(self.shards):
+            if self._local_rows:
+                symbols[f"{shard.name}_lo"] = int(self.bounds[index])
+            symbols.update(shard.physical())
+        return symbols
+
+    def mapping_source(self) -> str:
+        return " + ".join(
+            f"({(self.term_text or shard.mapping_text).replace('$', shard.name + '_')})"
+            for shard in self.shards)
+
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
+        blocks = [shard.to_coo() for shard in self.shards if shard.nnz]
+        if not blocks:
+            return (np.empty((0, self.rank), dtype=np.int64),
+                    np.empty(0, dtype=np.float64))
+        coords = np.concatenate([block[0] for block in blocks])
+        if self._local_rows:
+            coords[:, 0] += np.repeat(
+                self.bounds[:-1], [shard.nnz for shard in self.shards])
+        return coords, np.concatenate([block[1] for block in blocks])
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=np.float64)
+        coords, values = self.to_coo()
+        dense[tuple(coords.T)] = values
+        return dense
+
+    def to_buffers(self) -> dict[str, np.ndarray]:
+        buffers: dict[str, np.ndarray] = {"bounds": self.bounds}
+        for index, shard in enumerate(self.shards):
+            for key, array in shard.to_buffers().items():
+                buffers[f"s{index}__{key}"] = array
+        return buffers
 
     def _splice(self, coords: np.ndarray, values: np.ndarray) -> "ShardedFormat":
         """Route the delta to the shards its rows fall in and splice each one.
@@ -166,318 +256,69 @@ class ShardedFormat(StorageFormat):
         """
         spliced = copy.copy(self)
         spliced.__dict__.pop("_profile", None)      # cached from the old shards
-        spliced.shard_arrays = list(self.shard_arrays)
+        spliced.shards = list(self.shards)
         shard_of = np.searchsorted(self.bounds, coords[:, 0], "right") - 1
-        for shard in np.unique(shard_of):
-            mine = shard_of == shard
-            spliced.shard_arrays[shard] = self._splice_shard(
-                int(shard), coords[mine], values[mine])
+        for index in np.unique(shard_of):
+            mine = shard_of == index
+            spliced.shards[index] = self.shards[index]._splice(
+                self._in_shard(index, coords[mine]), values[mine])
         return spliced
 
-    def _splice_shard(self, shard: int, coords: np.ndarray,
-                      values: np.ndarray) -> dict[str, np.ndarray]:
-        """Shard ``shard``'s arrays plus the delta entries of its rows."""
-        raise NotImplementedError
+    def segment_profiles(self) -> dict[str, float]:
+        profiles: dict[str, float] = {}
+        for shard in self.shards:
+            profiles.update(shard.segment_profiles())
+        return profiles
+
+    def shard_stats(self) -> list[TensorStats]:
+        """Per-shard :class:`TensorStats` (nnz of each row range)."""
+        rows = np.diff(self.bounds)
+        return [TensorStats(shape=(int(rows[index]),) + self.shape[1:], nnz=shard.nnz)
+                for index, shard in enumerate(self.shards)]
 
 
 class ShardedCOOFormat(ShardedFormat):
     """Row-range shards of COO with absolute coordinates.
 
-    Physical symbols per shard ``i``: ``{n}__s{i}_nnz`` (scalar),
-    ``{n}__s{i}_idx1`` … ``idx<rank>`` and ``{n}__s{i}_val`` (arrays,
+    Physical symbols per shard ``i``: those of a :class:`COOFormat` named
+    ``{n}__s{i}`` (``_nnz``, ``_val``, ``_idx1`` … ``_idx<rank>``, arrays
     optionally memory-mapped).  The mapping is the parenthesized ``+`` chain
-    of per-shard COO mappings.
+    of the shards' COO mappings.
     """
 
     format_name = "sharded_coo"
-    _sort_axes = ()
-
-    def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
-                 shape: Sequence[int], *, shards: int | None = None,
-                 memmap_dir: str | None = None):
-        shape = tuple(int(s) for s in shape)
-        if not shape:
-            raise StorageError("ShardedCOOFormat requires rank >= 1")
-        self._build(name, *sum_duplicates(coords, values, len(shape)), shape,
-                    shards=shards, memmap_dir=memmap_dir)
-
-    def _build(self, name, coords, values, shape, *, shards=None,
-               memmap_dir=None) -> None:
-        if shards is None:
-            shards = default_shard_count(len(values), shape[0])
-        ShardedFormat.__init__(self, name, shape, shard_bounds(shape[0], shards))
-        splits = np.searchsorted(coords[:, 0], self.bounds[1:-1])
-        self.shard_arrays: list[dict[str, np.ndarray]] = []
-        for shard, (coord_block, value_block) in enumerate(
-                zip(np.split(coords, splits), np.split(values, splits))):
-            block = {f"idx{axis + 1}": np.ascontiguousarray(coord_block[:, axis])
-                     for axis in range(self.rank)}
-            block["val"] = np.ascontiguousarray(value_block)
-            if memmap_dir is not None:
-                block = {key: _spill(array, memmap_dir, f"{name}_s{shard}_{key}")
-                         for key, array in block.items()}
-            self.shard_arrays.append(block)
-
-    @classmethod
-    def from_coo(cls, name, coords, values, shape, **kwargs) -> "ShardedCOOFormat":
-        return cls(name, coords, values, shape, **kwargs)
-
-    @classmethod
-    def candidates_for(cls, stats: TensorStats) -> bool:
-        return stats.rank >= 1
-
-    @property
-    def nnz(self) -> int:
-        return sum(int(block["val"].shape[0]) for block in self.shard_arrays)
-
-    def physical(self) -> dict[str, Any]:
-        symbols: dict[str, Any] = {}
-        for shard, block in enumerate(self.shard_arrays):
-            symbols[self._sym(shard, "nnz")] = int(block["val"].shape[0])
-            for key, array in block.items():
-                symbols[self._sym(shard, key)] = array
-        return symbols
-
-    def mapping_source(self) -> str:
-        terms = []
-        for shard in range(self.n_shards):
-            keys = ", ".join(f"{self._sym(shard, f'idx{axis + 1}')}(p)"
-                             for axis in range(self.rank))
-            terms.append(
-                f"(sum(<p,_> in 0:{self._sym(shard, 'nnz')}) "
-                f"{{ ({keys}) -> {self._sym(shard, 'val')}(p) }})")
-        return " + ".join(terms)
-
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.nnz:
-            return (np.empty((0, self.rank), dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        coords = np.concatenate([
-            np.column_stack([np.asarray(block[f"idx{axis + 1}"])
-                             for axis in range(self.rank)])
-            for block in self.shard_arrays if block["val"].shape[0]])
-        values = np.concatenate([np.asarray(block["val"])
-                                 for block in self.shard_arrays
-                                 if block["val"].shape[0]])
-        return coords, values
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        coords, values = self.to_coo()
-        if coords.size:
-            np.add.at(dense, tuple(coords.T), values)
-        return dense
-
-    def to_buffers(self) -> dict[str, np.ndarray]:
-        buffers: dict[str, np.ndarray] = {"bounds": self.bounds}
-        for shard, block in enumerate(self.shard_arrays):
-            for key, array in block.items():
-                buffers[f"s{shard}__{key}"] = array
-        return buffers
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "ShardedCOOFormat":
-        bounds = np.asarray(buffers["bounds"], dtype=np.int64)
-        rank = max(1, len(tuple(shape)))
-        blocks_c, blocks_v = [], []
-        for shard in range(len(bounds) - 1):
-            val = np.asarray(buffers[f"s{shard}__val"], dtype=np.float64)
-            if not val.shape[0]:
-                continue
-            blocks_c.append(np.column_stack([
-                np.asarray(buffers[f"s{shard}__idx{axis + 1}"], dtype=np.int64)
-                for axis in range(rank)]))
-            blocks_v.append(val)
-        coords = (np.concatenate(blocks_c) if blocks_c
-                  else np.empty((0, rank), dtype=np.int64))
-        values = (np.concatenate(blocks_v) if blocks_v
-                  else np.empty(0, dtype=np.float64))
-        return cls(name, coords, values, shape, shards=len(bounds) - 1)
+    shard_format = COOFormat
 
     @cached_property
     def _profile(self) -> Profile:
-        return _branching_profile(self.to_coo()[0], canonical=True)
+        coords = self.to_coo()[0]
+        return _profile_of(_prefix_counts(list(coords.T)))
 
     def profile(self) -> Profile:
         return self._profile
-
-    def _splice_shard(self, shard, coords, values):
-        block = self.shard_arrays[shard]
-        columns, val = splice_coo([block[f"idx{axis + 1}"] for axis in range(self.rank)],
-                                  block["val"], list(coords.T), values)
-        spliced = {f"idx{axis + 1}": col for axis, col in enumerate(columns)}
-        spliced["val"] = val
-        return spliced
-
-    def shard_stats(self) -> list[TensorStats]:
-        stats = []
-        for shard, block in enumerate(self.shard_arrays):
-            rows = int(self.bounds[shard + 1] - self.bounds[shard])
-            shard_shape = (rows,) + self.shape[1:]
-            stats.append(TensorStats(shape=shard_shape,
-                                     nnz=int(block["val"].shape[0])))
-        return stats
 
 
 class ShardedCSRFormat(ShardedFormat):
     """Row-range shards stored as local CSR blocks.
 
     Shard ``i`` covers rows ``[bounds[i], bounds[i+1])`` and stores them as a
-    CSR block over *local* row numbers; the mapping re-bases through the
-    per-shard scalar ``{n}__s{i}_lo``, so the emitted dictionary is keyed by
-    absolute rows.  The ``@unique`` annotation on the re-based key is sound
-    because local rows are unique within a shard.
+    :class:`CSRFormat` named ``{n}__s{i}`` over *local* row numbers; the
+    mapping re-bases rows through the per-shard scalar ``{n}__s{i}_lo``, so
+    the emitted dictionary is keyed by absolute rows.  The ``@unique``
+    annotation on the re-based key is sound because local rows are unique
+    within a shard.
     """
 
     format_name = "sharded_csr"
-    _sort_axes = ()
+    shard_format = CSRFormat
+    _local_rows = True
 
-    def __init__(self, name: str, coords: np.ndarray, values: np.ndarray,
-                 shape: Sequence[int], *, shards: int | None = None,
-                 memmap_dir: str | None = None):
-        shape = tuple(int(s) for s in shape)
-        if len(shape) != 2:
-            raise StorageError("ShardedCSRFormat is a matrix format")
-        self._build(name, *sum_duplicates(coords, values, 2), shape,
-                    shards=shards, memmap_dir=memmap_dir)
-
-    def _build(self, name, coords, values, shape, *, shards=None,
-               memmap_dir=None) -> None:
-        if shards is None:
-            shards = default_shard_count(len(values), shape[0])
-        ShardedFormat.__init__(self, name, shape, shard_bounds(shape[0], shards))
-        splits = np.searchsorted(coords[:, 0], self.bounds[1:-1])
-        self.shard_arrays: list[dict[str, np.ndarray]] = []
-        for shard, (coord_block, value_block) in enumerate(
-                zip(np.split(coords, splits), np.split(values, splits))):
-            lo = int(self.bounds[shard])
-            rows_local = coord_block[:, 0] - lo
-            n_rows = int(self.bounds[shard + 1] - self.bounds[shard])
-            block = {
-                "pos2": _compress(rows_local, n_rows),
-                "idx2": np.ascontiguousarray(coord_block[:, 1]),
-                "val": np.ascontiguousarray(value_block),
-            }
-            if memmap_dir is not None:
-                block = {key: _spill(array, memmap_dir, f"{name}_s{shard}_{key}")
-                         for key, array in block.items()}
-            self.shard_arrays.append(block)
-
-    @classmethod
-    def from_coo(cls, name, coords, values, shape, **kwargs) -> "ShardedCSRFormat":
-        return cls(name, coords, values, shape, **kwargs)
-
-    @classmethod
-    def candidates_for(cls, stats: TensorStats) -> bool:
-        return stats.rank == 2
-
-    @property
-    def nnz(self) -> int:
-        return sum(int(block["val"].shape[0]) for block in self.shard_arrays)
-
-    def physical(self) -> dict[str, Any]:
-        symbols: dict[str, Any] = {}
-        for shard, block in enumerate(self.shard_arrays):
-            symbols[self._sym(shard, "lo")] = int(self.bounds[shard])
-            symbols[self._sym(shard, "len1")] = int(
-                self.bounds[shard + 1] - self.bounds[shard])
-            for key, array in block.items():
-                symbols[self._sym(shard, key)] = array
-        return symbols
-
-    def mapping_source(self) -> str:
-        terms = []
-        for shard in range(self.n_shards):
-            lo, len1 = self._sym(shard, "lo"), self._sym(shard, "len1")
-            pos2, idx2 = self._sym(shard, "pos2"), self._sym(shard, "idx2")
-            val = self._sym(shard, "val")
-            terms.append(
-                f"(sum(<r,_> in 0:{len1}) "
-                f"{{ @unique (r + {lo}) -> "
-                f"sum(<off, col> in {idx2}({pos2}(r):{pos2}(r+1))) "
-                f"{{ @unique col -> {val}(off) }} }})")
-        return " + ".join(terms)
-
-    def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
-        blocks_c, blocks_v = [], []
-        for shard, block in enumerate(self.shard_arrays):
-            idx2 = np.asarray(block["idx2"])
-            if not idx2.shape[0]:
-                continue
-            pos2 = np.asarray(block["pos2"])
-            rows = np.repeat(
-                np.arange(pos2.shape[0] - 1, dtype=np.int64) + int(self.bounds[shard]),
-                np.diff(pos2))
-            blocks_c.append(np.column_stack([rows, idx2]))
-            blocks_v.append(np.asarray(block["val"]))
-        if not blocks_c:
-            return (np.empty((0, 2), dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        return np.concatenate(blocks_c), np.concatenate(blocks_v)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        coords, values = self.to_coo()
-        if coords.size:
-            np.add.at(dense, tuple(coords.T), values)
-        return dense
-
-    def to_buffers(self) -> dict[str, np.ndarray]:
-        buffers: dict[str, np.ndarray] = {"bounds": self.bounds}
-        for shard, block in enumerate(self.shard_arrays):
-            for key, array in block.items():
-                buffers[f"s{shard}__{key}"] = array
-        return buffers
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "ShardedCSRFormat":
-        bounds = np.asarray(buffers["bounds"], dtype=np.int64)
-        blocks_c, blocks_v = [], []
-        for shard in range(len(bounds) - 1):
-            idx2 = np.asarray(buffers[f"s{shard}__idx2"], dtype=np.int64)
-            if not idx2.shape[0]:
-                continue
-            pos2 = np.asarray(buffers[f"s{shard}__pos2"], dtype=np.int64)
-            rows = np.repeat(
-                np.arange(pos2.shape[0] - 1, dtype=np.int64) + int(bounds[shard]),
-                np.diff(pos2))
-            blocks_c.append(np.column_stack([rows, idx2]))
-            blocks_v.append(np.asarray(buffers[f"s{shard}__val"], dtype=np.float64))
-        coords = (np.concatenate(blocks_c) if blocks_c
-                  else np.empty((0, 2), dtype=np.int64))
-        values = (np.concatenate(blocks_v) if blocks_v
-                  else np.empty(0, dtype=np.float64))
-        return cls(name, coords, values, shape, shards=len(bounds) - 1)
+    term_text = ("sum(<r,_> in 0:$len1) { @unique (r + $lo) -> "
+                 "sum(<off, col> in $idx2($pos2(r):$pos2(r+1))) "
+                 "{ @unique col -> $val(off) } }")
 
     def profile(self) -> Profile:
-        n_outer = self.shape[0]
-        avg = self.nnz / max(1, n_outer)
-        return (float(n_outer), (float(avg), ("s",)))
-
-    def _splice_shard(self, shard, coords, values):
-        block = self.shard_arrays[shard]
-        pos2, idx2, val = splice_csr(block["pos2"], block["idx2"], block["val"],
-                                     coords[:, 0] - self.bounds[shard], coords[:, 1], values)
-        return {"pos2": pos2, "idx2": idx2, "val": val}
-
-    def segment_profiles(self) -> dict[str, float]:
-        profiles: dict[str, float] = {}
-        for shard, block in enumerate(self.shard_arrays):
-            rows = max(1, int(self.bounds[shard + 1] - self.bounds[shard]))
-            avg = int(block["val"].shape[0]) / rows
-            profiles[self._sym(shard, "idx2")] = avg
-            profiles[self._sym(shard, "val")] = avg
-        return profiles
-
-    def shard_stats(self) -> list[TensorStats]:
-        stats = []
-        for shard, block in enumerate(self.shard_arrays):
-            rows = int(self.bounds[shard + 1] - self.bounds[shard])
-            stats.append(TensorStats(shape=(rows, self.shape[1]),
-                                     nnz=int(block["val"].shape[0])))
-        return stats
+        return _profile_of([self.shape[0], self.nnz])
 
 
 class MemmapDenseFormat(DenseFormat):
@@ -563,20 +404,6 @@ class MemmapDenseFormat(DenseFormat):
             return (np.empty((0, self.rank), dtype=np.int64),
                     np.empty(0, dtype=np.float64))
         return np.concatenate(blocks_c), np.concatenate(blocks_v)
-
-    def to_buffers(self) -> dict[str, np.ndarray]:
-        return {"val": self.array.reshape(-1)}
-
-    @classmethod
-    def from_buffers(cls, name: str, buffers: Mapping[str, np.ndarray],
-                     shape: Sequence[int]) -> "MemmapDenseFormat":
-        shape = tuple(int(s) for s in shape)
-        values = buffers["val"]
-        if isinstance(values, np.memmap):
-            # Adopt the existing file (the cross-process wire path): the
-            # reshape preserves the memory map, nothing is copied.
-            return cls(name, values.reshape(shape))
-        return cls(name, np.asarray(values, dtype=np.float64).reshape(shape))
 
 
 #: The sharded / out-of-core format family, merged into ``ALL_FORMATS`` by

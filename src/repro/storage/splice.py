@@ -15,7 +15,10 @@ Tensor Algebra Compilers" (Chou et al., OOPSLA 2018):
 * ``values`` — one float64 per deepest-level entry.
 
 CSF (``idx1/pos2/idx2/pos3/idx3``) and DCSR (``idx1/pos2/idx2``) are such a
-chain as stored; CSR/CSC is one with a dense first level.
+chain as stored; CSR/CSC is one with a dense first level.  Every such format
+is built with :func:`build_levels` and read out with :func:`leaf_columns`
+(:class:`repro.storage.formats.LevelFormat`), as are the typed backend's
+levels.
 
 :func:`splice` adds ``k`` delta entries in three steps:
 
@@ -46,9 +49,63 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["splice"]
+__all__ = ["build_levels", "leaf_columns", "splice"]
 
 _NONE = np.empty(0, dtype=np.int64)
+
+
+def build_levels(cols: Sequence[np.ndarray], widths: Sequence[int],
+                 dense: int | None = None):
+    """``(keys, seg)`` of the chain over **unique, lexicographically sorted**
+    key columns, in one comparison pass per level.
+
+    ``widths`` is the number of columns of each level, root first (``1``,
+    except COO's single level over the whole coordinate); ``dense`` the size
+    of a dense root level over one leaf level (the rows of CSR/CSC), whose
+    keys are implicit.  The deepest level keeps the columns passed in.
+    """
+    n, depth = cols[0].shape[0], len(widths)
+    keys: list = []
+    seg: list[np.ndarray] = []
+    starts = np.zeros(1, dtype=np.int64)    # leaf position where each parent entry starts
+    first = None                            # leaves that start a new prefix so far
+    for d, width in enumerate(widths):
+        level, cols = list(cols[:width]), cols[width:]
+        if d == depth - 1:      # unique coordinates: every leaf is an entry
+            keys.append(level)
+            seg.append(np.append(starts, n))
+            break
+        if d == 0 and dense is not None:
+            keys.append(None)
+            seg.append(np.array([0, dense], dtype=np.int64))
+            pos = np.zeros(dense + 1, dtype=np.int64)
+            np.cumsum(np.bincount(level[0], minlength=dense), out=pos[1:])
+            starts = pos[:-1]
+            continue
+        changed = level[0][1:] != level[0][:-1]
+        for col in level[1:]:
+            changed |= col[1:] != col[:-1]
+        if first is not None:
+            changed |= first[1:]
+        first = np.ones(n, dtype=bool)
+        first[1:] = changed
+        entries = np.flatnonzero(first)
+        keys.append([col[entries] for col in level])
+        # Every parent starts an entry here too, so the search is exact.
+        seg.append(np.append(np.searchsorted(entries, starts), entries.shape[0]))
+        starts = entries
+    return keys, seg
+
+
+def leaf_columns(keys: Sequence, seg: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The key columns of every leaf entry, in chain order: each level's keys
+    repeated over the leaves below them (a dense level's entry ``e`` has key
+    ``e``).  A one-level chain returns its own columns."""
+    cols = [np.arange(seg[0][1], dtype=np.int64)] if keys[0] is None else list(keys[0])
+    for d in range(1, len(keys)):
+        counts = np.diff(seg[d])
+        cols = [np.repeat(col, counts) for col in cols] + list(keys[d])
+    return cols
 
 
 def splice(keys: Sequence, seg: Sequence[np.ndarray], values: np.ndarray,

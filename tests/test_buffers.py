@@ -1,11 +1,11 @@
 """Property tests for the typed-buffer export of every storage format.
 
 The typed backend consumes flat columnar buffers; each format exports its
-physical arrays via :meth:`StorageFormat.to_buffers` and can be rebuilt via
-:meth:`StorageFormat.from_buffers`.  The load-bearing invariant is the
-round trip
+physical arrays via :meth:`StorageFormat.to_buffers`.  The load-bearing
+invariant is that the canonical coordinate read-out rebuilds the format
+buffer for buffer:
 
-    ``from_buffers(name, fmt.to_buffers(), fmt.shape).to_dense() == fmt.to_dense()``
+    ``from_coo(name, *coo_arrays(fmt), fmt.shape).to_buffers() == fmt.to_buffers()``
 
 for every format, on arbitrary tensors — including tensors built from
 duplicate coordinates (which the constructors must sum), empty tensors
@@ -24,7 +24,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.execution.buffers import BufferLevels, levels_from_mapping  # noqa: E402
-from repro.storage import FORMATS, SPECIAL_FORMATS, build_format  # noqa: E402
+from repro.storage import FORMATS, SPECIAL_FORMATS, build_format, coo_arrays  # noqa: E402
 from repro.storage.physical import (  # noqa: E402
     PhysicalArray,
     PhysicalHashMap,
@@ -45,9 +45,14 @@ FORMAT_RANKS = {
 
 
 def _roundtrip(fmt):
-    rebuilt = type(fmt).from_buffers(fmt.name, fmt.to_buffers(), fmt.shape)
+    rebuilt = type(fmt).from_coo(fmt.name, *coo_arrays(fmt), fmt.shape,
+                                 **fmt.from_coo_kwargs())
     np.testing.assert_allclose(rebuilt.to_dense(), fmt.to_dense())
     assert rebuilt.shape == fmt.shape
+    got, expected = rebuilt.to_buffers(), fmt.to_buffers()
+    assert got.keys() == expected.keys()
+    for key, array in expected.items():
+        np.testing.assert_array_equal(got[key], array)
 
 
 def _random_dense(seed, shape, density=0.4):

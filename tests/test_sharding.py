@@ -3,8 +3,8 @@
 Covers the pieces of ``docs/sharding.md``:
 
 * round-trip properties of the sharded formats (``from_dense``/``to_dense``,
-  ``to_buffers``/``from_buffers``, duplicate summing, empty tensors),
-  mirroring ``tests/test_buffers.py``;
+  the canonical read-out and the worker wire format, duplicate summing,
+  empty tensors), mirroring ``tests/test_buffers.py``;
 * the value-only rebuild contract: ``Catalog.update`` on a sharded tensor
   preserves shard count, physical symbols and mapping text, so prepared
   plans survive;
@@ -53,7 +53,12 @@ from repro.storage import (  # noqa: E402
     ShardedCOOFormat,
     ShardedCSRFormat,
 )
-from repro.storage.convert import apply_delta, parse_format_spec, reformat  # noqa: E402
+from repro.storage.convert import (  # noqa: E402
+    apply_delta,
+    coo_arrays,
+    parse_format_spec,
+    reformat,
+)
 from repro.storage.sharded import (  # noqa: E402
     SHARD_SYMBOL_RE,
     default_shard_count,
@@ -76,11 +81,16 @@ def _random_dense(seed, shape, density=0.4):
 
 
 def _roundtrip(fmt):
-    rebuilt = type(fmt).from_buffers(fmt.name, fmt.to_buffers(), fmt.shape)
+    rebuilt = type(fmt).from_coo(fmt.name, *coo_arrays(fmt), fmt.shape,
+                                 **fmt.from_coo_kwargs())
     np.testing.assert_allclose(rebuilt.to_dense(), fmt.to_dense())
     assert rebuilt.shape == fmt.shape
     if hasattr(fmt, "n_shards"):
         assert rebuilt.n_shards == fmt.n_shards
+    env = environment_from_payload(catalog_payload(Catalog().add(fmt)))
+    assert env.keys() == fmt.physical().keys()
+    for symbol, value in fmt.physical().items():
+        np.testing.assert_array_equal(np.asarray(env[symbol]), np.asarray(value))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +159,10 @@ def test_memmap_dense_roundtrips_and_stays_mapped(tmp_path):
     np.testing.assert_allclose(fmt.to_dense(), dense)
     coords, values = fmt.to_coo()
     np.testing.assert_array_equal(coords, np.argwhere(dense))
-    rebuilt = MemmapDenseFormat.from_buffers("M", fmt.to_buffers(), fmt.shape)
+    env = environment_from_payload(catalog_payload(Catalog().add(fmt)))
     # The wire path adopts the memmap by reference: no copy, still file-backed.
-    assert isinstance(rebuilt.array, np.memmap)
-    np.testing.assert_allclose(rebuilt.to_dense(), dense)
+    assert isinstance(env["M_val"], np.memmap)
+    np.testing.assert_allclose(np.asarray(env["M_val"]).reshape(dense.shape), dense)
 
 
 def test_shard_bounds_are_deterministic_equal_row_splits():
@@ -221,21 +231,21 @@ def test_update_splices_only_the_touched_shards(kind, tmp_path):
     dense = _random_dense(12, (9, 5))
     dense[0, 0] = dense[4, 2] = 1.0
     fmt = ALL_FORMATS[kind].from_dense("A", dense, shards=3, memmap_dir=str(tmp_path))
-    before = [{key: np.array(array) for key, array in block.items()}
-              for block in fmt.shard_arrays]
+    before = [{key: np.array(array) for key, array in shard.to_buffers().items()}
+              for shard in fmt.shards]
     coords = np.array([[4, 2], [0, 0], [4, 2]])
     values = np.array([2.5, -1.0, 0.5])     # row 0 cancels an entry, row 4 overwrites
     after = apply_delta(fmt, coords, values)
     np.add.at(dense, tuple(coords.T), values)
     np.testing.assert_allclose(after.to_dense(), dense)
     assert after.profile() == type(fmt).from_dense("A", dense, shards=3).profile()
-    untouched = after.shard_arrays[2]
-    assert all(array is fmt.shard_arrays[2][key] for key, array in untouched.items())
+    untouched = after.shards[2].to_buffers()
+    assert all(array is fmt.shards[2].to_buffers()[key] for key, array in untouched.items())
     assert all(isinstance(array, np.memmap) for array in untouched.values())
     for shard in (0, 1):                     # rows 0 and 4 live in shards 0 and 1
-        assert type(after.shard_arrays[shard]["val"]) is np.ndarray
-    for block, saved in zip(fmt.shard_arrays, before):
-        for key, array in block.items():
+        assert type(after.shards[shard].values) is np.ndarray
+    for shard, saved in zip(fmt.shards, before):
+        for key, array in shard.to_buffers().items():
             np.testing.assert_array_equal(array, saved[key])
 
 
@@ -360,6 +370,34 @@ def test_catalog_payload_roundtrips_environment(tmp_path):
         if isinstance(value, np.ndarray):
             np.testing.assert_array_equal(np.asarray(env[symbol]),
                                           np.asarray(value))
+
+
+@pytest.mark.parametrize("kind", ["sharded_coo", "sharded_csr", "memmap_dense"])
+def test_workers_map_memmapped_arrays_from_the_same_files(kind, tmp_path):
+    """A worker's environment equals the catalog's, and every array the
+    catalog holds as a memory map is one in the worker too, on the same file:
+    out-of-core data is neither copied through the pipe nor read into RAM."""
+    dense = _random_dense(21, (9, 5))
+    dense[0, 0] = dense[8, 4] = 1.0
+    kwargs = {"shards": 3} if kind.startswith("sharded") else {}
+    catalog = (Catalog()
+               .add(ALL_FORMATS[kind].from_dense("A", dense, memmap_dir=str(tmp_path), **kwargs))
+               .add(DenseFormat.from_dense("X", np.arange(5.0)))
+               .add_scalar("beta", 0.5))
+    expected = catalog.globals()
+    env = environment_from_payload(catalog_payload(catalog))
+    assert env.keys() == expected.keys()
+    mapped = 0
+    for symbol, value in expected.items():
+        if not isinstance(value, np.ndarray):
+            assert env[symbol] == value
+            continue
+        np.testing.assert_array_equal(np.asarray(env[symbol]), np.asarray(value))
+        if isinstance(value, np.memmap):
+            assert isinstance(env[symbol], np.memmap), symbol
+            assert env[symbol].filename == value.filename
+            mapped += 1
+    assert mapped == (1 if kind == "memmap_dense" else 9)
 
 
 @pytest.mark.parametrize("kind", ["sharded_coo", "sharded_csr"])
@@ -598,8 +636,7 @@ def test_memmap_backed_shards_stream_a_huge_sparse_tensor(tmp_path):
     values = rng.random(nnz)
     fmt = ShardedCOOFormat.from_coo("A", coords, values, (n, n), shards=4,
                                     memmap_dir=str(tmp_path))
-    assert any(isinstance(block["val"], np.memmap)
-               for block in fmt.shard_arrays)
+    assert any(isinstance(shard.values, np.memmap) for shard in fmt.shards)
     catalog = Catalog().add(fmt)
     result = storel.run("sum(<i, row> in A) sum(<j, v> in row) v", catalog)
     deduped = COOFormat.from_coo("D", coords, values, (n, n))

@@ -445,7 +445,7 @@ class TestScipyExports:
         np.testing.assert_array_equal(csc.toarray(), dense)
         # native value array is reused, not rebuilt through a COO detour
         # (scipy downcasts the int64 index arrays, so only data is shared)
-        assert np.shares_memory(csc.data, fmt.val)
+        assert np.shares_memory(csc.data, fmt.values)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +641,9 @@ def test_apply_delta_grows_and_prunes_levels_like_a_rebuild():
                 for delta in deltas:
                     check_apply_delta(cls, kwargs, shape, start, delta)
     got = apply_delta(CSFFormat.from_coo("T", *base3, shape3), *deltas3[3])
-    np.testing.assert_array_equal(got.idx1, [0, 3])
+    np.testing.assert_array_equal(got.physical()["T_idx1"], [0, 3])
     got = apply_delta(DCSRFormat.from_coo("T", *base2, shape2), *deltas2[1])
-    np.testing.assert_array_equal(got.idx1, [4])
+    np.testing.assert_array_equal(got.physical()["T_idx1"], [4])
 
 
 @settings(max_examples=60, deadline=None)
