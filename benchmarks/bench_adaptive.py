@@ -134,9 +134,8 @@ def paired_ratio(numerator: list, denominator: list) -> float:
 
     The two ran in the same round, milliseconds apart, so a slow stretch of
     the machine inflates both sides of a ratio; one unlucky round moves the
-    median by at most one rank.  The ratio of two best-of times does not
-    pair them, and on sub-millisecond requests read 1.21x once for two
-    sessions on the same format.
+    median by at most one rank.  A ratio of two best-of times pairs nothing,
+    so on sub-millisecond requests one lucky round decides it.
     """
     ratios = sorted(a / b for a, b in zip(numerator, denominator))
     return ratios[len(ratios) // 2]
