@@ -171,6 +171,15 @@ def _check(report: dict) -> None:
             assert row["fallback_sums"] == 0 and row["fallback_merges"] == 0, \
                 f"{row['kernel']}: typed fell back to Python loops " \
                 f"({row['fallback_sums']} sums, {row['fallback_merges']} merges)"
+    # The Table-3 rows (CSR, CSC and CSF storage) run on their declared
+    # level facts: guards and bounds scans proven away, segment traversals
+    # read as slices.  A zero counter is a silent loss of that fast path.
+    for row in rows:
+        if row["system"] == "STOREL[typed]" and "/" not in row["kernel"]:
+            assert row["proven_guards"] > 0 and row["contiguous_reads"] > 0, \
+                f"{row['kernel']}: typed ran without its level facts " \
+                f"({row['proven_guards']} proven guards, " \
+                f"{row['contiguous_reads']} contiguous reads)"
     speedups = report["typed_speedup_over_interpret"]
     assert set(speedups) == {label for label, _, _ in CASES}
     assert all(speedup > 1.0 for speedup in speedups.values()), speedups

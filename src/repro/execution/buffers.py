@@ -122,13 +122,14 @@ def parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
     return np.bincount(parent, weights=weights, minlength=size)[:size]
 
 
-def lookup_sorted(haystack: np.ndarray, queries: np.ndarray):
+def lookup_sorted(haystack: np.ndarray, queries: np.ndarray, inside: bool = False):
     """Find every query in a strictly ascending int64 array.
 
     Returns ``(positions, found, regime)``: ``positions[i]`` is the index of
     ``queries[i]`` in ``haystack`` where ``found[i]`` (a miss's position is
     unspecified), and ``regime`` names how it was found
-    (:data:`LOOKUP_REGIMES`):
+    (:data:`LOOKUP_REGIMES`).  ``inside`` promises that every query lies
+    between the first and the last key, so none is scanned to check it.
 
     * ``"direct"`` — the haystack's key range has at most
       ``_DENSE_CELLS_PER_ENTRY`` cells per haystack and query entry: one
@@ -147,7 +148,7 @@ def lookup_sorted(haystack: np.ndarray, queries: np.ndarray):
         return pos, haystack[pos] == queries, "search"
     table = np.full(high - low + 1, -1, dtype=np.int64)
     table[haystack - low] = np.arange(n, dtype=np.int64)
-    if m and low <= int(queries.min()) and int(queries.max()) <= high:
+    if m and (inside or low <= int(queries.min()) and int(queries.max()) <= high):
         pos = table[queries - low]
         return pos, pos >= 0, "direct"
     # Clamp before subtracting the low key, so no query can overflow.
@@ -173,7 +174,8 @@ class BufferLevels:
     per-segment lookups a single composite-key :func:`lookup_sorted`.
     """
 
-    __slots__ = ("depth", "keys", "seg", "values", "_parents", "_comps", "_leaf_cols")
+    __slots__ = ("depth", "keys", "seg", "values", "_parents", "_comps", "_bounds",
+                 "_leaf_cols")
 
     def __init__(self, keys: list[np.ndarray], seg: list[np.ndarray],
                  values: np.ndarray):
@@ -183,6 +185,7 @@ class BufferLevels:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._parents: dict[int, np.ndarray] = {}
         self._comps: dict[int, tuple] = {}
+        self._bounds: dict[int, tuple[int, int]] = {}
         self._leaf_cols: list[np.ndarray] | None = None
 
     @classmethod
@@ -215,6 +218,20 @@ class BufferLevels:
             self._parents[level] = cached
         return cached
 
+    def key_bounds(self, level: int) -> tuple[int, int]:
+        """``(kmin, kmax)`` of the keys at ``level`` (``(0, -1)``: none), found
+        once."""
+        cached = self._bounds.get(level)
+        if cached is None:
+            keys = self.keys[level]
+            cached = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
+            self._bounds[level] = cached
+        return cached
+
+    def known_bounds(self, level: int) -> tuple[int, int] | None:
+        """:meth:`key_bounds` if already found, else ``None`` (no scan)."""
+        return self._bounds.get(level)
+
     def composite(self, level: int):
         """``(comp, kmin, kmax, big, span)`` for composite-key lookups, or ``None``.
 
@@ -230,8 +247,7 @@ class BufferLevels:
             if keys.size == 0:
                 cached = (np.empty(0, dtype=np.int64), 0, -1, 1, 0)
             else:
-                kmin = int(keys.min())
-                kmax = int(keys.max())
+                kmin, kmax = self.key_bounds(level)
                 big = kmax - kmin + 1
                 parents = self.parents(level)
                 span = int(parents[-1]) + 1
@@ -243,20 +259,24 @@ class BufferLevels:
         return cached
 
     def lookup_level(self, level: int, owner: np.ndarray, keys: np.ndarray,
-                     valid: np.ndarray | None = None):
+                     valid: np.ndarray | None = None,
+                     key_bounds: tuple[int, int] | None = None):
         """Vectorized per-segment lookup: for every lane, find ``keys[i]``
         among the children of parent entry ``owner[i]`` at ``level``.
 
         Lanes whose owner has no children there — ``owner < 0`` (empty
         views) or at or past the composite's ``span`` — always miss.
         Returns :func:`lookup_sorted`'s ``(positions, found, regime)``, or
-        ``None`` when the composite key overflows.
+        ``None`` when the composite key overflows.  Keys whose proven
+        ``key_bounds`` lie inside the level's are not compared with them.
         """
         comp_info = self.composite(level)
         if comp_info is None:
             return None
         comp, kmin, kmax, big, span = comp_info
-        in_range = (owner >= 0) & (owner < span) & (keys >= kmin) & (keys <= kmax)
+        in_range = (owner >= 0) & (owner < span)
+        if key_bounds is None or key_bounds[0] < kmin or key_bounds[1] > kmax:
+            in_range &= (keys >= kmin) & (keys <= kmax)
         if valid is not None:
             in_range &= valid
         if in_range.all():

@@ -245,7 +245,10 @@ class PreparedPlan:
 
         Lowered artifacts are environment-independent, so running the same
         prepared plan under a different binding of the same symbols — e.g. a
-        prepared statement re-binding a scalar parameter — is sound.
+        prepared statement re-binding a scalar parameter — is sound.  An
+        environment from ``Catalog.globals()`` also carries the facts its
+        formats declare (:mod:`repro.storage.facts`), which ``typed`` uses
+        in place of run-time checks; the result is the same without them.
 
         ``stats``, when given, receives ``typed``'s per-run execution
         counters (``sum_loops``, ``fallback_sums``, ``fallback_reasons``, …

@@ -14,6 +14,12 @@ iteration — and what is nested inside a batched body stays batched:
   enclosing binding is gathered onto the expanded lanes only when the body
   reads it, through one composed lane map however many expansions lie
   between (bindings nobody reads are never expanded),
+* integer lanes carry what is proven about them — bounds, and being a run
+  ``start:start+n`` or ``array[s:s+n]`` — from ranges, ``+ c`` and the facts
+  the storage declares (:mod:`repro.storage.facts`); a guard they decide is
+  one boolean, a gather they bound scans nothing, a lookup with a run of
+  keys is a view, and a traversal ``P(s):P(s+1)`` of a non-decreasing ``P``
+  is one position range,
 * lookups with per-lane keys into nested dictionaries become one lookup of
   a composite (parent, key) integer over the level's order — one gather
   through a position table when the key range is dense, a ``searchsorted``
@@ -154,12 +160,21 @@ class Untyped(Exception):
 
 
 class TBatch:
-    """A scalar per lane: one NumPy array over the current lane space."""
+    """A scalar per lane: one NumPy array over the current lane space.
 
-    __slots__ = ("data",)
+    Integer lanes may carry what is proven about them, never found by a
+    scan: ``bounds`` ``(lo, hi)`` when every lane lies in ``[lo, hi]``, and
+    ``run`` ``(source, start)`` when the lanes are ``source[start:start + n]``
+    (``source`` ``None``: ``arange(start, start + n)``).
+    """
 
-    def __init__(self, data: np.ndarray):
+    __slots__ = ("data", "bounds", "run")
+
+    def __init__(self, data: np.ndarray, bounds: tuple[int, int] | None = None,
+                 run: tuple | None = None):
         self.data = data
+        self.bounds = bounds
+        self.run = run
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TBatch({self.data!r})"
@@ -168,25 +183,30 @@ class TBatch:
 class TBatchDict:
     """A singleton dictionary ``{ key -> value }`` per lane.
 
-    ``keys`` is int64 per lane; ``value`` is a per-lane array (scalar leaf)
-    or a nested :class:`TBatchDict`; ``mask`` marks lanes whose entry exists.
+    ``keys`` is int64 per lane, with its proven ``bounds`` if any (see
+    :class:`TBatch`); ``value`` is a per-lane array (scalar leaf) or a nested
+    :class:`TBatchDict`; ``mask`` marks lanes whose entry exists.
     """
 
-    __slots__ = ("keys", "value", "mask")
+    __slots__ = ("keys", "value", "mask", "bounds")
 
-    def __init__(self, keys: np.ndarray, value, mask: np.ndarray | None = None):
+    def __init__(self, keys: np.ndarray, value, mask: np.ndarray | None = None,
+                 bounds: tuple[int, int] | None = None):
         self.keys = keys
         self.value = value
         self.mask = mask
+        self.bounds = bounds
 
     def with_mask(self, mask: np.ndarray) -> "TBatchDict":
         combined = mask if self.mask is None else (self.mask & mask)
-        return TBatchDict(self.keys, self.value, combined)
+        return TBatchDict(self.keys, self.value, combined, self.bounds)
 
     def scaled(self, factor) -> "TBatchDict":
         if isinstance(self.value, TBatchDict):
-            return TBatchDict(self.keys, self.value.scaled(factor), self.mask)
-        return TBatchDict(self.keys, _num(np.asarray(self.value)) * factor, self.mask)
+            value = self.value.scaled(factor)
+        else:
+            value = _num(np.asarray(self.value)) * factor
+        return TBatchDict(self.keys, value, self.mask, self.bounds)
 
 
 class TSlice:
@@ -194,15 +214,21 @@ class TSlice:
 
     ``target`` is a shared 1-D float array (``e(lo:hi)``) or ``None`` for a
     bare range ``lo:hi`` (values are the keys); ``lo``/``hi`` are int64 per
-    lane.
+    lane.  ``span`` ``(first, end)``, when proven, holds every key in
+    ``[first, end)``; ``contiguous`` that the lanes' ranges are back to back
+    (``hi[i] == lo[i + 1]``) and none is negative — a full traversal of a
+    segment array (:func:`_slice_lanes`).
     """
 
-    __slots__ = ("target", "lo", "hi")
+    __slots__ = ("target", "lo", "hi", "span", "contiguous")
 
-    def __init__(self, target: np.ndarray | None, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, target: np.ndarray | None, lo: np.ndarray, hi: np.ndarray,
+                 span: tuple[int, int] | None = None, contiguous: bool = False):
         self.target = target
         self.lo = lo
         self.hi = hi
+        self.span = span
+        self.contiguous = contiguous
 
 
 class TSegs:
@@ -228,17 +254,20 @@ class TFlat:
     """A general dictionary per lane, stored as a bag of (coords, value) entries.
 
     ``cols`` are int64 coordinate columns (outermost key first), ``vals``
-    float64, ``rows`` the owning lane of each entry.  Semiring addition is
+    float64, ``rows`` the owning lane of each entry, ``bounds`` the proven
+    ``(lo, hi)`` of each column or ``None``.  Semiring addition is
     concatenation; duplicate coordinates are resolved by the final
     group-by-sum reduction, matching the interpreter's ``v_add`` exactly.
     """
 
-    __slots__ = ("cols", "vals", "rows")
+    __slots__ = ("cols", "vals", "rows", "bounds")
 
-    def __init__(self, cols: list, vals: np.ndarray, rows: np.ndarray):
+    def __init__(self, cols: list, vals: np.ndarray, rows: np.ndarray,
+                 bounds: list | None = None):
         self.cols = cols
         self.vals = vals
         self.rows = rows
+        self.bounds = bounds if bounds is not None else [None] * len(cols)
 
 
 def _is_batched(value) -> bool:
@@ -262,14 +291,15 @@ class DenseResult:
 class _Runtime:
     """Per-execution state threaded through the closures."""
 
-    __slots__ = ("env", "batched", "lanes", "invariants", "failed_batch",
+    __slots__ = ("env", "facts", "batched", "lanes", "invariants", "failed_batch",
                  "fallbacks", "buffers", "profile", "regimes", "lookups",
                  "dense_shape", "dense_sinks", "relayouts_built",
-                 "relayouts_reused", "levelized")
+                 "relayouts_reused", "levelized", "proven_guards", "contiguous_reads")
 
     def __init__(self, env: Mapping[str, Any], profile=None,
                  dense_shape: tuple[int, ...] | None = None):
         self.env = env
+        self.facts = getattr(env, "facts", None) or {}   # id(array) -> ArrayFact
         self.batched = False
         self.lanes = 0
         self.invariants: dict = {}
@@ -284,6 +314,8 @@ class _Runtime:
         self.relayouts_built = 0           # kept re-layouts this run computed ...
         self.relayouts_reused = 0          # ... and took from an earlier run
         self.levelized = 0                 # collections this run walked into levels
+        self.proven_guards = 0             # checks the lanes' proven bounds decided
+        self.contiguous_reads = 0          # gathers and expansions read as one slice
 
 
 _Closure = Callable[[list, _Runtime], Any]
@@ -451,15 +483,15 @@ def _defer_frames(frames: list, parent: np.ndarray) -> list:
 def _reindex(value, parent: np.ndarray):
     """Re-map a per-lane value onto an expanded lane space (``new -> old``)."""
     if isinstance(value, TBatch):
-        return TBatch(value.data[parent])
+        return TBatch(value.data[parent], value.bounds)
     if isinstance(value, TBatchDict):
         inner = value.value
         inner = _reindex(inner, parent) if isinstance(inner, TBatchDict) \
             else np.asarray(inner)[parent]
         mask = None if value.mask is None else value.mask[parent]
-        return TBatchDict(value.keys[parent], inner, mask)
+        return TBatchDict(value.keys[parent], inner, mask, value.bounds)
     if isinstance(value, TSlice):
-        return TSlice(value.target, value.lo[parent], value.hi[parent])
+        return TSlice(value.target, value.lo[parent], value.hi[parent], value.span)
     if isinstance(value, TSegs):
         scale = None if value.scale is None else value.scale[parent]
         return TSegs(value.levels, value.level, value.owner[parent], scale)
@@ -484,6 +516,64 @@ def _all_inside(keys: np.ndarray, size: int) -> bool:
     return keys.shape[0] == 0 or (int(keys.min()) >= 0 and int(keys.max()) < size)
 
 
+def _within(bounds: tuple[int, int] | None, lo, hi) -> bool:
+    """Whether proven ``bounds`` lie inside ``[lo, hi]``."""
+    return bounds is not None and bounds[0] >= lo and bounds[1] <= hi
+
+
+def _lane_bounds(value) -> tuple[int, int] | None:
+    """The proven bounds of a per-lane integer operand: a :class:`TBatch`'s, or
+    an integer scalar's own value."""
+    if isinstance(value, TBatch):
+        return value.bounds
+    if isinstance(value, (int, np.integer)):
+        return int(value), int(value)
+    return None
+
+
+def _decide(op: str, left, right) -> bool | None:
+    """The value of ``left op right`` on every lane, when the operands'
+    proven bounds decide it; ``None`` when they do not."""
+    if left is None or right is None:
+        return None
+    if op in (">", ">="):
+        op, left, right = ("<" if op == ">" else "<="), right, left
+    (llo, lhi), (rlo, rhi) = left, right
+    if op == "<":
+        return True if lhi < rlo else False if llo >= rhi else None
+    if op == "<=":
+        return True if lhi <= rlo else False if llo > rhi else None
+    equal = True if llo == lhi == rlo == rhi else False if lhi < rlo or rhi < llo else None
+    return equal if equal is None or op == "==" else not equal
+
+
+def _int_bounds(data: np.ndarray, left, right) -> tuple[int, int] | None:
+    """Bounds of ``left + right`` from the operands' (integer lanes only, and
+    only while no lane can have wrapped around)."""
+    if data.dtype.kind not in "iu":
+        return None
+    lb, rb = _lane_bounds(left), _lane_bounds(right)
+    if lb is None or rb is None:
+        return None
+    return _int64_bounds(lb[0] + rb[0], lb[1] + rb[1])
+
+
+def _int64_bounds(lo: int, hi: int) -> tuple[int, int] | None:
+    """``(lo, hi)`` when int64 lanes between them cannot have wrapped around."""
+    return (lo, hi) if -(1 << 63) <= lo and hi < (1 << 63) else None
+
+
+def _fact(rt: _Runtime, array: np.ndarray):
+    """The declared :class:`~repro.storage.facts.ArrayFact` of this very array."""
+    fact = rt.facts.get(id(array))
+    return fact if fact is not None and fact.array is array else None
+
+
+def _fact_bounds(rt: _Runtime, array: np.ndarray) -> tuple[int, int] | None:
+    fact = _fact(rt, array)
+    return None if fact is None else (fact.lo, fact.hi)
+
+
 def _gather(target: np.ndarray | None, keys: np.ndarray):
     """Bounds-checked gather; out-of-range positions read 0, like ``lookup``."""
     if target is None:
@@ -497,8 +587,70 @@ def _gather(target: np.ndarray | None, keys: np.ndarray):
     return np.where(valid, _num(target[np.clip(keys, 0, size - 1)]), 0)
 
 
-def _flatten_tbd(tbd: TBatchDict, lanes: int):
-    """(cols, vals, rows) of a per-lane singleton-dictionary chain.
+def _read(rt: _Runtime, target: np.ndarray | None, keys: TBatch) -> TBatch:
+    """:func:`_gather` of the per-lane positions ``keys``, using what is proven.
+
+    Keys that are a run ``start:start+n`` inside ``target`` read the view
+    ``target[start:start+n]``; keys proven inside it are gathered with no
+    bounds scan.  Either way the lanes carry ``target``'s declared bounds.
+    """
+    if target is None:
+        return keys
+    size = target.shape[0]
+    if size:
+        run = keys.run
+        if run is not None and run[0] is None and 0 <= run[1] \
+                and run[1] + keys.data.shape[0] <= size:
+            rt.contiguous_reads += 1
+            start = run[1]
+            return TBatch(_num(target[start:start + keys.data.shape[0]]),
+                          _fact_bounds(rt, target), (target, start))
+        if _within(keys.bounds, 0, size - 1):
+            rt.proven_guards += 1
+            return TBatch(_num(target[keys.data]), _fact_bounds(rt, target))
+    return TBatch(_gather(target, keys.data))
+
+
+def _batched_slice(rt: _Runtime, target: np.ndarray | None, lo, hi) -> TSlice:
+    """``target(lo:hi)`` (the range ``lo:hi`` when ``target`` is ``None``) with
+    bounds per lane, and what they prove: the span of its keys, and whether
+    it is ``P(s):P(s+1)`` over a run ``s`` and a ``P`` declared non-decreasing.
+    """
+    lo_lanes, hi_lanes = _trunc_lanes(lo, rt.lanes), _trunc_lanes(hi, rt.lanes)
+    lo_bounds, hi_bounds = _lane_bounds(lo), _lane_bounds(hi)
+    span = None if lo_bounds is None or hi_bounds is None else (lo_bounds[0], hi_bounds[1])
+    contiguous = False
+    if isinstance(lo, TBatch) and isinstance(hi, TBatch) \
+            and lo.run is not None and hi.run is not None:
+        (source, start), (hi_source, hi_start) = lo.run, hi.run
+        if source is not None and hi_source is source and hi_start == start + 1:
+            fact = _fact(rt, source)
+            contiguous = fact is not None and fact.ordered
+    return TSlice(target, lo_lanes, hi_lanes, span, contiguous)
+
+
+def _slice_lanes(rt: _Runtime, ts: TSlice):
+    """``(parent, positions, counts)`` of a per-lane slice fanned out into lanes.
+
+    A contiguous slice — ``P(s):P(s+1)`` over a non-decreasing ``P`` and a
+    run of ``s`` — is the one range ``lo[0]:hi[-1]``: one ``repeat`` for the
+    parent map and no clamp or contiguity scan (:func:`expand_lanes`).
+    """
+    if ts.contiguous and ts.lo.shape[0]:
+        start, end = int(ts.lo[0]), int(ts.hi[-1])
+        counts = ts.hi - ts.lo
+        parent = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+        rt.contiguous_reads += 1
+        return (parent, TBatch(np.arange(start, end, dtype=np.int64),
+                               (start, end - 1), (None, start)), counts)
+    counts = np.maximum(ts.hi - ts.lo, 0)
+    parent, positions = expand_lanes(ts.lo, counts)
+    bounds = None if ts.span is None else (ts.span[0], ts.span[1] - 1)
+    return parent, TBatch(positions, bounds), counts
+
+
+def _flatten_tbd(tbd: TBatchDict, lanes: int) -> TFlat:
+    """The entry bag of a per-lane singleton-dictionary chain.
 
     A lane is an entry when every mask of the chain keeps it and its value
     is not zero: ``{k -> 0}`` is ``{}``, so the lanes of a lookup that
@@ -506,24 +658,26 @@ def _flatten_tbd(tbd: TBatchDict, lanes: int):
     zero changes no sum, so dropping them leaves every result bit for bit.
     """
     cols: list = []
+    bounds: list = []
     keep = None     # the lanes the masks keep; None: all of them
     node = tbd
     while isinstance(node, TBatchDict):
         if node.mask is not None:
             keep = node.mask if keep is None else keep & node.mask
         cols.append(node.keys)
+        bounds.append(node.bounds)
         node = node.value
     vals = np.asarray(node).astype(np.float64, copy=False)
     nonzero = vals != 0
     keep = nonzero if keep is None else keep & nonzero
     if keep.all():
-        return cols, vals, np.arange(lanes, dtype=np.int64)
+        return TFlat(cols, vals, np.arange(lanes, dtype=np.int64), bounds)
     sel = np.flatnonzero(keep)
-    return [col[sel] for col in cols], vals[sel], sel
+    return TFlat([col[sel] for col in cols], vals[sel], sel, bounds)
 
 
-def _flatten_segs(ts: TSegs):
-    """(cols, vals, rows) of a per-lane nested-dictionary segment."""
+def _flatten_segs(ts: TSegs) -> TFlat:
+    """The entry bag of a per-lane nested-dictionary segment."""
     levels = ts.levels
     lanes = ts.owner.shape[0]
     rows = np.arange(lanes, dtype=np.int64)
@@ -548,27 +702,28 @@ def _flatten_segs(ts: TSegs):
             vals = levels.values[pos]
             if scale is not None:
                 vals = vals * scale
-            return cols, vals, rows
+            bounds = [levels.known_bounds(d) for d in range(ts.level, level + 1)]
+            return TFlat(cols, vals, rows, bounds)
         owner = pos
         level += 1
 
 
-def _flatten_slice(ts: TSlice):
-    rows, keys = expand_lanes(ts.lo, np.maximum(ts.hi - ts.lo, 0))
-    vals = np.asarray(_gather(ts.target, keys)).astype(np.float64, copy=False)
-    return [keys], vals, rows
+def _flatten_slice(rt: _Runtime, ts: TSlice) -> TFlat:
+    rows, keys, _ = _slice_lanes(rt, ts)
+    vals = np.asarray(_read(rt, ts.target, keys).data).astype(np.float64, copy=False)
+    return TFlat([keys.data], vals, rows, [keys.bounds])
 
 
-def _flatten(value, lanes: int):
-    """(cols, vals, rows) for any per-lane dictionary representation."""
+def _flatten(rt: _Runtime, value, lanes: int) -> TFlat:
+    """The entry bag of any per-lane dictionary representation."""
     if isinstance(value, TFlat):
-        return value.cols, value.vals, value.rows
+        return value
     if isinstance(value, TBatchDict):
         return _flatten_tbd(value, lanes)
     if isinstance(value, TSegs):
         return _flatten_segs(value)
     if isinstance(value, TSlice):
-        return _flatten_slice(value)
+        return _flatten_slice(rt, value)
     raise Untyped(f"cannot flatten {type(value).__name__}")
 
 
@@ -585,7 +740,7 @@ def _group_result(rt: _Runtime, cols: list, vals: np.ndarray):
     return BufferDict(BufferLevels.from_sorted_columns(cols, sums))
 
 
-def _dense_sink(cols: list, vals: np.ndarray, shape: tuple[int, ...]):
+def _dense_sink(rt: _Runtime, flat: TFlat, shape: tuple[int, ...]):
     """An entry bag summed straight into a dense array of ``shape``.
 
     ``np.bincount`` adds the values of each cell in input order starting
@@ -594,16 +749,20 @@ def _dense_sink(cols: list, vals: np.ndarray, shape: tuple[int, ...]):
     path densifies to ``+0.0`` — so the array equals scattering the grouped
     result into zeros bit for bit.  ``None`` when the rank differs or a key
     lies outside ``[0, shape)``: the eager path then keeps its
-    wrap-or-raise indexing.
+    wrap-or-raise indexing.  A column whose bounds are proven inside its
+    extent is not scanned.
     """
+    cols = flat.cols
     if len(cols) != len(shape):
         return None
-    flat = None
-    for col, extent in zip(cols, shape):
-        if col.shape[0] and (int(col.min()) < 0 or int(col.max()) >= extent):
+    flat_keys = None
+    for col, bounds, extent in zip(cols, flat.bounds, shape):
+        if _within(bounds, 0, extent - 1):
+            rt.proven_guards += 1
+        elif col.shape[0] and (int(col.min()) < 0 or int(col.max()) >= extent):
             return None
-        flat = col if flat is None else flat * extent + col
-    sums = np.bincount(flat, weights=np.asarray(vals, dtype=np.float64),
+        flat_keys = col if flat_keys is None else flat_keys * extent + col
+    sums = np.bincount(flat_keys, weights=np.asarray(flat.vals, dtype=np.float64),
                        minlength=math.prod(shape))
     # An empty bag (every lane masked or zero) comes back as int64.
     return sums.astype(np.float64, copy=False).reshape(shape)
@@ -618,13 +777,13 @@ def _reduce_lanes(rt: _Runtime, body, lanes: int, root: bool = False):
     if isinstance(body, TBatch):
         return body.data.sum().item()
     if _is_dict_batched(body):
-        cols, vals, _ = _flatten(body, lanes)
+        flat = _flatten(rt, body, lanes)
         if root and rt.dense_shape is not None:
-            dense = _dense_sink(cols, vals, rt.dense_shape)
+            dense = _dense_sink(rt, flat, rt.dense_shape)
             if dense is not None:
                 rt.dense_sinks += 1
                 return DenseResult(dense)
-        return _group_result(rt, cols, vals)
+        return _group_result(rt, flat.cols, flat.vals)
     # Constant across lanes (the body used no batched variable).
     return v_mul(lanes, body)
 
@@ -634,11 +793,9 @@ def _reduce_expanded(rt: _Runtime, body, parent: np.ndarray, out_lanes: int,
     """Collapse an expanded sum body back onto the outer lane space."""
     if isinstance(body, TBatch):
         return TBatch(parent_sum(parent, _num(body.data), out_lanes))
-    if isinstance(body, TFlat):
-        return TFlat(body.cols, body.vals, parent[body.rows])
-    if isinstance(body, (TBatchDict, TSegs, TSlice)):
-        cols, vals, rows = _flatten(body, parent.shape[0])
-        return TFlat(cols, vals, parent[rows])
+    if _is_dict_batched(body):
+        flat = _flatten(rt, body, parent.shape[0])
+        return TFlat(flat.cols, flat.vals, parent[flat.rows], flat.bounds)
     if is_scalar(body):
         if is_zero(body):
             return 0
@@ -661,13 +818,13 @@ def _apply_mask(result, mask: np.ndarray):
     if isinstance(result, TFlat):
         keep = mask[result.rows]
         return TFlat([c[keep] for c in result.cols], result.vals[keep],
-                     result.rows[keep])
+                     result.rows[keep], result.bounds)
     if isinstance(result, TSegs):
         return TSegs(result.levels, result.level,
                      np.where(mask, result.owner, -1), result.scale)
     if isinstance(result, TSlice):
         return TSlice(result.target, np.where(mask, result.lo, 0),
-                      np.where(mask, result.hi, 0))
+                      np.where(mask, result.hi, 0), result.span)
     if is_scalar(result):
         if is_zero(result):
             return 0
@@ -680,89 +837,96 @@ def _apply_mask(result, mask: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _range_lanes(lo: int, hi: int) -> TBatch:
+    """The keys ``lo:hi``, one per lane, with what that proves."""
+    return TBatch(np.arange(lo, hi, dtype=np.int64), (lo, hi - 1), (None, lo))
+
+
 def _iteration_space(rt: _Runtime, source):
     """``(keys, values)`` for batching a non-batched sum source, else ``None``.
 
-    Nested dictionaries and tries batch too: their value side is a
-    :class:`TSegs` over the levelized buffers.
+    Both are per-lane values; nested dictionaries and tries batch too: their
+    value side is a :class:`TSegs` over the levelized buffers.
     """
     source = _unwrap(source)
     if isinstance(source, RangeDict):
-        keys = np.arange(source.lo, source.hi, dtype=np.int64)
-        return keys, TBatch(keys)
+        keys = _range_lanes(source.lo, source.hi)
+        return keys, keys
     if isinstance(source, np.ndarray):
         if source.ndim != 1:
             return None
-        return (np.arange(source.shape[0], dtype=np.int64), TBatch(source))
+        return (_range_lanes(0, source.shape[0]),
+                TBatch(source, _fact_bounds(rt, source), (source, 0)))
     if isinstance(source, SliceDict):
         target = _unwrap(source.target)
         if not (isinstance(target, np.ndarray) and target.ndim == 1):
             return None
-        keys = np.arange(source.lo, source.hi, dtype=np.int64)
-        return keys, TBatch(_gather(target, keys))
+        keys = _range_lanes(source.lo, source.hi)
+        return keys, _read(rt, target, keys)
     view = _levels_of(rt, source)
     if view is None:
         return None
     levels = view.levels
-    entries = np.arange(view.lo, view.hi, dtype=np.int64)
-    keys = levels.keys[view.level][view.lo:view.hi]
+    keys = TBatch(levels.keys[view.level][view.lo:view.hi],
+                  levels.known_bounds(view.level))
     if view.is_leaf:
         return keys, TBatch(levels.values[view.lo:view.hi])
-    return keys, TSegs(levels, view.level + 1, entries)
+    return keys, TSegs(levels, view.level + 1,
+                       np.arange(view.lo, view.hi, dtype=np.int64))
 
 
-def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
-                    valid: np.ndarray | None):
-    """Per-lane point lookup ``target(keys[i])`` -> ``(value, found)``.
+def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None):
+    """Per-lane point lookup ``target(key[i])``, ``None`` when the target kind
+    does not support a batched lookup.
 
-    ``found`` marks lanes whose key *exists as an entry* of ``target``
-    (its value may still be an explicit zero).  Returns ``None`` when the
-    target kind does not support a batched lookup.
+    ``key`` holds int64 lanes; ``valid``, when given, marks the lanes whose
+    key is an integer at all (the others miss).
     """
+    keys = key.data
     lanes = keys.shape[0]
     target = _unwrap(target)
     if is_scalar(target) and is_zero(target):
-        return 0, np.zeros(lanes, dtype=bool)
+        return 0
     if isinstance(target, RangeDict):
+        if valid is None and _within(key.bounds, target.lo, target.hi - 1):
+            rt.proven_guards += 1
+            return key
         found = (keys >= target.lo) & (keys < target.hi)
         if valid is not None:
             found = found & valid
-        return TBatch(np.where(found, keys, 0)), found
+        return TBatch(np.where(found, keys, 0))
     if isinstance(target, np.ndarray) and target.ndim == 1:
-        if valid is None and lanes and _all_inside(keys, target.shape[0]):
-            return TBatch(_num(target[keys])), np.ones(lanes, dtype=bool)
-        found = (keys >= 0) & (keys < target.shape[0])
-        if valid is not None:
-            found = found & valid
-        return TBatch(_gather(target, np.where(found, keys, -1))), found
+        if valid is None:
+            return _read(rt, target, key)
+        return TBatch(_gather(target, np.where(valid, keys, -1)))
     if isinstance(target, SliceDict):
+        if valid is None and _within(key.bounds, target.lo, target.hi - 1):
+            rt.proven_guards += 1
+            return _lookup_batched(rt, target.target, key, None)
         in_slice = (keys >= target.lo) & (keys < target.hi)
         if valid is not None:
             in_slice = in_slice & valid
-        inner = _lookup_batched(rt, target.target, keys, in_slice)
-        if inner is None:
-            return None
-        value, _ = inner
-        return _apply_mask(value, in_slice), in_slice
+        value = _lookup_batched(rt, target.target, key, in_slice)
+        return None if value is None else _apply_mask(value, in_slice)
     if isinstance(target, TSlice):
         in_slice = (keys >= target.lo) & (keys < target.hi)
         if valid is not None:
             in_slice = in_slice & valid
-        return TBatch(np.where(in_slice, _gather(target.target, keys), 0)), in_slice
+        return TBatch(np.where(in_slice, _gather(target.target, keys), 0))
     if isinstance(target, TSegs):
-        hit = target.levels.lookup_level(target.level, target.owner, keys, valid)
+        levels = target.levels
+        hit = levels.lookup_level(target.level, target.owner, keys, valid, key.bounds)
         if hit is None:
             raise Untyped("composite key overflow in nested lookup")
         pos, found, regime = hit
         rt.lookups[regime] += 1
-        levels = target.levels
+        rt.proven_guards += _within(key.bounds, *levels.key_bounds(target.level))
         if target.level == levels.depth - 1:
             values = _safe_gather(levels.values, pos, found)
             if target.scale is not None:
                 values = values * target.scale
-            return TBatch(np.where(found, values, 0)), found
-        return (TSegs(levels, target.level + 1, np.where(found, pos, -1),
-                      target.scale), found)
+            return TBatch(np.where(found, values, 0))
+        return TSegs(levels, target.level + 1, np.where(found, pos, -1), target.scale)
     if isinstance(target, TBatchDict):
         found = target.keys == keys
         if target.mask is not None:
@@ -770,8 +934,8 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
         if valid is not None:
             found = found & valid
         if isinstance(target.value, TBatchDict):
-            return target.value.with_mask(found), found
-        return TBatch(np.where(found, _num(np.asarray(target.value)), 0)), found
+            return target.value.with_mask(found)
+        return TBatch(np.where(found, _num(np.asarray(target.value)), 0))
     if isinstance(target, TFlat):
         # An entry bag: the entries whose outermost key is their lane's key.
         keep = target.cols[0] == keys[target.rows]
@@ -779,20 +943,15 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
             keep &= valid[target.rows]
         rows, vals = target.rows[keep], target.vals[keep]
         if len(target.cols) == 1:
-            # bincount adds a lane's duplicates in input order, like v_add;
-            # an entry that sums to zero does not exist.
-            sums = np.bincount(rows, weights=vals, minlength=lanes)
-            return TBatch(sums), sums != 0
-        # Deeper: peel the matched column.  Summing per remaining key first
-        # keeps `found` exact when a lane's matches cancel to nothing.
+            # bincount adds a lane's duplicates in input order, like v_add.
+            return TBatch(np.bincount(rows, weights=vals, minlength=lanes))
+        # Deeper: peel the matched column, summing per remaining key.
         cols = [rows] + [col[keep] for col in target.cols[1:]]
         take, vals, regime = group_sum(cols, vals)
         rt.regimes[regime] += 1
         if take is not None:
             cols = [col[take] for col in cols]
-        found = np.zeros(lanes, dtype=bool)
-        found[cols[0]] = True
-        return TFlat(cols[1:], vals, cols[0]), found
+        return TFlat(cols[1:], vals, cols[0], target.bounds[1:])
     if _is_batched(target):
         return None
     view = _levels_of(rt, target)
@@ -800,27 +959,28 @@ def _lookup_batched(rt: _Runtime, target, keys: np.ndarray,
         return None
     levels = view.levels
     span = levels.keys[view.level][view.lo:view.hi]
-    pos, found, regime = lookup_sorted(span, keys)
+    inside = span.shape[0] > 0 and _within(key.bounds, int(span[0]), int(span[-1]))
+    pos, found, regime = lookup_sorted(span, keys, inside)
     rt.lookups[regime] += 1
+    rt.proven_guards += inside
     pos = pos + view.lo
     if valid is not None:
         found = found & valid
     if view.is_leaf:
-        return TBatch(np.where(found, _safe_gather(levels.values, pos, found), 0)), found
-    return TSegs(levels, view.level + 1, np.where(found, pos, -1)), found
+        return TBatch(np.where(found, _safe_gather(levels.values, pos, found), 0))
+    return TSegs(levels, view.level + 1, np.where(found, pos, -1))
 
 
 def _expand_source(rt: _Runtime, source, lanes: int):
     """Fan a batched sum source out into an expanded lane space.
 
     Returns ``(parent, keys, values, counts)`` — ``parent`` maps every new
-    lane back to its outer lane — or a plain scalar 0 when the source is the
-    semiring zero on every lane.
+    lane back to its outer lane, ``keys`` and ``values`` are per-lane values
+    — or a plain scalar 0 when the source is the semiring zero on every lane.
     """
     if isinstance(source, TSlice):
-        counts = np.maximum(source.hi - source.lo, 0)
-        parent, keys = expand_lanes(source.lo, counts)
-        return parent, keys, TBatch(_gather(source.target, keys)), counts
+        parent, keys, counts = _slice_lanes(rt, source)
+        return parent, keys, _read(rt, source.target, keys), counts
     if isinstance(source, TSegs):
         levels = source.levels
         seg = levels.seg[source.level]
@@ -834,7 +994,7 @@ def _expand_source(rt: _Runtime, source, lanes: int):
             ends = seg[np.minimum(safe + 1, seg.shape[0] - 1)]
             counts = np.where(owner >= 0, ends - starts, 0)
         parent, pos = expand_lanes(starts, counts)
-        keys = levels.keys[source.level][pos]
+        keys = TBatch(levels.keys[source.level][pos], levels.known_bounds(source.level))
         scale = None if source.scale is None else source.scale[parent]
         if source.level == levels.depth - 1:
             values = levels.values[pos]
@@ -853,16 +1013,17 @@ def _expand_source(rt: _Runtime, source, lanes: int):
     if space is None:
         raise Untyped(f"cannot batch iteration over {type(source).__name__}")
     inner_keys, inner_values = space
-    size = inner_keys.shape[0]
+    size = inner_keys.data.shape[0]
     if size == 0:
         return 0
     if lanes * size > _EXPANSION_CAP:
         raise Untyped("cross-product expansion exceeds the lane cap")
     parent = np.repeat(np.arange(lanes, dtype=np.int64), size)
-    keys = np.tile(inner_keys, lanes)
+    keys = TBatch(np.tile(inner_keys.data, lanes), inner_keys.bounds)
     counts = np.full(lanes, size, dtype=np.int64)
     if isinstance(inner_values, TBatch):
-        return parent, keys, TBatch(np.tile(inner_values.data, lanes)), counts
+        return (parent, keys, TBatch(np.tile(inner_values.data, lanes), inner_values.bounds),
+                counts)
     return (parent, keys,
             TSegs(inner_values.levels, inner_values.level,
                   np.tile(inner_values.owner, lanes)), counts)
@@ -907,15 +1068,22 @@ def _is_full_root(view: LevelView) -> bool:
 
 def _neg_value(rt: _Runtime, value):
     if isinstance(value, TBatch):
-        return TBatch(-_num(value.data))
+        data = -_num(value.data)
+        bounds = value.bounds
+        return TBatch(data, None if bounds is None or data.dtype.kind not in "iu"
+                      else _int64_bounds(-bounds[1], -bounds[0]))
     if isinstance(value, TBatchDict):
         return value.scaled(-1.0)
-    if isinstance(value, TFlat):
-        return TFlat(value.cols, -value.vals, value.rows)
-    if isinstance(value, (TSegs, TSlice)):
-        cols, vals, rows = _flatten(value, rt.lanes)
-        return TFlat(cols, -vals, rows)
+    if isinstance(value, (TFlat, TSegs, TSlice)):
+        flat = _flatten(rt, value, rt.lanes)
+        return TFlat(flat.cols, -flat.vals, flat.rows, flat.bounds)
     return v_mul(-1, value) if not is_scalar(value) else -value
+
+
+def _union(left, right):
+    if left is None or right is None:
+        return None
+    return min(left[0], right[0]), max(left[1], right[1])
 
 
 def _add_values(rt: _Runtime, left, right):
@@ -926,15 +1094,24 @@ def _add_values(rt: _Runtime, left, right):
     if not _is_batched(left) and not _is_batched(right):
         return v_add(left, right)
     if isinstance(left, TBatch) or isinstance(right, TBatch):
-        return TBatch(np.asarray(_lane_num(left) + _lane_num(right)))
+        data = np.asarray(_lane_num(left) + _lane_num(right))
+        # A run of keys plus a constant is a run: `row + 1`.
+        batch, other = (left, right) if isinstance(left, TBatch) else (right, left)
+        run = batch.run
+        if run is None or run[0] is not None or not isinstance(other, (int, np.integer)):
+            run = None
+        else:
+            run = (None, run[1] + int(other))
+        return TBatch(data, _int_bounds(data, left, right), run)
     if _is_dict_batched(left) and _is_dict_batched(right):
-        lcols, lvals, lrows = _flatten(left, rt.lanes)
-        rcols, rvals, rrows = _flatten(right, rt.lanes)
-        if len(lcols) != len(rcols):
+        lflat = _flatten(rt, left, rt.lanes)
+        rflat = _flatten(rt, right, rt.lanes)
+        if len(lflat.cols) != len(rflat.cols):
             raise Untyped("mixed-depth dictionary addition in batched body")
-        return TFlat([np.concatenate([a, b]) for a, b in zip(lcols, rcols)],
-                     np.concatenate([lvals, rvals]),
-                     np.concatenate([lrows, rrows]))
+        return TFlat([np.concatenate([a, b]) for a, b in zip(lflat.cols, rflat.cols)],
+                     np.concatenate([lflat.vals, rflat.vals]),
+                     np.concatenate([lflat.rows, rflat.rows]),
+                     [_union(a, b) for a, b in zip(lflat.bounds, rflat.bounds)])
     raise Untyped("dictionary addition does not batch")
 
 
@@ -950,9 +1127,11 @@ def _scale_dict(rt: _Runtime, dct, factor):
         scalar_factor = None
     if isinstance(dct, TBatchDict):
         return dct.scaled(scalar_factor if factor_arr is None else factor_arr)
+    if isinstance(dct, TSlice):
+        dct = _flatten_slice(rt, dct)
     if isinstance(dct, TFlat):
         scale = scalar_factor if factor_arr is None else factor_arr[dct.rows]
-        return TFlat(dct.cols, dct.vals * scale, dct.rows)
+        return TFlat(dct.cols, dct.vals * scale, dct.rows, dct.bounds)
     if isinstance(dct, TSegs):
         lanes = dct.owner.shape[0]
         fac = np.full(lanes, float(scalar_factor)) if factor_arr is None \
@@ -962,10 +1141,6 @@ def _scale_dict(rt: _Runtime, dct, factor):
         owner = np.where(fac != 0, dct.owner, -1)
         scale = fac if dct.scale is None else dct.scale * fac
         return TSegs(dct.levels, dct.level, owner, scale)
-    if isinstance(dct, TSlice):
-        cols, vals, rows = _flatten_slice(dct)
-        scale = scalar_factor if factor_arr is None else factor_arr[rows]
-        return TFlat(cols, vals * scale, rows)
     raise Untyped("dictionary scaling does not batch")
 
 
@@ -993,17 +1168,19 @@ def _mul_values(rt: _Runtime, left, right):
     raise Untyped("dictionary × dictionary in batched body")
 
 
-def _singleton_lanes(rt: _Runtime, klanes: np.ndarray, value, lanes: int):
-    """``{ klanes[i] -> value[i] }`` per lane, for a batched ``DictExpr``."""
+def _singleton_lanes(rt: _Runtime, key: TBatch, value, lanes: int):
+    """``{ key[i] -> value[i] }`` per lane, for a batched ``DictExpr``."""
+    klanes, kbounds = key.data, key.bounds
     if isinstance(value, TBatch):
-        return TBatchDict(klanes, value.data)
+        return TBatchDict(klanes, value.data, None, kbounds)
     if isinstance(value, TBatchDict):
-        return TBatchDict(klanes, value)
+        return TBatchDict(klanes, value, None, kbounds)
     if isinstance(value, (TSegs, TSlice, TFlat)):
-        cols, vals, rows = _flatten(value, lanes)
-        return TFlat([klanes[rows]] + list(cols), vals, rows)
+        flat = _flatten(rt, value, lanes)
+        return TFlat([klanes[flat.rows]] + list(flat.cols), flat.vals, flat.rows,
+                     [kbounds] + list(flat.bounds))
     if is_scalar(value):
-        return TBatchDict(klanes, np.full(lanes, value))
+        return TBatchDict(klanes, np.full(lanes, value), None, kbounds)
     raise Untyped("dictionary value does not batch")
 
 
@@ -1202,9 +1379,14 @@ class _Lowerer:
         if isinstance(expr, Cmp):
             comparator = COMPARATORS[expr.op]
             left_f, right_f = self.lower(expr.left), self.lower(expr.right)
+            op = expr.op
             def cmp_f(frames, rt):
                 left, right = left_f(frames, rt), right_f(frames, rt)
                 if isinstance(left, TBatch) or isinstance(right, TBatch):
+                    decided = _decide(op, _lane_bounds(left), _lane_bounds(right))
+                    if decided is not None:
+                        rt.proven_guards += 1
+                        return decided
                     return TBatch(np.asarray(comparator(_lane_data(left),
                                                         _lane_data(right))))
                 if _is_batched(left) or _is_batched(right):
@@ -1221,6 +1403,10 @@ class _Lowerer:
                 left = left_f(frames, rt)
                 if isinstance(left, TBatch):
                     right = right_f(frames, rt)
+                    if is_scalar(right):    # e.g. a guard the bounds decided
+                        if truthy(right) == short_circuit_on:
+                            return short_circuit_on
+                        return TBatch(left.data.astype(bool))
                     return TBatch(combine(left.data.astype(bool),
                                           np.asarray(_lane_data(right)).astype(bool)))
                 if _is_batched(left):
@@ -1241,11 +1427,13 @@ class _Lowerer:
                 key = key_f(frames, rt)
                 if isinstance(key, TBatch):
                     q, valid = _int_lanes(key.data)
-                    hit = _lookup_batched(rt, target, q, valid)
-                    if hit is None:
+                    lanes = TBatch(q) if valid is not None else \
+                        key if q is key.data else TBatch(q, key.bounds, key.run)
+                    value = _lookup_batched(rt, target, lanes, valid)
+                    if value is None:
                         raise Untyped(
                             f"vector-key lookup into {type(target).__name__}")
-                    return hit[0]
+                    return value
                 if _is_batched(key):
                     raise Untyped("dictionary-valued key in batched body")
                 if _is_batched(target):
@@ -1253,12 +1441,12 @@ class _Lowerer:
                     index = integral_index(norm)
                     if index is None:
                         return 0  # per-lane containers are integer-keyed
-                    q = np.full(rt.lanes, index, dtype=np.int64)
-                    hit = _lookup_batched(rt, target, q, None)
-                    if hit is None:
+                    q = TBatch(np.full(rt.lanes, index, dtype=np.int64), (index, index))
+                    value = _lookup_batched(rt, target, q, None)
+                    if value is None:
                         raise Untyped(
                             f"scalar lookup into batched {type(target).__name__}")
-                    return hit[0]
+                    return value
                 return lookup(target, normalize_key(key))
             return get_f
         if isinstance(expr, RangeExpr):
@@ -1266,8 +1454,7 @@ class _Lowerer:
             def range_f(frames, rt):
                 lo, hi = lo_f(frames, rt), hi_f(frames, rt)
                 if _is_batched(lo) or _is_batched(hi):
-                    return TSlice(None, _trunc_lanes(lo, rt.lanes),
-                                  _trunc_lanes(hi, rt.lanes))
+                    return _batched_slice(rt, None, lo, hi)
                 return RangeDict(int(lo), int(hi))
             return range_f
         if isinstance(expr, SliceGet):
@@ -1282,8 +1469,7 @@ class _Lowerer:
                     array = _unwrap(target)
                     if not (isinstance(array, np.ndarray) and array.ndim == 1):
                         raise Untyped("slice of a non-array with batched bounds")
-                    return TSlice(array, _trunc_lanes(lo, rt.lanes),
-                                  _trunc_lanes(hi, rt.lanes))
+                    return _batched_slice(rt, array, lo, hi)
                 return SliceDict(target, int(lo), int(hi))
             return slice_f
         if isinstance(expr, DictExpr):
@@ -1299,12 +1485,14 @@ class _Lowerer:
                         klanes, kvalid = _int_lanes(key.data)
                         if kvalid is not None:
                             raise Untyped("non-integer dictionary keys in batched body")
+                        klanes = TBatch(klanes, key.bounds)
                     elif is_scalar(key):
                         norm = normalize_key(key)
                         index = integral_index(norm)
                         if index is None:
                             raise Untyped("non-integer dictionary key in batched body")
-                        klanes = np.full(lanes, index, dtype=np.int64)
+                        klanes = TBatch(np.full(lanes, index, dtype=np.int64),
+                                        (index, index))
                     else:
                         raise EvaluationError("dictionary keys must evaluate to scalars")
                     return _singleton_lanes(rt, klanes, value, lanes)
@@ -1431,6 +1619,11 @@ class _Lowerer:
                     loops, rt.profile = rt.profile, outer
                 rt.relayouts_built += 1
                 if len(rt.fallbacks) == fallbacks:
+                    if isinstance(value, BufferDict):
+                        # Read by every later run: find its key bounds once,
+                        # so they prove the guards and lookups over it.
+                        for level in range(value.levels.depth):
+                            value.levels.key_bounds(level)
                     _keep_entry(kept, slot, inputs, value, loops)
             if rt.profile is not None:
                 rt.profile.add_loops(loops)
@@ -1476,7 +1669,7 @@ class _Lowerer:
             if parent.shape[0] == 0:
                 return 0
             new_frames = _defer_frames(frames, parent)
-            new_frames.append(TBatch(keys))
+            new_frames.append(keys)
             new_frames.append(values)
             rt.lanes = parent.shape[0]
             try:
@@ -1496,14 +1689,14 @@ class _Lowerer:
                     reason = f"cannot batch iteration over {type(source).__name__}"
                 else:
                     keys, values = space
-                    lanes = keys.shape[0]
+                    lanes = keys.data.shape[0]
                     if rt.profile is not None:
                         rt.profile.record_loop(slot, lanes)
                     if lanes == 0:
                         return 0
                     outer_lanes = rt.lanes
                     rt.batched, rt.lanes = True, lanes
-                    frames.append(TBatch(keys))
+                    frames.append(keys)
                     frames.append(values)
                     try:
                         body_value = body_f(frames, rt)
@@ -1617,6 +1810,14 @@ class TypedPlan:
     ``lookup_search``) and whether the root reduction went straight to the
     dense output (``dense_sink``: 0 or 1).
 
+    What the environment's declared facts (:mod:`repro.storage.facts`) and
+    the lanes' own provenance proved is counted too: ``proven_guards``, the
+    comparisons and bounds checks that proven lane bounds decided without
+    looking at the lanes (a guard that became one boolean, a gather, lookup
+    or dense sink that skipped its min/max scan), and ``contiguous_reads``,
+    the reads made one slice: a lookup with a run of keys read as a view,
+    and a ``P(s):P(s+1)`` traversal expanded as one position range.
+
     A closed re-layout a ``sum`` iterates or a lookup probes — a transpose
     of a stored operand, say — is kept in ``kept`` with weak references to
     the inputs it read, and reused by every later run over the identical
@@ -1683,6 +1884,8 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
             stats["relayouts_built"] = rt.relayouts_built
             stats["relayouts_reused"] = rt.relayouts_reused
             stats["levelized"] = rt.levelized
+            stats["proven_guards"] = rt.proven_guards
+            stats["contiguous_reads"] = rt.contiguous_reads
         return result
 
     return TypedPlan(plan=plan, function=function, sum_count=lowerer.sum_count,

@@ -692,11 +692,15 @@ class CampaignReport:
     elapsed: float = 0.0
     #: Census of the plain ``typed`` runs: ``sum``/``merge`` loops lowered,
     #: how many ran as Python loops instead of kernels, in how many cases,
-    #: and why (the ``Untyped`` reason -> loops).
+    #: and why (the ``Untyped`` reason -> loops); and how many checks the
+    #: declared facts decided and gathers they turned into slices
+    #: (``proven_guards`` / ``contiguous_reads``).
     typed_loops: int = 0
     fallback_loops: int = 0
     fallback_cases: int = 0
     fallback_reasons: Counter = field(default_factory=Counter)
+    proven_guards: int = 0
+    contiguous_reads: int = 0
 
     @property
     def ok(self) -> bool:
@@ -709,6 +713,8 @@ class CampaignReport:
             self.typed_loops += stats["sum_loops"] + stats["merge_loops"]
             fallbacks += stats["fallback_sums"] + stats["fallback_merges"]
             self.fallback_reasons.update(stats["fallback_reasons"])
+            self.proven_guards += stats.get("proven_guards", 0)
+            self.contiguous_reads += stats.get("contiguous_reads", 0)
         self.fallback_loops += fallbacks
         self.fallback_cases += bool(fallbacks)
 
@@ -721,7 +727,8 @@ class CampaignReport:
                                 in self.fallback_reasons.most_common())
             line += (f"\ntyped census: {self.fallback_loops} of "
                      f"{self.typed_loops} loops fell back to Python in "
-                     f"{self.fallback_cases} case(s)"
+                     f"{self.fallback_cases} case(s), {self.proven_guards} guard(s) "
+                     f"proven, {self.contiguous_reads} contiguous read(s)"
                      + (f": {reasons}" if reasons else ""))
         return line
 

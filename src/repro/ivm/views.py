@@ -335,8 +335,8 @@ class ViewRegistry:
                 # The delta's statistics and environment: one of each per update.
                 delta_stats = session.statistics().with_formats([])
                 delta_stats.apply_format(delta_fmt)
-                delta_env = dict(session.environment())
-                delta_env.update(delta_fmt.physical())
+                delta_env = session.environment().bind(
+                    delta_fmt.physical(), delta_fmt.facts().values())
                 staged: dict[str, Any] = {}
                 pending_full: list[MaterializedView] = []
                 for view in self._views.values():

@@ -69,6 +69,7 @@ from .sdqlite.frontend import FRONT_END, FrontEnd, front_end
 from .sdqlite.literals import substitute_literals
 from .serving.cache import SharedPlan, SharedPlanCache, base_key, plan_key
 from .storage.catalog import Catalog, CatalogSnapshot
+from .storage.facts import Environment
 
 
 def _shown(optimization: OptimizationResult,
@@ -222,7 +223,7 @@ class Session:
         # swapped as one ``(version, env)`` tuple so readers need no lock.
         self._stats: Statistics | None = None
         self._stats_version = -1
-        self._env: tuple[int, dict[str, Any]] = (-1, {})
+        self._env: tuple[int, Environment] = (-1, Environment())
         self._views = None  # lazy repro.ivm.views.ViewRegistry
         self._feedback = FeedbackStore(feedback) if feedback is not None else None
         # One re-entrant lock pairs each catalog mutation with its statistics
@@ -251,7 +252,7 @@ class Session:
         with self._lock:
             self._stats = None
             self._stats_version = -1
-            self._env = (-1, {})
+            self._env = (-1, Environment())
             self.plans.clear()
             self._shard_executor.close()
 
@@ -499,8 +500,9 @@ class Session:
                 self._stats, self._stats_version = stats, snapshot.version
             return self._stats
 
-    def environment(self, snapshot: CatalogSnapshot | None = None) -> dict[str, Any]:
-        """The physical environment ``globals()`` of ``snapshot`` (default: now).
+    def environment(self, snapshot: CatalogSnapshot | None = None) -> Environment:
+        """The physical environment ``globals()`` of ``snapshot`` (default: now),
+        with the facts its formats declare.
 
         Memoized on the catalog version like :meth:`statistics`; a request
         whose snapshot a later write superseded gets its own.
@@ -519,7 +521,7 @@ class Session:
               bindings: Mapping[str, Any]) -> Mapping[str, Any]:
         """The environment of ``snapshot`` with a text's literal slots bound."""
         env = self.environment(snapshot)
-        return {**env, **bindings} if bindings else env
+        return env.bind(bindings) if bindings else env
 
     # -- the request pipeline ----------------------------------------------------
 
@@ -612,7 +614,7 @@ class Session:
                 raise StorageError(
                     f"unknown scalar parameter(s) {sorted(unknown)}; "
                     f"registered scalars: {sorted(snapshot.scalars)}")
-            env = {**env, **scalar_params}
+            env = env.bind(scalar_params)
         prepared = entry.prepared
         store = self._feedback
         if store is not None and store.should_sample():

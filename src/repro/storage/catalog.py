@@ -34,6 +34,7 @@ from typing import Any, Iterator
 
 from ..sdqlite.ast import Expr
 from ..sdqlite.errors import StorageError
+from .facts import Environment
 from .formats import StorageFormat
 from .physical import KIND_SCALAR
 
@@ -194,15 +195,17 @@ class Catalog:
 
     # -- views consumed by the optimizer / execution engine --------------------
 
-    def globals(self) -> dict[str, Any]:
-        """All physical symbols (arrays, hash-maps, tries, sizes) plus scalars."""
+    def globals(self) -> Environment:
+        """All physical symbols (arrays, hash-maps, tries, sizes) plus scalars,
+        with the facts their formats declare (:mod:`repro.storage.facts`)."""
         with self._lock:
-            env: dict[str, Any] = dict(self.scalars)
+            env = Environment(self.scalars)
             for fmt in self.tensors.values():
                 for symbol, value in fmt.physical().items():
                     if symbol in env:
                         raise StorageError(f"physical symbol {symbol!r} declared twice")
                     env[symbol] = value
+                env.declare(fmt.facts().values())
             return env
 
     def mappings(self) -> dict[str, Expr]:

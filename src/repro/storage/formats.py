@@ -48,6 +48,7 @@ import numpy as np
 from ..sdqlite.ast import Expr
 from ..sdqlite.errors import StorageError
 from ..sdqlite.parser import parse_expr
+from .facts import ArrayFact
 from .physical import (
     KIND_ARRAY,
     KIND_HASH,
@@ -412,6 +413,11 @@ class StorageFormat(ABC):
         """Average segment length of segmented arrays (``A_idx2`` etc.), if any."""
         return {}
 
+    def facts(self) -> dict[str, ArrayFact]:
+        """What the declaration proves about each physical array, by symbol
+        name (:mod:`repro.storage.facts`); none by default."""
+        return {}
+
     # -- coordinate export ----------------------------------------------------
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
@@ -615,6 +621,11 @@ class LevelFormat(StorageFormat):
         """
         StorageFormat.__init__(self, name, shape)
         cols = [coords[:, axis] for axis in self._axes]
+        for col, axis in zip(cols, self._axes):
+            # Viewed unsigned, a negative key is huge: one pass finds both ends.
+            if col.shape[0] and int(col.view(np.uint64).max()) >= self.shape[axis]:
+                raise StorageError(
+                    f"coordinates of {name!r} out of range for shape {self.shape}")
         if self._sort_axes:
             # The entries are in row-major order: a stable sort by the leading
             # axis puts them in chain order.
@@ -717,6 +728,20 @@ class LevelFormat(StorageFormat):
 
     def profile(self) -> Profile:
         return _profile_of(self._entry_counts())
+
+    def facts(self) -> dict[str, ArrayFact]:
+        """The facts the level kinds imply, in O(1): every ``idx<k>`` key lies
+        in ``[0, shape[axis])``; every ``pos<k>`` is non-decreasing, from 0
+        to the number of entries of level ``k``."""
+        prefix, named, axes = self.name + "_", self._named(), self._axes
+        facts = {}
+        for symbol, kind, index in self._slots:
+            array = named[symbol]
+            if kind == "idx":
+                facts[prefix + symbol] = ArrayFact(array, 0, self.shape[axes[index]] - 1)
+            elif kind == "pos":
+                facts[prefix + symbol] = ArrayFact(array, 0, int(array[-1]), True)
+        return facts
 
     def segment_profiles(self) -> dict[str, float]:
         """Average segment length of every level below the root, and of ``val``."""

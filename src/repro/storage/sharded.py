@@ -53,6 +53,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..sdqlite.errors import StorageError
+from .facts import ArrayFact
 from .formats import (
     COOFormat,
     CSRFormat,
@@ -218,6 +219,12 @@ class ShardedFormat(StorageFormat):
                 symbols[f"{shard.name}_lo"] = int(self.bounds[index])
             symbols.update(shard.physical())
         return symbols
+
+    def facts(self) -> dict[str, ArrayFact]:
+        facts: dict[str, ArrayFact] = {}
+        for shard in self.shards:
+            facts.update(shard.facts())
+        return facts
 
     def mapping_source(self) -> str:
         return " + ".join(

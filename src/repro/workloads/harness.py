@@ -49,6 +49,10 @@ class Measurement:
     #: that executed as Python loops instead of kernels.
     fallback_sums: int | None = None
     fallback_merges: int | None = None
+    #: ``typed``'s fact counters from the warmup run: checks the declared
+    #: facts decided, and reads they made one slice (see ``TypedPlan``).
+    proven_guards: int | None = None
+    contiguous_reads: int | None = None
 
     def as_row(self) -> dict:
         return {
@@ -61,6 +65,8 @@ class Measurement:
             "correct": self.correct,
             "fallback_sums": self.fallback_sums,
             "fallback_merges": self.fallback_merges,
+            "proven_guards": self.proven_guards,
+            "contiguous_reads": self.contiguous_reads,
             "detail": self.detail,
         }
 
@@ -119,7 +125,9 @@ def measure(system: System, kernel: Kernel, catalog: Catalog, *, dataset: str = 
     return Measurement(kernel.name, dataset, system.name, mean_ms,
                        runs=repeats, correct=correct, compile_ms=compile_ms,
                        fallback_sums=stats.get("fallback_sums"),
-                       fallback_merges=stats.get("fallback_merges"))
+                       fallback_merges=stats.get("fallback_merges"),
+                       proven_guards=stats.get("proven_guards"),
+                       contiguous_reads=stats.get("contiguous_reads"))
 
 
 def run_matrix(systems: Sequence[System], kernel: Kernel, catalogs: dict[str, Catalog],

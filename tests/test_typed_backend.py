@@ -158,27 +158,25 @@ def test_lookup_batched_entry_bag_reports_surviving_lanes():
                      np.array(vals, dtype=np.float64), np.array(rows, dtype=np.int64))
 
     rt = _Runtime({})
-    keys = np.array([3, 3, 3], dtype=np.int64)
+    keys = TBatch(np.array([3, 3, 3], dtype=np.int64))
     # lane 0: 3 twice and a 4; lane 1: 3 cancelling to zero; lane 2: nothing
     flat = bag([[3, 4, 3, 3, 3]], [1.0, 9.0, 2.0, 5.0, -5.0], [0, 0, 0, 1, 1])
-    value, found = _lookup_batched(rt, flat, keys, None)
+    value = _lookup_batched(rt, flat, keys, None)
     assert isinstance(value, TBatch) and value.data.tolist() == [3.0, 0.0, 0.0]
-    assert found.tolist() == [True, False, False]
     # an invalid (non-integer) key lane hits nothing
-    value, found = _lookup_batched(rt, flat, keys, np.array([False, True, True]))
-    assert value.data.tolist() == [0.0, 0.0, 0.0] and not found.any()
+    value = _lookup_batched(rt, flat, keys, np.array([False, True, True]))
+    assert value.data.tolist() == [0.0, 0.0, 0.0]
     # an empty bag
-    value, found = _lookup_batched(rt, bag([[]], [], []), keys, None)
-    assert value.data.tolist() == [0.0, 0.0, 0.0] and not found.any()
+    value = _lookup_batched(rt, bag([[]], [], []), keys, None)
+    assert value.data.tolist() == [0.0, 0.0, 0.0]
     # depth 2: the matching entries with the outermost column peeled; lane 1's
     # two matches cancel, so it holds nothing
     deep = bag([[3, 3, 4, 3, 3, 3], [7, 8, 9, 6, 6, 7]],
                [1.0, 2.0, 3.0, 5.0, -5.0, 4.0], [0, 0, 0, 1, 1, 2])
-    value, found = _lookup_batched(rt, deep, keys, None)
+    value = _lookup_batched(rt, deep, keys, None)
     assert isinstance(value, TFlat) and len(value.cols) == 1
     assert value.cols[0].tolist() == [7, 8, 7] and value.rows.tolist() == [0, 0, 2]
     assert value.vals.tolist() == [1.0, 2.0, 4.0]
-    assert found.tolist() == [True, False, True]
 
 
 # ---------------------------------------------------------------------------
