@@ -9,9 +9,13 @@ a lookup (iterated, it runs about 40x slower; ``_check`` holds the row within
 2x of the CSF one), and MMM and BATAX with ``A`` stored as a DOK hash-map
 or a trie, which a run reads through the container's own levelized view
 (built once, not walked per run; ``_check`` holds the MMM rows within 2x
-of the CSR one) — checks both against the NumPy oracle, prints the
-runtime table and the typed-over-interpret speedups, and records the raw
-rows in ``BENCH_backends.json`` at the repository root.  The
+of the CSR one), and SUMMM with ``A`` re-stored as CSR, whose plan sums
+a row of ``B`` once per non-zero of ``A`` unless that correlated sum is
+answered from one per-segment table per run (``_check`` holds the row
+within 2x of the CSC one and requires the table) — checks both against
+the NumPy oracle, prints the runtime table and the typed-over-interpret
+speedups, and records the raw rows in ``BENCH_backends.json`` at the
+repository root.  The
 first execution of every (kernel, backend) pair is timed separately as
 ``compile_ms`` and excluded from the steady-state ``mean_ms`` (it fills
 one-time caches).
@@ -58,6 +62,7 @@ CASES = tuple((name, name, {}) for name in MATRIX_KERNELS) + (
     ("TTM", "TTM", {}),
     ("TTM/B-csr", "TTM", {"B": "csr"}),
     ("TTM/A-coo", "TTM", {"A": "coo"}),
+    ("SUMMM/A-csr", "SUMMM", {"A": "csr"}),
     ("MTTKRP", "MTTKRP", {}),
     ("MMM/A-dok", "MMM", {"A": "dok"}),
     ("MMM/A-trie", "MMM", {"A": "trie"}),
@@ -192,6 +197,13 @@ def _check(report: dict) -> None:
     # walked on every run (which took MMM-dok ~20x off MMM-csr).
     for label in ("MMM/A-dok", "MMM/A-trie"):
         assert typed_ms[label] <= 2.0 * typed_ms["MMM"], typed_ms
+    # ΣMMM with A in CSR sums a row of B per non-zero of A: answered from
+    # one table of B's row sums per run, it runs near the CSC row.
+    summm_csr = next(row for row in rows if row["kernel"] == "SUMMM/A-csr"
+                     and row["system"] == "STOREL[typed]")
+    assert summm_csr["segment_tables"] > 0, \
+        f"SUMMM/A-csr: the correlated row sum was expanded per lane ({summm_csr})"
+    assert typed_ms["SUMMM/A-csr"] <= 2.0 * typed_ms["SUMMM"], typed_ms
     # The flat program reaches the factorized plan (it ran 100x off the
     # nested one while its join stayed a run-time probe).
     probe = report["batax_flat_vs_nested"]

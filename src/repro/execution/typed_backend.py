@@ -20,6 +20,10 @@ iteration — and what is nested inside a batched body stays batched:
   one boolean, a gather they bound scans nothing, a lookup with a run of
   keys is a view, and a traversal ``P(s):P(s+1)`` of a non-decreasing ``P``
   is one position range,
+* a ``sum`` over ``T(P(e):P(e + 1))`` whose body reads only its own two
+  binders has one value per segment of ``P``: nested in a batched body it
+  is evaluated once over every segment, as one position range, and each
+  outer lane gathers its value at ``e`` (a *segment table*, built per run),
 * lookups with per-lane keys into nested dictionaries become one lookup of
   a composite (parent, key) integer over the level's order — one gather
   through a position table when the key range is dense, a ``searchsorted``
@@ -294,7 +298,8 @@ class _Runtime:
     __slots__ = ("env", "facts", "batched", "lanes", "invariants", "failed_batch",
                  "fallbacks", "buffers", "profile", "regimes", "lookups",
                  "dense_shape", "dense_sinks", "relayouts_built",
-                 "relayouts_reused", "levelized", "proven_guards", "contiguous_reads")
+                 "relayouts_reused", "levelized", "proven_guards", "contiguous_reads",
+                 "segment_tables")
 
     def __init__(self, env: Mapping[str, Any], profile=None,
                  dense_shape: tuple[int, ...] | None = None):
@@ -316,6 +321,7 @@ class _Runtime:
         self.levelized = 0                 # collections this run walked into levels
         self.proven_guards = 0             # checks the lanes' proven bounds decided
         self.contiguous_reads = 0          # gathers and expansions read as one slice
+        self.segment_tables = 0            # sums answered from a per-segment table
 
 
 _Closure = Callable[[list, _Runtime], Any]
@@ -1258,6 +1264,27 @@ def _is_relayout(expr: Expr) -> bool:
     return isinstance(expr, Sum) and _rekeys(expr, ())
 
 
+def _segment_sum(expr: Sum) -> tuple[str, str, Expr] | None:
+    """``(T, P, e)`` when ``expr`` is ``sum(<p, v> in T(P(e):P(e + 1))) body``
+    over globals ``T`` and ``P``, with a ``body`` that reads only ``p`` and
+    ``v``: its value depends on the segment ``e`` alone.
+
+    The body also runs no loop of its own, so the table answering this
+    ``sum`` is all a profiled run would have recorded for it.
+    """
+    source = expr.source
+    if not (isinstance(source, SliceGet) and isinstance(source.target, Sym)
+            and isinstance(source.lo, Get) and isinstance(source.hi, Get)):
+        return None
+    lo, hi = source.lo, source.hi
+    if not (isinstance(lo.target, Sym) and hi.target == lo.target and _is_key(lo.key)
+            and hi.key == Add(lo.key, Const(1))):
+        return None
+    if not (free_indices(expr.body) <= {0, 1} and _is_key(expr.body)):
+        return None
+    return source.target.name, lo.target.name, lo.key
+
+
 #: The values a kept re-layout may read: the catalog's containers, which no
 #: write changes in place (``docs/formats.md``), and scalars.
 _STORED_TYPES = (np.ndarray, PhysicalArray, PhysicalHashMap, PhysicalTrie)
@@ -1678,7 +1705,15 @@ class _Lowerer:
                 rt.lanes = lanes
             return _reduce_expanded(rt, result, parent, lanes, counts)
 
+        segments = _segment_sum(expr)
+        table_f = None if segments is None else \
+            self._segment_table(slot, segments, sum_batched)
+
         def sum_f(frames, rt):
+            if rt.batched and table_f is not None:
+                value = table_f(frames, rt)
+                if value is not None:
+                    return value
             source = source_f(frames, rt)
             if rt.batched:
                 return sum_batched(frames, rt, source)
@@ -1712,6 +1747,76 @@ class _Lowerer:
             return python_loop(frames, rt, source, reason)
 
         return sum_f
+
+    def _segment_table(self, slot: int, segments: tuple,
+                       sum_batched: Callable) -> _Closure:
+        """The closure answering a segment sum (:func:`_segment_sum`) from a
+        table of its value per segment of ``P``, or returning ``None`` when
+        the sum must expand as usual.
+
+        Taken when the key ``e`` is integer lanes proven inside the segments
+        of a ``P`` declared non-decreasing, not a range run (its slice is
+        already one range), and the table is no larger than the lanes: at
+        most as many segments, and at most as many positions, as lanes.  The
+        table is built once per run, in ``rt.invariants``, by the batched
+        expansion of the run ``0:len(P)-1`` — one position range, and per
+        segment the same terms added in the same order as any lane of that
+        segment adds them.  A build that raised :class:`Untyped` or is not
+        one scalar per segment leaves ``None`` there: the run expands.  A
+        profiled run records the loop counts the expansion would have.
+        """
+        target_name, pos_name, key_expr = segments
+        key_f = self.lower(key_expr)
+        table_slot = ("segments", slot)
+
+        def build(rt, target, pos):
+            count = pos.shape[0] - 1
+            lo = _read(rt, pos, _range_lanes(0, count))
+            hi = _read(rt, pos, _range_lanes(1, count + 1))
+            lanes, profile = rt.lanes, rt.profile
+            rt.lanes, rt.profile = count, None
+            try:
+                values = sum_batched([], rt, _batched_slice(rt, target, lo, hi))
+            except Untyped:
+                return None
+            finally:
+                rt.lanes, rt.profile = lanes, profile
+            if not (isinstance(values, TBatch) and values.data.shape == (count,)):
+                return None
+            counts = np.diff(pos)
+            return values.data, counts, not counts.all()
+
+        def table_f(frames, rt):
+            key = key_f(frames, rt)
+            if not isinstance(key, TBatch) or key.data.dtype.kind not in "iu" \
+                    or (key.run is not None and key.run[0] is None):
+                return None
+            pos, target = _unwrap(rt.env.get(pos_name)), _unwrap(rt.env.get(target_name))
+            if not (isinstance(pos, np.ndarray) and pos.ndim == 1
+                    and isinstance(target, np.ndarray) and target.ndim == 1):
+                return None
+            fact = _fact(rt, pos)
+            lanes, count = key.data.shape[0], pos.shape[0] - 1
+            if fact is None or not fact.ordered or not _within(key.bounds, 0, count - 1) \
+                    or count > lanes or int(pos[-1]) - int(pos[0]) > lanes:
+                return None
+            if table_slot not in rt.invariants:
+                rt.invariants[table_slot] = build(rt, target, pos)
+            table = rt.invariants[table_slot]
+            if table is None:
+                return None
+            values, counts, gaps = table
+            rt.segment_tables += 1
+            if rt.profile is not None or gaps:
+                # What the expansion would have iterated; none at all is its 0.
+                visited = int(counts[key.data].sum())
+                if rt.profile is not None:
+                    rt.profile.record_loop(slot, visited, entries=lanes)
+                if visited == 0:
+                    return 0
+            return TBatch(values[key.data])
+
+        return table_f
 
     def _lower_merge(self, expr) -> _Closure:
         self.merge_count += 1
@@ -1816,7 +1921,10 @@ class TypedPlan:
     looking at the lanes (a guard that became one boolean, a gather, lookup
     or dense sink that skipped its min/max scan), and ``contiguous_reads``,
     the reads made one slice: a lookup with a run of keys read as a view,
-    and a ``P(s):P(s+1)`` traversal expanded as one position range.
+    and a ``P(s):P(s+1)`` traversal expanded as one position range; and
+    ``segment_tables``, the sums over ``T(P(e):P(e+1))`` answered from a
+    table of their value per segment of ``P`` instead of expanded per
+    outer lane (built once per run, never kept across runs).
 
     A closed re-layout a ``sum`` iterates or a lookup probes — a transpose
     of a stored operand, say — is kept in ``kept`` with weak references to
@@ -1886,6 +1994,7 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
             stats["levelized"] = rt.levelized
             stats["proven_guards"] = rt.proven_guards
             stats["contiguous_reads"] = rt.contiguous_reads
+            stats["segment_tables"] = rt.segment_tables
         return result
 
     return TypedPlan(plan=plan, function=function, sum_count=lowerer.sum_count,

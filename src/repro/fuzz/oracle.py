@@ -693,14 +693,16 @@ class CampaignReport:
     #: Census of the plain ``typed`` runs: ``sum``/``merge`` loops lowered,
     #: how many ran as Python loops instead of kernels, in how many cases,
     #: and why (the ``Untyped`` reason -> loops); and how many checks the
-    #: declared facts decided and gathers they turned into slices
-    #: (``proven_guards`` / ``contiguous_reads``).
+    #: declared facts decided, gathers they turned into slices and sums
+    #: answered from a per-segment table (``proven_guards`` /
+    #: ``contiguous_reads`` / ``segment_tables``).
     typed_loops: int = 0
     fallback_loops: int = 0
     fallback_cases: int = 0
     fallback_reasons: Counter = field(default_factory=Counter)
     proven_guards: int = 0
     contiguous_reads: int = 0
+    segment_tables: int = 0
 
     @property
     def ok(self) -> bool:
@@ -715,6 +717,7 @@ class CampaignReport:
             self.fallback_reasons.update(stats["fallback_reasons"])
             self.proven_guards += stats.get("proven_guards", 0)
             self.contiguous_reads += stats.get("contiguous_reads", 0)
+            self.segment_tables += stats.get("segment_tables", 0)
         self.fallback_loops += fallbacks
         self.fallback_cases += bool(fallbacks)
 
@@ -728,7 +731,8 @@ class CampaignReport:
             line += (f"\ntyped census: {self.fallback_loops} of "
                      f"{self.typed_loops} loops fell back to Python in "
                      f"{self.fallback_cases} case(s), {self.proven_guards} guard(s) "
-                     f"proven, {self.contiguous_reads} contiguous read(s)"
+                     f"proven, {self.contiguous_reads} contiguous read(s), "
+                     f"{self.segment_tables} segment table(s)"
                      + (f": {reasons}" if reasons else ""))
         return line
 

@@ -785,15 +785,17 @@ class Statement:
     def execute_with_stats(self, stats: dict, **scalar_params: float) -> Any:
         """Like :meth:`execute`, but populate ``stats`` with backend counters.
 
-        The ``typed`` backend records loop/fallback counts (``sum_loops``,
-        ``merge_loops``, ``fallback_sums``, ``fallback_merges``,
-        ``fallback_reasons``) into the given dictionary; the interpreter
-        leaves it untouched.  When the session's adaptive feedback loop is
-        enabled and this execution was sampled, the dictionary additionally
-        receives the estimated-vs-actual counters (``feedback_checked``,
-        ``feedback_misestimations``, ``feedback_max_q_error``,
-        ``feedback_refined``) — :meth:`RunOutcome.explain` renders them in
-        its ``execution counters`` block.
+        The ``typed`` backend records its execution counters into the given
+        dictionary — loop fallbacks, group-by and lookup regimes, kept
+        re-layouts, what the declared facts proved and segment tables; the
+        full list is on :class:`~repro.execution.typed_backend.TypedPlan` —
+        and the interpreter leaves it untouched.  When the session's
+        adaptive feedback loop is enabled and this execution was sampled,
+        the dictionary additionally receives the estimated-vs-actual
+        counters (``feedback_checked``, ``feedback_misestimations``,
+        ``feedback_max_q_error``, ``feedback_refined``) —
+        :meth:`RunOutcome.explain` renders them in its ``execution
+        counters`` block.
         """
         return self._session._admit(self._run, stats, scalar_params)
 

@@ -50,9 +50,11 @@ class Measurement:
     fallback_sums: int | None = None
     fallback_merges: int | None = None
     #: ``typed``'s fact counters from the warmup run: checks the declared
-    #: facts decided, and reads they made one slice (see ``TypedPlan``).
+    #: facts decided, reads they made one slice, and sums answered from a
+    #: per-segment table (see ``TypedPlan``).
     proven_guards: int | None = None
     contiguous_reads: int | None = None
+    segment_tables: int | None = None
 
     def as_row(self) -> dict:
         return {
@@ -67,6 +69,7 @@ class Measurement:
             "fallback_merges": self.fallback_merges,
             "proven_guards": self.proven_guards,
             "contiguous_reads": self.contiguous_reads,
+            "segment_tables": self.segment_tables,
             "detail": self.detail,
         }
 
@@ -127,7 +130,8 @@ def measure(system: System, kernel: Kernel, catalog: Catalog, *, dataset: str = 
                        fallback_sums=stats.get("fallback_sums"),
                        fallback_merges=stats.get("fallback_merges"),
                        proven_guards=stats.get("proven_guards"),
-                       contiguous_reads=stats.get("contiguous_reads"))
+                       contiguous_reads=stats.get("contiguous_reads"),
+                       segment_tables=stats.get("segment_tables"))
 
 
 def run_matrix(systems: Sequence[System], kernel: Kernel, catalogs: dict[str, Catalog],
