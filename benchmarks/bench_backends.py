@@ -12,7 +12,8 @@ or a trie, which a run reads through the container's own levelized view
 of the CSR one), and SUMMM with ``A`` re-stored as CSR, whose plan sums
 a row of ``B`` once per non-zero of ``A`` unless that correlated sum is
 answered from one per-segment table per run (``_check`` holds the row
-within 2x of the CSC one and requires the table) — checks both against
+within 2x of the CSC one, requires the table, and requires the plan's loop
+over A's rows collapsed into one loop over its entries) — checks both against
 the NumPy oracle, prints the runtime table and the typed-over-interpret
 speedups, and records the raw rows in ``BENCH_backends.json`` at the
 repository root.  The
@@ -198,11 +199,14 @@ def _check(report: dict) -> None:
     for label in ("MMM/A-dok", "MMM/A-trie"):
         assert typed_ms[label] <= 2.0 * typed_ms["MMM"], typed_ms
     # ΣMMM with A in CSR sums a row of B per non-zero of A: answered from
-    # one table of B's row sums per run, it runs near the CSC row.
+    # one table of B's row sums per run, it runs near the CSC row.  Its body
+    # never reads A's row, so the plan walks A's entries in one loop.
     summm_csr = next(row for row in rows if row["kernel"] == "SUMMM/A-csr"
                      and row["system"] == "STOREL[typed]")
     assert summm_csr["segment_tables"] > 0, \
         f"SUMMM/A-csr: the correlated row sum was expanded per lane ({summm_csr})"
+    assert summm_csr["collapsed_segments"] > 0, \
+        f"SUMMM/A-csr: the plan still loops over A's rows ({summm_csr})"
     assert typed_ms["SUMMM/A-csr"] <= 2.0 * typed_ms["SUMMM"], typed_ms
     # The flat program reaches the factorized plan (it ran 100x off the
     # nested one while its join stayed a run-time probe).

@@ -9,7 +9,6 @@ from .base import (
 )
 from .numpy_backend import NumpySystem
 from .relational import RelationalSystem
-from .scipy_backend import ScipySystem
 from .storel_system import FixedPlanSystem, StorelSystem, TacoLikeSystem
 
 __all__ = [
@@ -17,3 +16,11 @@ __all__ = [
     "NumpySystem", "RelationalSystem", "ScipySystem",
     "FixedPlanSystem", "StorelSystem", "TacoLikeSystem",
 ]
+
+
+def __getattr__(name: str):
+    # ScipySystem imports SciPy, which costs a process ~0.2 s: on first use.
+    if name == "ScipySystem":
+        from .scipy_backend import ScipySystem
+        return ScipySystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from ..sdqlite.ast import Add, Const, Expr, Mul, Sub, Sym, Var, children
+from ..sdqlite.ast import Add, Const, Expr, Mul, RangeExpr, Sub, Sym, Var, children
 from ..sdqlite.errors import OptimizationError
 from ..egraph.egraph import EGraph
 from ..egraph.language import ast_to_label, label_to_ast
@@ -264,7 +264,10 @@ class CostModel:
             cost, card, kind = materialize * value.cost + body.cost, body.card, body.kind
         elif head == "sum":
             source, body = child_infos
-            cost = source.cost + gamma.for_iterate(source.kind) * source.card.size() * body.cost
+            iterate = gamma.for_iterate(source.kind)
+            if type(expr.source) is Sym and expr.source.name in stats.segmentation:
+                iterate = min(iterate, self._segmented_iterate(expr.source.name))
+            cost = source.cost + iterate * source.card.size() * body.cost
             card = (Card.scalar() if body.card.is_scalar
                     else Card(source.card.size() * body.card.size(), body.card.elem()))
             kind = body.kind
@@ -300,6 +303,14 @@ class CostModel:
             raise OptimizationError("no finite-cost plan could be extracted")
         info, expr = result
         return expr, info.cost
+
+    def _segmented_iterate(self, name: str) -> float:
+        """γ of a full traversal of the segmented array ``name``: that of the
+        nest it replaces (:func:`~repro.core.strategies.collapse_segments`),
+        a loop over the segments' parents around a loop over one slice."""
+        parents = self.stats.segmentation[name].parents
+        outer = K_RANGE if type(parents) is RangeExpr else K_ARRAY
+        return self.gamma.for_iterate(outer) * self.gamma.for_iterate(K_ARRAY)
 
     def _symbol_kind(self, name: str, card: Card) -> str:
         if card.is_scalar:

@@ -19,8 +19,9 @@ Pipeline (Fig. 2):
 5. the cheapest physical plan is extracted with the cost model of Fig. 6 and
    returned together with the Egg-style metrics of both stages (Table 4);
 6. a last pass resolves the equality probes the picked plan still carries
-   (:data:`~repro.core.strategies.PROBE_TRANSFORMS`: F1 and its range form),
-   and the cost is re-estimated when it changed anything — the plan
+   (:data:`~repro.core.strategies.PROBE_TRANSFORMS`: F1 and its range form)
+   and collapses full traversals of declared segmented arrays into one loop
+   each, and the cost is re-estimated when it changed anything — the plan
    returned is the plan the executor runs, in both modes.
 
 A ``method="greedy"`` mode skips equality saturation and picks the cheapest
@@ -75,6 +76,10 @@ class OptimizationResult:
     #: Wall-clock milliseconds per phase of this optimization, in pipeline
     #: order (the keys of :data:`PHASES` that ran).
     phase_ms: dict[str, float] = field(default_factory=dict)
+    #: The segmented arrays of which the final pass collapsed a traversal,
+    #: segment by segment, into one loop over the array
+    #: (:func:`~repro.core.strategies.collapse_segments`), sorted.
+    collapsed_segments: tuple[str, ...] = ()
 
     def table4_rows(self) -> list[dict]:
         rows = []
@@ -152,6 +157,10 @@ class Optimizer:
         plan = strategies.rewrite_everywhere(result.plan, strategies.PROBE_TRANSFORMS,
                                              symbol_ranks=ranks)
         if plan != result.plan:
+            before = strategies.segment_loops(result.plan, ranks)
+            after = strategies.segment_loops(plan, ranks)
+            result.collapsed_segments = tuple(sorted(
+                name for name, loops in before.items() if after[name] < loops))
             result.plan = plan
             result.cost = CostModel(self.stats).plan_cost(plan)
         clock.lap(last_phase)
@@ -244,14 +253,16 @@ class Optimizer:
 
 
 def symbol_ranks(stats: Statistics, mappings: Mapping[str, Expr]) -> strategies.SymbolRanks:
-    """Nesting rank per dictionary-valued symbol, plus the integer symbols.
+    """Nesting rank per dictionary-valued symbol, plus the integer symbols
+    and the declared segmentation.
 
     Logical tensor names (they stand for their storage mappings) and every
     physical symbol the statistics know a cardinality profile for; scalars
     are simply absent.  Rules that are only sound for scalar operands (the
     dict-factor rules) consult the ranks, the range rewrites the integer
-    symbols (``stats.integral``), through ``EGraph.symbol_ranks`` and the
-    strategies' ``symbol_ranks`` argument.
+    symbols (``stats.integral``) and the segment collapse the declared
+    segments (``stats.segmentation``), through ``EGraph.symbol_ranks`` and
+    the strategies' ``symbol_ranks`` argument.
     """
     ranks: dict[str, int] = {}
     for name, card in stats.profiles.items():
@@ -260,7 +271,7 @@ def symbol_ranks(stats: Statistics, mappings: Mapping[str, Expr]) -> strategies.
             ranks[name] = rank
     for name in mappings:
         ranks.setdefault(name, 1)
-    return strategies.SymbolRanks(ranks, stats.integral)
+    return strategies.SymbolRanks(ranks, stats.integral, stats.segmentation)
 
 
 def optimize(program: Expr, mappings: Mapping[str, Expr], stats: Statistics,

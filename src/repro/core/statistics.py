@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..storage.facts import Segmentation
 from ..storage.physical import KIND_HASH, KIND_TRIE
 from .cardinality import Card, card_from_profile
 
@@ -51,6 +52,13 @@ class Statistics:
         sizes, nnz counts) and integer arrays (positions, coordinates).  The
         optimizer's range rewrites need integral keys and bounds
         (:mod:`repro.core.strategies`); these are the integers it can prove.
+    segmentation:
+        The segmented arrays the storage formats declare, by symbol name:
+        which segment array splits each one, and which loop source
+        enumerates its segments (:class:`~repro.storage.facts.Segmentation`).
+        The optimizer's segment collapse
+        (:func:`~repro.core.strategies.collapse_segments`) and the cost of a
+        full traversal read them; they follow from the format class alone.
     observations:
         Runtime cardinality feedback: observed :class:`Card` per **closed**
         De Bruijn sub-expression (no free indices — context-independent, see
@@ -69,6 +77,7 @@ class Statistics:
     default_dimension: float = DEFAULT_DIMENSION
     default_segment: float = DEFAULT_SEGMENT
     integral: set[str] = field(default_factory=set)
+    segmentation: dict[str, Segmentation] = field(default_factory=dict)
     observations: dict = field(default_factory=dict)
 
     # -- constructors ---------------------------------------------------------
@@ -96,6 +105,7 @@ class Statistics:
         self.profiles[fmt.name] = card_from_profile(fmt.profile())
         self.kinds.update(fmt.physical_kinds())
         self.segments.update(fmt.segment_profiles())
+        self.segmentation.update(fmt.segmentation())
         for symbol, value in fmt.physical().items():
             if _holds_integers(value):
                 self.integral.add(symbol)
@@ -128,6 +138,7 @@ class Statistics:
             self.scalar_values.pop(symbol, None)
             self.profiles.pop(symbol, None)
             self.segments.pop(symbol, None)
+            self.segmentation.pop(symbol, None)
             self.integral.discard(symbol)
 
     def set_scalar(self, name: str, value: float) -> None:
@@ -163,6 +174,7 @@ class Statistics:
             default_dimension=self.default_dimension,
             default_segment=self.default_segment,
             integral=set(self.integral),
+            segmentation=dict(self.segmentation),
         )
         for current, candidate in swaps:
             copy.remove_format(current)
@@ -208,7 +220,8 @@ class Statistics:
             return None
         return (self.selectivity, self.default_dimension, self.default_segment,
                 *((self.profiles.get(name), self.kinds.get(name),
-                   self.scalar_values.get(name), self.segments.get(name))
+                   self.scalar_values.get(name), self.segments.get(name),
+                   self.segmentation.get(name))
                   for name in names))
 
     def profile(self, name: str) -> Card | None:
@@ -235,6 +248,7 @@ class Statistics:
             default_dimension=self.default_dimension,
             default_segment=self.default_segment,
             integral=set(self.integral),
+            segmentation=dict(self.segmentation),
             observations=dict(self.observations),
         )
 

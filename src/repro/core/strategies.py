@@ -20,6 +20,7 @@ the property-based tests).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..sdqlite.ast import (
@@ -54,6 +55,7 @@ from ..sdqlite.debruijn import (
     substitute,
     uses_indices,
 )
+from ..storage.facts import Segmentation
 
 Transform = Callable[[Expr], "Expr | None"]
 
@@ -131,20 +133,24 @@ def is_strict_in(expr: Expr, index: int) -> bool:
 
 
 class SymbolRanks(dict):
-    """Symbol name -> proven dictionary nesting rank, plus integrality.
+    """Symbol name -> proven dictionary nesting rank, plus storage facts.
 
     ``integral`` names the symbols that hold integers: integer scalars
     (dimension sizes) and integer arrays (positions, coordinates), as the
-    statistics report them.  A plain mapping works wherever this one does;
-    it just proves no integer.
+    statistics report them.  ``segmentation`` maps each segmented array the
+    storage declares to its :class:`~repro.storage.facts.Segmentation`.  A
+    plain mapping works wherever this one does; it just proves no integer
+    and declares no segments.
     """
 
-    __slots__ = ("integral",)
+    __slots__ = ("integral", "segmentation")
 
     def __init__(self, ranks: "Mapping[str, int] | None" = None,
-                 integral: Iterable[str] = ()):
+                 integral: Iterable[str] = (),
+                 segmentation: "Mapping[str, Segmentation] | None" = None):
         super().__init__(ranks or {})
         self.integral = frozenset(integral)
+        self.segmentation = dict(segmentation or {})
 
 
 def integral_symbols(symbol_ranks) -> frozenset:
@@ -836,6 +842,50 @@ def resolve_range_probe(term: Expr, env: "tuple[int, ...] | None" = None,
 resolve_range_probe.wants_env = True
 
 
+def collapse_segments(term: Expr, env: "tuple[int, ...] | None" = None,
+                      symbol_ranks: "Mapping[str, int] | None" = None) -> Expr | None:
+    """Collapse a full traversal of a segmented array into one loop over it.
+
+    ``sum(<s,w> in S) sum(<o,v> in T(P(s):P(s + 1))) B`` becomes
+    ``sum(<o,v> in T) B`` (``B``'s outer indices shifted down by two) when
+    the storage declares that ``P`` splits ``T`` into one segment per entry
+    of ``S`` (:class:`~repro.storage.facts.Segmentation`) and ``B`` reads
+    neither ``s`` nor ``w``.  The segments then cover ``T`` exactly once, in
+    order, and an inner key is already the absolute position, so the nest
+    visits the same ``(o, v)`` pairs as the one loop.  This is the
+    row/non-zero loop collapse of "A Sparse Iteration Space Transformation
+    Framework for Sparse Tensor Algebra" (Senanayake et al., OOPSLA 2020).
+    """
+    if not isinstance(term, Sum) or not isinstance(term.body, Sum):
+        return None
+    inner = term.body
+    source = inner.source
+    if not (isinstance(source, SliceGet) and isinstance(source.target, Sym)):
+        return None
+    declared = getattr(symbol_ranks, "segmentation", {}).get(source.target.name)
+    if declared is None or term.source != declared.parents:
+        return None
+    pos = Sym(declared.pos)
+    if source.lo != Get(pos, _KEY) or source.hi != Get(pos, Add(_KEY, Const(1))):
+        return None
+    if uses_indices(inner.body, (2, 3)):
+        return None
+    return rebuild(inner, [source.target, shift(inner.body, -2, 2)])
+
+
+collapse_segments.wants_env = True
+
+
+def segment_loops(term: Expr, symbol_ranks: "Mapping[str, int] | None") -> Counter:
+    """How many loops of ``term`` iterate one segment of each declared
+    segmented array (a ``sum`` over a slice of it)."""
+    declared = getattr(symbol_ranks, "segmentation", {})
+    return Counter(node.source.target.name for node in postorder(term)
+                   if isinstance(node, Sum) and isinstance(node.source, SliceGet)
+                   and isinstance(node.source.target, Sym)
+                   and node.source.target.name in declared)
+
+
 def _flatten_add(term: Expr) -> list[Expr]:
     """The addends of a (left- or right-nested) ``+`` chain."""
     if isinstance(term, Add):
@@ -1127,7 +1177,8 @@ TRANSFORM_ROOTS: dict[Transform, tuple[type, ...]] = {
                      hoist_dict_past_guards, hoist_if, hoist_if_past_lets,
                      sum_to_lookup, lookup_of_iterated_key, fuse_sum_of_sum,
                      sum_over_singleton, introduce_merge,
-                     resolve_range_probe, split_sharded_sum, hoist_let_from_source),
+                     resolve_range_probe, split_sharded_sum, hoist_let_from_source,
+                     collapse_segments),
                     (Sum,)),
     **dict.fromkeys((inline_let, inline_collection_lets, inline_renaming_let), (Let,)),
     **dict.fromkeys((lookup_of_range_sum, lookup_over_add), (Get,)),
@@ -1242,11 +1293,14 @@ def normalize(term: Expr, max_passes: int = 10,
 #: The optimizer's last pass over the plan it picked: every equality probe a
 #: rewrite can resolve becomes a lookup or a bounds check, whatever search
 #: produced the plan (an e-graph extraction need not contain the resolved
-#: form).  The executor runs a probe left in a plan as the loop it is.
+#: form).  The executor runs a probe left in a plan as the loop it is.  A
+#: full traversal of a segmented array whose body ignores the segment
+#: becomes one loop over the array (:func:`collapse_segments`).
 PROBE_TRANSFORMS: tuple[Transform, ...] = (
     resolve_range_probe,
     sum_to_lookup,
     lookup_of_range_sum,
+    collapse_segments,
     simplify_node,
 )
 

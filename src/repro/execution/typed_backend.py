@@ -1807,14 +1807,16 @@ class _Lowerer:
                 return None
             values, counts, gaps = table
             rt.segment_tables += 1
-            if rt.profile is not None or gaps:
-                # What the expansion would have iterated; none at all is its 0.
+            gathered = values[key.data]
+            # A non-zero value proves a visit: count visits only to profile,
+            # or when none might have happened (the expansion's int 0).
+            if rt.profile is not None or (gaps and not gathered.any()):
                 visited = int(counts[key.data].sum())
                 if rt.profile is not None:
                     rt.profile.record_loop(slot, visited, entries=lanes)
                 if visited == 0:
                     return 0
-            return TBatch(values[key.data])
+            return TBatch(gathered)
 
         return table_f
 

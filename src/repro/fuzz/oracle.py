@@ -530,6 +530,8 @@ def _run(session: Session, program: Expr, method: str, backend: str,
     else:
         outcome = session.run_detailed(program, method=method, backend=backend)
         result, stats = outcome.result, outcome.execution_stats or {}
+        if stats:
+            stats["collapsed_segments"] = len(outcome.optimization.collapsed_segments)
     if stats and typed_stats is not None:
         typed_stats.append(stats)
     return result
@@ -695,7 +697,9 @@ class CampaignReport:
     #: and why (the ``Untyped`` reason -> loops); and how many checks the
     #: declared facts decided, gathers they turned into slices and sums
     #: answered from a per-segment table (``proven_guards`` /
-    #: ``contiguous_reads`` / ``segment_tables``).
+    #: ``contiguous_reads`` / ``segment_tables``); and how many segment
+    #: traversals the optimizer's final pass collapsed into one loop
+    #: (``collapsed_segments``).
     typed_loops: int = 0
     fallback_loops: int = 0
     fallback_cases: int = 0
@@ -703,6 +707,7 @@ class CampaignReport:
     proven_guards: int = 0
     contiguous_reads: int = 0
     segment_tables: int = 0
+    collapsed_segments: int = 0
 
     @property
     def ok(self) -> bool:
@@ -718,6 +723,7 @@ class CampaignReport:
             self.proven_guards += stats.get("proven_guards", 0)
             self.contiguous_reads += stats.get("contiguous_reads", 0)
             self.segment_tables += stats.get("segment_tables", 0)
+            self.collapsed_segments += stats.get("collapsed_segments", 0)
         self.fallback_loops += fallbacks
         self.fallback_cases += bool(fallbacks)
 
@@ -732,7 +738,8 @@ class CampaignReport:
                      f"{self.typed_loops} loops fell back to Python in "
                      f"{self.fallback_cases} case(s), {self.proven_guards} guard(s) "
                      f"proven, {self.contiguous_reads} contiguous read(s), "
-                     f"{self.segment_tables} segment table(s)"
+                     f"{self.segment_tables} segment table(s), "
+                     f"{self.collapsed_segments} collapsed segment traversal(s)"
                      + (f": {reasons}" if reasons else ""))
         return line
 

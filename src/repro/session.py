@@ -109,6 +109,9 @@ def format_explanation(optimization: OptimizationResult, *,
         "",
         f"estimated cost: {optimization.cost:.1f}",
     ]
+    if optimization.collapsed_segments:
+        lines.append("segment traversals collapsed into one loop: "
+                     + ", ".join(optimization.collapsed_segments))
     if optimization.candidate_costs:
         lines.append("candidate costs:")
         for name, cost in sorted(optimization.candidate_costs.items(), key=lambda kv: kv[1]):

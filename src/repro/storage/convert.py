@@ -34,11 +34,6 @@ import logging
 
 import numpy as np
 
-try:  # SciPy is optional: only the interchange helpers below need it.
-    import scipy.sparse as sp
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    sp = None
-
 from ..sdqlite.errors import StorageError
 from .formats import (
     FORMATS,
@@ -83,9 +78,14 @@ def parse_format_spec(kind: str) -> tuple[str, int | None]:
     return base, shards
 
 
-def _require_scipy() -> None:
-    if sp is None:
-        raise StorageError("this conversion requires scipy, which is not installed")
+def _require_scipy():
+    """``scipy.sparse``, imported on first use: SciPy is optional, only the
+    interchange helpers need it, and importing it costs a process ~0.2 s."""
+    try:
+        import scipy.sparse as sp
+    except ImportError:  # pragma: no cover - exercised only on scipy-less installs
+        raise StorageError("this conversion requires scipy, which is not installed") from None
+    return sp
 
 
 def from_scipy(kind: str, name: str, matrix) -> StorageFormat:
@@ -112,7 +112,7 @@ def to_scipy_csr(fmt: StorageFormat):
     (:func:`_compressed`); everything else goes through coordinate form —
     never through a dense intermediate.
     """
-    _require_scipy()
+    sp = _require_scipy()
     if len(fmt.shape) != 2:
         raise StorageError("to_scipy_csr requires a rank-2 tensor")
     arrays = _compressed(fmt, (0, 1))
@@ -128,7 +128,7 @@ def to_scipy_csc(fmt: StorageFormat):
     (:func:`_compressed`); other formats build the matrix from their
     coordinate read-out in O(nnz).
     """
-    _require_scipy()
+    sp = _require_scipy()
     if len(fmt.shape) != 2:
         raise StorageError("to_scipy_csc requires a rank-2 tensor")
     arrays = _compressed(fmt, (1, 0))

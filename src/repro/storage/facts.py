@@ -8,6 +8,11 @@ look at the data (:meth:`~repro.storage.formats.StorageFormat.facts`):
 * ``pos<k>`` — the segment array is non-decreasing, from ``0`` to the number
   of entries of its level.
 
+They also declare how their levels segment one another
+(:meth:`~repro.storage.formats.StorageFormat.segmentation`, one
+:class:`Segmentation` per compressed level below the root).  The optimizer
+reads these by symbol name, through its statistics, at plan time.
+
 :meth:`repro.storage.Catalog.globals` hands them to every run inside its
 :class:`Environment`, keyed by the identity of the array they describe.  The
 ``typed`` executor looks a fact up by the array it is about to read and uses
@@ -22,7 +27,9 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-__all__ = ["ArrayFact", "Environment"]
+from ..sdqlite.ast import Expr
+
+__all__ = ["ArrayFact", "Environment", "Segmentation"]
 
 
 class ArrayFact(NamedTuple):
@@ -33,6 +40,21 @@ class ArrayFact(NamedTuple):
     lo: int
     hi: int
     ordered: bool = False
+
+
+class Segmentation(NamedTuple):
+    """The segment array ``pos`` splits the array it is declared for into
+    back-to-back segments, one per entry of ``parents``, in order.
+
+    ``parents`` is the loop source that enumerates the parent level's
+    entries: ``0:{name}_len1`` under a dense root, the parent level's key
+    array otherwise.  ``pos[0] == 0``, ``pos`` never decreases, and
+    ``pos[-1]`` is the length of the segmented array, so the segments of all
+    parents cover it exactly once.
+    """
+
+    pos: str
+    parents: Expr
 
 
 class Environment(dict):

@@ -45,10 +45,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..sdqlite.ast import Expr
+from ..sdqlite.ast import Const, Expr, RangeExpr, Sym
 from ..sdqlite.errors import StorageError
 from ..sdqlite.parser import parse_expr
-from .facts import ArrayFact
+from .facts import ArrayFact, Segmentation
 from .physical import (
     KIND_ARRAY,
     KIND_HASH,
@@ -418,6 +418,12 @@ class StorageFormat(ABC):
         name (:mod:`repro.storage.facts`); none by default."""
         return {}
 
+    def segmentation(self) -> dict[str, Segmentation]:
+        """How the declaration's levels segment one another, keyed by the
+        segmented array's symbol name (:class:`~repro.storage.facts.Segmentation`);
+        none by default."""
+        return {}
+
     # -- coordinate export ----------------------------------------------------
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
@@ -742,6 +748,20 @@ class LevelFormat(StorageFormat):
             elif kind == "pos":
                 facts[prefix + symbol] = ArrayFact(array, 0, int(array[-1]), True)
         return facts
+
+    def segmentation(self) -> dict[str, Segmentation]:
+        """Every compressed level ``k >= 2``: ``pos<k>`` splits ``idx<k>`` into
+        one segment per entry of level ``k - 1``, enumerated by ``0:len1``
+        under a dense root and by the positions of ``idx<k-1>`` otherwise."""
+        prefix = self.name + "_"
+        declared = {}
+        for k in range(2, len(self.levels) + 1):
+            if self.levels[k - 1] != COMPRESSED:
+                continue
+            parents = (RangeExpr(Const(0), Sym(f"{prefix}len{k - 1}"))
+                       if self.levels[k - 2] == DENSE else Sym(f"{prefix}idx{k - 1}"))
+            declared[f"{prefix}idx{k}"] = Segmentation(f"{prefix}pos{k}", parents)
+        return declared
 
     def segment_profiles(self) -> dict[str, float]:
         """Average segment length of every level below the root, and of ``val``."""

@@ -53,7 +53,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..sdqlite.errors import StorageError
-from .facts import ArrayFact
+from .facts import ArrayFact, Segmentation
 from .formats import (
     COOFormat,
     CSRFormat,
@@ -225,6 +225,12 @@ class ShardedFormat(StorageFormat):
         for shard in self.shards:
             facts.update(shard.facts())
         return facts
+
+    def segmentation(self) -> dict[str, Segmentation]:
+        declared: dict[str, Segmentation] = {}
+        for shard in self.shards:
+            declared.update(shard.segmentation())
+        return declared
 
     def mapping_source(self) -> str:
         return " + ".join(

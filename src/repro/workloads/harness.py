@@ -55,6 +55,10 @@ class Measurement:
     proven_guards: int | None = None
     contiguous_reads: int | None = None
     segment_tables: int | None = None
+    #: Segment traversals the optimizer's final pass collapsed into one loop
+    #: (``OptimizationResult.collapsed_segments``), when the system exposes
+    #: its statement.
+    collapsed_segments: int | None = None
 
     def as_row(self) -> dict:
         return {
@@ -70,6 +74,7 @@ class Measurement:
             "proven_guards": self.proven_guards,
             "contiguous_reads": self.contiguous_reads,
             "segment_tables": self.segment_tables,
+            "collapsed_segments": self.collapsed_segments,
             "detail": self.detail,
         }
 
@@ -107,8 +112,8 @@ def measure(system: System, kernel: Kernel, catalog: Catalog, *, dataset: str = 
     try:
         compile_ms: float | None = None
         stats: dict = {}
+        statement = getattr(run, "statement", None)
         if warmup:
-            statement = getattr(run, "statement", None)
             start = time.perf_counter()
             if statement is not None:
                 statement.execute_with_stats(stats)
@@ -131,7 +136,9 @@ def measure(system: System, kernel: Kernel, catalog: Catalog, *, dataset: str = 
                        fallback_merges=stats.get("fallback_merges"),
                        proven_guards=stats.get("proven_guards"),
                        contiguous_reads=stats.get("contiguous_reads"),
-                       segment_tables=stats.get("segment_tables"))
+                       segment_tables=stats.get("segment_tables"),
+                       collapsed_segments=None if statement is None else
+                       len(statement.optimization.collapsed_segments))
 
 
 def run_matrix(systems: Sequence[System], kernel: Kernel, catalogs: dict[str, Catalog],

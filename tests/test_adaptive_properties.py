@@ -368,8 +368,9 @@ def test_misestimation_triggers_transparent_reprepare():
     program = "sum(<i, Ai> in A) sum(<j, v> in Ai) v * X(j)"
     statement = session.prepare(program, backend="typed")
     # Corrupt the derived statistics the optimizer loops over so the first
-    # profiled run observes a massive q-error on the outer range loop.
-    session.statistics().scalar_values["A_len1"] = 1_000_000.0
+    # profiled run observes a massive q-error on the plan's one loop, over
+    # A's stored entries (the row loop is collapsed into it).
+    session.statistics().profiles["A_idx2"] = Card.of(1_000_000.0)
     expected = float((a @ x).sum())
     assert statement.execute() == pytest.approx(expected)
     assert session.feedback.epoch >= 1
@@ -401,7 +402,7 @@ def test_enable_feedback_is_idempotent_and_reconfigurable():
 
 def test_disable_feedback_stops_the_loop_but_keeps_observations():
     session, _, _ = make_matrix_session(sample_every=1, threshold=1.01)
-    session.statistics().scalar_values["A_len1"] = 1_000_000.0  # force a lie
+    session.statistics().profiles["A_idx2"] = Card.of(1_000_000.0)  # force a lie
     statement = session.prepare(SUM_AX, backend="typed")
     statement.execute()                       # profiled: adopts observations
     adopted = dict(session.statistics().observations)
@@ -481,8 +482,8 @@ def test_server_reoptimizes_without_schema_reprepare_on_misestimation():
     server, a, x = make_server(profile_every=1, reoptimize_threshold=2.0)
     with server:
         # Poison the snapshot's derived statistics so the first profiled run
-        # observes a massive q-error on the outer loop's range.
-        server.statistics().scalar_values["A_len1"] = 1_000_000.0
+        # observes a massive q-error on the loop over A's stored entries.
+        server.statistics().profiles["A_idx2"] = Card.of(1_000_000.0)
         expected = float((a @ x).sum())
         assert server.execute(SUM_AX) == pytest.approx(expected)
         assert server.feedback.epoch >= 1

@@ -179,3 +179,29 @@ def test_experiment_catalog_builders_use_best_formats():
     sparse = synthetic_catalog("MMM", 0.1, rows=32, cols=32, storage="sparse")
     dense = synthetic_catalog("MMM", 0.1, rows=32, cols=32, storage="dense")
     assert sparse["A"].format_name == "csr" and dense["A"].format_name == "dense"
+
+
+def test_scipy_is_imported_on_first_use_only():
+    """Importing the library does not import SciPy; the helpers that need it
+    still work afterwards (each import of SciPy costs a process ~0.2 s)."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import repro, repro.storage, repro.session, repro.serving, repro.baselines.base\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import numpy as np\n"
+        "from repro.storage import CSRFormat\n"
+        "from repro.storage.convert import to_scipy_csr\n"
+        "from repro.baselines import ScipySystem\n"
+        "a = np.array([[1.0, 0.0], [2.0, 3.0]])\n"
+        "assert (to_scipy_csr(CSRFormat.from_dense('A', a)).toarray() == a).all()\n"
+        "assert ScipySystem().name == 'SciPy' and 'scipy' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -118,7 +118,7 @@ def test_campaign_report_folds_typed_counters_per_case():
     report = CampaignReport(seed=0)
     clean = {"sum_loops": 3, "merge_loops": 1, "fallback_sums": 0,
              "fallback_merges": 0, "fallback_reasons": {}, "proven_guards": 2,
-             "contiguous_reads": 1, "segment_tables": 1}
+             "contiguous_reads": 1, "segment_tables": 1, "collapsed_segments": 1}
     report.record_typed([clean, clean])
     report.record_typed([clean, {**clean, "fallback_sums": 2, "fallback_merges": 1,
                                  "fallback_reasons": {"a": 2, "b": 1}}])
@@ -127,7 +127,8 @@ def test_campaign_report_folds_typed_counters_per_case():
     assert report.fallback_reasons == {"a": 3, "b": 1}
     assert report.summary().endswith(
         "typed census: 4 of 20 loops fell back to Python in 2 case(s), "
-        "10 guard(s) proven, 5 contiguous read(s), 5 segment table(s): 3 x a; 1 x b")
+        "10 guard(s) proven, 5 contiguous read(s), 5 segment table(s), "
+        "5 collapsed segment traversal(s): 3 x a; 1 x b")
     # Campaigns that collect no typed counters print no census line.
     assert "census" not in CampaignReport(seed=0).summary()
 
