@@ -291,7 +291,11 @@ def associativity_commutativity_rules() -> list[Rewrite]:
 
 
 def simplification_rules() -> list[Rewrite]:
-    """Rules L1–L6 plus conditional simplifications (unidirectional)."""
+    """Rules L1–L6 plus conditional simplifications (unidirectional).
+
+    ``x - x`` is ``nan`` and ``x == x`` false for a non-finite float ``x``,
+    so L6 and eq-refl fire only on operands proven integral.
+    """
     return [
         Rewrite.syntactic("L1-add-zero", "?e + 0", "?e"),
         Rewrite.syntactic("L1b-zero-add", "0 + ?e", "?e"),
@@ -301,10 +305,10 @@ def simplification_rules() -> list[Rewrite]:
         Rewrite.syntactic("L3b-one-mul", "1 * ?e", "?e"),
         Rewrite.syntactic("L4-neg-zero", "-(0)", "0"),
         Rewrite.syntactic("L5-sub-zero", "?e - 0", "?e"),
-        Rewrite.syntactic("L6-sub-self", "?e - ?e", "0"),
+        Rewrite.syntactic("L6-sub-self", "?e - ?e", "0", integral_classes("?e")),
         Rewrite.syntactic("if-true", "if (true) then ?e", "?e"),
         Rewrite.syntactic("if-false", "if (false) then ?e", "0"),
-        Rewrite.syntactic("eq-refl", "if (?a == ?a) then ?e", "?e"),
+        Rewrite.syntactic("eq-refl", "if (?a == ?a) then ?e", "?e", integral_classes("?a")),
     ]
 
 

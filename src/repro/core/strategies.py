@@ -1012,12 +1012,16 @@ def inline_collection_lets(term: Expr) -> Expr | None:
 _ZERO, _ONE, _TRUE, _FALSE = Const(0), Const(1), Const(True), Const(False)
 
 
-def simplify_node(term: Expr) -> Expr | None:
+def simplify_node(term: Expr, env: "tuple[int, ...] | None" = None,
+                  symbol_ranks: "Mapping[str, int] | None" = None) -> Expr | None:
     """Local algebraic simplifications (rules L1–L6, if-elimination, and the
     bounds check of a range's own key).
 
-    T4 (range lookup) needs integrality facts: see :func:`lookup_of_range_sum`.
+    ``x - x`` and ``if (x == x)`` simplify only for a proven integer ``x``:
+    on floats ``inf - inf`` is ``nan`` and ``nan == nan`` is false.  T4
+    (range lookup) needs integrality facts too: see :func:`lookup_of_range_sum`.
     """
+    env = env or ()
     if isinstance(term, Add):
         if term.left == _ZERO:
             return term.right
@@ -1033,20 +1037,23 @@ def simplify_node(term: Expr) -> Expr | None:
     if isinstance(term, Sub):
         if term.right == _ZERO:
             return term.left
-        if term.left == term.right:
+        if term.left == term.right and is_integral(term.left, env, symbol_ranks):
             return _ZERO
     if isinstance(term, IfThen):
         if term.cond == _TRUE:
             return term.then
         if term.cond == _FALSE:
             return _ZERO
-        if isinstance(term.cond, Cmp) and term.cond.op == "==" and term.cond.left == term.cond.right:
+        cond = term.cond
+        if isinstance(cond, Cmp) and cond.op == "==" and cond.left == cond.right \
+                and is_integral(cond.left, env, symbol_ranks):
             return term.then
     if isinstance(term, Sum):
         if term.body == _ZERO:
             return _ZERO
         if isinstance(term.source, RangeExpr) and isinstance(term.body, IfThen) \
-                and isinstance(term.body.cond, And) and is_integral(term.source.lo):
+                and isinstance(term.body.cond, And) \
+                and is_integral(term.source.lo, env, symbol_ranks):
             # The key of ``lo:hi`` is in ``lo:hi``: the bounds check a
             # resolved range probe leaves on it always holds (``lo:hi``
             # truncates its bounds, which only a fractional ``lo > 0`` can
@@ -1056,6 +1063,9 @@ def simplify_node(term: Expr) -> Expr | None:
                 return Sum(term.source, term.body.then,
                            key_name=term.key_name, val_name=term.val_name)
     return None
+
+
+simplify_node.wants_env = True
 
 
 # ---------------------------------------------------------------------------

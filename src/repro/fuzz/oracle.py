@@ -61,7 +61,7 @@ from ..execution.engine import BACKENDS, ExecutionEngine
 from ..sdqlite.ast import Expr
 from ..sdqlite.debruijn import to_debruijn_safe
 from ..sdqlite.pretty import to_source
-from ..sdqlite.values import is_scalar, to_plain
+from ..sdqlite.values import is_scalar, scalars_close, to_plain
 from ..session import Session
 from .gendata import (
     assign_formats,
@@ -453,8 +453,7 @@ def results_match(left: Any, right: Any, *, rel_tol: float = 1e-6,
     left_scalar = is_scalar(left)
     right_scalar = is_scalar(right)
     if left_scalar and right_scalar:
-        return bool(abs(left - right)
-                    <= max(abs_tol, rel_tol * max(abs(left), abs(right))))
+        return scalars_close(left, right, rel_tol, abs_tol)
     if left_scalar:
         return abs(left) <= abs_tol and _effectively_zero(right, abs_tol)
     if right_scalar:

@@ -17,6 +17,7 @@ This module defines
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterator
 
 import numpy as np
@@ -387,9 +388,19 @@ def values_equal(left, right, *, rel_tol: float = 1e-9, abs_tol: float = 1e-9) -
     return _approx_equal(left_plain, right_plain, rel_tol, abs_tol)
 
 
+def scalars_close(left, right, rel_tol: float, abs_tol: float) -> bool:
+    """Tolerant equality of two scalars under IEEE semantics: NaN equals NaN,
+    an infinity only itself, and finite values within the tolerances."""
+    if left == right or (left != left and right != right):
+        return True
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return False
+    return bool(abs(left - right) <= max(abs_tol, rel_tol * max(abs(left), abs(right))))
+
+
 def _approx_equal(left, right, rel_tol, abs_tol) -> bool:
     if is_scalar(left) and is_scalar(right):
-        return bool(abs(left - right) <= max(abs_tol, rel_tol * max(abs(left), abs(right))))
+        return scalars_close(left, right, rel_tol, abs_tol)
     if is_scalar(left) or is_scalar(right):
         if is_scalar(left):
             return is_zero(left) and is_zero(right)
