@@ -992,6 +992,13 @@ def inline_let(term: Expr) -> Expr | None:
     return substitute(term.body, 0, term.value)
 
 
+def drop_dead_let(term: Expr) -> Expr | None:
+    """``let x = e1 in e2`` → ``e2`` when ``e2`` does not read ``x``."""
+    if isinstance(term, Let) and 0 not in free_indices(term.body):
+        return inline_let(term)
+    return None
+
+
 def inline_collection_lets(term: Expr) -> Expr | None:
     """Inline ``let`` bindings whose value constructs a collection.
 
@@ -1190,7 +1197,8 @@ TRANSFORM_ROOTS: dict[Transform, tuple[type, ...]] = {
                      resolve_range_probe, split_sharded_sum, hoist_let_from_source,
                      collapse_segments),
                     (Sum,)),
-    **dict.fromkeys((inline_let, inline_collection_lets, inline_renaming_let), (Let,)),
+    **dict.fromkeys((inline_let, inline_collection_lets, inline_renaming_let,
+                     drop_dead_let), (Let,)),
     **dict.fromkeys((lookup_of_range_sum, lookup_over_add), (Get,)),
     factor_out_of_dict: (DictExpr,),
     push_factor_into_dict: (Mul,),
@@ -1305,8 +1313,10 @@ def normalize(term: Expr, max_passes: int = 10,
 #: produced the plan (an e-graph extraction need not contain the resolved
 #: form).  The executor runs a probe left in a plan as the loop it is.  A
 #: full traversal of a segmented array whose body ignores the segment
-#: becomes one loop over the array (:func:`collapse_segments`).
+#: becomes one loop over the array (:func:`collapse_segments`), also when a
+#: ``let`` nobody reads stood between the two loops (:func:`drop_dead_let`).
 PROBE_TRANSFORMS: tuple[Transform, ...] = (
+    drop_dead_let,
     resolve_range_probe,
     sum_to_lookup,
     lookup_of_range_sum,

@@ -12,7 +12,9 @@ These tests check that
   the stored data before and after writes; COO, DOK, trie and dense declare
   none; the statistics and plan keys follow the declarations;
 * the rewrite fires on all-entries aggregates over CSR, CSC, DCSR, CSF and
-  the shard addends of ``sharded_csr``, and on no ``warm_kernels`` row;
+  the shard addends of ``sharded_csr`` under both methods (a ``let`` nobody
+  reads between the two loops is dropped first), and on no ``warm_kernels``
+  row;
 * it does not fire when the body reads ``s`` or ``w``, over a sub-range or
   another length, through a guard or ``let``, on an undeclared segment
   array, on COO / DOK / trie, or in an IVM delta plan;
@@ -30,7 +32,12 @@ import pytest
 from repro.core.cost import CostModel
 from repro.core.optimizer import optimize, symbol_ranks
 from repro.core.statistics import Statistics
-from repro.core.strategies import collapse_segments, rewrite_everywhere
+from repro.core.strategies import (
+    PROBE_TRANSFORMS,
+    collapse_segments,
+    drop_dead_let,
+    rewrite_everywhere,
+)
 from repro.data.synthetic import random_sparse_matrix_coo, random_sparse_tensor3
 from repro.execution.engine import ExecutionEngine, PlanCache
 from repro.kernels import KERNELS
@@ -249,13 +256,31 @@ def test_all_entries_aggregates_collapse(kind, program, collapsed, method):
 
 
 def test_each_shard_addend_of_sharded_csr_collapses():
+    """Under both methods: greedy's plan binds a row key per shard
+    (``let i = r + A__s0_lo``) that the body never reads, and the final pass
+    drops that ``let`` before it collapses the nest."""
     rng = np.random.default_rng(7)
-    coords, values = random_sparse_matrix_coo(10, 6, 0.4, rng=rng)
-    catalog = _catalog(ShardedCSRFormat.from_coo("A", coords, values, (10, 6), shards=2))
-    statement = Session(catalog, cache=PlanCache()).prepare(
-        "sum(<(i,j), a> in A) a", method="egraph")
-    assert statement.optimization.collapsed_segments == ("A__s0_idx2", "A__s1_idx2")
-    assert _close(statement.execute(), values.sum())
+    for rows, cols in ((10, 6), (40, 40)):
+        coords, values = random_sparse_matrix_coo(rows, cols, 0.4, rng=rng)
+        catalog = _catalog(ShardedCSRFormat.from_coo("A", coords, values, (rows, cols),
+                                                     shards=2))
+        for method in ("greedy", "egraph"):
+            statement = Session(catalog, cache=PlanCache()).prepare(
+                "sum(<(i,j), a> in A) a", method=method)
+            assert statement.optimization.collapsed_segments == \
+                ("A__s0_idx2", "A__s1_idx2"), method
+            assert _close(statement.execute(), values.sum())
+
+
+def test_the_final_pass_drops_a_let_nobody_reads():
+    ranks = _csr_ranks()
+    nest = _term("sum(<row, w> in 0:A_len1) let r = row + 1 in "
+                 "sum(<off, col> in A_idx2(A_pos2(row):A_pos2(row + 1))) A_val(off)")
+    assert rewrite_everywhere(nest, PROBE_TRANSFORMS, symbol_ranks=ranks) == _term(
+        "sum(<off, col> in A_idx2) A_val(off)")
+    kept = _term("sum(<row, w> in 0:A_len1) let r = row + 1 in "
+                 "sum(<off, col> in A_idx2(A_pos2(row):A_pos2(r))) A_val(off)")
+    assert rewrite_everywhere(kept, (drop_dead_let,), symbol_ranks=ranks) == kept
 
 
 def test_the_update_views_reader_collapses_and_no_warm_row_does(warm_statements):
