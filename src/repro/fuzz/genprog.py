@@ -15,7 +15,8 @@ rank, so every generated program is well-typed by construction:
 Loops terminate by construction: every ``sum`` iterates either a registered
 tensor (finite data), a constant-bounded range ``0:c``, a range bounded by an
 in-scope key variable (itself bounded by finite data) or a sub-dictionary of
-one of those.
+one of those.  One scalar shape is a correlated sum over the row of a tensor
+an outer key selects (:meth:`ProgramGenerator._gen_row_sum`).
 
 The generator emits *named-form* ASTs whose bound-variable names
 (``k0, v1, x2, ...``) are fresh and distinct from all schema names, so the
@@ -247,8 +248,10 @@ class ProgramGenerator:
                     out = Get(out, self.gen_key())
                 return out
             return self._scalar_leaf()
-        if roll < 0.88:
+        if roll < 0.82:
             return self._gen_sum(body_rank=0)
+        if roll < 0.88:
+            return self._gen_row_sum() or self._gen_sum(body_rank=0)
         if roll < 0.94:
             return self._gen_let(body_rank=0)
         return self._scalar_leaf()
@@ -312,6 +315,31 @@ class ProgramGenerator:
             self._scope.pop()
             self._scope.pop()
         return Sum(source, body, key_name=key.name, val_name=value.name)
+
+    def _gen_row_sum(self) -> Expr | None:
+        """``sum(<i, r> in T) sum(<j, a> in r) a * sum(<j2, q> in T) if (j == j2)
+        then sum(<c, v> in q) e``: every entry of a matrix ``T`` times the sum
+        over the row of ``T`` its column selects, where ``e`` is ``v`` and a
+        leaf (``c``, ``v``, a global scalar or a constant) under ``+ - *``.
+        Over a compressed level the inner sum is a correlated sum over
+        ``T(P(j):P(j + 1))`` with one value per segment of ``P``.  ``None``
+        when the schema has no matrix."""
+        matrices = self.schema.tensors_of_rank(2)
+        if not matrices:
+            return None
+        name = self.rng.choice(matrices).name
+        i, r, j, a, j2, q = (self._fresh(prefix) for prefix in "kvkvkv")
+        c, v = self._fresh("k"), self._fresh("v")
+        outer, self._scope = self._scope, [_Binding(c, 0, is_key=True), _Binding(v, 0)]
+        try:
+            body = self.rng.choice((Add, Sub, Mul))(Var(v), self._scalar_leaf())
+        finally:
+            self._scope = outer
+        inner = Sum(Var(q), body, key_name=c, val_name=v)
+        join = Sum(Sym(name), IfThen(Cmp("==", Var(j), Var(j2)), inner),
+                   key_name=j2, val_name=q)
+        return Sum(Sym(name), Sum(Var(r), Mul(Var(a), join), key_name=j, val_name=a),
+                   key_name=i, val_name=r)
 
     def _gen_let(self, body_rank: int) -> Expr:
         bound_rank = self.rng.choice([0, 0, 1]) if self.schema.tensors else 0
