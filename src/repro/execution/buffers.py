@@ -328,10 +328,6 @@ class LevelView(NamedTuple):
     lo: int
     hi: int
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.level == self.levels.depth - 1
-
     def __len__(self) -> int:
         return self.hi - self.lo
 

@@ -3,61 +3,45 @@
 The execution backend (``backend="typed"``, the default everywhere; the
 reference interpreter is the only other one).  A ``sum`` loop is evaluated
 as one batched array expression over its iteration space — one *lane* per
-iteration — and what is nested inside a batched body stays batched:
+iteration — and what is nested inside a batched body stays batched
+(``docs/backends.md`` has the whole lowering table):
 
-* every collection is viewed through the flat columnar buffers of
-  :mod:`repro.execution.buffers` (one sorted int64 key array per nesting
-  level plus segment pointers and a float64 leaf array),
-* a ``sum`` nested inside a batched body **expands the lane space** instead
-  of bailing out: each outer lane fans out into its iteration sub-space
-  (``expand_lanes`` over per-lane slice bounds or trie segments); an
-  enclosing binding is gathered onto the expanded lanes only when the body
-  reads it, through one composed lane map however many expansions lie
-  between (bindings nobody reads are never expanded),
+* every stored input, and every per-lane dictionary a batched body reads, is
+  a :class:`TWindow` — entries ``[lo, hi)`` of one stored level, *dense*
+  (1-D arrays, ranges and their slices: key = position) or *compressed*
+  (the levels of :mod:`repro.execution.buffers`: one sorted int64 key array
+  per nesting level, segment pointers and a float64 leaf array).  Iterating
+  a window fans each lane out into its entries (``expand_lanes``); a
+  lookup in it is a gather (dense) or one lookup of a composite (parent,
+  key) integer over the level's order (compressed); an enclosing binding
+  is gathered onto the expanded lanes only when the body reads it,
 * integer lanes carry what is proven about them — bounds, and being a run
   ``start:start+n`` or ``array[s:s+n]`` — from ranges, ``+ c`` and the facts
-  the storage declares (:mod:`repro.storage.facts`); a guard they decide is
+  the storage declares (:mod:`repro.storage.facts`): a guard they decide is
   one boolean, a gather they bound scans nothing, a lookup with a run of
   keys is a view, and a traversal ``P(s):P(s+1)`` of a non-decreasing ``P``
   is one position range,
 * a ``sum`` over ``T(P(e):P(e + 1))`` whose body reads only its own two
-  binders has one value per segment of ``P``: nested in a batched body it
-  is evaluated once over every segment, as one position range, and each
-  outer lane gathers its value at ``e`` (a *segment table*, built per run),
-* lookups with per-lane keys into nested dictionaries become one lookup of
-  a composite (parent, key) integer over the level's order — one gather
-  through a position table when the key range is dense, a ``searchsorted``
-  otherwise (:func:`~repro.execution.buffers.lookup_sorted`) — and into a
-  per-lane entry bag (a dictionary an inner ``sum`` just built) one
-  comparison plus one ``np.bincount``,
-* ``merge`` over flat scalar-valued collections becomes a value-sorted join
-  (argsort + ``searchsorted``) instead of a per-key Python dict of lists,
+  binders is answered from a table of its value per segment of ``P``,
+* ``merge`` over flat scalar-valued collections is a value-sorted join,
 * dictionary-shaped loop bodies accumulate as flat (coords, values) entry
-  bags whose final reduction is one order-aware group-by-sum
-  (:func:`repro.storage.formats.group_sum`, which sorts only entries that
-  do not already arrive in order) producing a
-  :class:`~repro.execution.buffers.BufferDict` — a lazy view the engine's
-  ``result_to_*`` helpers scatter straight into dense output,
-* except at the root of a run whose caller asked for a dense shape: there
-  the entry bag accumulates straight into the output array, one
-  ``np.bincount`` over the linearized coordinate (:class:`DenseResult`),
-  with the same per-cell sums in the same order.
+  bags reduced by one order-aware group-by-sum
+  (:func:`repro.storage.formats.group_sum`) into a lazy
+  :class:`~repro.execution.buffers.BufferDict`, or, at the root of a run
+  asked for a dense shape, summed straight into the array
+  (:class:`DenseResult`).
 
-Every kernel is NumPy; pure Python remains the reference path.  A loop runs
-as the plan says: an equality probe the optimizer could resolve is already a
-lookup (:data:`repro.core.strategies.PROBE_TRANSFORMS`), and one it left is
-iterated.
-
-Anything the typed representation cannot hold (tuple or non-integral float
-dictionary keys, ragged nesting, value types that only exist mid-expression)
-raises :class:`Untyped`; the nearest enclosing non-batched ``sum`` (or
-``merge``) then falls back to a plain Python loop — inside which nested
-sums get a fresh chance to batch — so the backend executes every plan the
-interpreter executes, with identical results.  The number of loops that took
-the fallback, and why (``fallback_reasons``), is reported through the
-optional ``stats`` sink (see :class:`TypedPlan`), and each fallback is a
-debug event on ``logging.getLogger("repro.execution")``; ``docs/backends.md``
-lists what is known not to kernelize.
+Every kernel is NumPy, and a loop runs as the plan says: an equality probe
+the optimizer left (:data:`repro.core.strategies.PROBE_TRANSFORMS`) is
+iterated.  Anything the typed representation cannot hold
+(tuple or non-integral float dictionary keys, ragged nesting, value types
+that only exist mid-expression) raises :class:`Untyped`; the nearest
+enclosing non-batched ``sum`` (or ``merge``) then falls back to a plain
+Python loop — inside which nested sums get a fresh chance to batch — so the
+backend executes every plan the interpreter executes, with identical
+results.  The fallbacks and why (``fallback_reasons``) are reported through
+the optional ``stats`` sink (see :class:`TypedPlan`) and as debug events on
+``logging.getLogger("repro.execution")``.
 """
 
 from __future__ import annotations
@@ -122,7 +106,6 @@ from .buffers import (
     LOOKUP_REGIMES,
     BufferDict,
     BufferLevels,
-    LevelView,
     expand_lanes,
     lookup_sorted,
     parent_sum,
@@ -213,45 +196,70 @@ class TBatchDict:
         return TBatchDict(self.keys, value, self.mask, self.bounds)
 
 
-class TSlice:
-    """A range/array-slice dictionary per lane, with per-lane bounds.
+@dataclass(slots=True, eq=False)
+class TWindow:
+    """Entries ``[lo, hi)`` of one stored level: once (a *root* window, what
+    :func:`_stored` makes of a stored input, with ``int`` bounds) or per lane.
 
-    ``target`` is a shared 1-D float array (``e(lo:hi)``) or ``None`` for a
-    bare range ``lo:hi`` (values are the keys); ``lo``/``hi`` are int64 per
-    lane.  ``span`` ``(first, end)``, when proven, holds every key in
-    ``[first, end)``; ``contiguous`` that the lanes' ranges are back to back
+    A *dense* level (``levels`` ``None``) keys an entry by its position and
+    holds ``target[position]`` (``target`` ``None``: the key itself, a
+    range).  A *compressed* level is ``levels.keys[level]``; above the
+    deepest level an entry's value is the window of its children.  A
+    compressed per-lane window holds the children of entry ``owner[i]`` at
+    ``level - 1`` (``< 0``: none) and reads its bounds from
+    ``levels.seg[level]`` only when it is iterated (:meth:`bounds`), so a
+    window that is only probed gathers nothing.  ``scale`` multiplies the
+    values per lane, so ``c * d`` copies no buffer.  ``span`` ``(first,
+    end)``, when proven, holds every key of a dense window in ``[first,
+    end)``; ``contiguous`` that the lanes' windows are back to back
     (``hi[i] == lo[i + 1]``) and none is negative — a full traversal of a
-    segment array (:func:`_slice_lanes`).
+    segment array — or, of a root window, that it is a whole stored array.
     """
 
-    __slots__ = ("target", "lo", "hi", "span", "contiguous")
+    lo: Any
+    hi: Any
+    target: np.ndarray | None = None
+    span: tuple[int, int] | None = None
+    contiguous: bool = False
+    levels: BufferLevels | None = None
+    level: int = 0
+    owner: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
-    def __init__(self, target: np.ndarray | None, lo: np.ndarray, hi: np.ndarray,
-                 span: tuple[int, int] | None = None, contiguous: bool = False):
-        self.target = target
-        self.lo = lo
-        self.hi = hi
-        self.span = span
-        self.contiguous = contiguous
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-lane ``lo``/``hi``."""
+        if self.lo is None:
+            seg, owner = self.levels.seg[self.level], self.owner
+            if owner.shape[0] and int(owner.min()) >= 0:
+                self.lo, self.hi = seg[owner], seg[owner + 1]
+            else:   # a lane holding the empty dictionary has an empty window
+                safe = np.maximum(owner, 0)
+                self.lo = seg[safe]
+                self.hi = np.where(owner >= 0, seg[np.minimum(safe + 1, seg.shape[0] - 1)],
+                                   self.lo)
+        return self.lo, self.hi
 
+    def select(self, lanes: np.ndarray) -> "TWindow":
+        """The windows of the lanes ``lanes`` indexes."""
+        scale = None if self.scale is None else self.scale[lanes]
+        if self.levels is None:
+            return TWindow(self.lo[lanes], self.hi[lanes], self.target, scale=scale,
+                           span=self.span)
+        return TWindow(None, None, levels=self.levels, level=self.level,
+                       owner=self.owner[lanes], scale=scale)
 
-class TSegs:
-    """A nested-dictionary segment per lane.
-
-    Lane ``i`` denotes the children of entry ``owner[i]`` (an entry index at
-    ``level - 1`` of ``levels``; ``owner[i] < 0`` means the empty
-    dictionary).  ``scale`` is an optional per-lane scalar multiplier applied
-    lazily at the leaves, so ``c * d`` never copies the buffers.
-    """
-
-    __slots__ = ("levels", "level", "owner", "scale")
-
-    def __init__(self, levels: BufferLevels, level: int, owner: np.ndarray,
-                 scale: np.ndarray | None = None):
-        self.levels = levels
-        self.level = level
-        self.owner = owner
-        self.scale = scale
+    def masked(self, keep: np.ndarray, scale: np.ndarray | None = None) -> "TWindow":
+        """The windows of the lanes ``keep`` marks, empty on the others, with
+        the values times ``scale`` too."""
+        if scale is None:
+            scale = self.scale
+        elif self.scale is not None:
+            scale = self.scale * scale
+        if self.levels is None:
+            return TWindow(np.where(keep, self.lo, 0), np.where(keep, self.hi, 0),
+                           self.target, scale=scale, span=self.span)
+        return TWindow(None, None, levels=self.levels, level=self.level,
+                       owner=np.where(keep, self.owner, -1), scale=scale)
 
 
 class TFlat:
@@ -275,11 +283,11 @@ class TFlat:
 
 
 def _is_batched(value) -> bool:
-    return isinstance(value, (TBatch, TBatchDict, TSlice, TSegs, TFlat))
+    return isinstance(value, (TBatch, TBatchDict, TWindow, TFlat))
 
 
 def _is_dict_batched(value) -> bool:
-    return isinstance(value, (TBatchDict, TSlice, TSegs, TFlat))
+    return isinstance(value, (TBatchDict, TWindow, TFlat))
 
 
 class DenseResult:
@@ -310,7 +318,7 @@ class _Runtime:
         self.invariants: dict = {}
         self.failed_batch: set = set()   # sums whose typed attempt failed this run
         self.fallbacks: dict = {}        # sum/merge that ran a Python loop -> why
-        self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
+        self.buffers: dict = {}          # id(obj) -> (obj, its LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
         self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
         self.lookups: Counter = Counter()  # lookup regime -> batched lookups that took it
@@ -389,34 +397,47 @@ def _trunc_lanes(value, lanes: int) -> np.ndarray:
     raise Untyped("range bound is not a scalar")
 
 
-def _levels_of(rt: _Runtime, value) -> LevelView | None:
-    """Cached :func:`to_buffer_levels` view of a collection.
+def _array(value) -> np.ndarray | None:
+    """The 1-D array a stored input is, else ``None``."""
+    if isinstance(value, PhysicalArray):
+        value = value.data
+    return value if isinstance(value, np.ndarray) and value.ndim == 1 else None
 
-    A stored hash-map or trie keeps its own view, built once
-    (:meth:`~repro.storage.physical.PhysicalHashMap.level_view`).  Any other
-    collection is cached per run, with a strong reference to the source
-    object, so an ``id()`` can never be recycled into a stale hit mid-run.
+
+def _stored(rt: _Runtime, value) -> TWindow | None:
+    """The root window of a stored input, ``None`` when it has none.
+
+    A 1-D array, a range and a slice of a 1-D array are dense; any other
+    collection is a compressed level: a :class:`BufferDict`'s own, a stored
+    hash-map's or trie's levelized view (built once, by
+    :meth:`~repro.storage.physical.PhysicalHashMap.level_view`), or else one
+    :func:`to_buffer_levels` walk per run, cached with a strong reference to
+    the source, so an ``id()`` cannot be recycled into a stale hit mid-run.
     ``rt.levelized`` counts the walks.
     """
+    array = _array(value)
+    if array is not None:
+        return TWindow(0, array.shape[0], array, None, True)
+    if isinstance(value, RangeDict):
+        return TWindow(value.lo, value.hi)
+    if isinstance(value, SliceDict):
+        array = _array(value.target)
+        if array is not None:
+            return TWindow(value.lo, value.hi, array)
     if isinstance(value, BufferDict):
-        return LevelView(value.levels, value.level, value.lo, value.hi)
+        return TWindow(value.lo, value.hi, levels=value.levels, level=value.level)
     if isinstance(value, (PhysicalHashMap, PhysicalTrie)):
         rt.levelized += not value.levelized
-        return value.level_view()
-    key = id(value)
-    hit = rt.buffers.get(key)
-    if hit is not None:
-        return hit[1]
-    rt.levelized += 1
-    view = to_buffer_levels(value)
-    rt.buffers[key] = (value, view)
-    return view
-
-
-def _unwrap(value):
-    if isinstance(value, PhysicalArray):
-        return value.data
-    return value
+        view = value.level_view()
+    else:
+        hit = rt.buffers.get(id(value))
+        if hit is None:
+            rt.levelized += 1
+            hit = rt.buffers[id(value)] = (value, to_buffer_levels(value))
+        view = hit[1]
+    if view is None:
+        return None
+    return TWindow(view.lo, view.hi, levels=view.levels, level=view.level)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +517,8 @@ def _reindex(value, parent: np.ndarray):
             else np.asarray(inner)[parent]
         mask = None if value.mask is None else value.mask[parent]
         return TBatchDict(value.keys[parent], inner, mask, value.bounds)
-    if isinstance(value, TSlice):
-        return TSlice(value.target, value.lo[parent], value.hi[parent], value.span)
-    if isinstance(value, TSegs):
-        scale = None if value.scale is None else value.scale[parent]
-        return TSegs(value.levels, value.level, value.owner[parent], scale)
+    if isinstance(value, TWindow):
+        return value.select(parent)
     if isinstance(value, TFlat):
         raise Untyped("cannot re-index an entry bag across a lane expansion")
     return value
@@ -617,7 +635,7 @@ def _read(rt: _Runtime, target: np.ndarray | None, keys: TBatch) -> TBatch:
     return TBatch(_gather(target, keys.data))
 
 
-def _batched_slice(rt: _Runtime, target: np.ndarray | None, lo, hi) -> TSlice:
+def _batched_slice(rt: _Runtime, target: np.ndarray | None, lo, hi) -> TWindow:
     """``target(lo:hi)`` (the range ``lo:hi`` when ``target`` is ``None``) with
     bounds per lane, and what they prove: the span of its keys, and whether
     it is ``P(s):P(s+1)`` over a run ``s`` and a ``P`` declared non-decreasing.
@@ -632,27 +650,54 @@ def _batched_slice(rt: _Runtime, target: np.ndarray | None, lo, hi) -> TSlice:
         if source is not None and hi_source is source and hi_start == start + 1:
             fact = _fact(rt, source)
             contiguous = fact is not None and fact.ordered
-    return TSlice(target, lo_lanes, hi_lanes, span, contiguous)
+    return TWindow(lo_lanes, hi_lanes, target, span, contiguous)
 
 
-def _slice_lanes(rt: _Runtime, ts: TSlice):
-    """``(parent, positions, counts)`` of a per-lane slice fanned out into lanes.
+def _window_entries(rt: _Runtime, window: TWindow):
+    """``(parent, keys, values, counts)``: per-lane windows fanned out into
+    one lane per entry, ``parent`` mapping each back to its lane.
 
-    A contiguous slice — ``P(s):P(s+1)`` over a non-decreasing ``P`` and a
+    A contiguous window — ``P(s):P(s+1)`` over a non-decreasing ``P`` and a
     run of ``s`` — is the one range ``lo[0]:hi[-1]``: one ``repeat`` for the
     parent map and no clamp or contiguity scan (:func:`expand_lanes`).
     """
-    if ts.contiguous and ts.lo.shape[0]:
-        start, end = int(ts.lo[0]), int(ts.hi[-1])
-        counts = ts.hi - ts.lo
+    lo, hi = window.bounds()
+    if window.contiguous and lo.shape[0]:
+        start, end = int(lo[0]), int(hi[-1])
+        counts = hi - lo
         parent = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
         rt.contiguous_reads += 1
-        return (parent, TBatch(np.arange(start, end, dtype=np.int64),
-                               (start, end - 1), (None, start)), counts)
-    counts = np.maximum(ts.hi - ts.lo, 0)
-    parent, positions = expand_lanes(ts.lo, counts)
-    bounds = None if ts.span is None else (ts.span[0], ts.span[1] - 1)
-    return parent, TBatch(positions, bounds), counts
+        positions = TBatch(np.arange(start, end, dtype=np.int64), (start, end - 1),
+                           (None, start))
+    else:
+        counts = np.maximum(hi - lo, 0)
+        parent, positions = expand_lanes(lo, counts)
+        span = window.span
+        positions = TBatch(positions, None if span is None else (span[0], span[1] - 1))
+    scale = None if window.scale is None else window.scale[parent]
+    return (parent, *_entries(rt, window, positions, scale), counts)
+
+
+def _entries(rt: _Runtime, window: TWindow, positions, scale: np.ndarray | None = None):
+    """``(keys, values)`` of the entries at ``positions`` of ``window``'s level
+    (a :class:`TBatch`; a ``slice`` of a compressed root), one per lane and
+    each times its ``scale``: a compressed level's values below its deepest
+    level are the windows of the entries' children."""
+    levels = window.levels
+    if levels is None:
+        keys, values = positions, _read(rt, window.target, positions)
+    else:
+        pos = positions.data if isinstance(positions, TBatch) else positions
+        keys = TBatch(levels.keys[window.level][pos], levels.known_bounds(window.level))
+        if window.level < levels.depth - 1:
+            if not isinstance(pos, np.ndarray):
+                pos = np.arange(pos.start, pos.stop, dtype=np.int64)
+            return keys, TWindow(None, None, levels=levels, level=window.level + 1,
+                                 owner=pos, scale=scale)
+        values = TBatch(levels.values[pos])
+    if scale is not None:
+        values = TBatch(values.data * scale)
+    return keys, values
 
 
 def _flatten_tbd(tbd: TBatchDict, lanes: int) -> TFlat:
@@ -682,55 +727,22 @@ def _flatten_tbd(tbd: TBatchDict, lanes: int) -> TFlat:
     return TFlat([col[sel] for col in cols], vals[sel], sel, bounds)
 
 
-def _flatten_segs(ts: TSegs) -> TFlat:
-    """The entry bag of a per-lane nested-dictionary segment."""
-    levels = ts.levels
-    lanes = ts.owner.shape[0]
-    rows = np.arange(lanes, dtype=np.int64)
-    owner, scale = ts.owner, ts.scale
-    keep = owner >= 0
-    if not bool(keep.all()):
-        rows, owner = rows[keep], owner[keep]
-        if scale is not None:
-            scale = scale[keep]
-    cols: list = []
-    level = ts.level
-    while True:
-        seg = levels.seg[level]
-        starts = seg[owner]
-        parent, pos = expand_lanes(starts, seg[owner + 1] - starts)
-        rows = rows[parent]
-        cols = [c[parent] for c in cols]
-        if scale is not None:
-            scale = scale[parent]
-        cols.append(levels.keys[level][pos])
-        if level == levels.depth - 1:
-            vals = levels.values[pos]
-            if scale is not None:
-                vals = vals * scale
-            bounds = [levels.known_bounds(d) for d in range(ts.level, level + 1)]
-            return TFlat(cols, vals, rows, bounds)
-        owner = pos
-        level += 1
-
-
-def _flatten_slice(rt: _Runtime, ts: TSlice) -> TFlat:
-    rows, keys, _ = _slice_lanes(rt, ts)
-    vals = np.asarray(_read(rt, ts.target, keys).data).astype(np.float64, copy=False)
-    return TFlat([keys.data], vals, rows, [keys.bounds])
-
-
 def _flatten(rt: _Runtime, value, lanes: int) -> TFlat:
     """The entry bag of any per-lane dictionary representation."""
     if isinstance(value, TFlat):
         return value
     if isinstance(value, TBatchDict):
         return _flatten_tbd(value, lanes)
-    if isinstance(value, TSegs):
-        return _flatten_segs(value)
-    if isinstance(value, TSlice):
-        return _flatten_slice(rt, value)
-    raise Untyped(f"cannot flatten {type(value).__name__}")
+    if not isinstance(value, TWindow):
+        raise Untyped(f"cannot flatten {type(value).__name__}")
+    rows, keys, value, _ = _window_entries(rt, value)
+    cols, bounds = [keys.data], [keys.bounds]
+    while isinstance(value, TWindow):     # one level further down
+        parent, keys, value, _ = _window_entries(rt, value)
+        rows = rows[parent]
+        cols = [col[parent] for col in cols] + [keys.data]
+        bounds.append(keys.bounds)
+    return TFlat(cols, np.asarray(value.data).astype(np.float64, copy=False), rows, bounds)
 
 
 def _group_result(rt: _Runtime, cols: list, vals: np.ndarray):
@@ -807,15 +819,29 @@ def _reduce_expanded(rt: _Runtime, body, parent: np.ndarray, out_lanes: int,
             return 0
         return TBatch(counts.astype(np.float64) * float(body))
     # A loop-invariant dictionary summed `counts[i]` times per outer lane.
-    view = _levels_of(rt, body)
-    if view is not None and view.level == 0 and view.lo == 0 \
-            and view.hi == view.levels.keys[0].shape[0]:
-        owner = np.where(counts > 0, 0, -1).astype(np.int64)
-        return TSegs(view.levels, 0, owner, counts.astype(np.float64))
-    raise Untyped("loop-invariant dictionary body does not flatten")
+    return _invariant_lanes(rt, body, counts > 0, counts.astype(np.float64),
+                            "loop-invariant dictionary body does not flatten")
 
 
-def _apply_mask(result, mask: np.ndarray):
+def _invariant_lanes(rt: _Runtime, value, keep: np.ndarray, scale: np.ndarray | None,
+                     reason: str) -> TWindow:
+    """A loop-invariant dictionary per lane: ``value`` on the lanes ``keep``
+    marks, its values times ``scale``, and empty on the others.  ``value``
+    must be a whole stored level (:class:`Untyped` with ``reason`` if not)."""
+    window, lanes = _stored(rt, value), keep.shape[0]
+    if window is not None and window.levels is None:
+        window = TWindow(np.full(lanes, window.lo), np.full(lanes, window.hi),
+                         window.target, span=(window.lo, window.hi))
+    elif window is not None and window.level == 0 and window.lo == 0 \
+            and window.hi == window.levels.keys[0].shape[0]:
+        window = TWindow(None, None, levels=window.levels,
+                         owner=np.zeros(lanes, dtype=np.int64))
+    else:
+        raise Untyped(reason)
+    return window.masked(keep, scale)
+
+
+def _apply_mask(rt: _Runtime, result, mask: np.ndarray):
     """Zero out the lanes where ``mask`` is False (``if`` filtering)."""
     if isinstance(result, TBatch):
         return TBatch(np.where(mask, _num(result.data), 0))
@@ -825,17 +851,14 @@ def _apply_mask(result, mask: np.ndarray):
         keep = mask[result.rows]
         return TFlat([c[keep] for c in result.cols], result.vals[keep],
                      result.rows[keep], result.bounds)
-    if isinstance(result, TSegs):
-        return TSegs(result.levels, result.level,
-                     np.where(mask, result.owner, -1), result.scale)
-    if isinstance(result, TSlice):
-        return TSlice(result.target, np.where(mask, result.lo, 0),
-                      np.where(mask, result.hi, 0), result.span)
+    if isinstance(result, TWindow):
+        return result.masked(mask)
     if is_scalar(result):
         if is_zero(result):
             return 0
         return TBatch(np.where(mask, result, 0))
-    raise Untyped("conditional dictionary value in batched body")
+    return _invariant_lanes(rt, result, mask, None,
+                            "conditional dictionary value in batched body")
 
 
 # ---------------------------------------------------------------------------
@@ -849,36 +872,23 @@ def _range_lanes(lo: int, hi: int) -> TBatch:
 
 
 def _iteration_space(rt: _Runtime, source):
-    """``(keys, values)`` for batching a non-batched sum source, else ``None``.
+    """``(keys, values)`` of a non-batched collection's entries, one lane
+    each, else ``None``: the iteration of a non-batched sum, the merge join
+    and the cross product of a loop-invariant source.
 
-    Both are per-lane values; nested dictionaries and tries batch too: their
-    value side is a :class:`TSegs` over the levelized buffers.
+    A nested dictionary's value side is the :class:`TWindow` of each
+    entry's children.
     """
-    source = _unwrap(source)
-    if isinstance(source, RangeDict):
-        keys = _range_lanes(source.lo, source.hi)
-        return keys, keys
-    if isinstance(source, np.ndarray):
-        if source.ndim != 1:
-            return None
-        return (_range_lanes(0, source.shape[0]),
-                TBatch(source, _fact_bounds(rt, source), (source, 0)))
-    if isinstance(source, SliceDict):
-        target = _unwrap(source.target)
-        if not (isinstance(target, np.ndarray) and target.ndim == 1):
-            return None
-        keys = _range_lanes(source.lo, source.hi)
-        return keys, _read(rt, target, keys)
-    view = _levels_of(rt, source)
-    if view is None:
+    window = _stored(rt, source)
+    if window is None:
         return None
-    levels = view.levels
-    keys = TBatch(levels.keys[view.level][view.lo:view.hi],
-                  levels.known_bounds(view.level))
-    if view.is_leaf:
-        return keys, TBatch(levels.values[view.lo:view.hi])
-    return keys, TSegs(levels, view.level + 1,
-                       np.arange(view.lo, view.hi, dtype=np.int64))
+    if window.levels is not None:
+        return _entries(rt, window, slice(window.lo, window.hi))
+    keys = _range_lanes(window.lo, window.hi)
+    if window.contiguous:   # a whole stored array: its values as they are
+        target = window.target
+        return keys, TBatch(target, _fact_bounds(rt, target), (target, 0))
+    return keys, _read(rt, window.target, keys)
 
 
 def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None):
@@ -886,53 +896,12 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
     does not support a batched lookup.
 
     ``key`` holds int64 lanes; ``valid``, when given, marks the lanes whose
-    key is an integer at all (the others miss).
+    key is an integer at all (the others miss).  A stored input is looked
+    up through its root window (:func:`_stored`).
     """
     keys = key.data
-    lanes = keys.shape[0]
-    target = _unwrap(target)
     if is_scalar(target) and is_zero(target):
         return 0
-    if isinstance(target, RangeDict):
-        if valid is None and _within(key.bounds, target.lo, target.hi - 1):
-            rt.proven_guards += 1
-            return key
-        found = (keys >= target.lo) & (keys < target.hi)
-        if valid is not None:
-            found = found & valid
-        return TBatch(np.where(found, keys, 0))
-    if isinstance(target, np.ndarray) and target.ndim == 1:
-        if valid is None:
-            return _read(rt, target, key)
-        return TBatch(_gather(target, np.where(valid, keys, -1)))
-    if isinstance(target, SliceDict):
-        if valid is None and _within(key.bounds, target.lo, target.hi - 1):
-            rt.proven_guards += 1
-            return _lookup_batched(rt, target.target, key, None)
-        in_slice = (keys >= target.lo) & (keys < target.hi)
-        if valid is not None:
-            in_slice = in_slice & valid
-        value = _lookup_batched(rt, target.target, key, in_slice)
-        return None if value is None else _apply_mask(value, in_slice)
-    if isinstance(target, TSlice):
-        in_slice = (keys >= target.lo) & (keys < target.hi)
-        if valid is not None:
-            in_slice = in_slice & valid
-        return TBatch(np.where(in_slice, _gather(target.target, keys), 0))
-    if isinstance(target, TSegs):
-        levels = target.levels
-        hit = levels.lookup_level(target.level, target.owner, keys, valid, key.bounds)
-        if hit is None:
-            raise Untyped("composite key overflow in nested lookup")
-        pos, found, regime = hit
-        rt.lookups[regime] += 1
-        rt.proven_guards += _within(key.bounds, *levels.key_bounds(target.level))
-        if target.level == levels.depth - 1:
-            values = _safe_gather(levels.values, pos, found)
-            if target.scale is not None:
-                values = values * target.scale
-            return TBatch(np.where(found, values, 0))
-        return TSegs(levels, target.level + 1, np.where(found, pos, -1), target.scale)
     if isinstance(target, TBatchDict):
         found = target.keys == keys
         if target.mask is not None:
@@ -950,7 +919,7 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
         rows, vals = target.rows[keep], target.vals[keep]
         if len(target.cols) == 1:
             # bincount adds a lane's duplicates in input order, like v_add.
-            return TBatch(np.bincount(rows, weights=vals, minlength=lanes))
+            return TBatch(np.bincount(rows, weights=vals, minlength=keys.shape[0]))
         # Deeper: peel the matched column, summing per remaining key.
         cols = [rows] + [col[keep] for col in target.cols[1:]]
         take, vals, regime = group_sum(cols, vals)
@@ -958,23 +927,64 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
         if take is not None:
             cols = [col[take] for col in cols]
         return TFlat(cols[1:], vals, cols[0], target.bounds[1:])
-    if _is_batched(target):
-        return None
-    view = _levels_of(rt, target)
-    if view is None:
-        return None
-    levels = view.levels
-    span = levels.keys[view.level][view.lo:view.hi]
-    inside = span.shape[0] > 0 and _within(key.bounds, int(span[0]), int(span[-1]))
-    pos, found, regime = lookup_sorted(span, keys, inside)
-    rt.lookups[regime] += 1
-    rt.proven_guards += inside
-    pos = pos + view.lo
+    if not isinstance(target, TWindow):
+        target = None if isinstance(target, TBatch) else _stored(rt, target)
+        if target is None:
+            return None
+    if target.levels is None:
+        return _lookup_dense(rt, target, key, valid)
+    return _lookup_compressed(rt, target, key, valid)
+
+
+def _lookup_dense(rt: _Runtime, window: TWindow, key: TBatch, valid: np.ndarray | None):
+    """:func:`_lookup_batched` in a dense window, whose keys are positions.
+
+    Keys proven inside a root window are read as :func:`_read` reads them
+    (a whole stored array's own bounds are the window's); elsewhere a lane
+    outside its window reads 0.
+    """
+    keys = key.data
+    if valid is None and not isinstance(window.lo, np.ndarray) and (
+            window.contiguous or _within(key.bounds, window.lo, window.hi - 1)):
+        rt.proven_guards += not window.contiguous
+        return _read(rt, window.target, key)
+    found = (keys >= window.lo) & (keys < window.hi)
     if valid is not None:
-        found = found & valid
-    if view.is_leaf:
-        return TBatch(np.where(found, _safe_gather(levels.values, pos, found), 0))
-    return TSegs(levels, view.level + 1, np.where(found, pos, -1))
+        found &= valid
+    values = _gather(window.target, keys)
+    if window.scale is not None:
+        values = values * window.scale
+    return TBatch(np.where(found, values, 0))
+
+
+def _lookup_compressed(rt: _Runtime, window: TWindow, key: TBatch,
+                       valid: np.ndarray | None):
+    """:func:`_lookup_batched` in a compressed window: one search of a root
+    window's keys, or one lookup of per-lane windows' composite (owner, key)
+    (:meth:`~repro.execution.buffers.BufferLevels.lookup_level`)."""
+    levels, level, keys = window.levels, window.level, key.data
+    if window.owner is None:
+        span = levels.keys[level][window.lo:window.hi]
+        inside = span.shape[0] > 0 and _within(key.bounds, int(span[0]), int(span[-1]))
+        pos, found, regime = lookup_sorted(span, keys, inside)
+        rt.proven_guards += inside
+        pos = pos + window.lo
+        if valid is not None:
+            found = found & valid
+    else:
+        hit = levels.lookup_level(level, window.owner, keys, valid, key.bounds)
+        if hit is None:
+            raise Untyped("composite key overflow in nested lookup")
+        pos, found, regime = hit
+        rt.proven_guards += _within(key.bounds, *levels.key_bounds(level))
+    rt.lookups[regime] += 1
+    if level < levels.depth - 1:
+        return TWindow(None, None, levels=levels, level=level + 1,
+                       owner=np.where(found, pos, -1), scale=window.scale)
+    values = _safe_gather(levels.values, pos, found)
+    if window.scale is not None:
+        values = values * window.scale
+    return TBatch(np.where(found, values, 0))
 
 
 def _expand_source(rt: _Runtime, source, lanes: int):
@@ -984,30 +994,8 @@ def _expand_source(rt: _Runtime, source, lanes: int):
     lane back to its outer lane, ``keys`` and ``values`` are per-lane values
     — or a plain scalar 0 when the source is the semiring zero on every lane.
     """
-    if isinstance(source, TSlice):
-        parent, keys, counts = _slice_lanes(rt, source)
-        return parent, keys, _read(rt, source.target, keys), counts
-    if isinstance(source, TSegs):
-        levels = source.levels
-        seg = levels.seg[source.level]
-        owner = source.owner
-        if owner.shape[0] and int(owner.min()) >= 0:
-            starts = seg[owner]
-            counts = seg[owner + 1] - starts
-        else:   # lanes with the empty dictionary (owner < 0) iterate nothing
-            safe = np.maximum(owner, 0)
-            starts = seg[safe]
-            ends = seg[np.minimum(safe + 1, seg.shape[0] - 1)]
-            counts = np.where(owner >= 0, ends - starts, 0)
-        parent, pos = expand_lanes(starts, counts)
-        keys = TBatch(levels.keys[source.level][pos], levels.known_bounds(source.level))
-        scale = None if source.scale is None else source.scale[parent]
-        if source.level == levels.depth - 1:
-            values = levels.values[pos]
-            if scale is not None:
-                values = values * scale
-            return parent, keys, TBatch(values), counts
-        return parent, keys, TSegs(levels, source.level + 1, pos, scale), counts
+    if isinstance(source, TWindow):
+        return _window_entries(rt, source)
     if _is_batched(source):
         raise Untyped(f"cannot iterate {type(source).__name__} in batched body")
     if is_scalar(source):
@@ -1026,13 +1014,12 @@ def _expand_source(rt: _Runtime, source, lanes: int):
         raise Untyped("cross-product expansion exceeds the lane cap")
     parent = np.repeat(np.arange(lanes, dtype=np.int64), size)
     keys = TBatch(np.tile(inner_keys.data, lanes), inner_keys.bounds)
-    counts = np.full(lanes, size, dtype=np.int64)
     if isinstance(inner_values, TBatch):
-        return (parent, keys, TBatch(np.tile(inner_values.data, lanes), inner_values.bounds),
-                counts)
-    return (parent, keys,
-            TSegs(inner_values.levels, inner_values.level,
-                  np.tile(inner_values.owner, lanes)), counts)
+        values = TBatch(np.tile(inner_values.data, lanes), inner_values.bounds)
+    else:
+        values = TWindow(None, None, levels=inner_values.levels, level=inner_values.level,
+                         owner=np.tile(inner_values.owner, lanes))
+    return parent, keys, values, np.full(lanes, size, dtype=np.int64)
 
 
 def _flat_pairs(rt: _Runtime, value):
@@ -1041,35 +1028,15 @@ def _flat_pairs(rt: _Runtime, value):
     Used by the merge join; ``None`` when the collection is nested or not
     array-representable.
     """
-    value = _unwrap(value)
-    if isinstance(value, RangeDict):
-        keys = np.arange(value.lo, value.hi, dtype=np.int64)
-        return keys, keys.astype(np.float64)
-    if isinstance(value, np.ndarray):
-        if value.ndim != 1:
+    if is_scalar(value):
+        if not is_zero(value):
             return None
-        return (np.arange(value.shape[0], dtype=np.int64),
-                _num(value).astype(np.float64))
-    if isinstance(value, SliceDict):
-        target = _unwrap(value.target)
-        if not (isinstance(target, np.ndarray) and target.ndim == 1):
-            return None
-        keys = np.arange(value.lo, value.hi, dtype=np.int64)
-        return keys, np.asarray(_gather(target, keys), dtype=np.float64)
-    if is_scalar(value) and is_zero(value):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    if not hasattr(value, "items") and not isinstance(value, (dict, SemiringDict)):
+    space = _iteration_space(rt, value)
+    if space is None or not isinstance(space[1], TBatch):
         return None
-    view = _levels_of(rt, value)
-    if view is None or not view.is_leaf:
-        return None
-    return (view.levels.keys[view.level][view.lo:view.hi],
-            view.levels.values[view.lo:view.hi])
-
-
-def _is_full_root(view: LevelView) -> bool:
-    return (view.level == 0 and view.lo == 0
-            and view.hi == view.levels.keys[0].shape[0])
+    keys, values = space
+    return keys.data, np.asarray(_num(values.data), dtype=np.float64)
 
 
 def _neg_value(rt: _Runtime, value):
@@ -1080,7 +1047,7 @@ def _neg_value(rt: _Runtime, value):
                       else _int64_bounds(-bounds[1], -bounds[0]))
     if isinstance(value, TBatchDict):
         return value.scaled(-1.0)
-    if isinstance(value, (TFlat, TSegs, TSlice)):
+    if isinstance(value, (TFlat, TWindow)):
         flat = _flatten(rt, value, rt.lanes)
         return TFlat(flat.cols, -flat.vals, flat.rows, flat.bounds)
     return v_mul(-1, value) if not is_scalar(value) else -value
@@ -1126,27 +1093,21 @@ def _scale_dict(rt: _Runtime, dct, factor):
     if is_scalar(factor):
         if is_zero(factor):
             return 0
-        factor_arr = None
-        scalar_factor = factor
     else:
-        factor_arr = _num(factor.data)
-        scalar_factor = None
+        factor = _num(factor.data)
     if isinstance(dct, TBatchDict):
-        return dct.scaled(scalar_factor if factor_arr is None else factor_arr)
-    if isinstance(dct, TSlice):
-        dct = _flatten_slice(rt, dct)
+        return dct.scaled(factor)
+    if isinstance(dct, TWindow) and dct.levels is None:
+        dct = _flatten(rt, dct, rt.lanes)   # read now, while it may be one range
     if isinstance(dct, TFlat):
-        scale = scalar_factor if factor_arr is None else factor_arr[dct.rows]
+        scale = factor if is_scalar(factor) else factor[dct.rows]
         return TFlat(dct.cols, dct.vals * scale, dct.rows, dct.bounds)
-    if isinstance(dct, TSegs):
-        lanes = dct.owner.shape[0]
-        fac = np.full(lanes, float(scalar_factor)) if factor_arr is None \
-            else factor_arr.astype(np.float64)
+    if isinstance(dct, TWindow):
+        factor = np.full(dct.owner.shape[0], float(factor)) if is_scalar(factor) \
+            else factor.astype(np.float64)
         # A zero factor annihilates the whole per-lane dictionary (v_mul
-        # prunes it), so iteration must not see its entries: kill the owner.
-        owner = np.where(fac != 0, dct.owner, -1)
-        scale = fac if dct.scale is None else dct.scale * fac
-        return TSegs(dct.levels, dct.level, owner, scale)
+        # prunes it), so iteration must not see its entries: empty the window.
+        return dct.masked(factor != 0, factor)
     raise Untyped("dictionary scaling does not batch")
 
 
@@ -1165,12 +1126,9 @@ def _mul_values(rt: _Runtime, left, right):
         # per-lane scalar × loop-invariant dictionary
         factor = left if isinstance(left, TBatch) else right
         other = right if isinstance(left, TBatch) else left
-        view = _levels_of(rt, other)
-        if view is not None and _is_full_root(view):
-            data = _num(factor.data).astype(np.float64)
-            owner = np.where(data != 0, 0, -1).astype(np.int64)
-            return TSegs(view.levels, 0, owner, data)
-        raise Untyped("batched multiplication with a materialized dictionary")
+        data = _num(factor.data).astype(np.float64)
+        return _invariant_lanes(rt, other, data != 0, data,
+                                "batched multiplication with a materialized dictionary")
     raise Untyped("dictionary × dictionary in batched body")
 
 
@@ -1181,7 +1139,7 @@ def _singleton_lanes(rt: _Runtime, key: TBatch, value, lanes: int):
         return TBatchDict(klanes, value.data, None, kbounds)
     if isinstance(value, TBatchDict):
         return TBatchDict(klanes, value, None, kbounds)
-    if isinstance(value, (TSegs, TSlice, TFlat)):
+    if isinstance(value, (TWindow, TFlat)):
         flat = _flatten(rt, value, lanes)
         return TFlat([klanes[flat.rows]] + list(flat.cols), flat.vals, flat.rows,
                      [kbounds] + list(flat.bounds))
@@ -1493,8 +1451,8 @@ class _Lowerer:
                 if _is_batched(target):
                     raise Untyped("batched slice target")
                 if _is_batched(lo) or _is_batched(hi):
-                    array = _unwrap(target)
-                    if not (isinstance(array, np.ndarray) and array.ndim == 1):
+                    array = _array(target)
+                    if array is None:
                         raise Untyped("slice of a non-array with batched bounds")
                     return _batched_slice(rt, array, lo, hi)
                 return SliceDict(target, int(lo), int(hi))
@@ -1533,15 +1491,7 @@ class _Lowerer:
                 cond = cond_f(frames, rt)
                 if isinstance(cond, TBatch):
                     mask = cond.data.astype(bool)
-                    then = then_f(frames, rt)
-                    if not _is_batched(then) and not is_scalar(then):
-                        view = _levels_of(rt, then)
-                        if view is None or not _is_full_root(view):
-                            raise Untyped(
-                                "conditional dictionary value in batched body")
-                        owner = np.where(mask, 0, -1).astype(np.int64)
-                        return TSegs(view.levels, 0, owner)
-                    return _apply_mask(then, mask)
+                    return _apply_mask(rt, then_f(frames, rt), mask)
                 if _is_batched(cond):
                     raise Untyped("dictionary-valued condition")
                 if truthy(cond):
@@ -1791,9 +1741,8 @@ class _Lowerer:
             if not isinstance(key, TBatch) or key.data.dtype.kind not in "iu" \
                     or (key.run is not None and key.run[0] is None):
                 return None
-            pos, target = _unwrap(rt.env.get(pos_name)), _unwrap(rt.env.get(target_name))
-            if not (isinstance(pos, np.ndarray) and pos.ndim == 1
-                    and isinstance(target, np.ndarray) and target.ndim == 1):
+            pos, target = _array(rt.env.get(pos_name)), _array(rt.env.get(target_name))
+            if pos is None or target is None:
                 return None
             fact = _fact(rt, pos)
             lanes, count = key.data.shape[0], pos.shape[0] - 1

@@ -2,8 +2,9 @@
 
 The kernel × format parity matrix lives in ``tests/test_execution.py`` and
 the differential fuzzer exercises random programs; these tests target the
-individual mechanisms: lane expansion over :class:`BufferLevels`, batched
-sorted lookups (including empty levels), guard hoisting through ``let``,
+individual mechanisms: the one level window of every stored input, lane
+expansion over :class:`BufferLevels`, batched sorted lookups (including
+empty levels), guard hoisting through ``let``,
 loop-invariant memoization, fallback accounting, and the scatter path that
 turns root :class:`BufferDict` results into dense arrays.
 """
@@ -29,12 +30,14 @@ from repro.execution.engine import result_to_matrix, result_to_vector
 from repro.execution.typed_backend import (
     TBatch,
     TFlat,
+    TWindow,
     _lookup_batched,
     _Runtime,
+    _stored,
 )
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
 from repro.sdqlite.debruijn import hoist_guard
-from repro.sdqlite.values import v_add
+from repro.sdqlite.values import RangeDict, SliceDict, v_add
 from repro.sdqlite.ast import IfThen, Let
 from repro.storage import COOFormat, TrieFormat, build_format
 
@@ -177,6 +180,45 @@ def test_lookup_batched_entry_bag_reports_surviving_lanes():
     assert isinstance(value, TFlat) and len(value.cols) == 1
     assert value.cols[0].tolist() == [7, 8, 7] and value.rows.tolist() == [0, 0, 2]
     assert value.vals.tolist() == [1.0, 2.0, 4.0]
+
+
+# ---------------------------------------------------------------------------
+# one level window for every stored input and per-lane dictionary
+# ---------------------------------------------------------------------------
+
+
+def test_every_stored_input_has_one_root_window():
+    rt = _Runtime({})
+    array = np.array([1.0, 2.0, 3.0])
+    whole = _stored(rt, array)
+    assert (whole.levels, whole.target, whole.lo, whole.hi, whole.contiguous) == \
+        (None, array, 0, 3, True)
+    bare = _stored(rt, RangeDict(2, 5))
+    assert (bare.levels, bare.target, bare.lo, bare.hi, bare.contiguous) == \
+        (None, None, 2, 5, False)
+    part = _stored(rt, SliceDict(array, 1, 3))
+    assert (part.target, part.lo, part.hi, part.contiguous) == (array, 1, 3, False)
+    nested = {0: {1: 2.0}, 3: {4: 5.0, 6: 7.0}}
+    level = _stored(rt, nested)
+    assert level.levels is not None and (level.level, level.lo, level.hi) == (0, 0, 2)
+    assert _stored(rt, nested).levels is level.levels and rt.levelized == 1
+    child = _stored(rt, BufferDict(level.levels, 1, 1, 3))
+    assert (child.levels, child.level, child.lo, child.hi) == (level.levels, 1, 1, 3)
+    assert _stored(rt, {(0, 1): 2.0}) is None          # tuple keys have no level
+
+
+def test_a_probed_window_never_reads_its_bounds():
+    """A compressed per-lane window looked up (a kept re-layout's row) gathers
+    nothing from its segment array; iterating it reads the bounds once."""
+    levels = levels_from_mapping({0: {1: 2.0, 4: 5.0}, 3: {1: 7.0}})
+    window = TWindow(None, None, levels=levels, level=1,
+                     owner=np.array([0, 1, -1], dtype=np.int64))
+    found = _lookup_batched(_Runtime({}), window, TBatch(np.array([4, 1, 1])), None)
+    assert found.data.tolist() == [5.0, 7.0, 0.0] and window.lo is None
+    parent, keys, values, counts = typed_backend._window_entries(_Runtime({}), window)
+    assert window.lo.tolist() == [0, 2, 0] and window.hi.tolist() == [2, 3, 0]
+    assert parent.tolist() == [0, 0, 1] and keys.data.tolist() == [1, 4, 1]
+    assert values.data.tolist() == [2.0, 5.0, 7.0] and counts.tolist() == [2, 1, 0]
 
 
 # ---------------------------------------------------------------------------
