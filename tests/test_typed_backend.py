@@ -221,6 +221,22 @@ def test_a_probed_window_never_reads_its_bounds():
     assert values.data.tolist() == [2.0, 5.0, 7.0] and counts.tolist() == [2, 1, 0]
 
 
+@pytest.mark.parametrize("source", [
+    "sum(<i, v> in V) { i -> v * W }",
+    "sum(<i, v> in V) { i -> if (v > 0.5) then W }",
+    "sum(<i, v> in V) { i -> v * (2:5) }",
+    "sum(<i, v> in V) sum(<k, w> in v * W) { k -> w * i }",
+    "sum(<i, v> in V) (v * W)(i)",
+])
+def test_a_loop_invariant_array_per_lane_is_a_dense_window(source):
+    """A stored array (or range) times a per-lane scalar, or under a batched
+    guard, is read through its own dense window: nothing is levelized."""
+    env = {"V": np.array([1.0, 0.0, 3.0]), "W": np.array([2.0, -1.0, 0.0, 4.0])}
+    stats: dict = {}
+    check(source, env, stats)
+    assert stats["fallback_sums"] == 0 and stats["levelized"] == 0, stats
+
+
 # ---------------------------------------------------------------------------
 # guard hoisting through let
 # ---------------------------------------------------------------------------
