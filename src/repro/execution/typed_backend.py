@@ -415,9 +415,10 @@ def _stored(rt: _Runtime, value) -> TWindow | None:
     the source, so an ``id()`` cannot be recycled into a stale hit mid-run.
     ``rt.levelized`` counts the walks.
     """
-    array = _array(value)
-    if array is not None:
-        return TWindow(0, array.shape[0], array, None, True)
+    if isinstance(value, PhysicalArray):
+        value = value.data
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        return TWindow(0, value.shape[0], value, None, True)
     if isinstance(value, RangeDict):
         return TWindow(value.lo, value.hi)
     if isinstance(value, SliceDict):
@@ -900,8 +901,16 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
     up through its root window (:func:`_stored`).
     """
     keys = key.data
-    if is_scalar(target) and is_zero(target):
-        return 0
+    if not isinstance(target, (TWindow, TBatchDict, TFlat, TBatch)):
+        if is_scalar(target) and is_zero(target):
+            return 0
+        target = _stored(rt, target)
+        if target is None:
+            return None
+    if isinstance(target, TWindow):
+        if target.levels is None:
+            return _lookup_dense(rt, target, key, valid)
+        return _lookup_compressed(rt, target, key, valid)
     if isinstance(target, TBatchDict):
         found = target.keys == keys
         if target.mask is not None:
@@ -927,13 +936,7 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
         if take is not None:
             cols = [col[take] for col in cols]
         return TFlat(cols[1:], vals, cols[0], target.bounds[1:])
-    if not isinstance(target, TWindow):
-        target = None if isinstance(target, TBatch) else _stored(rt, target)
-        if target is None:
-            return None
-    if target.levels is None:
-        return _lookup_dense(rt, target, key, valid)
-    return _lookup_compressed(rt, target, key, valid)
+    return None     # a scalar per lane
 
 
 def _lookup_dense(rt: _Runtime, window: TWindow, key: TBatch, valid: np.ndarray | None):
