@@ -670,8 +670,8 @@ def _window_entries(rt: _Runtime, window: TWindow):
         rt.contiguous_reads += 1
         positions = TBatch(np.arange(start, end, dtype=np.int64), (start, end - 1),
                            (None, start))
-    else:
-        counts = np.maximum(hi - lo, 0)
+    else:   # a compressed window's bounds come from a non-decreasing segment array
+        counts = hi - lo if window.levels is not None else np.maximum(hi - lo, 0)
         parent, positions = expand_lanes(lo, counts)
         span = window.span
         positions = TBatch(positions, None if span is None else (span[0], span[1] - 1))
@@ -898,10 +898,15 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
 
     ``key`` holds int64 lanes; ``valid``, when given, marks the lanes whose
     key is an integer at all (the others miss).  A stored input is looked
-    up through its root window (:func:`_stored`).
+    up through its root window (:func:`_stored`); a whole 1-D array's is
+    read from the array itself, so the most common lookup allocates no
+    window.
     """
     keys = key.data
     if not isinstance(target, (TWindow, TBatchDict, TFlat, TBatch)):
+        array = _array(target)
+        if array is not None:
+            return _lookup_dense(rt, array, 0, array.shape[0], True, None, key, valid)
         if is_scalar(target) and is_zero(target):
             return 0
         target = _stored(rt, target)
@@ -909,7 +914,8 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
             return None
     if isinstance(target, TWindow):
         if target.levels is None:
-            return _lookup_dense(rt, target, key, valid)
+            return _lookup_dense(rt, target.target, target.lo, target.hi, target.contiguous,
+                                 target.scale, key, valid)
         return _lookup_compressed(rt, target, key, valid)
     if isinstance(target, TBatchDict):
         found = target.keys == keys
@@ -939,24 +945,26 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
     return None     # a scalar per lane
 
 
-def _lookup_dense(rt: _Runtime, window: TWindow, key: TBatch, valid: np.ndarray | None):
-    """:func:`_lookup_batched` in a dense window, whose keys are positions.
+def _lookup_dense(rt: _Runtime, target: np.ndarray | None, lo, hi, whole: bool,
+                  scale: np.ndarray | None, key: TBatch, valid: np.ndarray | None):
+    """:func:`_lookup_batched` in the dense window ``[lo, hi)`` of ``target``
+    (``whole``: a whole stored array), whose keys are positions.
 
     Keys proven inside a root window are read as :func:`_read` reads them
     (a whole stored array's own bounds are the window's); elsewhere a lane
     outside its window reads 0.
     """
     keys = key.data
-    if valid is None and not isinstance(window.lo, np.ndarray) and (
-            window.contiguous or _within(key.bounds, window.lo, window.hi - 1)):
-        rt.proven_guards += not window.contiguous
-        return _read(rt, window.target, key)
-    found = (keys >= window.lo) & (keys < window.hi)
+    if valid is None and not isinstance(lo, np.ndarray) and (
+            whole or _within(key.bounds, lo, hi - 1)):
+        rt.proven_guards += not whole
+        return _read(rt, target, key)
+    found = (keys >= lo) & (keys < hi)
     if valid is not None:
         found &= valid
-    values = _gather(window.target, keys)
-    if window.scale is not None:
-        values = values * window.scale
+    values = _gather(target, keys)
+    if scale is not None:
+        values = values * scale
     return TBatch(np.where(found, values, 0))
 
 
