@@ -318,7 +318,7 @@ class _Runtime:
         self.invariants: dict = {}
         self.failed_batch: set = set()   # sums whose typed attempt failed this run
         self.fallbacks: dict = {}        # sum/merge that ran a Python loop -> why
-        self.buffers: dict = {}          # id(obj) -> (obj, its LevelView | None)
+        self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
         self.profile = profile           # optional ExecutionProfile (loop counts)
         self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
         self.lookups: Counter = Counter()  # lookup regime -> batched lookups that took it
@@ -738,7 +738,7 @@ def _flatten(rt: _Runtime, value, lanes: int) -> TFlat:
         raise Untyped(f"cannot flatten {type(value).__name__}")
     rows, keys, value, _ = _window_entries(rt, value)
     cols, bounds = [keys.data], [keys.bounds]
-    while isinstance(value, TWindow):     # one level further down
+    while isinstance(value, TWindow):
         parent, keys, value, _ = _window_entries(rt, value)
         rows = rows[parent]
         cols = [col[parent] for col in cols] + [keys.data]
