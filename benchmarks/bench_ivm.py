@@ -18,9 +18,9 @@ Integer-valued data makes every arithmetic step exact in floating point,
 so the maintained view must be **bit-equal** to full re-execution under
 the fuzz oracle's canonical normalization — the benchmark asserts exact
 equality, not closeness.  A fixed-seed IVM fuzz campaign
-(``repro.fuzz.ivm_campaign``) runs alongside and its summary is embedded
-in the report, so ``BENCH_ivm.json`` carries both the speedup and the
-evidence that the speedup is not bought with wrong answers.
+(``repro.fuzz.campaign`` with ``views=True``) runs alongside and its
+summary is embedded in the report, so ``BENCH_ivm.json`` carries both the
+speedup and the evidence that the speedup is not bought with wrong answers.
 
 Run as pytest (``pytest benchmarks/bench_ivm.py``) or directly
 (``python benchmarks/bench_ivm.py [--smoke]``).  ``--smoke`` (or
@@ -36,7 +36,8 @@ import time
 import numpy as np
 
 from _config import print_report
-from repro.fuzz import canonical, ivm_campaign
+from repro import fuzz
+from repro.fuzz import canonical
 from repro.kernels import KERNELS
 from repro.serving import Server
 from repro.storage import Catalog
@@ -159,7 +160,7 @@ def run_bench(smoke: bool | None = None) -> dict:
     rows = [bench_kernel(name, make, rng, smoke) for name, make in CASES]
 
     cases = 60 if smoke else 250
-    report = ivm_campaign(SEED, cases, updates_per_case=4)
+    report = fuzz.campaign(SEED, cases, views=True, updates_per_case=4)
     campaign = {
         "seed": SEED,
         "cases_run": report.cases_run,

@@ -7,7 +7,8 @@ iteration — and what is nested inside a batched body stays batched
 (``docs/backends.md`` has the whole lowering table):
 
 * every stored input, and every per-lane dictionary a batched body reads, is
-  a :class:`TWindow` — entries ``[lo, hi)`` of one stored level, *dense*
+  a :class:`TWindow` (a dictionary the body built, an entry bag, is grouped
+  into one first) — entries ``[lo, hi)`` of one stored level, *dense*
   (1-D arrays, ranges and their slices: key = position) or *compressed*
   (the levels of :mod:`repro.execution.buffers`: one sorted int64 key array
   per nesting level, segment pointers and a float64 leaf array).  Iterating
@@ -167,35 +168,6 @@ class TBatch:
         return f"TBatch({self.data!r})"
 
 
-class TBatchDict:
-    """A singleton dictionary ``{ key -> value }`` per lane.
-
-    ``keys`` is int64 per lane, with its proven ``bounds`` if any (see
-    :class:`TBatch`); ``value`` is a per-lane array (scalar leaf) or a nested
-    :class:`TBatchDict`; ``mask`` marks lanes whose entry exists.
-    """
-
-    __slots__ = ("keys", "value", "mask", "bounds")
-
-    def __init__(self, keys: np.ndarray, value, mask: np.ndarray | None = None,
-                 bounds: tuple[int, int] | None = None):
-        self.keys = keys
-        self.value = value
-        self.mask = mask
-        self.bounds = bounds
-
-    def with_mask(self, mask: np.ndarray) -> "TBatchDict":
-        combined = mask if self.mask is None else (self.mask & mask)
-        return TBatchDict(self.keys, self.value, combined, self.bounds)
-
-    def scaled(self, factor) -> "TBatchDict":
-        if isinstance(self.value, TBatchDict):
-            value = self.value.scaled(factor)
-        else:
-            value = _num(np.asarray(self.value)) * factor
-        return TBatchDict(self.keys, value, self.mask, self.bounds)
-
-
 @dataclass(slots=True, eq=False)
 class TWindow:
     """Entries ``[lo, hi)`` of one stored level: once (a *root* window, what
@@ -254,7 +226,7 @@ class TWindow:
         if scale is None:
             scale = self.scale
         elif self.scale is not None:
-            scale = self.scale * scale
+            scale = _product(self.scale, scale)
         if self.levels is None:
             return TWindow(np.where(keep, self.lo, 0), np.where(keep, self.hi, 0),
                            self.target, scale=scale, span=self.span)
@@ -262,32 +234,35 @@ class TWindow:
                        owner=np.where(keep, self.owner, -1), scale=scale)
 
 
+@dataclass(slots=True, eq=False)
 class TFlat:
-    """A general dictionary per lane, stored as a bag of (coords, value) entries.
+    """A dictionary per lane while a batched body builds it: a bag of
+    (coords, value) entries.
 
     ``cols`` are int64 coordinate columns (outermost key first), ``vals``
     float64, ``rows`` the owning lane of each entry, ``bounds`` the proven
-    ``(lo, hi)`` of each column or ``None``.  Semiring addition is
-    concatenation; duplicate coordinates are resolved by the final
-    group-by-sum reduction, matching the interpreter's ``v_add`` exactly.
+    ``(lo, hi)`` of each column or ``None``, and ``every_lane`` that the
+    entries are the lanes in order (``rows`` is ``arange(lanes)``), so a
+    per-lane array needs no gather onto them.  Semiring addition is
+    concatenation; duplicate coordinates are resolved by a group-by-sum,
+    matching the interpreter's ``v_add`` exactly: the reduction's, or
+    :func:`_bag_window`'s when the bag is read (iterated, looked up or
+    re-indexed) through its per-lane window.
     """
 
-    __slots__ = ("cols", "vals", "rows", "bounds")
-
-    def __init__(self, cols: list, vals: np.ndarray, rows: np.ndarray,
-                 bounds: list | None = None):
-        self.cols = cols
-        self.vals = vals
-        self.rows = rows
-        self.bounds = bounds if bounds is not None else [None] * len(cols)
+    cols: list
+    vals: np.ndarray
+    rows: np.ndarray
+    bounds: list
+    every_lane: bool = False
 
 
 def _is_batched(value) -> bool:
-    return isinstance(value, (TBatch, TBatchDict, TWindow, TFlat))
+    return isinstance(value, (TBatch, TWindow, TFlat))
 
 
 def _is_dict_batched(value) -> bool:
-    return isinstance(value, (TBatchDict, TWindow, TFlat))
+    return isinstance(value, (TWindow, TFlat))
 
 
 class DenseResult:
@@ -357,6 +332,15 @@ def _lane_data(value):
 def _lane_num(value):
     data = _lane_data(value)
     return _num(data) if isinstance(data, np.ndarray) else data
+
+
+def _product(left, right) -> np.ndarray:
+    """``left * right`` per lane, with a zero factor annihilating as in
+    ``v_mul``: ``0 * inf`` and ``0 * nan`` are 0, not NaN."""
+    product = left * right
+    if product.dtype.kind == "f" and np.isnan(product).any():
+        product = np.where((left == 0) | (right == 0), 0.0, product)
+    return product
 
 
 def _int_lanes(data: np.ndarray):
@@ -482,9 +466,9 @@ class _Deferred:
         self.lanes = lanes
         self.forced = None
 
-    def force(self):
+    def force(self, rt: "_Runtime"):
         if self.forced is None:
-            self.forced = _reindex(self.value, self.lanes.index)
+            self.forced = _reindex(rt, self.value, self.lanes.index)
         return self.forced
 
 
@@ -508,20 +492,14 @@ def _defer_frames(frames: list, parent: np.ndarray) -> list:
     return deferred
 
 
-def _reindex(value, parent: np.ndarray):
+def _reindex(rt: _Runtime, value, parent: np.ndarray):
     """Re-map a per-lane value onto an expanded lane space (``new -> old``)."""
     if isinstance(value, TBatch):
         return TBatch(value.data[parent], value.bounds)
-    if isinstance(value, TBatchDict):
-        inner = value.value
-        inner = _reindex(inner, parent) if isinstance(inner, TBatchDict) \
-            else np.asarray(inner)[parent]
-        mask = None if value.mask is None else value.mask[parent]
-        return TBatchDict(value.keys[parent], inner, mask, value.bounds)
+    if isinstance(value, TFlat):
+        value = _bag_window(rt, value, int(parent.max()) + 1 if parent.shape[0] else 0)
     if isinstance(value, TWindow):
         return value.select(parent)
-    if isinstance(value, TFlat):
-        raise Untyped("cannot re-index an entry bag across a lane expansion")
     return value
 
 
@@ -697,43 +675,14 @@ def _entries(rt: _Runtime, window: TWindow, positions, scale: np.ndarray | None 
                                  owner=pos, scale=scale)
         values = TBatch(levels.values[pos])
     if scale is not None:
-        values = TBatch(values.data * scale)
+        values = TBatch(_product(values.data, scale))
     return keys, values
 
 
-def _flatten_tbd(tbd: TBatchDict, lanes: int) -> TFlat:
-    """The entry bag of a per-lane singleton-dictionary chain.
-
-    A lane is an entry when every mask of the chain keeps it and its value
-    is not zero: ``{k -> 0}`` is ``{}``, so the lanes of a lookup that
-    missed (a resolved equality probe) never reach a reduction.  Adding a
-    zero changes no sum, so dropping them leaves every result bit for bit.
-    """
-    cols: list = []
-    bounds: list = []
-    keep = None     # the lanes the masks keep; None: all of them
-    node = tbd
-    while isinstance(node, TBatchDict):
-        if node.mask is not None:
-            keep = node.mask if keep is None else keep & node.mask
-        cols.append(node.keys)
-        bounds.append(node.bounds)
-        node = node.value
-    vals = np.asarray(node).astype(np.float64, copy=False)
-    nonzero = vals != 0
-    keep = nonzero if keep is None else keep & nonzero
-    if keep.all():
-        return TFlat(cols, vals, np.arange(lanes, dtype=np.int64), bounds)
-    sel = np.flatnonzero(keep)
-    return TFlat([col[sel] for col in cols], vals[sel], sel, bounds)
-
-
-def _flatten(rt: _Runtime, value, lanes: int) -> TFlat:
-    """The entry bag of any per-lane dictionary representation."""
+def _flatten(rt: _Runtime, value) -> TFlat:
+    """The entry bag of a per-lane dictionary: a bag itself, or a window's entries."""
     if isinstance(value, TFlat):
         return value
-    if isinstance(value, TBatchDict):
-        return _flatten_tbd(value, lanes)
     if not isinstance(value, TWindow):
         raise Untyped(f"cannot flatten {type(value).__name__}")
     rows, keys, value, _ = _window_entries(rt, value)
@@ -744,6 +693,29 @@ def _flatten(rt: _Runtime, value, lanes: int) -> TFlat:
         cols = [col[parent] for col in cols] + [keys.data]
         bounds.append(keys.bounds)
     return TFlat(cols, np.asarray(value.data).astype(np.float64, copy=False), rows, bounds)
+
+
+def _bag_window(rt: _Runtime, bag: TFlat, lanes: int) -> TWindow:
+    """The per-lane window an entry bag is read through.
+
+    The bag is grouped by (lane, keys) — duplicates add in input order, as
+    ``v_add`` adds them, and keys that sum to zero drop — into levels whose
+    root keys are the lanes; a lane's window holds its root entry's
+    children at level 1, or nothing.  The windows cover ``lanes`` lanes and
+    every lane the bag has entries on.
+    """
+    cols = [bag.rows] + bag.cols
+    take, sums, regime = group_sum(cols, bag.vals)
+    rt.regimes[regime] += 1
+    if take is not None:
+        cols = [col[take] for col in cols]
+    levels = BufferLevels.from_sorted_columns(cols, sums)
+    roots = levels.keys[0]
+    if roots.shape[0]:
+        lanes = max(lanes, int(roots[-1]) + 1)
+    owner = np.full(lanes, -1, dtype=np.int64)
+    owner[roots] = np.arange(roots.shape[0], dtype=np.int64)
+    return TWindow(None, None, levels=levels, level=1, owner=owner)
 
 
 def _group_result(rt: _Runtime, cols: list, vals: np.ndarray):
@@ -796,7 +768,7 @@ def _reduce_lanes(rt: _Runtime, body, lanes: int, root: bool = False):
     if isinstance(body, TBatch):
         return body.data.sum().item()
     if _is_dict_batched(body):
-        flat = _flatten(rt, body, lanes)
+        flat = _flatten(rt, body)
         if root and rt.dense_shape is not None:
             dense = _dense_sink(rt, flat, rt.dense_shape)
             if dense is not None:
@@ -813,12 +785,12 @@ def _reduce_expanded(rt: _Runtime, body, parent: np.ndarray, out_lanes: int,
     if isinstance(body, TBatch):
         return TBatch(parent_sum(parent, _num(body.data), out_lanes))
     if _is_dict_batched(body):
-        flat = _flatten(rt, body, parent.shape[0])
+        flat = _flatten(rt, body)
         return TFlat(flat.cols, flat.vals, parent[flat.rows], flat.bounds)
     if is_scalar(body):
         if is_zero(body):
             return 0
-        return TBatch(counts.astype(np.float64) * float(body))
+        return TBatch(_product(counts.astype(np.float64), float(body)))
     # A loop-invariant dictionary summed `counts[i]` times per outer lane.
     return _invariant_lanes(rt, body, counts > 0, counts.astype(np.float64),
                             "loop-invariant dictionary body does not flatten")
@@ -846,8 +818,6 @@ def _apply_mask(rt: _Runtime, result, mask: np.ndarray):
     """Zero out the lanes where ``mask`` is False (``if`` filtering)."""
     if isinstance(result, TBatch):
         return TBatch(np.where(mask, _num(result.data), 0))
-    if isinstance(result, TBatchDict):
-        return result.with_mask(mask)
     if isinstance(result, TFlat):
         keep = mask[result.rows]
         return TFlat([c[keep] for c in result.cols], result.vals[keep],
@@ -900,10 +870,10 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
     key is an integer at all (the others miss).  A stored input is looked
     up through its root window (:func:`_stored`); a whole 1-D array's is
     read from the array itself, so the most common lookup allocates no
-    window.
+    window.  An entry bag is looked up through its window
+    (:func:`_bag_window`).
     """
-    keys = key.data
-    if not isinstance(target, (TWindow, TBatchDict, TFlat, TBatch)):
+    if not isinstance(target, (TWindow, TFlat, TBatch)):
         array = _array(target)
         if array is not None:
             return _lookup_dense(rt, array, 0, array.shape[0], True, None, key, valid)
@@ -912,37 +882,14 @@ def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None)
         target = _stored(rt, target)
         if target is None:
             return None
-    if isinstance(target, TWindow):
-        if target.levels is None:
-            return _lookup_dense(rt, target.target, target.lo, target.hi, target.contiguous,
-                                 target.scale, key, valid)
-        return _lookup_compressed(rt, target, key, valid)
-    if isinstance(target, TBatchDict):
-        found = target.keys == keys
-        if target.mask is not None:
-            found = found & target.mask
-        if valid is not None:
-            found = found & valid
-        if isinstance(target.value, TBatchDict):
-            return target.value.with_mask(found)
-        return TBatch(np.where(found, _num(np.asarray(target.value)), 0))
-    if isinstance(target, TFlat):
-        # An entry bag: the entries whose outermost key is their lane's key.
-        keep = target.cols[0] == keys[target.rows]
-        if valid is not None:
-            keep &= valid[target.rows]
-        rows, vals = target.rows[keep], target.vals[keep]
-        if len(target.cols) == 1:
-            # bincount adds a lane's duplicates in input order, like v_add.
-            return TBatch(np.bincount(rows, weights=vals, minlength=keys.shape[0]))
-        # Deeper: peel the matched column, summing per remaining key.
-        cols = [rows] + [col[keep] for col in target.cols[1:]]
-        take, vals, regime = group_sum(cols, vals)
-        rt.regimes[regime] += 1
-        if take is not None:
-            cols = [col[take] for col in cols]
-        return TFlat(cols[1:], vals, cols[0], target.bounds[1:])
-    return None     # a scalar per lane
+    elif isinstance(target, TFlat):
+        target = _bag_window(rt, target, key.data.shape[0])
+    elif isinstance(target, TBatch):
+        return None     # a scalar per lane
+    if target.levels is None:
+        return _lookup_dense(rt, target.target, target.lo, target.hi, target.contiguous,
+                             target.scale, key, valid)
+    return _lookup_compressed(rt, target, key, valid)
 
 
 def _lookup_dense(rt: _Runtime, target: np.ndarray | None, lo, hi, whole: bool,
@@ -964,7 +911,7 @@ def _lookup_dense(rt: _Runtime, target: np.ndarray | None, lo, hi, whole: bool,
         found &= valid
     values = _gather(target, keys)
     if scale is not None:
-        values = values * scale
+        values = _product(values, scale)
     return TBatch(np.where(found, values, 0))
 
 
@@ -994,7 +941,7 @@ def _lookup_compressed(rt: _Runtime, window: TWindow, key: TBatch,
                        owner=np.where(found, pos, -1), scale=window.scale)
     values = _safe_gather(levels.values, pos, found)
     if window.scale is not None:
-        values = values * window.scale
+        values = _product(values, window.scale)
     return TBatch(np.where(found, values, 0))
 
 
@@ -1004,7 +951,10 @@ def _expand_source(rt: _Runtime, source, lanes: int):
     Returns ``(parent, keys, values, counts)`` — ``parent`` maps every new
     lane back to its outer lane, ``keys`` and ``values`` are per-lane values
     — or a plain scalar 0 when the source is the semiring zero on every lane.
+    An entry bag is iterated through its window (:func:`_bag_window`).
     """
+    if isinstance(source, TFlat):
+        source = _bag_window(rt, source, lanes)
     if isinstance(source, TWindow):
         return _window_entries(rt, source)
     if _is_batched(source):
@@ -1056,11 +1006,9 @@ def _neg_value(rt: _Runtime, value):
         bounds = value.bounds
         return TBatch(data, None if bounds is None or data.dtype.kind not in "iu"
                       else _int64_bounds(-bounds[1], -bounds[0]))
-    if isinstance(value, TBatchDict):
-        return value.scaled(-1.0)
     if isinstance(value, (TFlat, TWindow)):
-        flat = _flatten(rt, value, rt.lanes)
-        return TFlat(flat.cols, -flat.vals, flat.rows, flat.bounds)
+        flat = _flatten(rt, value)
+        return TFlat(flat.cols, -flat.vals, flat.rows, flat.bounds, flat.every_lane)
     return v_mul(-1, value) if not is_scalar(value) else -value
 
 
@@ -1088,8 +1036,8 @@ def _add_values(rt: _Runtime, left, right):
             run = (None, run[1] + int(other))
         return TBatch(data, _int_bounds(data, left, right), run)
     if _is_dict_batched(left) and _is_dict_batched(right):
-        lflat = _flatten(rt, left, rt.lanes)
-        rflat = _flatten(rt, right, rt.lanes)
+        lflat = _flatten(rt, left)
+        rflat = _flatten(rt, right)
         if len(lflat.cols) != len(rflat.cols):
             raise Untyped("mixed-depth dictionary addition in batched body")
         return TFlat([np.concatenate([a, b]) for a, b in zip(lflat.cols, rflat.cols)],
@@ -1106,13 +1054,11 @@ def _scale_dict(rt: _Runtime, dct, factor):
             return 0
     else:
         factor = _num(factor.data)
-    if isinstance(dct, TBatchDict):
-        return dct.scaled(factor)
     if isinstance(dct, TWindow) and dct.levels is None:
-        dct = _flatten(rt, dct, rt.lanes)   # read now, while it may be one range
+        dct = _flatten(rt, dct)   # read now, while it may be one range
     if isinstance(dct, TFlat):
-        scale = factor if is_scalar(factor) else factor[dct.rows]
-        return TFlat(dct.cols, dct.vals * scale, dct.rows, dct.bounds)
+        scale = factor if is_scalar(factor) or dct.every_lane else factor[dct.rows]
+        return TFlat(dct.cols, _product(dct.vals, scale), dct.rows, dct.bounds, dct.every_lane)
     if isinstance(dct, TWindow):
         factor = np.full(dct.owner.shape[0], float(factor)) if is_scalar(factor) \
             else factor.astype(np.float64)
@@ -1128,7 +1074,7 @@ def _mul_values(rt: _Runtime, left, right):
     scalarish_left = isinstance(left, TBatch) or is_scalar(left)
     scalarish_right = isinstance(right, TBatch) or is_scalar(right)
     if scalarish_left and scalarish_right:
-        return TBatch(np.asarray(_lane_num(left) * _lane_num(right)))
+        return TBatch(np.asarray(_product(_lane_num(left), _lane_num(right))))
     if _is_dict_batched(left) and scalarish_right:
         return _scale_dict(rt, left, right)
     if _is_dict_batched(right) and scalarish_left:
@@ -1143,19 +1089,29 @@ def _mul_values(rt: _Runtime, left, right):
     raise Untyped("dictionary × dictionary in batched body")
 
 
-def _singleton_lanes(rt: _Runtime, key: TBatch, value, lanes: int):
-    """``{ key[i] -> value[i] }`` per lane, for a batched ``DictExpr``."""
-    klanes, kbounds = key.data, key.bounds
-    if isinstance(value, TBatch):
-        return TBatchDict(klanes, value.data, None, kbounds)
-    if isinstance(value, TBatchDict):
-        return TBatchDict(klanes, value, None, kbounds)
-    if isinstance(value, (TWindow, TFlat)):
-        flat = _flatten(rt, value, lanes)
-        return TFlat([klanes[flat.rows]] + list(flat.cols), flat.vals, flat.rows,
-                     [kbounds] + list(flat.bounds))
+def _singleton_lanes(rt: _Runtime, key: TBatch, value) -> TFlat:
+    """``{ key[i] -> value[i] }`` per lane, for a batched ``DictExpr``: an
+    entry bag.
+
+    A lane whose value is zero holds no entry (``{k -> 0}`` is ``{}``), so
+    the lanes of a lookup that missed never reach a reduction; adding a zero
+    changes no sum, so dropping them leaves every result bit for bit.
+    """
+    lanes = key.data.shape[0]
     if is_scalar(value):
-        return TBatchDict(klanes, np.full(lanes, value), None, kbounds)
+        value = TBatch(np.full(lanes, value))
+    if isinstance(value, TBatch):
+        vals = np.asarray(value.data).astype(np.float64, copy=False)
+        keep = vals != 0
+        if keep.all():
+            return TFlat([key.data], vals, np.arange(lanes, dtype=np.int64), [key.bounds], True)
+        rows = np.flatnonzero(keep)
+        return TFlat([key.data[rows]], vals[rows], rows, [key.bounds])
+    if isinstance(value, (TWindow, TFlat)):
+        flat = _flatten(rt, value)
+        col = key.data if flat.every_lane else key.data[flat.rows]
+        return TFlat([col] + flat.cols, flat.vals, flat.rows, [key.bounds] + flat.bounds,
+                     flat.every_lane)
     raise Untyped("dictionary value does not batch")
 
 
@@ -1323,7 +1279,7 @@ class _Lowerer:
                 if index >= len(frames):
                     raise ExecutionError(f"unbound De Bruijn index %{index}")
                 value = frames[-1 - index]
-                return value.force() if isinstance(value, _Deferred) else value
+                return value.force(rt) if isinstance(value, _Deferred) else value
             return idx_f
         if isinstance(expr, Var):
             raise ExecutionError("named variables must be converted to De Bruijn form first")
@@ -1476,7 +1432,6 @@ class _Lowerer:
                 if _is_dict_batched(key):
                     raise Untyped("dictionary-valued key")
                 if isinstance(key, TBatch) or _is_batched(value):
-                    lanes = key.data.shape[0] if isinstance(key, TBatch) else rt.lanes
                     if isinstance(key, TBatch):
                         klanes, kvalid = _int_lanes(key.data)
                         if kvalid is not None:
@@ -1487,11 +1442,11 @@ class _Lowerer:
                         index = integral_index(norm)
                         if index is None:
                             raise Untyped("non-integer dictionary key in batched body")
-                        klanes = TBatch(np.full(lanes, index, dtype=np.int64),
+                        klanes = TBatch(np.full(rt.lanes, index, dtype=np.int64),
                                         (index, index))
                     else:
                         raise EvaluationError("dictionary keys must evaluate to scalars")
-                    return _singleton_lanes(rt, klanes, value, lanes)
+                    return _singleton_lanes(rt, klanes, value)
                 if is_zero(value):
                     return SemiringDict()
                 return SemiringDict({normalize_key(key): value})

@@ -35,47 +35,29 @@ from .oracle import (
     FUZZ_OPTIMIZER_OPTIONS,
     CampaignReport,
     CaseSkipped,
-    CatalogUpdate,
-    DeltaUpdate,
     Divergence,
     FuzzCase,
     OracleConfig,
     Update,
-    adaptive_campaign,
-    apply_delta_update_state,
     campaign,
     canonical,
     case_seed,
-    check_adaptive_case,
     check_case,
-    check_concurrent_case,
-    check_ivm_case,
-    concurrent_campaign,
     generate_case,
-    generate_delta_updates,
     generate_updates,
-    ivm_campaign,
     replay,
-    replay_adaptive,
-    replay_concurrent,
-    replay_ivm,
     results_match,
 )
-from .shrink import shrink_adaptive, shrink_case, shrink_ivm
+from .shrink import shrink_case
 
 __all__ = [
     "ProgramGenerator", "Schema", "TensorSpec", "generate_program", "generate_schema",
     "assign_formats", "build_catalog", "legal_format_names", "materialize_tensor",
     "ADAPTIVE_FUZZ_FEEDBACK", "FUZZ_OPTIMIZER_OPTIONS",
-    "CampaignReport", "CaseSkipped", "CatalogUpdate",
-    "DeltaUpdate", "Divergence",
+    "CampaignReport", "CaseSkipped", "Divergence",
     "FuzzCase", "OracleConfig", "Update",
-    "adaptive_campaign", "apply_delta_update_state", "campaign", "canonical",
-    "case_seed", "check_adaptive_case", "check_case", "check_concurrent_case",
-    "check_ivm_case", "concurrent_campaign", "generate_case",
-    "generate_delta_updates", "generate_updates", "ivm_campaign", "replay",
-    "replay_adaptive", "replay_concurrent", "replay_ivm", "results_match",
-    "shrink_adaptive", "shrink_case", "shrink_ivm",
+    "campaign", "canonical", "case_seed", "check_case", "generate_case",
+    "generate_updates", "replay", "results_match", "shrink_case",
     "CorpusEntry", "load_corpus_case", "load_corpus_entry",
     "render_corpus_case", "write_corpus_case",
 ]

@@ -94,9 +94,6 @@ class CorpusEntry:
     def updates(self) -> list[Update]:
         return list(self.case.updates)
 
-    #: The name the point-update sequence had when it was a separate key.
-    deltas = updates
-
 
 def _check_method(method: str) -> str:
     if method == "egraph-legacy":

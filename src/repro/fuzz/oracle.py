@@ -37,10 +37,6 @@ tolerance treating a missing key as zero — so a backend materializing an
 explicit ``1e-17`` where another prunes an exact ``0.0`` does not produce a
 spurious divergence, while any structural or numeric disagreement beyond
 rounding does.
-
-The per-mode names (``check_concurrent_case``, ``ivm_campaign``,
-``replay_adaptive``, ``DeltaUpdate``, …) are one-line delegations at the
-end of the module.
 """
 
 from __future__ import annotations
@@ -421,7 +417,7 @@ def canonical(value: Any, *, abs_tol: float = 1e-9) -> Any:
     :func:`~repro.sdqlite.values.to_plain`), with entries whose canonical
     value is zero — below ``abs_tol`` for scalars, empty for dictionaries —
     pruned recursively, so explicit near-zeros cannot distinguish two
-    otherwise equal results.
+    otherwise equal results.  A NaN entry is not zero and stays.
     """
     plain = to_plain(value)
     return _prune(plain, abs_tol)
@@ -435,7 +431,7 @@ def _prune(plain: Any, abs_tol: float) -> Any:
             if isinstance(pruned, dict):
                 if pruned:
                     out[key] = pruned
-            elif abs(pruned) > abs_tol:
+            elif not abs(pruned) <= abs_tol:    # keeps NaN
                 out[key] = pruned
         return out
     if isinstance(plain, bool):
@@ -817,67 +813,3 @@ def replay(case: FuzzCase, configs: Iterable[tuple[str, str]] | None = None, *,
         config = dataclasses.replace(config, backends=backends, methods=(
             "unoptimized",) + tuple(m for m in methods if m != "unoptimized"))
     return check_case(case, config, readers=readers, executions=executions)
-
-
-# ---------------------------------------------------------------------------
-# per-mode names: the one case model with one switch on
-# ---------------------------------------------------------------------------
-
-
-def _with(case: FuzzCase, updates: Iterable[Update | Mapping], **switches) -> FuzzCase:
-    """``case`` with the given updates (or their dict forms) and switches."""
-    return case.replace(updates=tuple(update if isinstance(update, Update)
-                                      else Update.from_dict(update) for update in updates),
-                        **switches)
-
-
-CatalogUpdate = Update
-
-
-def DeltaUpdate(name: str, coords, values) -> Update:  # noqa: N802 - former class name
-    return Update("delta", name, coords=tuple(coords), values=tuple(values))
-
-
-def apply_update_state(state: FuzzCase, update: Update) -> FuzzCase:
-    return update.apply(state)
-
-
-apply_delta_update_state = apply_update_state
-
-
-def generate_delta_updates(case: FuzzCase, rng: random.Random, count: int, *,
-                           max_entries: int = 3) -> list[Update]:
-    return generate_updates(case, rng, count, delta=True, max_entries=max_entries)
-
-
-def check_concurrent_case(case: FuzzCase, updates, *, config: OracleConfig | None = None,
-                          readers: int = 3, executions: int = 4) -> Divergence | None:
-    return check_case(_with(case, updates, concurrent=True), config, readers=readers,
-                      executions=executions)
-
-
-def check_ivm_case(case: FuzzCase, deltas, *,
-                   config: OracleConfig | None = None) -> Divergence | None:
-    return check_case(_with(case, deltas, views=True), config)
-
-
-def check_adaptive_case(case: FuzzCase, deltas, *, config: OracleConfig | None = None,
-                        executions: int = 3) -> Divergence | None:
-    return check_case(_with(case, deltas, feedback=True), config, executions=executions)
-
-
-concurrent_campaign = partial(campaign, concurrent=True)
-ivm_campaign = partial(campaign, views=True)
-adaptive_campaign = partial(campaign, feedback=True)
-
-
-def replay_concurrent(case: FuzzCase, updates, configs=None, **options) -> Divergence | None:
-    return replay(_with(case, updates, concurrent=True), configs, **options)
-
-
-def replay_ivm(case: FuzzCase, deltas, configs=None, **options) -> Divergence | None:
-    return replay(_with(case, deltas, views=True), configs, **options)
-
-
-def replay_adaptive(case: FuzzCase, deltas, configs=None, **options) -> Divergence | None:
-    return replay(_with(case, deltas, feedback=True), configs, **options)

@@ -255,7 +255,3 @@ def shrink_case(divergence: Divergence, config: OracleConfig | None = None, *,
     except CaseSkipped:
         shrunk = None
     return shrunk if shrunk is not None else divergence
-
-
-#: The names of the former per-mode shrinkers.
-shrink_ivm = shrink_adaptive = shrink_case

@@ -500,9 +500,9 @@ def test_server_reoptimizes_without_schema_reprepare_on_misestimation():
 
 
 def test_adaptive_fuzz_smoke_campaign_is_divergence_free():
-    from repro.fuzz import adaptive_campaign
+    from repro.fuzz import campaign
 
-    report = adaptive_campaign(13, 12)
+    report = campaign(13, 12, feedback=True)
     assert report.cases_run == 12
     assert not report.divergences
 
@@ -512,21 +512,17 @@ def test_adaptive_oracle_detects_a_wrong_witness(monkeypatch):
     import random
 
     from repro.fuzz import oracle
-    from repro.fuzz.oracle import (
-        case_seed,
-        check_adaptive_case,
-        generate_case,
-        generate_delta_updates,
-    )
+    from repro.fuzz.oracle import case_seed, check_case, generate_case, generate_updates
 
     case = generate_case(case_seed(7, 12))
-    deltas = generate_delta_updates(case, random.Random(case.seed ^ 0x0ADA9FED), 3)
-    assert check_adaptive_case(case, deltas) is None
+    deltas = generate_updates(case, random.Random(case.seed ^ 0x0ADA9FED), 3, delta=True)
+    case = case.replace(updates=tuple(deltas), feedback=True)
+    assert check_case(case, executions=3) is None
     real = oracle._state_results
     monkeypatch.setattr(oracle, "_state_results",
                         lambda *args: [{"wrong": 1.0}
                                        for _ in real(*args)])
-    divergence = check_adaptive_case(case, deltas)
+    divergence = check_case(case, executions=3)
     assert divergence is not None
     assert divergence.expected == {"wrong": 1.0}
     assert divergence.step == -1

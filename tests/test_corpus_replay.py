@@ -6,31 +6,24 @@ executes the case under the configuration that used to diverge and asserts
 the whole pipeline now agrees — so every fixed fuzz bug stays fixed, and a
 regression fails tier-1 with a ten-line reproducer in hand.
 
-Concurrent-mode files (``MODE = "concurrent"``) replay through
-``replay_concurrent``: the case is re-raced against its serialized catalog
-update sequence through the serving layer, and every observed result must
-still match some serial prefix state.  IVM-mode files (``MODE = "ivm"``)
-replay through ``replay_ivm``: the case's program is maintained as
-materialized views across its serialized sparse-update sequence, and every
-maintained value must equal full re-execution.  Adaptive-mode files
-(``MODE = "adaptive"``) replay through ``replay_adaptive``: the case's
-statements re-execute repeatedly under the always-profiling feedback loop
-across the same kind of sparse-update sequence, and every result — however
-many times the loop re-optimized in between — must equal the serial
-reference.
+Every file replays through ``replay``; its ``MODE`` switches the case on.
+Concurrent-mode files (``MODE = "concurrent"``) re-race the case against
+its serialized catalog update sequence through the serving layer, and
+every observed result must still match some serial prefix state.  IVM-mode
+files (``MODE = "ivm"``) maintain the case's program as materialized views
+across its serialized sparse-update sequence, and every maintained value
+must equal full re-execution.  Adaptive-mode files (``MODE = "adaptive"``)
+re-execute the case's statements repeatedly under the always-profiling
+feedback loop across the same kind of sparse-update sequence, and every
+result — however many times the loop re-optimized in between — must equal
+the serial reference.
 """
 
 import pathlib
 
 import pytest
 
-from repro.fuzz import (
-    load_corpus_entry,
-    replay,
-    replay_adaptive,
-    replay_concurrent,
-    replay_ivm,
-)
+from repro.fuzz import load_corpus_entry, replay
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.py"))
@@ -61,15 +54,5 @@ def test_corpus_has_adaptive_entry():
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_corpus_case_replays_without_divergence(path):
     entry = load_corpus_entry(path)
-    if entry.mode == "concurrent":
-        divergence = replay_concurrent(entry.case, entry.updates,
-                                       entry.configs or None)
-    elif entry.mode == "ivm":
-        divergence = replay_ivm(entry.case, entry.deltas,
-                                entry.configs or None)
-    elif entry.mode == "adaptive":
-        divergence = replay_adaptive(entry.case, entry.deltas,
-                                     entry.configs or None)
-    else:
-        divergence = replay(entry.case, entry.configs or None)
+    divergence = replay(entry.case, entry.configs or None)
     assert divergence is None, divergence.describe()

@@ -51,6 +51,14 @@ def test_canonical_prunes_near_zeros_and_normalizes():
     assert canonical(0.0) == 0.0
 
 
+def test_canonical_keeps_nan_entries():
+    """A NaN entry is not a zero: pruning it would hide a result that has one."""
+    value = canonical({0: float("nan"), 1: 2.0, 2: {3: float("nan")}})
+    assert set(value) == {0, 1, 2} and value[0] != value[0] and value[2][3] != value[2][3]
+    assert not results_match(value, canonical({1: 2.0}))
+    assert results_match(value, canonical({0: float("nan"), 1: 2.0, 2: {3: float("nan")}}))
+
+
 def test_results_match_tolerates_missing_keys_as_zero():
     assert results_match({0: 1.0}, {0: 1.0, 1: 1e-12})
     assert results_match({}, 0.0)

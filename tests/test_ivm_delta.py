@@ -20,11 +20,10 @@ import pytest
 from repro.core import compose
 from repro.execution.engine import ExecutionEngine
 from repro.fuzz import (
-    apply_delta_update_state,
     build_catalog,
     canonical,
     generate_case,
-    generate_delta_updates,
+    generate_updates,
     results_match,
 )
 from repro.ivm import DeltaNotSupported, delta_symbol, derive_delta, is_linear_in
@@ -112,15 +111,16 @@ def test_linearity_checker():
 
 
 def _check_semantics(source, tensors, formats, update_name, coords, values):
-    from repro.fuzz import DeltaUpdate, FuzzCase
+    from repro.fuzz import FuzzCase, Update
 
     case = FuzzCase(seed=0, program=parse_expr(source), tensors=tensors,
                     formats=formats, scalars={})
-    update = DeltaUpdate(update_name, tuple(map(tuple, coords)), tuple(values))
+    update = Update("delta", update_name, coords=tuple(map(tuple, coords)),
+                    values=tuple(values))
     base = evaluate(case.program, build_catalog(tensors, formats, {}))
     dq = derive_delta(case.program, update_name)
     delta_value = 0 if dq == ZERO else evaluate(dq, delta_catalog(case, update))
-    updated_case = apply_delta_update_state(case, update)
+    updated_case = update.apply(case)
     expected = evaluate(case.program,
                         build_catalog(updated_case.tensors, formats, {}))
     assert results_match(canonical(expected), canonical(v_add(base, delta_value)))
@@ -167,7 +167,7 @@ def test_delta_equals_full_reexecution(seed):
     case = generate_case(seed)
     assume(case.tensors)
     rng = random.Random(seed ^ 0xD17A)
-    updates = generate_delta_updates(case, rng, 1)
+    updates = generate_updates(case, rng, 1, delta=True)
     assume(updates)
     update = updates[0]
     try:
@@ -179,7 +179,7 @@ def test_delta_equals_full_reexecution(seed):
                         build_catalog(case.tensors, case.formats, case.scalars))
         delta_value = (0 if dq == ZERO
                        else evaluate(dq, delta_catalog(case, update)))
-        updated = apply_delta_update_state(case, update)
+        updated = update.apply(case)
         expected = evaluate(case.program,
                             build_catalog(updated.tensors, updated.formats,
                                           updated.scalars))

@@ -807,7 +807,6 @@ def test_generate_updates_is_deterministic_and_applicable():
     import random
 
     from repro.fuzz import generate_case, generate_updates
-    from repro.fuzz.oracle import apply_update_state
 
     case = generate_case(11)
     first = generate_updates(case, random.Random(5), 6)
@@ -815,24 +814,25 @@ def test_generate_updates_is_deterministic_and_applicable():
     assert [u.as_dict() for u in first] == [u.as_dict() for u in second]
     state = case
     for update in first:
-        state = apply_update_state(state, update)    # applies without raising
+        state = update.apply(state)    # applies without raising
     assert set(state.tensors) == set(case.tensors)
 
 
 def test_catalog_update_round_trips_through_dicts():
-    from repro.fuzz import CatalogUpdate
+    from repro.fuzz import Update
 
-    update = CatalogUpdate("replace", "T0", value=1.5, fmt="csr")
-    assert CatalogUpdate.from_dict(update.as_dict()) == update
+    update = Update("replace", "T0", value=1.5, fmt="csr")
+    assert Update.from_dict(update.as_dict()) == update
 
 
 @pytest.mark.timeout(90)
 def test_fixed_seed_concurrent_fuzz_case_is_divergence_free():
     import random
 
-    from repro.fuzz import check_concurrent_case, generate_case, generate_updates
+    from repro.fuzz import check_case, generate_case, generate_updates
 
     case = generate_case(7)
     updates = generate_updates(case, random.Random(case.seed ^ 0x5EEDC0DE), 5)
-    divergence = check_concurrent_case(case, updates, readers=3, executions=3)
+    divergence = check_case(case.replace(updates=tuple(updates), concurrent=True),
+                            readers=3, executions=3)
     assert divergence is None, divergence.describe()

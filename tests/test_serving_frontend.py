@@ -26,7 +26,7 @@ import repro.core.optimizer
 import repro.execution.engine
 import repro.sdqlite.frontend
 import repro.serving.server
-from repro.fuzz import concurrent_campaign
+from repro.fuzz import campaign
 from repro.sdqlite import FRONT_END, FrontEndMemo, front_end, parse_expr, to_source
 from repro.sdqlite.ast import Sum, postorder
 from repro.sdqlite.frontend import FRONT_END_MEMO_SIZE
@@ -315,7 +315,7 @@ def test_max_concurrency_two_still_admits_two(monkeypatch):
 @pytest.mark.timeout(120)
 def test_concurrent_fuzz_campaign_is_divergence_free_on_the_default_config():
     assert Server().config.max_concurrency == 1      # what the campaign's servers get
-    report = concurrent_campaign(seed=21, cases=6, readers=3, executions=3)
+    report = campaign(seed=21, cases=6, concurrent=True, readers=3, executions=3)
     assert report.ok, report.summary()
 
 

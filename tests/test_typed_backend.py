@@ -31,6 +31,7 @@ from repro.execution.typed_backend import (
     TBatch,
     TFlat,
     TWindow,
+    _flatten,
     _lookup_batched,
     _Runtime,
     _stored,
@@ -155,10 +156,40 @@ def test_entry_bag_lookup_peels_one_level_of_a_deeper_bag():
         [1.0, 2.0, 0, 0, 0], [0, 0, 3.0, 0, 0], [0, 0, 0, 0, 5.0], [0] * 5]
 
 
+def test_a_built_bag_is_iterated_through_its_window():
+    """A sum over the dictionary an inner sum just built: lane 0's two
+    entries under key 1 are one entry of 3.0, as the interpreter sees it."""
+    result = _kernelized(f"sum(<i, _> in 0:N) sum(<k, v> in {_BAG}) {{ k -> v * (i + 1) }}",
+                         _BAG_ENV)
+    assert result_to_vector(result, 4).tolist() == [6.0, 3.0, 8.0, 15.0]
+
+
+def test_a_built_bag_is_looked_up_through_its_window():
+    """A lookup in a deeper bag is a window over the bag's next level, which
+    the body iterates in turn."""
+    bag = "(sum(<p, k> in K(LO(i):HI(i))) { k -> { p -> V(p) } })"
+    env = {**_BAG_ENV, "Q": np.array([1, 0, 3, 0])}
+    result = _kernelized(f"sum(<i, _> in 0:N) sum(<c, v> in {bag}(Q(i))) {{ c -> v * (i + 1) }}",
+                         env)
+    assert result_to_vector(result, 5).tolist() == [1.0, 2.0, 6.0, 0.0, 15.0]
+
+
+def test_a_let_bound_bag_is_read_under_an_inner_expansion():
+    """The inner sum is empty on lanes 2 and 3, so its lane map names lanes
+    0 and 1 only, while the bag has an entry on lane 2: the bag's window
+    covers every lane it has entries on."""
+    env = {**_BAG_ENV, "QLO": np.array([0, 1, 3, 3]), "QHI": np.array([1, 3, 3, 3]),
+           "Q": np.array([1, 0, 2])}
+    result = _kernelized(f"sum(<i, _> in 0:N) let b = {_BAG} in "
+                         "sum(<p, q> in Q(QLO(i):QHI(i))) { p -> b(q) }", env)
+    assert result_to_vector(result, 3).tolist() == [3.0, 3.0, 4.0]
+
+
 def test_lookup_batched_entry_bag_reports_surviving_lanes():
     def bag(cols, vals, rows):
         return TFlat([np.array(col, dtype=np.int64) for col in cols],
-                     np.array(vals, dtype=np.float64), np.array(rows, dtype=np.int64))
+                     np.array(vals, dtype=np.float64), np.array(rows, dtype=np.int64),
+                     [None] * len(cols))
 
     rt = _Runtime({})
     keys = TBatch(np.array([3, 3, 3], dtype=np.int64))
@@ -176,10 +207,12 @@ def test_lookup_batched_entry_bag_reports_surviving_lanes():
     # two matches cancel, so it holds nothing
     deep = bag([[3, 3, 4, 3, 3, 3], [7, 8, 9, 6, 6, 7]],
                [1.0, 2.0, 3.0, 5.0, -5.0, 4.0], [0, 0, 0, 1, 1, 2])
-    value = _lookup_batched(rt, deep, keys, None)
-    assert isinstance(value, TFlat) and len(value.cols) == 1
+    value = _flatten(rt, _lookup_batched(rt, deep, keys, None))
+    assert len(value.cols) == 1
     assert value.cols[0].tolist() == [7, 8, 7] and value.rows.tolist() == [0, 0, 2]
     assert value.vals.tolist() == [1.0, 2.0, 4.0]
+    # each lookup grouped its bag once, and the run counts those group-bys
+    assert sum(rt.regimes.values()) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +440,9 @@ def test_unread_outer_bindings_are_never_gathered(monkeypatch):
     gathered = []
     reindex = typed_backend._reindex
 
-    def recording(value, parent):
+    def recording(rt, value, parent):
         gathered.append((value, parent.shape[0]))
-        return reindex(value, parent)
+        return reindex(rt, value, parent)
 
     monkeypatch.setattr(typed_backend, "_reindex", recording)
     # `row`, `unread` and `v` are bound two expansions above the body, `off`
