@@ -98,8 +98,8 @@ def bench_kernel(name, make_catalog, rng, smoke):
 
     with Server(catalog) as server:
         view = server.create_view(name, kernel.source)
-        statement = server.session().prepare(kernel.source)
-        statement.execute()                   # warm: optimize + lower once
+        statement = server.prepare(kernel.source)   # optimize + lower once
+        statement.execute()                   # warm
 
         first_update_ms = None
         delta_ms, full_ms, apply_ms = [], [], []

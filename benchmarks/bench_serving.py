@@ -10,7 +10,7 @@ threads, each opening ``CONNECTIONS`` short-lived connections that issue
 * ``private`` — every connection is a fresh :class:`repro.session.Session`
   with its own plan cache: the optimizer runs once *per connection* (the
   pre-serving architecture);
-* ``shared``  — every connection is a :meth:`Server.session` over one
+* ``shared``  — every connection prepares its statement on one
   :class:`repro.serving.Server`: the optimizer runs once *per query,
   globally*, and every other connection — concurrent ones included, via
   single-flight coalescing — hits the shared cache.
@@ -128,7 +128,7 @@ def bench_pair(label: str, method: str, options: dict, connections: int,
     server = Server(catalog, method=method, optimizer_options=dict(options))
 
     def shared_connection(latencies: list[float]) -> None:
-        statement = server.session().prepare(kernel.source, dense_shape=shape)
+        statement = server.prepare(kernel.source, dense_shape=shape)
         for _ in range(requests):
             start = time.perf_counter()
             check(statement.execute())

@@ -22,7 +22,6 @@ from .engine import (
     PlanCache,
     PreparedPlan,
     check_backend,
-    env_signature,
     result_to_dense,
     result_to_matrix,
     result_to_scalar,
@@ -36,7 +35,7 @@ __all__ = [
     "TypedPlan", "typed_plan",
     "BufferDict", "BufferLevels", "to_buffer_levels", "HAVE_NUMBA",
     "ExecutionEngine", "PreparedPlan",
-    "PlanCache", "GLOBAL_PLAN_CACHE", "env_signature",
+    "PlanCache", "GLOBAL_PLAN_CACHE",
     "result_to_dense", "result_to_matrix", "result_to_scalar",
     "result_to_tensor3", "result_to_vector",
 ]

@@ -68,27 +68,14 @@ def check_backend(name: str) -> str:
         f"unknown execution backend {name!r}; expected one of {BACKENDS}{hint}")
 
 
-def env_signature(env: Mapping[str, Any]) -> tuple:
-    """A hashable schema of an environment: sorted (symbol, type-name) pairs.
-
-    Two environments with the same signature bind the same symbols to values
-    of the same physical kinds, so an artifact lowered for one can be reused
-    for the other (lowering never inspects the data itself).
-    """
-    return tuple(sorted((name, type(value).__name__) for name, value in env.items()))
-
-
 class PlanCache:
     """A small LRU cache of lowered plan artifacts.
 
-    Keys are ``(backend, plan, env_signature)`` — plans are frozen
-    dataclasses and hash structurally.  Values are the lowered artifacts
+    Keys are ``(backend, plan)`` — plans are frozen dataclasses and hash
+    structurally.  Values are the lowered artifacts
     (:class:`~repro.execution.typed_backend.TypedPlan`), pure functions of
-    the plan, so sharing them across environments with the same schema is
-    sound.  The environment schema is part of the key by design even though
-    today's lowering ignores the environment: it keeps the cache correct if
-    a future backend specializes its artifact to the physical kinds of the
-    symbols, at the cost of one extra lowering per distinct schema.
+    the plan: lowering never reads the environment, so one artifact serves
+    every environment, whatever physical kinds it binds the symbols to.
     ``hits`` / ``misses`` counters are exposed for tests and benchmark
     reporting.
 
@@ -196,7 +183,7 @@ class ExecutionEngine:
         """Lower (or wrap) a plan for repeated execution.
 
         The plan is converted to De Bruijn form, then looked up in the plan
-        cache under ``(backend, plan, env schema)``; on a miss the typed
+        cache under ``(backend, plan)``; on a miss the typed
         artifact is built and cached.  ``interpret`` has no lowering step
         and bypasses the cache.
         """
@@ -204,7 +191,7 @@ class ExecutionEngine:
         if self.backend == "interpret":
             return PreparedPlan(plan, self.env)
         cache = self.cache if self.cache is not None else GLOBAL_PLAN_CACHE
-        key = (self.backend, plan, env_signature(self.env))
+        key = (self.backend, plan)
         artifact = cache.get(key)
         if artifact is None:
             artifact = typed_plan(plan)

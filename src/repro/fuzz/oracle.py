@@ -542,8 +542,7 @@ def _readers(session: Session, case: FuzzCase, index: int, method: str, backend:
         reads.append(session.create_view(f"__view_{index}", case.program,
                                          method=method, backend=backend).value)
     if (case.feedback or case.concurrent) and index < MAX_STATEMENTS:
-        client = session.session() if case.concurrent else session
-        reads.append(client.prepare(case.program, method=method, backend=backend).execute)
+        reads.append(session.prepare(case.program, method=method, backend=backend).execute)
     return reads
 
 

@@ -8,7 +8,7 @@ computed once — frozen dataclasses re-hash their whole tree on every
 ``hash()``), and the lifted literal vector with its environment bindings
 (:mod:`~repro.sdqlite.literals`).  :data:`FRONT_END` is the process-wide
 memo every text entry point shares (``Session.prepare/run/explain``,
-``Server.execute``, ``ClientSession.prepare``); :func:`front_end` is the
+``Server.execute``); :func:`front_end` is the
 un-memoized form for callers that already hold an AST.
 
 ``parse_expr`` / ``to_debruijn_safe`` themselves stay un-memoized: they are

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from .ast import (
     Add,
     And,
@@ -112,6 +114,7 @@ class Environment:
         raise EvaluationError(f"unknown global symbol {name!r}")
 
 
+@np.errstate(all="ignore")    # IEEE results (`inf - inf`) are the semantics
 def evaluate(expr: Expr, globals_: Mapping[str, Any] | None = None,
              env: Environment | None = None, profile=None) -> Any:
     """Evaluate ``expr`` and return a scalar or a :class:`SemiringDict`.

@@ -1,10 +1,10 @@
-"""Concurrent serving: one shared catalog, many client sessions (docs/serving.md).
+"""Concurrent serving: one shared catalog, many clients (docs/serving.md).
 
 Public surface:
 
 * :class:`Server` — a :class:`~repro.session.Session` shared by many
-  threads: admission control, snapshot-isolated execution, stats.
-* :class:`ClientSession` / :class:`ServedStatement` — per-client handles.
+  threads: admission control, snapshot-isolated execution, stats.  Its
+  ``prepare`` returns the session's own :class:`~repro.session.Statement`.
 * :class:`SharedPlanCache` / :func:`plan_key` / :func:`catalog_fingerprint`
   — the plan cache every session resolves through, and its key discipline.
 * :class:`ServerStats` / :class:`LatencyRecorder` — the observability layer.
@@ -19,8 +19,8 @@ needs ``Session``.
 from .cache import SharedPlan, SharedPlanCache, base_key, catalog_fingerprint, plan_key
 from .stats import LatencyRecorder, ServerStats, percentile
 
-_SERVER_NAMES = ("AdmissionGate", "ClientSession", "RequestTimeout", "ServedStatement",
-                 "Server", "ServerBusy", "ServerClosed", "ServerConfig", "ServingError")
+_SERVER_NAMES = ("AdmissionGate", "RequestTimeout", "Server", "ServerBusy", "ServerClosed",
+                 "ServerConfig", "ServingError")
 
 
 def __getattr__(name):
@@ -33,10 +33,8 @@ def __getattr__(name):
 
 __all__ = [
     "AdmissionGate",
-    "ClientSession",
     "LatencyRecorder",
     "RequestTimeout",
-    "ServedStatement",
     "Server",
     "ServerBusy",
     "ServerClosed",

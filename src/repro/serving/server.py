@@ -1,10 +1,11 @@
-"""A thread-safe serving layer: one catalog, many concurrent client sessions.
+"""A thread-safe serving layer: one catalog, many concurrent clients.
 
 The paper's flexible-storage design assumes a long-lived system in which many
 queries share one catalog and its statistics; :class:`Server` is that system
 boundary.  It is a :class:`~repro.session.Session` — the same mutators, the
-same plan resolution and the same execute step — shared by any number of
-client threads, with four guarantees on top:
+same plan resolution, the same execute step and the same
+:class:`~repro.session.Statement` from :meth:`Server.prepare` — shared by
+any number of client threads, with four guarantees on top:
 
 * **Prepare once, globally.**  A request's text goes through the front end
   (parse, De Bruijn conversion, literal lifting) once per distinct text
@@ -47,9 +48,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..core.feedback import FeedbackConfig
-from ..execution.engine import PlanCache, check_backend
+from ..execution.engine import GLOBAL_PLAN_CACHE, PlanCache, check_backend
 from ..sdqlite.ast import Expr
-from ..sdqlite.pretty import to_source
+from ..sdqlite.frontend import FrontEnd
 from ..session import Session, Statement
 from ..storage.catalog import Catalog
 from .cache import SharedPlanCache
@@ -74,7 +75,8 @@ class ServerClosed(ServingError):
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Tuning knobs for a :class:`Server` (see ``docs/serving.md``).
+    """What a :class:`Server` has beyond a :class:`~repro.session.Session`:
+    its gate and its stats (see ``docs/serving.md``).
 
     ``max_concurrency``
         Executing requests at once; **1 by default**.  Requests are
@@ -97,41 +99,15 @@ class ServerConfig:
         (``None`` = wait forever).
     ``plan_cache_size``
         Entries in the shared plan cache (optimized + lowered plans).
-    ``lowered_cache_size``
-        Entries in the underlying per-artifact LRU shared by re-preparations.
     ``latency_window``
         Latency observations retained for p50/p99 queries.
-    ``profile_every``
-        Profile one in every ``profile_every`` served executions and feed
-        observed cardinalities back into the optimizer statistics
-        (``docs/adaptive.md``).  ``0`` (the default) disables the adaptive
-        loop entirely — served executions are byte-identical to a server
-        without this feature.
-    ``reoptimize_threshold``
-        Minimum q-error (symmetric estimated/actual factor) before an
-        observation is adopted; adopting one bumps the adaptive epoch, so
-        affected queries transparently re-prepare through the shared cache.
-    ``shard_workers``
-        When ``>= 2``, requests whose shared plan is a per-shard ``+`` chain
-        (sharded storage, ``docs/sharding.md``) execute the shard parts on a
-        pool of that many worker processes; the pool is keyed on the
-        snapshot's epochs, so every catalog mutation retires it and requests
-        behave identically under snapshot isolation.  ``0`` (the default)
-        never spawns processes; a pool failure falls back to in-process
-        streaming, is logged once per cause on
-        ``logging.getLogger("repro.serving")`` and counted as
-        ``shard_fallbacks``.
     """
 
     max_concurrency: int = 1
     max_queue: int = 64
     queue_timeout: float | None = 10.0
     plan_cache_size: int = 256
-    lowered_cache_size: int = 256
     latency_window: int = 8192
-    profile_every: int = 0
-    reoptimize_threshold: float = 2.0
-    shard_workers: int = 0
 
 
 class AdmissionGate:
@@ -187,24 +163,22 @@ class AdmissionGate:
 
 
 class Server(Session):
-    """Serves many concurrent client sessions over one shared catalog.
+    """A :class:`~repro.session.Session` shared by many client threads.
 
     Parameters
     ----------
-    catalog:
-        The shared catalog (a fresh empty one by default).  The inherited
-        admin methods (:meth:`register` / :meth:`set_scalar` /
-        :meth:`replace_format` / :meth:`update` / …) mutate it atomically;
-        requests only ever read point-in-time snapshots of it.
-    method / backend:
-        Server-wide defaults, overridable per session and per statement;
-        ``backend`` is ``"typed"`` (default) or ``"interpret"``, and an
-        unknown name raises :class:`~repro.sdqlite.errors.ExecutionError`
-        wherever it is given — here, ``session()``, ``prepare()``,
-        ``execute()`` — never later inside a request.
-    optimizer_options:
-        Default keyword arguments for every optimizer run; part of the
-        shared-plan-cache key.
+    catalog, method, backend, optimizer_options, feedback, shard_workers:
+        As for :class:`~repro.session.Session`.  Requests only ever read
+        point-in-time snapshots of the catalog; the inherited admin methods
+        (:meth:`register` / :meth:`set_scalar` / :meth:`replace_format` /
+        :meth:`update` / …) mutate it atomically.  ``feedback`` profiles
+        sampled served executions (``docs/adaptive.md``); ``shard_workers``
+        runs per-shard ``+`` chains on a process pool keyed on the
+        snapshot's epochs, whose failures fall back to in-process streaming
+        and are counted as ``shard_fallbacks`` (``docs/sharding.md``).
+    cache:
+        As for :class:`~repro.session.Session`, but a private
+        ``PlanCache(maxsize=256)`` by default (:attr:`lowered`).
     config:
         A :class:`ServerConfig`; individual fields can also be overridden
         via keyword arguments (``Server(max_concurrency=2)``).
@@ -213,8 +187,9 @@ class Server(Session):
     _log = logging.getLogger("repro.serving")
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
-                 backend: str = "typed",
+                 backend: str = "typed", cache: PlanCache | None = None,
                  optimizer_options: Mapping[str, Any] | None = None,
+                 feedback: FeedbackConfig | None = None, shard_workers: int = 0,
                  config: ServerConfig | None = None, **overrides):
         if config is not None and overrides:
             raise ValueError("pass either config= or individual overrides, not both")
@@ -222,29 +197,24 @@ class Server(Session):
             config = ServerConfig(**overrides)
         self.config = config = config or ServerConfig()
         self.stats = ServerStats(latency_window=config.latency_window)
-        feedback = (FeedbackConfig(sample_every=config.profile_every,
-                                   threshold=config.reoptimize_threshold)
-                    if config.profile_every > 0 else None)
         super().__init__(catalog, method=method, backend=backend,
-                         cache=PlanCache(maxsize=config.lowered_cache_size),
+                         cache=cache if cache is not None else PlanCache(maxsize=256),
                          optimizer_options=optimizer_options, feedback=feedback,
-                         shard_workers=config.shard_workers)
+                         shard_workers=shard_workers)
         self.plans = SharedPlanCache(maxsize=config.plan_cache_size)
         self.stats.attach_plan_cache(self.plans)
-        #: The lowered-artifact cache (:attr:`cache`, ``lowered_cache_size`` entries).
+        #: The lowered-artifact cache (:attr:`cache`).
         self.lowered = self.cache
         self._gate = AdmissionGate(config.max_concurrency, config.max_queue,
                                    config.queue_timeout)
         self._closed = False
 
-    #: The server's :class:`repro.ivm.views.ViewRegistry` (same as :meth:`views`).
-    _view_registry = Session.views
-
     def close(self) -> None:
         """Stop admitting requests and drop cached plans, artifacts and views."""
         self._closed = True
         super().close()
-        self.cache.clear()
+        if self.cache is not GLOBAL_PLAN_CACHE:
+            self.cache.clear()
         self._views = None
 
     def purge_stale_plans(self) -> int:
@@ -278,140 +248,31 @@ class Server(Session):
 
     # -- client entry points ---------------------------------------------------
 
-    def session(self, *, method: str | None = None, backend: str | None = None,
-                optimizer_options: Mapping[str, Any] | None = None
-                ) -> "ClientSession":
-        """Open a lightweight client session (cheap; one per request is fine)."""
+    def prepare(self, program: "str | Expr", **options) -> Statement:
+        """:meth:`Session.prepare <repro.session.Session.prepare>`; a closed
+        server refuses with :class:`ServerClosed`.  The statement may be
+        shared by any number of threads: each execution is one admitted
+        request."""
         if self._closed:
-            raise ServerClosed("cannot open a session on a closed server")
-        self.stats.count("sessions")
-        return ClientSession(self, method=method or self.method,
-                             backend=check_backend(backend or self.backend),
-                             optimizer_options={**self.optimizer_options,
-                                                **(optimizer_options or {})})
-
-    #: Database-API-flavoured alias.
-    connect = session
+            raise ServerClosed("server is closed")
+        return super().prepare(program, **options)
 
     def execute(self, program: "str | Expr", *, method: str | None = None,
                 backend: str | None = None,
                 dense_shape: tuple[int, ...] | None = None,
                 **scalar_params: float) -> Any:
-        """One-shot convenience: open a session, prepare (via the shared
-        cache — usually a hit), execute once."""
-        return (self.session(method=method, backend=backend)
-                .prepare(program, dense_shape=dense_shape)
-                .execute(**scalar_params))
+        """One request: the front end (a memo lookup for a text seen before),
+        then, admitted, a snapshot, plan resolution (usually a shared-cache
+        hit) and the execute step."""
+        backend = check_backend(backend or self.backend)
+        return self._admit(self._serve, self._front_end(program),
+                           method or self.method, backend, dense_shape, scalar_params)
 
-
-class ClientSession:
-    """One client's handle on a :class:`Server`.
-
-    Deliberately tiny: it carries per-client defaults (method / backend /
-    optimizer options) and constructs :class:`ServedStatement` handles — all
-    state that matters (catalog, plans, statistics) lives in the server, so
-    sessions are free to create per request and safe to share or discard.
-    """
-
-    def __init__(self, server: Server, *, method: str, backend: str,
-                 optimizer_options: dict[str, Any]):
-        self.server = server
-        self.method = method
-        self.backend = backend
-        self.optimizer_options = optimizer_options
-        self._closed = False
-
-    def __enter__(self) -> "ClientSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._closed = True
-
-    def prepare(self, program: "str | Expr", *, method: str | None = None,
-                backend: str | None = None,
-                dense_shape: tuple[int, ...] | None = None,
-                optimizer_options: Mapping[str, Any] | None = None
-                ) -> "ServedStatement":
-        """A reusable statement handle.
-
-        Unlike :meth:`repro.session.Session.prepare`, nothing is optimized
-        here: every execution resolves (through the shared cache) against
-        the catalog snapshot current *at that moment*, so handles are free
-        and never go stale.
-        """
-        if self._closed:
-            raise ServerClosed("session is closed")
-        return ServedStatement(self.server, program,
-                               method=method or self.method,
-                               backend=check_backend(backend or self.backend),
-                               dense_shape=dense_shape,
-                               optimizer_options={**self.optimizer_options,
-                                                  **(optimizer_options or {})})
-
-    def execute(self, program: "str | Expr", *,
-                dense_shape: tuple[int, ...] | None = None,
-                **scalar_params: float) -> Any:
-        """Prepare (via the shared cache) and execute once."""
-        return self.prepare(program, dense_shape=dense_shape).execute(**scalar_params)
-
-    #: ``Session.run``-flavoured alias.
-    run = execute
-
-
-class ServedStatement:
-    """A query handle bound to a server, executable from any thread.
-
-    Every :meth:`execute` is one admitted request: snapshot → plan resolution
-    → execute step, the same code a :class:`~repro.session.Statement` runs,
-    so repeated executions (from this or any other statement for the same
-    query) are plan-cache hits.
-    """
-
-    def __init__(self, server: Server, program: "str | Expr", *, method: str,
-                 backend: str, dense_shape: tuple[int, ...] | None,
-                 optimizer_options: dict[str, Any]):
-        # One front-end run per distinct text, process-wide: a request for a
-        # text seen before costs a dictionary lookup here.
-        self._front = server._front_end(program)
-        self.server = server
-        self.method = method
-        self.backend = backend
-        self.dense_shape = dense_shape
-        self.optimizer_options = optimizer_options
-
-    @property
-    def program(self) -> Expr:
-        """The named AST of the statement, literals in place."""
-        return self._front.program
-
-    @property
-    def query(self) -> Expr:
-        """The cache identity: the De Bruijn form with literals lifted to slots."""
-        return self._front.query.expr
-
-    @property
-    def source(self) -> str:
-        """The statement as re-parseable SDQLite text (rendered on demand)."""
-        return to_source(self.program)
-
-    def execute(self, **scalar_params: float) -> Any:
-        """Execute once against a fresh snapshot of the server's catalog."""
-        return self.server._admit(self._serve, scalar_params)
-
-    def _serve(self, scalar_params: Mapping[str, float]) -> Any:
-        server, front = self.server, self._front
-        snapshot = server.catalog.snapshot()
-        entry, env = server._resolve(front, self.method, self.backend,
-                                     self.optimizer_options, snapshot)
-        return server._execute(entry, env, snapshot, self.dense_shape, None,
-                               scalar_params, front.bindings)
-
-    def explain(self) -> str:
-        """The plan this statement resolves to under the current catalog,
-        instantiated with its literals (see :meth:`Statement.explain`)."""
-        return Statement(self.server, self._front, method=self.method,
-                         backend=self.backend, dense_shape=self.dense_shape,
-                         optimizer_options=self.optimizer_options).explain()
+    def _serve(self, front: FrontEnd, method: str, backend: str,
+               dense_shape: tuple[int, ...] | None,
+               scalar_params: Mapping[str, float]) -> Any:
+        snapshot = self.catalog.snapshot()
+        entry, env = self._resolve(front, method, backend, self.optimizer_options,
+                                   snapshot)
+        return self._execute(entry, env, snapshot, dense_shape, None, scalar_params,
+                             front.bindings)

@@ -97,7 +97,6 @@ class ServerStats:
     ``shard_fallbacks`` requests whose parallel shard dispatch failed and
                         that were served in-process instead
     ``peak_in_flight``  high-water mark of concurrently executing requests
-    ``sessions``        client sessions opened over the server's lifetime
     ``views``           materialized views registered over the lifetime
     ``views_maintained`` view refreshes performed by :meth:`Server.update`
     ``delta_executions`` of those, served by a prepared delta statement
@@ -122,7 +121,7 @@ class ServerStats:
                 "text_misses", "literal_shared", "profiled_runs", "misestimations",
                 "re_optimizations", "advisor_applies", "advisor_rollbacks",
                 "rejected_full", "rejected_timeout", "errors", "shard_fallbacks",
-                "in_flight", "peak_in_flight", "sessions", "views", "views_maintained",
+                "in_flight", "peak_in_flight", "views", "views_maintained",
                 "delta_executions", "full_refreshes")
 
     def __init__(self, *, latency_window: int = 8192):

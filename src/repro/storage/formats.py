@@ -41,7 +41,7 @@ import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -889,8 +889,7 @@ class DOKFormat(StorageFormat):
         return _coo_from_entries(self.hashmap.entries, self.rank)
 
     def profile(self) -> Profile:
-        coords = np.array(list(self.hashmap.entries.keys()), dtype=np.int64).reshape(-1, self.rank)
-        return _profile_of(_prefix_counts(list(coords[np.lexsort(coords.T[::-1])].T)))
+        return _keys_profile(self.hashmap.entries, self.rank)
 
 
 class TrieFormat(StorageFormat):
@@ -955,22 +954,9 @@ class TrieFormat(StorageFormat):
         return buffers
 
     def profile(self) -> Profile:
-        levels = []
-        level = [self.trie.nested]
-        for _ in range(self.rank):
-            sizes = [len(node) for node in level if isinstance(node, dict)]
-            levels.append(float(np.mean(sizes)) if sizes else 0.0)
-            next_level = []
-            for node in level:
-                if isinstance(node, dict):
-                    next_level.extend(node.values())
-            level = next_level
-        profile: Profile = ("s",)
-        # The first level count is the total number of keys; deeper levels are averages.
-        counts = [float(len(self.trie.nested))] + levels[1:]
-        for factor in reversed(counts):
-            profile = (factor, profile)
-        return profile
+        entries: dict[tuple[int, ...], float] = {}
+        _collect_nested_entries(self.trie.nested, (), entries)
+        return _keys_profile(entries, self.rank)
 
 
 def _entries_from_coo(coords: np.ndarray, values: np.ndarray,
@@ -1024,6 +1010,13 @@ def _prefix_counts(cols: Sequence[np.ndarray]) -> list[int]:
         starts |= col[1:] != col[:-1]
         counts.append(1 + int(np.count_nonzero(starts)))
     return counts
+
+
+def _keys_profile(keys: Iterable[tuple[int, ...]], rank: int) -> Profile:
+    """The profile of a hash-keyed structure (DOK, trie) holding ``keys``:
+    the distinct prefixes of every length, counted over the sorted keys."""
+    coords = np.array(list(keys), dtype=np.int64).reshape(-1, rank)
+    return _profile_of(_prefix_counts(list(coords[np.lexsort(coords.T[::-1])].T)))
 
 
 def _profile_of(counts: Sequence[int]) -> Profile:

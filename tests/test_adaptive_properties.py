@@ -468,7 +468,7 @@ def test_server_profile_every_zero_disables_the_loop():
 
 
 def test_server_profiled_requests_are_counted_and_correct():
-    server, a, x = make_server(profile_every=1)
+    server, a, x = make_server(feedback=FeedbackConfig(sample_every=1))
     with server:
         for _ in range(3):
             assert server.execute(SUM_AX) == pytest.approx(float((a @ x).sum()))
@@ -479,7 +479,7 @@ def test_server_profiled_requests_are_counted_and_correct():
 
 def test_server_reoptimizes_without_schema_reprepare_on_misestimation():
     """A bumped adaptive epoch re-optimizes the plan; the schema never moved."""
-    server, a, x = make_server(profile_every=1, reoptimize_threshold=2.0)
+    server, a, x = make_server(feedback=FeedbackConfig(sample_every=1, threshold=2.0))
     with server:
         # Poison the snapshot's derived statistics so the first profiled run
         # observes a massive q-error on the loop over A's stored entries.

@@ -20,6 +20,7 @@ the serial reference.
 """
 
 import pathlib
+import warnings
 
 import pytest
 
@@ -55,4 +56,17 @@ def test_corpus_has_adaptive_entry():
 def test_corpus_case_replays_without_divergence(path):
     entry = load_corpus_entry(path)
     divergence = replay(entry.case, entry.configs or None)
+    assert divergence is None, divergence.describe()
+
+
+@pytest.mark.parametrize("stem", ["lane_lookup_product_zero_times_inf",
+                                  "lane_product_zero_times_inf",
+                                  "lane_scale_zero_times_inf", "sub_self_non_finite"])
+def test_non_finite_cases_replay_without_runtime_warnings(stem):
+    """``0 * inf`` before the annihilation pass and ``inf - inf`` are IEEE
+    semantics, not accidents: neither backend warns about them."""
+    entry = load_corpus_entry(CORPUS_DIR / f"{stem}.py")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        divergence = replay(entry.case, entry.configs or None)
     assert divergence is None, divergence.describe()

@@ -16,7 +16,6 @@ from repro.execution import (
     ExecutionEngine,
     PlanCache,
     PreparedPlan,
-    env_signature,
     result_to_dense,
     result_to_matrix,
     result_to_scalar,
@@ -39,6 +38,7 @@ from repro.storage import (
     DOKFormat,
     build_format,
 )
+from repro.storage.physical import PhysicalArray
 
 
 def db(source):
@@ -143,10 +143,8 @@ _BACKEND_ENTRY_POINTS = {
     "Session.advise": lambda name: Session(_vector_catalog()).advise(_SUM_X, backend=name),
     "storel.run": lambda name: storel.run(_SUM_X, _vector_catalog(), backend=name),
     "Server": lambda name: Server(_vector_catalog(), backend=name),
-    "Server.session": lambda name: Server(_vector_catalog()).session(backend=name),
     "Server.execute": lambda name: Server(_vector_catalog()).execute(_SUM_X, backend=name),
-    "ClientSession.prepare": lambda name: Server(_vector_catalog()).session().prepare(
-        _SUM_X, backend=name),
+    "Server.prepare": lambda name: Server(_vector_catalog()).prepare(_SUM_X, backend=name),
     "Advisor": lambda name: Advisor(Session(_vector_catalog()), backend=name),
     "StorelSystem": lambda name: StorelSystem(backend=name),
 }
@@ -391,21 +389,6 @@ def test_plan_cache_hits_on_repeated_prepare():
     assert first.run() == second.run() == pytest.approx(6.0)
 
 
-def test_plan_cache_invalidates_on_env_schema_and_backend():
-    cache = PlanCache(maxsize=8)
-    plan = db("sum(<i, v> in V) v")
-    array_env = {"V": np.array([1.0, 2.0])}
-    dict_env = {"V": {0: 1.0, 5: 4.0}}
-    ExecutionEngine(env=array_env, cache=cache).prepare(plan)
-    ExecutionEngine(env=dict_env, cache=cache).prepare(plan)
-    assert cache.misses == 2 and cache.hits == 0  # different env schema
-    other_plan = db("sum(<i, v> in V) 2 * v")
-    ExecutionEngine(env=array_env, cache=cache).prepare(other_plan)
-    assert cache.misses == 3  # different plan hash
-    ExecutionEngine(env=array_env, cache=cache).prepare(plan)
-    assert cache.hits == 1
-
-
 def test_plan_cache_lru_eviction_and_clear():
     cache = PlanCache(maxsize=2)
     env = {"V": np.array([1.0])}
@@ -432,11 +415,22 @@ def test_plan_cache_interpret_bypasses_cache():
     assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
-def test_env_signature_is_schema_level():
-    a = {"X": np.zeros(3), "n": 3}
-    b = {"n": 7, "X": np.ones(9)}
-    assert env_signature(a) == env_signature(b)
-    assert env_signature(a) != env_signature({"X": {0: 1.0}, "n": 3})
+def test_one_artifact_serves_environments_of_different_physical_kinds():
+    """Lowering never reads the environment: a plan's artifact, cached on
+    ``(backend, plan)``, runs environments binding ``V`` to a NumPy array, a
+    :class:`PhysicalArray` and a dictionary alike; another plan misses."""
+    cache = PlanCache()
+    plan = db("sum(<i, v> in V) { i -> 2 * v }")
+    data = np.array([1.5, 0.0, -2.0, 4.0])
+    envs = ({"V": data}, {"V": PhysicalArray("V", data)}, {"V": {0: 1.5, 5: 4.0}})
+    prepared = [ExecutionEngine(env=env, backend="typed", cache=cache).prepare(plan)
+                for env in envs]
+    assert all(each.artifact is prepared[0].artifact for each in prepared)
+    assert (cache.misses, cache.hits, len(cache)) == (1, 2, 1)
+    for env, plan_for_env in zip(envs, prepared):
+        assert values_equal(plan_for_env.run(), evaluate(plan, env))
+    ExecutionEngine(env=envs[0], cache=cache).prepare(db("sum(<i, v> in V) 3 * v"))
+    assert (cache.misses, len(cache)) == (2, 2)
 
 
 def test_prepared_plan_backend_property():

@@ -357,7 +357,7 @@ def test_server_views_and_maintenance_stats():
     catalog, a, b = small_catalog()
     with Server(catalog) as server:
         view = server.create_view("mmm", MMM, dense_shape=(3, 2))
-        registry = server._view_registry()
+        registry = server.views()
         registry.fallback_ratio = 1e9
         np.testing.assert_allclose(view.value(), a @ b)
 

@@ -438,7 +438,7 @@ def test_server_matches_session_results(backend):
 def test_server_scalar_params_override_per_request():
     a, x = make_inputs()
     server = Server(make_catalog(a, x, beta=2.0))
-    statement = server.session().prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
+    statement = server.prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
     np.testing.assert_allclose(statement.execute(beta=5.0), batax_oracle(a, x, 5.0))
     # the override is per-execution: catalog value and plain executes untouched
     assert server.catalog.scalars["beta"] == 2.0
@@ -461,31 +461,24 @@ def test_server_config_and_overrides_are_mutually_exclusive():
 
 
 def test_closed_server_refuses_sessions_and_requests():
+    """A closed server refuses ``prepare`` and every request, prepared or not."""
     a, x = make_inputs()
     with Server(make_catalog(a, x)) as server:
-        statement = server.session().prepare(BATAX_PROGRAM)
+        statement = server.prepare(BATAX_PROGRAM)
         statement.execute()
-    with pytest.raises(ServerClosed):
-        server.session()
-    with pytest.raises(ServerClosed):
-        statement.execute()
-    assert len(server.plans) == 0        # close() drops cached plans
-
-
-def test_closed_client_session_refuses_prepare():
-    a, x = make_inputs()
-    server = Server(make_catalog(a, x))
-    with server.connect() as client:
-        client.execute(BATAX_PROGRAM)
-    with pytest.raises(ServerClosed):
-        client.prepare(BATAX_PROGRAM)
-    assert server.stats.sessions == 1
+    for refused in (lambda: server.prepare(BATAX_PROGRAM), statement.execute,
+                    lambda: server.execute(BATAX_PROGRAM),
+                    lambda: server.run(BATAX_PROGRAM)):
+        with pytest.raises(ServerClosed):
+            refused()
+    assert len(server.plans) == 0 and len(server.lowered) == 0
+    assert server.stats.requests == 1    # refused before admission
 
 
 def test_statement_explain_names_the_plan():
     a, x = make_inputs()
     server = Server(make_catalog(a, x))
-    explanation = server.session().prepare(BATAX_PROGRAM).explain()
+    explanation = server.prepare(BATAX_PROGRAM).explain()
     assert isinstance(explanation, str) and explanation.strip()
 
 
@@ -507,7 +500,7 @@ def test_identical_queries_share_one_preparation_across_sessions():
     a, x = make_inputs()
     server = Server(make_catalog(a, x))
     for _ in range(4):
-        server.session().execute(BATAX_PROGRAM)
+        server.execute(BATAX_PROGRAM)
     assert server.stats.plan_misses == 1
     assert server.stats.plan_hits == 3
     assert server.stats.hit_rate == pytest.approx(0.75)
@@ -564,9 +557,8 @@ def test_concurrent_first_touch_prepares_exactly_once():
     results_lock = threading.Lock()
 
     def client():
-        session = server.session()
         barrier.wait()
-        value = session.execute(BATAX_PROGRAM, dense_shape=(SIZE,))
+        value = server.execute(BATAX_PROGRAM, dense_shape=(SIZE,))
         with results_lock:
             results.append(value)
 
@@ -649,10 +641,9 @@ def test_peak_in_flight_respects_max_concurrency():
     barrier = threading.Barrier(6)
 
     def client():
-        session = server.session()
         barrier.wait()
         for _ in range(5):
-            session.execute(BATAX_PROGRAM)
+            server.execute(BATAX_PROGRAM)
 
     run_threads([client] * 6)
     assert server.stats.requests == 30
@@ -692,8 +683,7 @@ def test_results_match_some_serial_state_under_format_and_data_races():
                 server.replace_format(DenseFormat.from_dense("A", a2))
 
     def reader():
-        session = server.session()
-        statement = session.prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
+        statement = server.prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
         barrier.wait()
         try:
             for _ in range(15):
@@ -727,7 +717,7 @@ def test_results_match_some_serial_state_under_scalar_races():
                 server.set_scalar("beta", beta)
 
     def reader():
-        statement = server.session().prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
+        statement = server.prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
         barrier.wait()
         try:
             for _ in range(15):
@@ -742,6 +732,58 @@ def test_results_match_some_serial_state_under_scalar_races():
     assert not errors, f"observed non-serial state: {errors[:1]}"
     assert server.stats.requests == 60
     assert server.stats.plan_misses == 1     # value churn never re-prepared
+
+
+@pytest.mark.timeout(90)
+def test_one_shared_statement_serves_racing_readers_across_schema_epochs():
+    """One ``Server.prepare`` statement, 4 reader threads, and a writer that
+    alternates a format change (a schema epoch) with a scalar re-bind.
+
+    ``A`` is scaled by ``2**r`` and ``beta`` set to ``2**r`` in round ``r``,
+    so results of two serial states differ by a power of two; every
+    result must be one of them, and the shared plan cache must have missed
+    exactly once per schema epoch the statement ran under.
+    """
+    a, x = make_inputs()
+    rounds = 10
+    server = Server(make_catalog(a, x, beta=1.0))
+    # (scale of A, beta, schema epoch) of every serial state, in order.
+    states = [(1.0, 1.0, 0)]
+    for round_ in range(1, rounds + 1):
+        states.append((2.0 ** round_, 2.0 ** (round_ - 1), round_))
+        states.append((2.0 ** round_, 2.0 ** round_, round_))
+    expected = [batax_oracle(scale * a, x, beta) for scale, beta, _ in states]
+    statement = server.prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
+    barrier = threading.Barrier(5)
+    seen, errors = [], []
+    lock = threading.Lock()
+
+    def writer():
+        barrier.wait()
+        for round_ in range(1, rounds + 1):
+            time.sleep(0.001)
+            stored = CSRFormat if round_ % 2 == 0 else DenseFormat
+            server.replace_format(stored.from_dense("A", 2.0 ** round_ * a))
+            time.sleep(0.001)
+            server.set_scalar("beta", 2.0 ** round_)
+
+    def reader():
+        barrier.wait()
+        try:
+            for _ in range(25):
+                value = statement.execute()
+                matches = [index for index, want in enumerate(expected)
+                           if np.allclose(value, want, rtol=1e-9, atol=0.0)]
+                with lock:
+                    (seen.extend(matches) if matches else errors.append(value))
+        except BaseException as exc:  # noqa: BLE001 - collected for assert
+            errors.append(exc)
+
+    run_threads([writer] + [reader] * 4)
+    assert not errors, f"observed non-serial state: {errors[:1]}"
+    assert len(seen) == 100 and server.stats.requests == 100
+    epochs = {0} | {states[index][2] for index in seen}
+    assert server.stats.plan_misses == len(epochs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import pytest
 import repro.core.optimizer
 import repro.execution.engine
 import repro.sdqlite.frontend
-import repro.serving.server
+from repro.execution.engine import PlanCache
 from repro.fuzz import campaign
 from repro.sdqlite import FRONT_END, FrontEndMemo, front_end, parse_expr, to_source
 from repro.sdqlite.ast import Sum, postorder
@@ -158,16 +158,13 @@ def test_a_hit_neither_parses_nor_converts_nor_pretty_prints(monkeypatch):
     monkeypatch.setattr(repro.sdqlite.frontend, "lift_literals", refuse)
     monkeypatch.setattr(repro.core.optimizer, "to_debruijn_safe", refuse)
     monkeypatch.setattr(repro.execution.engine, "to_debruijn_safe", refuse)
-    monkeypatch.setattr(repro.serving.server, "to_source", refuse)
-    statement = server.session().prepare(text, dense_shape=(SIZE,))
+    statement = server.prepare(text, dense_shape=(SIZE,))
     np.testing.assert_allclose(statement.execute(), first)
     np.testing.assert_allclose(server.execute(text, dense_shape=(SIZE,), beta=4.0), 2 * first)
     stats = server.stats.snapshot()
     assert (stats["text_hits"], stats["text_misses"]) == (2, 1)
-    with pytest.raises(AssertionError, match="front-end work"):
-        statement.source                         # rendered only on demand
     monkeypatch.undo()
-    assert statement.source == to_source(parse_expr(text))
+    assert to_source(statement.program) == to_source(parse_expr(text))
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +177,16 @@ def test_texts_differing_in_liftable_literals_share_one_plan():
     snapshot = server.catalog.snapshot()
     keys = set()
     for literal in (2, 3, 0.37, 41):
-        statement = server.session().prepare(SCALE.format(c=literal), dense_shape=(SIZE,))
+        statement = server.prepare(SCALE.format(c=literal), dense_shape=(SIZE,))
         np.testing.assert_allclose(statement.execute(), literal * 2.0 * x, rtol=1e-12)
         np.testing.assert_allclose(statement.execute(beta=0.5), literal * 0.5 * x, rtol=1e-12)
         keys.add(plan_key(statement._front.query, method="greedy", backend="typed",
                           optimizer_options={}, snapshot=snapshot))
     stats = server.stats.snapshot()
     assert len(keys) == 1
-    assert (stats["plan_misses"], stats["plan_hits"]) == (1, 7)
-    assert stats["literal_shared"] == 6          # all but the first literal's two
+    # One resolution per statement, at prepare: its executions re-use it.
+    assert (stats["plan_misses"], stats["plan_hits"]) == (1, 3)
+    assert stats["literal_shared"] == 3          # all but the first literal
     assert stats["plan_cache_entries"] == 1 and len(server.lowered) == 1
 
 
@@ -211,7 +209,7 @@ def test_texts_differing_in_a_protected_literal_do_not_share(first, second):
     server, x = make_server()
     oracle = Session(server.catalog, backend="interpret")
     for text in (first, second):
-        served = server.session().prepare(text, backend="interpret").execute()
+        served = server.prepare(text, backend="interpret").execute()
         assert served == oracle.run(text)
     assert server.stats.plan_misses == 2 and server.stats.literal_shared == 0
 
@@ -219,12 +217,12 @@ def test_texts_differing_in_a_protected_literal_do_not_share(first, second):
 def test_explain_shows_the_instantiated_plan_and_its_slots():
     server, _ = make_server()
     server.execute(SCALE.format(c=2))
-    explanation = server.session().prepare(SCALE.format(c=0.37)).explain()
+    explanation = server.prepare(SCALE.format(c=0.37)).explain()
     plan_text, _, parameters = explanation.partition("literal parameters")
     assert "0.37" in plan_text and "$" not in plan_text
     assert "$0 = 0.37" in parameters
     assert server.stats.plan_misses == 1         # explained from the shared plan
-    assert "literal parameters" not in server.session().prepare(
+    assert "literal parameters" not in server.prepare(
         "sum(<i, x> in X) beta * x").explain()
 
 
@@ -235,7 +233,7 @@ def test_explain_shows_the_instantiated_plan_and_its_slots():
 
 @pytest.mark.timeout(300)
 def test_fresh_literals_and_fresh_shapes_leave_every_map_bounded():
-    server, x = make_server(plan_cache_size=32, lowered_cache_size=32)
+    server, x = make_server(plan_cache_size=32, cache=PlanCache(maxsize=32))
     FRONT_END.clear()
 
     def within_bounds():
@@ -358,7 +356,7 @@ text = ("sum(<(i,j), a1> in A, <(i2,k), a2> in A, <k2, x> in X) if (i == i2) the
 for _ in range(int(sys.argv[1])):         # however many parses came before must not matter
     Session(catalog).explain("sum(<(i, j), a> in A, <_, _> in X) { j -> a }")
 print(Session(catalog).explain(text))
-print(Server(catalog).session().prepare(text).explain())
+print(Server(catalog).prepare(text).explain())
 """
 
 

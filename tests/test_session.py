@@ -242,7 +242,7 @@ def test_direct_catalog_mutation_triggers_full_stats_rebuild():
 
 
 def test_scalar_rebind_does_not_force_relowering():
-    """env_signature keys on the schema, so value changes keep the artifact."""
+    """Artifacts are keyed on (backend, plan) alone, so value changes keep them."""
     a, x = make_inputs()
     cache = PlanCache()
     session = make_session(a, x, cache=cache)
@@ -263,7 +263,10 @@ def test_schema_bump_evicts_stale_prepared_plans():
     statement = session.prepare(BATAX_PROGRAM, dense_shape=(SIZE,))
     assert len(cache) == 1
     session.register(DenseFormat.from_dense("Z", x))  # schema epoch bump
-    statement.execute(beta=1.0)  # re-prepares: new env schema -> new artifact
+    statement.execute(beta=1.0)  # re-prepares the same plan: same artifact
+    assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+    session.replace_format(DenseFormat.from_dense("A", a))
+    statement.execute(beta=1.0)  # re-prepares: new plan -> new artifact
     assert cache.misses == 2
     assert len(cache) == 1  # the superseded artifact was evicted
 

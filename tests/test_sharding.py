@@ -484,7 +484,7 @@ def test_server_shard_workers_parity():
     expected = storel.run(program, _batax_catalog(A, X, shards=3),
                           dense_shape=(5,))
     with Server(_batax_catalog(A, X, shards=3), shard_workers=2) as server:
-        statement = server.session().prepare(program, dense_shape=(5,))
+        statement = server.prepare(program, dense_shape=(5,))
         np.testing.assert_allclose(statement.execute(), expected)
         # a catalog mutation retires the pool and the next request still serves
         server.update("A", np.array([[0, 0]]), np.array([3.0]))
