@@ -145,6 +145,7 @@ _BACKEND_ENTRY_POINTS = {
     "Server": lambda name: Server(_vector_catalog(), backend=name),
     "Server.execute": lambda name: Server(_vector_catalog()).execute(_SUM_X, backend=name),
     "Server.prepare": lambda name: Server(_vector_catalog()).prepare(_SUM_X, backend=name),
+    "Server.run": lambda name: Server(_vector_catalog()).run(_SUM_X, backend=name),
     "Advisor": lambda name: Advisor(Session(_vector_catalog()), backend=name),
     "StorelSystem": lambda name: StorelSystem(backend=name),
 }
@@ -418,7 +419,7 @@ def test_plan_cache_interpret_bypasses_cache():
 def test_one_artifact_serves_environments_of_different_physical_kinds():
     """Lowering never reads the environment: a plan's artifact, cached on
     ``(backend, plan)``, runs environments binding ``V`` to a NumPy array, a
-    :class:`PhysicalArray` and a dictionary alike; another plan misses."""
+    :class:`PhysicalArray` and a dictionary alike."""
     cache = PlanCache()
     plan = db("sum(<i, v> in V) { i -> 2 * v }")
     data = np.array([1.5, 0.0, -2.0, 4.0])
@@ -429,8 +430,22 @@ def test_one_artifact_serves_environments_of_different_physical_kinds():
     assert (cache.misses, cache.hits, len(cache)) == (1, 2, 1)
     for env, plan_for_env in zip(envs, prepared):
         assert values_equal(plan_for_env.run(), evaluate(plan, env))
-    ExecutionEngine(env=envs[0], cache=cache).prepare(db("sum(<i, v> in V) 3 * v"))
-    assert (cache.misses, len(cache)) == (2, 2)
+
+
+def test_plan_cache_misses_on_plan_not_on_env_schema():
+    """The key is ``(backend, plan)``: another plan lowers again, another
+    environment schema does not."""
+    cache = PlanCache(maxsize=8)
+    plan = db("sum(<i, v> in V) v")
+    array_env = {"V": np.array([1.0, 2.0])}
+    dict_env = {"V": {0: 1.0, 5: 4.0}}
+    first = ExecutionEngine(env=array_env, backend="typed", cache=cache).prepare(plan)
+    ExecutionEngine(env=dict_env, backend="typed", cache=cache).prepare(plan)
+    assert (cache.misses, cache.hits) == (1, 1)  # environment schema is not keyed
+    assert first.cache_key == ("typed", plan)
+    ExecutionEngine(env=array_env, backend="typed", cache=cache).prepare(
+        db("sum(<i, v> in V) 2 * v"))
+    assert (cache.misses, len(cache)) == (2, 2)  # different plan hash
 
 
 def test_prepared_plan_backend_property():
