@@ -102,11 +102,11 @@ def expand_lanes(lo: np.ndarray, counts: np.ndarray):
     ``pos``/``idx`` segment array — are one ``arange``.
     """
     lanes = counts.shape[0]
-    parent = np.repeat(np.arange(lanes, dtype=np.int64), counts)
+    parent = np.arange(lanes, dtype=np.int64).repeat(counts)
     total = parent.shape[0]
     if total == 0:
         return parent, np.empty(0, dtype=np.int64)
-    shift = lo - (np.cumsum(counts) - counts)   # position minus new-lane number
+    shift = lo - (counts.cumsum() - counts)     # position minus new-lane number
     first = int(shift[0])
     if int(shift.min()) == first == int(shift.max()):
         return parent, np.arange(first, first + total, dtype=np.int64)
@@ -122,7 +122,8 @@ def parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
     return np.bincount(parent, weights=weights, minlength=size)[:size]
 
 
-def lookup_sorted(haystack: np.ndarray, queries: np.ndarray, inside: bool = False):
+def lookup_sorted(haystack: np.ndarray, queries: np.ndarray, inside: bool = False,
+                  tables: dict | None = None):
     """Find every query in a strictly ascending int64 array.
 
     Returns ``(positions, found, regime)``: ``positions[i]`` is the index of
@@ -130,6 +131,9 @@ def lookup_sorted(haystack: np.ndarray, queries: np.ndarray, inside: bool = Fals
     unspecified), and ``regime`` names how it was found
     (:data:`LOOKUP_REGIMES`).  ``inside`` promises that every query lies
     between the first and the last key, so none is scanned to check it.
+    ``tables``, when given, keeps the position table of this very
+    ``haystack`` for the next lookup in it (under ``id(haystack)``, with the
+    haystack itself, so the ``id`` cannot be recycled).
 
     * ``"direct"`` — the haystack's key range has at most
       ``_DENSE_CELLS_PER_ENTRY`` cells per haystack and query entry: one
@@ -146,14 +150,21 @@ def lookup_sorted(haystack: np.ndarray, queries: np.ndarray, inside: bool = Fals
         pos = np.searchsorted(haystack, queries)
         np.minimum(pos, n - 1, out=pos)
         return pos, haystack[pos] == queries, "search"
-    table = np.full(high - low + 1, -1, dtype=np.int64)
-    table[haystack - low] = np.arange(n, dtype=np.int64)
+    kept = None if tables is None else tables.get(id(haystack))
+    if kept is not None and kept[0] is haystack:
+        table = kept[1]
+    else:
+        table = np.empty(high - low + 1, dtype=np.int64)
+        table.fill(-1)
+        table[haystack - low] = np.arange(n, dtype=np.int64)
+        if tables is not None:
+            tables[id(haystack)] = (haystack, table)
     if m and (inside or low <= int(queries.min()) and int(queries.max()) <= high):
         pos = table[queries - low]
         return pos, pos >= 0, "direct"
     # Clamp before subtracting the low key, so no query can overflow.
     inside = (queries >= low) & (queries <= high)
-    pos = table[np.clip(queries, low, high) - low]
+    pos = table[np.minimum(np.maximum(queries, low), high) - low]
     return pos, inside & (pos >= 0), "direct"
 
 
@@ -175,7 +186,7 @@ class BufferLevels:
     """
 
     __slots__ = ("depth", "keys", "seg", "values", "_parents", "_comps", "_bounds",
-                 "_leaf_cols")
+                 "_leaf_cols", "_tables", "finite")
 
     def __init__(self, keys: list[np.ndarray], seg: list[np.ndarray],
                  values: np.ndarray):
@@ -187,6 +198,8 @@ class BufferLevels:
         self._comps: dict[int, tuple] = {}
         self._bounds: dict[int, tuple[int, int]] = {}
         self._leaf_cols: list[np.ndarray] | None = None
+        self._tables: dict = {}     # position tables of the composites, made once
+        self.finite: float | None = None   # a bound on |values|, all finite, if proven
 
     @classmethod
     def from_sorted_coords(cls, coords: np.ndarray, values: np.ndarray) -> "BufferLevels":
@@ -284,7 +297,7 @@ class BufferLevels:
         else:   # mask before multiplying, so no out-of-range lane can overflow
             queries = np.where(in_range, owner, 0) * big \
                 + (np.where(in_range, keys, kmin) - kmin)
-        pos, found, regime = lookup_sorted(comp, queries)
+        pos, found, regime = lookup_sorted(comp, queries, tables=self._tables)
         return pos, found & in_range, regime
 
     def leaf_columns(self) -> list[np.ndarray]:
@@ -310,7 +323,7 @@ class BufferLevels:
         """
         if self.depth != other.depth:
             return None
-        keys, seg, values = splice([[level] for level in self.keys], self.seg,
+        keys, seg, values, _ = splice([[level] for level in self.keys], self.seg,
                                    self.values, other.leaf_columns(), other.values,
                                    canonical=True)
         return BufferLevels([level[0] for level in keys], seg, values)

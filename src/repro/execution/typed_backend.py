@@ -21,7 +21,9 @@ iteration — and what is nested inside a batched body stays batched
   the storage declares (:mod:`repro.storage.facts`): a guard they decide is
   one boolean, a gather they bound scans nothing, a lookup with a run of
   keys is a view, and a traversal ``P(s):P(s+1)`` of a non-decreasing ``P``
-  is one position range,
+  is one position range; float lanes read from an array declared finite
+  carry a bound on their magnitude, so a product of proven-finite factors
+  skips the scan for ``0 * inf``,
 * a ``sum`` over ``T(P(e):P(e + 1))`` whose body reads only its own two
   binders is answered from a table of its value per segment of ``P``,
 * ``merge`` over flat scalar-valued collections is a value-sorted join,
@@ -31,6 +33,12 @@ iteration — and what is nested inside a batched body stays batched
   :class:`~repro.execution.buffers.BufferDict`, or, at the root of a run
   asked for a dense shape, summed straight into the array
   (:class:`DenseResult`).
+
+Each node is lowered once for the lane mode it runs in (:class:`_Lowerer`):
+a node that reads a binder of an enclosing batched ``sum`` is *lane-wise*,
+every other node is lane-invariant and gets the plain closure of the
+interpreter's semantics, so a run checks nothing lowering already knew.  A
+run binds every global the plan reads once, in a prologue.
 
 Every kernel is NumPy, and a loop runs as the plan says: an equality probe
 the optimizer left (:data:`repro.core.strategies.PROBE_TRANSFORMS`) is
@@ -49,6 +57,9 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+import threading
+from functools import partial
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -86,10 +97,10 @@ from ..sdqlite.debruijn import free_indices
 from ..sdqlite.errors import EvaluationError, ExecutionError
 from ..sdqlite.values import (
     RangeDict,
+    Scalar,
     SemiringDict,
     SliceDict,
     integral_index,
-    is_scalar,
     is_zero,
     iter_items,
     lookup,
@@ -119,18 +130,26 @@ __all__ = ["typed_plan", "TypedPlan", "DenseResult", "Untyped"]
 _log = logging.getLogger("repro.execution")
 
 COMPARATORS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 #: Lane-count ceiling for cross-product expansion of a loop-invariant source
 #: inside a batched body (outer lanes × inner entries).  Beyond it the sum
 #: falls back rather than materialize huge intermediates.
 _EXPANSION_CAP = 1 << 23
+
+#: The largest magnitude bound a lane keeps as proof that it is finite.
+#: Far below the float64 maximum (~1.8e308), so the rounding of the bounds'
+#: own products and sums cannot hide an overflow.
+_FINITE_LIMIT = 1e300
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
 
 
 class Untyped(Exception):
@@ -150,19 +169,22 @@ class Untyped(Exception):
 class TBatch:
     """A scalar per lane: one NumPy array over the current lane space.
 
-    Integer lanes may carry what is proven about them, never found by a
-    scan: ``bounds`` ``(lo, hi)`` when every lane lies in ``[lo, hi]``, and
-    ``run`` ``(source, start)`` when the lanes are ``source[start:start + n]``
-    (``source`` ``None``: ``arange(start, start + n)``).
+    Lanes may carry what is proven about them, never found by a scan:
+    ``bounds`` ``(lo, hi)`` when every (integer) lane lies in ``[lo, hi]``,
+    ``run`` ``(source, start, fact)`` when the lanes are
+    ``source[start:start + n]`` (``source`` ``None``: ``arange(start, start
+    + n)``; ``fact`` the source's declared fact or ``None``), and ``finite``
+    a bound on the magnitude of every lane, all of them finite.
     """
 
-    __slots__ = ("data", "bounds", "run")
+    __slots__ = ("data", "bounds", "run", "finite")
 
     def __init__(self, data: np.ndarray, bounds: tuple[int, int] | None = None,
-                 run: tuple | None = None):
+                 run: tuple | None = None, finite: float | None = None):
         self.data = data
         self.bounds = bounds
         self.run = run
+        self.finite = finite
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TBatch({self.data!r})"
@@ -175,7 +197,8 @@ class TWindow:
 
     A *dense* level (``levels`` ``None``) keys an entry by its position and
     holds ``target[position]`` (``target`` ``None``: the key itself, a
-    range).  A *compressed* level is ``levels.keys[level]``; above the
+    range); ``fact`` is what the storage declares about ``target``.  A
+    *compressed* level is ``levels.keys[level]``; above the
     deepest level an entry's value is the window of its children.  A
     compressed per-lane window holds the children of entry ``owner[i]`` at
     ``level - 1`` (``< 0``: none) and reads its bounds from
@@ -197,6 +220,7 @@ class TWindow:
     level: int = 0
     owner: np.ndarray | None = None
     scale: np.ndarray | None = None
+    fact: Any = None
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-lane ``lo``/``hi``."""
@@ -216,7 +240,7 @@ class TWindow:
         scale = None if self.scale is None else self.scale[lanes]
         if self.levels is None:
             return TWindow(self.lo[lanes], self.hi[lanes], self.target, scale=scale,
-                           span=self.span)
+                           span=self.span, fact=self.fact)
         return TWindow(None, None, levels=self.levels, level=self.level,
                        owner=self.owner[lanes], scale=scale)
 
@@ -229,7 +253,7 @@ class TWindow:
             scale = _product(self.scale, scale)
         if self.levels is None:
             return TWindow(np.where(keep, self.lo, 0), np.where(keep, self.hi, 0),
-                           self.target, scale=scale, span=self.span)
+                           self.target, scale=scale, span=self.span, fact=self.fact)
         return TWindow(None, None, levels=self.levels, level=self.level,
                        owner=np.where(keep, self.owner, -1), scale=scale)
 
@@ -241,9 +265,10 @@ class TFlat:
 
     ``cols`` are int64 coordinate columns (outermost key first), ``vals``
     float64, ``rows`` the owning lane of each entry, ``bounds`` the proven
-    ``(lo, hi)`` of each column or ``None``, and ``every_lane`` that the
+    ``(lo, hi)`` of each column or ``None``, ``every_lane`` that the
     entries are the lanes in order (``rows`` is ``arange(lanes)``), so a
-    per-lane array needs no gather onto them.  Semiring addition is
+    per-lane array needs no gather onto them, and ``finite`` a bound on the
+    magnitude of the values, all finite, when proven.  Semiring addition is
     concatenation; duplicate coordinates are resolved by a group-by-sum,
     matching the interpreter's ``v_add`` exactly: the reduction's, or
     :func:`_bag_window`'s when the bag is read (iterated, looked up or
@@ -255,6 +280,7 @@ class TFlat:
     rows: np.ndarray
     bounds: list
     every_lane: bool = False
+    finite: float | None = None
 
 
 def _is_batched(value) -> bool:
@@ -276,38 +302,44 @@ class DenseResult:
 
 
 class _Runtime:
-    """Per-execution state threaded through the closures."""
+    """Per-execution state threaded through the closures.
 
-    __slots__ = ("env", "facts", "batched", "lanes", "invariants", "failed_batch",
-                 "fallbacks", "buffers", "profile", "regimes", "lookups",
-                 "dense_shape", "dense_sinks", "relayouts_built",
-                 "relayouts_reused", "levelized", "proven_guards", "contiguous_reads",
-                 "segment_tables")
+    The counters start from the class defaults, and what a run may never
+    need — memoized invariants, failed batches, fallbacks, walked
+    collections and the regime counters — is allocated when first used.
+    """
+
+    lanes = 0
+    invariants: dict | None = None      # memo slot -> value of a closed subplan
+    failed_batch: set | None = None     # sums whose typed attempt failed this run
+    fallbacks: dict | None = None       # sum/merge that ran a Python loop -> why
+    buffers: dict | None = None         # id(obj) -> (obj, LevelView | None)
+    regimes: Counter | None = None      # group-by regime -> reductions that took it
+    lookups: Counter | None = None      # lookup regime -> batched lookups that took it
+    dense_sinks = 0
+    relayouts_built = 0                 # kept re-layouts this run computed ...
+    relayouts_reused = 0                # ... and took from an earlier run
+    levelized = 0                       # collections this run walked into levels
+    proven_guards = 0                   # checks the lanes' proven bounds decided
+    contiguous_reads = 0                # gathers and expansions read as one slice
+    segment_tables = 0                  # sums answered from a per-segment table
 
     def __init__(self, env: Mapping[str, Any], profile=None,
-                 dense_shape: tuple[int, ...] | None = None):
+                 dense_shape: tuple[int, ...] | None = None, views: list | None = None):
         self.env = env
         self.facts = getattr(env, "facts", None) or {}   # id(array) -> ArrayFact
-        self.batched = False
-        self.lanes = 0
-        self.invariants: dict = {}
-        self.failed_batch: set = set()   # sums whose typed attempt failed this run
-        self.fallbacks: dict = {}        # sum/merge that ran a Python loop -> why
-        self.buffers: dict = {}          # id(obj) -> (obj, LevelView | None)
-        self.profile = profile           # optional ExecutionProfile (loop counts)
-        self.regimes: Counter = Counter()  # group-by regime -> reductions that took it
-        self.lookups: Counter = Counter()  # lookup regime -> batched lookups that took it
+        self.views = views                 # prefix slot -> its root window, once made
+        self.profile = profile             # optional ExecutionProfile (loop counts)
         self.dense_shape = dense_shape     # the root reduction's dense sink, if any
-        self.dense_sinks = 0
-        self.relayouts_built = 0           # kept re-layouts this run computed ...
-        self.relayouts_reused = 0          # ... and took from an earlier run
-        self.levelized = 0                 # collections this run walked into levels
-        self.proven_guards = 0             # checks the lanes' proven bounds decided
-        self.contiguous_reads = 0          # gathers and expansions read as one slice
-        self.segment_tables = 0            # sums answered from a per-segment table
 
 
 _Closure = Callable[[list, _Runtime], Any]
+
+
+def _count_regime(rt: _Runtime, regime: str) -> None:
+    if rt.regimes is None:
+        rt.regimes = Counter()
+    rt.regimes[regime] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +349,70 @@ _Closure = Callable[[list, _Runtime], Any]
 
 def _num(data: np.ndarray) -> np.ndarray:
     """Promote bool arrays for arithmetic (``True + True`` must be 2, not OR)."""
-    return data.astype(np.int64) if data.dtype == np.bool_ else data
+    return data.astype(np.int64) if data.dtype.kind == "b" else data
+
+
+def _lane_bounds(value) -> tuple[int, int] | None:
+    """The proven bounds of a per-lane integer operand: a :class:`TBatch`'s, or
+    an integer scalar's own value."""
+    if value.__class__ is TBatch:
+        return value.bounds
+    if value.__class__ is int:
+        return value, value
+    if isinstance(value, (int, np.integer)):
+        return int(value), int(value)
+    return None
 
 
 def _lane_data(value):
     """Unwrap a scalar-or-:class:`TBatch` operand for element-wise ops."""
-    if isinstance(value, TBatch):
+    if value.__class__ is TBatch:
         return value.data
-    if is_scalar(value):
+    if isinstance(value, Scalar):
         return value
     raise Untyped(f"non-scalar operand of type {type(value).__name__} in batched body")
 
 
 def _lane_num(value):
-    data = _lane_data(value)
-    return _num(data) if isinstance(data, np.ndarray) else data
+    if value.__class__ is TBatch:
+        return _num(value.data)
+    return _lane_data(value)
 
 
-def _product(left, right) -> np.ndarray:
+def _magnitude(value) -> float | None:
+    """A bound on ``|value|`` on every lane when every lane is proven finite."""
+    if value.__class__ is TBatch:
+        return value.finite
+    if isinstance(value, Scalar):
+        try:
+            bound = abs(float(value))
+        except OverflowError:
+            return None
+        return bound if bound <= _FINITE_LIMIT else None
+    return None
+
+
+def _times(left: float | None, right: float | None) -> float | None:
+    """The magnitude bound of a product (or of a sum of ``right`` terms)."""
+    if left is None or right is None:
+        return None
+    bound = left * right
+    return bound if bound <= _FINITE_LIMIT else None
+
+
+def _plus(left: float | None, right: float | None) -> float | None:
+    if left is None or right is None:
+        return None
+    bound = left + right
+    return bound if bound <= _FINITE_LIMIT else None
+
+
+def _product(left, right, proven: bool = False) -> np.ndarray:
     """``left * right`` per lane, with a zero factor annihilating as in
-    ``v_mul``: ``0 * inf`` and ``0 * nan`` are 0, not NaN."""
+    ``v_mul``: ``0 * inf`` and ``0 * nan`` are 0, not NaN.  ``proven``: both
+    factors are proven finite, so no lane can be NaN and nothing is scanned."""
     product = left * right
-    if product.dtype.kind == "f" and np.isnan(product).any():
+    if not proven and product.dtype.kind == "f" and np.isnan(product).any():
         product = np.where((left == 0) | (right == 0), 0.0, product)
     return product
 
@@ -349,8 +423,7 @@ def _int_lanes(data: np.ndarray):
     Integral lanes convert exactly; non-integral / non-finite float lanes are
     flagged invalid (they can never hit an integer-keyed container).
     """
-    data = np.asarray(data)
-    if data.dtype == np.bool_ or data.dtype.kind in ("i", "u"):
+    if data.dtype.kind in "biu":
         return data.astype(np.int64, copy=False), None
     if data.dtype.kind == "f":
         finite = np.isfinite(data) & (np.abs(data) < float(1 << 62))
@@ -362,16 +435,18 @@ def _int_lanes(data: np.ndarray):
 
 def _trunc_lanes(value, lanes: int) -> np.ndarray:
     """Per-lane ``int()`` truncation for range/slice bounds."""
-    if isinstance(value, TBatch):
-        data = np.asarray(value.data)
-        if data.dtype == np.bool_ or data.dtype.kind in ("i", "u"):
-            return data.astype(np.int64, copy=False)
+    if value.__class__ is TBatch:
+        data = value.data
+        if data.dtype is _I64:
+            return data
+        if data.dtype.kind in "biu":
+            return data.astype(np.int64)
         if data.dtype.kind == "f":
             if not (np.all(np.isfinite(data)) and np.all(np.abs(data) < float(1 << 62))):
                 raise Untyped("non-finite range bound in batched body")
             return np.trunc(data).astype(np.int64)
         raise Untyped(f"cannot use dtype {data.dtype} as a range bound")
-    if is_scalar(value):
+    if isinstance(value, Scalar):
         try:
             bound = int(value)
         except (ValueError, OverflowError):
@@ -387,12 +462,19 @@ def _array(value) -> np.ndarray | None:
     return value if isinstance(value, np.ndarray) and value.ndim == 1 else None
 
 
+def _fact(rt: _Runtime, array: np.ndarray):
+    """The declared :class:`~repro.storage.facts.ArrayFact` of this very array."""
+    fact = rt.facts.get(id(array))
+    return fact if fact is not None and fact.array is array else None
+
+
 def _stored(rt: _Runtime, value) -> TWindow | None:
     """The root window of a stored input, ``None`` when it has none.
 
-    A 1-D array, a range and a slice of a 1-D array are dense; any other
-    collection is a compressed level: a :class:`BufferDict`'s own, a stored
-    hash-map's or trie's levelized view (built once, by
+    A 1-D array, a range and a slice of a 1-D array are dense, with the
+    array's declared fact; any other collection is a compressed level: a
+    :class:`BufferDict`'s own, a stored hash-map's or trie's levelized view
+    (built once, by
     :meth:`~repro.storage.physical.PhysicalHashMap.level_view`), or else one
     :func:`to_buffer_levels` walk per run, cached with a strong reference to
     the source, so an ``id()`` cannot be recycled into a stale hit mid-run.
@@ -401,19 +483,21 @@ def _stored(rt: _Runtime, value) -> TWindow | None:
     if isinstance(value, PhysicalArray):
         value = value.data
     if isinstance(value, np.ndarray) and value.ndim == 1:
-        return TWindow(0, value.shape[0], value, None, True)
+        return TWindow(0, value.shape[0], value, None, True, fact=_fact(rt, value))
     if isinstance(value, RangeDict):
         return TWindow(value.lo, value.hi)
     if isinstance(value, SliceDict):
         array = _array(value.target)
         if array is not None:
-            return TWindow(value.lo, value.hi, array)
+            return TWindow(value.lo, value.hi, array, fact=_fact(rt, array))
     if isinstance(value, BufferDict):
         return TWindow(value.lo, value.hi, levels=value.levels, level=value.level)
     if isinstance(value, (PhysicalHashMap, PhysicalTrie)):
         rt.levelized += not value.levelized
         view = value.level_view()
     else:
+        if rt.buffers is None:
+            rt.buffers = {}
         hit = rt.buffers.get(id(value))
         if hit is None:
             rt.levelized += 1
@@ -422,6 +506,14 @@ def _stored(rt: _Runtime, value) -> TWindow | None:
     if view is None:
         return None
     return TWindow(view.lo, view.hi, levels=view.levels, level=view.level)
+
+
+def _sym_window(rt: _Runtime, frames: list, slot: int):
+    """The root window of the global at prefix ``slot`` (``False``: it has
+    none), made by :func:`_stored` once per run.  The run's prologue makes
+    the windows of stored arrays; callers look in ``rt.views`` first."""
+    window = rt.views[slot] = _stored(rt, frames[slot]) or False
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +546,8 @@ class _LaneMap:
 class _Deferred:
     """An enclosing binding not yet gathered onto the current lane space.
 
-    Only :class:`Idx` reads frames, and it forces the binding; one that the
-    body never reads is never expanded.
+    Only a read of the binder forces it; one that the body never reads is
+    never expanded.
     """
 
     __slots__ = ("value", "lanes", "forced")
@@ -467,34 +559,40 @@ class _Deferred:
 
     def force(self, rt: "_Runtime"):
         if self.forced is None:
-            self.forced = _reindex(rt, self.value, self.lanes.index)
+            lanes = self.lanes
+            self.forced = _reindex(rt, self.value, lanes._index if lanes._index is not None
+                                   else lanes.index)
         return self.forced
 
 
-def _defer_frames(frames: list, parent: np.ndarray) -> list:
-    """The frames as seen from the lanes a ``parent`` expansion creates."""
+def _defer(frames: list, reads: tuple, parent: np.ndarray) -> None:
+    """Map, in place, the enclosing lane bindings an expanded body reads onto
+    the lanes a ``parent`` expansion creates (each is gathered when first
+    read, :class:`_Deferred`).
+
+    ``reads`` are ``(position, deferred)`` pairs fixed when lowering:
+    ``deferred`` marks a binding of a lane space further out, already a
+    :class:`_Deferred`, whose lane map gains one more step.
+    """
     step = _LaneMap(parent)
     chains: dict[int, _LaneMap] = {}    # id(map to the current lanes) -> map to the new ones
-    deferred = []
-    for frame in frames:
-        if isinstance(frame, _Deferred):
-            if frame.forced is not None:
-                frame = _Deferred(frame.forced, step)
-            else:
-                chain = chains.get(id(frame.lanes))
-                if chain is None:
-                    chain = chains[id(frame.lanes)] = _LaneMap(parent, frame.lanes)
-                frame = _Deferred(frame.value, chain)
-        elif _is_batched(frame):
-            frame = _Deferred(frame, step)
-        deferred.append(frame)
-    return deferred
+    for position, deferred in reads:
+        frame = frames[position]
+        if not deferred:
+            frames[position] = _Deferred(frame, step)
+        elif frame.forced is not None:
+            frames[position] = _Deferred(frame.forced, step)
+        else:
+            chain = chains.get(id(frame.lanes))
+            if chain is None:
+                chain = chains[id(frame.lanes)] = _LaneMap(parent, frame.lanes)
+            frames[position] = _Deferred(frame.value, chain)
 
 
 def _reindex(rt: _Runtime, value, parent: np.ndarray):
     """Re-map a per-lane value onto an expanded lane space (``new -> old``)."""
-    if isinstance(value, TBatch):
-        return TBatch(value.data[parent], value.bounds)
+    if value.__class__ is TBatch:
+        return TBatch(value.data[parent], value.bounds, None, value.finite)
     if isinstance(value, TFlat):
         value = _bag_window(rt, value, int(parent.max()) + 1 if parent.shape[0] else 0)
     if isinstance(value, TWindow):
@@ -523,16 +621,6 @@ def _within(bounds: tuple[int, int] | None, lo, hi) -> bool:
     return bounds is not None and bounds[0] >= lo and bounds[1] <= hi
 
 
-def _lane_bounds(value) -> tuple[int, int] | None:
-    """The proven bounds of a per-lane integer operand: a :class:`TBatch`'s, or
-    an integer scalar's own value."""
-    if isinstance(value, TBatch):
-        return value.bounds
-    if isinstance(value, (int, np.integer)):
-        return int(value), int(value)
-    return None
-
-
 def _decide(op: str, left, right) -> bool | None:
     """The value of ``left op right`` on every lane, when the operands'
     proven bounds decide it; ``None`` when they do not."""
@@ -549,31 +637,9 @@ def _decide(op: str, left, right) -> bool | None:
     return equal if equal is None or op == "==" else not equal
 
 
-def _int_bounds(data: np.ndarray, left, right) -> tuple[int, int] | None:
-    """Bounds of ``left + right`` from the operands' (integer lanes only, and
-    only while no lane can have wrapped around)."""
-    if data.dtype.kind not in "iu":
-        return None
-    lb, rb = _lane_bounds(left), _lane_bounds(right)
-    if lb is None or rb is None:
-        return None
-    return _int64_bounds(lb[0] + rb[0], lb[1] + rb[1])
-
-
 def _int64_bounds(lo: int, hi: int) -> tuple[int, int] | None:
     """``(lo, hi)`` when int64 lanes between them cannot have wrapped around."""
     return (lo, hi) if -(1 << 63) <= lo and hi < (1 << 63) else None
-
-
-def _fact(rt: _Runtime, array: np.ndarray):
-    """The declared :class:`~repro.storage.facts.ArrayFact` of this very array."""
-    fact = rt.facts.get(id(array))
-    return fact if fact is not None and fact.array is array else None
-
-
-def _fact_bounds(rt: _Runtime, array: np.ndarray) -> tuple[int, int] | None:
-    fact = _fact(rt, array)
-    return None if fact is None else (fact.lo, fact.hi)
 
 
 def _gather(target: np.ndarray | None, keys: np.ndarray):
@@ -586,49 +652,64 @@ def _gather(target: np.ndarray | None, keys: np.ndarray):
     if _all_inside(keys, size):
         return _num(target[keys])
     valid = (keys >= 0) & (keys < size)
-    return np.where(valid, _num(target[np.clip(keys, 0, size - 1)]), 0)
+    return np.where(valid, _num(target[np.minimum(np.maximum(keys, 0), size - 1)]), 0)
 
 
-def _read(rt: _Runtime, target: np.ndarray | None, keys: TBatch) -> TBatch:
+def _read(rt: _Runtime, target: np.ndarray | None, fact, keys: TBatch) -> TBatch:
     """:func:`_gather` of the per-lane positions ``keys``, using what is proven.
 
     Keys that are a run ``start:start+n`` inside ``target`` read the view
     ``target[start:start+n]``; keys proven inside it are gathered with no
-    bounds scan.  Either way the lanes carry ``target``'s declared bounds.
+    bounds scan.  Either way the lanes carry what ``fact`` (``target``'s
+    declared fact, or ``None``) proves: bounds, and a finite magnitude.
     """
     if target is None:
         return keys
+    if fact is None:
+        bounds = finite = None
+    else:
+        bounds = None if fact.lo is None else (fact.lo, fact.hi)
+        finite = fact.finite
     size = target.shape[0]
     if size:
-        run = keys.run
-        if run is not None and run[0] is None and 0 <= run[1] \
-                and run[1] + keys.data.shape[0] <= size:
+        run, lanes = keys.run, keys.data.shape[0]
+        if run is not None and run[0] is None and 0 <= run[1] and run[1] + lanes <= size:
             rt.contiguous_reads += 1
             start = run[1]
-            return TBatch(_num(target[start:start + keys.data.shape[0]]),
-                          _fact_bounds(rt, target), (target, start))
-        if _within(keys.bounds, 0, size - 1):
+            values = target[start:start + lanes]
+            if values.dtype.kind == "b":
+                values = values.astype(np.int64)
+            return TBatch(values, bounds, (target, start, fact), finite)
+        proven = keys.bounds
+        if proven is not None and proven[0] >= 0 and proven[1] < size:
             rt.proven_guards += 1
-            return TBatch(_num(target[keys.data]), _fact_bounds(rt, target))
-    return TBatch(_gather(target, keys.data))
+            values = target[keys.data]
+            if values.dtype.kind == "b":
+                values = values.astype(np.int64)
+            return TBatch(values, bounds, None, finite)
+    return TBatch(_gather(target, keys.data), None, None, finite)
 
 
-def _batched_slice(rt: _Runtime, target: np.ndarray | None, lo, hi) -> TWindow:
+def _batched_slice(rt: _Runtime, target: np.ndarray | None, fact, lo, hi) -> TWindow:
     """``target(lo:hi)`` (the range ``lo:hi`` when ``target`` is ``None``) with
     bounds per lane, and what they prove: the span of its keys, and whether
     it is ``P(s):P(s+1)`` over a run ``s`` and a ``P`` declared non-decreasing.
+    ``fact`` is ``target``'s declared fact.
     """
-    lo_lanes, hi_lanes = _trunc_lanes(lo, rt.lanes), _trunc_lanes(hi, rt.lanes)
-    lo_bounds, hi_bounds = _lane_bounds(lo), _lane_bounds(hi)
+    if lo.__class__ is TBatch and hi.__class__ is TBatch \
+            and lo.data.dtype is _I64 and hi.data.dtype is _I64:
+        lo_lanes, hi_lanes, lo_bounds, hi_bounds = lo.data, hi.data, lo.bounds, hi.bounds
+    else:
+        lo_lanes, hi_lanes = _trunc_lanes(lo, rt.lanes), _trunc_lanes(hi, rt.lanes)
+        lo_bounds, hi_bounds = _lane_bounds(lo), _lane_bounds(hi)
     span = None if lo_bounds is None or hi_bounds is None else (lo_bounds[0], hi_bounds[1])
     contiguous = False
-    if isinstance(lo, TBatch) and isinstance(hi, TBatch) \
+    if lo.__class__ is TBatch and hi.__class__ is TBatch \
             and lo.run is not None and hi.run is not None:
-        (source, start), (hi_source, hi_start) = lo.run, hi.run
-        if source is not None and hi_source is source and hi_start == start + 1:
-            fact = _fact(rt, source)
-            contiguous = fact is not None and fact.ordered
-    return TWindow(lo_lanes, hi_lanes, target, span, contiguous)
+        (source, start, source_fact), (hi_source, hi_start, _) = lo.run, hi.run
+        contiguous = (source is not None and hi_source is source and hi_start == start + 1
+                      and source_fact is not None and source_fact.ordered)
+    return TWindow(lo_lanes, hi_lanes, target, span, contiguous, fact=fact)
 
 
 def _window_entries(rt: _Runtime, window: TWindow):
@@ -639,19 +720,21 @@ def _window_entries(rt: _Runtime, window: TWindow):
     run of ``s`` — is the one range ``lo[0]:hi[-1]``: one ``repeat`` for the
     parent map and no clamp or contiguity scan (:func:`expand_lanes`).
     """
-    lo, hi = window.bounds()
+    lo, hi = (window.lo, window.hi) if window.lo is not None else window.bounds()
     if window.contiguous and lo.shape[0]:
         start, end = int(lo[0]), int(hi[-1])
         counts = hi - lo
-        parent = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+        parent = np.arange(counts.shape[0], dtype=np.int64).repeat(counts)
         rt.contiguous_reads += 1
         positions = TBatch(np.arange(start, end, dtype=np.int64), (start, end - 1),
-                           (None, start))
+                           (None, start, None))
     else:   # a compressed window's bounds come from a non-decreasing segment array
         counts = hi - lo if window.levels is not None else np.maximum(hi - lo, 0)
         parent, positions = expand_lanes(lo, counts)
         span = window.span
         positions = TBatch(positions, None if span is None else (span[0], span[1] - 1))
+    if window.levels is None and window.scale is None:
+        return parent, positions, _read(rt, window.target, window.fact, positions), counts
     scale = None if window.scale is None else window.scale[parent]
     return (parent, *_entries(rt, window, positions, scale), counts)
 
@@ -663,16 +746,19 @@ def _entries(rt: _Runtime, window: TWindow, positions, scale: np.ndarray | None 
     level are the windows of the entries' children."""
     levels = window.levels
     if levels is None:
-        keys, values = positions, _read(rt, window.target, positions)
+        keys, values = positions, _read(rt, window.target, window.fact, positions)
     else:
-        pos = positions.data if isinstance(positions, TBatch) else positions
+        pos = positions.data if positions.__class__ is TBatch else positions
         keys = TBatch(levels.keys[window.level][pos], levels.known_bounds(window.level))
         if window.level < levels.depth - 1:
-            if not isinstance(pos, np.ndarray):
+            lo = hi = None
+            if not isinstance(pos, np.ndarray):   # a whole run of entries: bounds are views
+                seg = levels.seg[window.level + 1]
+                lo, hi = seg[pos.start:pos.stop], seg[pos.start + 1:pos.stop + 1]
                 pos = np.arange(pos.start, pos.stop, dtype=np.int64)
-            return keys, TWindow(None, None, levels=levels, level=window.level + 1,
+            return keys, TWindow(lo, hi, levels=levels, level=window.level + 1,
                                  owner=pos, scale=scale)
-        values = TBatch(levels.values[pos])
+        values = TBatch(levels.values[pos], None, None, levels.finite)
     if scale is not None:
         values = TBatch(_product(values.data, scale))
     return keys, values
@@ -691,7 +777,10 @@ def _flatten(rt: _Runtime, value) -> TFlat:
         rows = rows[parent]
         cols = [col[parent] for col in cols] + [keys.data]
         bounds.append(keys.bounds)
-    return TFlat(cols, np.asarray(value.data).astype(np.float64, copy=False), rows, bounds)
+    vals = value.data
+    if vals.dtype is not _F64:
+        vals = vals.astype(np.float64)
+    return TFlat(cols, vals, rows, bounds, finite=value.finite)
 
 
 def _bag_window(rt: _Runtime, bag: TFlat, lanes: int) -> TWindow:
@@ -705,10 +794,11 @@ def _bag_window(rt: _Runtime, bag: TFlat, lanes: int) -> TWindow:
     """
     cols = [bag.rows] + bag.cols
     take, sums, regime = group_sum(cols, bag.vals)
-    rt.regimes[regime] += 1
+    _count_regime(rt, regime)
     if take is not None:
         cols = [col[take] for col in cols]
     levels = BufferLevels.from_sorted_columns(cols, sums)
+    levels.finite = _times(bag.finite, bag.vals.shape[0])   # a sum of at most that many
     roots = levels.keys[0]
     if roots.shape[0]:
         lanes = max(lanes, int(roots[-1]) + 1)
@@ -717,17 +807,20 @@ def _bag_window(rt: _Runtime, bag: TFlat, lanes: int) -> TWindow:
     return TWindow(None, None, levels=levels, level=1, owner=owner)
 
 
-def _group_result(rt: _Runtime, cols: list, vals: np.ndarray):
-    """Group-by-sum an entry bag into a :class:`BufferDict` (or 0)."""
-    take, sums, regime = group_sum(cols, np.asarray(vals, dtype=np.float64))
-    rt.regimes[regime] += 1
+def _group_result(rt: _Runtime, cols: list, vals: np.ndarray, finite: float | None = None):
+    """Group-by-sum an entry bag into a :class:`BufferDict` (or 0); ``finite``
+    bounds the magnitude of ``vals``, and so, times their number, the sums'."""
+    take, sums, regime = group_sum(cols, vals)
+    _count_regime(rt, regime)
     if sums.size == 0:
         return 0
     if take is None:    # passed through: a result shares no memory with a stored array
         cols, sums = [col.copy() for col in cols], sums.copy()
     else:
         cols = [col[take] for col in cols]
-    return BufferDict(BufferLevels.from_sorted_columns(cols, sums))
+    levels = BufferLevels.from_sorted_columns(cols, sums)
+    levels.finite = _times(finite, vals.shape[0])
+    return BufferDict(levels)
 
 
 def _dense_sink(rt: _Runtime, flat: TFlat, shape: tuple[int, ...]):
@@ -752,10 +845,10 @@ def _dense_sink(rt: _Runtime, flat: TFlat, shape: tuple[int, ...]):
         elif col.shape[0] and (int(col.min()) < 0 or int(col.max()) >= extent):
             return None
         flat_keys = col if flat_keys is None else flat_keys * extent + col
-    sums = np.bincount(flat_keys, weights=np.asarray(flat.vals, dtype=np.float64),
-                       minlength=math.prod(shape))
-    # An empty bag (every lane masked or zero) comes back as int64.
-    return sums.astype(np.float64, copy=False).reshape(shape)
+    sums = np.bincount(flat_keys, weights=flat.vals, minlength=math.prod(shape))
+    if sums.dtype is not _F64:  # an empty bag (every lane masked or zero) gives int64
+        sums = sums.astype(np.float64)
+    return sums.reshape(shape)
 
 
 def _reduce_lanes(rt: _Runtime, body, lanes: int, root: bool = False):
@@ -764,32 +857,41 @@ def _reduce_lanes(rt: _Runtime, body, lanes: int, root: bool = False):
     The reduction at the ``root`` of a run with a dense shape returns a
     :class:`DenseResult` when :func:`_dense_sink` takes the entry bag.
     """
-    if isinstance(body, TBatch):
+    if body.__class__ is TBatch:
         return body.data.sum().item()
-    if _is_dict_batched(body):
-        flat = _flatten(rt, body)
+    if body.__class__ is TFlat or body.__class__ is TWindow:
+        flat = body if body.__class__ is TFlat else _flatten(rt, body)
         if root and rt.dense_shape is not None:
             dense = _dense_sink(rt, flat, rt.dense_shape)
             if dense is not None:
                 rt.dense_sinks += 1
                 return DenseResult(dense)
-        return _group_result(rt, flat.cols, flat.vals)
+        return _group_result(rt, flat.cols, flat.vals, flat.finite)
     # Constant across lanes (the body used no batched variable).
     return v_mul(lanes, body)
 
 
 def _reduce_expanded(rt: _Runtime, body, parent: np.ndarray, out_lanes: int,
                      counts: np.ndarray):
-    """Collapse an expanded sum body back onto the outer lane space."""
-    if isinstance(body, TBatch):
-        return TBatch(parent_sum(parent, _num(body.data), out_lanes))
-    if _is_dict_batched(body):
-        flat = _flatten(rt, body)
-        return TFlat(flat.cols, flat.vals, parent[flat.rows], flat.bounds)
-    if is_scalar(body):
+    """Collapse an expanded sum body back onto the outer lane space.  A lane
+    sums at most ``parent.shape[0]`` terms, which bounds its magnitude."""
+    if body.__class__ is TBatch:
+        data, finite = body.data, body.finite
+        if finite is not None:
+            finite *= parent.shape[0]
+        return TBatch(parent_sum(parent, data.astype(np.int64) if data.dtype.kind == "b"
+                                 else data, out_lanes), None, None,
+                      finite if finite is not None and finite <= _FINITE_LIMIT else None)
+    if body.__class__ is TFlat or body.__class__ is TWindow:
+        flat = body if body.__class__ is TFlat else _flatten(rt, body)
+        return TFlat(flat.cols, flat.vals, parent[flat.rows], flat.bounds,
+                     finite=flat.finite)
+    if isinstance(body, Scalar):
         if is_zero(body):
             return 0
-        return TBatch(_product(counts.astype(np.float64), float(body)))
+        finite = _magnitude(body)
+        return TBatch(_product(counts.astype(np.float64), float(body), finite is not None),
+                      None, None, _times(finite, parent.shape[0]))
     # A loop-invariant dictionary summed `counts[i]` times per outer lane.
     return _invariant_lanes(rt, body, counts > 0, counts.astype(np.float64),
                             "loop-invariant dictionary body does not flatten")
@@ -803,7 +905,7 @@ def _invariant_lanes(rt: _Runtime, value, keep: np.ndarray, scale: np.ndarray | 
     window, lanes = _stored(rt, value), keep.shape[0]
     if window is not None and window.levels is None:
         window = TWindow(np.full(lanes, window.lo), np.full(lanes, window.hi),
-                         window.target, span=(window.lo, window.hi))
+                         window.target, span=(window.lo, window.hi), fact=window.fact)
     elif window is not None and window.level == 0 and window.lo == 0 \
             and window.hi == window.levels.keys[0].shape[0]:
         window = TWindow(None, None, levels=window.levels,
@@ -815,15 +917,15 @@ def _invariant_lanes(rt: _Runtime, value, keep: np.ndarray, scale: np.ndarray | 
 
 def _apply_mask(rt: _Runtime, result, mask: np.ndarray):
     """Zero out the lanes where ``mask`` is False (``if`` filtering)."""
-    if isinstance(result, TBatch):
-        return TBatch(np.where(mask, _num(result.data), 0))
+    if result.__class__ is TBatch:
+        return TBatch(np.where(mask, _num(result.data), 0), None, None, result.finite)
     if isinstance(result, TFlat):
         keep = mask[result.rows]
         return TFlat([c[keep] for c in result.cols], result.vals[keep],
-                     result.rows[keep], result.bounds)
+                     result.rows[keep], result.bounds, finite=result.finite)
     if isinstance(result, TWindow):
         return result.masked(mask)
-    if is_scalar(result):
+    if isinstance(result, Scalar):
         if is_zero(result):
             return 0
         return TBatch(np.where(mask, result, 0))
@@ -838,63 +940,76 @@ def _apply_mask(rt: _Runtime, result, mask: np.ndarray):
 
 def _range_lanes(lo: int, hi: int) -> TBatch:
     """The keys ``lo:hi``, one per lane, with what that proves."""
-    return TBatch(np.arange(lo, hi, dtype=np.int64), (lo, hi - 1), (None, lo))
+    return TBatch(np.arange(lo, hi, dtype=np.int64), (lo, hi - 1), (None, lo, None))
 
 
-def _iteration_space(rt: _Runtime, source):
+def _iteration_space(rt: _Runtime, source, window=None):
     """``(keys, values)`` of a non-batched collection's entries, one lane
     each, else ``None``: the iteration of a non-batched sum, the merge join
-    and the cross product of a loop-invariant source.
+    and the cross product of a loop-invariant source.  ``window`` is the
+    source's root window when the caller has it (``False``: it has none).
 
     A nested dictionary's value side is the :class:`TWindow` of each
     entry's children.
     """
-    window = _stored(rt, source)
     if window is None:
+        if source.__class__ is RangeDict:
+            keys = _range_lanes(source.lo, source.hi)
+            return keys, keys
+        window = _stored(rt, source)
+    if not window:
         return None
     if window.levels is not None:
         return _entries(rt, window, slice(window.lo, window.hi))
     keys = _range_lanes(window.lo, window.hi)
     if window.contiguous:   # a whole stored array: its values as they are
-        target = window.target
-        return keys, TBatch(target, _fact_bounds(rt, target), (target, 0))
-    return keys, _read(rt, window.target, keys)
+        target, fact = window.target, window.fact
+        if fact is None:
+            return keys, TBatch(target, None, (target, 0, None))
+        return keys, TBatch(target, None if fact.lo is None else (fact.lo, fact.hi),
+                            (target, 0, fact), fact.finite)
+    return keys, _read(rt, window.target, window.fact, keys)
 
 
-def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None):
+def _lookup_batched(rt: _Runtime, target, key: TBatch, valid: np.ndarray | None,
+                    window=None):
     """Per-lane point lookup ``target(key[i])``, ``None`` when the target kind
     does not support a batched lookup.
 
     ``key`` holds int64 lanes; ``valid``, when given, marks the lanes whose
     key is an integer at all (the others miss).  A stored input is looked
-    up through its root window (:func:`_stored`); a whole 1-D array's is
-    read from the array itself, so the most common lookup allocates no
-    window.  An entry bag is looked up through its window
-    (:func:`_bag_window`).
+    up through its root window (``window`` when the caller has it, else
+    :func:`_stored`); a whole 1-D array's is read from the array itself.
+    An entry bag is looked up through its window (:func:`_bag_window`).
     """
-    if not isinstance(target, (TWindow, TFlat, TBatch)):
-        array = _array(target)
-        if array is not None:
-            return _lookup_dense(rt, array, 0, array.shape[0], True, None, key, valid)
-        if is_scalar(target) and is_zero(target):
-            return 0
-        target = _stored(rt, target)
-        if target is None:
-            return None
-    elif isinstance(target, TFlat):
-        target = _bag_window(rt, target, key.data.shape[0])
-    elif isinstance(target, TBatch):
-        return None     # a scalar per lane
-    if target.levels is None:
-        return _lookup_dense(rt, target.target, target.lo, target.hi, target.contiguous,
-                             target.scale, key, valid)
-    return _lookup_compressed(rt, target, key, valid)
+    if window is None:
+        if not isinstance(target, (TWindow, TFlat, TBatch)):
+            array = _array(target)
+            if array is not None:
+                return _lookup_dense(rt, array, 0, array.shape[0], True, None,
+                                     _fact(rt, array), key, valid)
+            if isinstance(target, Scalar) and is_zero(target):
+                return 0
+            window = _stored(rt, target)
+            if window is None:
+                return None
+        elif isinstance(target, TFlat):
+            window = _bag_window(rt, target, key.data.shape[0])
+        elif target.__class__ is TBatch:
+            return None     # a scalar per lane
+        else:
+            window = target
+    if window.levels is None:
+        return _lookup_dense(rt, window.target, window.lo, window.hi, window.contiguous,
+                             window.scale, window.fact, key, valid)
+    return _lookup_compressed(rt, window, key, valid)
 
 
 def _lookup_dense(rt: _Runtime, target: np.ndarray | None, lo, hi, whole: bool,
-                  scale: np.ndarray | None, key: TBatch, valid: np.ndarray | None):
+                  scale: np.ndarray | None, fact, key: TBatch, valid: np.ndarray | None):
     """:func:`_lookup_batched` in the dense window ``[lo, hi)`` of ``target``
-    (``whole``: a whole stored array), whose keys are positions.
+    (``whole``: a whole stored array; ``fact``: its declared fact), whose
+    keys are positions.
 
     Keys proven inside a root window are read as :func:`_read` reads them
     (a whole stored array's own bounds are the window's); elsewhere a lane
@@ -904,14 +1019,15 @@ def _lookup_dense(rt: _Runtime, target: np.ndarray | None, lo, hi, whole: bool,
     if valid is None and not isinstance(lo, np.ndarray) and (
             whole or _within(key.bounds, lo, hi - 1)):
         rt.proven_guards += not whole
-        return _read(rt, target, key)
+        return _read(rt, target, fact, key)
     found = (keys >= lo) & (keys < hi)
     if valid is not None:
         found &= valid
     values = _gather(target, keys)
+    finite = None if fact is None or target is None else fact.finite
     if scale is not None:
-        values = _product(values, scale)
-    return TBatch(np.where(found, values, 0))
+        values, finite = _product(values, scale), None
+    return TBatch(np.where(found, values, 0), None, None, finite)
 
 
 def _lookup_compressed(rt: _Runtime, window: TWindow, key: TBatch,
@@ -934,14 +1050,16 @@ def _lookup_compressed(rt: _Runtime, window: TWindow, key: TBatch,
             raise Untyped("composite key overflow in nested lookup")
         pos, found, regime = hit
         rt.proven_guards += _within(key.bounds, *levels.key_bounds(level))
+    if rt.lookups is None:
+        rt.lookups = Counter()
     rt.lookups[regime] += 1
     if level < levels.depth - 1:
         return TWindow(None, None, levels=levels, level=level + 1,
                        owner=np.where(found, pos, -1), scale=window.scale)
-    values = _safe_gather(levels.values, pos, found)
+    values, finite = _safe_gather(levels.values, pos, found), levels.finite
     if window.scale is not None:
-        values = _product(values, window.scale)
-    return TBatch(np.where(found, values, 0))
+        values, finite = _product(values, window.scale), None
+    return TBatch(np.where(found, values, 0), None, None, finite)
 
 
 def _expand_source(rt: _Runtime, source, lanes: int):
@@ -956,9 +1074,9 @@ def _expand_source(rt: _Runtime, source, lanes: int):
         source = _bag_window(rt, source, lanes)
     if isinstance(source, TWindow):
         return _window_entries(rt, source)
-    if _is_batched(source):
+    if source.__class__ is TBatch:
         raise Untyped(f"cannot iterate {type(source).__name__} in batched body")
-    if is_scalar(source):
+    if isinstance(source, Scalar):
         if is_zero(source):
             return 0
         raise Untyped("sum over a non-zero scalar")
@@ -972,14 +1090,22 @@ def _expand_source(rt: _Runtime, source, lanes: int):
         return 0
     if lanes * size > _EXPANSION_CAP:
         raise Untyped("cross-product expansion exceeds the lane cap")
-    parent = np.repeat(np.arange(lanes, dtype=np.int64), size)
-    keys = TBatch(np.tile(inner_keys.data, lanes), inner_keys.bounds)
-    if isinstance(inner_values, TBatch):
-        values = TBatch(np.tile(inner_values.data, lanes), inner_values.bounds)
+    parent = np.arange(lanes, dtype=np.int64).repeat(size)
+    keys = TBatch(_tile(inner_keys.data, lanes), inner_keys.bounds)
+    if inner_values.__class__ is TBatch:
+        values = TBatch(_tile(inner_values.data, lanes), inner_values.bounds, None,
+                        inner_values.finite)
     else:
         values = TWindow(None, None, levels=inner_values.levels, level=inner_values.level,
-                         owner=np.tile(inner_values.owner, lanes))
-    return parent, keys, values, np.full(lanes, size, dtype=np.int64)
+                         owner=_tile(inner_values.owner, lanes))
+    counts = np.empty(lanes, dtype=np.int64)
+    counts.fill(size)
+    return parent, keys, values, counts
+
+
+def _tile(data: np.ndarray, times: int) -> np.ndarray:
+    """``np.tile`` of a 1-D array, without its Python-level wrapper."""
+    return data[None, :].repeat(times, axis=0).reshape(-1)
 
 
 def _flat_pairs(rt: _Runtime, value):
@@ -988,27 +1114,28 @@ def _flat_pairs(rt: _Runtime, value):
     Used by the merge join; ``None`` when the collection is nested or not
     array-representable.
     """
-    if is_scalar(value):
+    if isinstance(value, Scalar):
         if not is_zero(value):
             return None
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     space = _iteration_space(rt, value)
-    if space is None or not isinstance(space[1], TBatch):
+    if space is None or space[1].__class__ is not TBatch:
         return None
     keys, values = space
     return keys.data, np.asarray(_num(values.data), dtype=np.float64)
 
 
 def _neg_value(rt: _Runtime, value):
-    if isinstance(value, TBatch):
+    if value.__class__ is TBatch:
         data = -_num(value.data)
         bounds = value.bounds
         return TBatch(data, None if bounds is None or data.dtype.kind not in "iu"
-                      else _int64_bounds(-bounds[1], -bounds[0]))
+                      else _int64_bounds(-bounds[1], -bounds[0]), None, value.finite)
     if isinstance(value, (TFlat, TWindow)):
         flat = _flatten(rt, value)
-        return TFlat(flat.cols, -flat.vals, flat.rows, flat.bounds, flat.every_lane)
-    return v_mul(-1, value) if not is_scalar(value) else -value
+        return TFlat(flat.cols, -flat.vals, flat.rows, flat.bounds, flat.every_lane,
+                     flat.finite)
+    return v_mul(-1, value) if not isinstance(value, Scalar) else -value
 
 
 def _union(left, right):
@@ -1018,48 +1145,75 @@ def _union(left, right):
 
 
 def _add_values(rt: _Runtime, left, right):
-    if is_scalar(left) and is_zero(left):
+    """``left + right`` where either may hold one value per lane."""
+    if isinstance(left, Scalar) and left == 0:
         return right
-    if is_scalar(right) and is_zero(right):
+    if isinstance(right, Scalar) and right == 0:
         return left
-    if not _is_batched(left) and not _is_batched(right):
-        return v_add(left, right)
-    if isinstance(left, TBatch) or isinstance(right, TBatch):
-        data = np.asarray(_lane_num(left) + _lane_num(right))
+    lbatch, rbatch = left.__class__ is TBatch, right.__class__ is TBatch
+    if lbatch or rbatch:
+        ldata = left.data if lbatch else left if isinstance(left, Scalar) else _lane_data(left)
+        rdata = right.data if rbatch else right if isinstance(right, Scalar) \
+            else _lane_data(right)
+        if lbatch and ldata.dtype.kind == "b":
+            ldata = ldata.astype(np.int64)
+        if rbatch and rdata.dtype.kind == "b":
+            rdata = rdata.astype(np.int64)
+        data = ldata + rdata
         # A run of keys plus a constant is a run: `row + 1`.
-        batch, other = (left, right) if isinstance(left, TBatch) else (right, left)
+        batch, other = (left, right) if lbatch else (right, left)
         run = batch.run
         if run is None or run[0] is not None or not isinstance(other, (int, np.integer)):
             run = None
         else:
-            run = (None, run[1] + int(other))
-        return TBatch(data, _int_bounds(data, left, right), run)
+            run = (None, run[1] + int(other), None)
+        bounds = finite = None
+        if data.dtype.kind in "iu":
+            lb = left.bounds if lbatch else (left, left) if left.__class__ is int \
+                else _lane_bounds(left)
+            rb = right.bounds if rbatch else (right, right) if right.__class__ is int \
+                else _lane_bounds(right)
+            if lb is not None and rb is not None:
+                lo, hi = lb[0] + rb[0], lb[1] + rb[1]
+                bounds = (lo, hi) if -(1 << 63) <= lo and hi < (1 << 63) else None
+        else:
+            finite = _plus(_magnitude(left), _magnitude(right))
+        return TBatch(data, bounds, run, finite)
+    if not _is_batched(left) and not _is_batched(right):
+        return v_add(left, right)
     if _is_dict_batched(left) and _is_dict_batched(right):
         lflat = _flatten(rt, left)
         rflat = _flatten(rt, right)
         if len(lflat.cols) != len(rflat.cols):
             raise Untyped("mixed-depth dictionary addition in batched body")
+        finite = None if lflat.finite is None or rflat.finite is None \
+            else max(lflat.finite, rflat.finite)
         return TFlat([np.concatenate([a, b]) for a, b in zip(lflat.cols, rflat.cols)],
                      np.concatenate([lflat.vals, rflat.vals]),
                      np.concatenate([lflat.rows, rflat.rows]),
-                     [_union(a, b) for a, b in zip(lflat.bounds, rflat.bounds)])
+                     [_union(a, b) for a, b in zip(lflat.bounds, rflat.bounds)],
+                     finite=finite)
     raise Untyped("dictionary addition does not batch")
 
 
 def _scale_dict(rt: _Runtime, dct, factor):
     """``factor * dct`` where ``dct`` is per-lane and ``factor`` scalar-per-lane."""
-    if is_scalar(factor):
+    if isinstance(factor, Scalar):
         if is_zero(factor):
             return 0
+        magnitude = _magnitude(factor)
     else:
+        magnitude = factor.finite
         factor = _num(factor.data)
     if isinstance(dct, TWindow) and dct.levels is None:
         dct = _flatten(rt, dct)   # read now, while it may be one range
     if isinstance(dct, TFlat):
-        scale = factor if is_scalar(factor) or dct.every_lane else factor[dct.rows]
-        return TFlat(dct.cols, _product(dct.vals, scale), dct.rows, dct.bounds, dct.every_lane)
+        scale = factor if isinstance(factor, Scalar) or dct.every_lane else factor[dct.rows]
+        proven = dct.finite is not None and magnitude is not None
+        return TFlat(dct.cols, _product(dct.vals, scale, proven), dct.rows, dct.bounds,
+                     dct.every_lane, _times(dct.finite, magnitude))
     if isinstance(dct, TWindow):
-        factor = np.full(dct.owner.shape[0], float(factor)) if is_scalar(factor) \
+        factor = np.full(dct.owner.shape[0], float(factor)) if isinstance(factor, Scalar) \
             else factor.astype(np.float64)
         # A zero factor annihilates the whole per-lane dictionary (v_mul
         # prunes it), so iteration must not see its entries: empty the window.
@@ -1068,59 +1222,97 @@ def _scale_dict(rt: _Runtime, dct, factor):
 
 
 def _mul_values(rt: _Runtime, left, right):
+    """``left * right`` where either may hold one value per lane."""
+    lbatch, rbatch = left.__class__ is TBatch, right.__class__ is TBatch
+    if (lbatch and (rbatch or isinstance(right, Scalar))) \
+            or (rbatch and isinstance(left, Scalar)):
+        if lbatch:
+            lmag, left = left.finite, left.data
+            if left.dtype.kind == "b":
+                left = left.astype(np.int64)
+        else:
+            lmag = _magnitude(left)
+        if rbatch:
+            rmag, right = right.finite, right.data
+            if right.dtype.kind == "b":
+                right = right.astype(np.int64)
+        else:
+            rmag = _magnitude(right)
+        if lmag is None or rmag is None:
+            return TBatch(_product(left, right))
+        bound = lmag * rmag
+        return TBatch(left * right, None, None, bound if bound <= _FINITE_LIMIT else None)
     if not _is_batched(left) and not _is_batched(right):
         return v_mul(left, right)
-    scalarish_left = isinstance(left, TBatch) or is_scalar(left)
-    scalarish_right = isinstance(right, TBatch) or is_scalar(right)
-    if scalarish_left and scalarish_right:
-        return TBatch(np.asarray(_product(_lane_num(left), _lane_num(right))))
+    scalarish_left = lbatch or isinstance(left, Scalar)
+    scalarish_right = rbatch or isinstance(right, Scalar)
     if _is_dict_batched(left) and scalarish_right:
         return _scale_dict(rt, left, right)
     if _is_dict_batched(right) and scalarish_left:
         return _scale_dict(rt, right, left)
-    if isinstance(left, TBatch) or isinstance(right, TBatch):
+    if lbatch or rbatch:
         # per-lane scalar × loop-invariant dictionary
-        factor = left if isinstance(left, TBatch) else right
-        other = right if isinstance(left, TBatch) else left
+        factor = left if lbatch else right
+        other = right if lbatch else left
         data = _num(factor.data).astype(np.float64)
         return _invariant_lanes(rt, other, data != 0, data,
                                 "batched multiplication with a materialized dictionary")
     raise Untyped("dictionary × dictionary in batched body")
 
 
-def _singleton_lanes(rt: _Runtime, key: TBatch, value) -> TFlat:
-    """``{ key[i] -> value[i] }`` per lane, for a batched ``DictExpr``: an
-    entry bag.
+def _singleton_lanes(rt: _Runtime, key, value):
+    """``{ key[i] -> value[i] }`` per lane, for a lane-wise ``DictExpr``: an
+    entry bag (the plain dictionary when neither side holds lanes).
 
     A lane whose value is zero holds no entry (``{k -> 0}`` is ``{}``), so
     the lanes of a lookup that missed never reach a reduction; adding a zero
     changes no sum, so dropping them leaves every result bit for bit.
     """
+    if key.__class__ is TBatch:
+        if key.data.dtype is not _I64:
+            ints, valid = _int_lanes(key.data)
+            if valid is not None:
+                raise Untyped("non-integer dictionary keys in batched body")
+            key = TBatch(ints, key.bounds)
+    elif _is_dict_batched(key):
+        raise Untyped("dictionary-valued key")
+    elif not _is_batched(value):
+        return _singleton(key, value)
+    elif not isinstance(key, Scalar):
+        raise EvaluationError("dictionary keys must evaluate to scalars")
+    else:
+        index = integral_index(normalize_key(key))
+        if index is None:
+            raise Untyped("non-integer dictionary key in batched body")
+        key = TBatch(np.full(rt.lanes, index, dtype=np.int64), (index, index))
     lanes = key.data.shape[0]
-    if is_scalar(value):
-        value = TBatch(np.full(lanes, value))
-    if isinstance(value, TBatch):
-        vals = np.asarray(value.data).astype(np.float64, copy=False)
-        keep = vals != 0
-        if keep.all():
-            return TFlat([key.data], vals, np.arange(lanes, dtype=np.int64), [key.bounds], True)
-        rows = np.flatnonzero(keep)
-        return TFlat([key.data[rows]], vals[rows], rows, [key.bounds])
+    if isinstance(value, Scalar):
+        value = TBatch(np.full(lanes, value), None, None, _magnitude(value))
+    if value.__class__ is TBatch:
+        vals = value.data
+        if vals.dtype is not _F64:
+            vals = vals.astype(np.float64)
+        rows = vals.nonzero()[0]
+        if rows.shape[0] == lanes:  # rows is arange(lanes)
+            return TFlat([key.data], vals, rows, [key.bounds], True, value.finite)
+        return TFlat([key.data[rows]], vals[rows], rows, [key.bounds], False, value.finite)
     if isinstance(value, (TWindow, TFlat)):
         flat = _flatten(rt, value)
         col = key.data if flat.every_lane else key.data[flat.rows]
         return TFlat([col] + flat.cols, flat.vals, flat.rows, [key.bounds] + flat.bounds,
-                     flat.every_lane)
+                     flat.every_lane, flat.finite)
     raise Untyped("dictionary value does not batch")
 
 
 # ---------------------------------------------------------------------------
-# Lowering: AST -> closures
+# Lowering: AST -> closures, one per node and lane mode
 # ---------------------------------------------------------------------------
 
 
 def _note_fallback(rt: _Runtime, slot, source: Expr, reason: str) -> None:
     """Count a ``sum``/``merge`` that runs as a Python loop; say so once per run."""
+    if rt.fallbacks is None:
+        rt.fallbacks = {}
     if slot not in rt.fallbacks:
         rt.fallbacks[slot] = reason
         if _log.isEnabledFor(logging.DEBUG):
@@ -1216,17 +1408,22 @@ _STORED_TYPES = (np.ndarray, PhysicalArray, PhysicalHashMap, PhysicalTrie)
 
 def _stored_inputs(env: Mapping[str, Any], names: list) -> tuple | None:
     """The env values of ``names``, or ``None`` when one is not stored data."""
-    inputs = tuple(env.get(name) for name in names)
-    if all(isinstance(value, _STORED_TYPES) or is_scalar(value) for value in inputs):
-        return inputs
-    return None
+    inputs = tuple(map(env.get, names))
+    for value in inputs:
+        if not isinstance(value, _STORED_TYPES) and not isinstance(value, Scalar):
+            return None
+    return inputs
 
 
 def _same_inputs(refs: tuple, inputs: tuple) -> bool:
     """The identical containers, and scalars of equal value and type."""
-    return all(old() is value if isinstance(old, weakref.ref)
-               else type(old) is type(value) and old == value
-               for old, value in zip(refs, inputs))
+    for old, value in zip(refs, inputs):
+        if old.__class__ is weakref.ref:
+            if old() is not value:
+                return False
+        elif type(old) is not type(value) or old != value:
+            return False
+    return True
 
 
 def _keep_entry(kept: dict, slot, inputs: tuple, value, loops) -> None:
@@ -1243,254 +1440,169 @@ def _keep_entry(kept: dict, slot, inputs: tuple, value, loops) -> None:
         if entry is not None and entry[-1] is token:
             kept.pop(slot, None)
 
-    refs = tuple(item if is_scalar(item) else weakref.ref(item, forget)
+    refs = tuple(item if isinstance(item, Scalar) else weakref.ref(item, forget)
                  for item in inputs)
     kept[slot] = (refs, value, loops, token)
 
 
-class _Lowerer:
-    """Translates a De Bruijn plan into a tree of typed evaluation closures."""
+#: How a binder holds its value, fixed when lowering (a scope has one per
+#: enclosing binder, innermost last): a plain value; lanes of the current
+#: lane space; or lanes of an enclosing lane space, which a read gathers
+#: onto the current one (:class:`_Deferred`).
+_PLAIN, _LANE, _DEFERRED = 0, 1, 2
 
-    def __init__(self) -> None:
+
+class _Lowerer:
+    """Translates a De Bruijn plan into a tree of typed evaluation closures,
+    each lowered once for the lane mode it runs in.
+
+    A node is *lane-wise* when it reads a binder of an enclosing batched
+    ``sum`` or ``merge`` (a ``_LANE``/``_DEFERRED`` binder of its scope),
+    directly or through a ``let``, or is itself a ``sum``/``merge`` inside a
+    batched body; its closure handles lanes, and knows which of its operands
+    may be lanes.  Every other node is lane-invariant and gets the plain
+    closure of the interpreter's semantics, with no lane checks.  A
+    ``sum``'s body is lowered in batched mode; its plain (Python-loop)
+    closure is lowered when that loop first runs (:meth:`_later`).
+
+    Every closure takes ``(frames, rt)``.  ``frames`` starts with the run's
+    *prefix* — the value of every global the plan reads (``names``), bound
+    once per run, then every constant — followed by one frame per enclosing
+    binder.  A constant, a global and a binder that needs no gather are read
+    by their parent as ``frames[slot]`` (:meth:`operand`), with no call.  An
+    exception ends the use of a frames list: the code that catches
+    :class:`Untyped` and goes on handed the failed body a list of its own.
+    """
+
+    def __init__(self, names: tuple) -> None:
+        self.names = names
+        self.slots = {name: slot for slot, name in enumerate(names)}
+        self.consts: list = []
+        self.const_slots: dict = {}
+        self.frozen = False     # the prefix is fixed: a new constant gets a closure
         self.sum_count = 0
         self.merge_count = 0
         self.sum_sources: dict[int, Expr] = {}  # slot -> source expression
-        # slot -> (input refs, value, loop records, token) of each kept re-layout
+        self.memo_slots: dict = {}              # (expr, root) -> its memo slot
+        self.windowed: set = set()              # prefix slots read through their window
+        # memo slot -> (input refs, value, loop records, token) of each kept re-layout
         self.kept: dict = {}
+        self.lock = threading.Lock()
 
-    def lower(self, expr: Expr, root: bool = False) -> _Closure:
-        """The closure evaluating ``expr``; ``root`` when its value is the
-        plan's value (the plan itself, or the body of a top-level ``let``)."""
-        if isinstance(expr, Const):
-            value = expr.value
-            return lambda frames, rt: value
-        if isinstance(expr, Sym):
-            name = expr.name
-            def sym_f(frames, rt):
-                try:
-                    return rt.env[name]
-                except KeyError:
-                    raise ExecutionError(f"unknown global symbol {name!r}") from None
-            return sym_f
+    # -- operands ---------------------------------------------------------------
+
+    def _const_slot(self, value) -> int | None:
+        key = (type(value), value)
+        try:
+            slot = self.const_slots.get(key)
+        except TypeError:       # an unhashable constant
+            return None
+        if slot is None and not self.frozen:
+            slot = self.const_slots[key] = len(self.names) + len(self.consts)
+            self.consts.append(value)
+        return slot
+
+    def operand(self, expr: Expr, scope: tuple, batched: bool):
+        """``(closure, slot, lane)`` of an operand: ``closure`` is ``None`` when
+        the value is ``frames[slot]``; ``lane`` when it may hold lanes."""
         if isinstance(expr, Idx):
-            index = expr.index
-            def idx_f(frames, rt):
-                if index >= len(frames):
-                    raise ExecutionError(f"unbound De Bruijn index %{index}")
-                value = frames[-1 - index]
-                return value.force(rt) if isinstance(value, _Deferred) else value
-            return idx_f
+            if expr.index < len(scope):
+                kind = scope[-1 - expr.index]
+                if kind != _DEFERRED:
+                    return None, -1 - expr.index, kind == _LANE
+        elif isinstance(expr, Sym):
+            return None, self.slots[expr.name], False
+        elif isinstance(expr, Const):
+            slot = self._const_slot(expr.value)
+            if slot is not None:
+                return None, slot, False
+        closure, lane = self.lower(expr, scope, batched)
+        return closure, None, lane
+
+    def _source(self, expr: Expr, scope: tuple, batched: bool):
+        """:meth:`operand` of a ``sum`` source or a lookup target: a closed
+        re-layout there (:func:`_is_relayout`) is kept across runs
+        (:meth:`_keep`)."""
+        if isinstance(expr, Sum) and not free_indices(expr) and _is_relayout(expr):
+            closure = self._memoize(expr, False, self._lower_sum(expr, (), False), keep=True)
+            return closure, None, False
+        return self.operand(expr, scope, batched)
+
+    # -- nodes --------------------------------------------------------------------
+
+    def lower(self, expr: Expr, scope: tuple, batched: bool,
+              root: bool = False) -> tuple[_Closure, bool]:
+        """``(closure, lane)`` of ``expr`` under ``scope`` (one binder kind per
+        enclosing binder); ``batched`` inside a batched body; ``root`` when
+        its value is the plan's value (the plan itself, or the body of a
+        top-level ``let``)."""
+        if isinstance(expr, Const):
+            slot = self._const_slot(expr.value)
+            if slot is None:
+                value = expr.value
+                return (lambda frames, rt: value), False
+            return (lambda frames, rt: frames[slot]), False
+        if isinstance(expr, Sym):
+            slot = self.slots[expr.name]
+            return (lambda frames, rt: frames[slot]), False
+        if isinstance(expr, Idx):
+            return self._lower_idx(expr, scope)
         if isinstance(expr, Var):
             raise ExecutionError("named variables must be converted to De Bruijn form first")
-        if isinstance(expr, Neg):
-            operand_f = self.lower(expr.operand)
-            return lambda frames, rt: _neg_value(rt, operand_f(frames, rt))
-        if isinstance(expr, Not):
-            operand_f = self.lower(expr.operand)
-            def not_f(frames, rt):
-                value = operand_f(frames, rt)
-                if isinstance(value, TBatch):
-                    return TBatch(np.logical_not(value.data.astype(bool)))
-                if _is_batched(value):
-                    raise Untyped("boolean negation of a dictionary in batched body")
-                return not truthy(value)
-            return not_f
-        if isinstance(expr, (Add, Sub)):
-            subtract = isinstance(expr, Sub)
-            left_f, right_f = self.lower(expr.left), self.lower(expr.right)
-            def add_f(frames, rt):
-                left, right = left_f(frames, rt), right_f(frames, rt)
-                if not _is_batched(left) and not _is_batched(right):
-                    return v_sub(left, right) if subtract else v_add(left, right)
-                if subtract:
-                    right = _neg_value(rt, right)
-                return _add_values(rt, left, right)
-            return add_f
-        if isinstance(expr, Mul):
-            left_f, right_f = self.lower(expr.left), self.lower(expr.right)
-            return lambda frames, rt: _mul_values(
-                rt, left_f(frames, rt), right_f(frames, rt))
-        if isinstance(expr, Div):
-            left_f, right_f = self.lower(expr.left), self.lower(expr.right)
-            def div_f(frames, rt):
-                left, right = left_f(frames, rt), right_f(frames, rt)
-                if isinstance(left, TBatch) or isinstance(right, TBatch):
-                    divisor = _lane_num(right)
-                    # A zero divisor on any lane must surface as the same
-                    # ZeroDivisionError the other backends raise: fall back.
-                    if np.any(np.asarray(divisor) == 0):
-                        raise Untyped("zero divisor in batched body")
-                    return TBatch(np.asarray(_lane_num(left) / divisor))
-                if _is_batched(left) or _is_batched(right):
-                    raise Untyped("dictionary division in batched body")
-                if not (is_scalar(left) and is_scalar(right)):
-                    raise EvaluationError("division is only defined on scalars")
-                return left / right
-            return div_f
-        if isinstance(expr, Cmp):
-            comparator = COMPARATORS[expr.op]
-            left_f, right_f = self.lower(expr.left), self.lower(expr.right)
-            op = expr.op
-            def cmp_f(frames, rt):
-                left, right = left_f(frames, rt), right_f(frames, rt)
-                if isinstance(left, TBatch) or isinstance(right, TBatch):
-                    decided = _decide(op, _lane_bounds(left), _lane_bounds(right))
-                    if decided is not None:
-                        rt.proven_guards += 1
-                        return decided
-                    return TBatch(np.asarray(comparator(_lane_data(left),
-                                                        _lane_data(right))))
-                if _is_batched(left) or _is_batched(right):
-                    raise Untyped("dictionary comparison in batched body")
-                if not (is_scalar(left) and is_scalar(right)):
-                    raise EvaluationError("comparisons are only defined on scalars")
-                return bool(comparator(left, right))
-            return cmp_f
-        if isinstance(expr, (And, Or)):
-            combine = np.logical_and if isinstance(expr, And) else np.logical_or
-            short_circuit_on = isinstance(expr, Or)
-            left_f, right_f = self.lower(expr.left), self.lower(expr.right)
-            def bool_f(frames, rt):
-                left = left_f(frames, rt)
-                if isinstance(left, TBatch):
-                    right = right_f(frames, rt)
-                    if is_scalar(right):    # e.g. a guard the bounds decided
-                        if truthy(right) == short_circuit_on:
-                            return short_circuit_on
-                        return TBatch(left.data.astype(bool))
-                    return TBatch(combine(left.data.astype(bool),
-                                          np.asarray(_lane_data(right)).astype(bool)))
-                if _is_batched(left):
-                    raise Untyped("boolean connective over a dictionary in batched body")
-                if truthy(left) == short_circuit_on:
-                    return short_circuit_on
-                right = right_f(frames, rt)
-                if isinstance(right, TBatch):
-                    return TBatch(right.data.astype(bool))
-                if _is_batched(right):
-                    raise Untyped("boolean connective over a dictionary in batched body")
-                return truthy(right)
-            return bool_f
-        if isinstance(expr, Get):
-            target_f, key_f = self._lower_operand(expr.target), self.lower(expr.key)
-            def get_f(frames, rt):
-                target = target_f(frames, rt)
-                key = key_f(frames, rt)
-                if isinstance(key, TBatch):
-                    q, valid = _int_lanes(key.data)
-                    lanes = TBatch(q) if valid is not None else \
-                        key if q is key.data else TBatch(q, key.bounds, key.run)
-                    value = _lookup_batched(rt, target, lanes, valid)
-                    if value is None:
-                        raise Untyped(
-                            f"vector-key lookup into {type(target).__name__}")
-                    return value
-                if _is_batched(key):
-                    raise Untyped("dictionary-valued key in batched body")
-                if _is_batched(target):
-                    norm = normalize_key(key)
-                    index = integral_index(norm)
-                    if index is None:
-                        return 0  # per-lane containers are integer-keyed
-                    q = TBatch(np.full(rt.lanes, index, dtype=np.int64), (index, index))
-                    value = _lookup_batched(rt, target, q, None)
-                    if value is None:
-                        raise Untyped(
-                            f"scalar lookup into batched {type(target).__name__}")
-                    return value
-                return lookup(target, normalize_key(key))
-            return get_f
-        if isinstance(expr, RangeExpr):
-            lo_f, hi_f = self.lower(expr.lo), self.lower(expr.hi)
-            def range_f(frames, rt):
-                lo, hi = lo_f(frames, rt), hi_f(frames, rt)
-                if _is_batched(lo) or _is_batched(hi):
-                    return _batched_slice(rt, None, lo, hi)
-                return RangeDict(int(lo), int(hi))
-            return range_f
-        if isinstance(expr, SliceGet):
-            target_f = self.lower(expr.target)
-            lo_f, hi_f = self.lower(expr.lo), self.lower(expr.hi)
-            def slice_f(frames, rt):
-                target = target_f(frames, rt)
-                lo, hi = lo_f(frames, rt), hi_f(frames, rt)
-                if _is_batched(target):
-                    raise Untyped("batched slice target")
-                if _is_batched(lo) or _is_batched(hi):
-                    array = _array(target)
-                    if array is None:
-                        raise Untyped("slice of a non-array with batched bounds")
-                    return _batched_slice(rt, array, lo, hi)
-                return SliceDict(target, int(lo), int(hi))
-            return slice_f
-        if isinstance(expr, DictExpr):
-            key_f, value_f = self.lower(expr.key), self.lower(expr.value)
-            def dict_f(frames, rt):
-                key = key_f(frames, rt)
-                value = value_f(frames, rt)
-                if _is_dict_batched(key):
-                    raise Untyped("dictionary-valued key")
-                if isinstance(key, TBatch) or _is_batched(value):
-                    if isinstance(key, TBatch):
-                        klanes, kvalid = _int_lanes(key.data)
-                        if kvalid is not None:
-                            raise Untyped("non-integer dictionary keys in batched body")
-                        klanes = TBatch(klanes, key.bounds)
-                    elif is_scalar(key):
-                        norm = normalize_key(key)
-                        index = integral_index(norm)
-                        if index is None:
-                            raise Untyped("non-integer dictionary key in batched body")
-                        klanes = TBatch(np.full(rt.lanes, index, dtype=np.int64),
-                                        (index, index))
-                    else:
-                        raise EvaluationError("dictionary keys must evaluate to scalars")
-                    return _singleton_lanes(rt, klanes, value)
-                if is_zero(value):
-                    return SemiringDict()
-                return SemiringDict({normalize_key(key): value})
-            return dict_f
-        if isinstance(expr, IfThen):
-            cond_f, then_f = self.lower(expr.cond), self.lower(expr.then)
-            def if_f(frames, rt):
-                cond = cond_f(frames, rt)
-                if isinstance(cond, TBatch):
-                    mask = cond.data.astype(bool)
-                    return _apply_mask(rt, then_f(frames, rt), mask)
-                if _is_batched(cond):
-                    raise Untyped("dictionary-valued condition")
-                if truthy(cond):
-                    return then_f(frames, rt)
-                return 0
-            return if_f
         if isinstance(expr, Let):
-            value_f, body_f = self.lower(expr.value), self.lower(expr.body, root)
+            return self._lower_let(expr, scope, batched, root)
+        if isinstance(expr, (Sum, Merge)):
+            closed = not free_indices(expr)
+            if isinstance(expr, Sum):
+                if closed and not root:
+                    return self._memoize(expr, root, self._lower_sum(expr, (), False)), False
+                if batched:
+                    return self._lower_sum_lanes(expr, scope), True
+                return self._lower_sum(expr, scope, root), False
+            if closed and not root:
+                return self._memoize(expr, root, self._lower_merge(expr, (), False)), False
+            return self._lower_merge(expr, scope, batched), batched
+        build = _NODES.get(type(expr))
+        if build is None:
+            raise ExecutionError(f"cannot lower node of type {type(expr).__name__}")
+        return build(self, expr, scope, batched)
+
+    def _lower_idx(self, expr: Idx, scope: tuple):
+        index = expr.index
+        if index >= len(scope):
+            def unbound(frames, rt):
+                raise ExecutionError(f"unbound De Bruijn index %{index}")
+            return unbound, False
+        position = -1 - index
+        if scope[position] == _DEFERRED:
+            def deferred(frames, rt):
+                frame = frames[position]
+                forced = frame.forced
+                return frame.force(rt) if forced is None else forced
+            return deferred, True
+        return (lambda frames, rt: frames[position]), scope[position] == _LANE
+
+    def _lower_let(self, expr: Let, scope: tuple, batched: bool, root: bool):
+        value_f, value_s, lane = self.operand(expr.value, scope, batched)
+        body_f, body_lane = self.lower(expr.body, scope + (_LANE if lane else _PLAIN,),
+                                       batched, root)
+        if value_f is None:
+            def let_f(frames, rt):
+                frames.append(frames[value_s])
+                result = body_f(frames, rt)
+                frames.pop()
+                return result
+        else:
             def let_f(frames, rt):
                 frames.append(value_f(frames, rt))
-                try:
-                    return body_f(frames, rt)
-                finally:
-                    frames.pop()
-            return let_f
-        if isinstance(expr, Sum):
-            return self._maybe_memoize(expr, root, self._lower_sum(expr, root))
-        if isinstance(expr, Merge):
-            return self._maybe_memoize(expr, root, self._lower_merge(expr))
-        raise ExecutionError(f"cannot lower node of type {type(expr).__name__}")
+                result = body_f(frames, rt)
+                frames.pop()
+                return result
+        return let_f, body_lane
 
-    def _lower_operand(self, expr: Expr) -> _Closure:
-        """Lower a ``sum`` source or a lookup target.
-
-        A closed re-layout there (:func:`_is_relayout`) is kept across runs
-        (:meth:`_keep`); any other operand lowers as usual.
-        """
-        if isinstance(expr, Sum) and not free_indices(expr) and _is_relayout(expr):
-            return self._maybe_memoize(expr, False, self._lower_sum(expr), keep=True)
-        return self.lower(expr)
-
-    def _maybe_memoize(self, expr: Expr, root: bool, closure: _Closure,
-                       keep: bool = False) -> _Closure:
-        """Cache closed (loop-invariant) sums/merges once per execution.
+    def _memoize(self, expr: Expr, root: bool, closure: _Closure,
+                 keep: bool = False) -> _Closure:
+        """Cache a closed (loop-invariant) sum/merge once per execution.
 
         Invariant subplans the optimizer leaves inside loops (e.g. a whole
         operand transpose) are computed once per run — and because this
@@ -1499,37 +1611,26 @@ class _Lowerer:
         lookups consume with no conversion walk.  The slot is the
         expression itself, so every occurrence of one invariant (a
         factorized plan may iterate a transpose and look rows up in it)
-        shares a single evaluation.  With ``keep`` the value also outlives
-        the run (:meth:`_keep`).
+        shares a single evaluation.  A closed subplan reads no binder of the
+        frames it is handed, only the prefix and its own.  With ``keep`` the
+        value also outlives the run (:meth:`_keep`).
         """
-        if free_indices(expr):
-            return closure
-        slot = (expr, root)
-
-        def evaluate(rt):
-            batched, lanes = rt.batched, rt.lanes
-            rt.batched, rt.lanes = False, 0
-            try:
-                # Closed subplans reference no loop variables: evaluate with
-                # an empty frame stack so the invariant's own batched sums
-                # never try to reindex outer-lane frames.
-                return closure([], rt)
-            finally:
-                rt.batched, rt.lanes = batched, lanes
-
-        if keep:
-            evaluate = self._keep(slot, sorted(symbols(expr)), evaluate)
+        slot = self.memo_slots.setdefault((expr, root), ("memo", len(self.memo_slots)))
+        evaluate = self._keep(slot, sorted(symbols(expr)), closure) if keep else closure
 
         def memoized(frames, rt):
-            try:
-                return rt.invariants[slot]
-            except KeyError:
-                pass
-            value = rt.invariants[slot] = evaluate(rt)
+            invariants = rt.invariants
+            if invariants is None:
+                invariants = rt.invariants = {}
+            else:
+                value = invariants.get(slot)
+                if value is not None:
+                    return value
+            value = invariants[slot] = evaluate(frames, rt)
             return value
         return memoized
 
-    def _keep(self, slot, names: list, evaluate: Callable[[_Runtime], Any]):
+    def _keep(self, slot, names: list, evaluate: _Closure) -> _Closure:
         """``evaluate``, reusing the value of an earlier run over the same inputs.
 
         The kept entry refers to the env values of the re-layout's symbols,
@@ -1544,23 +1645,23 @@ class _Lowerer:
         """
         kept = self.kept
 
-        def keep(rt):
+        def keep(frames, rt):
             inputs = _stored_inputs(rt.env, names)
             if inputs is None:
-                return evaluate(rt)
+                return evaluate(frames, rt)
             entry = kept.get(slot)
             if entry is not None and _same_inputs(entry[0], inputs):
                 rt.relayouts_reused += 1
                 _, value, loops, _ = entry
             else:
                 outer, rt.profile = rt.profile, ExecutionProfile()
-                fallbacks = len(rt.fallbacks)
+                fallbacks = len(rt.fallbacks or ())
                 try:
-                    value = evaluate(rt)
+                    value = evaluate(frames, rt)
                 finally:
                     loops, rt.profile = rt.profile, outer
                 rt.relayouts_built += 1
-                if len(rt.fallbacks) == fallbacks:
+                if len(rt.fallbacks or ()) == fallbacks:
                     if isinstance(value, BufferDict):
                         # Read by every later run: find its key bounds once,
                         # so they prove the guards and lookups over it.
@@ -1572,14 +1673,45 @@ class _Lowerer:
             return value
         return keep
 
-    def _lower_sum(self, expr, root: bool = False) -> _Closure:
+    def _later(self, expr: Expr, scope: tuple, counts: tuple) -> Callable[[], _Closure]:
+        """A getter of ``expr``'s plain closure under ``scope``, lowered on
+        first use: the Python-loop body of a ``sum`` or ``merge``.  The loops
+        in it get the slots the batched lowering gave them (numbering
+        restarts from ``counts``, the sum and merge counts before it)."""
+        lowered: list = []
+
+        def get() -> _Closure:
+            if not lowered:
+                with self.lock:
+                    if not lowered:
+                        now = self.sum_count, self.merge_count
+                        self.sum_count, self.merge_count = counts
+                        try:
+                            lowered.append(self.lower(expr, scope, False)[0])
+                        finally:
+                            self.sum_count, self.merge_count = now
+            return lowered[0]
+        return get
+
+    # -- sums ---------------------------------------------------------------------
+
+    def _lower_sum(self, expr: Sum, scope: tuple, root: bool = False) -> _Closure:
+        """A ``sum`` outside any batched body: its body runs batched over the
+        source's entries, or in a Python loop when that raises :class:`Untyped`."""
         self.sum_count += 1
         slot = self.sum_count
         self.sum_sources[slot] = expr.source
-        source_f, body_f = self._lower_operand(expr.source), self.lower(expr.body)
+        source_f, source_s, _ = self._source(expr.source, scope, False)
+        sym = isinstance(expr.source, Sym)
+        if sym:
+            self.windowed.add(source_s)
+        counts = self.sum_count, self.merge_count
+        body_f, _ = self.lower(expr.body, scope + (_LANE, _LANE), True)
+        plain_body = self._later(expr.body, scope + (_PLAIN, _PLAIN), counts)
 
         def python_loop(frames, rt, source, reason):
             _note_fallback(rt, slot, expr.source, reason)
+            body = plain_body()
             accumulator: Any = 0
             iterations = 0
             for key, value in iter_items(source):
@@ -1587,7 +1719,7 @@ class _Lowerer:
                 frames.append(key)
                 frames.append(value)
                 try:
-                    term = body_f(frames, rt)
+                    term = body(frames, rt)
                 finally:
                     frames.pop()
                     frames.pop()
@@ -1596,75 +1728,93 @@ class _Lowerer:
                 rt.profile.record_loop(slot, iterations)
             return accumulator
 
-        def sum_batched(frames, rt, source):
-            lanes = rt.lanes
-            expanded = _expand_source(rt, source, lanes)
-            if not isinstance(expanded, tuple):
-                if rt.profile is not None and lanes:
-                    rt.profile.record_loop(slot, 0, entries=lanes)
-                return expanded  # the source is empty on every lane
-            parent, keys, values, counts = expanded
-            if rt.profile is not None and lanes:
-                # parent has one lane per (outer lane, inner element) pair:
-                # the total inner iteration count across the outer lanes.
-                rt.profile.record_loop(slot, parent.shape[0], entries=lanes)
-            if parent.shape[0] == 0:
-                return 0
-            new_frames = _defer_frames(frames, parent)
-            new_frames.append(keys)
-            new_frames.append(values)
-            rt.lanes = parent.shape[0]
-            try:
-                result = body_f(new_frames, rt)
-            finally:
-                rt.lanes = lanes
-            return _reduce_expanded(rt, result, parent, lanes, counts)
-
-        segments = _segment_sum(expr)
-        table_f = None if segments is None else \
-            self._segment_table(slot, segments, sum_batched)
-
         def sum_f(frames, rt):
-            if rt.batched and table_f is not None:
-                value = table_f(frames, rt)
-                if value is not None:
-                    return value
-            source = source_f(frames, rt)
-            if rt.batched:
-                return sum_batched(frames, rt, source)
-            reason = "its typed attempt already failed in this run"
-            if slot not in rt.failed_batch:
-                space = _iteration_space(rt, source)
-                if space is None:
-                    reason = f"cannot batch iteration over {type(source).__name__}"
-                else:
-                    keys, values = space
-                    lanes = keys.data.shape[0]
-                    if rt.profile is not None:
-                        rt.profile.record_loop(slot, lanes)
-                    if lanes == 0:
-                        return 0
-                    outer_lanes = rt.lanes
-                    rt.batched, rt.lanes = True, lanes
-                    frames.append(keys)
-                    frames.append(values)
-                    try:
-                        body_value = body_f(frames, rt)
-                    except Untyped as exc:
-                        rt.failed_batch.add(slot)
-                        reason = str(exc)
-                    else:
-                        return _reduce_lanes(rt, body_value, lanes, root)
-                    finally:
-                        frames.pop()
-                        frames.pop()
-                        rt.batched, rt.lanes = False, outer_lanes
+            source = frames[source_s] if source_f is None else source_f(frames, rt)
+            failed = rt.failed_batch
+            if failed is not None and slot in failed:
+                return python_loop(frames, rt, source,
+                                   "its typed attempt already failed in this run")
+            window = rt.views[source_s] if sym else None
+            if sym and window is None:
+                window = _sym_window(rt, frames, source_s)
+            space = _iteration_space(rt, source, window)
+            if space is None:
+                return python_loop(frames, rt, source,
+                                   f"cannot batch iteration over {type(source).__name__}")
+            keys, values = space
+            lanes = keys.data.shape[0]
+            if rt.profile is not None:
+                rt.profile.record_loop(slot, lanes)
+            if lanes == 0:
+                return 0
+            outer_lanes = rt.lanes
+            rt.lanes = lanes
+            try:
+                body_value = body_f(frames + [keys, values], rt)
+            except Untyped as exc:
+                if rt.failed_batch is None:
+                    rt.failed_batch = set()
+                rt.failed_batch.add(slot)
+                reason = str(exc)
+            else:
+                return _reduce_lanes(rt, body_value, lanes, root)
+            finally:
+                rt.lanes = outer_lanes
             return python_loop(frames, rt, source, reason)
 
         return sum_f
 
-    def _segment_table(self, slot: int, segments: tuple,
-                       sum_batched: Callable) -> _Closure:
+    def _lower_sum_lanes(self, expr: Sum, scope: tuple) -> _Closure:
+        """A ``sum`` inside a batched body: each lane's source fanned out into
+        one lane per entry, the body run once over all of them, and summed
+        back onto the lanes."""
+        self.sum_count += 1
+        slot = self.sum_count
+        self.sum_sources[slot] = expr.source
+        source_f, source_s, _ = self._source(expr.source, scope, True)
+        inner = tuple(_DEFERRED if kind else _PLAIN for kind in scope) + (_LANE, _LANE)
+        body_f, _ = self.lower(expr.body, inner, True)
+        # The enclosing lane bindings the body reads, as positions in its frames.
+        reads = tuple((-1 - index, scope[1 - index] == _DEFERRED)
+                      for index in sorted(free_indices(expr.body))
+                      if 2 <= index < len(scope) + 2 and scope[1 - index] != _PLAIN)
+        segments = _segment_sum(expr)
+        table_f = None if segments is None else \
+            self._segment_table(slot, segments, scope)
+
+        def sum_lanes(frames, rt, source=None):
+            if source is None:
+                if table_f is not None:
+                    value = table_f(frames, rt, sum_lanes)
+                    if value is not None:
+                        return value
+                source = frames[source_s] if source_f is None else source_f(frames, rt)
+            lanes = rt.lanes
+            expanded = _window_entries(rt, source) if source.__class__ is TWindow \
+                else _expand_source(rt, source, lanes)
+            if expanded.__class__ is not tuple:
+                if rt.profile is not None and lanes:
+                    rt.profile.record_loop(slot, 0, entries=lanes)
+                return expanded  # the source is empty on every lane
+            parent, keys, values, counts = expanded
+            size = parent.shape[0]
+            if rt.profile is not None and lanes:
+                # parent has one lane per (outer lane, inner element) pair:
+                # the total inner iteration count across the outer lanes.
+                rt.profile.record_loop(slot, size, entries=lanes)
+            if size == 0:
+                return 0
+            new_frames = frames + [keys, values]
+            if reads:
+                _defer(new_frames, reads, parent)
+            rt.lanes = size
+            result = body_f(new_frames, rt)
+            rt.lanes = lanes
+            return _reduce_expanded(rt, result, parent, lanes, counts)
+
+        return sum_lanes
+
+    def _segment_table(self, slot: int, segments: tuple, scope: tuple):
         """The closure answering a segment sum (:func:`_segment_sum`) from a
         table of its value per segment of ``P``, or returning ``None`` when
         the sum must expand as usual.
@@ -1681,41 +1831,51 @@ class _Lowerer:
         profiled run records the loop counts the expansion would have.
         """
         target_name, pos_name, key_expr = segments
-        key_f = self.lower(key_expr)
+        key_f, key_s, _ = self.operand(key_expr, scope, True)
+        target_s, pos_s = self.slots[target_name], self.slots[pos_name]
+        self.windowed.update((target_s, pos_s))
         table_slot = ("segments", slot)
 
-        def build(rt, target, pos):
+        def build(frames, rt, expand, target, pos, fact):
             count = pos.shape[0] - 1
-            lo = _read(rt, pos, _range_lanes(0, count))
-            hi = _read(rt, pos, _range_lanes(1, count + 1))
+            lo = _read(rt, pos, fact, _range_lanes(0, count))
+            hi = _read(rt, pos, fact, _range_lanes(1, count + 1))
             lanes, profile = rt.lanes, rt.profile
             rt.lanes, rt.profile = count, None
             try:
-                values = sum_batched([], rt, _batched_slice(rt, target, lo, hi))
+                values = expand(frames, rt, _batched_slice(rt, target.target, target.fact,
+                                                           lo, hi))
             except Untyped:
                 return None
             finally:
                 rt.lanes, rt.profile = lanes, profile
-            if not (isinstance(values, TBatch) and values.data.shape == (count,)):
+            if not (values.__class__ is TBatch and values.data.shape == (count,)):
                 return None
             counts = np.diff(pos)
             return values.data, counts, not counts.all()
 
-        def table_f(frames, rt):
-            key = key_f(frames, rt)
-            if not isinstance(key, TBatch) or key.data.dtype.kind not in "iu" \
+        def table_f(frames, rt, expand):
+            key = frames[key_s] if key_f is None else key_f(frames, rt)
+            if key.__class__ is not TBatch or key.data.dtype.kind not in "iu" \
                     or (key.run is not None and key.run[0] is None):
                 return None
-            pos, target = _array(rt.env.get(pos_name)), _array(rt.env.get(target_name))
-            if pos is None or target is None:
+            pos, target = rt.views[pos_s], rt.views[target_s]
+            if pos is None:
+                pos = _sym_window(rt, frames, pos_s)
+            if target is None:
+                target = _sym_window(rt, frames, target_s)
+            if not (pos and target and pos.contiguous and target.contiguous
+                    and pos.levels is None and target.levels is None):
                 return None
-            fact = _fact(rt, pos)
+            fact, pos = pos.fact, pos.target
             lanes, count = key.data.shape[0], pos.shape[0] - 1
             if fact is None or not fact.ordered or not _within(key.bounds, 0, count - 1) \
                     or count > lanes or int(pos[-1]) - int(pos[0]) > lanes:
                 return None
+            if rt.invariants is None:
+                rt.invariants = {}
             if table_slot not in rt.invariants:
-                rt.invariants[table_slot] = build(rt, target, pos)
+                rt.invariants[table_slot] = build(frames, rt, expand, target, pos, fact)
             table = rt.invariants[table_slot]
             if table is None:
                 return None
@@ -1734,14 +1894,28 @@ class _Lowerer:
 
         return table_f
 
-    def _lower_merge(self, expr) -> _Closure:
+    # -- merges -------------------------------------------------------------------
+
+    def _lower_merge(self, expr: Merge, scope: tuple, batched: bool) -> _Closure:
+        """A ``merge``: a value-sorted join with its body run batched over the
+        matches, or a Python loop.  Inside a batched body it raises
+        :class:`Untyped` (its operands and body are lowered all the same, so
+        the loops in them keep their slots)."""
         self.merge_count += 1
         slot = ("merge", self.merge_count)
-        left_f, right_f = self.lower(expr.left), self.lower(expr.right)
-        body_f = self.lower(expr.body)
+        left_f, _ = self.lower(expr.left, scope, batched)
+        right_f, _ = self.lower(expr.right, scope, batched)
+        counts = self.sum_count, self.merge_count
+        body_f, _ = self.lower(expr.body, scope + (_LANE,) * 3, True)
+        if batched:
+            def merge_lanes(frames, rt):
+                raise Untyped("merge inside a batched body")
+            return merge_lanes
+        plain_body = self._later(expr.body, scope + (_PLAIN,) * 3, counts)
 
         def python_merge(frames, rt, left, right, reason):
             _note_fallback(rt, slot, expr.left, reason)
+            body = plain_body()
             by_value: dict = {}
             for key, value in iter_items(right):
                 by_value.setdefault(merge_hashable(value), []).append(key)
@@ -1755,15 +1929,13 @@ class _Lowerer:
                     frames.append(key2)
                     frames.append(value)
                     try:
-                        term = body_f(frames, rt)
+                        term = body(frames, rt)
                     finally:
                         del frames[-3:]
                     accumulator = v_add(accumulator, term)
             return accumulator
 
         def merge_f(frames, rt):
-            if rt.batched:
-                raise Untyped("merge inside a batched body")
             left = left_f(frames, rt)
             right = right_f(frames, rt)
             pairs_left = _flat_pairs(rt, left)
@@ -1790,22 +1962,317 @@ class _Lowerer:
                     key1, values = left_keys[parent], left_vals[parent]
                     key2 = right_keys_sorted[pos]
                     outer_lanes = rt.lanes
-                    rt.batched, rt.lanes = True, lanes
-                    frames.append(TBatch(key1))
-                    frames.append(TBatch(key2))
-                    frames.append(TBatch(values))
+                    rt.lanes = lanes
                     try:
-                        body_value = body_f(frames, rt)
+                        body_value = body_f(
+                            frames + [TBatch(key1), TBatch(key2), TBatch(values)], rt)
                     except Untyped as exc:
                         reason = str(exc)
                     else:
                         return _reduce_lanes(rt, body_value, lanes)
                     finally:
-                        del frames[-3:]
-                        rt.batched, rt.lanes = False, outer_lanes
+                        rt.lanes = outer_lanes
             return python_merge(frames, rt, left, right, reason)
 
         return merge_f
+
+
+# -- the other nodes: a plain closure, or a lane-wise one --------------------------
+#
+# Each builder takes (lowerer, expr, scope, batched) and returns (closure,
+# lane).  An operand is read as ``frames[slot] if f is None else f(frames, rt)``.
+
+
+def _negate(value):
+    return -value if isinstance(value, Scalar) else v_mul(-1, value)
+
+
+def _not_lanes(rt: _Runtime, value):
+    if value.__class__ is TBatch:
+        return TBatch(np.logical_not(_mask(value.data)))
+    if _is_batched(value):
+        raise Untyped("boolean negation of a dictionary in batched body")
+    return not truthy(value)
+
+
+def _sub_values(rt: _Runtime, left, right):
+    if not _is_batched(left) and not _is_batched(right):
+        return v_sub(left, right)
+    return _add_values(rt, left, _neg_value(rt, right))
+
+
+def _divide(left, right):
+    if not (isinstance(left, Scalar) and isinstance(right, Scalar)):
+        raise EvaluationError("division is only defined on scalars")
+    return left / right
+
+
+def _divide_lanes(rt: _Runtime, left, right):
+    if left.__class__ is TBatch or right.__class__ is TBatch:
+        divisor = _lane_num(right)
+        # A zero divisor on any lane must surface as the same
+        # ZeroDivisionError the other backends raise: fall back.
+        if np.any(np.asarray(divisor) == 0):
+            raise Untyped("zero divisor in batched body")
+        return TBatch(np.asarray(_lane_num(left) / divisor))
+    if _is_batched(left) or _is_batched(right):
+        raise Untyped("dictionary division in batched body")
+    return _divide(left, right)
+
+
+def _compare(comparator, left, right):
+    if not (isinstance(left, Scalar) and isinstance(right, Scalar)):
+        raise EvaluationError("comparisons are only defined on scalars")
+    return bool(comparator(left, right))
+
+
+def _compare_lanes(op: str, comparator, rt: _Runtime, left, right):
+    """``left op right`` per lane; one boolean when the operands' proven
+    bounds decide it."""
+    lbatch, rbatch = left.__class__ is TBatch, right.__class__ is TBatch
+    if lbatch or rbatch:
+        decided = _decide(
+            op, left.bounds if lbatch else (left, left) if left.__class__ is int
+            else _lane_bounds(left),
+            right.bounds if rbatch else (right, right) if right.__class__ is int
+            else _lane_bounds(right))
+        if decided is not None:
+            rt.proven_guards += 1
+            return decided
+        return TBatch(comparator(_lane_data(left), _lane_data(right)))
+    if _is_batched(left) or _is_batched(right):
+        raise Untyped("dictionary comparison in batched body")
+    return _compare(comparator, left, right)
+
+
+def _range(lo, hi):
+    return RangeDict(int(lo), int(hi))
+
+
+def _range_of(rt: _Runtime, lo, hi):
+    if _is_batched(lo) or _is_batched(hi):
+        return _batched_slice(rt, None, None, lo, hi)
+    return _range(lo, hi)
+
+
+def _singleton(key, value):
+    if is_zero(value):
+        return SemiringDict()
+    return SemiringDict({normalize_key(key): value})
+
+
+def _unary(plain, lanes):
+    """The builder of a one-operand node: ``plain(value)``, or ``lanes(rt,
+    value)`` when the operand may hold lanes."""
+    def build(lowerer, expr, scope, batched):
+        f, s, lane = lowerer.operand(expr.operand, scope, batched)
+        if lane:
+            return (lambda frames, rt: lanes(rt, frames[s] if f is None else f(frames, rt))), True
+        return (lambda frames, rt: plain(frames[s] if f is None else f(frames, rt))), False
+    return build
+
+
+def _binary(first: str, second: str, plain, lanes):
+    """The builder of a node of two eagerly evaluated operands (fields
+    ``first`` and ``second``): ``plain(expr)(left, right)``, or
+    ``lanes(expr)(rt, left, right)`` when either may hold lanes."""
+    def build(lowerer, expr, scope, batched):
+        lf, ls, llane = lowerer.operand(getattr(expr, first), scope, batched)
+        rf, rs, rlane = lowerer.operand(getattr(expr, second), scope, batched)
+        if llane or rlane:
+            op = lanes(expr)
+
+            def binary_lanes(frames, rt):
+                return op(rt, frames[ls] if lf is None else lf(frames, rt),
+                          frames[rs] if rf is None else rf(frames, rt))
+            return binary_lanes, True
+        op = plain(expr)
+
+        def binary_f(frames, rt):
+            return op(frames[ls] if lf is None else lf(frames, rt),
+                      frames[rs] if rf is None else rf(frames, rt))
+        return binary_f, False
+    return build
+
+
+def _mask(data: np.ndarray) -> np.ndarray:
+    return data if data.dtype.kind == "b" else data.astype(bool)
+
+
+def _lower_bool(lowerer, expr, scope, batched):
+    """``&&`` / ``||``: the right operand is evaluated only when the left one
+    does not decide (on every lane)."""
+    short_circuit_on = isinstance(expr, Or)
+    combine = np.logical_or if short_circuit_on else np.logical_and
+    lf, ls, llane = lowerer.operand(expr.left, scope, batched)
+    rf, rs, rlane = lowerer.operand(expr.right, scope, batched)
+    if llane or rlane:
+        def bool_lanes(frames, rt):
+            left = frames[ls] if lf is None else lf(frames, rt)
+            if left.__class__ is TBatch:
+                right = frames[rs] if rf is None else rf(frames, rt)
+                if isinstance(right, Scalar):    # e.g. a guard the bounds decided
+                    if bool(right) == short_circuit_on:
+                        return short_circuit_on
+                    return TBatch(_mask(left.data))
+                return TBatch(combine(_mask(left.data), _mask(np.asarray(_lane_data(right)))))
+            if left.__class__ is not bool:
+                if _is_batched(left):
+                    raise Untyped("boolean connective over a dictionary in batched body")
+                left = truthy(left)
+            if left == short_circuit_on:
+                return short_circuit_on
+            right = frames[rs] if rf is None else rf(frames, rt)
+            if right.__class__ is TBatch:
+                return TBatch(_mask(right.data))
+            if right.__class__ is bool:
+                return right
+            if _is_batched(right):
+                raise Untyped("boolean connective over a dictionary in batched body")
+            return truthy(right)
+        return bool_lanes, True
+
+    def bool_f(frames, rt):
+        if truthy(frames[ls] if lf is None else lf(frames, rt)) == short_circuit_on:
+            return short_circuit_on
+        return truthy(frames[rs] if rf is None else rf(frames, rt))
+    return bool_f, False
+
+
+def _lower_get(lowerer, expr, scope, batched):
+    """A lookup: a stored array's own read when the key holds integer lanes
+    and the target is a global read whole."""
+    tf, ts, tlane = lowerer._source(expr.target, scope, batched)
+    kf, ks, klane = lowerer.operand(expr.key, scope, batched)
+    if not (tlane or klane):
+        def get_f(frames, rt):
+            return lookup(frames[ts] if tf is None else tf(frames, rt),
+                          normalize_key(frames[ks] if kf is None else kf(frames, rt)))
+        return get_f, False
+    sym = isinstance(expr.target, Sym)
+    if sym:
+        lowerer.windowed.add(ts)
+
+    def get_lanes(frames, rt):
+        target = frames[ts] if tf is None else tf(frames, rt)
+        key = frames[ks] if kf is None else kf(frames, rt)
+        if key.__class__ is TBatch:
+            window = None
+            if key.data.dtype is _I64:
+                valid = None
+                if sym:
+                    window = rt.views[ts]
+                    if window is None:
+                        window = _sym_window(rt, frames, ts)
+                    if window and window.contiguous and window.levels is None:
+                        return _read(rt, window.target, window.fact, key)
+                    window = window or None
+            else:
+                q, valid = _int_lanes(key.data)
+                key = TBatch(q) if valid is not None else \
+                    key if q is key.data else TBatch(q, key.bounds, key.run)
+            value = _lookup_batched(rt, target, key, valid, window)
+            if value is None:
+                raise Untyped(f"vector-key lookup into {type(target).__name__}")
+            return value
+        if _is_batched(key):
+            raise Untyped("dictionary-valued key in batched body")
+        if _is_batched(target):
+            index = integral_index(normalize_key(key))
+            if index is None:
+                return 0  # per-lane containers are integer-keyed
+            q = TBatch(np.full(rt.lanes, index, dtype=np.int64), (index, index))
+            value = _lookup_batched(rt, target, q, None)
+            if value is None:
+                raise Untyped(f"scalar lookup into batched {type(target).__name__}")
+            return value
+        return lookup(target, normalize_key(key))
+    return get_lanes, True
+
+
+def _lower_slice(lowerer, expr, scope, batched):
+    tf, ts, tlane = lowerer.operand(expr.target, scope, batched)
+    lf, ls, llane = lowerer.operand(expr.lo, scope, batched)
+    hf, hs, hlane = lowerer.operand(expr.hi, scope, batched)
+    if not (tlane or llane or hlane):
+        def slice_f(frames, rt):
+            return SliceDict(frames[ts] if tf is None else tf(frames, rt),
+                             int(frames[ls] if lf is None else lf(frames, rt)),
+                             int(frames[hs] if hf is None else hf(frames, rt)))
+        return slice_f, False
+    sym = isinstance(expr.target, Sym)
+    if sym:
+        lowerer.windowed.add(ts)
+
+    def slice_lanes(frames, rt):
+        target = frames[ts] if tf is None else tf(frames, rt)
+        lo = frames[ls] if lf is None else lf(frames, rt)
+        hi = frames[hs] if hf is None else hf(frames, rt)
+        if tlane and _is_batched(target):
+            raise Untyped("batched slice target")
+        if lo.__class__ is TBatch or hi.__class__ is TBatch \
+                or _is_batched(lo) or _is_batched(hi):
+            window = rt.views[ts] if sym else False
+            if window is None:
+                window = _sym_window(rt, frames, ts)
+            if window and window.contiguous and window.levels is None:
+                return _batched_slice(rt, window.target, window.fact, lo, hi)
+            array = _array(target)
+            if array is None:
+                raise Untyped("slice of a non-array with batched bounds")
+            return _batched_slice(rt, array, _fact(rt, array), lo, hi)
+        return SliceDict(target, int(lo), int(hi))
+    return slice_lanes, True
+
+
+def _lower_if(lowerer, expr, scope, batched):
+    cf, cs, clane = lowerer.operand(expr.cond, scope, batched)
+    tf, ts, tlane = lowerer.operand(expr.then, scope, batched)
+    if not (clane or tlane):
+        def if_f(frames, rt):
+            if truthy(frames[cs] if cf is None else cf(frames, rt)):
+                return frames[ts] if tf is None else tf(frames, rt)
+            return 0
+        return if_f, False
+
+    def if_lanes(frames, rt):
+        cond = frames[cs] if cf is None else cf(frames, rt)
+        if cond.__class__ is TBatch:
+            return _apply_mask(rt, frames[ts] if tf is None else tf(frames, rt),
+                               _mask(cond.data))
+        if cond is True or (cond is not False and not _is_batched(cond) and truthy(cond)):
+            return frames[ts] if tf is None else tf(frames, rt)
+        if _is_batched(cond):
+            raise Untyped("dictionary-valued condition")
+        return 0
+    return if_lanes, True
+
+
+def _fixed(function):
+    return lambda expr: function
+
+
+def _by_op(function):
+    return lambda expr: partial(function, COMPARATORS[expr.op])
+
+
+_NODES = {
+    Neg: _unary(_negate, _neg_value),
+    Not: _unary(lambda value: not truthy(value), _not_lanes),
+    Add: _binary("left", "right", _fixed(v_add), _fixed(_add_values)),
+    Sub: _binary("left", "right", _fixed(v_sub), _fixed(_sub_values)),
+    Mul: _binary("left", "right", _fixed(v_mul), _fixed(_mul_values)),
+    Div: _binary("left", "right", _fixed(_divide), _fixed(_divide_lanes)),
+    Cmp: _binary("left", "right", _by_op(_compare),
+                 lambda expr: partial(_compare_lanes, expr.op, COMPARATORS[expr.op])),
+    RangeExpr: _binary("lo", "hi", _fixed(_range), _fixed(_range_of)),
+    DictExpr: _binary("key", "value", _fixed(_singleton), _fixed(_singleton_lanes)),
+    And: _lower_bool,
+    Or: _lower_bool,
+    Get: _lower_get,
+    SliceGet: _lower_slice,
+    IfThen: _lower_if,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1876,6 +2343,28 @@ class TypedPlan:
                 f"buffers, NumPy kernels with loop fallback>")
 
 
+def _report(rt: _Runtime, lowerer: _Lowerer, stats: dict) -> None:
+    """Write a run's counters into the ``stats`` sink (:class:`TypedPlan`)."""
+    fallbacks = rt.fallbacks or {}
+    regimes, lookups = rt.regimes or Counter(), rt.lookups or Counter()
+    stats["sum_loops"] = lowerer.sum_count
+    stats["merge_loops"] = lowerer.merge_count
+    stats["fallback_sums"] = sum(1 for slot in fallbacks if isinstance(slot, int))
+    stats["fallback_merges"] = sum(1 for slot in fallbacks if not isinstance(slot, int))
+    stats["fallback_reasons"] = dict(Counter(fallbacks.values()))
+    for regime in GROUP_REGIMES:
+        stats[f"group_by_{regime}"] = regimes[regime]
+    for regime in LOOKUP_REGIMES:
+        stats[f"lookup_{regime}"] = lookups[regime]
+    stats["dense_sink"] = rt.dense_sinks
+    stats["relayouts_built"] = rt.relayouts_built
+    stats["relayouts_reused"] = rt.relayouts_reused
+    stats["levelized"] = rt.levelized
+    stats["proven_guards"] = rt.proven_guards
+    stats["contiguous_reads"] = rt.contiguous_reads
+    stats["segment_tables"] = rt.segment_tables
+
+
 def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
     """Lower a physical plan (De Bruijn form) for typed-buffer execution.
 
@@ -1883,10 +2372,16 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
     expansion over flat columnar buffers, with a per-loop Python fallback for
     untypeable constructs; results are identical to the reference
     interpreter (dictionary results come back as lazy
-    :class:`~repro.execution.buffers.BufferDict` views).
+    :class:`~repro.execution.buffers.BufferDict` views).  A run's prologue
+    binds the value of every global the plan reads, once; a name the
+    environment does not bind raises :class:`ExecutionError`.
     """
-    lowerer = _Lowerer()
-    root = lowerer.lower(plan, root=True)
+    names = tuple(sorted(symbols(plan)))
+    lowerer = _Lowerer(names)
+    root, _ = lowerer.lower(plan, (), False, root=True)
+    lowerer.frozen = True
+    consts = tuple(lowerer.consts)
+    windowed = tuple(sorted(lowerer.windowed))
 
     # IEEE results (`inf - inf`, `0 * inf` before the annihilation pass) are
     # the semantics, not an accident: no warning from any operation of a run.
@@ -1896,27 +2391,22 @@ def typed_plan(plan: Expr, name: str = "typed_plan") -> TypedPlan:
     @np.errstate(all="ignore")
     def function(env: Mapping[str, Any], stats: dict | None = None,
                  profile=None, dense_shape: tuple[int, ...] | None = None) -> Any:
-        rt = _Runtime(env, profile, dense_shape)
-        result = root([], rt)
+        try:
+            frames = [*map(env.__getitem__, names), *consts]
+        except KeyError as exc:
+            raise ExecutionError(f"unknown global symbol {exc.args[0]!r}") from None
+        views = [None] * len(frames)
+        rt = _Runtime(env, profile, dense_shape, views)
+        facts = rt.facts
+        for slot in windowed:     # other kinds are made on first use, by _sym_window
+            value = frames[slot]
+            if value.__class__ is np.ndarray and value.ndim == 1:
+                fact = facts.get(id(value))
+                views[slot] = TWindow(0, value.shape[0], value, None, True, fact=(
+                    fact if fact is not None and fact.array is value else None))
+        result = root(frames, rt)
         if stats is not None:
-            stats["sum_loops"] = lowerer.sum_count
-            stats["merge_loops"] = lowerer.merge_count
-            stats["fallback_sums"] = sum(
-                1 for slot in rt.fallbacks if isinstance(slot, int))
-            stats["fallback_merges"] = sum(
-                1 for slot in rt.fallbacks if not isinstance(slot, int))
-            stats["fallback_reasons"] = dict(Counter(rt.fallbacks.values()))
-            for regime in GROUP_REGIMES:
-                stats[f"group_by_{regime}"] = rt.regimes[regime]
-            for regime in LOOKUP_REGIMES:
-                stats[f"lookup_{regime}"] = rt.lookups[regime]
-            stats["dense_sink"] = rt.dense_sinks
-            stats["relayouts_built"] = rt.relayouts_built
-            stats["relayouts_reused"] = rt.relayouts_reused
-            stats["levelized"] = rt.levelized
-            stats["proven_guards"] = rt.proven_guards
-            stats["contiguous_reads"] = rt.contiguous_reads
-            stats["segment_tables"] = rt.segment_tables
+            _report(rt, lowerer, stats)
         return result
 
     return TypedPlan(plan=plan, function=function, sum_count=lowerer.sum_count,

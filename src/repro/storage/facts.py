@@ -6,7 +6,9 @@ look at the data (:meth:`~repro.storage.formats.StorageFormat.facts`):
 
 * ``idx<k>`` — every key lies in ``[0, shape[axis])``;
 * ``pos<k>`` — the segment array is non-decreasing, from ``0`` to the number
-  of entries of its level.
+  of entries of its level;
+* ``val`` — when every stored value is finite, a bound on their magnitude
+  (:func:`magnitude`, found once when the values are written).
 
 They also declare how their levels segment one another
 (:meth:`~repro.storage.formats.StorageFormat.segmentation`, one
@@ -23,23 +25,36 @@ environment without facts (a plain ``dict``) runs exactly as before.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from ..sdqlite.ast import Expr
 
-__all__ = ["ArrayFact", "Environment", "Segmentation"]
+__all__ = ["ArrayFact", "Environment", "Segmentation", "magnitude"]
 
 
 class ArrayFact(NamedTuple):
-    """Every element of ``array`` lies in ``[lo, hi]``; ``ordered``: and they
-    never decrease from one element to the next."""
+    """Every element of ``array`` lies in ``[lo, hi]`` (``None``: no bounds
+    declared); ``ordered``: and they never decrease from one element to the
+    next; ``finite`` (``None``: not declared): every element is finite and at
+    most this in magnitude."""
 
     array: np.ndarray
-    lo: int
-    hi: int
+    lo: int | None
+    hi: int | None
     ordered: bool = False
+    finite: float | None = None
+
+
+def magnitude(values: np.ndarray, bound: float | None = 0.0) -> float | None:
+    """The larger of ``bound`` and the largest ``|value|``, when ``bound`` is
+    not ``None`` and every value is finite; else ``None``."""
+    if bound is None or values.size == 0:
+        return bound
+    largest = float(np.max(np.abs(values)))
+    return max(bound, largest) if math.isfinite(largest) else None
 
 
 class Segmentation(NamedTuple):

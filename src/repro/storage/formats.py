@@ -48,7 +48,7 @@ import numpy as np
 from ..sdqlite.ast import Const, Expr, RangeExpr, Sym
 from ..sdqlite.errors import StorageError
 from ..sdqlite.parser import parse_expr
-from .facts import ArrayFact, Segmentation
+from .facts import ArrayFact, Segmentation, magnitude
 from .physical import (
     KIND_ARRAY,
     KIND_HASH,
@@ -519,6 +519,8 @@ class DenseFormat(StorageFormat):
         if array.ndim not in (1, 2, 3):
             raise StorageError("DenseFormat supports tensors of rank 1, 2 or 3")
         self.array = array
+        self.flat = array.reshape(-1)
+        self.finite = magnitude(self.flat)
 
     @classmethod
     def from_dense(cls, name: str, array: np.ndarray, **kwargs) -> "DenseFormat":
@@ -540,8 +542,14 @@ class DenseFormat(StorageFormat):
     def nnz(self) -> int:
         return int(np.count_nonzero(self.array))
 
+    def facts(self) -> dict[str, ArrayFact]:
+        """``val`` is finite, with the bound found on construction, when it is."""
+        if self.finite is None:
+            return {}
+        return {f"{self.name}_val": ArrayFact(self.flat, None, None, finite=self.finite)}
+
     def physical(self) -> dict[str, Any]:
-        symbols: dict[str, Any] = {f"{self.name}_val": self.array.reshape(-1)}
+        symbols: dict[str, Any] = {f"{self.name}_val": self.flat}
         for axis, size in enumerate(self.shape, start=1):
             symbols[f"{self.name}_dim{axis}"] = int(size)
         return symbols
@@ -644,6 +652,7 @@ class LevelFormat(StorageFormat):
             dense = self.shape[self._axes[0]] if self.levels[0] == DENSE else None
             self.keys, self.seg = build_levels(cols, (1,) * self.rank, dense)
         self.values = values
+        self.finite = magnitude(values)
 
     @property
     def _axes(self) -> Sequence[int]:
@@ -718,8 +727,11 @@ class LevelFormat(StorageFormat):
 
     def _splice(self, coords, values):
         spliced = copy.copy(self)
-        spliced.keys, spliced.seg, spliced.values = splice(
+        spliced.keys, spliced.seg, spliced.values, written = splice(
             self.keys, self.seg, self.values, [coords[:, axis] for axis in self._axes], values)
+        # An entry the delta leaves alone keeps its value, and one that is not
+        # finite stays so under any addition: the written values decide.
+        spliced.finite = magnitude(written, self.finite)
         return spliced
 
     def _entry_counts(self) -> list[int]:
@@ -738,7 +750,8 @@ class LevelFormat(StorageFormat):
     def facts(self) -> dict[str, ArrayFact]:
         """The facts the level kinds imply, in O(1): every ``idx<k>`` key lies
         in ``[0, shape[axis])``; every ``pos<k>`` is non-decreasing, from 0
-        to the number of entries of level ``k``."""
+        to the number of entries of level ``k``; and, when the values were
+        all finite as written, ``val`` is finite, with the bound found then."""
         prefix, named, axes = self.name + "_", self._named(), self._axes
         facts = {}
         for symbol, kind, index in self._slots:
@@ -747,6 +760,8 @@ class LevelFormat(StorageFormat):
                 facts[prefix + symbol] = ArrayFact(array, 0, self.shape[axes[index]] - 1)
             elif kind == "pos":
                 facts[prefix + symbol] = ArrayFact(array, 0, int(array[-1]), True)
+            elif kind == "val" and self.finite is not None:
+                facts[prefix + symbol] = ArrayFact(array, None, None, finite=self.finite)
         return facts
 
     def segmentation(self) -> dict[str, Segmentation]:

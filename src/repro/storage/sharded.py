@@ -357,6 +357,8 @@ class MemmapDenseFormat(DenseFormat):
         if array.ndim not in (1, 2, 3):
             raise StorageError("MemmapDenseFormat supports tensors of rank 1, 2 or 3")
         self.array = array
+        self.flat = array.reshape(-1)
+        self.finite = None      # declared by no fact: proving it would read the file
         self._nnz = (int(np.count_nonzero(self.array)) if _nnz is None
                      else int(_nnz))
 

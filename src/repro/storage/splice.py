@@ -110,7 +110,9 @@ def leaf_columns(keys: Sequence, seg: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def splice(keys: Sequence, seg: Sequence[np.ndarray], values: np.ndarray,
            cols: Sequence[np.ndarray], deltas: np.ndarray, *, canonical: bool = False):
-    """``(keys, seg, values)`` of the chain plus the delta ``(cols, deltas)``.
+    """``(keys, seg, values, written)`` of the chain plus the delta ``(cols,
+    deltas)``; ``written`` holds the value of every coordinate the delta
+    touched, as stored after it (0 where the entry cancelled).
 
     ``keys`` holds per level a list of key columns (``None`` for a dense
     root), ``seg`` per level its segment array, as the module describes.
@@ -213,7 +215,7 @@ def splice(keys: Sequence, seg: Sequence[np.ndarray], values: np.ndarray,
         new_values[leaf[hit]] = sums[hit]
     else:
         new_values = values
-    return new_keys, new_seg, new_values
+    return new_keys, new_seg, new_values, sums
 
 
 def _coalesce(cols: Sequence[np.ndarray], deltas: np.ndarray):

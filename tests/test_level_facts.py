@@ -62,18 +62,22 @@ CORPUS = sorted((pathlib.Path(__file__).resolve().parent / "corpus").glob("*.py"
 def _assert_facts_hold(fmt) -> None:
     physical = fmt.physical()
     facts = fmt.facts()
-    # Every key and segment array of a level chain declares one, nothing else does.
+    # Every key and segment array of a level chain declares bounds, nothing else does.
     declared = {symbol for symbol, value in physical.items()
                 if isinstance(value, np.ndarray) and re.search(r"_(idx|pos)\d+$", symbol)}
-    if facts:
-        assert set(facts) == declared
+    bounded = {symbol for symbol, fact in facts.items() if fact.lo is not None}
+    if bounded:
+        assert bounded == declared
     for symbol, fact in facts.items():
         array = fact.array
         assert physical[symbol] is array, symbol
-        if array.size:
+        if array.size and fact.lo is not None:
             assert fact.lo <= int(array.min()) and int(array.max()) <= fact.hi, symbol
         if fact.ordered:
             assert array[0] == 0 and (np.diff(array) >= 0).all(), symbol
+        if fact.finite is not None:
+            assert symbol.endswith("_val") and np.isfinite(array).all(), symbol
+            assert array.size == 0 or float(np.abs(array).max()) <= fact.finite, symbol
 
 
 @pytest.mark.parametrize("key,kind,tensor,kwargs",
@@ -99,7 +103,8 @@ def test_every_chain_format_declares_facts():
             except StorageError:
                 continue
             chain = kind in ("coo", "csr", "csc", "dcsr", "csf") or kind.startswith("sharded")
-            assert bool(fmt.facts()) == chain, kind
+            bounded = [fact for fact in fmt.facts().values() if fact.lo is not None]
+            assert bool(bounded) == chain, kind
 
 
 @pytest.mark.parametrize("kind", sorted(ALL_FORMATS))
@@ -114,8 +119,8 @@ def test_from_coo_refuses_coordinates_outside_the_shape(kind, bad):
         except StorageError:
             continue
         break
-    if not fmt.facts():
-        pytest.skip(f"{kind} declares no facts")
+    if not any(fact.lo is not None for fact in fmt.facts().values()):
+        pytest.skip(f"{kind} declares no bounds")
     coords = np.zeros((2, rank), dtype=np.int64)
     coords[1, :2] = bad
     with pytest.raises(StorageError, match="out of range"):
