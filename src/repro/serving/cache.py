@@ -42,21 +42,7 @@ from typing import Any, Callable, Hashable, Mapping
 
 from ..core.optimizer import OptimizationResult
 from ..execution.engine import PreparedPlan
-
-
-def catalog_fingerprint(catalog) -> tuple:
-    """The schema-level identity of a catalog (or snapshot) as a hashable value.
-
-    Covers exactly what a prepared plan depends on besides the program:
-    which tensors exist, the storage format and shape each is stored in, and
-    which scalar *names* are bound (values are execution-time).  Insensitive
-    to registration order.
-    """
-    tensors = tuple(sorted(
-        (name, fmt.format_name, tuple(int(s) for s in fmt.shape))
-        for name, fmt in catalog.tensors.items()))
-    scalars = tuple(sorted(catalog.scalars))
-    return (tensors, scalars)
+from ..storage.catalog import catalog_fingerprint
 
 
 def plan_key(query, *, method: str, backend: str,
@@ -66,10 +52,14 @@ def plan_key(query, *, method: str, backend: str,
     ``query`` is any hashable canonical identity of the program — the
     session passes the front end's :class:`~repro.sdqlite.frontend.Query`
     (nameless, literal-free, hashed once), which is parse-stable where
-    pretty-printed source text is not."""
+    pretty-printed source text is not.  A catalog snapshot carries its
+    fingerprint, computed once per schema epoch
+    (:meth:`~repro.storage.Catalog.fingerprint`)."""
+    fingerprint = getattr(snapshot, "fingerprint", None)
     return (query, method, backend,
             tuple(sorted(optimizer_options.items())),
-            catalog_fingerprint(snapshot), snapshot.schema_version)
+            catalog_fingerprint(snapshot) if fingerprint is None else fingerprint(),
+            snapshot.schema_version)
 
 
 def base_key(key: tuple) -> tuple:

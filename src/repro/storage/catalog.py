@@ -39,6 +39,22 @@ from .formats import StorageFormat
 from .physical import KIND_SCALAR
 
 
+def catalog_fingerprint(catalog) -> tuple:
+    """The schema-level identity of a catalog (or snapshot) as a hashable value.
+
+    Covers exactly what a prepared plan depends on besides the program:
+    which tensors exist, the storage format and shape each is stored in, and
+    which scalar *names* are bound (values are execution-time).  Insensitive
+    to registration order.  The plan cache keys on it
+    (:func:`repro.serving.plan_key`).
+    """
+    tensors = tuple(sorted(
+        (name, fmt.format_name, tuple(int(s) for s in fmt.shape))
+        for name, fmt in catalog.tensors.items()))
+    scalars = tuple(sorted(catalog.scalars))
+    return (tensors, scalars)
+
+
 @dataclass(eq=False)
 class Catalog:
     """A collection of named tensors stored in explicit formats."""
@@ -50,6 +66,8 @@ class Catalog:
     #: Bumped only when the symbol set / storage formats change.
     schema_version: int = 0
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    #: ``(schema_version, catalog_fingerprint)`` as last computed.
+    _fingerprint: tuple = field(default=(-1, None), repr=False)
 
     def _bump(self, *, schema: bool) -> None:
         """Advance the epochs.  Callers hold :attr:`_lock`; the data change
@@ -62,6 +80,18 @@ class Catalog:
 
     def _writable(self) -> None:
         """Hook for read-only views; :class:`CatalogSnapshot` overrides it."""
+
+    def fingerprint(self) -> tuple:
+        """:func:`catalog_fingerprint` of this catalog, computed under the lock
+        once per schema epoch: a value-only mutation keeps the very object."""
+        epoch, fingerprint = self._fingerprint
+        if epoch != self.schema_version:
+            with self._lock:
+                epoch, fingerprint = self._fingerprint
+                if epoch != self.schema_version:
+                    fingerprint = catalog_fingerprint(self)
+                    self._fingerprint = (self.schema_version, fingerprint)
+        return fingerprint
 
     # -- registration ---------------------------------------------------------
 
@@ -177,7 +207,8 @@ class Catalog:
             return CatalogSnapshot(tensors=dict(self.tensors),
                                    scalars=dict(self.scalars),
                                    version=self.version,
-                                   schema_version=self.schema_version)
+                                   schema_version=self.schema_version,
+                                   _fingerprint=(self.schema_version, self.fingerprint()))
 
     def epochs(self) -> tuple[int, int]:
         """``(version, schema_version)`` read atomically."""

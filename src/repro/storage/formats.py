@@ -956,17 +956,9 @@ class TrieFormat(StorageFormat):
         return _coo_from_entries(entries, self.rank)
 
     def to_buffers(self) -> dict[str, np.ndarray]:
-        """One key and one segment array per trie level, and the values."""
-        from .convert import coo_arrays
-
-        coords, values = coo_arrays(self)
-        cols = [np.ascontiguousarray(col) for col in coords.reshape(-1, self.rank).T]
-        keys, seg = build_levels(cols, (1,) * self.rank)
-        buffers: dict[str, np.ndarray] = {}
-        for depth, (level, segment) in enumerate(zip(keys, seg), start=1):
-            buffers[f"keys{depth}"], buffers[f"seg{depth}"] = level[0], segment
-        buffers["val"] = values
-        return buffers
+        """One key and one segment array per trie level, and the values (the
+        stored trie's own export)."""
+        return self.trie.to_buffers()
 
     def profile(self) -> Profile:
         entries: dict[tuple[int, ...], float] = {}

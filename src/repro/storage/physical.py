@@ -216,16 +216,21 @@ class PhysicalTrie(_LevelizedOnce):
         return default if index is None else self.nested.get(index, default)
 
     def to_buffers(self) -> dict[str, np.ndarray]:
-        """Export one sorted key/segment array pair per trie level."""
-        view = self.level_view()
-        if view is None:
+        """Export one sorted key and one segment array per dimension — also
+        of an empty trie — and the values in key order."""
+        from .splice import build_levels
+
+        rank = len(self.dims)
+        entries = sorted(_paths(self.nested, ()))
+        if any(len(path) != rank for path, _ in entries):
             raise StorageError(f"trie {self.name!r} is not levelizable")
-        levels = view.levels
+        coords = np.array([path for path, _ in entries], dtype=np.int64).reshape(-1, rank)
+        keys, seg = build_levels([np.ascontiguousarray(col) for col in coords.T],
+                                 (1,) * rank)
         buffers: dict[str, np.ndarray] = {}
-        for depth in range(levels.depth):
-            buffers[f"keys{depth + 1}"] = levels.keys[depth]
-            buffers[f"seg{depth + 1}"] = levels.seg[depth]
-        buffers["val"] = levels.values
+        for depth, (level, segment) in enumerate(zip(keys, seg), start=1):
+            buffers[f"keys{depth}"], buffers[f"seg{depth}"] = level[0], segment
+        buffers["val"] = np.array([value for _, value in entries], dtype=np.float64)
         return buffers
 
     def __repr__(self) -> str:
@@ -257,6 +262,15 @@ def _prune(nested: dict) -> dict:
         elif value != 0:
             out[key] = value
     return out
+
+
+def _paths(nested: dict, prefix: tuple):
+    """``(coordinate, value)`` of every leaf."""
+    for key, value in nested.items():
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
 
 
 def _leaves(nested: dict):

@@ -94,6 +94,55 @@ def test_declared_facts_hold_before_and_after_a_delta(key, kind, tensor, kwargs)
     _assert_facts_hold(apply_delta(fmt, delta_coords, delta_values))
 
 
+@pytest.mark.parametrize("kind", ["coo", "csr", "csc", "dcsr", "dense", "sharded_csr"])
+def test_the_finite_fact_follows_every_written_value(kind):
+    """A values array declares itself finite, with a bound on its magnitude,
+    exactly while every value written into it is finite: a delta that writes
+    ``inf``, or whose sum overflows to it, ends the fact."""
+    def finite(fmt):    # over every values array (a sharded format has one per shard)
+        facts = fmt.facts()
+        bounds = [facts[symbol].finite if symbol in facts else None
+                  for symbol in fmt.physical() if symbol.endswith("_val")]
+        return None if None in bounds else max(bounds)
+
+    coords = np.array([[0, 0], [1, 2], [3, 1]], dtype=np.int64)
+    fmt = ALL_FORMATS[kind].from_coo("T", coords, np.array([1.0, -4.0, 1e308]), (4, 4))
+    assert finite(fmt) == 1e308
+    _assert_facts_hold(fmt)
+    grown = apply_delta(fmt, [[2, 2], [0, 0]], [-5e307, 2.0])
+    assert finite(grown) == 1e308 and finite(fmt) == 1e308
+    _assert_facts_hold(grown)
+    assert finite(apply_delta(fmt, [[2, 3]], [np.inf])) is None
+    with np.errstate(over="ignore"):
+        overflow = apply_delta(fmt, [[3, 1]], [1e308])     # 1e308 + 1e308 is inf
+    assert np.isinf(overflow.to_dense()[3, 1]) and finite(overflow) is None
+    _assert_facts_hold(overflow)
+
+
+def test_products_of_proven_finite_lanes_scan_nothing(warm_statements, monkeypatch):
+    """BATAX over CSR multiplies three times per run; with the storage's
+    finite facts none of the products is scanned for ``0 * inf``, without
+    them every one is, and the results agree bit for bit."""
+    from repro.execution import typed_backend
+
+    scans = []
+    product = typed_backend._product
+
+    def counting(left, right, proven=False):
+        scans.append(not proven)
+        return product(left, right, proven)
+
+    monkeypatch.setattr(typed_backend, "_product", counting)
+    catalog, statement, shape = warm_statements["BATAX-csr"]
+    env = catalog.globals()
+    prepared = ExecutionEngine(env=env, cache=PlanCache()).prepare(statement.plan)
+    with_facts = prepared.run(env, dense_shape=shape)
+    assert sum(scans) == 0
+    without = prepared.run(dict(env), dense_shape=shape)
+    assert sum(scans) == 3
+    assert _bits(with_facts) == _bits(without)
+
+
 def test_every_chain_format_declares_facts():
     coords = np.array([[0, 0, 0], [2, 2, 2]], dtype=np.int64)
     for kind, cls in ALL_FORMATS.items():

@@ -197,6 +197,29 @@ class WindowedCatalog(Catalog):
 
 
 @pytest.mark.timeout(60)
+def test_the_fingerprint_is_made_once_per_schema_epoch():
+    """A snapshot carries the catalog fingerprint of its schema epoch: a
+    value-only write keeps the very object, every schema change replaces it."""
+    from repro.storage import COOFormat
+
+    a, x = make_inputs()
+    session = Session(Catalog().add(CSRFormat.from_dense("A", a))
+                      .add(DenseFormat.from_dense("X", x)).add_scalar("beta", 2.0))
+    catalog = session.catalog
+    first = catalog.snapshot().fingerprint()
+    assert first == catalog_fingerprint(catalog)
+    session.update("A", [[0, 0]], [1.0])
+    session.set_scalar("beta", 3.0)
+    assert catalog.snapshot().fingerprint() is first
+    for change in (lambda: session.replace_format(COOFormat.from_dense("A", a)),
+                   lambda: session.register(DenseFormat.from_dense("Y", x)),
+                   lambda: session.drop("X")):
+        change()
+        fingerprint = catalog.snapshot().fingerprint()
+        assert fingerprint is not first and fingerprint == catalog_fingerprint(catalog)
+        first = fingerprint
+
+
 def test_catalog_snapshot_never_tears_under_replace():
     """Every snapshot pairs its data with its epoch, even mid-replace.
 

@@ -215,6 +215,32 @@ def test_profiles_and_kinds():
     assert fmt.segment_profiles()["C_idx2"] == pytest.approx(5 / 3)
 
 
+@pytest.mark.parametrize("shape,coords,values", [
+    ((3, 4), [], []),
+    ((3, 4), [(1, 2)], [5.0]),
+    ((2, 3, 4), [], []),
+    ((2, 3, 4), [(1, 2, 3), (0, 0, 1), (1, 0, 2)], [1.0, -2.0, 3.0]),
+], ids=["empty", "single", "empty-rank3", "rank3"])
+def test_the_two_trie_exports_agree(shape, coords, values):
+    """A trie exports one key and one segment array per dimension, empty or
+    not, whether asked through its format or its stored trie; a non-empty one
+    as the levels the typed backend walks it into."""
+    fmt = TrieFormat.from_coo("T", np.array(coords, dtype=np.int64).reshape(-1, len(shape)),
+                              np.array(values, dtype=np.float64), shape)
+    declared, stored = fmt.to_buffers(), fmt.trie.to_buffers()
+    rank = len(shape)
+    names = {f"keys{d}" for d in range(1, rank + 1)} | {f"seg{d}" for d in range(1, rank + 1)}
+    assert set(declared) == set(stored) == names | {"val"}
+    for name, array in declared.items():
+        assert array.dtype == stored[name].dtype and np.array_equal(array, stored[name]), name
+    if coords:
+        levels = fmt.trie.level_view().levels
+        for d in range(rank):
+            assert np.array_equal(stored[f"keys{d + 1}"], levels.keys[d])
+            assert np.array_equal(stored[f"seg{d + 1}"], levels.seg[d])
+        assert np.array_equal(stored["val"], levels.values)
+
+
 def test_declarations_text():
     fmt = CSRFormat.from_dense("C", PAPER_MATRIX)
     ddl = fmt.declarations()
