@@ -400,13 +400,6 @@ def _times(left: float | None, right: float | None) -> float | None:
     return bound if bound <= _FINITE_LIMIT else None
 
 
-def _plus(left: float | None, right: float | None) -> float | None:
-    if left is None or right is None:
-        return None
-    bound = left + right
-    return bound if bound <= _FINITE_LIMIT else None
-
-
 def _product(left, right, proven: bool = False) -> np.ndarray:
     """``left * right`` per lane, with a zero factor annihilating as in
     ``v_mul``: ``0 * inf`` and ``0 * nan`` are 0, not NaN.  ``proven``: both
@@ -884,8 +877,8 @@ def _reduce_expanded(rt: _Runtime, body, parent: np.ndarray, out_lanes: int,
                       finite if finite is not None and finite <= _FINITE_LIMIT else None)
     if body.__class__ is TFlat or body.__class__ is TWindow:
         flat = body if body.__class__ is TFlat else _flatten(rt, body)
-        return TFlat(flat.cols, flat.vals, parent[flat.rows], flat.bounds,
-                     finite=flat.finite)
+        return TFlat(flat.cols, flat.vals, parent if flat.every_lane else parent[flat.rows],
+                     flat.bounds, finite=flat.finite)
     if isinstance(body, Scalar):
         if is_zero(body):
             return 0
@@ -1177,7 +1170,9 @@ def _add_values(rt: _Runtime, left, right):
                 lo, hi = lb[0] + rb[0], lb[1] + rb[1]
                 bounds = (lo, hi) if -(1 << 63) <= lo and hi < (1 << 63) else None
         else:
-            finite = _plus(_magnitude(left), _magnitude(right))
+            lmag, rmag = _magnitude(left), _magnitude(right)
+            if lmag is not None and rmag is not None and lmag + rmag <= _FINITE_LIMIT:
+                finite = lmag + rmag
         return TBatch(data, bounds, run, finite)
     if not _is_batched(left) and not _is_batched(right):
         return v_add(left, right)
