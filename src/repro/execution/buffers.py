@@ -98,19 +98,15 @@ def expand_lanes(lo: np.ndarray, counts: np.ndarray):
     """Fan every lane ``i`` out into ``arange(lo[i], lo[i] + counts[i])``.
 
     Returns ``(parent, positions)``: the lane each new lane came from and the
-    concatenated ranges.  Back-to-back ranges — a full traversal of a
-    ``pos``/``idx`` segment array — are one ``arange``.
+    concatenated ranges.  Ranges known to be back to back are expanded by
+    their caller as one ``arange`` instead.
     """
     lanes = counts.shape[0]
     parent = np.arange(lanes, dtype=np.int64).repeat(counts)
     total = parent.shape[0]
     if total == 0:
         return parent, np.empty(0, dtype=np.int64)
-    shift = lo - (counts.cumsum() - counts)     # position minus new-lane number
-    first = int(shift[0])
-    if int(shift.min()) == first == int(shift.max()):
-        return parent, np.arange(first, first + total, dtype=np.int64)
-    positions = shift[parent]
+    positions = (lo - (counts.cumsum() - counts))[parent]   # position minus new-lane number
     positions += np.arange(total, dtype=np.int64)
     return parent, positions
 
@@ -122,50 +118,60 @@ def parent_sum(parent: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
     return np.bincount(parent, weights=weights, minlength=size)[:size]
 
 
-def lookup_sorted(haystack: np.ndarray, queries: np.ndarray, inside: bool = False,
-                  tables: dict | None = None):
+def lookup_sorted(haystack: np.ndarray, queries: np.ndarray,
+                  bounds: tuple[int, int] | None = None, tables: dict | None = None):
     """Find every query in a strictly ascending int64 array.
 
     Returns ``(positions, found, regime)``: ``positions[i]`` is the index of
-    ``queries[i]`` in ``haystack`` where ``found[i]`` (a miss's position is
-    unspecified), and ``regime`` names how it was found
-    (:data:`LOOKUP_REGIMES`).  ``inside`` promises that every query lies
-    between the first and the last key, so none is scanned to check it.
+    ``queries[i]`` in ``haystack`` where ``found[i]``, and ``regime`` names
+    how it was found (:data:`LOOKUP_REGIMES`).  ``bounds``, the proven ``(lo, hi)`` of every
+    query, widens the position table to cover them when that keeps it
+    within the direct regime's size, so no query is scanned or clamped.
     ``tables``, when given, keeps the position table of this very
     ``haystack`` for the next lookup in it (under ``id(haystack)``, with the
     haystack itself, so the ``id`` cannot be recycled).
 
     * ``"direct"`` — the haystack's key range has at most
       ``_DENSE_CELLS_PER_ENTRY`` cells per haystack and query entry: one
-      position table over the range (``-1``: absent) and one gather;
+      position table over the range (``-1``: absent) and one gather, so a
+      miss's position is -1;
     * ``"search"`` — one ``np.searchsorted``.
 
     Both regimes find the same positions.
     """
     n, m = haystack.shape[0], queries.shape[0]
     if n == 0:
-        return np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool), "direct"
+        return np.full(m, -1, dtype=np.int64), np.zeros(m, dtype=bool), "direct"
     low, high = int(haystack[0]), int(haystack[-1])
-    if high - low >= _DENSE_CELLS_PER_ENTRY * (n + m):
+    limit = _DENSE_CELLS_PER_ENTRY * (n + m)
+    if high - low >= limit:
         pos = np.searchsorted(haystack, queries)
         np.minimum(pos, n - 1, out=pos)
         return pos, haystack[pos] == queries, "search"
+    first, last = low, high
+    if bounds is not None:
+        wide = min(low, bounds[0]), max(high, bounds[1])
+        if wide[1] - wide[0] < limit and -(1 << 63) <= wide[0] and wide[1] < (1 << 63):
+            first, last = wide
     kept = None if tables is None else tables.get(id(haystack))
-    if kept is not None and kept[0] is haystack:
-        table = kept[1]
+    if kept is not None and kept[0] is haystack and kept[2] <= first \
+            and last < kept[2] + kept[1].shape[0]:
+        _, table, first = kept
     else:
-        table = np.empty(high - low + 1, dtype=np.int64)
+        table = np.empty(last - first + 1, dtype=np.int64)
         table.fill(-1)
-        table[haystack - low] = np.arange(n, dtype=np.int64)
+        table[haystack - first] = np.arange(n, dtype=np.int64)
         if tables is not None:
-            tables[id(haystack)] = (haystack, table)
-    if m and (inside or low <= int(queries.min()) and int(queries.max()) <= high):
-        pos = table[queries - low]
+            tables[id(haystack)] = (haystack, table, first)
+    last = first + table.shape[0] - 1
+    if m and (bounds is not None and first <= bounds[0] and bounds[1] <= last
+              or first <= int(queries.min()) and int(queries.max()) <= last):
+        pos = table[queries - first if first else queries]
         return pos, pos >= 0, "direct"
-    # Clamp before subtracting the low key, so no query can overflow.
-    inside = (queries >= low) & (queries <= high)
-    pos = table[np.minimum(np.maximum(queries, low), high) - low]
-    return pos, inside & (pos >= 0), "direct"
+    # Clamp before subtracting the first key, so no query can overflow.
+    inside = (queries >= first) & (queries <= last)
+    pos = np.where(inside, table[np.minimum(np.maximum(queries, first), last) - first], -1)
+    return pos, pos >= 0, "direct"
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,7 @@ class BufferLevels:
     """
 
     __slots__ = ("depth", "keys", "seg", "values", "_parents", "_comps", "_bounds",
-                 "_leaf_cols", "_tables", "finite")
+                 "_leaf_cols", "_tables", "_padded", "finite")
 
     def __init__(self, keys: list[np.ndarray], seg: list[np.ndarray],
                  values: np.ndarray):
@@ -199,6 +205,7 @@ class BufferLevels:
         self._bounds: dict[int, tuple[int, int]] = {}
         self._leaf_cols: list[np.ndarray] | None = None
         self._tables: dict = {}     # position tables of the composites, made once
+        self._padded: np.ndarray | None = None
         self.finite: float | None = None   # a bound on |values|, all finite, if proven
 
     @classmethod
@@ -230,6 +237,13 @@ class BufferLevels:
             cached = np.repeat(np.arange(seg.shape[0] - 1, dtype=np.int64), np.diff(seg))
             self._parents[level] = cached
         return cached
+
+    def padded_values(self) -> np.ndarray:
+        """``values`` and one 0.0 after them, made once: a gather at the
+        position -1 of a miss reads 0."""
+        if self._padded is None:
+            self._padded = np.append(self.values, 0.0)
+        return self._padded
 
     def key_bounds(self, level: int) -> tuple[int, int]:
         """``(kmin, kmax)`` of the keys at ``level`` (``(0, -1)``: none), found
@@ -278,27 +292,35 @@ class BufferLevels:
         among the children of parent entry ``owner[i]`` at ``level``.
 
         Lanes whose owner has no children there — ``owner < 0`` (empty
-        views) or at or past the composite's ``span`` — always miss.
-        Returns :func:`lookup_sorted`'s ``(positions, found, regime)``, or
-        ``None`` when the composite key overflows.  Keys whose proven
-        ``key_bounds`` lie inside the level's are not compared with them.
+        views) or at or past the composite's ``span`` — always miss; an
+        owner of -1 needs no mask, as its composites lie below every entry's.
+        Returns :func:`lookup_sorted`'s ``(positions, found, regime)``, with
+        a miss's position -1, or ``None`` when the composite key overflows.
+        Keys whose proven ``key_bounds`` lie inside the level's are not
+        compared with them.
         """
         comp_info = self.composite(level)
         if comp_info is None:
             return None
         comp, kmin, kmax, big, span = comp_info
-        in_range = (owner >= 0) & (owner < span)
+        in_range = (owner >= -1) & (owner < span)
         if key_bounds is None or key_bounds[0] < kmin or key_bounds[1] > kmax:
             in_range &= (keys >= kmin) & (keys <= kmax)
         if valid is not None:
             in_range &= valid
-        if in_range.all():
+        every = bool(in_range.all())
+        if every:
             queries = owner * big + (keys - kmin)
         else:   # mask before multiplying, so no out-of-range lane can overflow
             queries = np.where(in_range, owner, 0) * big \
                 + (np.where(in_range, keys, kmin) - kmin)
-        pos, found, regime = lookup_sorted(comp, queries, tables=self._tables)
-        return pos, found & in_range, regime
+        # Every query lies in [-big, span * big): a table over that range finds them all.
+        pos, found, regime = lookup_sorted(comp, queries, (-big, span * big - 1),
+                                           self._tables)
+        if every and regime == "direct":
+            return pos, found, regime
+        found &= in_range
+        return np.where(found, pos, -1), found, regime
 
     def leaf_columns(self) -> list[np.ndarray]:
         """The full coordinate of every leaf entry, one column per level."""

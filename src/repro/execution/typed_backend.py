@@ -593,17 +593,6 @@ def _reindex(rt: _Runtime, value, parent: np.ndarray):
     return value
 
 
-def _safe_gather(arr: np.ndarray, pos: np.ndarray, found: np.ndarray):
-    """``arr[pos]`` with miss lanes redirected to entry 0 (result unmasked).
-
-    ``lookup_sorted``/``lookup_level`` leave a miss's position unspecified
-    — only lanes where ``found`` is true carry a real position.
-    """
-    if arr.shape[0] == 0:
-        return np.zeros(found.shape[0], dtype=arr.dtype)
-    return arr[np.where(found, pos, 0)]
-
-
 def _all_inside(keys: np.ndarray, size: int) -> bool:
     """True when every key is a position of a ``size``-entry array."""
     return keys.shape[0] == 0 or (int(keys.min()) >= 0 and int(keys.max()) < size)
@@ -648,13 +637,17 @@ def _gather(target: np.ndarray | None, keys: np.ndarray):
     return np.where(valid, _num(target[np.minimum(np.maximum(keys, 0), size - 1)]), 0)
 
 
-def _read(rt: _Runtime, target: np.ndarray | None, fact, keys: TBatch) -> TBatch:
+def _read(rt: _Runtime, target: np.ndarray | None, fact, keys: TBatch,
+          next_entry: bool = False) -> TBatch:
     """:func:`_gather` of the per-lane positions ``keys``, using what is proven.
 
     Keys that are a run ``start:start+n`` inside ``target`` read the view
     ``target[start:start+n]``; keys proven inside it are gathered with no
     bounds scan.  Either way the lanes carry what ``fact`` (``target``'s
     declared fact, or ``None``) proves: bounds, and a finite magnitude.
+    ``next_entry`` reads at the int64 ``keys + 1`` (the ``P(e + 1)`` of a
+    segment), exactly as a read of those keys would, without making them
+    unless the bounds prove nothing.
     """
     if target is None:
         return keys
@@ -666,21 +659,29 @@ def _read(rt: _Runtime, target: np.ndarray | None, fact, keys: TBatch) -> TBatch
     size = target.shape[0]
     if size:
         run, lanes = keys.run, keys.data.shape[0]
-        if run is not None and run[0] is None and 0 <= run[1] and run[1] + lanes <= size:
+        if run is not None and run[0] is None and 0 <= run[1] + next_entry \
+                and run[1] + next_entry + lanes <= size:
             rt.contiguous_reads += 1
-            start = run[1]
+            start = run[1] + next_entry
             values = target[start:start + lanes]
             if values.dtype.kind == "b":
                 values = values.astype(np.int64)
             return TBatch(values, bounds, (target, start, fact), finite)
         proven = keys.bounds
-        if proven is not None and proven[0] >= 0 and proven[1] < size:
+        if proven is not None and proven[0] + next_entry >= 0 \
+                and proven[1] + next_entry < size:
             rt.proven_guards += 1
-            values = target[keys.data]
+            if not next_entry:
+                values = target[keys.data]
+            elif proven[0] >= 0:
+                values = target[1:][keys.data]
+            else:
+                values = target[keys.data + 1]
             if values.dtype.kind == "b":
                 values = values.astype(np.int64)
             return TBatch(values, bounds, None, finite)
-    return TBatch(_gather(target, keys.data), None, None, finite)
+    return TBatch(_gather(target, keys.data + 1 if next_entry else keys.data),
+                  None, None, finite)
 
 
 def _batched_slice(rt: _Runtime, target: np.ndarray | None, fact, lo, hi) -> TWindow:
@@ -710,14 +711,19 @@ def _window_entries(rt: _Runtime, window: TWindow):
     one lane per entry, ``parent`` mapping each back to its lane.
 
     A contiguous window — ``P(s):P(s+1)`` over a non-decreasing ``P`` and a
-    run of ``s`` — is the one range ``lo[0]:hi[-1]``: one ``repeat`` for the
-    parent map and no clamp or contiguity scan (:func:`expand_lanes`).
+    run of ``s``, or the children of a run of compressed entries — is the one
+    range ``lo[0]:hi[-1]``: one ``repeat`` for the parent map and no clamp or
+    contiguity scan (:func:`expand_lanes`); a compressed level reads it as
+    views.
     """
     lo, hi = (window.lo, window.hi) if window.lo is not None else window.bounds()
     if window.contiguous and lo.shape[0]:
         start, end = int(lo[0]), int(hi[-1])
         counts = hi - lo
         parent = np.arange(counts.shape[0], dtype=np.int64).repeat(counts)
+        if window.levels is not None:
+            scale = None if window.scale is None else window.scale[parent]
+            return (parent, *_entries(rt, window, slice(start, end), scale), counts)
         rt.contiguous_reads += 1
         positions = TBatch(np.arange(start, end, dtype=np.int64), (start, end - 1),
                            (None, start, None))
@@ -734,9 +740,10 @@ def _window_entries(rt: _Runtime, window: TWindow):
 
 def _entries(rt: _Runtime, window: TWindow, positions, scale: np.ndarray | None = None):
     """``(keys, values)`` of the entries at ``positions`` of ``window``'s level
-    (a :class:`TBatch`; a ``slice`` of a compressed root), one per lane and
+    (a :class:`TBatch`; a ``slice`` of a compressed level), one per lane and
     each times its ``scale``: a compressed level's values below its deepest
-    level are the windows of the entries' children."""
+    level are the windows of the entries' children, back to back when the
+    entries are a run."""
     levels = window.levels
     if levels is None:
         keys, values = positions, _read(rt, window.target, window.fact, positions)
@@ -749,8 +756,8 @@ def _entries(rt: _Runtime, window: TWindow, positions, scale: np.ndarray | None 
                 seg = levels.seg[window.level + 1]
                 lo, hi = seg[pos.start:pos.stop], seg[pos.start + 1:pos.stop + 1]
                 pos = np.arange(pos.start, pos.stop, dtype=np.int64)
-            return keys, TWindow(lo, hi, levels=levels, level=window.level + 1,
-                                 owner=pos, scale=scale)
+            return keys, TWindow(lo, hi, contiguous=lo is not None, levels=levels,
+                                 level=window.level + 1, owner=pos, scale=scale)
         values = TBatch(levels.values[pos], None, None, levels.finite)
     if scale is not None:
         values = TBatch(_product(values.data, scale))
@@ -1027,17 +1034,24 @@ def _lookup_compressed(rt: _Runtime, window: TWindow, key: TBatch,
                        valid: np.ndarray | None):
     """:func:`_lookup_batched` in a compressed window: one search of a root
     window's keys, or one lookup of per-lane windows' composite (owner, key)
-    (:meth:`~repro.execution.buffers.BufferLevels.lookup_level`)."""
+    (:meth:`~repro.execution.buffers.BufferLevels.lookup_level`).  A root
+    window over a whole level keeps its position table on the levels, so a
+    kept re-layout builds it once."""
     levels, level, keys = window.levels, window.level, key.data
     if window.owner is None:
-        span = levels.keys[level][window.lo:window.hi]
+        span = levels.keys[level]
+        whole = window.lo == 0 and window.hi == span.shape[0]
+        if not whole:
+            span = span[window.lo:window.hi]
         inside = span.shape[0] > 0 and _within(key.bounds, int(span[0]), int(span[-1]))
-        pos, found, regime = lookup_sorted(span, keys, inside)
+        pos, found, regime = lookup_sorted(span, keys, key.bounds,
+                                           levels._tables if whole else None)
         rt.proven_guards += inside
-        pos = pos + window.lo
         if valid is not None:
             found = found & valid
-    else:
+        if valid is not None or window.lo or regime != "direct":   # else -1 at every miss
+            pos = np.where(found, pos + window.lo if window.lo else pos, -1)
+    else:   # a miss's position is -1
         hit = levels.lookup_level(level, window.owner, keys, valid, key.bounds)
         if hit is None:
             raise Untyped("composite key overflow in nested lookup")
@@ -1047,12 +1061,12 @@ def _lookup_compressed(rt: _Runtime, window: TWindow, key: TBatch,
         rt.lookups = Counter()
     rt.lookups[regime] += 1
     if level < levels.depth - 1:
-        return TWindow(None, None, levels=levels, level=level + 1,
-                       owner=np.where(found, pos, -1), scale=window.scale)
-    values, finite = _safe_gather(levels.values, pos, found), levels.finite
+        return TWindow(None, None, levels=levels, level=level + 1, owner=pos,
+                       scale=window.scale)
+    values, finite = levels.padded_values()[pos], levels.finite    # a miss reads 0
     if window.scale is not None:
-        values, finite = _product(values, window.scale), None
-    return TBatch(np.where(found, values, 0), None, None, finite)
+        values, finite = np.where(found, _product(values, window.scale), 0), None
+    return TBatch(values, None, None, finite)
 
 
 def _expand_source(rt: _Runtime, source, lanes: int):
@@ -1375,15 +1389,9 @@ def _is_relayout(expr: Expr) -> bool:
     return isinstance(expr, Sum) and _rekeys(expr, ())
 
 
-def _segment_sum(expr: Sum) -> tuple[str, str, Expr] | None:
-    """``(T, P, e)`` when ``expr`` is ``sum(<p, v> in T(P(e):P(e + 1))) body``
-    over globals ``T`` and ``P``, with a ``body`` that reads only ``p`` and
-    ``v``: its value depends on the segment ``e`` alone.
-
-    The body also runs no loop of its own, so the table answering this
-    ``sum`` is all a profiled run would have recorded for it.
-    """
-    source = expr.source
+def _segment(source: Expr) -> tuple[str, str, Expr] | None:
+    """``(T, P, e)`` when ``source`` is the segment ``T(P(e):P(e + 1))`` over
+    globals ``T`` and ``P`` and a key ``e``."""
     if not (isinstance(source, SliceGet) and isinstance(source.target, Sym)
             and isinstance(source.lo, Get) and isinstance(source.hi, Get)):
         return None
@@ -1391,9 +1399,20 @@ def _segment_sum(expr: Sum) -> tuple[str, str, Expr] | None:
     if not (isinstance(lo.target, Sym) and hi.target == lo.target and _is_key(lo.key)
             and hi.key == Add(lo.key, Const(1))):
         return None
+    return source.target.name, lo.target.name, lo.key
+
+
+def _segment_sum(expr: Sum) -> tuple[str, str, Expr] | None:
+    """:func:`_segment` of the source of ``sum(<p, v> in T(P(e):P(e + 1)))
+    body``, with a ``body`` that reads only ``p`` and ``v``: its value
+    depends on the segment ``e`` alone.
+
+    The body also runs no loop of its own, so the table answering this
+    ``sum`` is all a profiled run would have recorded for it.
+    """
     if not (free_indices(expr.body) <= {0, 1} and _is_key(expr.body)):
         return None
-    return source.target.name, lo.target.name, lo.key
+    return _segment(expr.source)
 
 
 #: The values a kept re-layout may read: the catalog's containers, which no
@@ -2217,7 +2236,34 @@ def _lower_slice(lowerer, expr, scope, batched):
                 raise Untyped("slice of a non-array with batched bounds")
             return _batched_slice(rt, array, _fact(rt, array), lo, hi)
         return SliceDict(target, int(lo), int(hi))
-    return slice_lanes, True
+
+    segment = _segment(expr)
+    if segment is None or expr.hi.key.right.value.__class__ is not int:
+        return slice_lanes, True
+    # A segment T(P(e):P(e + 1)) over whole arrays reads P at e and at e + 1
+    # from one evaluation of e (``_read``'s ``next_entry``), as the two
+    # lookups read them.
+    ps = lowerer.slots[segment[1]]
+    lowerer.windowed.add(ps)
+    kf, ks, _ = lowerer.operand(segment[2], scope, batched)
+
+    def segment_lanes(frames, rt):
+        key = frames[ks] if kf is None else kf(frames, rt)
+        if key.__class__ is TBatch and key.data.dtype is _I64:
+            views = rt.views
+            pos, window = views[ps], views[ts]
+            if pos is None:
+                pos = _sym_window(rt, frames, ps)
+            if window is None:
+                window = _sym_window(rt, frames, ts)
+            if pos and window and pos.contiguous and window.contiguous \
+                    and pos.levels is None and window.levels is None:
+                target, fact = pos.target, pos.fact
+                return _batched_slice(rt, window.target, window.fact,
+                                      _read(rt, target, fact, key),
+                                      _read(rt, target, fact, key, True))
+        return slice_lanes(frames, rt)
+    return segment_lanes, True
 
 
 def _lower_if(lowerer, expr, scope, batched):

@@ -325,6 +325,35 @@ def test_a_run_of_keys_reads_the_slice_it_names(program, contiguous):
     assert (stats["contiguous_reads"] > 0) == contiguous
 
 
+@pytest.mark.parametrize("outer,key", [
+    ("<r, _> in 0:A_len1", "r"),        # a run of keys: two views
+    ("<_, r> in B_idx2", "r"),          # keys proven inside A_pos2: two gathers
+    ("<_, r> in B_idx2", "r - 1"),      # proven from -1: the upper bound reads at r
+    ("<_, r> in B_idx2", "r + 3"),      # past the end of A_pos2: checked gathers
+])
+@pytest.mark.parametrize("facts", [True, False])
+def test_a_segment_reads_its_bounds_as_two_lookups_would(outer, key, facts):
+    """``T(P(e):P(e + 1))`` reads ``P`` at ``e`` and ``e + 1`` from one
+    evaluation of ``e``; spelled ``P(1 + e)``, the upper bound is a lookup of
+    its own.  Both give the interpreter's result, bit for bit, and count the
+    same work."""
+    rng = np.random.default_rng(7)
+    catalog = Catalog()
+    catalog.add(CSRFormat.from_coo("A", *random_sparse_matrix_coo(5, 6, 0.4, rng=rng), (5, 6)))
+    catalog.add(CSRFormat.from_coo("B", *random_sparse_matrix_coo(4, 4, 0.5, rng=rng), (4, 4)))
+    env = catalog.globals() if facts else dict(catalog.globals())
+    runs = []
+    for hi in (f"({key}) + 1", f"1 + ({key})"):
+        program = (f"sum({outer}) sum(<off, col> in "
+                   f"A_idx2(A_pos2({key}):A_pos2({hi}))) {{ col -> A_val(off) }}")
+        plan = to_debruijn_safe(parse_expr(program))
+        stats: dict = {}
+        typed = ExecutionEngine(env=env, cache=PlanCache()).prepare(plan).run(env, stats)
+        assert values_equal(typed, evaluate(plan, env)), program
+        runs.append((_bits(typed), stats))
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # a fact is about one array object
 # ---------------------------------------------------------------------------

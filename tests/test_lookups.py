@@ -76,6 +76,25 @@ def test_lookup_sorted_matches_searchsorted_in_both_regimes(case):
         assert regime == ("direct" if dense else "search")
 
 
+@settings(max_examples=300, deadline=None)
+@given(haystack_and_queries(), st.integers(0, 40), st.integers(0, 40))
+def test_lookup_sorted_with_proven_bounds_finds_the_same_positions(case, below, above):
+    """Bounds that hold of every query widen the position table instead of
+    scanning the queries: the same positions are found, a second lookup
+    reuses the kept table, and in the direct regime a miss's position is -1."""
+    haystack, queries = case
+    bounds = (int(queries.min()) - below, int(queries.max()) + above) if queries.size \
+        else None
+    expected_found, expected_pos = searchsorted_reference(haystack, queries)
+    tables: dict = {}
+    for _ in range(2):
+        pos, found, regime = lookup_sorted(haystack, queries, bounds, tables)
+        np.testing.assert_array_equal(found, expected_found)
+        np.testing.assert_array_equal(pos[found], expected_pos)
+        if regime == "direct":
+            assert (pos[~found] == -1).all()
+
+
 def test_lookup_sorted_regimes_on_fixed_inputs():
     dense = np.arange(10, 20, dtype=np.int64)
     queries = np.array([9, 10, 15, 19, 20, INT64_MIN, INT64_MAX], dtype=np.int64)
@@ -153,6 +172,7 @@ def test_lookup_level_finds_exactly_the_children_of_each_owner(case):
         return
     pos, found, regime = hit
     assert regime in LOOKUP_REGIMES
+    assert (pos[~found] == -1).all()    # a miss's position is -1
     seg = levels.seg[1]
     for lane, (o, k) in enumerate(zip(owners, keys)):
         row = nested.get(o, {})

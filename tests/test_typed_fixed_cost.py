@@ -18,6 +18,10 @@ import sys
 
 import pytest
 
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                                    "src")))
+
 import repro
 from repro.baselines.base import output_shape
 from repro.execution.engine import PlanCache
@@ -28,17 +32,17 @@ from test_typed_counters import CASES, _catalog
 
 PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-#: The ceiling of each warm row's calls per execute (measured 75-142 when
+#: The ceiling of each warm row's calls per execute (measured 71-126 when
 #: set; the run before lowering fixed lane modes made 176-422).
 CEILINGS = {
-    "MMM-csr": 110,
-    "SUMMM-csc": 95,
-    "BATAX-csr": 105,
-    "TTM-csf": 120,
-    "MTTKRP-csf": 150,
-    "MMM-coo": 90,
-    "BATAX-csc": 85,
-    "MTTKRP-coo": 125,
+    "MMM-csr": 100,
+    "SUMMM-csc": 80,
+    "BATAX-csr": 95,
+    "TTM-csf": 110,
+    "MTTKRP-csf": 135,
+    "MMM-coo": 85,
+    "BATAX-csc": 80,
+    "MTTKRP-coo": 120,
 }
 
 
@@ -68,7 +72,7 @@ def calls_per_execute(case: str) -> int:
 @pytest.mark.parametrize("case", sorted(CEILINGS))
 def test_a_warm_execute_stays_under_its_call_ceiling(case):
     calls = calls_per_execute(case)
-    assert calls <= CEILINGS[case], f"{case}: {calls} calls per warm execute"
+    assert 0 < calls <= CEILINGS[case], f"{case}: {calls} calls per warm execute"
 
 
 if __name__ == "__main__":
